@@ -10,16 +10,13 @@
 // This root package is the stable facade. Its center is the backend-neutral
 // Runner API (runner.go): one Spec vocabulary and one interface —
 // Simulate/Batch/Experiment — served either in-process over a long-lived
-// warm session (LocalRunner) or by a vpserved daemon (RemoteRunner). The
-// building blocks live in internal/ packages (see DESIGN.md for the system
-// inventory, §7 for the facade design and the deprecation table).
+// warm session (LocalRunner) or by vpserved daemons (RemoteRunner for one,
+// ShardedRunner for a fleet). The building blocks live in internal/
+// packages (see DESIGN.md for the system inventory, §7 for the facade
+// design).
 package repro
 
 import (
-	"context"
-	"io"
-	"sync"
-
 	"repro/internal/harness"
 	"repro/internal/isa"
 	"repro/internal/kernels"
@@ -78,8 +75,8 @@ type ExperimentOptions struct {
 
 // APIError is a typed service-layer failure: HTTP status, a stable
 // machine-readable code (APICode* constants), and the server's message.
-// Client and RemoteRunner calls return it unwrapped — assert with
-// errors.As(err, *APIError).
+// Client calls return it unwrapped; remote Runner backends may wrap it with
+// context — assert with errors.As(err, *APIError).
 type APIError = service.APIError
 
 // Stable APIError codes.
@@ -142,191 +139,12 @@ func GeneratorFamilies() []string { return isa.Families() }
 func ProgramID(p *Program) string { return harness.ProgramID(p) }
 
 // ---------------------------------------------------------------------------
-// Deprecated one-shot entry points.
-//
-// These predate the Runner API and are kept as thin wrappers so existing
-// callers keep compiling — and get faster: they are backed by shared
-// process-default LocalRunners (one per distinct window sizing), so repeated
-// calls hit the warm memo instead of re-paying predictor/cache warmup in a
-// cold throwaway session, which is what each call used to cost.
-// ---------------------------------------------------------------------------
-
-// Options configures one Simulate call: a Spec's fields plus sizing knobs.
-//
-// Deprecated: build a Spec and use Runner.Simulate; sizing lives in
-// RunnerOptions.
-type Options struct {
-	Kernel    string   // one of Kernels()
-	Predictor string   // one of Predictors()
-	Counters  Counters // BaselineCounters or FPC
-	Recovery  Recovery // SquashAtCommit or SelectiveReissue
-	Warmup    uint64   // µops before measurement (default 50_000)
-	Measure   uint64   // measured µops (default 250_000)
-	Workers   int      // parallel simulation workers (<=0: GOMAXPROCS)
-	StoreDir  string   // persistent record store directory ("": memory-only)
-
-	Width     int    // machine width override (0: the paper's 8-wide)
-	LoadsOnly bool   // restrict value prediction to load µops
-	MaxHist   int    // VTAGE max history override (0: the paper's 64)
-	FPCVector string // explicit FPC vector, e.g. "0,2,2,2,2,3,3" ("": derive from Counters)
-}
-
-// spec extracts the simulation identity from the options.
-func (o Options) spec() Spec {
-	return Spec{
-		Kernel:    o.Kernel,
-		Predictor: o.Predictor,
-		Counters:  o.Counters,
-		Recovery:  o.Recovery,
-		Width:     o.Width,
-		LoadsOnly: o.LoadsOnly,
-		MaxHist:   o.MaxHist,
-		FPCVec:    o.FPCVector,
-	}
-}
-
-// Summary reports the headline results of one simulation.
-type Summary struct {
-	Kernel    string         `json:"kernel"`
-	Predictor string         `json:"predictor"`
-	IPC       float64        `json:"ipc"`
-	Speedup   float64        `json:"speedup"` // vs the same machine without value prediction
-	Coverage  float64        `json:"coverage"`
-	Accuracy  float64        `json:"accuracy"`
-	Stats     pipeline.Stats `json:"stats"` // full counters
-}
-
-// defaultRunners holds the process-default LocalRunners backing the
-// deprecated wrappers, one per distinct (warmup, measure, store directory)
-// sizing, so legacy call sites share warm sessions. Each entry's memory is
-// its session's memoized traces/results, so the pool is bounded: beyond
-// maxDefaultRunners distinct sizings the oldest runner is dropped (its
-// next use simply pays a cold session again — the pre-Runner behaviour on
-// every call).
-const maxDefaultRunners = 8
-
-// runnerKey identifies one process-default runner: its windows plus the
-// store directory it persists to ("" when memory-only). Windows are part of
-// the simulation identity, and mixing store-backed and memory-only callers
-// on one session would silently persist (or fail to persist) the other's
-// results.
-type runnerKey struct {
-	warmup, measure uint64
-	storeDir        string
-}
-
-var (
-	defaultMu      sync.Mutex
-	defaultRunners = map[runnerKey]*LocalRunner{}
-	defaultOrder   []runnerKey // insertion order, for eviction
-)
-
-// defaultLocalRunner returns the shared runner for the given windows and
-// store directory (zeroes/empty mean the facade defaults), creating it on
-// first use. The error is always nil when storeDir is empty.
-func defaultLocalRunner(warmup, measure uint64, storeDir string) (*LocalRunner, error) {
-	o := RunnerOptions{Warmup: warmup, Measure: measure, StoreDir: storeDir}.withDefaults()
-	key := runnerKey{o.Warmup, o.Measure, o.StoreDir}
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	if r, ok := defaultRunners[key]; ok {
-		return r, nil
-	}
-	r, err := OpenLocalRunner(o)
-	if err != nil {
-		return nil, err
-	}
-	if len(defaultOrder) >= maxDefaultRunners {
-		delete(defaultRunners, defaultOrder[0])
-		defaultOrder = defaultOrder[1:]
-	}
-	defaultRunners[key] = r
-	defaultOrder = append(defaultOrder, key)
-	return r, nil
-}
-
-// DefaultRunner returns the process-default LocalRunner with the facade's
-// default windows — the quickest way to a warm, shareable backend.
-func DefaultRunner() *LocalRunner {
-	r, _ := defaultLocalRunner(0, 0, "") // no store: cannot fail
-	return r
-}
-
-// Simulate runs one kernel × predictor configuration and returns its
-// summary. The baseline (no-VP) run used for the speedup is included in the
-// cost. Runs execute on a shared process-default session: a repeated call
-// is a memo hit, not a fresh simulation.
-//
-// Deprecated: use Runner.Simulate, which returns the structured Record and
-// works against remote backends too. Simulate remains for callers that need
-// the full pipeline.Stats counters.
-func Simulate(o Options) (Summary, error) {
-	r, err := defaultLocalRunner(o.Warmup, o.Measure, o.StoreDir)
-	if err != nil {
-		return Summary{}, err
-	}
-	spec := o.spec().Canonical()
-	if err := spec.Validate(); err != nil {
-		return Summary{}, err
-	}
-	// Batch the run and its baseline so they execute in parallel when the
-	// caller grants more than one worker.
-	se := r.Session()
-	results, err := se.RunAll([]harness.Spec{spec, spec.Baseline()}, o.Workers)
-	if err != nil {
-		return Summary{}, err
-	}
-	res := results[0]
-	sp, err := se.Speedup(spec)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		Kernel:    o.Kernel,
-		Predictor: o.Predictor,
-		IPC:       res.Stats.IPC(),
-		Speedup:   sp,
-		Coverage:  res.Stats.Coverage(),
-		Accuracy:  res.Stats.Accuracy(),
-		Stats:     res.Stats,
-	}, nil
-}
-
-// RunExperiment regenerates one of the paper's tables or figures into w.
-// Warmup/measure size each underlying simulation.
-//
-// Deprecated: use Runner.Experiment.
-func RunExperiment(id string, warmup, measure uint64, w io.Writer) error {
-	return RunExperimentOpts(id, ExperimentOptions{Warmup: warmup, Measure: measure}, w)
-}
-
-// RunExperimentOpts regenerates one experiment into w, fanning its
-// simulations out across o.Workers goroutines and emitting o.Format.
-//
-// Deprecated: use Runner.Experiment.
-func RunExperimentOpts(id string, o ExperimentOptions, w io.Writer) error {
-	return RunExperimentContext(context.Background(), id, o, w)
-}
-
-// RunExperimentContext is RunExperimentOpts with cancellation: when ctx is
-// done, unstarted simulations are abandoned, in-flight ones stop at their
-// next cancellation checkpoint, and the context error is returned. Like
-// Simulate, it runs on the shared process-default runner for its windows.
-//
-// Deprecated: use Runner.Experiment.
-func RunExperimentContext(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
-	r, _ := defaultLocalRunner(o.Warmup, o.Measure, "") // no store: cannot fail
-	// The runner already carries the windows; pass only the per-call knobs.
-	return r.Experiment(ctx, id, ExperimentOptions{Workers: o.Workers, Format: o.Format}, w)
-}
-
-// ---------------------------------------------------------------------------
 // Service layer (DESIGN.md §6): the simulation-as-a-service subsystem. A
 // Server is one process-lifetime session behind the /v1 HTTP job API —
 // synchronous simulation, batch and experiment jobs, NDJSON/SSE result
 // streaming, cancellation, and /healthz + /statsz observability. cmd/vpserved
 // is the standalone daemon; Client is the typed way to talk to either, and
-// RemoteRunner (runner_remote.go) the backend-neutral one.
+// RemoteRunner (a one-shard ShardedRunner) the backend-neutral one.
 // ---------------------------------------------------------------------------
 
 // Server is the simulation service as an http.Handler.

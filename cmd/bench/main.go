@@ -680,7 +680,7 @@ func measureRunnerOverhead(warmup, measure uint64) (RunnerResult, error) {
 	}
 	defer ln.Close()
 	go http.Serve(ln, srv)
-	remote := repro.NewRemoteRunner("http://" + ln.Addr().String())
+	remote := repro.OpenRemoteRunner("http://"+ln.Addr().String(), repro.RunnerOptions{})
 	defer remote.Close()
 	remoteUs, err := timeCalls(remote)
 	if err != nil {

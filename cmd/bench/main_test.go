@@ -49,7 +49,7 @@ func BenchmarkRunnerRemoteOverhead(b *testing.B) {
 			ts.Close()
 			srv.Close()
 		}()
-		remote := repro.NewRemoteRunner(ts.URL)
+		remote := repro.OpenRemoteRunner(ts.URL, repro.RunnerOptions{})
 		defer remote.Close()
 		bench(b, remote)
 	})

@@ -110,34 +110,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	remote := *server != "" || *shards != ""
-	var runner repro.Runner
-	if remote {
-		if *storeDir != "" {
-			fmt.Fprintln(stderr, "experiments: -store-dir applies to in-process runs; a remote daemon's store is set by vpserved -store-dir")
-			return 2
-		}
+	if remote && *storeDir != "" {
+		fmt.Fprintln(stderr, "experiments: -store-dir applies to in-process runs; a remote daemon's store is set by vpserved -store-dir")
+		return 2
 	}
+	// -server is a fleet of one daemon, -shards routes across several.
+	// Remote runs trace dispatch spans only; the daemons trace simulation
+	// stages via vpserved -trace-log.
+	ro := repro.RunnerOptions{Shards: strings.Split(*shards, ","), TraceWriter: opts.TraceWriter}
+	var runner repro.Runner
+	var err error
 	switch {
-	case *shards != "":
-		// A fleet backend: spec-sharded routing across the listed daemons.
-		sharded, err := repro.OpenShardedRunner(repro.RunnerOptions{
-			Shards:      strings.Split(*shards, ","),
-			TraceWriter: opts.TraceWriter,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		runner = sharded
 	case *server != "":
-		// Remote runs trace dispatch spans only; the daemon traces
-		// simulation stages via vpserved -trace-log.
-		runner = repro.OpenRemoteRunner(*server, repro.RunnerOptions{TraceWriter: opts.TraceWriter})
+		runner = repro.OpenRemoteRunner(*server, ro)
+	case *shards != "":
+		runner, err = repro.OpenShardedRunner(ro)
 	default:
-		local, err := repro.OpenLocalRunner(opts)
-		if err != nil {
-			return fail(err)
-		}
-		runner = local
+		runner, err = repro.OpenLocalRunner(opts)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	defer runner.Close()
 

@@ -258,30 +258,23 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		opts.TraceWriter = f
 	}
 
+	// -server is a fleet of one daemon, -shards routes across several. Their
+	// windows and stores are the daemons' own (vpserved flags); the trace
+	// writer still records this side's dispatch spans (the daemons trace
+	// simulation stages via vpserved -trace-log).
+	ro := repro.RunnerOptions{Shards: strings.Split(*shards, ","), TraceWriter: opts.TraceWriter}
 	var runner repro.Runner
-	if *shards != "" {
-		// A fleet backend: spec-sharded routing across the listed daemons.
-		// Windows and stores are per-shard (vpserved flags), like -server.
-		sharded, err := repro.OpenShardedRunner(repro.RunnerOptions{
-			Shards:      strings.Split(*shards, ","),
-			TraceWriter: opts.TraceWriter,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		runner = sharded
-	} else if *server != "" {
-		// Remote windows are the daemon's; the flags size local runs only.
-		// The trace writer still applies: a remote runner traces its
-		// dispatch spans (the daemon traces simulation stages via
-		// vpserved -trace-log).
-		runner = repro.OpenRemoteRunner(*server, repro.RunnerOptions{TraceWriter: opts.TraceWriter})
-	} else {
-		local, err := repro.OpenLocalRunner(opts)
-		if err != nil {
-			return fail(err)
-		}
-		runner = local
+	var err error
+	switch {
+	case *server != "":
+		runner = repro.OpenRemoteRunner(*server, ro)
+	case *shards != "":
+		runner, err = repro.OpenShardedRunner(ro)
+	default:
+		runner, err = repro.OpenLocalRunner(opts)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	defer runner.Close()
 

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,13 @@ import (
 )
 
 func main() {
+	r, err := repro.OpenLocalRunner(repro.RunnerOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+
 	fmt.Println("FPC accuracy/coverage trade-off (squash-at-commit recovery)")
 	fmt.Printf("%-10s %-9s %9s %9s %10s %8s\n",
 		"kernel", "counters", "coverage", "accuracy", "squashes", "speedup")
@@ -21,7 +29,7 @@ func main() {
 			name string
 			mode repro.Counters
 		}{{"baseline", repro.BaselineCounters}, {"FPC", repro.FPC}} {
-			s, err := repro.Simulate(repro.Options{
+			rec, err := r.Simulate(ctx, repro.Spec{
 				Kernel:    k,
 				Predictor: "vtage",
 				Counters:  c.mode,
@@ -31,7 +39,7 @@ func main() {
 				log.Fatal(err)
 			}
 			fmt.Printf("%-10s %-9s %8.1f%% %9.4f %10d %8.3f\n",
-				k, c.name, 100*s.Coverage, s.Accuracy, s.Stats.SquashValue, s.Speedup)
+				k, c.name, 100*rec.Coverage, rec.Accuracy, rec.SquashValue, rec.Speedup)
 		}
 	}
 	fmt.Println("\nFPC counters saturate only after ~129 consecutive correct predictions,")

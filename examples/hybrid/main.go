@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -12,6 +13,13 @@ import (
 )
 
 func main() {
+	r, err := repro.OpenLocalRunner(repro.RunnerOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+
 	preds := []string{"stride", "vtage", "vtage+stride"}
 	fmt.Println("Hybrid value prediction (FPC, squash-at-commit)")
 	fmt.Printf("%-10s", "kernel")
@@ -22,7 +30,7 @@ func main() {
 	for _, k := range []string{"parser", "gcc", "art", "wupwise", "h264ref"} {
 		fmt.Printf("%-10s", k)
 		for _, p := range preds {
-			s, err := repro.Simulate(repro.Options{
+			rec, err := r.Simulate(ctx, repro.Spec{
 				Kernel:    k,
 				Predictor: p,
 				Counters:  repro.FPC,
@@ -31,7 +39,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  %5.2f /%5.1f%%", s.Speedup, 100*s.Coverage)
+			fmt.Printf("  %5.2f /%5.1f%%", rec.Speedup, 100*rec.Coverage)
 		}
 		fmt.Println()
 	}

@@ -2,8 +2,8 @@
 // configuration — the VTAGE + 2D-Stride hybrid with FPC confidence and
 // squash-at-commit recovery — through the backend-neutral Runner API, and
 // compare it with the no-VP baseline. Swap NewLocalRunner for
-// NewRemoteRunner("http://127.0.0.1:8437") and the same code runs against a
-// vpserved daemon.
+// OpenRemoteRunner("http://127.0.0.1:8437", repro.RunnerOptions{}) and the
+// same code runs against a vpserved daemon.
 package main
 
 import (

@@ -4,7 +4,7 @@
 // health/stats observability.
 //
 // With no arguments it starts an in-process server on a random port — a
-// self-contained demo of repro.NewServer + repro.NewRemoteRunner:
+// self-contained demo of repro.NewServer + repro.OpenRemoteRunner:
 //
 //	go run ./examples/service
 //
@@ -60,7 +60,7 @@ func main() {
 
 	// The Runner is the backend-neutral face of the same daemon: this block
 	// runs unchanged against a LocalRunner.
-	r := repro.NewRemoteRunner(base)
+	r := repro.OpenRemoteRunner(base, repro.RunnerOptions{})
 	defer r.Close()
 
 	// Stream a small predictor shoot-out: records arrive in spec order as

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,10 +15,17 @@ import (
 )
 
 func main() {
+	r, err := repro.OpenLocalRunner(repro.RunnerOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer r.Close()
+	ctx := context.Background()
+
 	fmt.Println("Back-to-back VP-eligible fetches per kernel (Fig. 1 motivation)")
 	fmt.Printf("%-10s %10s %14s\n", "kernel", "b2b", "VTAGE speedup")
 	for _, k := range []string{"h264ref", "art", "bzip2", "gcc", "gobmk"} {
-		s, err := repro.Simulate(repro.Options{
+		rec, err := r.Simulate(ctx, repro.Spec{
 			Kernel:    k,
 			Predictor: "vtage",
 			Counters:  repro.FPC,
@@ -26,7 +34,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10s %9.1f%% %14.3f\n", k, 100*s.Stats.B2BFraction(), s.Speedup)
+		fmt.Printf("%-10s %9.1f%% %14.3f\n", k, 100*rec.B2BFraction, rec.Speedup)
 	}
 	fmt.Println("\nµops whose previous occurrence was fetched one cycle earlier can only")
 	fmt.Println("be predicted by predictors without a per-PC value recurrence (LVP, VTAGE).")

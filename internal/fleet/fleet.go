@@ -25,7 +25,9 @@ type Options struct {
 
 	// ProbeInterval is how often the background prober refreshes every
 	// shard's health (default 2s; negative disables background probing —
-	// dispatch-time classification still marks shards down/draining).
+	// dispatch-time classification still marks shards down/draining). A
+	// one-shard fleet never probes: it routes to its only shard whatever
+	// that shard's health.
 	ProbeInterval time.Duration
 
 	// ProbeTimeout bounds one health probe (default 1s).
@@ -114,9 +116,9 @@ type Runner struct {
 	progs map[string][]byte
 }
 
-// New builds the fleet front and starts its background prober. It does not
-// contact the shards: a fleet over daemons that are still starting becomes
-// healthy as soon as they answer.
+// New builds the fleet front and, over more than one shard, starts its
+// background prober. It does not contact the shards: a fleet over daemons
+// that are still starting becomes healthy as soon as they answer.
 func New(o Options) (*Runner, error) {
 	o = o.withDefaults()
 	if len(o.Shards) == 0 {
@@ -136,7 +138,7 @@ func New(o Options) (*Runner, error) {
 		seen[u] = true
 		f.shards = append(f.shards, &shard{url: u, c: client.New(u)})
 	}
-	if o.ProbeInterval > 0 {
+	if o.ProbeInterval > 0 && len(f.shards) > 1 {
 		f.wg.Add(1)
 		go f.probeLoop()
 	}
@@ -524,7 +526,7 @@ type ExperimentOptions struct {
 // server-rendered artifact. json/csv resolve the experiment's declared spec
 // set locally and scatter it through Batch, so the emitted bytes are
 // identical to a LocalRunner over the same specs. Nonzero o.Warmup/o.Measure
-// must match the shards' windows, same as a RemoteRunner.
+// must match the shards' windows: sizing is per-daemon, not per call.
 func (f *Runner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	switch o.Format {
 	case "", "text", "json", "csv":

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,5 +184,33 @@ func TestFleetPerSpecFailureAttribution(t *testing.T) {
 	}
 	if want := "spec 2:"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("error %q does not attribute the failure to spec 2", err)
+	}
+}
+
+// TestProberRunsOnlyForSeveralShards: a one-shard fleet (the remote runner)
+// starts no background prober — it has nowhere else to route — while a
+// two-shard fleet probes on its interval.
+func TestProberRunsOnlyForSeveralShards(t *testing.T) {
+	var probes atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		probes.Add(1)
+		w.Write([]byte(`{"ok":true}`))
+	}))
+	t.Cleanup(ts.Close)
+	probed := func(shards ...string) int64 {
+		probes.Store(0)
+		f, err := New(Options{Shards: shards, ProbeInterval: time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(50 * time.Millisecond)
+		f.Close()
+		return probes.Load()
+	}
+	if n := probed(ts.URL); n != 0 {
+		t.Errorf("one-shard fleet probed %d times, want 0", n)
+	}
+	if n := probed(ts.URL, ts.URL+"/"); n == 0 {
+		t.Error("two-shard fleet never probed")
 	}
 }

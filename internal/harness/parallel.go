@@ -100,12 +100,6 @@ func DedupSpecs(specs []Spec) []Spec {
 	return out
 }
 
-// ParallelRun is the package-level form of Session.RunAll, for callers that
-// hold specs but not the session method chain.
-func ParallelRun(se *Session, specs []Spec, workers int) ([]*Result, error) {
-	return se.RunAll(specs, workers)
-}
-
 // Prepare batch-schedules an experiment's pre-declared spec set across the
 // worker pool so that rendering afterwards only hits warm memo entries.
 // Experiments without a declared spec set are a no-op. ctx cancels the

@@ -153,19 +153,6 @@ func TestRunAllErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestParallelRunMatchesRunAll pins the package-level alias.
-func TestParallelRunMatchesRunAll(t *testing.T) {
-	se := NewSession(testWindows(1_000, 4_000))
-	specs := []Spec{{Kernel: "gzip", Predictor: "none"}, {Kernel: "gzip", Predictor: "lvp"}}
-	rs, err := ParallelRun(se, specs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs) != 2 || rs[0].Spec != specs[0] || rs[1].Spec != specs[1] {
-		t.Errorf("ParallelRun returned %v", rs)
-	}
-}
-
 // TestRunAllParallelSpeedup demonstrates the engine's purpose: on a
 // multi-core runner the fig4 spec set completes measurably faster with
 // workers=GOMAXPROCS than with workers=1, with identical results. The gate

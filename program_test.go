@@ -91,7 +91,7 @@ func TestRemoteRunnerReuploadsAfterRestart(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	remote := NewRemoteRunner(ts.URL)
+	remote := OpenRemoteRunner(ts.URL, RunnerOptions{})
 	ctx := context.Background()
 	prog, err := GenerateProgram("branchy", 99)
 	if err != nil {

@@ -23,28 +23,13 @@ func TestKernelsAndPredictorsListed(t *testing.T) {
 	}
 }
 
-func TestSimulateDefaultsAndErrors(t *testing.T) {
-	if _, err := Simulate(Options{Kernel: "nope", Predictor: "vtage"}); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-	if _, err := Simulate(Options{Kernel: "gzip", Predictor: "nope"}); err == nil {
-		t.Error("unknown predictor accepted")
-	}
-	s, err := Simulate(Options{
-		Kernel: "gzip", Predictor: "vtage", Counters: FPC,
-		Warmup: 5_000, Measure: 20_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.IPC <= 0 || s.Speedup <= 0 {
-		t.Errorf("degenerate summary: %+v", s)
-	}
-}
-
+// TestRunExperimentTable1: the text-only Table 1 renders through a Runner
+// with every predictor it compares.
 func TestRunExperimentTable1(t *testing.T) {
+	r := NewLocalRunner(RunnerOptions{})
+	defer r.Close()
 	var sb strings.Builder
-	if err := RunExperiment("table1", 0, 0, &sb); err != nil {
+	if err := r.Experiment(context.Background(), "table1", ExperimentOptions{}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -55,28 +40,15 @@ func TestRunExperimentTable1(t *testing.T) {
 	}
 }
 
-func TestSimulateWithWorkers(t *testing.T) {
-	// The Workers knob must not change results, only scheduling.
-	opts := Options{Kernel: "gzip", Predictor: "lvp", Counters: FPC,
-		Warmup: 1_000, Measure: 4_000}
-	seq, err := Simulate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Workers = 4
-	par, err := Simulate(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != par {
-		t.Errorf("Workers changed the summary:\nseq: %+v\npar: %+v", seq, par)
-	}
-}
-
+// TestRunExperimentOptsJSON: json output of a figure carries one record per
+// kernel, and a text-only experiment refuses it.
 func TestRunExperimentOptsJSON(t *testing.T) {
+	r := NewLocalRunner(RunnerOptions{Warmup: 500, Measure: 2_000, Workers: 4})
+	defer r.Close()
+	ctx := context.Background()
+	opt := ExperimentOptions{Format: "json"}
 	var sb strings.Builder
-	opt := ExperimentOptions{Warmup: 500, Measure: 2_000, Workers: 4, Format: "json"}
-	if err := RunExperimentOpts("fig1", opt, &sb); err != nil {
+	if err := r.Experiment(ctx, "fig1", opt, &sb); err != nil {
 		t.Fatal(err)
 	}
 	var recs []map[string]any
@@ -86,13 +58,15 @@ func TestRunExperimentOptsJSON(t *testing.T) {
 	if len(recs) != len(Kernels()) {
 		t.Errorf("got %d records, want %d", len(recs), len(Kernels()))
 	}
-	if err := RunExperimentOpts("table1", opt, &strings.Builder{}); err == nil {
+	if err := r.Experiment(ctx, "table1", opt, &strings.Builder{}); err == nil {
 		t.Error("json format accepted for a text-only experiment")
 	}
 }
 
 func TestRunExperimentUnknown(t *testing.T) {
-	if err := RunExperiment("fig99", 0, 0, &strings.Builder{}); err == nil {
+	r := NewLocalRunner(RunnerOptions{})
+	defer r.Close()
+	if err := r.Experiment(context.Background(), "fig99", ExperimentOptions{}, &strings.Builder{}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

@@ -63,7 +63,7 @@ func NewLocalRunner(o RunnerOptions) *LocalRunner {
 }
 
 // Session exposes the shared session, for callers that need harness-level
-// access (the deprecated facade wrappers, benchmarks, tests).
+// access (benchmarks, tests).
 func (r *LocalRunner) Session() *harness.Session { return r.session }
 
 // MemoStats reports the shared session's memo and store effectiveness — the

@@ -21,6 +21,11 @@ type ShardedRunner struct {
 	obs *runnerObs // nil when unobserved
 }
 
+// RemoteRunner is a ShardedRunner over one daemon: the same batch-sync
+// frames, program re-upload self-healing and 413 frame bisection, with no
+// health prober (a fleet of one has nowhere else to route).
+type RemoteRunner = ShardedRunner
+
 // Interface compliance is part of the facade contract.
 var _ Runner = (*ShardedRunner)(nil)
 
@@ -30,7 +35,29 @@ var _ Runner = (*ShardedRunner)(nil)
 // (repro_dispatch_seconds{backend="sharded"} plus a dispatch span per
 // Simulate), exactly like the other Open constructors.
 func OpenShardedRunner(o RunnerOptions) (*ShardedRunner, error) {
-	f, err := fleet.New(fleet.Options{Shards: o.Shards})
+	return openFleet(o.Shards, o, "sharded")
+}
+
+// OpenRemoteRunner builds a runner against the vpserved daemon at baseURL
+// (e.g. "http://127.0.0.1:8437"): a one-shard fleet. o.Metrics and
+// o.TraceWriter attach the same client-side observability as
+// OpenShardedRunner under the "remote" backend label — the full HTTP round
+// trip per Simulate, the number to hold against a local runner's "local"
+// label. The remaining RunnerOptions fields describe a local session and are
+// ignored: windows, workers, and the store belong to the daemon. It panics
+// if baseURL is empty, the only way a one-shard fleet can be misconfigured.
+func OpenRemoteRunner(baseURL string, o RunnerOptions) *RemoteRunner {
+	r, err := openFleet([]string{baseURL}, o, "remote")
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// openFleet builds the fleet front over shards with dispatch observability
+// under the given backend label.
+func openFleet(shards []string, o RunnerOptions, backend string) (*ShardedRunner, error) {
+	f, err := fleet.New(fleet.Options{Shards: shards})
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +65,7 @@ func OpenShardedRunner(o RunnerOptions) (*ShardedRunner, error) {
 	if o.TraceWriter != nil {
 		tracer = obs.NewTracer(o.TraceWriter)
 	}
-	return &ShardedRunner{f: f, obs: newRunnerObs(o.Metrics, tracer, "sharded")}, nil
+	return &ShardedRunner{f: f, obs: newRunnerObs(o.Metrics, tracer, backend)}, nil
 }
 
 // Shards reports every shard's current health (url, id, up/draining/down),
@@ -46,7 +73,7 @@ func OpenShardedRunner(o RunnerOptions) (*ShardedRunner, error) {
 func (r *ShardedRunner) Shards() []fleet.ShardStatus { return r.f.Shards() }
 
 // ProbeShards refreshes every shard's health once, synchronously, ahead of
-// the background prober's next tick.
+// the background prober's next tick (a one-shard fleet runs no prober).
 func (r *ShardedRunner) ProbeShards(ctx context.Context) { r.f.ProbeOnce(ctx) }
 
 // Simulate routes one spec to its owning shard (Runner interface).
@@ -65,7 +92,7 @@ func (r *ShardedRunner) Batch(ctx context.Context, specs []Spec, fn func(Record)
 
 // Experiment regenerates one experiment by id (Runner interface).
 // o.Workers is ignored — concurrency belongs to each shard's pool; nonzero
-// windows must match the shards' windows, as with a RemoteRunner.
+// windows must match the shards' windows: sizing is per-daemon.
 func (r *ShardedRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	return r.f.Experiment(ctx, id, fleet.ExperimentOptions{
 		Warmup:  o.Warmup,
@@ -87,5 +114,5 @@ func (r *ShardedRunner) RegisterProgram(ctx context.Context, p *Program) (string
 	return r.f.RegisterProgram(ctx, p)
 }
 
-// Close stops the health prober and releases pooled connections.
+// Close stops the health prober, if any, and releases pooled connections.
 func (r *ShardedRunner) Close() error { return r.f.Close() }

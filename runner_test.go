@@ -29,7 +29,7 @@ func newBackends(t testing.TB) (*LocalRunner, *RemoteRunner) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	remote := NewRemoteRunner(ts.URL)
+	remote := OpenRemoteRunner(ts.URL, RunnerOptions{})
 	t.Cleanup(func() {
 		local.Close()
 		remote.Close()
@@ -243,68 +243,39 @@ func TestRunnerExperimentWindowOverride(t *testing.T) {
 	}
 }
 
-// TestDefaultRunnerPoolBounded: the process-default runner pool behind the
-// deprecated wrappers evicts oldest-first beyond its bound, so legacy
-// window sweeps cannot retain traces without limit.
-func TestDefaultRunnerPoolBounded(t *testing.T) {
-	for i := 0; i < maxDefaultRunners+3; i++ {
-		defaultLocalRunner(uint64(31+i), uint64(91+i), "") // windows nobody else uses
-	}
-	defaultMu.Lock()
-	n, ordered := len(defaultRunners), len(defaultOrder)
-	defaultMu.Unlock()
-	if n != maxDefaultRunners || ordered != n {
-		t.Errorf("pool holds %d runners (%d ordered), want %d", n, ordered, maxDefaultRunners)
-	}
-	// A repeat request for a live sizing is still the same runner.
-	a, _ := defaultLocalRunner(uint64(31+maxDefaultRunners+2), uint64(91+maxDefaultRunners+2), "")
-	b, _ := defaultLocalRunner(uint64(31+maxDefaultRunners+2), uint64(91+maxDefaultRunners+2), "")
-	if a != b {
-		t.Error("repeat lookup of a retained sizing returned a different runner")
-	}
-}
-
-// TestDeprecatedSimulateSharesDefaultRunner pins the facade-warmup fix: the
-// deprecated one-shot Simulate is backed by a process-default LocalRunner,
-// so a second identical call is a memo hit, not a cold re-run.
-func TestDeprecatedSimulateSharesDefaultRunner(t *testing.T) {
-	// A window sizing no other test uses, so this test owns its default
-	// runner and the counters below are exact.
-	o := Options{Kernel: "mcf", Predictor: "lvp", Counters: FPC, Warmup: 730, Measure: 2_610}
-	first, err := Simulate(o)
+// TestRemoteRunnerBisectsOversizedFrames: against a daemon admitting at most
+// two specs per batch, the five-spec frame is refused with 413 and the
+// runner bisects it until every piece fits — records still byte-identical
+// to a LocalRunner, in spec order.
+func TestRemoteRunnerBisectsOversizedFrames(t *testing.T) {
+	local, _ := newBackends(t)
+	srv, err := NewServer(ServerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 2, MaxBatch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := defaultLocalRunner(o.Warmup, o.Measure, "")
-	if err != nil {
-		t.Fatal(err)
+	ts := httptest.NewServer(srv)
+	remote := OpenRemoteRunner(ts.URL, RunnerOptions{})
+	t.Cleanup(func() {
+		remote.Close()
+		ts.Close()
+		srv.Close()
+	})
+	specs := differentialSpecs()
+	if len(specs) <= 2 {
+		t.Fatalf("%d specs fit one admitted frame; the test needs more", len(specs))
 	}
-	missesAfterFirst := r.MemoStats().Misses
-	if missesAfterFirst != 2 { // the run and its baseline
-		t.Fatalf("first Simulate started %d simulations, want 2", missesAfterFirst)
+	collect := func(r Runner) []byte {
+		var recs []Record
+		if err := r.Batch(context.Background(), specs, func(rec Record) error {
+			recs = append(recs, rec)
+			return nil
+		}); err != nil {
+			t.Fatalf("%T batch: %v", r, err)
+		}
+		b, _ := json.Marshal(recs)
+		return b
 	}
-	second, err := Simulate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := r.MemoStats()
-	if m.Misses != missesAfterFirst {
-		t.Errorf("second identical Simulate started %d new simulations; the default runner is not shared",
-			m.Misses-missesAfterFirst)
-	}
-	if m.Hits == 0 {
-		t.Error("second identical Simulate recorded no memo hits")
-	}
-	if first != second {
-		t.Errorf("memoized Simulate changed its summary:\nfirst:  %+v\nsecond: %+v", first, second)
-	}
-
-	// The deprecated experiment wrapper shares the same default-runner pool.
-	var buf bytes.Buffer
-	if err := RunExperiment("table2", o.Warmup, o.Measure, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "8") {
-		t.Errorf("table2 render looks wrong:\n%s", buf.String())
+	if want, got := collect(local), collect(remote); !bytes.Equal(want, got) {
+		t.Errorf("bisected batch differs from LocalRunner:\n got %s\nwant %s", got, want)
 	}
 }
