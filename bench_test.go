@@ -6,12 +6,15 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"testing"
 
-	"repro/internal/benchkit"
+	"repro/internal/core"
 	"repro/internal/emu"
+	"repro/internal/ghist"
 	"repro/internal/harness"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
 )
@@ -94,17 +97,53 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportMetric(float64(benchWarmup+benchMeasure), "uops/op")
 }
 
+// Steady-state measurement windows: warm past cold caches and cold
+// predictor tables, then measure fixed Advance chunks of the running
+// machine.
+const (
+	steadyTraceUops = 1_500_000 // trace length for timing runs
+	steadyWarmUops  = 30_000    // Run(steadyWarmUops, 0) before any measurement
+	steadyChunk     = 10_000    // µops per timed Advance
+)
+
+// steadyPredictors are the configurations the steady-state benchmark and
+// the zero-allocation gate both cover: the baseline machine, each
+// single-scheme predictor of the paper's figures, and the headline hybrid.
+var steadyPredictors = []string{"none", "lvp", "stride", "fcm", "vtage", "vtage+stride"}
+
+// steadyTrace builds the dynamic trace for kernel, uops long.
+func steadyTrace(kernel string, uops int) ([]isa.DynInst, error) {
+	k, ok := kernels.ByName(kernel)
+	if !ok {
+		return nil, fmt.Errorf("unknown kernel %q", kernel)
+	}
+	return emu.Trace(k.Build(), uops), nil
+}
+
+// newWarmSim builds a simulator for the named predictor over tr and runs it
+// through the warmup window, leaving it ready for timed Advance calls.
+func newWarmSim(tr []isa.DynInst, predictor string) (*pipeline.Sim, error) {
+	h := &ghist.History{}
+	pred, err := harness.NewPredictor(predictor, core.FPCCommit, h)
+	if err != nil {
+		return nil, err
+	}
+	sim := pipeline.New(pipeline.DefaultConfig(), tr, pred, h)
+	if _, err := sim.Run(steadyWarmUops, 0); err != nil {
+		return nil, err
+	}
+	return sim, nil
+}
+
 // newSteadySim builds and warms a simulator over a long kernel trace for
-// steady-state measurement. The windows, predictor coverage and build logic
-// live in internal/benchkit, shared with cmd/bench so BENCH_*.json records
-// stay comparable to these benchmarks by construction.
+// steady-state measurement.
 func newSteadySim(tb testing.TB, kernel, predictor string, traceUops int) (*pipeline.Sim, int) {
 	tb.Helper()
-	tr, err := benchkit.SteadyTrace(kernel, traceUops)
+	tr, err := steadyTrace(kernel, traceUops)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	sim, err := benchkit.NewWarmSim(tr, predictor)
+	sim, err := newWarmSim(tr, predictor)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -113,25 +152,25 @@ func newSteadySim(tb testing.TB, kernel, predictor string, traceUops int) (*pipe
 
 // BenchmarkSteadyStateSimulate times the simulate loop alone — construction,
 // trace generation and warmup excluded — via repeated Sim.Advance chunks.
-// The ns/uop metric is this repo's primary hot-path trajectory number; run
-// cmd/bench to record it to a BENCH_*.json file.
+// The ns/uop metric is the quick interactive check on the hot path; the
+// benchmark of record is vpbench (pipeline.ns_per_uop.* in a traced run).
 func BenchmarkSteadyStateSimulate(b *testing.B) {
-	for _, predictor := range benchkit.SteadyPredictors {
+	for _, predictor := range steadyPredictors {
 		b.Run(predictor, func(b *testing.B) {
-			sim, traceLen := newSteadySim(b, "gzip", predictor, benchkit.TraceUops)
+			sim, traceLen := newSteadySim(b, "gzip", predictor, steadyTraceUops)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if sim.Stats().Committed+benchkit.Chunk > uint64(traceLen) {
+				if sim.Stats().Committed+steadyChunk > uint64(traceLen) {
 					b.StopTimer()
-					sim, _ = newSteadySim(b, "gzip", predictor, benchkit.TraceUops)
+					sim, _ = newSteadySim(b, "gzip", predictor, steadyTraceUops)
 					b.StartTimer()
 				}
-				if _, err := sim.Advance(benchkit.Chunk); err != nil {
+				if _, err := sim.Advance(steadyChunk); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchkit.Chunk, "ns/uop")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/steadyChunk, "ns/uop")
 		})
 	}
 }
@@ -156,7 +195,7 @@ func TestSteadyStateSimulateZeroAllocs(t *testing.T) {
 		probeUops  = 200_000
 	)
 	for _, kernel := range []string{"gzip", "art"} {
-		for _, predictor := range benchkit.SteadyPredictors {
+		for _, predictor := range steadyPredictors {
 			t.Run(kernel+"/"+predictor, func(t *testing.T) {
 				sim, _ := newSteadySim(t, kernel, predictor, traceUops)
 				// Drive deep into the trace before measuring, then measure
@@ -173,7 +212,7 @@ func TestSteadyStateSimulateZeroAllocs(t *testing.T) {
 					t.Errorf("steady-state simulate loop allocates: %.0f allocs per %dk-uop advance",
 						allocs, probeUops/1000)
 				}
-				if got := sim.Stats().Committed; got < 30_000+preAdvance+2*probeUops {
+				if got := sim.Stats().Committed; got < steadyWarmUops+preAdvance+2*probeUops {
 					t.Fatalf("probe ran into the trace end: only %d uops committed", got)
 				}
 			})

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -184,6 +187,43 @@ func TestFleetPerSpecFailureAttribution(t *testing.T) {
 	}
 	if want := "spec 2:"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("error %q does not attribute the failure to spec 2", err)
+	}
+}
+
+// TestClassifyTaxonomy pins the routing taxonomy dispatch acts on: only a
+// shard that never answered or answered draining is rerouted around, only
+// unknown_program is cured in place, and every other answer — a 5xx
+// included — is the spec's own failure, which propagates (a frame bisects
+// first to name the spec).
+func TestClassifyTaxonomy(t *testing.T) {
+	transport := func(err error) error {
+		return &url.Error{Op: "Post", URL: "http://127.0.0.1:1/v1/simulate", Err: err}
+	}
+	apiErr := func(status int, code string) error {
+		return &service.APIError{Status: status, Code: code, Msg: "x"}
+	}
+	cases := []struct {
+		name             string
+		err              error
+		reroute, curable bool
+	}{
+		{"nil", nil, false, false},
+		{"connection refused", transport(&net.OpError{Op: "dial", Net: "tcp", Err: syscall.ECONNREFUSED}), true, false},
+		{"canceled", transport(context.Canceled), false, false},
+		{"deadline exceeded", transport(context.DeadlineExceeded), false, false},
+		{"503 draining", apiErr(503, service.CodeDraining), true, false},
+		{"404 unknown_program", apiErr(404, service.CodeUnknownProgram), false, true},
+		{"500 internal", apiErr(500, service.CodeInternal), false, false},
+		{"504 timeout", apiErr(504, service.CodeTimeout), false, false},
+		{"413 too_large", apiErr(413, service.CodeTooLarge), false, false},
+		{"502 without code", apiErr(502, ""), false, false},
+	}
+	for _, c := range cases {
+		reroute, curable := classify(c.err)
+		if reroute != c.reroute || curable != c.curable {
+			t.Errorf("%s: classify = (reroute %v, curable %v), want (%v, %v)",
+				c.name, reroute, curable, c.reroute, c.curable)
+		}
 	}
 }
 

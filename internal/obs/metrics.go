@@ -34,8 +34,8 @@ const (
 // DefBuckets is the default latency histogram layout, in seconds: two
 // points per decade from 1µs to 10s. Wide enough that one layout serves
 // both sides of the measured dispatch gap (~1.3µs local vs ~48µs remote
-// per warm call, BENCH_pr5) and whole-simulation wall times (ms to
-// minutes); +Inf is implicit.
+// per warm call in the frozen BENCH_pr5.json) and whole-simulation wall
+// times (ms to minutes); +Inf is implicit.
 var DefBuckets = []float64{
 	1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4,
 	1e-3, 5e-3, 1e-2, 5e-2, 0.1, 0.5,

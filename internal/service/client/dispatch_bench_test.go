@@ -10,12 +10,13 @@ import (
 	"repro/internal/service"
 )
 
-// Dispatch-cost pins for the wire path. BENCH_pr5 measured warm per-call
-// remote dispatch at ~48 µs/call; the batch-sync framing exists to beat
-// that by amortizing HTTP and job machinery across a whole frame. The
-// benchmarks track the absolute numbers interactively; the test below is
-// the CI regression gate, asserted as a ratio on one machine so a slow
-// runner can't flake it.
+// Dispatch-cost pins for the wire path. The frozen BENCH_pr5.json measured
+// warm per-call remote dispatch at ~48 µs/call; the batch-sync framing
+// exists to beat that by amortizing HTTP and job machinery across a whole
+// frame. The benchmarks below give the absolute numbers interactively, and
+// the benchmark's serve-warm workload is the measure of record; the test
+// below is the CI regression gate, asserted as a ratio on one machine so a
+// slow runner can't flake it.
 
 // warmDispatchFixture is a live in-process service with every fig4 spec
 // already simulated, so timed calls measure dispatch alone.
@@ -91,7 +92,7 @@ func TestBatchedDispatchBeatsPerCall(t *testing.T) {
 }
 
 // BenchmarkWarmSimulateDispatch is the per-call baseline: one warm spec
-// per HTTP round-trip (the ~48 µs/call number from BENCH_pr5).
+// per HTTP round-trip (the frozen BENCH_pr5.json recorded ~48 µs/call).
 func BenchmarkWarmSimulateDispatch(b *testing.B) {
 	fx := newWarmDispatchFixture(b)
 	ctx := context.Background()

@@ -505,9 +505,9 @@ func TestStreamFormats(t *testing.T) {
 }
 
 // BenchmarkServerThroughput measures served specs/second through the full
-// HTTP path with a warm memo — the serving-leverage headline (cmd/bench
-// records it into the BENCH trajectory). Each iteration submits the
-// deduplicated fig4 batch and waits for its records.
+// HTTP path with a warm memo, for interactive use; the benchmark's
+// serve-warm workload is the serving path's measure of record. Each
+// iteration submits the deduplicated fig4 batch and waits for its records.
 func BenchmarkServerThroughput(b *testing.B) {
 	_, c, _ := newTestServer(b, Options{Workers: 4})
 	ctx := context.Background()
