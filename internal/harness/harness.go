@@ -368,6 +368,14 @@ type traceCall struct {
 	err  error
 }
 
+// fpCall is the equivalent singleflight slot for one builtin workload's
+// fingerprint (store and snapshot keys).
+type fpCall struct {
+	done chan struct{}
+	fp   string
+	ok   bool
+}
+
 // runCall is the equivalent singleflight slot for one simulation result.
 type runCall struct {
 	done chan struct{}
@@ -392,7 +400,7 @@ type Session struct {
 
 	store *store.Store            // optional persistent tier under the memo (UseStore)
 	snaps *SnapshotCache          // optional warm-state snapshot cache (UseSnapshots)
-	fps   map[string]string       // workload → fingerprint, cached for store keying
+	fps   map[string]*fpCall      // builtin workload → fingerprint, computed once per session
 	progs map[string]*isa.Program // registered programs by prog:<sha256> reference
 
 	obs atomic.Pointer[Observer] // optional metrics + run tracing (Observe)
@@ -406,6 +414,7 @@ func NewSession(warmup, measure uint64) *Session {
 		Measure: measure,
 		traces:  make(map[string]*traceCall),
 		memo:    make(map[Spec]*runCall),
+		fps:     make(map[string]*fpCall),
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"strings"
 
 	"repro/internal/kernels"
-	"repro/internal/pipeline"
 	"repro/internal/store"
+	"repro/internal/wirejson"
 )
 
 // StoreVersion is the simulator version token persisted entries are keyed
@@ -49,8 +49,11 @@ func (s Spec) storeID() string {
 // version bump. A prog: reference carries its fingerprint in the reference
 // itself (it IS the content hash), which keeps store keys for uploaded
 // programs stable across processes — a fresh daemon can serve a warm store
-// entry for a program before anyone re-registers it. Builtin fingerprints
-// are cached per kernel for the session's lifetime.
+// entry for a program before anyone re-registers it. A builtin's fingerprint
+// is computed once per session, behind a per-workload singleflight: a
+// batch's workers reach the same kernel together, and all but one wait for
+// its hash. There is deliberately no process-wide cache, so a fresh session
+// pays what a fresh process pays.
 func (se *Session) workloadFingerprint(workload string) (string, bool) {
 	if IsProgramRef(workload) {
 		if checkProgramRef(workload) != nil {
@@ -59,26 +62,29 @@ func (se *Session) workloadFingerprint(workload string) (string, bool) {
 		return strings.TrimPrefix(workload, progRefPrefix), true
 	}
 	se.mu.Lock()
-	if fp, ok := se.fps[workload]; ok {
-		se.mu.Unlock()
-		return fp, true
-	}
-	se.mu.Unlock()
-
-	k, ok := kernels.ByName(workload)
+	c, ok := se.fps[workload]
 	if !ok {
-		return "", false
+		c = &fpCall{done: make(chan struct{})}
+		se.fps[workload] = c
 	}
-	sum := sha256.Sum256(k.Build().Encode())
-	fp := hex.EncodeToString(sum[:])
-
-	se.mu.Lock()
-	if se.fps == nil {
-		se.fps = make(map[string]string)
-	}
-	se.fps[workload] = fp
 	se.mu.Unlock()
-	return fp, true
+	if ok {
+		<-c.done
+		return c.fp, c.ok
+	}
+
+	if k, found := kernels.ByName(workload); found {
+		sum := sha256.Sum256(k.Build().Encode())
+		c.fp, c.ok = hex.EncodeToString(sum[:]), true
+	} else {
+		// An unknown name keeps no slot: one per bogus name a caller sends
+		// would grow the map without bound.
+		se.mu.Lock()
+		delete(se.fps, workload)
+		se.mu.Unlock()
+	}
+	close(c.done)
+	return c.fp, c.ok
 }
 
 // storeKey derives the entry key for spec under this session: canonical spec
@@ -113,17 +119,18 @@ func (se *Session) snapKey(spec Spec) (key store.Key, ok bool) {
 
 // storeLoad is the read-through: probe the attached store for spec's
 // persisted stats. Any load failure — missing, corrupt, stale version,
-// mismatched identity — reports false and the caller simulates.
+// mismatched identity, a payload parseStats rejects — reports false and the
+// caller simulates.
 func (se *Session) storeLoad(st *store.Store, spec Spec) (*Result, bool) {
 	key, id, ok := se.storeKey(spec)
 	if !ok {
 		return nil, false
 	}
-	var stats pipeline.Stats
-	if !st.Get(key, id, &stats) {
+	res := &Result{Spec: spec}
+	if !st.Get(key, id, func(s *wirejson.Scanner) bool { return parseStats(s, &res.Stats) }) {
 		return nil, false
 	}
-	return &Result{Spec: spec, Stats: stats}, true
+	return res, true
 }
 
 // storeSave is the write-behind: persist a freshly simulated result.

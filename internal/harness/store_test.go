@@ -3,11 +3,20 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/kernels"
+	"repro/internal/pipeline"
 	"repro/internal/store"
+	"repro/internal/wirejson"
 )
 
 // storeSession opens a store over dir with the given version token and
@@ -164,54 +173,308 @@ func TestStoreWindowChangeInvalidates(t *testing.T) {
 	}
 }
 
+// withPayload returns the store entry b with its payload swapped for raw and
+// the rest of its envelope intact.
+func withPayload(b []byte, raw string) []byte {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		panic(err) // b is an entry Put wrote
+	}
+	m["payload"] = json.RawMessage(raw)
+	out, err := json.Marshal(m)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 // TestStoreCorruptionResimulatesAndHeals: a corrupted entry must degrade to a
 // miss through the session (never an error, never a wrong answer), and the
 // write-behind after the re-simulation must restore the entry so the process
-// after next is warm again.
+// after next is warm again. A zeroed payload — null or {} — is corruption
+// too, never a hit of zeros.
 func TestStoreCorruptionResimulatesAndHeals(t *testing.T) {
 	t.Parallel()
-	dir := t.TempDir()
 	warmup, measure := testWindows(1_000, 4_000)
 	spec := Spec{Kernel: "art", Predictor: "lvp"}
+	for _, tc := range []struct {
+		name    string
+		corrupt func([]byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"null-payload", func(b []byte) []byte { return withPayload(b, "null") }},
+		{"empty-payload", func(b []byte) []byte { return withPayload(b, "{}") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			render := func(se *Session) string {
+				t.Helper()
+				recs, err := se.Records([]Spec{spec}, 1)
+				if err != nil {
+					t.Fatalf("run over the store failed: %v", err)
+				}
+				var b bytes.Buffer
+				if err := WriteJSON(&b, recs); err != nil {
+					t.Fatal(err)
+				}
+				return b.String()
+			}
 
-	first := storeSession(t, dir, StoreVersion, warmup, measure)
-	want, err := first.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+			first := storeSession(t, dir, StoreVersion, warmup, measure)
+			want := render(first)
+			key, _, ok := first.storeKey(spec.Canonical())
+			if !ok {
+				t.Fatal("storeKey failed for a valid spec")
+			}
+			if err := first.Store().Tamper(key, tc.corrupt); err != nil {
+				t.Fatal(err)
+			}
+
+			// Only the spec's own entry is damaged; its baseline's is served.
+			second := storeSession(t, dir, StoreVersion, warmup, measure)
+			if got := render(second); got != want {
+				t.Errorf("record after re-simulation differs:\n--- got\n%s--- want\n%s", got, want)
+			}
+			m := second.MemoStats()
+			if m.StoreHits != 1 || m.Misses != 1 || m.Store.LoadErrors != 1 {
+				t.Errorf("corrupted entry: %d store hits / %d misses / %d load errors, want 1/1/1",
+					m.StoreHits, m.Misses, m.Store.LoadErrors)
+			}
+
+			// The write-behind healed the entry: a third session is warm again.
+			third := storeSession(t, dir, StoreVersion, warmup, measure)
+			if got := render(third); got != want {
+				t.Errorf("healed record differs:\n--- got\n%s--- want\n%s", got, want)
+			}
+			if m := third.MemoStats(); m.StoreHits != 2 || m.Misses != 0 {
+				t.Errorf("healed entry: %d store hits / %d misses, want 2/0", m.StoreHits, m.Misses)
+			}
+		})
 	}
+}
 
-	key, _, ok := first.storeKey(spec.Canonical())
+// TestWorkloadFingerprintConcurrent: a session's first lookups of a kernel
+// race (a batch's workers reach it together); every caller gets the one
+// fingerprint, and an unknown name leaves no slot behind.
+func TestWorkloadFingerprintConcurrent(t *testing.T) {
+	t.Parallel()
+	k, ok := kernels.ByName("mcf")
 	if !ok {
-		t.Fatal("storeKey failed for a valid spec")
+		t.Fatal("no mcf kernel")
 	}
-	if err := first.Store().Tamper(key, func(b []byte) []byte { return b[:len(b)/2] }); err != nil {
-		t.Fatal(err)
+	want := strings.TrimPrefix(ProgramID(k.Build()), progRefPrefix)
+	se := NewSession(1_000, 4_000)
+	fps := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range fps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fp, ok := se.workloadFingerprint("mcf")
+			if !ok {
+				t.Error("mcf has no fingerprint")
+			}
+			fps[i] = fp
+			if _, ok := se.workloadFingerprint("bogus"); ok {
+				t.Error("an unknown workload got a fingerprint")
+			}
+		}(i)
 	}
+	wg.Wait()
+	for i, fp := range fps {
+		if fp != want {
+			t.Errorf("caller %d got fingerprint %q, want %q", i, fp, want)
+		}
+	}
+	se.mu.Lock()
+	n := len(se.fps)
+	se.mu.Unlock()
+	if n != 1 {
+		t.Errorf("%d fingerprint slots after looking up one kernel and one unknown name, want 1", n)
+	}
+}
 
-	second := storeSession(t, dir, StoreVersion, warmup, measure)
-	got, err := second.Run(spec)
+// distinctStats fills every pipeline.Stats field with its own value at the
+// edge of its range, so a codec that drops, swaps or truncates a field
+// cannot round-trip it.
+func distinctStats(tb testing.TB) pipeline.Stats {
+	var st pipeline.Stats
+	v := reflect.ValueOf(&st).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int64:
+			f.SetInt(math.MinInt64 + int64(i))
+		case reflect.Uint64:
+			f.SetUint(math.MaxUint64 - uint64(i))
+		default:
+			tb.Fatalf("pipeline.Stats.%s is a %s; parseStats reads int64 and uint64 fields", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	return st
+}
+
+// TestStoreRoundTripsEveryStatsField: a result Put writes comes back from
+// the one-pass read field for field. A field added to pipeline.Stats
+// without parseStats fails here instead of turning every store lookup into
+// a silent miss.
+func TestStoreRoundTripsEveryStatsField(t *testing.T) {
+	t.Parallel()
+	st, err := store.Open(t.TempDir(), StoreVersion)
 	if err != nil {
-		t.Fatalf("run over a corrupted store failed: %v", err)
-	}
-	m := second.MemoStats()
-	if m.StoreHits != 0 || m.Misses != 1 {
-		t.Errorf("corrupted entry: %d store hits / %d misses, want 0/1", m.StoreHits, m.Misses)
-	}
-	if m.Store.LoadErrors == 0 {
-		t.Error("corruption was not surfaced in store load-error counters")
-	}
-	if got.Stats != want.Stats {
-		t.Errorf("re-simulation after corruption diverged:\n%+v\n%+v", got.Stats, want.Stats)
-	}
-
-	// The write-behind healed the entry: a third session is warm again.
-	third := storeSession(t, dir, StoreVersion, warmup, measure)
-	if _, err := third.Run(spec); err != nil {
 		t.Fatal(err)
 	}
-	if m := third.MemoStats(); m.StoreHits != 1 || m.Misses != 0 {
-		t.Errorf("healed entry: %d store hits / %d misses, want 1/0", m.StoreHits, m.Misses)
+	want := distinctStats(t)
+	key := store.KeyOf("every-field")
+	if err := st.Put(key, "every-field", want); err != nil {
+		t.Fatal(err)
 	}
+	// The same entry with its members reordered and whitespace added is
+	// the same entry.
+	var reordered map[string]json.RawMessage
+	for _, tamper := range []func([]byte) []byte{
+		func(b []byte) []byte { return b },
+		func(b []byte) []byte {
+			if err := json.Unmarshal(b, &reordered); err != nil {
+				t.Fatal(err)
+			}
+			out, err := json.MarshalIndent(reordered, " ", "\t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return out
+		},
+	} {
+		if err := st.Tamper(key, tamper); err != nil {
+			t.Fatal(err)
+		}
+		var got pipeline.Stats
+		if !st.Get(key, "every-field", func(s *wirejson.Scanner) bool { return parseStats(s, &got) }) {
+			t.Fatal("the one-pass read rejected an entry Put wrote")
+		}
+		if got != want {
+			t.Errorf("round trip:\n got %+v\nwant %+v", got, want)
+		}
+	}
+}
+
+// maxStoreLoadAllocs bounds the heap allocations of one store hit once the
+// workload's fingerprint is known. A hit makes 19, and 21 under -race, where
+// sync.Pool drops items; the bound leaves room for both.
+const maxStoreLoadAllocs = 24
+
+// TestStoreLoadAllocs gates a warm sweep's steady state: a store hit with
+// the fingerprint already computed. Not parallel: AllocsPerRun counts the
+// whole process's allocations.
+func TestStoreLoadAllocs(t *testing.T) {
+	warmup, measure := testWindows(1_000, 4_000)
+	se := storeSession(t, t.TempDir(), StoreVersion, warmup, measure)
+	spec := Spec{Kernel: "mcf", Predictor: "lvp"}.Canonical()
+	if _, err := se.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	st := se.Store()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := se.storeLoad(st, spec); !ok {
+			t.Fatal("storeLoad missed the entry Run persisted")
+		}
+	})
+	t.Logf("%.0f allocations per store hit", allocs)
+	if allocs > maxStoreLoadAllocs {
+		t.Errorf("a warm store hit allocates %.0f times, want at most %d", allocs, maxStoreLoadAllocs)
+	}
+}
+
+// strictStats is FuzzStoreEnvelope's oracle: encoding/json's strict decode of
+// a store entry — envelope checked, unknown payload fields rejected — plus
+// the rule that every Stats field is present.
+func strictStats(data []byte, key store.Key, id string) (pipeline.Stats, error) {
+	var st pipeline.Stats
+	var e struct {
+		Version string          `json:"version"`
+		Key     string          `json:"key"`
+		ID      string          `json:"id"`
+		Payload json.RawMessage `json:"payload"`
+	}
+	if err := json.Unmarshal(data, &e); err != nil {
+		return st, err
+	}
+	if e.Version != StoreVersion || e.Key != key.String() || e.ID != id {
+		return st, fmt.Errorf("envelope %q/%q/%q does not match", e.Version, e.Key, e.ID)
+	}
+	dec := json.NewDecoder(bytes.NewReader(e.Payload))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&st); err != nil {
+		return st, err
+	}
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(e.Payload, &members); err != nil {
+		return st, err
+	}
+	typ := reflect.TypeOf(st)
+	if len(members) != typ.NumField() {
+		return st, fmt.Errorf("payload has %d members, Stats %d fields", len(members), typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if _, ok := members[typ.Field(i).Name]; !ok {
+			return st, fmt.Errorf("payload lacks %s", typ.Field(i).Name)
+		}
+	}
+	return st, nil
+}
+
+// FuzzStoreEnvelope writes arbitrary bytes as a store entry and loads it the
+// way a session does. Whatever the bytes, the load must either miss or give
+// exactly the Stats encoding/json's strict decode gives, with every field
+// present — and never panic. Locally:
+//
+//	go test -run='^$' -fuzz=FuzzStoreEnvelope -fuzztime=30s ./internal/harness
+func FuzzStoreEnvelope(f *testing.F) {
+	st, err := store.Open(f.TempDir(), StoreVersion)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const id = "fuzz/entry"
+	key := store.KeyOf(id)
+	if err := st.Put(key, id, distinctStats(f)); err != nil {
+		f.Fatal(err)
+	}
+	var entry []byte
+	if err := st.Tamper(key, func(b []byte) []byte { entry = b; return b }); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry)
+	for n := 0; n < len(entry); n += 29 {
+		f.Add(entry[:n])
+	}
+	f.Add(withPayload(entry, "null"))
+	f.Add(withPayload(entry, "{}"))
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(entry, &members); err != nil {
+		f.Fatal(err)
+	}
+	reordered, err := json.MarshalIndent(members, " ", "\t") // keys sorted: id, key, payload, version
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(reordered)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := st.Tamper(key, func([]byte) []byte { return data }); err != nil {
+			t.Fatal(err)
+		}
+		var got pipeline.Stats
+		if !st.Get(key, id, func(s *wirejson.Scanner) bool { return parseStats(s, &got) }) {
+			return
+		}
+		want, err := strictStats(data, key, id)
+		if err != nil {
+			t.Fatalf("served an entry encoding/json's strict decode rejects (%v):\n%s", err, data)
+		}
+		if got != want {
+			t.Fatalf("served %+v, encoding/json decodes %+v:\n%s", got, want, data)
+		}
+	})
 }
 
 // TestStoreFig4SecondProcessZeroMisses is the PR's warm-start acceptance

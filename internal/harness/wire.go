@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 
+	"repro/internal/pipeline"
 	"repro/internal/wirejson"
 )
 
@@ -136,23 +137,14 @@ func (r *Record) UnmarshalJSON(b []byte) error {
 
 // ParseRecord consumes one record object from s — the exact shape
 // AppendRecordJSON (or the reflection encoder) emits, in any key order,
-// with arbitrary whitespace. Anything else — escapes, unknown keys,
-// non-object input — reports false; the caller falls back to encoding/json
-// on whatever input s wraps.
+// with arbitrary whitespace. Anything else — escapes, non-ASCII, unknown
+// keys, non-object input — reports false; the caller falls back to
+// encoding/json on whatever input s wraps.
 func ParseRecord(s *wirejson.Scanner) (Record, bool) {
 	var rec Record
-	if !s.Byte('{') {
-		return rec, false
-	}
-	if s.Byte('}') {
-		return rec, true
-	}
-	for {
-		key, ok := s.String()
-		if !ok || !s.Byte(':') {
-			return rec, false
-		}
-		switch key {
+	ok := s.Object(func(name []byte) bool {
+		var ok bool
+		switch string(name) {
 		case "kernel":
 			rec.Kernel, ok = s.String()
 		case "predictor":
@@ -193,15 +185,91 @@ func ParseRecord(s *wirejson.Scanner) (Record, bool) {
 			rec.BranchMPKI, ok = s.Float()
 		case "b2b_fraction":
 			rec.B2BFraction, ok = s.Float()
+		}
+		return ok
+	})
+	return rec, ok
+}
+
+// allStatsFields is parseStats' seen-set once every pipeline.Stats field has
+// been read: one bit per field.
+const allStatsFields = 1<<24 - 1
+
+// parseStats consumes one pipeline.Stats object from s into st: the store's
+// payload codec. It reads the shape encoding/json writes for the struct
+// (field names as keys, integers as values) in any key order, with any
+// whitespace, and is strict where a persisted result needs it: every field
+// exactly once, no other key, no null, and no value that is not an integer
+// in its field's range. A damaged or schema-drifted entry is then a miss,
+// never a zero-filled hit.
+func parseStats(s *wirejson.Scanner, st *pipeline.Stats) bool {
+	var seen uint32
+	ok := s.Object(func(name []byte) bool {
+		var bit uint32
+		var u *uint64 // the uint64 field named; the two int64 fields parse in their case
+		ok := true
+		switch string(name) {
+		case "Cycles":
+			bit = 1 << 0
+			st.Cycles, ok = s.Int64()
+		case "Committed":
+			bit, u = 1<<1, &st.Committed
+		case "WarmCycles":
+			bit = 1 << 2
+			st.WarmCycles, ok = s.Int64()
+		case "WarmCommitted":
+			bit, u = 1<<3, &st.WarmCommitted
+		case "Eligible":
+			bit, u = 1<<4, &st.Eligible
+		case "Used":
+			bit, u = 1<<5, &st.Used
+		case "UsedCorrect":
+			bit, u = 1<<6, &st.UsedCorrect
+		case "UsedWrong":
+			bit, u = 1<<7, &st.UsedWrong
+		case "WrongUnused":
+			bit, u = 1<<8, &st.WrongUnused
+		case "SquashBranch":
+			bit, u = 1<<9, &st.SquashBranch
+		case "SquashValue":
+			bit, u = 1<<10, &st.SquashValue
+		case "SquashMemOrder":
+			bit, u = 1<<11, &st.SquashMemOrder
+		case "ReissuedUops":
+			bit, u = 1<<12, &st.ReissuedUops
+		case "CondBranches":
+			bit, u = 1<<13, &st.CondBranches
+		case "CondMispredicts":
+			bit, u = 1<<14, &st.CondMispredicts
+		case "FetchedUops":
+			bit, u = 1<<15, &st.FetchedUops
+		case "B2BEligible":
+			bit, u = 1<<16, &st.B2BEligible
+		case "FetchIMissStalls":
+			bit, u = 1<<17, &st.FetchIMissStalls
+		case "BTBBubbles":
+			bit, u = 1<<18, &st.BTBBubbles
+		case "StallROB":
+			bit, u = 1<<19, &st.StallROB
+		case "StallIQ":
+			bit, u = 1<<20, &st.StallIQ
+		case "StallLQ":
+			bit, u = 1<<21, &st.StallLQ
+		case "StallSQ":
+			bit, u = 1<<22, &st.StallSQ
+		case "StallRegs":
+			bit, u = 1<<23, &st.StallRegs
 		default:
-			return rec, false
+			return false
 		}
-		if !ok {
-			return rec, false
+		if u != nil {
+			*u, ok = s.Uint64()
 		}
-		if s.Byte(',') {
-			continue
+		if !ok || seen&bit != 0 {
+			return false
 		}
-		return rec, s.Byte('}')
-	}
+		seen |= bit
+		return true
+	})
+	return ok && seen == allStatsFields
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/wirejson"
 )
 
 // reflectRecord is Record without its methods: encoding/json falls back to
@@ -87,4 +89,34 @@ func TestRecordUnmarshalEquivalent(t *testing.T) {
 	if err := json.Unmarshal([]byte(`{"kernel":}`), &Record{}); err == nil {
 		t.Error("malformed record must still error through the fallback")
 	}
+}
+
+// FuzzParseRecord checks the record fast path against encoding/json: whenever
+// ParseRecord accepts the whole input, encoding/json must accept the same
+// bytes and decode the same Record. Locally:
+//
+//	go test -run='^$' -fuzz=FuzzParseRecord -fuzztime=30s ./internal/harness
+func FuzzParseRecord(f *testing.F) {
+	for _, rec := range wireTestRecords() {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(" {\n \"ipc\": 1.5 ,\t\"kernel\": \"gzip\", \"cycles\": -7 } "))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := wirejson.NewScanner(data)
+		got, ok := ParseRecord(s)
+		if !ok || !s.End() {
+			return
+		}
+		var want reflectRecord
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatalf("fast path accepted %q; encoding/json rejects it: %v", data, err)
+		}
+		if !reflect.DeepEqual(got, Record(want)) {
+			t.Fatalf("%q:\nfast path     %+v\nencoding/json %+v", data, got, want)
+		}
+	})
 }

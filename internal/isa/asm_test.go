@@ -21,7 +21,11 @@ func TestDisassembleRoundTripBuiltins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reassemble: %v\n%s", k.Name, err, text)
 		}
-		if !bytes.Equal(p.Encode(), back.Encode()) {
+		enc := p.Encode()
+		if len(enc) != cap(enc) {
+			t.Errorf("%s: Encode sized its buffer for %d bytes and wrote %d", k.Name, cap(enc), len(enc))
+		}
+		if !bytes.Equal(enc, back.Encode()) {
 			t.Errorf("%s: round trip changed the encoding", k.Name)
 		}
 		if back.Name != p.Name {

@@ -68,7 +68,7 @@ func (p *Program) Encode() []byte {
 		panic("isa: Encode: " + err.Error())
 	}
 	name := p.Name
-	out := make([]byte, 0, 16+len(name)+12*len(p.Insts))
+	out := make([]byte, 0, p.encodedLen())
 	out = append(out, codecMagic...)
 	out = append(out, byte(len(name)))
 	out = append(out, name...)
@@ -97,6 +97,17 @@ func (p *Program) Encode() []byte {
 		out = binary.LittleEndian.AppendUint64(out, p.InitRegs[r])
 	}
 	return out
+}
+
+// encodedLen is the exact length of Encode's output, so Encode allocates
+// once: builtin kernels carry data segments of up to hundreds of KiB, which
+// an append-grown buffer would copy several times over.
+func (p *Program) encodedLen() int {
+	n := len(codecMagic) + 1 + len(p.Name) + 4 + 4 + 12*len(p.Insts) + 2 + 1 + 9*len(p.InitRegs)
+	for _, seg := range p.Data {
+		n += 8 + 4 + 8*len(seg.Words)
+	}
+	return n
 }
 
 // codecReader is a bounds-checked little-endian cursor over Decode's input.

@@ -58,6 +58,9 @@ func FuzzDecode(f *testing.F) {
 			_ = in.String()
 		}
 		enc := p.Encode()
+		if len(enc) != cap(enc) {
+			t.Fatalf("Encode sized its buffer for %d bytes and wrote %d", cap(enc), len(enc))
+		}
 		back, err := isa.Decode(enc)
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded program failed: %v", err)

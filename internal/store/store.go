@@ -8,12 +8,17 @@
 // processes can share one directory.
 //
 // Robustness contract (DESIGN.md §8): a load can only ever produce the
-// exact record that was stored, or a miss. Truncated files, garbage bytes,
-// a stale version token, and entries whose recorded identity does not match
-// the requested one all degrade silently to a miss — the caller
-// re-simulates and overwrites. Writes go through a temp file and an atomic
-// rename, so concurrent writers (including other processes) can race on one
-// key and readers still only ever observe complete entries.
+// exact record that was stored, or a miss. Get reads an entry in one strict
+// pass over its bytes and hands the payload to a decoder the caller
+// supplies. Truncated files, garbage bytes, a stale version token, entries
+// whose recorded key or identity does not match the requested one, and
+// payloads the decoder rejects — null, empty, missing a field or carrying
+// an unknown one — all degrade silently to a miss: the caller re-simulates
+// and overwrites. Put writes entries with encoding/json; the read path does
+// not use it, and the tests keep it as the oracle. Writes go through a temp
+// file and an atomic rename, so concurrent writers (including other
+// processes) can race on one key and readers still only ever observe
+// complete entries.
 package store
 
 import (
@@ -26,6 +31,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+
+	"repro/internal/wirejson"
 )
 
 // Key is a content-addressed entry key: the SHA-256 of the identity parts.
@@ -68,11 +75,11 @@ type Store struct {
 	hits, misses, loadErrs, writes, writeErrs atomic.Uint64
 }
 
-// envelope is the on-disk form of one entry. Version and Key are verified on
-// load (a copied or hand-edited file is rejected); ID is the human-readable
-// identity the caller derived the key from, re-checked so that even a
-// key-collision-shaped mismatch degrades to a miss instead of serving a
-// wrong record.
+// envelope is the on-disk form of one entry, as Put writes it. Version and
+// Key are verified on load (a copied or hand-edited file is rejected); ID is
+// the human-readable identity the caller derived the key from, re-checked so
+// that even a key-collision-shaped mismatch degrades to a miss instead of
+// serving a wrong record.
 type envelope struct {
 	Version string          `json:"version"`
 	Key     string          `json:"key"`
@@ -104,33 +111,63 @@ func (s *Store) path(key Key) string {
 	return filepath.Join(s.dir, key.String()+".json")
 }
 
-// Get loads the entry for key into v (via encoding/json) and reports whether
-// a valid entry was found. id must match the identity recorded at Put time.
-// Every failure mode — missing file, truncated or garbage bytes, version or
-// identity mismatch, a payload v cannot decode — returns false; Get never
-// returns a partially-filled v as true.
-func (s *Store) Get(key Key, id string, v any) bool {
+// Get loads the entry for key in one strict pass over the file's bytes and
+// reports whether a valid entry was found. The entry must be one JSON object
+// with exactly the members version, key, id and payload, each once, in any
+// order: version must be the store's token, key the entry's own hex key and
+// id the identity recorded at Put time, each a plain string as
+// wirejson.Scanner.Bytes reads one. decode is handed the scanner at the
+// payload. It must consume exactly that value and report whether it was
+// whole: an unknown field means the payload schema moved without a version
+// bump, and a zero-filled result from a null, empty or partial payload is
+// worse than a miss. The scanner's input is valid only during the call.
+//
+// Every failure — missing file, truncated or garbage bytes, version or
+// identity mismatch, a payload decode rejects — returns false. decode may
+// have run by then, so the caller keeps what it decoded only on true.
+func (s *Store) Get(key Key, id string, decode func(*wirejson.Scanner) bool) bool {
 	buf, err := os.ReadFile(s.path(key))
 	if err != nil {
 		s.misses.Add(1)
 		return false
 	}
-	var e envelope
-	if err := json.Unmarshal(buf, &e); err != nil ||
-		e.Version != s.version || e.Key != key.String() || e.ID != id || len(e.Payload) == 0 {
-		s.loadErrs.Add(1)
-		return false
-	}
-	// Decode strictly: an unknown field means the payload schema moved
-	// without a version bump, and a zero-filled result is worse than a miss.
-	dec := json.NewDecoder(bytes.NewReader(e.Payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if !s.readEntry(buf, key, id, decode) {
 		s.loadErrs.Add(1)
 		return false
 	}
 	s.hits.Add(1)
 	return true
+}
+
+// readEntry is Get's pass over one entry's bytes.
+func (s *Store) readEntry(buf []byte, key Key, id string, decode func(*wirejson.Scanner) bool) bool {
+	var hexKey [2 * sha256.Size]byte
+	hex.Encode(hexKey[:], key[:])
+	sc := wirejson.NewScanner(buf)
+	var seen uint8
+	ok := sc.Object(func(name []byte) bool {
+		var bit uint8
+		var ok bool
+		switch string(name) {
+		case "version":
+			v, vok := sc.Bytes()
+			bit, ok = 1, vok && string(v) == s.version
+		case "key":
+			v, vok := sc.Bytes()
+			bit, ok = 2, vok && bytes.Equal(v, hexKey[:])
+		case "id":
+			v, vok := sc.Bytes()
+			bit, ok = 4, vok && string(v) == id
+		case "payload":
+			bit, ok = 8, decode(sc)
+		}
+		if !ok || seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return true
+	})
+	return ok && seen == 1|2|4|8 && sc.End()
 }
 
 // Put persists v (via encoding/json) as the entry for key, recording id as

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"repro/internal/wirejson"
 )
 
 // payload is a stand-in for the result types callers persist.
@@ -14,6 +16,35 @@ type payload struct {
 	A uint64  `json:"a"`
 	B int64   `json:"b"`
 	C float64 `json:"c"`
+}
+
+// into is payload's decoder for Get, strict the way a caller's must be:
+// every field exactly once and nothing else.
+func into(p *payload) func(*wirejson.Scanner) bool {
+	return func(s *wirejson.Scanner) bool {
+		var seen uint8
+		ok := s.Object(func(name []byte) bool {
+			var bit uint8
+			var ok bool
+			switch string(name) {
+			case "a":
+				bit = 1
+				p.A, ok = s.Uint64()
+			case "b":
+				bit = 2
+				p.B, ok = s.Int64()
+			case "c":
+				bit = 4
+				p.C, ok = s.Float()
+			}
+			if !ok || seen&bit != 0 {
+				return false
+			}
+			seen |= bit
+			return true
+		})
+		return ok && seen == 1|2|4
+	}
 }
 
 func open(t *testing.T, version string, dir ...string) *Store {
@@ -51,7 +82,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got payload
-	if !s.Get(key, "spec-id", &got) {
+	if !s.Get(key, "spec-id", into(&got)) {
 		t.Fatal("Get missed a just-written entry")
 	}
 	if got != want {
@@ -69,7 +100,7 @@ func TestRoundTrip(t *testing.T) {
 func TestMissingEntryIsAMiss(t *testing.T) {
 	s := open(t, "v1")
 	var got payload
-	if s.Get(KeyOf("absent"), "id", &got) {
+	if s.Get(KeyOf("absent"), "id", into(&got)) {
 		t.Fatal("Get found an entry in an empty store")
 	}
 	if st := s.Stats(); st.Misses != 1 || st.LoadErrors != 0 {
@@ -91,7 +122,7 @@ func corruptionCase(t *testing.T, corrupt func([]byte) []byte) {
 		t.Fatal(err)
 	}
 	got := payload{A: 999}
-	if s.Get(key, "id", &got) {
+	if s.Get(key, "id", into(&got)) {
 		t.Fatalf("Get served a corrupted entry: %+v", got)
 	}
 	if st := s.Stats(); st.LoadErrors != 1 || st.Hits != 0 {
@@ -102,9 +133,32 @@ func corruptionCase(t *testing.T, corrupt func([]byte) []byte) {
 		t.Fatal(err)
 	}
 	var again payload
-	if !s.Get(key, "id", &again) || again.A != 7 {
+	if !s.Get(key, "id", into(&again)) || again.A != 7 {
 		t.Fatalf("overwrite after corruption did not restore the entry: %+v", again)
 	}
+}
+
+// withMembers rewrites an entry's envelope through edit, which sees its
+// members by name; the result is valid JSON, so only the store's own checks
+// can reject it.
+func withMembers(edit func(m map[string]json.RawMessage)) func([]byte) []byte {
+	return func(b []byte) []byte {
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(b, &m); err != nil {
+			panic(err)
+		}
+		edit(m)
+		out, err := json.Marshal(m)
+		if err != nil {
+			panic(err)
+		}
+		return out
+	}
+}
+
+// withPayload swaps an entry's payload for raw.
+func withPayload(raw string) func([]byte) []byte {
+	return withMembers(func(m map[string]json.RawMessage) { m["payload"] = json.RawMessage(raw) })
 }
 
 func TestTruncatedFileIsAMiss(t *testing.T) {
@@ -121,34 +175,40 @@ func TestGarbageBytesAreAMiss(t *testing.T) {
 
 func TestGarbagePayloadIsAMiss(t *testing.T) {
 	// Valid envelope JSON whose payload cannot decode into the caller's type.
-	corruptionCase(t, func(b []byte) []byte {
-		var e envelope
-		if err := json.Unmarshal(b, &e); err != nil {
-			panic(err)
-		}
-		e.Payload = json.RawMessage(`"not-a-struct"`)
-		out, err := json.Marshal(e)
-		if err != nil {
-			panic(err)
-		}
-		return out
-	})
+	corruptionCase(t, withPayload(`"not-a-struct"`))
 }
 
 func TestUnknownPayloadFieldIsAMiss(t *testing.T) {
 	// A payload schema that moved without a version bump must reject rather
 	// than decode partially.
-	corruptionCase(t, func(b []byte) []byte {
-		var e envelope
-		if err := json.Unmarshal(b, &e); err != nil {
-			panic(err)
-		}
-		e.Payload = json.RawMessage(`{"a":7,"renamed_field":1}`)
-		out, err := json.Marshal(e)
-		if err != nil {
-			panic(err)
-		}
-		return out
+	corruptionCase(t, withPayload(`{"a":7,"b":0,"c":0,"renamed_field":1}`))
+}
+
+// A payload that is null, empty or short of a field must not load as a hit
+// of zeros: each is a load error like any other corruption.
+func TestNullPayloadIsAMiss(t *testing.T) { corruptionCase(t, withPayload(`null`)) }
+
+func TestEmptyPayloadIsAMiss(t *testing.T) { corruptionCase(t, withPayload(`{}`)) }
+
+func TestPayloadMissingAFieldIsAMiss(t *testing.T) {
+	corruptionCase(t, withPayload(`{"a":7,"b":0}`))
+}
+
+// TestEnvelopeMembersExactlyOnce: the envelope's members are version, key,
+// id and payload, each exactly once; any other shape is a load error.
+func TestEnvelopeMembersExactlyOnce(t *testing.T) {
+	for name, edit := range map[string]func(m map[string]json.RawMessage){
+		"payload missing": func(m map[string]json.RawMessage) { delete(m, "payload") },
+		"id missing":      func(m map[string]json.RawMessage) { delete(m, "id") },
+		"unknown member":  func(m map[string]json.RawMessage) { m["extra"] = json.RawMessage(`1`) },
+	} {
+		t.Run(name, func(t *testing.T) { corruptionCase(t, withMembers(edit)) })
+	}
+	t.Run("repeated member", func(t *testing.T) {
+		// Both copies agree, so only the exactly-once rule rejects it.
+		corruptionCase(t, func(b []byte) []byte {
+			return append([]byte(`{"id":"id",`), b[1:]...)
+		})
 	})
 }
 
@@ -163,7 +223,7 @@ func TestWrongVersionTokenIsAMiss(t *testing.T) {
 	// be invisible, and re-writing under the new token must take over.
 	cur := open(t, "v2", dir)
 	var got payload
-	if cur.Get(key, "id", &got) {
+	if cur.Get(key, "id", into(&got)) {
 		t.Fatal("entry written under v1 served under v2")
 	}
 	if st := cur.Stats(); st.LoadErrors != 1 {
@@ -172,12 +232,12 @@ func TestWrongVersionTokenIsAMiss(t *testing.T) {
 	if err := cur.Put(key, "id", payload{A: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !cur.Get(key, "id", &got) || got.A != 2 {
+	if !cur.Get(key, "id", into(&got)) || got.A != 2 {
 		t.Fatalf("v2 overwrite not served: %+v", got)
 	}
 	// And the old process now misses in turn — no cross-version serving in
 	// either direction.
-	if old.Get(key, "id", &got) {
+	if old.Get(key, "id", into(&got)) {
 		t.Fatal("entry written under v2 served under v1")
 	}
 }
@@ -190,7 +250,7 @@ func TestMismatchedIdentityIsAMiss(t *testing.T) {
 	}
 	// Same key, different identity: the shape a key collision would take.
 	var got payload
-	if s.Get(key, "spec-b-identity", &got) {
+	if s.Get(key, "spec-b-identity", into(&got)) {
 		t.Fatal("entry served under a different identity")
 	}
 	if st := s.Stats(); st.LoadErrors != 1 {
@@ -215,7 +275,7 @@ func TestCopiedEnvelopeIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got payload
-	if s.Get(keyB, "shared-id", &got) {
+	if s.Get(keyB, "shared-id", into(&got)) {
 		t.Fatal("copied envelope served under the wrong key")
 	}
 }
@@ -242,7 +302,7 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 		}
 	}
 	var got payload
-	if !s.Get(key, "id", &got) || got.A != 7 {
+	if !s.Get(key, "id", into(&got)) || got.A != 7 {
 		t.Fatalf("entry unreadable after concurrent writes: %+v", got)
 	}
 	// No temp files may survive the races.

@@ -9,10 +9,13 @@
 //     byte-identical to the reflection encoder's output;
 //   - AppendString emits plain ASCII strings verbatim and defers anything
 //     needing escapes to encoding/json itself;
-//   - Scanner parses only the grammar the appenders emit (compact or
-//     whitespace-padded objects, escape-free strings); callers fall back to
-//     encoding/json when a Parse* method reports failure, so unusual input
-//     costs one extra parse instead of an error.
+//   - Scanner parses a strict subset of JSON in one pass: objects with any
+//     whitespace, plain printable-ASCII strings without escapes, numbers in
+//     RFC 8259's grammar (integers without fraction or exponent), true and
+//     false. Whatever it accepts, encoding/json accepts and reads the same
+//     way. Anything else reports failure: the wire codecs then fall back to
+//     encoding/json, so unusual input costs one extra parse instead of an
+//     error, and the store's read pass treats the entry as a miss.
 package wirejson
 
 import (
@@ -107,53 +110,119 @@ func (s *Scanner) Byte(c byte) bool {
 	return false
 }
 
-// String parses an escape-free JSON string. Strings with escapes (or any
-// non-string token) report false; encoding/json handles them on fallback.
-func (s *Scanner) String() (string, bool) {
+// Bytes parses a plain JSON string — printable ASCII, no escapes — and
+// returns its contents without copying: the slice aliases the scanner's
+// input. Escapes, control bytes and any byte outside ASCII report false, so
+// the fast path never decodes them differently from encoding/json (which
+// substitutes U+FFFD for invalid UTF-8).
+func (s *Scanner) Bytes() ([]byte, bool) {
 	s.ws()
 	if s.i >= len(s.buf) || s.buf[s.i] != '"' {
-		return "", false
-	}
-	j := s.i + 1
-	for j < len(s.buf) {
-		c := s.buf[j]
-		if c == '"' {
-			out := string(s.buf[s.i+1 : j])
-			s.i = j + 1
-			return out, true
-		}
-		if c == '\\' || c < 0x20 {
-			return "", false
-		}
-		j++
-	}
-	return "", false
-}
-
-// numTok consumes one JSON number token and returns its bytes.
-func (s *Scanner) numTok() ([]byte, bool) {
-	s.ws()
-	j := s.i
-	for j < len(s.buf) {
-		switch c := s.buf[j]; {
-		case c >= '0' && c <= '9', c == '-', c == '+', c == '.', c == 'e', c == 'E':
-			j++
-		default:
-			goto done
-		}
-	}
-done:
-	if j == s.i {
 		return nil, false
 	}
-	tok := s.buf[s.i:j]
-	s.i = j
-	return tok, true
+	for j := s.i + 1; j < len(s.buf); j++ {
+		switch c := s.buf[j]; {
+		case c == '"':
+			out := s.buf[s.i+1 : j]
+			s.i = j + 1
+			return out, true
+		case c == '\\' || c < 0x20 || c >= 0x80:
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// String parses a plain JSON string, as Bytes does, into a new string.
+func (s *Scanner) String() (string, bool) {
+	b, ok := s.Bytes()
+	return string(b), ok
+}
+
+// Object consumes one JSON object. For each member it reads the name (a
+// plain string, as Bytes reads it) and the ':' after it, then calls member
+// with the name, which must consume the member's value and report whether
+// it parsed; the name aliases the input and is valid only during the call.
+// Object reports false on malformed structure or on member's first false.
+func (s *Scanner) Object(member func(name []byte) bool) bool {
+	if !s.Byte('{') {
+		return false
+	}
+	if s.Byte('}') {
+		return true
+	}
+	for {
+		name, ok := s.Bytes()
+		if !ok || !s.Byte(':') || !member(name) {
+			return false
+		}
+		if !s.Byte(',') {
+			return s.Byte('}')
+		}
+	}
+}
+
+// number consumes one JSON number token in RFC 8259's grammar — an optional
+// minus, then 0 or a digit run without a leading zero, then an optional
+// fraction and an optional exponent, each with at least one digit — and
+// returns its bytes. integer reports that the token has neither a fraction
+// nor an exponent, the only form encoding/json decodes into an integer.
+func (s *Scanner) number() (tok []byte, integer, ok bool) {
+	s.ws()
+	b, i := s.buf, s.i
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i < len(b) && b[i] == '0':
+		i++
+	case i < len(b) && b[i] >= '1' && b[i] <= '9':
+		i = digits(b, i+1)
+	default:
+		return nil, false, false
+	}
+	integer = true
+	if i < len(b) && b[i] == '.' {
+		j := digits(b, i+1)
+		if j == i+1 {
+			return nil, false, false
+		}
+		i, integer = j, false
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digits(b, i)
+		if j == i {
+			return nil, false, false
+		}
+		i, integer = j, false
+	}
+	tok = b[s.i:i]
+	s.i = i
+	return tok, integer, true
+}
+
+// digits returns the index of the first non-digit in b at or after i.
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// integer consumes a number token that has neither a fraction nor an
+// exponent.
+func (s *Scanner) integer() ([]byte, bool) {
+	tok, integer, ok := s.number()
+	return tok, ok && integer
 }
 
 // Float parses a JSON number as float64.
 func (s *Scanner) Float() (float64, bool) {
-	tok, ok := s.numTok()
+	tok, _, ok := s.number()
 	if !ok {
 		return 0, false
 	}
@@ -161,9 +230,9 @@ func (s *Scanner) Float() (float64, bool) {
 	return f, err == nil
 }
 
-// Int parses a JSON number as int.
+// Int parses a JSON integer as int.
 func (s *Scanner) Int() (int, bool) {
-	tok, ok := s.numTok()
+	tok, ok := s.integer()
 	if !ok {
 		return 0, false
 	}
@@ -171,9 +240,9 @@ func (s *Scanner) Int() (int, bool) {
 	return n, err == nil
 }
 
-// Int64 parses a JSON number as int64.
+// Int64 parses a JSON integer as int64.
 func (s *Scanner) Int64() (int64, bool) {
-	tok, ok := s.numTok()
+	tok, ok := s.integer()
 	if !ok {
 		return 0, false
 	}
@@ -181,9 +250,9 @@ func (s *Scanner) Int64() (int64, bool) {
 	return n, err == nil
 }
 
-// Uint64 parses a JSON number as uint64.
+// Uint64 parses a JSON integer as uint64.
 func (s *Scanner) Uint64() (uint64, bool) {
-	tok, ok := s.numTok()
+	tok, ok := s.integer()
 	if !ok {
 		return 0, false
 	}

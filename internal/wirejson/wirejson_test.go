@@ -118,13 +118,48 @@ func TestScannerRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, ok := NewScanner([]byte(`"esc\"aped"`)).String(); ok {
-		t.Error("escaped string must report false (fallback path)")
+	// Anything encoding/json could decode differently from its bytes —
+	// escapes, control bytes, non-ASCII (invalid UTF-8 becomes U+FFFD
+	// there) — must report false: the fallback path.
+	for _, in := range []string{`"esc\"aped"`, "\"tab\there\"", `"µops"`, "\"\xff\"", "\"\xc3\"", `"open`} {
+		if _, ok := NewScanner([]byte(in)).String(); ok {
+			t.Errorf("String accepted %q", in)
+		}
 	}
 	s := NewScanner([]byte(`{} trailing`))
 	s.Byte('{')
 	s.Byte('}')
 	if s.End() {
 		t.Error("trailing garbage must fail End")
+	}
+}
+
+// TestScannerNumberGrammar pins number tokens to RFC 8259: Float accepts a
+// token exactly when encoding/json does (values out of float64 range aside),
+// and the integer parsers also refuse a fraction or an exponent, as
+// encoding/json does for integer fields.
+func TestScannerNumberGrammar(t *testing.T) {
+	for _, tok := range []string{
+		"0", "-0", "7", "-7", "10", "1.5", "-0.25", "1e3", "1E+3", "1e-3", "2.5e-07",
+		"+5", "05", "-05", "00", "1.", ".5", "-.5", "1.e3", "1e", "1e+", "-", "--1", "+",
+		"0x10", "1_000", "Inf", "NaN", "1.5.5", "1e3e3", "",
+	} {
+		s := NewScanner([]byte(tok))
+		_, ok := s.Float()
+		ok = ok && s.End()
+		if want := json.Valid([]byte(tok)); ok != want {
+			t.Errorf("Float accepts %q: %v; encoding/json: %v", tok, ok, want)
+		}
+	}
+	for _, tok := range []string{"1.0", "1e2", "1E0", "-0.0"} {
+		_, okInt := NewScanner([]byte(tok)).Int()
+		_, okInt64 := NewScanner([]byte(tok)).Int64()
+		_, okUint64 := NewScanner([]byte(tok)).Uint64()
+		if okInt || okInt64 || okUint64 {
+			t.Errorf("an integer parser accepted the non-integer %q", tok)
+		}
+	}
+	if n, ok := NewScanner([]byte("-0")).Int64(); !ok || n != 0 {
+		t.Errorf("Int64(-0) = %d, %v", n, ok)
 	}
 }
