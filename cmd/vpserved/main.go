@@ -53,7 +53,7 @@ func main() {
 	measure := flag.Uint64("measure", 0, "measured µops per simulation (0: server default)")
 	maxJobs := flag.Int("max-jobs", 0, "max unfinished jobs admitted (0: server default)")
 	maxBatch := flag.Int("max-batch", 0, "max specs per batch or experiment (0: server default)")
-	reqTimeout := flag.Duration("request-timeout", 0, "synchronous /v1/simulate budget (0: server default)")
+	reqTimeout := flag.Duration("request-timeout", 0, "budget of each synchronous request, /v1/simulate and /v1/simulate/batch-sync (0: server default)")
 	storeDir := flag.String("store-dir", "", "persistent record store directory shared across restarts and processes (empty: memory-only)")
 	shardID := flag.String("shard-id", "", "shard identity reported by /v1/healthz and /v1/statsz (empty: the bound host:port)")
 	snapshotCap := flag.Int("snapshot-cap", 0, "warm-state snapshot cache entries (0: default cap, negative: disabled)")

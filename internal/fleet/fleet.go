@@ -289,38 +289,22 @@ func (f *Runner) reupload(ctx context.Context, s *shard) bool {
 // dispatch gives up with the last error.
 func (f *Runner) maxAttempts() int { return 2*len(f.shards) + 1 }
 
-// Simulate routes one spec to its owning shard. Shard failure or drain
-// re-routes to the next ring candidate; unknown_program re-uploads and
-// retries in place. The spec is canonicalized and validated locally first,
-// exactly like the other runners.
+// Simulate sends one spec to its owning shard as a one-spec batch-sync
+// frame, through runFrame like every frame of a Batch: shard failure or
+// drain re-routes to the next ring candidate, unknown_program re-uploads
+// and retries in place. The spec is canonicalized and validated locally
+// first, exactly like the other runners.
 func (f *Runner) Simulate(ctx context.Context, spec harness.Spec) (harness.Record, error) {
 	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
 		return harness.Record{}, err
 	}
-	req := service.RequestFor(spec)
-	key := spec.Identity()
-	var lastErr error
-	cured := false
-	for attempt := 0; attempt < f.maxAttempts(); attempt++ {
-		s := f.target(key)
-		rec, err := s.c.Simulate(ctx, req)
-		if err == nil {
-			return rec, nil
-		}
-		lastErr = err
-		reroute, curable := classify(err)
-		switch {
-		case curable && !cured && f.reupload(ctx, s):
-			cured = true // retry the same shard once, now that it knows the program
-		case reroute:
-			f.markUnfit(s, err)
-			cured = false
-		default:
-			return harness.Record{}, err
-		}
-	}
-	return harness.Record{}, fmt.Errorf("fleet: no shard could serve %s: %w", key, lastErr)
+	slots := []chan outcome{make(chan outcome, 1)}
+	var wg sync.WaitGroup
+	f.runFrame(ctx, &wg, f.target(spec.Identity()), []harness.Spec{spec}, []int{0}, slots, f.maxAttempts(), false)
+	wg.Wait() // a reroute finishes on scattered goroutines
+	out := <-slots[0]
+	return out.rec, out.err
 }
 
 // outcome is one spec's gathered result.
@@ -568,23 +552,15 @@ func (f *Runner) Experiment(ctx context.Context, id string, o ExperimentOptions,
 	}
 
 	// Text: one shard renders the whole artifact server-side.
-	key := "exp:" + id
-	var lastErr error
-	for attempt := 0; attempt < f.maxAttempts(); attempt++ {
-		s := f.target(key)
-		artifact, err := f.textExperiment(ctx, s, id)
-		if err == nil {
-			_, werr := io.WriteString(w, artifact)
-			return werr
-		}
-		lastErr = err
-		if reroute, _ := classify(err); reroute {
-			f.markUnfit(s, err)
-			continue
-		}
+	var artifact string
+	if err := f.onShard("exp:"+id, func(s *shard) (err error) {
+		artifact, err = f.textExperiment(ctx, s, id)
+		return err
+	}); err != nil {
 		return fmt.Errorf("%s: %w", id, err)
 	}
-	return fmt.Errorf("%s: no shard could serve the experiment: %w", id, lastErr)
+	_, err := io.WriteString(w, artifact)
+	return err
 }
 
 // textExperiment runs one text-format experiment job on one shard and
@@ -615,38 +591,39 @@ func (f *Runner) textExperiment(ctx context.Context, s *shard, id string) (strin
 
 // stats fetches /v1/statsz from any healthy shard.
 func (f *Runner) stats(ctx context.Context) (service.ServerStats, error) {
-	var lastErr error
-	for attempt := 0; attempt < f.maxAttempts(); attempt++ {
-		s := f.target("fleet:stats")
-		st, err := s.c.Stats(ctx)
-		if err == nil {
-			return st, nil
-		}
-		lastErr = err
-		if reroute, _ := classify(err); !reroute {
-			return service.ServerStats{}, err
-		}
-		f.markUnfit(s, err)
-	}
-	return service.ServerStats{}, fmt.Errorf("fleet: no shard answered statsz: %w", lastErr)
+	var st service.ServerStats
+	err := f.onShard("fleet:stats", func(s *shard) (err error) {
+		st, err = s.c.Stats(ctx)
+		return err
+	})
+	return st, err
 }
 
 // Experiments fetches the experiment index from any healthy shard.
 func (f *Runner) Experiments(ctx context.Context) ([]service.ExperimentInfo, error) {
+	var out []service.ExperimentInfo
+	err := f.onShard("fleet:experiments", func(s *shard) (err error) {
+		out, err = s.c.Experiments(ctx)
+		return err
+	})
+	return out, err
+}
+
+// onShard runs one single-shard call against key's shard, rerouting around
+// shards the call proves unfit (classify) up to maxAttempts; any other
+// error is the call's own and returns as is.
+func (f *Runner) onShard(key string, call func(*shard) error) error {
 	var lastErr error
 	for attempt := 0; attempt < f.maxAttempts(); attempt++ {
-		s := f.target("fleet:experiments")
-		out, err := s.c.Experiments(ctx)
-		if err == nil {
-			return out, nil
-		}
-		lastErr = err
+		s := f.target(key)
+		err := call(s)
 		if reroute, _ := classify(err); !reroute {
-			return nil, err
+			return err
 		}
 		f.markUnfit(s, err)
+		lastErr = err
 	}
-	return nil, fmt.Errorf("fleet: no shard answered the experiment index: %w", lastErr)
+	return fmt.Errorf("fleet: no shard could serve %s: %w", key, lastErr)
 }
 
 // Close stops the prober and releases every shard client's pooled

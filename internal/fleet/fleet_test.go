@@ -107,9 +107,25 @@ func mustJSON(t *testing.T, v any) []byte {
 	return b
 }
 
+// ownedBy returns a fig4 spec whose ring owner is shard, so a test can aim a
+// single-spec call at that shard (the ring hashes the test servers' random
+// URLs, so the owner of any one spec changes from run to run).
+func ownedBy(t *testing.T, f *Runner, shard int) harness.Spec {
+	t.Helper()
+	for _, sp := range harness.Fig4Specs() {
+		if f.ring.candidates(sp.Identity())[0] == shard {
+			return sp
+		}
+	}
+	t.Fatalf("no fig4 spec is owned by shard %d", shard)
+	return harness.Spec{}
+}
+
 // TestFleetFailoverDeadShard: a fleet with one dead member still answers
 // everything (work re-routes to the survivor) and the dead shard is marked
-// down for the status view.
+// down for the status view. A single spec the dead shard owns re-routes on
+// its own, before any batch has marked the shard, and so does a
+// single-shard call.
 func TestFleetFailoverDeadShard(t *testing.T) {
 	f, _, tss := startShards(t, 2)
 	ctx := context.Background()
@@ -117,6 +133,28 @@ func TestFleetFailoverDeadShard(t *testing.T) {
 	want := refRecords(t, specs)
 
 	tss[0].Close() // kill one shard before any traffic
+
+	one := ownedBy(t, f, 0)
+	rec, err := f.Simulate(ctx, one)
+	if err != nil {
+		t.Fatalf("Simulate on a dead owner: %v", err)
+	}
+	if a, b := mustJSON(t, rec), mustJSON(t, refRecords(t, []harness.Spec{one})[0]); !bytes.Equal(a, b) {
+		t.Errorf("Simulate record differs after failover:\n got %s\nwant %s", a, b)
+	}
+	f.shards[0].setState(stUp, nil) // forget the mark: meet the dead shard again
+	key := "probe"
+	for f.ring.candidates(key)[0] != 0 {
+		key += "+"
+	}
+	var served string
+	if err := f.onShard(key, func(s *shard) error {
+		served = s.url
+		_, err := s.c.Experiments(ctx)
+		return err
+	}); err != nil || served != tss[1].URL {
+		t.Errorf("single-shard call on a dead owner: served by %s, error %v", served, err)
+	}
 
 	var got []harness.Record
 	if err := f.Batch(ctx, specs, func(r harness.Record) error {
@@ -139,8 +177,10 @@ func TestFleetFailoverDeadShard(t *testing.T) {
 	}
 }
 
-// TestFleetDrainAwareRouting: once a shard drains, probing marks it and new
-// work lands only on the survivors — while results stay identical.
+// TestFleetDrainAwareRouting: once a shard drains, a single spec it owns is
+// answered 503 draining and re-routes at dispatch, marking the shard before
+// any probe; probing marks it too, and new work lands only on the
+// survivors — while results stay identical.
 func TestFleetDrainAwareRouting(t *testing.T) {
 	f, srvs, _ := startShards(t, 2)
 	ctx := context.Background()
@@ -149,6 +189,19 @@ func TestFleetDrainAwareRouting(t *testing.T) {
 	if err := srvs[0].Drain(dctx); err != nil {
 		t.Fatal(err)
 	}
+
+	one := ownedBy(t, f, 0)
+	rec, err := f.Simulate(ctx, one)
+	if err != nil {
+		t.Fatalf("Simulate on a draining owner: %v", err)
+	}
+	if a, b := mustJSON(t, rec), mustJSON(t, refRecords(t, []harness.Spec{one})[0]); !bytes.Equal(a, b) {
+		t.Errorf("Simulate record differs through drain:\n got %s\nwant %s", a, b)
+	}
+	if st := f.Shards()[0].State; st != StateDraining {
+		t.Fatalf("dispatch left the drained shard %s, want %s", st, StateDraining)
+	}
+
 	f.ProbeOnce(ctx)
 	if st := f.Shards()[0].State; st != StateDraining {
 		t.Fatalf("drained shard state = %s, want %s", st, StateDraining)

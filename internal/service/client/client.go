@@ -194,7 +194,7 @@ func (c *Client) Programs(ctx context.Context) ([]service.ProgramInfo, error) {
 // accepted job's status.
 func (c *Client) SubmitBatch(ctx context.Context, specs []service.SpecRequest) (service.JobStatus, error) {
 	var st service.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/batch", service.BatchRequest{Specs: specs}, &st)
+	err := c.do(ctx, http.MethodPost, "/v1/batch", service.BatchSyncRequest{Specs: specs}, &st)
 	return st, err
 }
 

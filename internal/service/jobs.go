@@ -22,11 +22,9 @@ type job struct {
 	kind   string // "batch" or "experiment"
 	expID  string
 
-	specs   []harness.Spec // requested, in request order
-	tasks   []harness.Spec // deduplicated specs + baselines
-	taskIdx []int          // requested spec i -> index into tasks
-	baseIdx []int          // requested spec i -> baseline index into tasks, -1 if none
-	deps    [][]int        // task index -> requested specs it can complete
+	specs []harness.Spec // requested, in request order
+	plan
+	deps [][]int // task index -> requested specs it can complete
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -53,11 +51,39 @@ type job struct {
 	doneCh  chan struct{} // closed when the job reaches a terminal state
 }
 
-// newJob builds the task list for the requested specs: the specs themselves
+// plan is the task list for a set of requested specs: the specs themselves
 // plus each non-baseline spec's baseline, deduplicated in first-appearance
 // order (duplicates would only occupy queue slots; the memo and the
 // scheduler coalescing make them free, but there is no reason to carry
-// them).
+// them). Jobs and the synchronous core (runSync) both run one.
+type plan struct {
+	tasks   []harness.Spec // deduplicated specs + baselines
+	taskIdx []int          // requested spec i -> index into tasks
+	baseIdx []int          // requested spec i -> baseline index into tasks, -1 if none
+}
+
+func newPlan(specs []harness.Spec) plan {
+	p := plan{taskIdx: make([]int, len(specs)), baseIdx: make([]int, len(specs))}
+	seen := make(map[harness.Spec]int)
+	add := func(sp harness.Spec) int {
+		i, ok := seen[sp]
+		if !ok {
+			i = len(p.tasks)
+			seen[sp] = i
+			p.tasks = append(p.tasks, sp)
+		}
+		return i
+	}
+	for i, sp := range specs {
+		p.taskIdx[i], p.baseIdx[i] = add(sp), -1
+		if sp.Predictor != "none" {
+			p.baseIdx[i] = add(sp.Baseline())
+		}
+	}
+	return p
+}
+
+// newJob builds a job over the plan of the requested specs.
 func (s *Server) newJob(kind, expID string, specs []harness.Spec) *job {
 	j := &job{
 		server:    s,
@@ -65,8 +91,7 @@ func (s *Server) newJob(kind, expID string, specs []harness.Spec) *job {
 		kind:      kind,
 		expID:     expID,
 		specs:     specs,
-		taskIdx:   make([]int, len(specs)),
-		baseIdx:   make([]int, len(specs)),
+		plan:      newPlan(specs),
 		state:     StateQueued,
 		recorded:  make([]bool, len(specs)),
 		records:   make([]*harness.Record, len(specs)),
@@ -76,24 +101,6 @@ func (s *Server) newJob(kind, expID string, specs []harness.Spec) *job {
 		doneCh:    make(chan struct{}),
 	}
 	j.ctx, j.cancel = context.WithCancel(s.baseCtx)
-	seen := make(map[harness.Spec]int)
-	add := func(sp harness.Spec) int {
-		if i, ok := seen[sp]; ok {
-			return i
-		}
-		i := len(j.tasks)
-		seen[sp] = i
-		j.tasks = append(j.tasks, sp)
-		return i
-	}
-	for i, sp := range specs {
-		j.taskIdx[i] = add(sp)
-		if sp.Predictor != "none" {
-			j.baseIdx[i] = add(sp.Baseline())
-		} else {
-			j.baseIdx[i] = -1
-		}
-	}
 	// Reverse index: which requested specs does each task's delivery affect?
 	// deliver then touches only those instead of rescanning the whole batch.
 	j.deps = make([][]int, len(j.tasks))

@@ -58,6 +58,17 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if _, err := c.Simulate(t.Context(), RequestFor(spec)); err != nil {
 		t.Fatal(err)
 	}
+	// A warm repeat is answered inline: it never reaches the scheduler.
+	queued := func() string {
+		return metricValue(t, scrape(t, ts.URL+"/metrics"), "repro_sched_queue_wait_seconds_count")
+	}
+	cold := queued()
+	if _, err := c.Simulate(t.Context(), RequestFor(spec)); err != nil {
+		t.Fatal(err)
+	}
+	if warm := queued(); warm != cold {
+		t.Errorf("warm simulate went through the scheduler: queue waits %s -> %s", cold, warm)
+	}
 	job, err := c.SubmitBatch(t.Context(), specRequests([]harness.Spec{
 		{Kernel: "art", Predictor: "stride", Counters: harness.BaselineCounters},
 	}))

@@ -10,8 +10,10 @@ import (
 	"repro/internal/harness"
 )
 
-// taskSink receives the results of scheduled specs. Both async jobs and the
-// synchronous /v1/simulate path implement it.
+// taskSink receives the results of scheduled specs. Async jobs implement it,
+// and so does the synchronous core (runSync) for the cold tasks of
+// /v1/simulate and /v1/simulate/batch-sync requests; warm tasks never
+// reach the scheduler.
 type taskSink interface {
 	taskCtx() context.Context
 	deliver(idx int, res *harness.Result, err error)

@@ -310,10 +310,23 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// decodeBody reads a JSON request body (at most 16 MiB) into v under the
+// API's strict rule: one value, no unknown field, nothing after it. The wire
+// types take the read body in their own one-pass codecs, which keep that
+// rule (through a json.Decoder they would be scanned twice); anything else
+// streams through decodeStrict. Reports false after writing the 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	body := http.MaxBytesReader(w, r.Body, 16<<20)
+	var err error
+	if u, ok := v.(json.Unmarshaler); ok {
+		var b []byte
+		if b, err = io.ReadAll(body); err == nil {
+			err = u.UnmarshalJSON(b)
+		}
+	} else {
+		err = decodeStrict(body, v)
+	}
+	if err != nil {
 		apiError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -420,9 +433,8 @@ func (s *Server) checkPrograms(w http.ResponseWriter, specs ...harness.Spec) boo
 	return true
 }
 
-// handleSimulate runs one spec synchronously within the request budget,
-// scheduling it (and the baseline its speedup needs) through the shared
-// worker pool, and answers with the flattened Record.
+// handleSimulate runs one spec synchronously (POST /v1/simulate): a
+// one-spec frame through runSync, answered with the flattened Record.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	var req SpecRequest
 	if !decodeBody(w, r, &req) {
@@ -436,6 +448,89 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !s.checkPrograms(w, spec) {
 		return
 	}
+	recs, _, err := s.runSync(r.Context(), []harness.Spec{spec})
+	if err != nil {
+		writeSyncError(w, "", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, recs[0])
+}
+
+// handleBatchSync runs a whole spec frame synchronously (POST
+// /v1/simulate/batch-sync): the batched wire framing that amortizes one
+// HTTP round trip over many specs. The response carries one record per
+// requested spec, in request order. The frame is all-or-nothing: the first
+// failing spec (in request order) fails the whole frame with the standard
+// error envelope, mirroring the Batch contract's first-error abort — a
+// fleet front retries the frame elsewhere.
+func (s *Server) handleBatchSync(w http.ResponseWriter, r *http.Request) {
+	specs, ok := s.decodeSpecs(w, r)
+	if !ok {
+		return
+	}
+	recs, failed, err := s.runSync(r.Context(), specs)
+	if err != nil {
+		prefix := ""
+		if failed >= 0 {
+			prefix = fmt.Sprintf("spec %d: ", failed)
+		}
+		writeSyncError(w, prefix, err)
+		return
+	}
+	// Emit through the frame codec: the response bytes go straight to the
+	// wire, skipping the encoder's compaction re-scan of the marshaled body.
+	out, err := BatchSyncResponse{Records: recs}.MarshalJSON()
+	if err != nil {
+		apiError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(out)
+	w.Write([]byte{'\n'})
+}
+
+// decodeSpecs is the prelude of both spec-frame endpoints (POST /v1/batch
+// and POST /v1/simulate/batch-sync): an empty frame is 400, one over
+// MaxBatch 413, an invalid spec a "spec %d:" 400, then checkPrograms.
+// Reports false after writing the error.
+func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.Spec, bool) {
+	var req BatchSyncRequest
+	if !decodeBody(w, r, &req) {
+		return nil, false
+	}
+	if len(req.Specs) == 0 {
+		apiError(w, http.StatusBadRequest, "empty batch")
+		return nil, false
+	}
+	if len(req.Specs) > s.opts.MaxBatch {
+		apiError(w, http.StatusRequestEntityTooLarge,
+			"batch of %d specs exceeds the %d-spec limit", len(req.Specs), s.opts.MaxBatch)
+		return nil, false
+	}
+	specs := make([]harness.Spec, len(req.Specs))
+	for i, sr := range req.Specs {
+		sp, err := sr.Spec()
+		if err != nil {
+			apiError(w, http.StatusBadRequest, "spec %d: %v", i, err)
+			return nil, false
+		}
+		specs[i] = sp
+	}
+	return specs, s.checkPrograms(w, specs...)
+}
+
+// runSync is the one synchronous core: it answers specs within the request
+// budget and returns their records in request order. The specs plus their
+// deduplicated baselines are planned like a job's; tasks already memoized
+// are answered inline (Session.Peek counts the hit exactly as RunCtx
+// would), so a fully warm request costs map lookups and never touches the
+// worker pool, and only cold tasks fan through the scheduler. On failure it
+// returns the index of the first failing spec in request order with that
+// spec's error, or -1 when the request failed as a whole (draining, a
+// refused submission, the budget expiring while waiting); the caller writes
+// the envelope (writeSyncError).
+func (s *Server) runSync(ctx context.Context, specs []harness.Spec) ([]harness.Record, int, error) {
 	// The draining check and the syncWG.Add share one critical section:
 	// Drain/Close set draining under s.mu before waiting on syncWG, so
 	// every Add is either ordered before the flag flip (and thus seen by
@@ -444,73 +539,82 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		apiError(w, http.StatusServiceUnavailable, "%v", errDraining)
-		return
+		return nil, -1, errDraining
 	}
 	s.syncWG.Add(1)
 	s.mu.Unlock()
 	defer s.syncWG.Done()
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, s.opts.RequestTimeout)
 	defer cancel()
 	stop := context.AfterFunc(s.baseCtx, cancel) // Close aborts sync work too
 	defer stop()
 
-	sink := &syncSink{ctx: ctx, ch: make(chan syncDelivery, 2)}
-	specsToRun := []harness.Spec{spec}
-	if spec.Predictor != "none" {
-		specsToRun = append(specsToRun, spec.Baseline())
+	p := newPlan(specs)
+	results := make([]*harness.Result, len(p.tasks))
+	errs := make([]error, len(p.tasks))
+	var cold []int
+	for i, sp := range p.tasks {
+		if res, err, ok := s.session.Peek(sp); ok {
+			results[i], errs[i] = res, err
+		} else {
+			cold = append(cold, i)
+		}
 	}
-	for i, sp := range specsToRun {
-		if err := s.sched.submit(task{sink: sink, idx: i, spec: sp}); err != nil {
-			code := http.StatusServiceUnavailable
-			if harness.IsContextErr(err) {
-				// The RequestTimeout expired while queueing: same outcome
-				// (and same status) as timing out later in the wait.
-				code = http.StatusGatewayTimeout
+	if len(cold) > 0 {
+		sink := &syncSink{ctx: ctx, ch: make(chan syncDelivery, len(cold))}
+		for _, i := range cold {
+			if err := s.sched.submit(task{sink: sink, idx: i, spec: p.tasks[i]}); err != nil {
+				return nil, -1, err
 			}
-			apiError(w, code, "%v", err)
-			return
 		}
-	}
-	var res *harness.Result
-	for range specsToRun {
-		var d syncDelivery
-		select {
-		case d = <-sink.ch:
-		case <-ctx.Done():
-			// The RequestTimeout budget applies even while parked behind
-			// other jobs (queued, or coalesced onto an in-flight run); the
-			// cancelled context makes any eventual delivery a cheap drop.
-			apiError(w, http.StatusGatewayTimeout, "%v", ctx.Err())
-			return
-		}
-		if d.err != nil {
-			switch {
-			case harness.IsContextErr(d.err):
-				apiError(w, http.StatusGatewayTimeout, "%v", d.err)
-			case harness.IsUnknownWorkload(d.err):
-				// Belt and braces behind checkPrograms: the session cannot
-				// forget a program, but keep the curable code if it ever does.
-				apiErrorCode(w, http.StatusNotFound, CodeUnknownProgram, "%v", d.err)
-			default:
-				apiError(w, http.StatusInternalServerError, "%v", d.err)
+		for range cold {
+			select {
+			case d := <-sink.ch:
+				results[d.idx], errs[d.idx] = d.res, d.err
+			case <-ctx.Done():
+				// The budget applies even while parked behind other work
+				// (queued, or coalesced onto an in-flight run); the
+				// cancelled context makes any late delivery a cheap drop.
+				return nil, -1, ctx.Err()
 			}
-			return
-		}
-		if d.idx == 0 {
-			res = d.res
 		}
 	}
-	rec, err := s.session.Record(res)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "%v", err)
-		return
+	recs := make([]harness.Record, len(specs))
+	for i := range specs {
+		err := errs[p.taskIdx[i]]
+		if err == nil && p.baseIdx[i] >= 0 {
+			err = errs[p.baseIdx[i]]
+		}
+		if err == nil {
+			recs[i], err = s.session.Record(results[p.taskIdx[i]])
+		}
+		if err != nil {
+			return nil, i, err
+		}
 	}
-	writeJSON(w, http.StatusOK, rec)
+	return recs, -1, nil
 }
 
-// syncSink collects deliveries for the synchronous path.
+// writeSyncError writes the envelope for a runSync failure, prefix first:
+// 503 when the server refused the work, 504 when the budget expired (while
+// queueing or waiting alike), 404 unknown_program for a workload the
+// session cannot resolve — belt and braces behind checkPrograms, since the
+// session never forgets a program — and 500 for anything else.
+func writeSyncError(w http.ResponseWriter, prefix string, err error) {
+	status, code := http.StatusInternalServerError, CodeInternal
+	switch {
+	case errors.Is(err, errDraining), errors.Is(err, errSchedulerClosed):
+		status, code = http.StatusServiceUnavailable, CodeDraining
+	case harness.IsContextErr(err):
+		status, code = http.StatusGatewayTimeout, CodeTimeout
+	case harness.IsUnknownWorkload(err):
+		status, code = http.StatusNotFound, CodeUnknownProgram
+	}
+	apiErrorCode(w, status, code, "%s%v", prefix, err)
+}
+
+// syncSink collects runSync's cold-task deliveries.
 type syncSink struct {
 	ctx context.Context
 	ch  chan syncDelivery
@@ -527,197 +631,11 @@ func (s *syncSink) deliver(idx int, res *harness.Result, err error) {
 	s.ch <- syncDelivery{idx, res, err}
 }
 
-// handleBatchSync runs a whole spec frame synchronously within the request
-// budget (POST /v1/simulate/batch-sync): the batched wire framing that
-// amortizes one HTTP round trip over many specs. The frame's specs plus
-// their deduplicated baselines all fan through the shared worker pool; the
-// response carries one record per requested spec, in request order. The
-// frame is all-or-nothing: the first failing spec (in request order) fails
-// the whole frame with the standard error envelope, mirroring the Batch
-// contract's first-error abort — a fleet front retries the frame elsewhere.
-func (s *Server) handleBatchSync(w http.ResponseWriter, r *http.Request) {
-	// Decode through the frame codec directly — one scanner pass over the
-	// body — instead of json.Decoder's validate-then-parse double walk;
-	// the codec's fallback keeps strict unknown-field rejection.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	var req BatchSyncRequest
-	if err := req.UnmarshalJSON(body); err != nil {
-		apiError(w, http.StatusBadRequest, "decode body: %v", err)
-		return
-	}
-	if len(req.Specs) == 0 {
-		apiError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Specs) > s.opts.MaxBatch {
-		apiError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d specs exceeds the %d-spec limit", len(req.Specs), s.opts.MaxBatch)
-		return
-	}
-	specs := make([]harness.Spec, len(req.Specs))
-	for i, sr := range req.Specs {
-		sp, err := sr.Spec()
-		if err != nil {
-			apiError(w, http.StatusBadRequest, "spec %d: %v", i, err)
-			return
-		}
-		specs[i] = sp
-	}
-	if !s.checkPrograms(w, specs...) {
-		return
-	}
-	// Same draining/syncWG critical section as handleSimulate: every Add is
-	// ordered before Drain's flag flip or never happens.
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		apiError(w, http.StatusServiceUnavailable, "%v", errDraining)
-		return
-	}
-	s.syncWG.Add(1)
-	s.mu.Unlock()
-	defer s.syncWG.Done()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	stop := context.AfterFunc(s.baseCtx, cancel) // Close aborts sync work too
-	defer stop()
-
-	// Deduplicate the task list (specs + the baselines their speedups need),
-	// exactly like an async job: duplicates would only occupy queue slots.
-	var tasks []harness.Spec
-	seen := make(map[harness.Spec]int)
-	add := func(sp harness.Spec) int {
-		if i, ok := seen[sp]; ok {
-			return i
-		}
-		i := len(tasks)
-		seen[sp] = i
-		tasks = append(tasks, sp)
-		return i
-	}
-	taskIdx := make([]int, len(specs))
-	baseIdx := make([]int, len(specs))
-	for i, sp := range specs {
-		taskIdx[i] = add(sp)
-		if sp.Predictor != "none" {
-			baseIdx[i] = add(sp.Baseline())
-		} else {
-			baseIdx[i] = -1
-		}
-	}
-
-	// Warm fast path: tasks already memoized are answered inline, without a
-	// scheduler round trip — a fully warm frame costs JSON decode + encode
-	// plus map lookups, which is what lets the batched wire path beat warm
-	// per-call dispatch by the DESIGN.md §12 margin. Only cold tasks fan
-	// through the worker pool.
-	results := make([]*harness.Result, len(tasks))
-	errs := make([]error, len(tasks))
-	var cold []int
-	for i, sp := range tasks {
-		if res, err, ok := s.session.Peek(sp); ok {
-			results[i], errs[i] = res, err
-		} else {
-			cold = append(cold, i)
-		}
-	}
-	if len(cold) > 0 {
-		sink := &syncSink{ctx: ctx, ch: make(chan syncDelivery, len(cold))}
-		for _, i := range cold {
-			if err := s.sched.submit(task{sink: sink, idx: i, spec: tasks[i]}); err != nil {
-				code := http.StatusServiceUnavailable
-				if harness.IsContextErr(err) {
-					code = http.StatusGatewayTimeout
-				}
-				apiError(w, code, "%v", err)
-				return
-			}
-		}
-		for range cold {
-			var d syncDelivery
-			select {
-			case d = <-sink.ch:
-			case <-ctx.Done():
-				apiError(w, http.StatusGatewayTimeout, "%v", ctx.Err())
-				return
-			}
-			results[d.idx], errs[d.idx] = d.res, d.err
-		}
-	}
-	// First failure in request order fails the frame.
-	for i := range specs {
-		err := errs[taskIdx[i]]
-		if err == nil && baseIdx[i] >= 0 {
-			err = errs[baseIdx[i]]
-		}
-		if err == nil {
-			continue
-		}
-		switch {
-		case harness.IsContextErr(err):
-			apiError(w, http.StatusGatewayTimeout, "spec %d: %v", i, err)
-		case harness.IsUnknownWorkload(err):
-			apiErrorCode(w, http.StatusNotFound, CodeUnknownProgram, "spec %d: %v", i, err)
-		default:
-			apiError(w, http.StatusInternalServerError, "spec %d: %v", i, err)
-		}
-		return
-	}
-	recs := make([]harness.Record, len(specs))
-	for i := range specs {
-		rec, err := s.session.Record(results[taskIdx[i]])
-		if err != nil {
-			apiError(w, http.StatusInternalServerError, "spec %d: %v", i, err)
-			return
-		}
-		recs[i] = rec
-	}
-	// Emit through the frame codec: the response bytes go straight to the
-	// wire, skipping the encoder's compaction re-scan of the marshaled body.
-	out, err := BatchSyncResponse{Records: recs}.MarshalJSON()
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(out)
-	w.Write([]byte{'\n'})
-}
-
 // handleBatch admits a batch job and answers 202 with its status.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !decodeBody(w, r, &req) {
-		return
+	if specs, ok := s.decodeSpecs(w, r); ok {
+		s.startJob(w, r, "batch", "", specs)
 	}
-	if len(req.Specs) == 0 {
-		apiError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(req.Specs) > s.opts.MaxBatch {
-		apiError(w, http.StatusRequestEntityTooLarge,
-			"batch of %d specs exceeds the %d-spec limit", len(req.Specs), s.opts.MaxBatch)
-		return
-	}
-	specs := make([]harness.Spec, len(req.Specs))
-	for i, sr := range req.Specs {
-		sp, err := sr.Spec()
-		if err != nil {
-			apiError(w, http.StatusBadRequest, "spec %d: %v", i, err)
-			return
-		}
-		specs[i] = sp
-	}
-	if !s.checkPrograms(w, specs...) {
-		return
-	}
-	s.startJob(w, r, "batch", "", specs)
 }
 
 // handleExperiment admits a job for one §5.1 experiment id.

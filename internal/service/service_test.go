@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/isa"
 	. "repro/internal/service"
 	"repro/internal/service/client"
 )
@@ -212,16 +214,48 @@ func TestServerCancelFreesWorkers(t *testing.T) {
 }
 
 // TestSimulateSync covers the synchronous endpoint: a valid spec returns a
-// record with a real speedup; bad specs are 400s.
+// record with a real speedup, the same record a one-spec batch-sync frame
+// answers; a warm repeat counts the memo hits a scheduled lookup counts —
+// spec and baseline once to answer, once more each for the record's
+// speedup — and no miss; and bad specs, unknown programs and a draining
+// server fail with the same status and code on both endpoints.
 func TestSimulateSync(t *testing.T) {
-	_, c, _ := newTestServer(t, Options{})
+	srv, c, _ := newTestServer(t, Options{})
 	ctx := context.Background()
-	rec, err := c.Simulate(ctx, SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc"})
+	req := SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc"}
+	rec, err := c.Simulate(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Kernel != "art" || rec.Predictor != "vtage" || rec.Speedup <= 0 {
 		t.Errorf("bad record: %+v", rec)
+	}
+	frame, err := c.SimulateBatchSync(ctx, []SpecRequest{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame[0] != rec {
+		t.Errorf("endpoints disagree:\nsimulate   %+v\nbatch-sync %+v", rec, frame[0])
+	}
+	before := srv.Stats()
+	if _, err := c.Simulate(ctx, req); err != nil {
+		t.Fatal(err)
+	}
+	after := srv.Stats()
+	if hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses; hits != 4 || misses != 0 {
+		t.Errorf("warm simulate counted %d memo hits and %d misses, want 4 and 0", hits, misses)
+	}
+
+	bothFail := func(req SpecRequest, status int, code string) {
+		t.Helper()
+		_, simErr := c.Simulate(ctx, req)
+		_, frameErr := c.SimulateBatchSync(ctx, []SpecRequest{req})
+		for _, err := range []error{simErr, frameErr} {
+			var apiErr *client.APIError
+			if !errors.As(err, &apiErr) || apiErr.Status != status || apiErr.Code != code {
+				t.Errorf("spec %+v: got %v, want HTTP %d %s", req, err, status, code)
+			}
+		}
 	}
 	for _, bad := range []SpecRequest{
 		{Kernel: "nope", Predictor: "lvp"},
@@ -229,11 +263,66 @@ func TestSimulateSync(t *testing.T) {
 		{Kernel: "art", Predictor: "lvp", Counters: "nope"},
 		{Kernel: "art", Predictor: "lvp", Recovery: "nope"},
 	} {
-		var apiErr *client.APIError
-		if _, err := c.Simulate(ctx, bad); err == nil {
-			t.Errorf("bad spec %+v accepted", bad)
-		} else if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != CodeBadRequest {
-			t.Errorf("bad spec %+v: got %v, want HTTP 400 %s", bad, err, CodeBadRequest)
+		bothFail(bad, http.StatusBadRequest, CodeBadRequest)
+	}
+	bothFail(SpecRequest{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"},
+		http.StatusNotFound, CodeUnknownProgram)
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	bothFail(req, http.StatusServiceUnavailable, CodeDraining)
+}
+
+// TestRequestBodiesAreOneValue: every JSON POST endpoint takes exactly one
+// JSON value. Whitespace after it is fine; a concatenated second request
+// or trailing garbage is a 400 bad_request, never a silently dropped tail.
+func TestRequestBodiesAreOneValue(t *testing.T) {
+	_, _, ts := newTestServer(t, Options{Workers: 1})
+	prog, err := isa.Generate("branchy", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload, err := json.Marshal(ProgramRequest{Assembly: string(isa.Disassemble(prog))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"kernel":"gzip","predictor":"none"}`
+	frame := `{"specs":[` + spec + `]}`
+	for _, ep := range []struct {
+		path, body string
+		ok         int
+	}{
+		{"/v1/simulate", spec, http.StatusOK},
+		{"/v1/simulate/batch-sync", frame, http.StatusOK},
+		{"/v1/batch", frame, http.StatusAccepted},
+		{"/v1/programs", string(upload), http.StatusOK},
+	} {
+		for _, tc := range []struct {
+			tail string
+			want int
+		}{
+			{"", ep.ok},
+			{" \r\n\t", ep.ok},
+			{ep.body, http.StatusBadRequest},
+			{" trailing-garbage", http.StatusBadRequest},
+		} {
+			resp, err := http.Post(ts.URL+ep.path, "application/json", strings.NewReader(ep.body+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with tail %q: HTTP %d, want %d: %s", ep.path, tc.tail, resp.StatusCode, tc.want, body)
+				continue
+			}
+			var apiErr APIError
+			if tc.want == http.StatusBadRequest && (json.Unmarshal(body, &apiErr) != nil || apiErr.Code != CodeBadRequest) {
+				t.Errorf("%s with tail %q: error body %s, want code %s", ep.path, tc.tail, body, CodeBadRequest)
+			}
 		}
 	}
 }

@@ -93,16 +93,13 @@ func RequestFor(s harness.Spec) SpecRequest {
 	}
 }
 
-// BatchRequest is the body of POST /v1/batch.
-type BatchRequest struct {
-	Specs []SpecRequest `json:"specs"`
-}
-
-// BatchSyncRequest is the body of POST /v1/simulate/batch-sync: the batched
-// synchronous wire framing (DESIGN.md §12). One request carries many specs
-// and one response carries their records in request order, so the HTTP round
-// trip — the dominant cost of warm, memo-served dispatch — is amortized over
-// the whole frame instead of paid per spec.
+// BatchSyncRequest is a spec frame, {"specs":[...]}: the body of POST
+// /v1/simulate/batch-sync, the batched synchronous wire framing (DESIGN.md
+// §12), and of POST /v1/batch, its asynchronous job form. One synchronous
+// request carries many specs and one response carries their records in
+// request order, so the HTTP round trip — the dominant cost of warm,
+// memo-served dispatch — is amortized over the whole frame instead of paid
+// per spec.
 type BatchSyncRequest struct {
 	Specs []SpecRequest `json:"specs"`
 }

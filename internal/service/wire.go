@@ -3,6 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"strconv"
 
 	"repro/internal/harness"
 	"repro/internal/wirejson"
@@ -14,9 +17,23 @@ import (
 // the dominant cost of a warm frame on both sides. The frame types parse
 // and emit in one scanner pass; byte-compatibility and semantics match
 // encoding/json exactly, with a stdlib fallback for anything unusual —
-// the API's strict unknown-field rejection included (the fallback decoder
-// sets DisallowUnknownFields, so strictness predating the fast path
-// survives it).
+// the API's strict unknown-field rejection included (the fallback is
+// decodeStrict, so strictness predating the fast path survives it).
+
+// decodeStrict is the API's reflection decode: exactly one JSON value, no
+// unknown field, and nothing but whitespace after the value — Unmarshal's
+// whole-input rule with DisallowUnknownFields on top.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("invalid data after top-level value")
+	}
+	return nil
+}
 
 // appendSpecRequest appends r's JSON object, byte-compatible with the
 // reflection encoding (field order and omitempty behavior included).
@@ -39,14 +56,14 @@ func appendSpecRequest(b []byte, r SpecRequest) []byte {
 	}
 	if r.Width != 0 {
 		b = append(b, `,"width":`...)
-		b = appendInt(b, r.Width)
+		b = strconv.AppendInt(b, int64(r.Width), 10)
 	}
 	if r.LoadsOnly {
 		b = append(b, `,"loads_only":true`...)
 	}
 	if r.MaxHist != 0 {
 		b = append(b, `,"max_hist":`...)
-		b = appendInt(b, r.MaxHist)
+		b = strconv.AppendInt(b, int64(r.MaxHist), 10)
 	}
 	if r.FPCVector != "" {
 		b = append(b, `,"fpc_vector":`...)
@@ -61,27 +78,9 @@ func (r SpecRequest) MarshalJSON() ([]byte, error) {
 	return appendSpecRequest(make([]byte, 0, 128), r), nil
 }
 
-func appendInt(b []byte, v int) []byte {
-	if v < 0 {
-		b = append(b, '-')
-		v = -v
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(b, tmp[i:]...)
-}
-
-// UnmarshalJSON implements json.Unmarshaler: fast scanner first, then a
-// strict encoding/json decoder — so unknown fields still fail with the
-// standard "json: unknown field" error the API has always returned.
+// UnmarshalJSON implements json.Unmarshaler: fast scanner first, then
+// decodeStrict — so unknown fields still fail with the standard "json:
+// unknown field" error the API has always returned.
 func (r *SpecRequest) UnmarshalJSON(b []byte) error {
 	s := wirejson.NewScanner(b)
 	if req, ok := parseSpecRequest(s); ok && s.End() {
@@ -90,9 +89,7 @@ func (r *SpecRequest) UnmarshalJSON(b []byte) error {
 	}
 	type plain SpecRequest
 	var p plain
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := decodeStrict(bytes.NewReader(b), &p); err != nil {
 		return err
 	}
 	*r = SpecRequest(p)
@@ -166,7 +163,7 @@ func (r BatchSyncRequest) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses the whole frame in one scanner pass; any surprise
-// falls back to the strict reflection decoder.
+// falls back to decodeStrict.
 func (r *BatchSyncRequest) UnmarshalJSON(b []byte) error {
 	s := wirejson.NewScanner(b)
 	specs, ok := parseSpecFrame(s)
@@ -176,9 +173,7 @@ func (r *BatchSyncRequest) UnmarshalJSON(b []byte) error {
 	}
 	type plain BatchSyncRequest
 	var p plain
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	if err := decodeStrict(bytes.NewReader(b), &p); err != nil {
 		return err
 	}
 	*r = BatchSyncRequest(p)
@@ -195,7 +190,7 @@ func parseSpecFrame(s *wirejson.Scanner) ([]SpecRequest, bool) {
 	if !s.Byte('[') {
 		return nil, false
 	}
-	var specs []SpecRequest
+	specs := []SpecRequest{} // [] decodes to an empty slice, as in encoding/json
 	if s.Byte(']') {
 		return specs, s.Byte('}')
 	}

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,6 +20,7 @@ func wireTestSpecRequests() []SpecRequest {
 		{Kernel: "gzip", Predictor: "lvp", Counters: "fpc", Recovery: "reissue",
 			Width: 4, LoadsOnly: true, MaxHist: 128, FPCVector: "0,2,2,2,2,3,3"},
 		{Program: "prog:4b3f", Predictor: "stride", Counters: "baseline"},
+		{Kernel: "art", Predictor: "vtage", Width: math.MinInt, MaxHist: math.MaxInt},
 		{},
 	}
 }
@@ -71,4 +74,78 @@ func TestSpecRequestUnmarshalStrict(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown field") {
 		t.Errorf("unknown field must be rejected, got: %v", err)
 	}
+
+	// Called directly (decodeBody does), the codec takes one value and
+	// nothing after it — on the fast path and the fallback alike.
+	for _, body := range []string{
+		`{"kernel":"gzip","predictor":"none"}{"kernel":"art"}`,
+		`{"kernel":"gzip","predictor":"none"} trailing-garbage`,
+		`{"kernel":"gz\u0069p","predictor":"none"} {}`,
+	} {
+		if err := new(SpecRequest).UnmarshalJSON([]byte(body)); err == nil {
+			t.Errorf("%s: trailing data accepted", body)
+		}
+	}
+}
+
+// reflectFrame is BatchSyncRequest without its methods, over spec requests
+// without theirs — the encoding/json oracle for the frame codec.
+type reflectFrame struct {
+	Specs []reflectSpecRequest `json:"specs"`
+}
+
+// FuzzSpecFrame pins the spec-frame codec, which every remote Runner call
+// rides, against encoding/json: BatchSyncRequest.UnmarshalJSON accepts
+// exactly the bytes a strict encoding/json decode accepts (unknown fields
+// rejected, one value and nothing but whitespace after it) and yields the
+// same value; whatever it accepts, MarshalJSON re-encodes byte for byte as
+// the reflection encoder does, and the bytes decode back to the same value.
+func FuzzSpecFrame(f *testing.F) {
+	for _, reqs := range [][]SpecRequest{wireTestSpecRequests(), nil, {}} {
+		b, err := BatchSyncRequest{Specs: reqs}.MarshalJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got BatchSyncRequest
+		gotErr := got.UnmarshalJSON(data)
+
+		var oracle reflectFrame
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		wantErr := dec.Decode(&oracle)
+		if wantErr == nil && !json.Valid(data) {
+			wantErr = errors.New("data after the top-level value")
+		}
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: codec error %v, encoding/json error %v", data, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			return
+		}
+		var want []SpecRequest
+		if oracle.Specs != nil {
+			want = make([]SpecRequest, len(oracle.Specs))
+			for i, sp := range oracle.Specs {
+				want[i] = SpecRequest(sp)
+			}
+		}
+		if !reflect.DeepEqual(got.Specs, want) {
+			t.Fatalf("%q:\ncodec         %#v\nencoding/json %#v", data, got.Specs, want)
+		}
+
+		out, err := got.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref, _ := json.Marshal(oracle); !bytes.Equal(out, ref) {
+			t.Fatalf("%q re-encodes as\n%s\nreflection encodes\n%s", data, out, ref)
+		}
+		var back BatchSyncRequest
+		if err := back.UnmarshalJSON(out); err != nil || !reflect.DeepEqual(back, got) {
+			t.Fatalf("%s does not round-trip: %v\n got %#v\nwant %#v", out, err, back, got)
+		}
+	})
 }
