@@ -51,9 +51,9 @@ func Kernels() []string { return kernels.Names() }
 // "gdiff".
 func Predictors() []string { return harness.PredictorNames }
 
-// Experiments lists the reproducible tables and figures by id. For the
-// backend's own index (a remote server may serve a different build), use
-// Runner.Experiments.
+// Experiments lists the reproducible tables and figures by id; every
+// Runner answers the same index (Runner.Experiments), since every backend
+// renders on the client.
 func Experiments() []string {
 	var ids []string
 	for _, e := range harness.Experiments() {
@@ -82,9 +82,7 @@ type APIError = service.APIError
 // Stable APIError codes.
 const (
 	APICodeBadRequest     = service.CodeBadRequest
-	APICodeNotFound       = service.CodeNotFound
 	APICodeTooLarge       = service.CodeTooLarge
-	APICodeQueueFull      = service.CodeQueueFull
 	APICodeDraining       = service.CodeDraining
 	APICodeTimeout        = service.CodeTimeout
 	APICodeInternal       = service.CodeInternal
@@ -140,29 +138,25 @@ func ProgramID(p *Program) string { return harness.ProgramID(p) }
 
 // ---------------------------------------------------------------------------
 // Service layer (DESIGN.md §6): the simulation-as-a-service subsystem. A
-// Server is one process-lifetime session behind the /v1 HTTP job API —
-// synchronous simulation, batch and experiment jobs, NDJSON/SSE result
-// streaming, cancellation, and /healthz + /statsz observability. cmd/vpserved
-// is the standalone daemon; Client is the typed way to talk to either, and
-// RemoteRunner (a one-shard ShardedRunner) the backend-neutral one.
+// Server is one process-lifetime session behind the synchronous /v1 HTTP
+// API — single specs and batch-sync spec frames answered with records,
+// program upload, and /healthz, /statsz and /metrics observability;
+// cancelling a request frees its workers. Experiments render on the client
+// from their records. cmd/vpserved is the standalone daemon; Client is the
+// typed way to talk to either, and RemoteRunner (a one-shard
+// ShardedRunner) the backend-neutral one.
 // ---------------------------------------------------------------------------
 
 // Server is the simulation service as an http.Handler.
 type Server = service.Server
 
 // ServerOptions configures a Server; the zero value uses serving defaults
-// (50k/250k windows, GOMAXPROCS workers, 64 jobs, 4096 specs/batch, 2m
-// synchronous budget).
+// (50k/250k windows, GOMAXPROCS workers, 4096 specs/frame, 2m per-request
+// budget).
 type ServerOptions = service.Options
 
 // SpecRequest is the wire form of one simulation spec.
 type SpecRequest = service.SpecRequest
-
-// JobStatus is the wire form of one service job.
-type JobStatus = service.JobStatus
-
-// ServiceEvent is one entry of a job's result stream.
-type ServiceEvent = service.Event
 
 // ServerStats is the /v1/statsz body.
 type ServerStats = service.ServerStats

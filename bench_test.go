@@ -32,7 +32,7 @@ func benchExperiment(b *testing.B, id string) {
 		if !ok {
 			b.Fatalf("unknown experiment %q", id)
 		}
-		if err := e.Run(context.Background(), se, io.Discard); err != nil {
+		if err := harness.Render(context.Background(), se, e, "text", 1, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,8 +25,8 @@
 // genprog.
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels cleanly: in-flight simulations stop at
-// their next cancellation checkpoint (local and remote — a remote job is
-// cancelled server-side) and the process exits nonzero.
+// their next cancellation checkpoint (local and remote — a remote request
+// is cancelled server-side) and the process exits nonzero.
 package main
 
 import (

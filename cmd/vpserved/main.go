@@ -1,13 +1,13 @@
 // Command vpserved is the simulation-as-a-service daemon: one long-lived
-// harness session behind the /v1 HTTP job API (DESIGN.md §6), so kernel
-// traces and simulation results are cached across every request the
+// harness session behind the synchronous /v1 HTTP API (DESIGN.md §6), so
+// kernel traces and simulation results are cached across every request the
 // process ever answers.
 //
 // Usage:
 //
 //	vpserved                                  # listen on 127.0.0.1:8437
 //	vpserved -addr 127.0.0.1:0 -addr-file a   # random port, written to a
-//	vpserved -workers 8 -max-jobs 128         # sizing
+//	vpserved -workers 8 -max-batch 1024       # sizing
 //	vpserved -store-dir /var/cache/vpsim      # results survive restarts
 //	vpserved -log-format json                 # structured access/ops logs
 //	vpserved -trace-log run.ndjson -pprof     # run tracing + profiling
@@ -18,10 +18,11 @@
 //	curl -s localhost:8437/metrics                       # Prometheus text
 //	curl -s -X POST localhost:8437/v1/simulate \
 //	     -d '{"kernel":"art","predictor":"vtage","counters":"fpc"}'
-//	curl -s -X POST localhost:8437/v1/experiments/fig4   # -> {"id":"j000001",...}
-//	curl -sN localhost:8437/v1/jobs/j000001/stream       # NDJSON results
+//	curl -s -X POST localhost:8437/v1/simulate/batch-sync \
+//	     -d '{"specs":[{"kernel":"art","predictor":"none"},{"kernel":"art","predictor":"lvp"}]}'
+//	experiments -run fig4 -server http://localhost:8437  # renders on the client
 //
-// SIGTERM or SIGINT drains gracefully: admission stops, running jobs
+// SIGTERM or SIGINT drains gracefully: admission stops, in-flight requests
 // finish, the listener closes, and the process exits 0.
 package main
 
@@ -51,8 +52,7 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation workers shared by all requests (0: GOMAXPROCS)")
 	warmup := flag.Uint64("warmup", 0, "warmup µops per simulation (0: server default)")
 	measure := flag.Uint64("measure", 0, "measured µops per simulation (0: server default)")
-	maxJobs := flag.Int("max-jobs", 0, "max unfinished jobs admitted (0: server default)")
-	maxBatch := flag.Int("max-batch", 0, "max specs per batch or experiment (0: server default)")
+	maxBatch := flag.Int("max-batch", 0, "max specs per batch-sync frame (0: server default)")
 	reqTimeout := flag.Duration("request-timeout", 0, "budget of each synchronous request, /v1/simulate and /v1/simulate/batch-sync (0: server default)")
 	storeDir := flag.String("store-dir", "", "persistent record store directory shared across restarts and processes (empty: memory-only)")
 	shardID := flag.String("shard-id", "", "shard identity reported by /v1/healthz and /v1/statsz (empty: the bound host:port)")
@@ -73,7 +73,6 @@ func main() {
 		Warmup:         *warmup,
 		Measure:        *measure,
 		Workers:        *workers,
-		MaxJobs:        *maxJobs,
 		MaxBatch:       *maxBatch,
 		RequestTimeout: *reqTimeout,
 		StoreDir:       *storeDir,
@@ -147,8 +146,8 @@ func main() {
 
 	httpSrv := &http.Server{
 		Handler: logRequests(logger, handler),
-		// No WriteTimeout: /v1/jobs/{id}/stream stays open for the job's
-		// lifetime; per-request budgets are enforced by the service layer.
+		// No WriteTimeout: the service layer enforces each request's budget
+		// (-request-timeout) itself, and answers 504 when it expires.
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	serveErr := make(chan error, 1)
@@ -169,14 +168,14 @@ func main() {
 	clean := true
 	if err := svc.Drain(ctx); err != nil {
 		clean = false
-		logger.Warn("drain interrupted; cancelling remaining jobs", "err", err)
+		logger.Warn("drain interrupted; cancelling remaining requests", "err", err)
 	}
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		clean = false
 		logger.Warn("http shutdown", "err", err)
 	}
-	// Close cancels whatever Drain left behind; renders and simulations are
-	// all context-driven (DESIGN.md §6.2), so this settles within one
+	// Close cancels whatever Drain left behind; simulations are
+	// context-driven (DESIGN.md §6.2), so this settles within one
 	// cancellation checkpoint. The timeout is defense in depth against a
 	// future uncancellable path, not an expected exit.
 	closed := make(chan error, 1)
@@ -211,8 +210,7 @@ func newLogger(format string) (*slog.Logger, error) {
 }
 
 // logRequests is the structured access log: one line per request with
-// method, path, status, response bytes, and duration. Streaming endpoints
-// log when the stream ends, with the full body size.
+// method, path, status, response bytes, and duration.
 func logRequests(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -251,13 +249,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
-}
-
-// Flush keeps streaming endpoints working through the logging wrapper.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Unwrap lets http.ResponseController reach the underlying writer.

@@ -1,7 +1,7 @@
 // Service example: drive the simulation service through the
-// backend-neutral Runner API — an experiment rendered server-side and a
-// spec batch streamed record by record — plus the typed client for
-// health/stats observability.
+// backend-neutral Runner API — a spec batch streamed record by record, and
+// an experiment whose declared specs the server simulates and the client
+// renders — plus the typed client for health/stats observability.
 //
 // With no arguments it starts an in-process server on a random port — a
 // self-contained demo of repro.NewServer + repro.OpenRemoteRunner:
@@ -79,7 +79,8 @@ func main() {
 		log.Fatalf("batch: %v", err)
 	}
 
-	// Run Fig. 1 server-side and print the rendered artifact.
+	// Fig. 1: the server simulates its declared specs, the runner renders
+	// the records here, byte-identical to a LocalRunner's table.
 	fmt.Println()
 	if err := r.Experiment(ctx, "fig1", repro.ExperimentOptions{}, os.Stdout); err != nil {
 		log.Fatalf("experiment: %v", err)

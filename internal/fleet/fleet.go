@@ -504,20 +504,19 @@ type ExperimentOptions struct {
 	Format  string
 }
 
-// Experiment regenerates one experiment by id. Text format routes the whole
-// job to one shard (consistent-hashed on the experiment id — with a shared
-// -store-dir repeated renders stay warm on that shard) and writes the
-// server-rendered artifact. json/csv resolve the experiment's declared spec
-// set locally and scatter it through Batch, so the emitted bytes are
-// identical to a LocalRunner over the same specs. Nonzero o.Warmup/o.Measure
-// must match the shards' windows: sizing is per-daemon, not per call.
-func (f *Runner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
-	switch o.Format {
-	case "", "text", "json", "csv":
-	default:
-		return fmt.Errorf("harness: unknown format %q (have text, json, csv)", o.Format)
+// Experiment renders e on the client, in every format: its declared spec
+// set scatters through Batch and the records render through
+// harness.RenderRecords, so the bytes are identical to a LocalRunner's.
+// Spec-less experiments render on a throwaway session sized to the shards'
+// windows (only profile touches it, to trace kernels). Nonzero
+// o.Warmup/o.Measure must match the shards' windows: sizing is per-daemon,
+// not per call. One /v1/statsz read serves both needs.
+func (f *Runner) Experiment(ctx context.Context, e harness.Experiment, o ExperimentOptions, w io.Writer) error {
+	if err := harness.CheckFormat(e, o.Format); err != nil {
+		return err
 	}
-	if o.Warmup != 0 || o.Measure != 0 {
+	var se *harness.Session
+	if o.Warmup != 0 || o.Measure != 0 || e.Specs == nil {
 		stats, err := f.stats(ctx)
 		if err != nil {
 			return err
@@ -528,65 +527,18 @@ func (f *Runner) Experiment(ctx context.Context, id string, o ExperimentOptions,
 				"window sizing is per-daemon (vpserved -warmup/-measure), not per call",
 				lim.Warmup, lim.Measure, o.Warmup, o.Measure)
 		}
+		se = harness.NewSession(lim.Warmup, lim.Measure)
 	}
-
-	if o.Format == "json" || o.Format == "csv" {
-		e, ok := harness.ExperimentByID(id)
-		if !ok {
-			return fmt.Errorf("fleet: unknown experiment %q", id)
-		}
-		if e.Specs == nil {
-			return fmt.Errorf("%s: no structured results (text-only experiment)", id)
-		}
-		recs := make([]harness.Record, 0, 64)
+	var recs []harness.Record
+	if e.Specs != nil {
 		if err := f.Batch(ctx, e.Specs(), func(rec harness.Record) error {
 			recs = append(recs, rec)
 			return nil
 		}); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		if o.Format == "json" {
-			return harness.WriteJSON(w, recs)
-		}
-		return harness.WriteCSV(w, recs)
 	}
-
-	// Text: one shard renders the whole artifact server-side.
-	var artifact string
-	if err := f.onShard("exp:"+id, func(s *shard) (err error) {
-		artifact, err = f.textExperiment(ctx, s, id)
-		return err
-	}); err != nil {
-		return fmt.Errorf("%s: %w", id, err)
-	}
-	_, err := io.WriteString(w, artifact)
-	return err
-}
-
-// textExperiment runs one text-format experiment job on one shard and
-// returns the rendered artifact.
-func (f *Runner) textExperiment(ctx context.Context, s *shard, id string) (string, error) {
-	st, err := s.c.SubmitExperiment(ctx, id)
-	if err != nil {
-		return "", err
-	}
-	finished := false
-	defer func() {
-		if !finished {
-			cctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			s.c.Cancel(cctx, st.ID)
-		}
-	}()
-	final, err := s.c.Wait(ctx, st.ID)
-	if err != nil {
-		return "", err
-	}
-	if final.State != service.StateDone {
-		return "", fmt.Errorf("job %s ended %s: %s", final.ID, final.State, final.Error)
-	}
-	finished = true
-	return final.Artifact, nil
+	return harness.RenderRecords(ctx, se, e, o.Format, recs, w)
 }
 
 // stats fetches /v1/statsz from any healthy shard.
@@ -597,16 +549,6 @@ func (f *Runner) stats(ctx context.Context) (service.ServerStats, error) {
 		return err
 	})
 	return st, err
-}
-
-// Experiments fetches the experiment index from any healthy shard.
-func (f *Runner) Experiments(ctx context.Context) ([]service.ExperimentInfo, error) {
-	var out []service.ExperimentInfo
-	err := f.onShard("fleet:experiments", func(s *shard) (err error) {
-		out, err = s.c.Experiments(ctx)
-		return err
-	})
-	return out, err
 }
 
 // onShard runs one single-shard call against key's shard, rerouting around

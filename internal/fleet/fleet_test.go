@@ -150,7 +150,7 @@ func TestFleetFailoverDeadShard(t *testing.T) {
 	var served string
 	if err := f.onShard(key, func(s *shard) error {
 		served = s.url
-		_, err := s.c.Experiments(ctx)
+		_, err := s.c.Stats(ctx)
 		return err
 	}); err != nil || served != tss[1].URL {
 		t.Errorf("single-shard call on a dead owner: served by %s, error %v", served, err)

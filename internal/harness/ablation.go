@@ -4,8 +4,8 @@ package harness
 // sensitivity arguments (confidence strength, history length, loads-only
 // scope, machine width) rendered as experiments. Every sweep point is an
 // extended Spec — a memoizable, schedulable value — so these experiments
-// batch across the worker pool and render from warm memo entries exactly
-// like the figures; nothing here simulates outside the scheduler.
+// declare their whole sweep and render from its records exactly like the
+// figures; nothing here simulates.
 
 import (
 	"context"
@@ -72,7 +72,7 @@ func ablFPCSpecs() []Spec {
 // recovery: the Section 5 trade-off between coverage (weak counters) and
 // accuracy (strong counters), and the basis for the paper's suggestion of
 // adapting probabilities at run time.
-func runAblFPC(ctx context.Context, se *Session, w io.Writer) error {
+func runAblFPC(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE under squash-at-commit, varying confidence strength\n")
 	fmt.Fprintf(w, "%-8s", "kernel")
 	for _, p := range fpcSweep {
@@ -86,17 +86,12 @@ func runAblFPC(ctx context.Context, se *Session, w io.Writer) error {
 	for _, k := range ablationKernels {
 		fmt.Fprintf(w, "%-8s", k)
 		for _, p := range fpcSweep {
-			spec := fpcSpec(k, p.vec)
-			sp, err := se.SpeedupCtx(ctx, spec)
-			if err != nil {
-				return err
-			}
-			r, err := se.RunCtx(ctx, spec)
+			r, err := src.Record(fpcSpec(k, p.vec))
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, " %8.3f %6.1f %6.2f",
-				sp, 100*r.Stats.Coverage(), 100*r.Stats.Accuracy())
+				r.Speedup, 100*r.Coverage, 100*r.Accuracy)
 		}
 		fmt.Fprintln(w)
 	}
@@ -107,9 +102,9 @@ func runAblFPC(ctx context.Context, se *Session, w io.Writer) error {
 // runExtPredictors compares the extension predictors the paper references
 // but does not chart: the Per-Path Stride predictor (footnote 4: "on par
 // with 2D-Str") and gDiff [27] (composable global-stride prediction).
-func runExtPredictors(ctx context.Context, se *Session, w io.Writer) error {
+func runExtPredictors(ctx context.Context, src *Source, w io.Writer) error {
 	preds := []string{"stride", "ps", "vtage", "gdiff"}
-	if err := speedupMatrix(ctx, se, w, preds, FPC, pipeline.SquashAtCommit); err != nil {
+	if err := speedupMatrix(src, w, preds, FPC, pipeline.SquashAtCommit); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "(paper footnote 4: PS performance was on par with 2D-Str)")
@@ -146,7 +141,7 @@ func ablHistSpecs() []Spec {
 // runAblHist sweeps VTAGE's maximum history length: too short loses
 // control-flow context, too long dilutes capacity across components and
 // slows learning — the paper picked 2..64 as "a good tradeoff".
-func runAblHist(ctx context.Context, se *Session, w io.Writer) error {
+func runAblHist(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE with FPC and squash-at-commit, varying max history length\n")
 	fmt.Fprintf(w, "%-8s", "kernel")
 	for _, mh := range maxHists {
@@ -156,11 +151,11 @@ func runAblHist(ctx context.Context, se *Session, w io.Writer) error {
 	for _, k := range ablationKernels {
 		fmt.Fprintf(w, "%-8s", k)
 		for _, mh := range maxHists {
-			sp, err := se.SpeedupCtx(ctx, histSpec(k, mh))
+			r, err := src.Record(histSpec(k, mh))
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %10.3f", sp)
+			fmt.Fprintf(w, " %10.3f", r.Speedup)
 		}
 		fmt.Fprintln(w)
 	}
@@ -170,11 +165,12 @@ func runAblHist(ctx context.Context, se *Session, w io.Writer) error {
 // runProfile renders the workload characterization table: the evidence for
 // the Table 3 substitution argument (which predictor family each kernel is
 // built to exercise). It is trace-driven (no simulations), so it declares
-// no specs; the context check between kernels keeps it cancellable.
-func runProfile(ctx context.Context, se *Session, w io.Writer) error {
+// no specs and reads kernel traces from the source's session; the context
+// check between kernels keeps it cancellable.
+func runProfile(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintln(w, stats.Header())
 	for _, k := range KernelNames() {
-		tr, err := se.trace(ctx, k)
+		tr, err := src.trace(ctx, k)
 		if err != nil {
 			return err
 		}
@@ -212,19 +208,19 @@ func ablLoadsSpecs() []Spec {
 // deployment) with classic load-value prediction only: loads carry the
 // longest latencies, but the paper's whole-instruction scope also breaks
 // ALU/FP dependence chains.
-func runAblLoads(ctx context.Context, se *Session, w io.Writer) error {
+func runAblLoads(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE-2DStr hybrid with FPC, squash-at-commit: all µops vs loads only\n")
 	fmt.Fprintf(w, "%-10s %12s %12s\n", "kernel", "all uops", "loads only")
 	for _, k := range ablLoadsKernels {
-		all, err := se.SpeedupCtx(ctx, loadsSpec(k, false))
+		all, err := src.Record(loadsSpec(k, false))
 		if err != nil {
 			return err
 		}
-		loads, err := se.SpeedupCtx(ctx, loadsSpec(k, true))
+		loads, err := src.Record(loadsSpec(k, true))
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%-10s %12.3f %12.3f\n", k, all, loads)
+		fmt.Fprintf(w, "%-10s %12.3f %12.3f\n", k, all.Speedup, loads.Speedup)
 	}
 	fmt.Fprintln(w, "(the paper predicts every register-producing µop, §7.2)")
 	return nil
@@ -263,7 +259,7 @@ func ablWidthSpecs() []Spec {
 // runAblWidth shows the paper's premise — value prediction is a lever for
 // wide machines: on a narrower pipeline the same predictor buys less,
 // because fewer independent µops are waiting on the broken dependences.
-func runAblWidth(ctx context.Context, se *Session, w io.Writer) error {
+func runAblWidth(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE-2DStr with FPC, squash-at-commit: speedup vs machine width\n")
 	fmt.Fprintf(w, "%-10s", "kernel")
 	for _, wd := range widthPoints {
@@ -273,11 +269,11 @@ func runAblWidth(ctx context.Context, se *Session, w io.Writer) error {
 	for _, k := range ablWidthKernels {
 		fmt.Fprintf(w, "%-10s", k)
 		for _, wd := range widthPoints {
-			sp, err := se.SpeedupCtx(ctx, widthSpec(k, wd))
+			r, err := src.Record(widthSpec(k, wd))
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %12.3f", sp)
+			fmt.Fprintf(w, " %12.3f", r.Speedup)
 		}
 		fmt.Fprintln(w)
 	}

@@ -66,7 +66,7 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 
 // TestRunCtxCancelMidRun cancels a simulation once it is in flight and
 // requires RunCtx to return promptly with the context error — the property
-// that lets a cancelled service job free its worker.
+// that lets a cancelled service request free its worker.
 func TestRunCtxCancelMidRun(t *testing.T) {
 	t.Parallel()
 	// Large windows so the run is comfortably longer than the cancellation

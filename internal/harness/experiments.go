@@ -2,29 +2,89 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
 )
 
 // Experiment regenerates one table or figure of the paper. Specs, when
-// non-nil, pre-declares every simulation the renderer will request, letting
-// the engine batch-schedule the whole figure (ablation sweeps included —
-// every sweep point is an extended Spec) across the worker pool before Run
-// touches the session; Run then only reads warm memo entries. Static tables
-// and the trace-driven profile declare nothing. Run takes the caller's
-// context: renderers pass it to every session read, so an experiment is
-// cancellable even mid-simulation when a memo entry turns out cold.
+// non-nil, declares every simulation the renderer reads (ablation sweeps
+// included — every sweep point is an extended Spec), so any backend can run
+// the whole set through its own batch path before rendering. Run is then a
+// pure read: it renders from the records of exactly that set (Source), and
+// reading a spec outside it is an error. Static tables and the
+// trace-driven profile declare nothing; profile reads kernel traces from
+// the source's session.
 type Experiment struct {
 	ID    string
 	Title string
 	Specs func() []Spec
-	Run   func(ctx context.Context, se *Session, w io.Writer) error
+	Run   func(ctx context.Context, src *Source, w io.Writer) error
+}
+
+// ExperimentInfo is one row of the experiment index: id plus the paper
+// artifact it regenerates.
+type ExperimentInfo struct {
+	ID    string `json:"id"`
+	Title string `json:"title"`
+}
+
+// Index returns the experiment index in DESIGN.md §5 order — the one every
+// backend answers, since every backend renders on the client.
+func Index() []ExperimentInfo {
+	var out []ExperimentInfo
+	for _, e := range Experiments() {
+		out = append(out, ExperimentInfo{ID: e.ID, Title: e.Title})
+	}
+	return out
+}
+
+// Source is what an experiment renders from: the records of its declared
+// spec set keyed by canonical spec, plus a session that only the
+// trace-driven profile reads, to trace kernels.
+type Source struct {
+	recs    map[Spec]Record
+	session *Session
+}
+
+// newSource keys recs — the records of specs, in the same order, as
+// RecordsCtx or any Runner's Batch returns them — by canonical spec. se may
+// be nil unless the experiment traces kernels (profile).
+func newSource(se *Session, specs []Spec, recs []Record) (*Source, error) {
+	if len(recs) != len(specs) {
+		return nil, fmt.Errorf("harness: %d records for %d declared specs", len(recs), len(specs))
+	}
+	src := &Source{recs: make(map[Spec]Record, len(specs)), session: se}
+	for i, sp := range specs {
+		src.recs[sp.Canonical()] = recs[i]
+	}
+	return src, nil
+}
+
+// Record returns spec's declared record. A spec outside the declared set is
+// an error, so rendering is a pure read of what Specs declared by
+// construction.
+func (src *Source) Record(spec Spec) (Record, error) {
+	r, ok := src.recs[spec.Canonical()]
+	if !ok {
+		return Record{}, fmt.Errorf("harness: %s is outside the experiment's declared spec set", spec.Identity())
+	}
+	return r, nil
+}
+
+// trace returns a kernel's instruction trace from the source's session.
+func (src *Source) trace(ctx context.Context, kernel string) ([]isa.DynInst, error) {
+	if src.session == nil {
+		return nil, errors.New("harness: no session to trace kernels on")
+	}
+	return src.session.trace(ctx, kernel)
 }
 
 // Experiments returns every experiment in DESIGN.md §5 order.
@@ -126,17 +186,17 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-func runTable1(ctx context.Context, se *Session, w io.Writer) error {
+func runTable1(ctx context.Context, src *Source, w io.Writer) error {
 	_, err := io.WriteString(w, core.FormatTable1())
 	return err
 }
 
-func runTable2(ctx context.Context, se *Session, w io.Writer) error {
+func runTable2(ctx context.Context, src *Source, w io.Writer) error {
 	_, err := io.WriteString(w, pipeline.DefaultConfig().FormatTable2())
 	return err
 }
 
-func runTable3(ctx context.Context, se *Session, w io.Writer) error {
+func runTable3(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-22s %s\n", "Kernel", "Stands in for", "Class")
 	for _, k := range kernels.All() {
 		class := "INT"
@@ -148,15 +208,15 @@ func runTable3(ctx context.Context, se *Session, w io.Writer) error {
 	return nil
 }
 
-func runFig1(ctx context.Context, se *Session, w io.Writer) error {
+func runFig1(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %10s\n", "kernel", "b2b frac")
 	var fracs []float64
 	for _, k := range KernelNames() {
-		r, err := se.RunCtx(ctx, Spec{Kernel: k, Predictor: "none"})
+		r, err := src.Record(Spec{Kernel: k, Predictor: "none"})
 		if err != nil {
 			return err
 		}
-		f := r.Stats.B2BFraction()
+		f := r.B2BFraction
 		fracs = append(fracs, f)
 		fmt.Fprintf(w, "%-10s %9.1f%%\n", k, 100*f)
 	}
@@ -166,16 +226,16 @@ func runFig1(ctx context.Context, se *Session, w io.Writer) error {
 	return nil
 }
 
-func runFig3(ctx context.Context, se *Session, w io.Writer) error {
+func runFig3(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %8s\n", "kernel", "speedup")
 	var sp []float64
 	for _, k := range KernelNames() {
-		s, err := se.SpeedupCtx(ctx, Spec{Kernel: k, Predictor: "oracle"})
+		r, err := src.Record(Spec{Kernel: k, Predictor: "oracle"})
 		if err != nil {
 			return err
 		}
-		sp = append(sp, s)
-		fmt.Fprintf(w, "%-10s %8.2f\n", k, s)
+		sp = append(sp, r.Speedup)
+		fmt.Fprintf(w, "%-10s %8.2f\n", k, r.Speedup)
 	}
 	fmt.Fprintf(w, "%-10s %8.2f\n", "amean", AMean(sp))
 	fmt.Fprintf(w, "%-10s %8.2f\n", "max", Max(sp))
@@ -184,12 +244,12 @@ func runFig3(ctx context.Context, se *Session, w io.Writer) error {
 }
 
 // speedupMatrix renders one speedup table over every kernel.
-func speedupMatrix(ctx context.Context, se *Session, w io.Writer, preds []string, c Counters, rec pipeline.RecoveryMode) error {
-	return speedupMatrixOver(ctx, se, w, KernelNames(), preds, c, rec)
+func speedupMatrix(src *Source, w io.Writer, preds []string, c Counters, rec pipeline.RecoveryMode) error {
+	return speedupMatrixOver(src, w, KernelNames(), preds, c, rec)
 }
 
 // speedupMatrixOver renders one speedup table: kernels x predictors.
-func speedupMatrixOver(ctx context.Context, se *Session, w io.Writer, kernels, preds []string, c Counters, rec pipeline.RecoveryMode) error {
+func speedupMatrixOver(src *Source, w io.Writer, kernels, preds []string, c Counters, rec pipeline.RecoveryMode) error {
 	fmt.Fprintf(w, "%-10s", "kernel")
 	for _, p := range preds {
 		fmt.Fprintf(w, " %12s", DisplayName(p))
@@ -199,12 +259,12 @@ func speedupMatrixOver(ctx context.Context, se *Session, w io.Writer, kernels, p
 	for _, k := range kernels {
 		fmt.Fprintf(w, "%-10s", k)
 		for i, p := range preds {
-			s, err := se.SpeedupCtx(ctx, Spec{Kernel: k, Predictor: p, Counters: c, Recovery: rec})
+			r, err := src.Record(Spec{Kernel: k, Predictor: p, Counters: c, Recovery: rec})
 			if err != nil {
 				return err
 			}
-			means[i] += s
-			fmt.Fprintf(w, " %12.3f", s)
+			means[i] += r.Speedup
+			fmt.Fprintf(w, " %12.3f", r.Speedup)
 		}
 		fmt.Fprintln(w)
 	}
@@ -218,55 +278,47 @@ func speedupMatrixOver(ctx context.Context, se *Session, w io.Writer, kernels, p
 
 var singlePredictors = []string{"lvp", "stride", "fcm", "vtage"}
 
-func runFig4(ctx context.Context, se *Session, w io.Writer) error {
+func runFig4(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintln(w, "(a) baseline 3-bit counters, squash at commit")
-	if err := speedupMatrix(ctx, se, w, singlePredictors, BaselineCounters, pipeline.SquashAtCommit); err != nil {
+	if err := speedupMatrix(src, w, singlePredictors, BaselineCounters, pipeline.SquashAtCommit); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n(b) FPC, squash at commit")
-	return speedupMatrix(ctx, se, w, singlePredictors, FPC, pipeline.SquashAtCommit)
+	return speedupMatrix(src, w, singlePredictors, FPC, pipeline.SquashAtCommit)
 }
 
-func runFig5(ctx context.Context, se *Session, w io.Writer) error {
+func runFig5(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintln(w, "(a) baseline 3-bit counters, selective reissue")
-	if err := speedupMatrix(ctx, se, w, singlePredictors, BaselineCounters, pipeline.SelectiveReissue); err != nil {
+	if err := speedupMatrix(src, w, singlePredictors, BaselineCounters, pipeline.SelectiveReissue); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n(b) FPC, selective reissue")
-	return speedupMatrix(ctx, se, w, singlePredictors, FPC, pipeline.SelectiveReissue)
+	return speedupMatrix(src, w, singlePredictors, FPC, pipeline.SelectiveReissue)
 }
 
-func runFig6(ctx context.Context, se *Session, w io.Writer) error {
+func runFig6(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %14s %10s %14s %10s\n",
 		"kernel", "speedup(base)", "cov(base)", "speedup(FPC)", "cov(FPC)")
 	for _, k := range KernelNames() {
-		sb, err := se.SpeedupCtx(ctx, Spec{Kernel: k, Predictor: "vtage", Counters: BaselineCounters})
+		rb, err := src.Record(Spec{Kernel: k, Predictor: "vtage", Counters: BaselineCounters})
 		if err != nil {
 			return err
 		}
-		rb, err := se.RunCtx(ctx, Spec{Kernel: k, Predictor: "vtage", Counters: BaselineCounters})
-		if err != nil {
-			return err
-		}
-		sf, err := se.SpeedupCtx(ctx, Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
-		if err != nil {
-			return err
-		}
-		rf, err := se.RunCtx(ctx, Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
+		rf, err := src.Record(Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-10s %14.3f %9.1f%% %14.3f %9.1f%%\n",
-			k, sb, 100*rb.Stats.Coverage(), sf, 100*rf.Stats.Coverage())
+			k, rb.Speedup, 100*rb.Coverage, rf.Speedup, 100*rf.Coverage)
 	}
 	return nil
 }
 
 var hybridPredictors = []string{"stride", "fcm", "vtage", "fcm+stride", "vtage+stride"}
 
-func runFig7(ctx context.Context, se *Session, w io.Writer) error {
+func runFig7(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintln(w, "(a) speedup (FPC, squash at commit)")
-	if err := speedupMatrix(ctx, se, w, hybridPredictors, FPC, pipeline.SquashAtCommit); err != nil {
+	if err := speedupMatrix(src, w, hybridPredictors, FPC, pipeline.SquashAtCommit); err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "\n(b) coverage")
@@ -278,18 +330,26 @@ func runFig7(ctx context.Context, se *Session, w io.Writer) error {
 	for _, k := range KernelNames() {
 		fmt.Fprintf(w, "%-10s", k)
 		for _, p := range hybridPredictors {
-			r, err := se.RunCtx(ctx, Spec{Kernel: k, Predictor: p, Counters: FPC})
+			r, err := src.Record(Spec{Kernel: k, Predictor: p, Counters: FPC})
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %11.1f%%", 100*r.Stats.Coverage())
+			fmt.Fprintf(w, " %11.1f%%", 100*r.Coverage)
 		}
 		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func runAccuracy(ctx context.Context, se *Session, w io.Writer) error {
+// usedOver100 is acc's eligibility rule for the worst-accuracy footer: a
+// spec counts once it consumed more than 100 predictions. Record carries no
+// used count, so the rule reads coverage × committed µops, which bounds the
+// used count from above (eligible µops never outnumber committed ones): it
+// admits every spec a used-count rule would, and can only report a worse
+// worst case, never hide one (DESIGN.md §4).
+func usedOver100(r Record) bool { return r.Coverage*float64(r.Committed) > 100 }
+
+func runAccuracy(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s", "kernel")
 	for _, p := range singlePredictors {
 		fmt.Fprintf(w, " %10s(b) %10s(F)", DisplayName(p), DisplayName(p))
@@ -299,19 +359,19 @@ func runAccuracy(ctx context.Context, se *Session, w io.Writer) error {
 	for _, k := range KernelNames() {
 		fmt.Fprintf(w, "%-10s", k)
 		for _, p := range singlePredictors {
-			rb, err := se.RunCtx(ctx, Spec{Kernel: k, Predictor: p, Counters: BaselineCounters})
+			rb, err := src.Record(Spec{Kernel: k, Predictor: p, Counters: BaselineCounters})
 			if err != nil {
 				return err
 			}
-			rf, err := se.RunCtx(ctx, Spec{Kernel: k, Predictor: p, Counters: FPC})
+			rf, err := src.Record(Spec{Kernel: k, Predictor: p, Counters: FPC})
 			if err != nil {
 				return err
 			}
-			ab, af := rb.Stats.Accuracy(), rf.Stats.Accuracy()
-			if rb.Stats.Used > 100 && ab < worstBase {
+			ab, af := rb.Accuracy, rf.Accuracy
+			if usedOver100(rb) && ab < worstBase {
 				worstBase = ab
 			}
-			if rf.Stats.Used > 100 && af < worstFPC {
+			if usedOver100(rf) && af < worstFPC {
 				worstFPC = af
 			}
 			fmt.Fprintf(w, " %12.4f %12.4f", ab, af)
@@ -323,7 +383,7 @@ func runAccuracy(ctx context.Context, se *Session, w io.Writer) error {
 	return nil
 }
 
-func runSec3(ctx context.Context, se *Session, w io.Writer) error {
+func runSec3(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "Recovery cost model, cycles gained per kilo-instruction (Trecov = Pvalue x Nmisp)\n")
 	fmt.Fprintf(w, "%-22s %8s %28s %30s\n", "mechanism", "penalty",
 		"ex.1: 40% cov, 95% acc", "ex.2: 30% cov, 99.75% acc")
@@ -335,7 +395,7 @@ func runSec3(ctx context.Context, se *Session, w io.Writer) error {
 	return nil
 }
 
-func runSec4(ctx context.Context, se *Session, w io.Writer) error {
+func runSec4(ctx context.Context, src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "Register file area model (Zyuban-Kogge, area ~ (R+W)(R+2W)), issue width W=8\n")
 	fmt.Fprintf(w, "%-30s %6s %6s %10s\n", "design", "R", "W", "area (W^2)")
 	for _, sc := range regfile.Section4Scenarios(8) {
@@ -345,35 +405,65 @@ func runSec4(ctx context.Context, se *Session, w io.Writer) error {
 	return nil
 }
 
-// Render batch-schedules an experiment's spec set across workers and writes
-// it to w in the requested format: "text" (the paper-style table), "json",
-// or "csv" (the structured Record layer). Experiments without a declared
-// spec set are text-only. ctx cancels the batch and the render: unstarted
-// specs are abandoned, in-flight simulations stop at their next
-// cancellation checkpoint, and Render returns the context error.
-func Render(ctx context.Context, se *Session, e Experiment, format string, workers int, w io.Writer) error {
+// CheckFormat reports whether e renders in format: text always, json and
+// csv (the structured Record layer) only from a declared spec set. Backends
+// call it before running any spec, so a bad request fails before work.
+func CheckFormat(e Experiment, format string) error {
 	switch format {
 	case "", "text":
-		if err := se.Prepare(ctx, e, workers); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		if err := e.Run(ctx, se, w); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
 		return nil
 	case "json", "csv":
 		if e.Specs == nil {
 			return fmt.Errorf("%s: no structured results (text-only experiment)", e.ID)
 		}
-		recs, err := se.RecordsCtx(ctx, e.Specs(), workers)
-		if err != nil {
+		return nil
+	}
+	return fmt.Errorf("harness: unknown format %q (have text, json, csv)", format)
+}
+
+// RenderRecords writes e to w in format from recs, the records of e.Specs()
+// in declared order however the backend produced them: "text" (the
+// paper-style table, rendered from a Source over recs and se), "json" or
+// "csv". It is the one render path of every backend; se may be nil unless
+// e traces kernels (profile).
+func RenderRecords(ctx context.Context, se *Session, e Experiment, format string, recs []Record, w io.Writer) error {
+	if err := CheckFormat(e, format); err != nil {
+		return err
+	}
+	switch format {
+	case "json":
+		return WriteJSON(w, recs)
+	case "csv":
+		return WriteCSV(w, recs)
+	}
+	var specs []Spec
+	if e.Specs != nil {
+		specs = e.Specs()
+	}
+	src, err := newSource(se, specs, recs)
+	if err == nil {
+		err = e.Run(ctx, src, w)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
+	}
+	return nil
+}
+
+// Render runs an experiment's declared spec set on se across workers
+// (RecordsCtx) and renders the records (RenderRecords). ctx cancels the
+// batch: unstarted specs are abandoned, in-flight simulations stop at their
+// next cancellation checkpoint, and Render returns the context error.
+func Render(ctx context.Context, se *Session, e Experiment, format string, workers int, w io.Writer) error {
+	if err := CheckFormat(e, format); err != nil {
+		return err
+	}
+	var recs []Record
+	if e.Specs != nil {
+		var err error
+		if recs, err = se.RecordsCtx(ctx, e.Specs(), workers); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-		if format == "json" {
-			return WriteJSON(w, recs)
-		}
-		return WriteCSV(w, recs)
-	default:
-		return fmt.Errorf("harness: unknown format %q (have text, json, csv)", format)
 	}
+	return RenderRecords(ctx, se, e, format, recs, w)
 }

@@ -186,29 +186,101 @@ func TestExtendedSpecsSimulate(t *testing.T) {
 	}
 }
 
-// TestPrepareCoversRender pins the tentpole property the service layer's
-// render path depends on: for every spec-declaring experiment, rendering
-// after Prepare starts no new simulations — the declared spec set is the
-// complete simulation footprint and the render is a pure warm-memo read.
-func TestPrepareCoversRender(t *testing.T) {
+// TestExperimentsRenderFromDeclaredRecords pins DESIGN.md §5.2's "rendering
+// is a pure read" by construction. Every spec-bearing experiment renders
+// from a Source holding exactly the records of its declared spec set and no
+// session, so nothing can simulate, and the text matches Render's. Dropping
+// any one declared record either leaves the text byte-identical (the
+// renderer never reads it) or fails the render with the out-of-set error,
+// never a different table; and every experiment reads at least one.
+func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(500, 2_000))
 	ctx := context.Background()
 	for _, e := range Experiments() {
 		if e.Specs == nil {
+			if err := RenderRecords(ctx, se, e, "text", nil, io.Discard); err != nil {
+				t.Errorf("%s: spec-less render: %v", e.ID, err)
+			}
 			continue
 		}
-		if err := se.Prepare(ctx, e, 4); err != nil {
-			t.Fatalf("%s: prepare: %v", e.ID, err)
+		specs := e.Specs()
+		recs, err := se.RecordsCtx(ctx, specs, 4)
+		if err != nil {
+			t.Fatalf("%s: records: %v", e.ID, err)
 		}
-		missesBefore := se.MemoStats().Misses
-		if err := e.Run(ctx, se, io.Discard); err != nil {
+		var want, got strings.Builder
+		if err := Render(ctx, se, e, "text", 4, &want); err != nil {
 			t.Fatalf("%s: render: %v", e.ID, err)
 		}
-		if missesAfter := se.MemoStats().Misses; missesAfter != missesBefore {
-			t.Errorf("%s: render started %d simulations beyond its declared spec set",
-				e.ID, missesAfter-missesBefore)
+		if err := RenderRecords(ctx, nil, e, "text", recs, &got); err != nil {
+			t.Fatalf("%s: render from records alone: %v", e.ID, err)
 		}
+		if got.String() != want.String() {
+			t.Errorf("%s: render from records differs from Render", e.ID)
+		}
+
+		full, err := newSource(nil, specs, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := 0
+		for _, drop := range DedupSpecs(specs) {
+			src := &Source{recs: make(map[Spec]Record, len(full.recs))}
+			for sp, r := range full.recs {
+				if sp != drop.Canonical() {
+					src.recs[sp] = r
+				}
+			}
+			var sb strings.Builder
+			err := e.Run(ctx, src, &sb)
+			switch {
+			case err == nil && sb.String() != want.String():
+				t.Errorf("%s: without %s the render changed instead of failing", e.ID, drop.Identity())
+			case err != nil && !strings.Contains(err.Error(), "outside the experiment's declared spec set"):
+				t.Errorf("%s: without %s: %v, want the out-of-set error", e.ID, drop.Identity(), err)
+			case err != nil:
+				read++
+			}
+		}
+		if read == 0 {
+			t.Errorf("%s: no declared record is read by its renderer", e.ID)
+		}
+	}
+}
+
+// TestAccFilterAdmitsEveryUsedOver100 pins acc's worst-accuracy eligibility
+// rule against the simulator's own used-prediction count over the acc spec
+// set: coverage × committed µops bounds Stats.Used from above, so every spec
+// with more than 100 used predictions is admitted (the footer can report a
+// worse worst case than a used-count rule, never hide one).
+func TestAccFilterAdmitsEveryUsedOver100(t *testing.T) {
+	t.Parallel()
+	se := NewSession(testWindows(2_000, 8_000))
+	specs := accSpecs()
+	results, err := se.RunAll(specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := se.Records(specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := 0
+	for i, res := range results {
+		used := float64(res.Stats.Used)
+		if bound := recs[i].Coverage * float64(recs[i].Committed); bound < used*(1-1e-12) {
+			t.Errorf("%s: coverage × committed = %.3f below the used count %d", specs[i].Identity(), bound, res.Stats.Used)
+		}
+		if res.Stats.Used > 100 {
+			admitted++
+			if !usedOver100(recs[i]) {
+				t.Errorf("%s: %d used predictions, but the acc filter drops it", specs[i].Identity(), res.Stats.Used)
+			}
+		}
+	}
+	if admitted == 0 {
+		t.Error("no acc spec used more than 100 predictions; the check proves nothing")
 	}
 }
 

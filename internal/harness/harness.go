@@ -471,7 +471,7 @@ func (se *Session) Run(spec Spec) (*Result, error) {
 // IsContextErr reports whether err is (or wraps) a cancellation or deadline
 // error — caller state, not a property of the spec. The session uses it to
 // decide what not to memoize; the service layer uses the same predicate to
-// classify job outcomes, so the two can never drift.
+// classify request outcomes, so the two can never drift.
 func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -649,7 +649,7 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 
 // cancelChunk is the µop granularity at which a cancellable simulation
 // checks its context between Advance calls: small enough that a cancelled
-// job frees its worker within a few milliseconds, large enough that the
+// request frees its worker within a few milliseconds, large enough that the
 // per-chunk bookkeeping is invisible next to the simulate loop.
 const cancelChunk = 25_000
 
@@ -740,8 +740,7 @@ func (se *Session) Speedup(spec Spec) (float64, error) {
 	return se.SpeedupCtx(context.Background(), spec)
 }
 
-// SpeedupCtx is Speedup with cancellation; renderers use it so a cancelled
-// experiment job stops between (warm) memo reads.
+// SpeedupCtx is Speedup with cancellation.
 func (se *Session) SpeedupCtx(ctx context.Context, spec Spec) (float64, error) {
 	spec = spec.Canonical()
 	r, err := se.RunCtx(ctx, spec)

@@ -134,7 +134,7 @@ func TestStaticExperimentsRender(t *testing.T) {
 			t.Fatalf("experiment %q missing", id)
 		}
 		var sb strings.Builder
-		if err := e.Run(context.Background(), se, &sb); err != nil {
+		if err := Render(context.Background(), se, e, "text", 0, &sb); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 		if len(sb.String()) < 50 {
@@ -207,7 +207,7 @@ func TestRecoveryIrrelevantUnderFPC(t *testing.T) {
 	// both probability vectors. On kernels with periodic value changes
 	// (e.g. parser) the 6-bit-equivalent reissue vector re-saturates sooner
 	// and earns extra coverage — an inherent property of the paper's
-	// vector-per-recovery pairing, documented in EXPERIMENTS.md.
+	// vector-per-recovery pairing, documented in DESIGN.md §4.
 	se := NewSession(testWindows(10_000, 40_000))
 	kernels := []string{"art", "gamess", "gzip"}
 	var specs []Spec

@@ -23,9 +23,9 @@ import (
 type Observer struct {
 	tracer *obs.Tracer
 
-	memoHits, memoMisses *obs.Counter
+	memoHits, memoMisses   *obs.Counter
 	storeHits, storeMisses *obs.Counter
-	snapHits, snapMisses *obs.Counter
+	snapHits, snapMisses   *obs.Counter
 	simulations            *obs.Counter
 	warmupSeconds          *obs.Histogram
 	measureSeconds         *obs.Histogram

@@ -100,18 +100,6 @@ func DedupSpecs(specs []Spec) []Spec {
 	return out
 }
 
-// Prepare batch-schedules an experiment's pre-declared spec set across the
-// worker pool so that rendering afterwards only hits warm memo entries.
-// Experiments without a declared spec set are a no-op. ctx cancels the
-// batch (see RunAllCtx).
-func (se *Session) Prepare(ctx context.Context, e Experiment, workers int) error {
-	if e.Specs == nil {
-		return nil
-	}
-	_, err := se.RunAllCtx(ctx, e.Specs(), workers)
-	return err
-}
-
 // sinceSubmitted guards the queue-wait measurement against an unobserved
 // batch (zero submission time → zero wait, and observeQueueWait no-ops on
 // the nil observer anyway).

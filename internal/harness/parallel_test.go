@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"runtime"
 	"strings"
 	"sync"
@@ -47,20 +46,7 @@ func TestRunAllDeterminism(t *testing.T) {
 	}
 	// The rendered artifacts must match byte for byte too: the fig4-style
 	// text table over these kernels and the structured JSON emission (both
-	// sessions are fully warm, so rendering adds no simulations).
-	var a, b strings.Builder
-	for _, c := range []Counters{BaselineCounters, FPC} {
-		if err := speedupMatrixOver(context.Background(), seq, &a, kernels, singlePredictors, c, pipeline.SquashAtCommit); err != nil {
-			t.Fatal(err)
-		}
-		if err := speedupMatrixOver(context.Background(), par, &b, kernels, singlePredictors, c, pipeline.SquashAtCommit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.String() != b.String() {
-		t.Error("speedup table differs between sequential and parallel sessions")
-	}
-	var aj, bj bytes.Buffer
+	// sessions are fully warm, so flattening adds no simulations).
 	seqRecs, err := seq.Records(specs, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +55,27 @@ func TestRunAllDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	seqSrc, err := newSource(nil, specs, seqRecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parSrc, err := newSource(nil, specs, parRecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b strings.Builder
+	for _, c := range []Counters{BaselineCounters, FPC} {
+		if err := speedupMatrixOver(seqSrc, &a, kernels, singlePredictors, c, pipeline.SquashAtCommit); err != nil {
+			t.Fatal(err)
+		}
+		if err := speedupMatrixOver(parSrc, &b, kernels, singlePredictors, c, pipeline.SquashAtCommit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.String() != b.String() {
+		t.Error("speedup table differs between sequential and parallel sessions")
+	}
+	var aj, bj bytes.Buffer
 	if err := WriteJSON(&aj, seqRecs); err != nil {
 		t.Fatal(err)
 	}

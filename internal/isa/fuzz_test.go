@@ -1,10 +1,12 @@
 package isa_test
 
-// Native Go fuzz targets for program building and decoding. CI runs each
-// for a short fixed budget (see .github/workflows/ci.yml); locally:
+// Native Go fuzz targets for program building, decoding and assembly. CI
+// runs each for a short fixed budget (see .github/workflows/ci.yml);
+// locally:
 //
-//	go test -run='^$' -fuzz=FuzzDecode -fuzztime=30s ./internal/isa
-//	go test -run='^$' -fuzz=FuzzBuild  -fuzztime=30s ./internal/isa
+//	go test -run='^$' -fuzz=FuzzDecode   -fuzztime=30s ./internal/isa
+//	go test -run='^$' -fuzz=FuzzBuild    -fuzztime=30s ./internal/isa
+//	go test -run='^$' -fuzz=FuzzAssemble -fuzztime=30s ./internal/isa
 //
 // Regression inputs found by fuzzing land in testdata/fuzz/ and then run as
 // ordinary test cases forever.
@@ -151,6 +153,58 @@ func buildFromRecipe(recipe []byte) *isa.Program {
 	}
 	b.Halt()
 	return b.Program()
+}
+
+// asmSeeds are small hand-written .vasm fragments covering every directive
+// and operand shape of the grammar (asm.go), plus comments, stacked labels
+// and the raw escape. Builtin kernels' disassemblies would cover them too,
+// but at 16–330 KB each they stall the fuzzer's mutation loop.
+var asmSeeds = []string{
+	"",
+	"halt",
+	"# whole-line comment\n; semicolon comment\n\nhalt ; trailing comment\n",
+	".name frag\n.entry 1\n.reg r1 4096\n.reg f2 0x10\n.data 4096 1 2 0x3\n.data 8192\nnop\nmovi r1, #42\nhalt\n",
+	"add r1, r2, r3\nadd r1, r2, #-5\nmul r4, r5, r6, #7\nfadd f1, f2, f3\nmov r1, r2\nfneg f1, f2\ni2f f3, r4\nf2i r5, f3\nhalt\n",
+	"ld r1, [r2]\nld r1, [r2+8]\nfld f1, [r2-8]\nldx r3, [r4+r5]\nst [r2+16], r3\nfst [r2], f1\nhalt\n",
+	"loop: beq r1, r2, loop\nbne r1, -, @0\nblt r3, r4, done\nbge r3, -, done\njmp loop\ncall r31, fn\nfn: ret r31\njr r1\ndone: halt\n",
+	".entry main\nmain: again: nop\nraw 1 2 3 255 -7\nraw 0 1 0 0 0\njmp @0\nhalt\n",
+}
+
+// FuzzAssemble feeds arbitrary text to the assembler. No input may panic,
+// and whenever Assemble accepts one, its canonical disassembly must
+// assemble again to a byte-identical encoding and disassemble to itself —
+// the round trip DESIGN.md §11 promises, from arbitrary source text.
+func FuzzAssemble(f *testing.F) {
+	for _, src := range asmSeeds {
+		// Every non-empty seed must assemble, so together they really
+		// cover the grammar.
+		if _, err := isa.Assemble("seed", []byte(src)); err != nil && src != "" {
+			f.Fatalf("seed does not assemble: %v\n%s", err, src)
+		}
+		f.Add(src)
+	}
+	gen, err := isa.Generate("branchy", 1) // one generated program, about 2 KB of text
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(isa.Disassemble(gen)))
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := isa.Assemble("fuzz", []byte(src))
+		if err != nil {
+			return // rejected source is a correct outcome
+		}
+		text := isa.Disassemble(p)
+		q, err := isa.Assemble("fuzz", text)
+		if err != nil {
+			t.Fatalf("disassembly of an accepted program does not assemble: %v\n%s", err, text)
+		}
+		if !bytes.Equal(p.Encode(), q.Encode()) {
+			t.Fatalf("assemble(disassemble(p)) encodes differently:\n%s", text)
+		}
+		if again := isa.Disassemble(q); !bytes.Equal(again, text) {
+			t.Fatalf("disassembly is not a fixed point:\n%s\nvs\n%s", text, again)
+		}
+	})
 }
 
 // TestCodecRoundTripSeed pins the round trip on the seed program outside the

@@ -18,7 +18,7 @@ import (
 type predKind uint8
 
 const (
-	predNone   predKind = iota // baseline machine: no value prediction
+	predNone predKind = iota // baseline machine: no value prediction
 	predLVP
 	predStride
 	predFCM

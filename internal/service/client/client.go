@@ -1,16 +1,13 @@
 // Package client is the typed Go client for the vpserved simulation
-// service (internal/service). It wraps the /v1 JSON API: synchronous
-// simulation, batch and experiment job submission, status polling, NDJSON
-// result streaming, and cancellation. Reachable from outside the module via
-// the repro facade (repro.NewClient).
+// service (internal/service). It wraps the /v1 JSON API: single-spec and
+// batch-sync simulation, program upload, and health and stats reads.
+// Reachable from outside the module via the repro facade (repro.NewClient).
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -47,7 +44,7 @@ var sharedTransport = &http.Transport{
 
 // New builds a client for the server at base (e.g. "http://127.0.0.1:8437").
 // The underlying http.Client has no timeout: per-call budgets come from the
-// caller's context, and streams live as long as their job runs. All clients
+// caller's context. All clients
 // built here share one tuned keep-alive transport (sharedTransport), so the
 // warm dispatch path never pays connection setup per call.
 func New(base string) *Client {
@@ -187,138 +184,6 @@ func (c *Client) UploadAssembly(ctx context.Context, name, src string) (service.
 func (c *Client) Programs(ctx context.Context) ([]service.ProgramInfo, error) {
 	var out []service.ProgramInfo
 	err := c.do(ctx, http.MethodGet, "/v1/programs", nil, &out)
-	return out, err
-}
-
-// SubmitBatch submits a spec batch (POST /v1/batch) and returns the
-// accepted job's status.
-func (c *Client) SubmitBatch(ctx context.Context, specs []service.SpecRequest) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/batch", service.BatchSyncRequest{Specs: specs}, &st)
-	return st, err
-}
-
-// SubmitExperiment submits one §5.1 experiment by id (POST
-// /v1/experiments/{id}).
-func (c *Client) SubmitExperiment(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/experiments/"+id, struct{}{}, &st)
-	return st, err
-}
-
-// Job fetches a job's current status (GET /v1/jobs/{id}); records and
-// artifact are included once the job is done.
-func (c *Client) Job(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
-// Jobs lists every retained job, newest last (GET /v1/jobs).
-func (c *Client) Jobs(ctx context.Context) ([]service.JobStatus, error) {
-	var out []service.JobStatus
-	err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out)
-	return out, err
-}
-
-// Cancel cancels a job (DELETE /v1/jobs/{id}) and returns its status.
-// Cancelling a finished job is a no-op.
-func (c *Client) Cancel(ctx context.Context, id string) (service.JobStatus, error) {
-	var st service.JobStatus
-	err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &st)
-	return st, err
-}
-
-// Stream follows a job's NDJSON event stream (GET /v1/jobs/{id}/stream),
-// invoking fn for every event (fn may be nil), and returns the terminal
-// status carried by the final "done" event. A non-nil error from fn aborts
-// the stream and is returned.
-func (c *Client) Stream(ctx context.Context, id string, fn func(service.Event) error) (service.JobStatus, error) {
-	var final service.JobStatus
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/stream", nil)
-	if err != nil {
-		return final, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return final, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return final, decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 8<<20) // experiment artifacts ride one line
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var ev service.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return final, fmt.Errorf("service: bad stream line: %w", err)
-		}
-		if fn != nil {
-			if err := fn(ev); err != nil {
-				return final, err
-			}
-		}
-		if ev.Type == "done" && ev.Job != nil {
-			return *ev.Job, nil
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return final, err
-	}
-	return final, fmt.Errorf("service: stream for job %s ended without a done event", id)
-}
-
-// Wait streams the job to completion, collecting its record events, and
-// then fetches the full terminal status (records and artifact included). If
-// the job was evicted by the server's finished-job retention between the
-// stream ending and the fetch, the terminal status is synthesized from the
-// stream instead: the "done" event's status plus the streamed records laid
-// out in spec order — the same shape the fetch would have returned — so a
-// successful run never turns into a spurious not-found error or a record-
-// less result.
-func (c *Client) Wait(ctx context.Context, id string) (service.JobStatus, error) {
-	records := make(map[int]harness.Record)
-	final, err := c.Stream(ctx, id, func(ev service.Event) error {
-		if ev.Type == "record" && ev.Record != nil {
-			records[ev.Index] = *ev.Record
-		}
-		return nil
-	})
-	if err != nil {
-		return service.JobStatus{}, err
-	}
-	full, err := c.Job(ctx, id)
-	if err != nil {
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
-			if len(records) > 0 && final.Specs > 0 {
-				// Missing indices stay zero-valued, matching the server's own
-				// terminal status for a job that lost specs (the stream's
-				// "error" events named them).
-				recs := make([]harness.Record, final.Specs)
-				for i, r := range records {
-					if i >= 0 && i < len(recs) {
-						recs[i] = r
-					}
-				}
-				final.Records = recs
-			}
-			return final, nil
-		}
-		return service.JobStatus{}, err
-	}
-	return full, nil
-}
-
-// Experiments lists the server's experiment index (GET /v1/experiments).
-func (c *Client) Experiments(ctx context.Context) ([]service.ExperimentInfo, error) {
-	var out []service.ExperimentInfo
-	err := c.do(ctx, http.MethodGet, "/v1/experiments", nil, &out)
 	return out, err
 }
 

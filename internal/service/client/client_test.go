@@ -2,21 +2,17 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"repro/internal/harness"
-	"repro/internal/service"
 )
 
 // These tests exercise the client against hand-rolled httptest handlers so
-// its own logic — error-envelope decoding, stream parsing, and Wait's
-// eviction fallback — is pinned directly, independent of the real server's
-// behavior (which the end-to-end tests in internal/service already cover).
+// its own error-envelope decoding is pinned directly, independent of the
+// real server's behavior (which the end-to-end tests in internal/service
+// already cover).
 
 // TestDecodeAPIErrorEnvelope pins the typed error path: a JSON envelope
 // round-trips to an *APIError carrying the HTTP status, the stable code,
@@ -25,17 +21,17 @@ func TestDecodeAPIErrorEnvelope(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprint(w, `{"code":"job_not_found","error":"no job j000042"}`)
+		fmt.Fprint(w, `{"code":"unknown_program","error":"no program prog:42"}`)
 	}))
 	defer srv.Close()
 
-	_, err := New(srv.URL).Job(context.Background(), "j000042")
+	_, err := New(srv.URL).Programs(context.Background())
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
 		t.Fatalf("got %T (%v), want *APIError", err, err)
 	}
-	if apiErr.Status != http.StatusNotFound || apiErr.Code != "job_not_found" || apiErr.Msg != "no job j000042" {
-		t.Errorf("decoded %+v, want status=404 code=job_not_found msg=%q", apiErr, "no job j000042")
+	if apiErr.Status != http.StatusNotFound || apiErr.Code != "unknown_program" || apiErr.Msg != "no program prog:42" {
+		t.Errorf("decoded %+v, want status=404 code=unknown_program msg=%q", apiErr, "no program prog:42")
 	}
 }
 
@@ -56,184 +52,5 @@ func TestDecodeAPIErrorNonJSON(t *testing.T) {
 	}
 	if apiErr.Status != http.StatusBadGateway || apiErr.Code != "" || apiErr.Msg != "<html>502 upstream sad</html>" {
 		t.Errorf("decoded %+v, want status=502, no code, raw body as message", apiErr)
-	}
-}
-
-// streamHandler writes the given NDJSON events for the stream endpoint and
-// serves status (or a 404 envelope when evicted) for the job endpoint.
-func streamHandler(t *testing.T, id string, events []service.Event, fetch *service.JobStatus) http.Handler {
-	t.Helper()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/"+id+"/stream", func(w http.ResponseWriter, r *http.Request) {
-		enc := json.NewEncoder(w)
-		for _, ev := range events {
-			if err := enc.Encode(ev); err != nil {
-				t.Errorf("encode event: %v", err)
-			}
-		}
-	})
-	mux.HandleFunc("GET /v1/jobs/"+id, func(w http.ResponseWriter, r *http.Request) {
-		if fetch == nil {
-			w.WriteHeader(http.StatusNotFound)
-			fmt.Fprint(w, `{"code":"job_not_found","error":"job evicted"}`)
-			return
-		}
-		if err := json.NewEncoder(w).Encode(fetch); err != nil {
-			t.Errorf("encode status: %v", err)
-		}
-	})
-	return mux
-}
-
-// TestStreamReplaysEvents pins Stream's contract: every event reaches fn in
-// wire order, and the "done" event's status is returned.
-func TestStreamReplaysEvents(t *testing.T) {
-	recA := harness.Record{Kernel: "gzip", Predictor: "vtage", IPC: 1.5}
-	recB := harness.Record{Kernel: "art", Predictor: "none", IPC: 0.7}
-	done := service.JobStatus{ID: "j1", Kind: "batch", State: service.StateDone, Specs: 2, Completed: 2}
-	events := []service.Event{
-		{Type: "status", Job: &service.JobStatus{ID: "j1", State: service.StateRunning}},
-		{Type: "record", Index: 1, Record: &recB},
-		{Type: "record", Index: 0, Record: &recA},
-		{Type: "done", Job: &done},
-	}
-	srv := httptest.NewServer(streamHandler(t, "j1", events, &done))
-	defer srv.Close()
-
-	var seen []service.Event
-	final, err := New(srv.URL).Stream(context.Background(), "j1", func(ev service.Event) error {
-		seen = append(seen, ev)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != service.StateDone || final.ID != "j1" {
-		t.Errorf("final status %+v, want done j1", final)
-	}
-	if len(seen) != len(events) {
-		t.Fatalf("fn saw %d events, want %d", len(seen), len(events))
-	}
-	for i, ev := range seen {
-		if ev.Type != events[i].Type || ev.Index != events[i].Index {
-			t.Errorf("event %d: got %s/%d, want %s/%d", i, ev.Type, ev.Index, events[i].Type, events[i].Index)
-		}
-	}
-	if *seen[1].Record != recB || *seen[2].Record != recA {
-		t.Error("record events did not carry their records through")
-	}
-}
-
-// TestStreamCallbackErrorAborts: a non-nil error from fn stops the stream
-// and is returned unchanged.
-func TestStreamCallbackErrorAborts(t *testing.T) {
-	boom := errors.New("enough")
-	events := []service.Event{
-		{Type: "record", Index: 0, Record: &harness.Record{Kernel: "gzip"}},
-		{Type: "done", Job: &service.JobStatus{ID: "j1", State: service.StateDone}},
-	}
-	srv := httptest.NewServer(streamHandler(t, "j1", events, nil))
-	defer srv.Close()
-
-	_, err := New(srv.URL).Stream(context.Background(), "j1", func(service.Event) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("got %v, want the callback's error", err)
-	}
-}
-
-// TestStreamWithoutDoneFails: a stream that ends cleanly but never delivers
-// a "done" event is a protocol error, not a silent zero status.
-func TestStreamWithoutDoneFails(t *testing.T) {
-	events := []service.Event{{Type: "record", Index: 0, Record: &harness.Record{Kernel: "gzip"}}}
-	srv := httptest.NewServer(streamHandler(t, "j1", events, nil))
-	defer srv.Close()
-
-	_, err := New(srv.URL).Stream(context.Background(), "j1", nil)
-	if err == nil {
-		t.Fatal("stream without a done event succeeded")
-	}
-}
-
-// TestWaitFetchesTerminalStatus: the happy path — stream, then fetch the
-// full record-bearing status from the job endpoint.
-func TestWaitFetchesTerminalStatus(t *testing.T) {
-	rec := harness.Record{Kernel: "gzip", Predictor: "vtage", IPC: 1.5}
-	full := service.JobStatus{
-		ID: "j1", State: service.StateDone, Specs: 1, Completed: 1,
-		Records: []harness.Record{rec},
-	}
-	events := []service.Event{
-		{Type: "record", Index: 0, Record: &rec},
-		{Type: "done", Job: &service.JobStatus{ID: "j1", State: service.StateDone, Specs: 1, Completed: 1}},
-	}
-	srv := httptest.NewServer(streamHandler(t, "j1", events, &full))
-	defer srv.Close()
-
-	st, err := New(srv.URL).Wait(context.Background(), "j1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(st.Records) != 1 || st.Records[0] != rec {
-		t.Errorf("Wait returned %+v, want the fetched terminal status with its record", st)
-	}
-}
-
-// TestWaitSynthesizesEvictedStatus pins Wait's fallback: when the job was
-// evicted between the stream's "done" and the status fetch (404), the
-// terminal status is rebuilt from the stream — streamed records laid out in
-// spec order, missing indices zero-valued — instead of failing.
-func TestWaitSynthesizesEvictedStatus(t *testing.T) {
-	recA := harness.Record{Kernel: "gzip", Predictor: "vtage", IPC: 1.5}
-	recC := harness.Record{Kernel: "art", Predictor: "none", IPC: 0.7}
-	events := []service.Event{
-		// Completion order differs from spec order on purpose; spec 1 never
-		// produced a record (its "error" event stands in).
-		{Type: "record", Index: 2, Record: &recC},
-		{Type: "error", Index: 1, Error: "spec lost"},
-		{Type: "record", Index: 0, Record: &recA},
-		{Type: "done", Job: &service.JobStatus{ID: "j1", State: service.StateDone, Specs: 3, Completed: 2}},
-	}
-	srv := httptest.NewServer(streamHandler(t, "j1", events, nil)) // fetch 404s
-	defer srv.Close()
-
-	st, err := New(srv.URL).Wait(context.Background(), "j1")
-	if err != nil {
-		t.Fatalf("Wait failed on eviction instead of synthesizing: %v", err)
-	}
-	if st.State != service.StateDone || st.Specs != 3 {
-		t.Errorf("synthesized status %+v, want the done event's status", st)
-	}
-	if len(st.Records) != 3 {
-		t.Fatalf("synthesized %d records, want 3 (one per requested spec)", len(st.Records))
-	}
-	if st.Records[0] != recA || st.Records[2] != recC {
-		t.Error("streamed records not laid out by spec index")
-	}
-	if st.Records[1] != (harness.Record{}) {
-		t.Errorf("lost spec's slot = %+v, want zero-valued", st.Records[1])
-	}
-}
-
-// TestWaitPropagatesOtherFetchErrors: only 404 triggers synthesis; any
-// other status-fetch failure surfaces.
-func TestWaitPropagatesOtherFetchErrors(t *testing.T) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/jobs/j1/stream", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(service.Event{
-			Type: "done",
-			Job:  &service.JobStatus{ID: "j1", State: service.StateDone, Specs: 1},
-		})
-	})
-	mux.HandleFunc("GET /v1/jobs/j1", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprint(w, `{"code":"internal","error":"boom"}`)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	_, err := New(srv.URL).Wait(context.Background(), "j1")
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError {
-		t.Errorf("got %v, want the fetch's 500 APIError", err)
 	}
 }

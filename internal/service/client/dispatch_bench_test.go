@@ -12,8 +12,8 @@ import (
 
 // Dispatch-cost pins for the wire path. The frozen BENCH_pr5.json measured
 // warm per-call remote dispatch at ~48 µs/call; the batch-sync framing
-// exists to beat that by amortizing HTTP and job machinery across a whole
-// frame. The benchmarks below give the absolute numbers interactively, and
+// exists to beat that by amortizing HTTP and scheduling machinery across a
+// whole frame. The benchmarks below give the absolute numbers interactively, and
 // the benchmark's serve-warm workload is the measure of record; the test
 // below is the CI regression gate, asserted as a ratio on one machine so a
 // slow runner can't flake it.

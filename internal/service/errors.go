@@ -9,18 +9,16 @@ import (
 // stable wire values: clients branch on them (and on APIError.Status) rather
 // than parsing message text.
 const (
-	CodeBadRequest = "bad_request" // malformed body or invalid spec / format
-	CodeNotFound   = "not_found"   // unknown job or experiment id
-	CodeTooLarge   = "too_large"   // batch or experiment exceeds MaxBatch
-	CodeQueueFull  = "queue_full"  // MaxJobs unfinished jobs already admitted
+	CodeBadRequest = "bad_request" // malformed body or invalid spec
+	CodeTooLarge   = "too_large"   // batch-sync frame exceeds MaxBatch
 	CodeDraining   = "draining"    // server is shutting down; retry elsewhere
-	CodeTimeout    = "timeout"     // synchronous request exceeded its budget
+	CodeTimeout    = "timeout"     // request exceeded its budget
 	CodeInternal   = "internal"    // everything else
 
 	// CodeUnknownProgram marks a spec naming a prog:<sha256> reference the
-	// daemon has not seen. It is distinct from CodeNotFound because it is
-	// curable: upload the program (POST /v1/programs) and retry — the
-	// RemoteRunner does exactly that, transparently.
+	// daemon has not seen, on a 404. It is curable: upload the program
+	// (POST /v1/programs) and retry — the RemoteRunner does exactly that,
+	// transparently.
 	CodeUnknownProgram = "unknown_program"
 )
 
@@ -31,12 +29,8 @@ func codeForStatus(status int) string {
 	switch status {
 	case http.StatusBadRequest:
 		return CodeBadRequest
-	case http.StatusNotFound:
-		return CodeNotFound
 	case http.StatusRequestEntityTooLarge:
 		return CodeTooLarge
-	case http.StatusTooManyRequests:
-		return CodeQueueFull
 	case http.StatusServiceUnavailable:
 		return CodeDraining
 	case http.StatusGatewayTimeout:

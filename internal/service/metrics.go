@@ -16,20 +16,13 @@ import (
 //
 // Cardinality (DESIGN.md §10): endpoint labels come from the fixed route
 // table (never from request paths), code labels are the handful of statuses
-// the API emits, job kind/state are closed vocabularies — every family here
-// is bounded by construction.
+// the API emits — every family here is bounded by construction.
 type serverMetrics struct {
 	reg *obs.Registry
 
 	requests *obs.CounterVec   // repro_http_requests_total{endpoint,code}
 	latency  *obs.HistogramVec // repro_http_request_seconds{endpoint}
 	inflight *obs.Gauge        // repro_http_inflight_requests
-
-	jobs       *obs.CounterVec // repro_jobs_total{kind,state}
-	jobsActive *obs.Gauge      // repro_jobs_active
-
-	streamSubs     *obs.Counter // repro_stream_subscriptions_total
-	streamReplayed *obs.Counter // repro_stream_replayed_events_total
 
 	schedQueueWait *obs.Histogram // repro_sched_queue_wait_seconds
 	schedCoalesced *obs.Counter   // repro_sched_coalesced_total
@@ -46,16 +39,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"API request wall time by route, first byte to handler return.",
 			nil, "endpoint"),
 		inflight: reg.Gauge("repro_http_inflight_requests",
-			"API requests currently being handled (streams included)."),
-		jobs: reg.CounterVec("repro_jobs_total",
-			"Job state transitions by kind (batch, experiment) and state entered.",
-			"kind", "state"),
-		jobsActive: reg.Gauge("repro_jobs_active",
-			"Jobs admitted and not yet terminal."),
-		streamSubs: reg.Counter("repro_stream_subscriptions_total",
-			"Job event-stream subscriptions opened."),
-		streamReplayed: reg.Counter("repro_stream_replayed_events_total",
-			"Events replayed to late stream subscribers (live events not included)."),
+			"API requests currently being handled."),
 		schedQueueWait: reg.Histogram("repro_sched_queue_wait_seconds",
 			"Delay from scheduler submission to a worker picking the task up.", nil),
 		schedCoalesced: reg.Counter("repro_sched_coalesced_total",
@@ -65,14 +49,8 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	}
 }
 
-func (m *serverMetrics) countJob(kind, state string) {
-	if m != nil {
-		m.jobs.With(kind, state).Inc()
-	}
-}
-
 // statusWriter captures the response status (and bytes, for access logs
-// layered above) while passing the streaming interfaces through.
+// layered above).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -93,14 +71,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
-}
-
-// Flush lets wrapped handlers stream (NDJSON/SSE); the inner writer is
-// always an http.ResponseWriter from net/http, which supports it.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Unwrap supports http.ResponseController.

@@ -69,13 +69,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if warm := queued(); warm != cold {
 		t.Errorf("warm simulate went through the scheduler: queue waits %s -> %s", cold, warm)
 	}
-	job, err := c.SubmitBatch(t.Context(), specRequests([]harness.Spec{
+	if _, err := c.SimulateBatchSync(t.Context(), specRequests([]harness.Spec{
 		{Kernel: "art", Predictor: "stride", Counters: harness.BaselineCounters},
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Wait(t.Context(), job.ID); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,8 +82,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	for _, prefix := range []string{
 		`repro_http_requests_total{endpoint="simulate",code="200"}`,
-		`repro_http_requests_total{endpoint="batch",code="202"}`,
-		`repro_jobs_total{kind="batch",state="done"}`,
+		`repro_http_requests_total{endpoint="batch_sync",code="200"}`,
 		`repro_cache_lookups_total{tier="memo",result="miss"}`,
 		`repro_sched_queue_wait_seconds_count`,
 		`repro_simulate_phase_seconds_count{phase="warmup"}`,
@@ -96,8 +91,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("%s = 0, want > 0", prefix)
 		}
 	}
-	if v := metricValue(t, page, "repro_jobs_active"); v != "0" {
-		t.Errorf("repro_jobs_active = %s after all jobs finished, want 0", v)
+	if v := metricValue(t, page, "repro_sched_busy_workers"); v != "0" {
+		t.Errorf("repro_sched_busy_workers = %s after every request answered, want 0", v)
 	}
 
 	// Well-formedness: every family header appears exactly once.

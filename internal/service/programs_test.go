@@ -118,7 +118,7 @@ func TestProgramUploadBuiltinDedup(t *testing.T) {
 
 // TestUnknownProgramTypedError pins the curable error contract: a spec
 // naming an unuploaded prog: reference answers 404 with the stable
-// unknown_program code (simulate and batch alike), and the message lists
+// unknown_program code (simulate and batch-sync alike), and the message lists
 // what IS uploaded once anything is.
 func TestUnknownProgramTypedError(t *testing.T) {
 	t.Parallel()
@@ -143,9 +143,9 @@ func TestUnknownProgramTypedError(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	_, err = c.SubmitBatch(ctx, []SpecRequest{{Program: ghost, Predictor: "vtage"}})
+	_, err = c.SimulateBatchSync(ctx, []SpecRequest{{Program: ghost, Predictor: "vtage"}})
 	if !errors.As(err, &apiErr) || apiErr.Code != CodeUnknownProgram {
-		t.Fatalf("batch unknown program error = %v, want %s", err, CodeUnknownProgram)
+		t.Fatalf("batch-sync unknown program error = %v, want %s", err, CodeUnknownProgram)
 	}
 	if !strings.Contains(apiErr.Msg, info.ID) {
 		t.Fatalf("error does not list uploaded programs: %v", apiErr)

@@ -10,17 +10,17 @@ import (
 	"repro/internal/harness"
 )
 
-// taskSink receives the results of scheduled specs. Async jobs implement it,
-// and so does the synchronous core (runSync) for the cold tasks of
-// /v1/simulate and /v1/simulate/batch-sync requests; warm tasks never
-// reach the scheduler.
+// taskSink receives the results of scheduled specs. The synchronous core
+// (runSync) implements it for the cold tasks of /v1/simulate and
+// /v1/simulate/batch-sync requests — warm tasks never reach the scheduler —
+// and the scheduler tests fake it to steer coalescing and promotion.
 type taskSink interface {
 	taskCtx() context.Context
 	deliver(idx int, res *harness.Result, err error)
 }
 
 // task is one spec to simulate on behalf of one sink; idx is the sink's own
-// index for the delivery (a job's position in its combined task list).
+// index for the delivery (a request's position in its task plan).
 type task struct {
 	sink      taskSink
 	idx       int
@@ -31,9 +31,9 @@ type task struct {
 // errSchedulerClosed rejects submissions after shutdown.
 var errSchedulerClosed = errors.New("service: scheduler shut down")
 
-// scheduler is the server-wide simulation worker pool. All jobs and
-// synchronous requests share it, so total simulation concurrency is bounded
-// by the worker count no matter how many clients are connected.
+// scheduler is the server-wide simulation worker pool. All requests share
+// it, so total simulation concurrency is bounded by the worker count no
+// matter how many clients are connected.
 //
 // On top of the Session singleflight it deduplicates identical in-flight
 // specs at the scheduling level: the session memo already guarantees one
@@ -41,8 +41,8 @@ var errSchedulerClosed = errors.New("service: scheduler shut down")
 // spec would park — a burned worker — for the duration of the run. Here the
 // duplicate task is parked instead (a coalesced waiter) and its worker
 // moves on; the owning worker fans the result out on completion. If the
-// owner's job is cancelled mid-run, a parked waiter with a live context is
-// promoted to owner and the spec re-runs under its context.
+// owner's request is cancelled mid-run, a parked waiter with a live context
+// is promoted to owner and the spec re-runs under its context.
 type scheduler struct {
 	session *harness.Session
 	tasks   chan task
@@ -75,8 +75,7 @@ func newScheduler(se *harness.Session, workers int, m *serverMetrics) *scheduler
 }
 
 // submit enqueues one task, blocking while the queue is full (callers are
-// job goroutines and request handlers, never workers, so this cannot
-// deadlock the pool). The sink's context bounds the wait: a cancelled or
+// request handlers, never workers, so this cannot deadlock the pool). The sink's context bounds the wait: a cancelled or
 // timed-out submitter gets its context error instead of queueing dead work.
 func (s *scheduler) submit(t task) error {
 	s.mu.Lock()
@@ -99,7 +98,7 @@ func (s *scheduler) submit(t task) error {
 }
 
 // close stops the workers. The server guarantees no submitter is alive by
-// the time it calls this (jobs have finished, handlers have returned).
+// the time it calls this (every admitted request has returned).
 func (s *scheduler) close() {
 	s.mu.Lock()
 	if s.closed {
@@ -151,8 +150,8 @@ func (s *scheduler) worker() {
 }
 
 // runSpec simulates cur's spec and fans the result out to every waiter that
-// coalesced onto it. A run abandoned by cancellation (the owner's job went
-// away) promotes the first parked waiter with a live context and loops.
+// coalesced onto it. A run abandoned by cancellation (the owner's request
+// went away) promotes the first parked waiter with a live context and loops.
 func (s *scheduler) runSpec(cur task) {
 	for {
 		res, err := s.session.RunCtx(cur.sink.taskCtx(), cur.spec)

@@ -1,7 +1,6 @@
-// Internal tests for the scheduler's coalescing/promotion machinery and the
-// job layer's terminal-state semantics — paths the HTTP surface cannot
-// steer precisely (wire validation rejects the failing specs, and promotion
-// needs its waiters parked in a known order). Run with -race.
+// Internal tests for the scheduler's coalescing/promotion machinery — paths
+// the HTTP surface cannot steer precisely (promotion needs its waiters
+// parked in a known order). Run with -race.
 package service
 
 import (
@@ -189,68 +188,5 @@ func TestMemoStatsCoalescedWaitersCountAsHits(t *testing.T) {
 	if m := se.MemoStats(); m.Misses != 1 || m.Hits != dupes {
 		t.Errorf("memo stats = %d misses / %d hits, want 1/%d: one simulation, one hit per coalesced waiter",
 			m.Misses, m.Hits, dupes)
-	}
-}
-
-// TestFailedJobPartialRecordsAndErrorEvents pins two terminal-state
-// contracts at the job layer, using a spec that fails validation only at
-// simulation time (the wire layer would reject it earlier): a job that
-// fails still returns the records that completed before the failure, and
-// the stream carries a per-spec "error" event for the spec that produced no
-// record — not just the terminal "done".
-func TestFailedJobPartialRecordsAndErrorEvents(t *testing.T) {
-	srv, err := New(Options{Warmup: 1_000, Measure: 4_000, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	specs := []harness.Spec{
-		{Kernel: "gzip", Predictor: "none"},
-		{Kernel: "bogus", Predictor: "none"},
-	}
-	j := srv.newJob("batch", "", specs)
-	if err := srv.admit(j); err != nil {
-		t.Fatal(err)
-	}
-	go j.run()
-	select {
-	case <-j.doneCh:
-	case <-time.After(60 * time.Second):
-		t.Fatal("job never reached a terminal state")
-	}
-
-	st := j.status()
-	if st.State != StateFailed {
-		t.Fatalf("job state %q, want %q (error: %s)", st.State, StateFailed, st.Error)
-	}
-	if len(st.Records) != len(specs) {
-		t.Fatalf("terminal non-done status carries %d records, want %d (zero-filled)", len(st.Records), len(specs))
-	}
-	if st.Records[0].Kernel != "gzip" || st.Records[0].IPC <= 0 {
-		t.Errorf("completed spec's record missing from failed job: %+v", st.Records[0])
-	}
-	if st.Records[1].Kernel != "" {
-		t.Errorf("failed spec unexpectedly produced a record: %+v", st.Records[1])
-	}
-
-	replay, _, unsub := j.subscribe()
-	unsub()
-	var errorEvents, recordEvents int
-	for _, ev := range replay {
-		switch ev.Type {
-		case "error":
-			errorEvents++
-			if ev.Index != 1 || ev.Error == "" {
-				t.Errorf("error event for index %d with message %q, want index 1 with a message", ev.Index, ev.Error)
-			}
-		case "record":
-			recordEvents++
-			if ev.Index != 0 {
-				t.Errorf("record event for index %d, want 0", ev.Index)
-			}
-		}
-	}
-	if errorEvents != 1 || recordEvents != 1 {
-		t.Errorf("stream saw %d error and %d record events, want 1 and 1", errorEvents, recordEvents)
 	}
 }

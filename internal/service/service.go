@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/harness"
@@ -26,19 +25,13 @@ type Options struct {
 	Measure uint64 // measured µops per simulation (default 250_000)
 	Workers int    // simulation workers shared by all requests (<=0: GOMAXPROCS)
 
-	MaxJobs        int           // max unfinished jobs admitted (default 64)
-	MaxBatch       int           // max specs per batch or experiment (default 4096)
-	RequestTimeout time.Duration // synchronous endpoint budget (default 2m)
+	MaxBatch       int           // max specs per batch-sync frame (default 4096)
+	RequestTimeout time.Duration // per-request budget (default 2m)
 
 	// StoreDir, when non-empty, attaches a persistent content-addressed
 	// record store under the session memo: results survive restarts, and any
 	// number of processes may share the directory. Empty: memory-only.
 	StoreDir string
-
-	// FinishedJobRetention bounds how many terminal jobs stay queryable;
-	// the oldest are evicted first (default 256). Active jobs are never
-	// evicted.
-	FinishedJobRetention int
 
 	// Metrics is the registry the server's instruments register on and
 	// GET /metrics renders. Nil: the server builds a private registry, so
@@ -77,25 +70,19 @@ func (o Options) WithDefaults() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 64
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 4096
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 2 * time.Minute
 	}
-	if o.FinishedJobRetention <= 0 {
-		o.FinishedJobRetention = 256
-	}
 	return o
 }
 
 // Server is the simulation service: one process-lifetime Session, one
-// bounded worker pool, an in-memory job store, and the /v1 HTTP API on top.
-// Construct with New, serve it as an http.Handler, stop with Drain (finish
-// everything first) or Close (cancel everything).
+// bounded worker pool, and the synchronous /v1 HTTP API on top. Construct
+// with New, serve it as an http.Handler, stop with Drain (finish everything
+// first) or Close (cancel everything).
 type Server struct {
 	opts    Options
 	session *harness.Session
@@ -105,13 +92,9 @@ type Server struct {
 	baseCtx context.Context
 	cancel  context.CancelFunc
 	start   time.Time
-	nextID  atomic.Uint64
-	syncWG  sync.WaitGroup // in-flight synchronous simulations
+	syncWG  sync.WaitGroup // in-flight requests admitted by runSync
 
 	mu       sync.Mutex
-	jobs     map[string]*job
-	order    []string // submission order, for retention and listing
-	active   int      // jobs not yet in a terminal state
 	draining bool
 }
 
@@ -123,7 +106,6 @@ func New(o Options) (*Server, error) {
 	s := &Server{
 		opts:    o,
 		session: harness.NewSession(o.Warmup, o.Measure),
-		jobs:    make(map[string]*job),
 		start:   time.Now(),
 	}
 	if o.StoreDir != "" {
@@ -151,15 +133,8 @@ func New(o Options) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.handle("POST /v1/simulate", "simulate", s.handleSimulate)
 	s.handle("POST /v1/simulate/batch-sync", "batch_sync", s.handleBatchSync)
-	s.handle("POST /v1/batch", "batch", s.handleBatch)
 	s.handle("POST /v1/programs", "program_upload", s.handleProgramUpload)
 	s.handle("GET /v1/programs", "programs", s.handleProgramList)
-	s.handle("GET /v1/experiments", "experiments", s.handleExperimentIndex)
-	s.handle("POST /v1/experiments/{id}", "experiment", s.handleExperiment)
-	s.handle("GET /v1/jobs", "jobs", s.handleJobList)
-	s.handle("GET /v1/jobs/{id}", "job", s.handleJob)
-	s.handle("DELETE /v1/jobs/{id}", "cancel", s.handleCancel)
-	s.handle("GET /v1/jobs/{id}/stream", "stream", s.handleStream)
 	s.handle("GET /v1/healthz", "healthz", s.handleHealthz)
 	s.handle("GET /v1/statsz", "statsz", s.handleStatsz)
 	s.handle("GET /metrics", "metrics", reg.Handler().ServeHTTP)
@@ -178,111 +153,38 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // results against direct harness runs).
 func (s *Server) Session() *harness.Session { return s.session }
 
-// Drain stops admitting work and waits until every job has reached a
-// terminal state (in-flight jobs run to completion) and every in-flight
-// synchronous request has answered. ctx bounds the wait.
+// Drain stops admitting work and waits until every in-flight request has
+// answered. ctx bounds the wait.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
-	waiting := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		waiting = append(waiting, j)
-	}
 	s.mu.Unlock()
-	for _, j := range waiting {
-		select {
-		case <-j.doneCh:
-		case <-ctx.Done():
-			return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
-		}
-	}
-	syncDone := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
 		s.syncWG.Wait()
-		close(syncDone)
+		close(done)
 	}()
 	select {
-	case <-syncDone:
+	case <-done:
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("service: drain interrupted: %w", ctx.Err())
 	}
 }
 
-// Close cancels every job and synchronous request, waits for them to
-// settle, and stops the worker pool. Safe to call after Drain.
+// Close cancels every in-flight request, waits for them to settle, and
+// stops the worker pool. Safe to call after Drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.draining = true
-	waiting := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		waiting = append(waiting, j)
-	}
 	s.mu.Unlock()
 	s.cancel()
-	for _, j := range waiting {
-		<-j.doneCh
-	}
 	s.syncWG.Wait()
 	s.sched.close()
 	return nil
 }
 
-func (s *Server) nextJobID() string {
-	return fmt.Sprintf("j%06d", s.nextID.Add(1))
-}
-
-// admit registers a new job, enforcing the admission limits.
-func (s *Server) admit(j *job) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return errDraining
-	}
-	if s.active >= s.opts.MaxJobs {
-		return errQueueFull
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	s.active++
-	s.metrics.countJob(j.kind, StateQueued)
-	s.metrics.jobsActive.Inc()
-	return nil
-}
-
-// jobFinished updates admission accounting and evicts the oldest finished
-// jobs beyond the retention bound.
-func (s *Server) jobFinished() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.active--
-	finished := len(s.jobs) - s.active
-	if finished <= s.opts.FinishedJobRetention {
-		return
-	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		j := s.jobs[id]
-		if j == nil {
-			continue
-		}
-		j.mu.Lock()
-		terminal := terminalState(j.state)
-		j.mu.Unlock()
-		if terminal && finished > s.opts.FinishedJobRetention {
-			delete(s.jobs, id)
-			finished--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
-}
-
-var (
-	errDraining  = errors.New("server is draining; not accepting new work")
-	errQueueFull = errors.New("job queue full")
-)
+var errDraining = errors.New("server is draining; not accepting new work")
 
 // apiError writes the uniform JSON error envelope — an APIError body whose
 // code is derived from the HTTP status, so the typed client can rebuild the
@@ -331,14 +233,6 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		return false
 	}
 	return true
-}
-
-// admissionStatus maps an admission error to its HTTP status.
-func admissionStatus(err error) int {
-	if errors.Is(err, errDraining) {
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusTooManyRequests
 }
 
 // handleProgramUpload registers a workload program with the daemon's session
@@ -410,7 +304,7 @@ func (s *Server) handleProgramList(w http.ResponseWriter, r *http.Request) {
 // session's registry before admitting work, so a spec naming a program this
 // daemon never received fails fast with the curable CodeUnknownProgram (the
 // RemoteRunner reacts by uploading and retrying) instead of dying inside a
-// job. Reports false after writing the error.
+// simulation. Reports false after writing the error.
 func (s *Server) checkPrograms(w http.ResponseWriter, specs ...harness.Spec) bool {
 	for _, sp := range specs {
 		if !harness.IsProgramRef(sp.Kernel) {
@@ -490,10 +384,9 @@ func (s *Server) handleBatchSync(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte{'\n'})
 }
 
-// decodeSpecs is the prelude of both spec-frame endpoints (POST /v1/batch
-// and POST /v1/simulate/batch-sync): an empty frame is 400, one over
-// MaxBatch 413, an invalid spec a "spec %d:" 400, then checkPrograms.
-// Reports false after writing the error.
+// decodeSpecs is the prelude of POST /v1/simulate/batch-sync: an empty
+// frame is 400, one over MaxBatch 413, an invalid spec a "spec %d:" 400,
+// then checkPrograms. Reports false after writing the error.
 func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.Spec, bool) {
 	var req BatchSyncRequest
 	if !decodeBody(w, r, &req) {
@@ -520,9 +413,41 @@ func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.
 	return specs, s.checkPrograms(w, specs...)
 }
 
+// plan is the task list for a set of requested specs: the specs themselves
+// plus each non-baseline spec's baseline, deduplicated in first-appearance
+// order (duplicates would only occupy queue slots; the memo and the
+// scheduler coalescing make them free, but there is no reason to carry
+// them).
+type plan struct {
+	tasks   []harness.Spec // deduplicated specs + baselines
+	taskIdx []int          // requested spec i -> index into tasks
+	baseIdx []int          // requested spec i -> baseline index into tasks, -1 if none
+}
+
+func newPlan(specs []harness.Spec) plan {
+	p := plan{taskIdx: make([]int, len(specs)), baseIdx: make([]int, len(specs))}
+	seen := make(map[harness.Spec]int)
+	add := func(sp harness.Spec) int {
+		i, ok := seen[sp]
+		if !ok {
+			i = len(p.tasks)
+			seen[sp] = i
+			p.tasks = append(p.tasks, sp)
+		}
+		return i
+	}
+	for i, sp := range specs {
+		p.taskIdx[i], p.baseIdx[i] = add(sp), -1
+		if sp.Predictor != "none" {
+			p.baseIdx[i] = add(sp.Baseline())
+		}
+	}
+	return p
+}
+
 // runSync is the one synchronous core: it answers specs within the request
 // budget and returns their records in request order. The specs plus their
-// deduplicated baselines are planned like a job's; tasks already memoized
+// deduplicated baselines are planned (newPlan); tasks already memoized
 // are answered inline (Session.Peek counts the hit exactly as RunCtx
 // would), so a fully warm request costs map lookups and never touches the
 // worker pool, and only cold tasks fan through the scheduler. On failure it
@@ -631,169 +556,11 @@ func (s *syncSink) deliver(idx int, res *harness.Result, err error) {
 	s.ch <- syncDelivery{idx, res, err}
 }
 
-// handleBatch admits a batch job and answers 202 with its status.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if specs, ok := s.decodeSpecs(w, r); ok {
-		s.startJob(w, r, "batch", "", specs)
-	}
-}
-
-// handleExperiment admits a job for one §5.1 experiment id.
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	e, ok := harness.ExperimentByID(id)
-	if !ok {
-		var b strings.Builder
-		for _, e := range harness.Experiments() {
-			fmt.Fprintf(&b, "%s (%s); ", e.ID, e.Title)
-		}
-		apiError(w, http.StatusNotFound, "unknown experiment %q; available: %s", id, b.String())
-		return
-	}
-	var specs []harness.Spec
-	if e.Specs != nil {
-		specs = e.Specs()
-	}
-	if len(specs) > s.opts.MaxBatch {
-		apiError(w, http.StatusRequestEntityTooLarge,
-			"experiment %q declares %d specs, exceeding the %d-spec limit", id, len(specs), s.opts.MaxBatch)
-		return
-	}
-	s.startJob(w, r, "experiment", id, specs)
-}
-
-func (s *Server) startJob(w http.ResponseWriter, r *http.Request, kind, expID string, specs []harness.Spec) {
-	j := s.newJob(kind, expID, specs)
-	if err := s.admit(j); err != nil {
-		j.cancel()
-		apiError(w, admissionStatus(err), "%v", err)
-		return
-	}
-	go j.run()
-	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.status())
-}
-
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) *job {
-	id := r.PathValue("id")
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil {
-		apiError(w, http.StatusNotFound, "unknown job %q", id)
-	}
-	return j
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if j := s.lookupJob(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
-	}
-}
-
-func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
-	jobs := make([]*job, 0, len(ids))
-	for _, id := range ids {
-		if j := s.jobs[id]; j != nil {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
-	out := make([]*JobStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.statusLight() // listing stays light
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// handleCancel cancels a job (idempotent: cancelling a finished job leaves
-// it as it ended) and returns its current status.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	terminal := terminalState(j.state)
-	j.mu.Unlock()
-	if !terminal {
-		j.cancelJob()
-	}
-	writeJSON(w, http.StatusOK, j.status())
-}
-
-// handleStream streams a job's events as NDJSON (one Event per line), or as
-// SSE when the client asks for text/event-stream. Already-emitted events
-// replay first; the stream ends after the "done" event.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(w, r)
-	if j == nil {
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-
-	replay, live, unsub := j.subscribe()
-	defer unsub()
-	s.metrics.streamSubs.Inc()
-	s.metrics.streamReplayed.Add(uint64(len(replay)))
-	enc := json.NewEncoder(w)
-	emit := func(ev Event) bool {
-		if sse {
-			fmt.Fprintf(w, "data: ")
-		}
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		if sse {
-			fmt.Fprintf(w, "\n")
-		}
-		flusher.Flush()
-		return ev.Type != "done"
-	}
-	for _, ev := range replay {
-		if !emit(ev) {
-			return
-		}
-	}
-	for {
-		select {
-		case ev := <-live:
-			if !emit(ev) {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
-}
-
-func (s *Server) handleExperimentIndex(w http.ResponseWriter, r *http.Request) {
-	var out []ExperimentInfo
-	for _, e := range harness.Experiments() {
-		out = append(out, ExperimentInfo{ID: e.ID, Title: e.Title})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 // handleHealthz answers 200 while serving and 503 once drain begins — the
 // body carries {"draining":true} either way a client reads it, so both
 // status-code probes (load balancers) and body-decoding probes (the fleet
-// front) stop routing new work to a draining shard while its in-flight jobs
-// finish.
+// front) stop routing new work to a draining shard while its in-flight
+// requests finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	draining := s.draining
@@ -815,13 +582,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Stats() ServerStats {
 	memo := s.session.MemoStats()
 	s.mu.Lock()
-	jobs := make(map[string]int)
-	for _, j := range s.jobs {
-		j.mu.Lock()
-		jobs[j.state]++
-		j.mu.Unlock()
-	}
-	active, draining := s.active, s.draining
+	draining := s.draining
 	s.mu.Unlock()
 	out := ServerStats{
 		Workers:       s.opts.Workers,
@@ -833,8 +594,6 @@ func (s *Server) Stats() ServerStats {
 		MemoHits:      memo.Hits,
 		MemoMisses:    memo.Misses,
 		MemoStoreHits: memo.StoreHits,
-		Jobs:          jobs,
-		ActiveJobs:    active,
 		Draining:      draining,
 		Programs:      s.session.ProgramCount(),
 		Shard: ShardInfo{
@@ -843,7 +602,6 @@ func (s *Server) Stats() ServerStats {
 			UptimeSeconds: time.Since(s.start).Seconds(),
 		},
 		Limits: Limits{
-			MaxJobs:          s.opts.MaxJobs,
 			MaxBatch:         s.opts.MaxBatch,
 			RequestTimeoutMs: s.opts.RequestTimeout.Milliseconds(),
 			Warmup:           s.opts.Warmup,

@@ -1,11 +1,12 @@
-// Package service is the simulation-as-a-service layer: a job-oriented HTTP
+// Package service is the simulation-as-a-service layer: a synchronous HTTP
 // server over one process-lifetime harness.Session, so the memo (kernel
 // traces and simulation results) is shared across every request the daemon
-// ever answers. The versioned JSON API (DESIGN.md §6) offers synchronous
-// single-spec simulation, asynchronous batch and experiment jobs with
-// NDJSON/SSE result streaming, per-job cancellation, and /healthz +
-// /statsz observability. cmd/vpserved is the daemon; service/client the
-// typed Go client; repro.NewServer the facade constructor.
+// ever answers. The versioned JSON API (DESIGN.md §6) answers single specs
+// and batch-sync spec frames with their records, registers workload
+// programs, and offers /healthz, /statsz and /metrics observability.
+// Experiments render on the client, from the records of their declared
+// spec sets. cmd/vpserved is the daemon; service/client the typed Go
+// client; repro.NewServer the facade constructor.
 package service
 
 import (
@@ -95,11 +96,10 @@ func RequestFor(s harness.Spec) SpecRequest {
 
 // BatchSyncRequest is a spec frame, {"specs":[...]}: the body of POST
 // /v1/simulate/batch-sync, the batched synchronous wire framing (DESIGN.md
-// §12), and of POST /v1/batch, its asynchronous job form. One synchronous
-// request carries many specs and one response carries their records in
-// request order, so the HTTP round trip — the dominant cost of warm,
-// memo-served dispatch — is amortized over the whole frame instead of paid
-// per spec.
+// §12). One request carries many specs and one response carries their
+// records in request order, so the HTTP round trip — the dominant cost of
+// warm, memo-served dispatch — is amortized over the whole frame instead of
+// paid per spec.
 type BatchSyncRequest struct {
 	Specs []SpecRequest `json:"specs"`
 }
@@ -133,76 +133,11 @@ type ProgramInfo struct {
 	Bytes int    `json:"bytes"`
 }
 
-// Job states.
-const (
-	StateQueued   = "queued"
-	StateRunning  = "running"
-	StateDone     = "done"
-	StateFailed   = "failed"
-	StateCanceled = "canceled"
-)
-
-// JobStatus is the wire form of one job. Records (per requested spec, in
-// spec order, identical to a sequential Session.Records over the same
-// specs) and Artifact (the rendered text table of an experiment job) are
-// populated once State is terminal. A failed or canceled job returns the
-// records that completed before it died — missing entries are zero-valued;
-// the stream's per-spec "error" events name the ones that were lost.
-type JobStatus struct {
-	ID            string           `json:"id"`
-	Kind          string           `json:"kind"` // "batch" or "experiment"
-	Experiment    string           `json:"experiment,omitempty"`
-	State         string           `json:"state"`
-	Specs         int              `json:"specs"`     // requested specs
-	Completed     int              `json:"completed"` // requested specs finished
-	Error         string           `json:"error,omitempty"`
-	SubmittedUnix int64            `json:"submitted_unix"`
-	StartedUnix   int64            `json:"started_unix,omitempty"`
-	FinishedUnix  int64            `json:"finished_unix,omitempty"`
-	Records       []harness.Record `json:"records,omitempty"`
-	Artifact      string           `json:"artifact,omitempty"`
-}
-
-// terminalState is the one definition of "this job can change no further";
-// Finished, cancellation, and retention all use it.
-func terminalState(s string) bool {
-	return s == StateDone || s == StateFailed || s == StateCanceled
-}
-
-// Finished reports whether the job has reached a terminal state.
-func (s JobStatus) Finished() bool { return terminalState(s.State) }
-
-// Event is one line of a job's NDJSON stream (or one SSE data frame):
-// "record" events carry one finished record with its index into the
-// requested spec order (records stream in completion order, not spec
-// order); "error" events carry the failure of one requested spec that will
-// never produce a record (its simulation, its baseline, or the record
-// flattening failed — cancellation included), so a streaming client learns
-// about the loss before the terminal "done"; the final "done" event carries
-// the terminal JobStatus, records omitted since they were already streamed.
-type Event struct {
-	Type string `json:"type"` // "status", "record", "error", "done"
-	// Index is meaningful only when Type is "record" or "error"
-	// (status/done events carry a zero Index that refers to nothing). It is
-	// always serialized — no omitempty — so a record event for spec 0 looks
-	// like every other record event.
-	Index  int             `json:"index"`
-	Record *harness.Record `json:"record,omitempty"`
-	Job    *JobStatus      `json:"job,omitempty"`
-	Error  string          `json:"error,omitempty"` // set when Type is "error"
-}
-
-// ExperimentInfo is one row of GET /v1/experiments.
-type ExperimentInfo struct {
-	ID    string `json:"id"`
-	Title string `json:"title"`
-}
-
 // Health is the body of GET /v1/healthz. A serving daemon answers 200 with
 // OK true; once SIGTERM drain begins the endpoint answers 503 with OK false
 // and Draining true — same body shape, so a fleet front (or a load balancer
 // probing status codes alone) stops routing new work to the shard while its
-// in-flight jobs finish.
+// in-flight requests finish.
 type Health struct {
 	OK       bool    `json:"ok"`
 	UptimeS  float64 `json:"uptime_s"`
@@ -221,7 +156,6 @@ type ShardInfo struct {
 
 // Limits echoes the admission configuration in /v1/statsz.
 type Limits struct {
-	MaxJobs          int    `json:"max_jobs"`
 	MaxBatch         int    `json:"max_specs_per_batch"`
 	RequestTimeoutMs int64  `json:"request_timeout_ms"`
 	Warmup           uint64 `json:"warmup_uops"`
@@ -239,27 +173,24 @@ type StoreStats struct {
 	WriteErrors uint64 `json:"write_errors"`
 }
 
-// ServerStats is the body of GET /v1/statsz: scheduler load, the shared
-// session's memo/store/snapshot effectiveness, and the job population by
-// state.
+// ServerStats is the body of GET /v1/statsz: scheduler load and the shared
+// session's memo/store/snapshot effectiveness.
 // Workers is the scheduler pool size; GOMAXPROCS and NumCPU put it in
 // context — min of the three is the parallelism the pool can really get.
 // MemoMisses counts simulations actually started; a result loaded from the
 // persistent store is a MemoStoreHit, not a miss, so "memo_misses == 0"
 // across a run is the warm-start success criterion.
 type ServerStats struct {
-	Workers       int            `json:"workers"`
-	GOMAXPROCS    int            `json:"gomaxprocs"`
-	NumCPU        int            `json:"num_cpu"`
-	BusyWorkers   int            `json:"busy_workers"`
-	QueuedTasks   int            `json:"queued_tasks"`
-	Coalesced     uint64         `json:"coalesced_tasks"`
-	MemoHits      uint64         `json:"memo_hits"`
-	MemoMisses    uint64         `json:"memo_misses"`
-	MemoStoreHits uint64         `json:"memo_store_hits"`
-	Jobs          map[string]int `json:"jobs"`
-	ActiveJobs    int            `json:"active_jobs"`
-	Draining      bool           `json:"draining"`
+	Workers       int    `json:"workers"`
+	GOMAXPROCS    int    `json:"gomaxprocs"`
+	NumCPU        int    `json:"num_cpu"`
+	BusyWorkers   int    `json:"busy_workers"`
+	QueuedTasks   int    `json:"queued_tasks"`
+	Coalesced     uint64 `json:"coalesced_tasks"`
+	MemoHits      uint64 `json:"memo_hits"`
+	MemoMisses    uint64 `json:"memo_misses"`
+	MemoStoreHits uint64 `json:"memo_store_hits"`
+	Draining      bool   `json:"draining"`
 	// Programs counts the workloads registered via POST /v1/programs (or
 	// Session.RegisterProgram) over the daemon's lifetime. Uploads that
 	// deduplicated onto a builtin kernel are not counted — they added nothing.

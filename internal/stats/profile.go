@@ -2,7 +2,7 @@
 // µop traces: instruction mix, branch behaviour, memory footprint, and the
 // value-locality metrics (last-value and stride predictability) that
 // determine which value predictor family can cover a workload. The profiles
-// explain the per-kernel results in EXPERIMENTS.md and back the Table 3
+// explain the per-kernel results in DESIGN.md §4 and back the Table 3
 // substitution argument in DESIGN.md §4.
 package stats
 

@@ -88,7 +88,7 @@ func TestExperimentsCoverEveryPaperArtifact(t *testing.T) {
 
 // TestNewServerFacade mounts the service layer through the facade only —
 // the path external consumers take — and drives one synchronous simulation
-// and one experiment job through NewClient.
+// and one batch-sync frame through NewClient.
 func TestNewServerFacade(t *testing.T) {
 	srv, err := NewServer(ServerOptions{Warmup: 1_000, Measure: 4_000, Workers: 2})
 	if err != nil {
@@ -108,16 +108,15 @@ func TestNewServerFacade(t *testing.T) {
 		t.Errorf("bad record over the facade: %+v", rec)
 	}
 
-	job, err := c.SubmitExperiment(ctx, "table1")
+	frame, err := c.SimulateBatchSync(ctx, []SpecRequest{
+		{Kernel: "gzip", Predictor: "none"},
+		{Kernel: "gzip", Predictor: "stride", Counters: "fpc"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Wait(ctx, job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != "done" || !strings.Contains(final.Artifact, "VTAGE") {
-		t.Errorf("table1 job over the facade: state=%s artifact=%q", final.State, final.Artifact)
+	if len(frame) != 2 || frame[0].Predictor != "none" || frame[1] != rec {
+		t.Errorf("batch-sync frame over the facade: %+v, want the baseline then %+v", frame, rec)
 	}
 
 	stats, err := c.Stats(ctx)

@@ -2,13 +2,13 @@ package repro
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"runtime"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/service"
 )
 
 // Spec identifies one simulation: kernel, predictor, counter scheme,
@@ -28,7 +28,7 @@ type Record = harness.Record
 
 // ExperimentInfo is one row of the experiment index: id plus the paper
 // artifact it regenerates.
-type ExperimentInfo = service.ExperimentInfo
+type ExperimentInfo = harness.ExperimentInfo
 
 // Runner is the backend-neutral way to run simulations: the same interface
 // drives an in-process session (LocalRunner), a vpserved daemon
@@ -50,12 +50,15 @@ type Runner interface {
 	// concurrently. A spec failure or a non-nil fn error aborts the batch.
 	Batch(ctx context.Context, specs []Spec, fn func(Record) error) error
 
-	// Experiment regenerates one experiment by id into w. Format (text,
-	// json, csv) and worker count come from o; o.Warmup/o.Measure are
-	// per-call window overrides (zero: the runner's windows).
+	// Experiment regenerates one experiment by id into w. Every backend
+	// runs the experiment's declared spec set through its own Batch path
+	// and renders the records on the client, so the bytes are identical
+	// across backends. Format (text, json, csv) and worker count come from
+	// o; o.Warmup/o.Measure are per-call window overrides (zero: the
+	// runner's windows).
 	Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error
 
-	// Experiments returns the experiment index the backend serves.
+	// Experiments returns the experiment index (the same on every backend).
 	Experiments(ctx context.Context) ([]ExperimentInfo, error)
 
 	// RegisterProgram promotes p to a first-class workload of this backend
@@ -74,6 +77,24 @@ type Runner interface {
 
 // Interface compliance is part of the facade contract.
 var _ Runner = (*LocalRunner)(nil)
+
+// lookupExperiment resolves id against the harness index: one lookup, and
+// one error for an unknown id, on every backend.
+func lookupExperiment(id string) (harness.Experiment, error) {
+	e, ok := harness.ExperimentByID(id)
+	if !ok {
+		return e, fmt.Errorf("repro: unknown experiment %q (have %v)", id, Experiments())
+	}
+	return e, nil
+}
+
+// experimentIndex is every backend's Runner.Experiments.
+func experimentIndex(ctx context.Context) ([]ExperimentInfo, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return harness.Index(), nil
+}
 
 // MemoStats snapshots a session's caching effectiveness: in-process memo
 // hits, persistent-store hits, and misses (simulations actually started),

@@ -173,9 +173,9 @@ func (r *LocalRunner) Batch(ctx context.Context, specs []Spec, fn func(Record) e
 // memo: measurement windows are session-wide state, so a differently-sized
 // request runs on its own throwaway session.
 func (r *LocalRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
-	e, ok := harness.ExperimentByID(id)
-	if !ok {
-		return fmt.Errorf("repro: unknown experiment %q (have %v)", id, Experiments())
+	e, err := lookupExperiment(id)
+	if err != nil {
+		return err
 	}
 	se := r.session
 	warmup, measure := r.opts.Warmup, r.opts.Measure
@@ -208,14 +208,7 @@ func (r *LocalRunner) RegisterProgram(ctx context.Context, p *Program) (string, 
 
 // Experiments returns the harness's §5.1 experiment index.
 func (r *LocalRunner) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var out []ExperimentInfo
-	for _, e := range harness.Experiments() {
-		out = append(out, ExperimentInfo{ID: e.ID, Title: e.Title})
-	}
-	return out, nil
+	return experimentIndex(ctx)
 }
 
 // Close implements Runner. A local runner holds no resources beyond the

@@ -90,21 +90,27 @@ func (r *ShardedRunner) Batch(ctx context.Context, specs []Spec, fn func(Record)
 	return r.f.Batch(ctx, specs, fn)
 }
 
-// Experiment regenerates one experiment by id (Runner interface).
-// o.Workers is ignored — concurrency belongs to each shard's pool; nonzero
-// windows must match the shards' windows: sizing is per-daemon.
+// Experiment regenerates one experiment by id (Runner interface): its
+// declared spec set scatters across the shards and the records render on
+// the client. o.Workers is ignored — concurrency belongs to each shard's
+// pool; nonzero windows must match the shards' windows: sizing is
+// per-daemon.
 func (r *ShardedRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
-	return r.f.Experiment(ctx, id, fleet.ExperimentOptions{
+	e, err := lookupExperiment(id)
+	if err != nil {
+		return err
+	}
+	return r.f.Experiment(ctx, e, fleet.ExperimentOptions{
 		Warmup:  o.Warmup,
 		Measure: o.Measure,
 		Format:  o.Format,
 	}, w)
 }
 
-// Experiments fetches the experiment index from any healthy shard (Runner
-// interface).
+// Experiments returns the experiment index (Runner interface): the
+// client's own, since experiments render on the client.
 func (r *ShardedRunner) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
-	return r.f.Experiments(ctx)
+	return experimentIndex(ctx)
 }
 
 // RegisterProgram uploads p to every shard and remembers its bytes for

@@ -29,13 +29,21 @@ func (fx *shardedFixture) kill(i int) { fx.httpds[i].Close() }
 
 func newShardedFixture(t testing.TB, shards int) *shardedFixture {
 	t.Helper()
+	return newStoredFixture(t, shards, "")
+}
+
+// newStoredFixture is newShardedFixture with every shard's record store
+// under storeDir (none when empty).
+func newStoredFixture(t testing.TB, shards int, storeDir string) *shardedFixture {
+	t.Helper()
 	fx := &shardedFixture{}
 	for i := 0; i < shards; i++ {
 		srv, err := NewServer(ServerOptions{
-			Warmup:  runnerWarmup,
-			Measure: runnerMeasure,
-			Workers: 2,
-			ShardID: fmt.Sprintf("t-shard-%d", i),
+			Warmup:   runnerWarmup,
+			Measure:  runnerMeasure,
+			Workers:  2,
+			ShardID:  fmt.Sprintf("t-shard-%d", i),
+			StoreDir: storeDir,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -89,9 +97,8 @@ func asJSON(t testing.TB, v any) []byte {
 }
 
 // TestShardedRunnerEquivalence is the fleet acceptance test: batches,
-// single-spec dispatch, experiments (server-rendered text and locally
-// emitted csv), and a registered-program sweep must be byte-identical to a
-// LocalRunner across 1, 2 and 3 shards.
+// single-spec dispatch, experiments, and a registered-program sweep must be
+// byte-identical to a LocalRunner across 1, 2 and 3 shards.
 func TestShardedRunnerEquivalence(t *testing.T) {
 	local := shardedReference(t)
 	ctx := context.Background()

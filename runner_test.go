@@ -103,8 +103,7 @@ func TestRunnerBackendEquivalence(t *testing.T) {
 		t.Errorf("Simulate disagrees across backends:\nlocal:  %+v\nremote: %+v", lr, rr)
 	}
 
-	// Experiment rendering: text (server-side render vs local render) and
-	// csv (streamed records vs local records) are byte-identical.
+	// Experiment rendering: text and csv are byte-identical.
 	for _, format := range []string{"text", "csv"} {
 		var lb, rb bytes.Buffer
 		if err := local.Experiment(ctx, "fig1", ExperimentOptions{Format: format}, &lb); err != nil {
@@ -197,19 +196,27 @@ func TestRunnerValidatesSpecs(t *testing.T) {
 
 // TestRemoteRunnerTypedErrors: server-side failures surface as unwrapped
 // *APIError values — errors.As works directly on what the runner returns.
+// An unknown experiment never reaches the server: it fails on the client
+// with the LocalRunner's error, index included.
 func TestRemoteRunnerTypedErrors(t *testing.T) {
-	_, remote := newBackends(t)
+	local, remote := newBackends(t)
 	ctx := context.Background()
-	err := remote.Experiment(ctx, "fig99", ExperimentOptions{}, &bytes.Buffer{})
+	ghost := Spec{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"}
+	_, err := remote.Simulate(ctx, ghost)
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) {
-		t.Fatalf("unknown experiment error %v is not an *APIError", err)
+		t.Fatalf("unknown program error %v is not an *APIError", err)
 	}
-	if apiErr.Status != 404 || apiErr.Code != APICodeNotFound {
-		t.Errorf("got status %d code %q, want 404 %s", apiErr.Status, apiErr.Code, APICodeNotFound)
+	if apiErr.Status != 404 || apiErr.Code != APICodeUnknownProgram {
+		t.Errorf("got status %d code %q, want 404 %s", apiErr.Status, apiErr.Code, APICodeUnknownProgram)
 	}
-	if !strings.Contains(apiErr.Msg, "fig4") {
-		t.Errorf("404 message does not carry the index: %s", apiErr.Msg)
+
+	remoteErr := remote.Experiment(ctx, "fig99", ExperimentOptions{}, &bytes.Buffer{})
+	localErr := local.Experiment(ctx, "fig99", ExperimentOptions{}, &bytes.Buffer{})
+	if remoteErr == nil || localErr == nil || remoteErr.Error() != localErr.Error() {
+		t.Errorf("unknown experiment: remote %v, local %v; want the same error", remoteErr, localErr)
+	} else if !strings.Contains(remoteErr.Error(), "fig4") {
+		t.Errorf("unknown-experiment error does not carry the index: %v", remoteErr)
 	}
 
 	// Window-mismatch refusal is loud and names both sizings.
@@ -277,5 +284,78 @@ func TestRemoteRunnerBisectsOversizedFrames(t *testing.T) {
 	}
 	if want, got := collect(local), collect(remote); !bytes.Equal(want, got) {
 		t.Errorf("bisected batch differs from LocalRunner:\n got %s\nwant %s", got, want)
+	}
+}
+
+// renderAll renders every experiment in every format through r, keyed
+// "id/format": the rendered bytes, or the error text where the format does
+// not apply (json and csv of a text-only experiment).
+func renderAll(t testing.TB, r Runner) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, id := range Experiments() {
+		for _, format := range []string{"text", "json", "csv"} {
+			var b bytes.Buffer
+			if err := r.Experiment(context.Background(), id, ExperimentOptions{Format: format}, &b); err != nil {
+				out[id+"/"+format] = "error: " + err.Error()
+				continue
+			}
+			out[id+"/"+format] = b.String()
+		}
+	}
+	return out
+}
+
+// referenceRenders is renderAll over the reference runner, which must fail
+// only where a format does not apply.
+func referenceRenders(t testing.TB, r Runner) map[string]string {
+	t.Helper()
+	want := renderAll(t, r)
+	for k, v := range want {
+		if strings.HasPrefix(v, "error: ") && !strings.Contains(v, "no structured results") {
+			t.Fatalf("reference %s: %s", k, v)
+		}
+	}
+	return want
+}
+
+// sameRenders reports every experiment/format whose output differs.
+func sameRenders(t testing.TB, got, want map[string]string) {
+	t.Helper()
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("%s differs:\n--- got\n%s--- want\n%s", k, got[k], w)
+		}
+	}
+}
+
+// TestEveryExperimentRendersAlike: every experiment renders byte-identically
+// in text, json and csv on a LocalRunner, a RemoteRunner, and 1-, 2- and
+// 3-shard fleets (under -short, the 3-shard fleet only). The LocalRunner
+// fills one record store that every shard reads, so the remote backends
+// serve its records instead of simulating them again: what this pins is
+// dispatch and client-side rendering. Freshly simulated records are held
+// equal across backends by the batch checks of TestRunnerBackendEquivalence
+// and TestShardedRunnerEquivalence. The reference simulates on one worker,
+// so the test keeps to one CPU.
+func TestEveryExperimentRendersAlike(t *testing.T) {
+	dir := t.TempDir()
+	local := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 1, StoreDir: dir})
+	t.Cleanup(func() { local.Close() })
+	want := referenceRenders(t, local)
+
+	for _, shards := range []int{1, 2, 3} {
+		if testing.Short() && shards != 3 {
+			continue
+		}
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			fx := newStoredFixture(t, shards, dir)
+			sameRenders(t, renderAll(t, fx.runner), want)
+			if shards == 1 {
+				remote := OpenRemoteRunner(fx.urls[0], RunnerOptions{})
+				defer remote.Close()
+				sameRenders(t, renderAll(t, remote), want)
+			}
+		})
 	}
 }
