@@ -62,14 +62,14 @@ func Experiments() []string {
 	return ids
 }
 
-// ExperimentOptions sizes, parallelizes, and formats one experiment run.
-// With a Runner, Warmup/Measure are per-call window overrides: zero keeps
-// the runner's windows; a LocalRunner honours an override on a throwaway
-// session, a RemoteRunner refuses a mismatch with the server's windows.
+// ExperimentOptions sizes and formats one experiment run. With a Runner,
+// Warmup/Measure are per-call window overrides: zero keeps the runner's
+// windows; a LocalRunner honours an override on a throwaway session, a
+// RemoteRunner refuses a mismatch with the server's windows. Concurrency is
+// the runner's (RunnerOptions.Workers), not the call's.
 type ExperimentOptions struct {
 	Warmup  uint64 // µops before measurement per simulation (0: runner default)
 	Measure uint64 // measured µops per simulation (0: runner default)
-	Workers int    // parallel simulation workers (<=0: runner default; remote: server pool)
 	Format  string // "text" (default), "json", or "csv"
 }
 
@@ -161,8 +161,9 @@ type SpecRequest = service.SpecRequest
 // ServerStats is the /v1/statsz body.
 type ServerStats = service.ServerStats
 
-// NewServer builds the simulation service and starts its worker pool. Serve
-// it with net/http; stop it with Drain (graceful) or Close.
+// NewServer builds the simulation service over one session bounded to
+// o.Workers slots. Serve it with net/http; stop it with Drain (graceful) or
+// Close.
 func NewServer(o ServerOptions) (*Server, error) { return service.New(o) }
 
 // Client is the typed client for a running Server / vpserved daemon.

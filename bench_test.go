@@ -28,11 +28,12 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		se := harness.NewSession(benchWarmup, benchMeasure)
+		se.UseWorkers(1)
 		e, ok := harness.ExperimentByID(id)
 		if !ok {
 			b.Fatalf("unknown experiment %q", id)
 		}
-		if err := harness.Render(context.Background(), se, e, "text", 1, io.Discard); err != nil {
+		if err := harness.Render(context.Background(), se, e, "text", io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

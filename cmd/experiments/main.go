@@ -133,7 +133,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	defer runner.Close()
 
-	eo := repro.ExperimentOptions{Workers: *workers, Format: *format}
+	eo := repro.ExperimentOptions{Format: *format}
 	if remote {
 		if explicit["warmup"] {
 			eo.Warmup = *warmup

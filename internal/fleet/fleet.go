@@ -496,8 +496,8 @@ func (f *Runner) RegisterProgram(ctx context.Context, p *isa.Program) (string, e
 }
 
 // ExperimentOptions is the subset of the facade's experiment options a
-// fleet honours: format plus the window assertion. Worker counts belong to
-// each shard's own pool.
+// fleet honours: format plus the window assertion. Concurrency belongs to
+// each shard's own worker slots.
 type ExperimentOptions struct {
 	Warmup  uint64
 	Measure uint64

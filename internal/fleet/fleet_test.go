@@ -51,7 +51,7 @@ func startShards(t *testing.T, n int) (*Runner, []*service.Server, []*httptest.S
 func refRecords(t *testing.T, specs []harness.Spec) []harness.Record {
 	t.Helper()
 	se := harness.NewSession(testWarmup, testMeasure)
-	recs, err := se.Records(specs, 1)
+	recs, err := se.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

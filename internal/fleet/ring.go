@@ -1,6 +1,6 @@
 // Package fleet is the sharded serving tier (DESIGN.md §12): a client-side
 // front that consistent-hashes canonical spec identities across N vpserved
-// shards, each with its own worker pool and memo. Routing keeps every
+// shards, each with its own worker slots and memo. Routing keeps every
 // distinct spec on exactly one warm shard (memo/store/snapshot locality),
 // scatter/gather batching amortizes the HTTP round trip over whole
 // sub-batches, and health probing (/v1/healthz + /v1/statsz) marks shards

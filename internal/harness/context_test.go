@@ -170,6 +170,7 @@ func TestRunCtxWaiterRetriesAfterAbandonedOwner(t *testing.T) {
 func TestRunAllCtxCancel(t *testing.T) {
 	t.Parallel()
 	se := NewSession(50_000, 600_000)
+	se.UseWorkers(2)
 	var specs []Spec
 	for _, k := range KernelNames() {
 		specs = append(specs, Spec{Kernel: k, Predictor: "none"})
@@ -180,7 +181,7 @@ func TestRunAllCtxCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := se.RunAllCtx(ctx, specs, 2)
+	_, err := se.RunAllCtx(ctx, specs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}

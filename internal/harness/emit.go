@@ -107,14 +107,14 @@ func (se *Session) RecordCtx(ctx context.Context, spec Spec) (Record, error) {
 	return se.Record(res)
 }
 
-// Records simulates specs (plus the baselines their speedups need) across
-// the worker pool and flattens the results in spec order.
-func (se *Session) Records(specs []Spec, workers int) ([]Record, error) {
-	return se.RecordsCtx(context.Background(), specs, workers)
+// Records simulates specs (plus the baselines their speedups need) on the
+// session's worker slots and flattens the results in spec order.
+func (se *Session) Records(specs []Spec) ([]Record, error) {
+	return se.RecordsCtx(context.Background(), specs)
 }
 
 // RecordsCtx is Records with cancellation (see RunAllCtx).
-func (se *Session) RecordsCtx(ctx context.Context, specs []Spec, workers int) ([]Record, error) {
+func (se *Session) RecordsCtx(ctx context.Context, specs []Spec) ([]Record, error) {
 	batch := make([]Spec, 0, 2*len(specs))
 	for _, s := range specs {
 		batch = append(batch, s.Canonical())
@@ -124,7 +124,7 @@ func (se *Session) RecordsCtx(ctx context.Context, specs []Spec, workers int) ([
 			batch = append(batch, s.Canonical().Baseline())
 		}
 	}
-	results, err := se.RunAllCtx(ctx, batch, workers)
+	results, err := se.RunAllCtx(ctx, batch)
 	if err != nil {
 		return nil, err
 	}

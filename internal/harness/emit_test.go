@@ -170,7 +170,7 @@ func TestRecordCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := se.Records([]Spec{spec}, 1)
+	recs, err := se.Records([]Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSessionRecords(t *testing.T) {
 		{Kernel: "art", Predictor: "none"},
 		{Kernel: "art", Predictor: "lvp", Counters: FPC},
 	}
-	recs, err := se.Records(specs, 2)
+	recs, err := se.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSessionRecords(t *testing.T) {
 	if recs[1].IPC <= 0 || recs[1].Speedup <= 0 {
 		t.Errorf("degenerate record: %+v", recs[1])
 	}
-	if _, err := se.Records([]Spec{{Kernel: "nope", Predictor: "none"}}, 1); err == nil {
+	if _, err := se.Records([]Spec{{Kernel: "nope", Predictor: "none"}}); err == nil {
 		t.Error("unknown kernel accepted by Records")
 	}
 }

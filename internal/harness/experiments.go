@@ -133,8 +133,9 @@ func fig3Specs() []Spec {
 	return matrixSpecs([]string{"oracle"}, BaselineCounters, pipeline.SquashAtCommit)
 }
 
-// Fig4Specs is exported as the canonical mid-size batch for scheduler tests
-// and benchmarks: 19 kernels x (4 predictors x 2 counter schemes + baseline).
+// Fig4Specs is exported as the canonical mid-size batch for parallel-scaling
+// tests and benchmarks: 19 kernels x (4 predictors x 2 counter schemes +
+// baseline).
 func Fig4Specs() []Spec {
 	out := matrixSpecs(singlePredictors, BaselineCounters, pipeline.SquashAtCommit)
 	return append(out, matrixSpecs(singlePredictors, FPC, pipeline.SquashAtCommit)...)
@@ -450,18 +451,18 @@ func RenderRecords(ctx context.Context, se *Session, e Experiment, format string
 	return nil
 }
 
-// Render runs an experiment's declared spec set on se across workers
-// (RecordsCtx) and renders the records (RenderRecords). ctx cancels the
+// Render runs an experiment's declared spec set on se (RecordsCtx, bounded
+// by the session's worker slots) and renders the records (RenderRecords). ctx cancels the
 // batch: unstarted specs are abandoned, in-flight simulations stop at their
 // next cancellation checkpoint, and Render returns the context error.
-func Render(ctx context.Context, se *Session, e Experiment, format string, workers int, w io.Writer) error {
+func Render(ctx context.Context, se *Session, e Experiment, format string, w io.Writer) error {
 	if err := CheckFormat(e, format); err != nil {
 		return err
 	}
 	var recs []Record
 	if e.Specs != nil {
 		var err error
-		if recs, err = se.RecordsCtx(ctx, e.Specs(), workers); err != nil {
+		if recs, err = se.RecordsCtx(ctx, e.Specs()); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}

@@ -13,7 +13,8 @@ import (
 
 // TestSpecCanonical pins the canonicalization rules: equivalent
 // configurations must fold to one identity, because that identity is the
-// memo key, the scheduler's coalescing key, and the Record spec.
+// memo key (and so the key identical in-flight runs coalesce on), and the
+// Record spec.
 func TestSpecCanonical(t *testing.T) {
 	base := Spec{Kernel: "art", Predictor: "vtage", Counters: FPC}
 	cases := []struct {
@@ -205,12 +206,12 @@ func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 			continue
 		}
 		specs := e.Specs()
-		recs, err := se.RecordsCtx(ctx, specs, 4)
+		recs, err := se.RecordsCtx(ctx, specs)
 		if err != nil {
 			t.Fatalf("%s: records: %v", e.ID, err)
 		}
 		var want, got strings.Builder
-		if err := Render(ctx, se, e, "text", 4, &want); err != nil {
+		if err := Render(ctx, se, e, "text", &want); err != nil {
 			t.Fatalf("%s: render: %v", e.ID, err)
 		}
 		if err := RenderRecords(ctx, nil, e, "text", recs, &got); err != nil {
@@ -258,11 +259,11 @@ func TestAccFilterAdmitsEveryUsedOver100(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(2_000, 8_000))
 	specs := accSpecs()
-	results, err := se.RunAll(specs, 0)
+	results, err := se.RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := se.Records(specs, 0)
+	recs, err := se.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +294,7 @@ func TestRenderCancelled(t *testing.T) {
 	e, _ := ExperimentByID("abl-hist")
 	for _, format := range []string{"text", "json"} {
 		var sb strings.Builder
-		err := Render(ctx, se, e, format, 2, &sb)
+		err := Render(ctx, se, e, format, &sb)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s render under a dead context returned %v, want context.Canceled", format, err)
 		}

@@ -6,14 +6,18 @@
 //
 // A Session is safe for concurrent use: trace generation and simulation
 // results are memoized behind a per-entry singleflight, so an identical Spec
-// requested from many goroutines is simulated exactly once. RunAll fans a
-// batch of specs out across a worker pool (see parallel.go).
+// requested from many goroutines is simulated exactly once. The session also
+// bounds simulation: a lookup that wins ownership of a memo entry takes one
+// of Workers() slots before it reads the store or simulates, whoever the
+// caller is, and Each walks a batch of specs over the slots (see
+// parallel.go).
 package harness
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
@@ -201,9 +205,9 @@ func ParseFPCVector(s string) (core.FPCVector, error) {
 	return v, nil
 }
 
-// Canonical returns the spec in canonical form — the one identity the memo,
-// the scheduler's in-flight coalescing, and the structured Record layer key
-// on. Equivalent configurations fold together:
+// Canonical returns the spec in canonical form — the one identity the memo
+// (and with it the coalescing of identical in-flight runs), the store and
+// the structured Record layer key on. Equivalent configurations fold together:
 //
 //   - Width equal to the default machine width becomes 0, MaxHist equal to
 //     VTAGE's default becomes 0;
@@ -397,6 +401,10 @@ type Session struct {
 	hits      uint64 // Run lookups that joined an existing (possibly in-flight) entry
 	misses    uint64 // Run lookups that started a simulation
 	storeHits uint64 // Run lookups served by loading a persisted record
+	joined    uint64 // hits that joined a run still in flight
+
+	slots   chan struct{} // one token per owner reading the store or simulating (UseWorkers)
+	waiting atomic.Int64  // owners blocked on a slot
 
 	store *store.Store            // optional persistent tier under the memo (UseStore)
 	snaps *SnapshotCache          // optional warm-state snapshot cache (UseSnapshots)
@@ -415,7 +423,42 @@ func NewSession(warmup, measure uint64) *Session {
 		traces:  make(map[string]*traceCall),
 		memo:    make(map[Spec]*runCall),
 		fps:     make(map[string]*fpCall),
+		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
+}
+
+// UseWorkers bounds the session to n concurrent runs (n <= 0: GOMAXPROCS,
+// the default). Call it once, before the session serves any lookup: the
+// bound covers every caller of RunCtx, and a run in flight keeps the slot it
+// took under the old bound.
+func (se *Session) UseWorkers(n int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	se.mu.Lock()
+	se.slots = make(chan struct{}, n)
+	se.mu.Unlock()
+}
+
+// Workers reports the session's bound on concurrent runs (UseWorkers).
+func (se *Session) Workers() int {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return cap(se.slots)
+}
+
+// SlotStats is a snapshot of the session's worker slots.
+type SlotStats struct {
+	Busy   int    // slots held: owners reading the store or simulating
+	Queued int    // owners waiting for a slot
+	Joined uint64 // lookups that joined a run still in flight, holding no slot
+}
+
+// SlotStats reports how the session's worker slots are used.
+func (se *Session) SlotStats() SlotStats {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return SlotStats{Busy: len(se.slots), Queued: int(se.waiting.Load()), Joined: se.joined}
 }
 
 // DefaultSession sizes runs for interactive use (seconds per figure).
@@ -476,13 +519,17 @@ func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunCtx is Run with cancellation. ctx aborts both waiting on another
-// goroutine's in-flight simulation and the simulation loop itself (the loop
-// checks the context every cancelChunk committed µops, so a cancelled caller
-// stops burning CPU promptly). A run abandoned by cancellation is not
-// memoized: its memo entry is removed before waiters wake, so the next
-// request re-simulates, and goroutines that joined the abandoned entry with
-// a live context of their own transparently retry as the new owner.
+// RunCtx is Run with cancellation. ctx aborts waiting on another
+// goroutine's in-flight simulation, waiting for a worker slot, and the
+// simulation loop itself (the loop checks the context every cancelChunk
+// committed µops, so a cancelled caller stops burning CPU promptly). A run
+// abandoned by cancellation is not memoized: its memo entry is removed
+// before waiters wake, so the next request re-simulates, and goroutines that
+// joined the abandoned entry with a live context of their own transparently
+// retry; the first to retry becomes the new owner.
+//
+// Only an owner holds a worker slot (see own); a lookup that joins an
+// existing entry, finished or in flight, waits without one.
 //
 // The spec is canonicalized first (see Spec.Canonical), so equivalent
 // configurations share one memo entry no matter how the caller spelled them.
@@ -501,6 +548,12 @@ func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 			if !counted {
 				se.hits++
 				counted = true
+				select {
+				case <-c.done:
+				default:
+					se.joined++
+					o.countJoin()
+				}
 			}
 			se.mu.Unlock()
 			select {
@@ -521,72 +574,123 @@ func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		if counted {
 			// A retry after an abandoned owner becomes the new owner after
-			// all: uncount the earlier hit; the owner path below recounts
-			// this lookup exactly once (as a store hit or a miss), so
-			// hits+storeHits+misses still equals the number of RunCtx calls.
+			// all: uncount the earlier hit; own recounts this lookup exactly
+			// once (as a store hit or a miss), so hits+storeHits+misses
+			// still equals the number of RunCtx calls.
 			se.hits--
-			counted = false
 		}
 		c = &runCall{done: make(chan struct{})}
 		se.memo[spec] = c
-		st := se.store
+		st, slots := se.store, se.slots
 		se.mu.Unlock()
 
 		// This lookup took ownership: a memo miss, and the start of one
 		// run's trace span-set (admit → tier lookups → phases → publish).
-		rt := o.beginRun(spec, start)
+		return se.own(ctx, spec, c, st, slots, o.beginRun(spec, start))
+	}
+}
 
-		// Read-through: a populated store turns this would-be miss into a
-		// disk load. Waiters parked on c still count as plain memo hits.
-		if st != nil {
-			t0 := time.Now()
-			res, ok := se.storeLoad(st, spec)
-			rt.lookup(obs.StageStore, obs.TierStore, ok, time.Since(t0))
-			o.countStore(ok)
-			if ok {
-				se.mu.Lock()
-				se.storeHits++
-				se.mu.Unlock()
-				c.res = res
-				// The disk record is promoted into the memo; no simulation
-				// phases ran, so the span-set goes straight to publish.
-				rt.span(obs.StagePublish, obs.TierMemo, "", 0, nil)
-				close(c.done)
-				return c.res, nil
-			}
-		}
+// own produces spec's outcome as the owner of memo entry c and publishes it
+// to c's waiters. It takes a worker slot first and holds it through the
+// store read-through, the simulation and the write-behind, so at most
+// Workers() owners do any of them at once across every caller. An owner
+// cancelled while it waits for a slot ends like a cancelled run: it counts
+// its miss and unpublishes c.
+func (se *Session) own(ctx context.Context, spec Spec, c *runCall, st *store.Store, slots chan struct{}, rt *runRec) (*Result, error) {
+	if err := se.acquire(ctx, slots, rt.observer()); err != nil {
 		se.mu.Lock()
 		se.misses++
+		delete(se.memo, spec)
 		se.mu.Unlock()
-
-		c.res, c.err = se.simulate(ctx, spec, rt)
-		if c.err != nil && (IsContextErr(c.err) || IsUnknownWorkload(c.err)) {
-			// Abandoned (caller state) or not-yet-registered (session state):
-			// either way the next request may succeed, so nothing is published.
-			se.mu.Lock()
-			delete(se.memo, spec)
-			se.mu.Unlock()
-		} else if c.err == nil && st != nil {
-			// Write-behind: persist only clean successes — cancellations and
-			// errors are never stored, mirroring the memo invariant.
-			t0 := time.Now()
-			se.storeSave(st, spec, c.res)
-			rt.span(obs.StagePublish, obs.TierStore, "", time.Since(t0), nil)
-		} else {
-			rt.span(obs.StagePublish, obs.TierMemo, "", 0, c.err)
-		}
+		c.err = err
 		close(c.done)
-		return c.res, c.err
+		return nil, err
 	}
+	defer se.release(slots, rt.observer())
+
+	// Read-through: a populated store turns this would-be miss into a
+	// disk load. Waiters parked on c still count as plain memo hits.
+	if st != nil {
+		t0 := time.Now()
+		res, ok := se.storeLoad(st, spec)
+		rt.lookup(obs.StageStore, obs.TierStore, ok, time.Since(t0))
+		rt.observer().countStore(ok)
+		if ok {
+			se.mu.Lock()
+			se.storeHits++
+			se.mu.Unlock()
+			c.res = res
+			// The disk record is promoted into the memo; no simulation
+			// phases ran, so the span-set goes straight to publish.
+			rt.span(obs.StagePublish, obs.TierMemo, "", 0, nil)
+			close(c.done)
+			return c.res, nil
+		}
+	}
+	se.mu.Lock()
+	se.misses++
+	se.mu.Unlock()
+
+	c.res, c.err = se.simulate(ctx, spec, rt)
+	if c.err != nil && (IsContextErr(c.err) || IsUnknownWorkload(c.err)) {
+		// Abandoned (caller state) or not-yet-registered (session state):
+		// either way the next request may succeed, so nothing is published.
+		se.mu.Lock()
+		delete(se.memo, spec)
+		se.mu.Unlock()
+	} else if c.err == nil && st != nil {
+		// Write-behind: persist only clean successes — cancellations and
+		// errors are never stored, mirroring the memo invariant.
+		t0 := time.Now()
+		se.storeSave(st, spec, c.res)
+		rt.span(obs.StagePublish, obs.TierStore, "", time.Since(t0), nil)
+	} else {
+		rt.span(obs.StagePublish, obs.TierMemo, "", 0, c.err)
+	}
+	close(c.done)
+	return c.res, c.err
+}
+
+// acquire takes one of slots for an owner. While every slot is held the
+// owner waits, counted as queued; blocked owners get slots in arrival order
+// (a channel wakes blocked senders first in, first out). ctx aborts the
+// wait.
+func (se *Session) acquire(ctx context.Context, slots chan struct{}, o *Observer) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	var t0 time.Time
+	if o != nil {
+		t0 = time.Now()
+	}
+	select {
+	case slots <- struct{}{}:
+	default:
+		se.waiting.Add(1)
+		defer se.waiting.Add(-1)
+		select {
+		case slots <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	o.slotTaken(t0)
+	return nil
+}
+
+// release returns a slot taken by acquire.
+func (se *Session) release(slots chan struct{}, o *Observer) {
+	<-slots
+	o.slotFreed()
 }
 
 // Peek returns spec's memoized outcome without blocking and without
 // starting any work: it hits only when a completed in-process memo entry
 // already exists. An in-flight entry, an absent entry, or one abandoned by
-// cancellation all report !ok — the caller falls back to RunCtx (or a
-// scheduler). A hit counts in MemoStats exactly like a RunCtx memo hit, so
-// "one bucket per lookup" holds no matter which door served it; the warm
-// batch-sync fast path (DESIGN.md §12) is built on this.
+// cancellation all report !ok — the caller falls back to RunCtx. A hit
+// counts in MemoStats exactly like a RunCtx memo hit, so "one bucket per
+// lookup" holds no matter which door served it; the warm batch-sync fast
+// path (DESIGN.md §12) is built on this.
 func (se *Session) Peek(spec Spec) (res *Result, err error, ok bool) {
 	spec = spec.Canonical()
 	se.mu.Lock()
@@ -693,8 +797,7 @@ func (se *Session) runCancellable(ctx context.Context, sim *pipeline.Sim, traceL
 
 // MemoStats is a snapshot of the session's caching effectiveness. Every
 // RunCtx lookup lands in exactly one bucket, so Hits+StoreHits+Misses equals
-// the total number of Run calls (plus any scheduler-level coalesced waiters
-// recorded via CountCoalescedHits).
+// the total number of Run calls.
 type MemoStats struct {
 	Hits      uint64 `json:"hits"`       // served from (or joined to) an in-process memo entry
 	StoreHits uint64 `json:"store_hits"` // served by loading a persisted record instead of simulating
@@ -720,18 +823,6 @@ func (se *Session) MemoStats() MemoStats {
 		m.Snapshots = se.snaps.Stats()
 	}
 	return m
-}
-
-// CountCoalescedHits records n lookups that were served above the session —
-// a scheduler that parks duplicate in-flight specs and fans one result out
-// to all of them performs one RunCtx call for many logical lookups; counting
-// the extra waiters here keeps MemoStats meaning "one bucket per lookup"
-// across layers.
-func (se *Session) CountCoalescedHits(n uint64) {
-	se.mu.Lock()
-	se.hits += n
-	se.mu.Unlock()
-	se.observer().countMemo(true, n)
 }
 
 // Speedup returns the ratio of the spec's IPC to the baseline (no-VP)

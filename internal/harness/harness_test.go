@@ -134,7 +134,7 @@ func TestStaticExperimentsRender(t *testing.T) {
 			t.Fatalf("experiment %q missing", id)
 		}
 		var sb strings.Builder
-		if err := Render(context.Background(), se, e, "text", 0, &sb); err != nil {
+		if err := Render(context.Background(), se, e, "text", &sb); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 		if len(sb.String()) < 50 {
@@ -158,7 +158,7 @@ func TestKernelNamesComplete(t *testing.T) {
 // TestFig4ShapeHolds is the headline integration test: with FPC and
 // squash-at-commit, no kernel may lose more than a few percent, and the
 // predictable kernels must gain (the paper's core claim). The whole batch is
-// fanned out across the worker pool; in -short mode the windows shrink and
+// walked over the session's worker slots; in -short mode the windows shrink and
 // only sanity (not the statistical shape) is asserted.
 func TestFig4ShapeHolds(t *testing.T) {
 	t.Parallel()
@@ -169,7 +169,7 @@ func TestFig4ShapeHolds(t *testing.T) {
 			Spec{Kernel: k, Predictor: "none"},
 			Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
 	}
-	if _, err := se.RunAll(specs, 0); err != nil {
+	if _, err := se.RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
 	worst := 1.0
@@ -218,7 +218,7 @@ func TestRecoveryIrrelevantUnderFPC(t *testing.T) {
 				Spec{Kernel: k, Predictor: "vtage+stride", Counters: FPC, Recovery: rec})
 		}
 	}
-	if _, err := se.RunAll(specs, 0); err != nil {
+	if _, err := se.RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range kernels {
@@ -252,7 +252,7 @@ func TestAblationExperimentsRun(t *testing.T) {
 			t.Fatalf("experiment %q missing", id)
 		}
 		var sb strings.Builder
-		if err := Render(context.Background(), se, e, "text", 0, &sb); err != nil {
+		if err := Render(context.Background(), se, e, "text", &sb); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 		if len(sb.String()) < 80 {
@@ -267,16 +267,16 @@ func TestAblationExperimentsRun(t *testing.T) {
 func TestRenderFormats(t *testing.T) {
 	se := NewSession(testWindows(1_000, 4_000))
 	table1, _ := ExperimentByID("table1")
-	if err := Render(context.Background(), se, table1, "json", 0, io.Discard); err == nil {
+	if err := Render(context.Background(), se, table1, "json", io.Discard); err == nil {
 		t.Error("json rendering of a text-only experiment accepted")
 	}
 	fig1, _ := ExperimentByID("fig1")
-	if err := Render(context.Background(), se, fig1, "bogus", 0, io.Discard); err == nil {
+	if err := Render(context.Background(), se, fig1, "bogus", io.Discard); err == nil {
 		t.Error("unknown format accepted")
 	}
 	for _, format := range []string{"text", "json", "csv"} {
 		var sb strings.Builder
-		if err := Render(context.Background(), se, fig1, format, 0, &sb); err != nil {
+		if err := Render(context.Background(), se, fig1, format, &sb); err != nil {
 			t.Errorf("fig1 %s: %v", format, err)
 		}
 		if sb.Len() == 0 {

@@ -29,7 +29,9 @@ type Observer struct {
 	simulations            *obs.Counter
 	warmupSeconds          *obs.Histogram
 	measureSeconds         *obs.Histogram
-	queueWaitSeconds       *obs.Histogram
+	queueWaitSeconds       *obs.Histogram // owner's wait for a worker slot
+	busyWorkers            *obs.Gauge     // worker slots held
+	joins                  *obs.Counter   // lookups that joined a run in flight
 }
 
 // NewObserver builds an observer registering the session's instruments on
@@ -53,8 +55,12 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer) *Observer {
 			nil, "phase")
 		o.warmupSeconds = phase.With("warmup")
 		o.measureSeconds = phase.With("measure")
-		o.queueWaitSeconds = reg.Histogram("repro_batch_queue_wait_seconds",
-			"Delay from batch submission (RunAll) to a worker picking the spec up.", nil)
+		o.queueWaitSeconds = reg.Histogram("repro_sched_queue_wait_seconds",
+			"Delay from a lookup winning ownership of a memo entry to it taking a worker slot.", nil)
+		o.joins = reg.Counter("repro_sched_coalesced_total",
+			"Lookups that joined an identical run in flight instead of taking a worker slot.")
+		o.busyWorkers = reg.Gauge("repro_sched_busy_workers",
+			"Worker slots held: runs reading the store or simulating.")
 	}
 	return o
 }
@@ -114,9 +120,26 @@ func (o *Observer) countSimulation() {
 	}
 }
 
-func (o *Observer) observeQueueWait(d time.Duration) {
-	if o != nil && o.queueWaitSeconds != nil {
-		o.queueWaitSeconds.Observe(d.Seconds())
+// slotTaken records an owner taking a worker slot it started waiting for
+// at t0.
+func (o *Observer) slotTaken(t0 time.Time) {
+	if o == nil || o.queueWaitSeconds == nil {
+		return
+	}
+	o.queueWaitSeconds.Observe(time.Since(t0).Seconds())
+	o.busyWorkers.Inc()
+}
+
+// slotFreed records an owner giving its worker slot back.
+func (o *Observer) slotFreed() {
+	if o != nil && o.busyWorkers != nil {
+		o.busyWorkers.Dec()
+	}
+}
+
+func (o *Observer) countJoin() {
+	if o != nil && o.joins != nil {
+		o.joins.Inc()
 	}
 }
 
@@ -144,6 +167,14 @@ type runRec struct {
 	o    *Observer
 	id   uint64
 	spec string
+}
+
+// observer returns the run's observer (nil when unobserved).
+func (rt *runRec) observer() *Observer {
+	if rt == nil {
+		return nil
+	}
+	return rt.o
 }
 
 // countSimulation bumps the executed-simulations counter for this run.

@@ -86,7 +86,7 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 	// Cold: every unique spec simulates and publishes to the store.
 	cold := storeSession(t, dir, StoreVersion, warmup, measure)
 	coldReg, coldBuf := observe(cold)
-	if _, err := cold.RunAll(specs, 4); err != nil {
+	if _, err := cold.RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(coldReg, "repro_simulations_total"); got != uint64(unique) {
@@ -119,7 +119,7 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 	// Warm: a fresh session (fresh memo) over the same store directory.
 	warm := storeSession(t, dir, StoreVersion, warmup, measure)
 	warmReg, warmBuf := observe(warm)
-	if _, err := warm.RunAll(specs, 4); err != nil {
+	if _, err := warm.RunAll(specs); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(warmReg, "repro_simulations_total"); got != 0 {
@@ -154,7 +154,7 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 
 	render := func(se *Session) (string, string) {
 		t.Helper()
-		recs, err := se.Records(specs, 2)
+		recs, err := se.Records(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,33 +187,34 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestObserverQueueWaitAndCoalesced covers the batch-level instruments: one
-// queue-wait observation per submitted spec, and CountCoalescedHits
-// mirroring into the memo-hit counter.
+// TestObserverQueueWaitAndCoalesced covers the slot instruments: one
+// queue-wait observation per owner (a duplicate joins or hits the memo and
+// takes no slot), the coalesced counter mirroring SlotStats.Joined, and the
+// busy gauge back at 0 once the batch returns.
 func TestObserverQueueWaitAndCoalesced(t *testing.T) {
 	t.Parallel()
 	warmup, measure := testWindows(500, 2_000)
 	se := NewSession(warmup, measure)
+	se.UseWorkers(2)
 	reg := obs.NewRegistry()
 	se.Observe(NewObserver(reg, nil))
 
 	specs := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "gzip", Predictor: "lvp"},
-		{Kernel: "gzip", Predictor: "none"}, // duplicate: memo hit
+		{Kernel: "gzip", Predictor: "none"}, // duplicate: memo hit, no slot
 	}
-	if _, err := se.RunAllCtx(context.Background(), specs, 2); err != nil {
+	if _, err := se.RunAllCtx(context.Background(), specs); err != nil {
 		t.Fatal(err)
 	}
-	qw := reg.Histogram("repro_batch_queue_wait_seconds", "", nil)
-	if got := qw.Count(); got != uint64(len(specs)) {
-		t.Errorf("queue-wait observations = %d, want %d", got, len(specs))
+	qw := reg.Histogram("repro_sched_queue_wait_seconds", "", nil)
+	if got, owners := qw.Count(), se.MemoStats().Misses; got != owners || owners != 2 {
+		t.Errorf("queue-wait observations = %d for %d owners, want one per owner (2)", got, owners)
 	}
-
-	hits := reg.CounterVec("repro_cache_lookups_total", "", "tier", "result").With(obs.TierMemo, "hit")
-	before := hits.Value()
-	se.CountCoalescedHits(5)
-	if got := hits.Value() - before; got != 5 {
-		t.Errorf("coalesced hits delta = %d, want 5", got)
+	if got := reg.Gauge("repro_sched_busy_workers", "").Value(); got != 0 {
+		t.Errorf("repro_sched_busy_workers = %v after the batch returned, want 0", got)
+	}
+	if got, want := reg.Counter("repro_sched_coalesced_total", "").Value(), se.SlotStats().Joined; got != want {
+		t.Errorf("repro_sched_coalesced_total = %d, SlotStats.Joined = %d; want them equal", got, want)
 	}
 }

@@ -25,12 +25,14 @@ func TestRunAllDeterminism(t *testing.T) {
 	}
 	warmup, measure := testWindows(1_000, 4_000)
 	seq := NewSession(warmup, measure)
-	seqRes, err := seq.RunAll(specs, 1)
+	seq.UseWorkers(1)
+	seqRes, err := seq.RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	par := NewSession(warmup, measure)
-	parRes, err := par.RunAll(specs, 8)
+	par.UseWorkers(8)
+	parRes, err := par.RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,11 +49,11 @@ func TestRunAllDeterminism(t *testing.T) {
 	// The rendered artifacts must match byte for byte too: the fig4-style
 	// text table over these kernels and the structured JSON emission (both
 	// sessions are fully warm, so flattening adds no simulations).
-	seqRecs, err := seq.Records(specs, 1)
+	seqRecs, err := seq.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRecs, err := par.Records(specs, 8)
+	parRecs, err := par.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +147,14 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 // must be the first failure in spec order, not whichever finished first.
 func TestRunAllErrorDeterministic(t *testing.T) {
 	se := NewSession(testWindows(1_000, 4_000))
+	se.UseWorkers(4)
 	specs := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "zzz-missing", Predictor: "none"},
 		{Kernel: "art", Predictor: "none"},
 		{Kernel: "aaa-missing", Predictor: "none"},
 	}
-	_, err := se.RunAll(specs, 4)
+	_, err := se.RunAll(specs)
 	if err == nil {
 		t.Fatal("bad kernels accepted")
 	}
@@ -180,16 +183,18 @@ func TestRunAllParallelSpeedup(t *testing.T) {
 	specs := Fig4Specs()
 
 	seq := NewSession(2_000, 8_000)
+	seq.UseWorkers(1)
 	t0 := time.Now()
-	seqRes, err := seq.RunAll(specs, 1)
+	seqRes, err := seq.RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seqD := time.Since(t0)
 
 	par := NewSession(2_000, 8_000)
+	par.UseWorkers(procs)
 	t1 := time.Now()
-	parRes, err := par.RunAll(specs, procs)
+	parRes, err := par.RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +224,8 @@ func BenchmarkRunAllFig4(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				se := NewSession(2_000, 8_000)
-				if _, err := se.RunAll(Fig4Specs(), workers); err != nil {
+				se.UseWorkers(workers)
+				if _, err := se.RunAll(Fig4Specs()); err != nil {
 					b.Fatal(err)
 				}
 			}

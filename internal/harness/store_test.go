@@ -51,7 +51,7 @@ func TestStoreDifferentialByteIdentical(t *testing.T) {
 
 	render := func(se *Session) (string, string) {
 		t.Helper()
-		recs, err := se.Records(specs, 2)
+		recs, err := se.Records(specs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestStoreCorruptionResimulatesAndHeals(t *testing.T) {
 			dir := t.TempDir()
 			render := func(se *Session) string {
 				t.Helper()
-				recs, err := se.Records([]Spec{spec}, 1)
+				recs, err := se.Records([]Spec{spec})
 				if err != nil {
 					t.Fatalf("run over the store failed: %v", err)
 				}
@@ -489,13 +489,13 @@ func TestStoreFig4SecondProcessZeroMisses(t *testing.T) {
 	specs := Fig4Specs()
 
 	first := storeSession(t, dir, StoreVersion, warmup, measure)
-	want, err := first.Records(specs, 4)
+	want, err := first.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	second := storeSession(t, dir, StoreVersion, warmup, measure)
-	got, err := second.Records(specs, 4)
+	got, err := second.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 	specs := Fig4Specs()[:40]
 
 	ref := NewSession(warmup, measure)
-	want, err := ref.Records(specs, 4)
+	want, err := ref.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 	results := make(chan result, 2)
 	for _, se := range []*Session{a, b} {
 		go func(se *Session) {
-			recs, err := se.Records(specs, 4)
+			recs, err := se.Records(specs)
 			results <- result{recs, err}
 		}(se)
 	}
@@ -588,7 +588,7 @@ func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 	// A fresh third session over the raced directory is fully warm: nothing
 	// was corrupted, everything was persisted.
 	third := storeSession(t, dir, StoreVersion, warmup, measure)
-	got, err := third.Records(specs, 4)
+	got, err := third.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,10 @@ import (
 	"repro/internal/obs"
 )
 
-// serverMetrics holds the service layer's instruments, all registered on one
-// obs.Registry (shared with the harness observer and, via RunnerOptions,
-// with the embedding process). A nil *serverMetrics is a no-op everywhere,
+// serverMetrics holds the service layer's HTTP instruments, all registered
+// on one obs.Registry (shared with the harness observer, which carries the
+// session's cache and worker-slot families, and, via RunnerOptions, with the
+// embedding process). A nil *serverMetrics is a no-op everywhere,
 // so the hot paths carry no conditionals — but New always builds one, since
 // the registry also backs GET /metrics.
 //
@@ -23,10 +24,6 @@ type serverMetrics struct {
 	requests *obs.CounterVec   // repro_http_requests_total{endpoint,code}
 	latency  *obs.HistogramVec // repro_http_request_seconds{endpoint}
 	inflight *obs.Gauge        // repro_http_inflight_requests
-
-	schedQueueWait *obs.Histogram // repro_sched_queue_wait_seconds
-	schedCoalesced *obs.Counter   // repro_sched_coalesced_total
-	schedBusy      *obs.Gauge     // repro_sched_busy_workers
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
@@ -40,12 +37,6 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			nil, "endpoint"),
 		inflight: reg.Gauge("repro_http_inflight_requests",
 			"API requests currently being handled."),
-		schedQueueWait: reg.Histogram("repro_sched_queue_wait_seconds",
-			"Delay from scheduler submission to a worker picking the task up.", nil),
-		schedCoalesced: reg.Counter("repro_sched_coalesced_total",
-			"Tasks parked onto an identical in-flight spec instead of a worker."),
-		schedBusy: reg.Gauge("repro_sched_busy_workers",
-			"Workers currently simulating."),
 	}
 }
 

@@ -58,7 +58,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if _, err := c.Simulate(t.Context(), RequestFor(spec)); err != nil {
 		t.Fatal(err)
 	}
-	// A warm repeat is answered inline: it never reaches the scheduler.
+	// A warm repeat is answered inline: it never takes a worker slot.
 	queued := func() string {
 		return metricValue(t, scrape(t, ts.URL+"/metrics"), "repro_sched_queue_wait_seconds_count")
 	}
@@ -67,7 +67,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm := queued(); warm != cold {
-		t.Errorf("warm simulate went through the scheduler: queue waits %s -> %s", cold, warm)
+		t.Errorf("warm simulate waited for a worker slot: queue waits %s -> %s", cold, warm)
 	}
 	if _, err := c.SimulateBatchSync(t.Context(), specRequests([]harness.Spec{
 		{Kernel: "art", Predictor: "stride", Counters: harness.BaselineCounters},

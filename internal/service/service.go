@@ -23,7 +23,7 @@ import (
 type Options struct {
 	Warmup  uint64 // µops before measurement per simulation (default 50_000)
 	Measure uint64 // measured µops per simulation (default 250_000)
-	Workers int    // simulation workers shared by all requests (<=0: GOMAXPROCS)
+	Workers int    // the session's worker slots, shared by all requests (<=0: GOMAXPROCS)
 
 	MaxBatch       int           // max specs per batch-sync frame (default 4096)
 	RequestTimeout time.Duration // per-request budget (default 2m)
@@ -79,14 +79,13 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// Server is the simulation service: one process-lifetime Session, one
-// bounded worker pool, and the synchronous /v1 HTTP API on top. Construct
-// with New, serve it as an http.Handler, stop with Drain (finish everything
-// first) or Close (cancel everything).
+// Server is the simulation service: one process-lifetime Session, whose
+// Workers slots bound every request's simulations, and the synchronous /v1
+// HTTP API on top. Construct with New, serve it as an http.Handler, stop
+// with Drain (finish everything first) or Close (cancel everything).
 type Server struct {
 	opts    Options
 	session *harness.Session
-	sched   *scheduler
 	mux     *http.ServeMux
 	metrics *serverMetrics
 	baseCtx context.Context
@@ -98,9 +97,11 @@ type Server struct {
 	draining bool
 }
 
-// New builds a Server and starts its worker pool. A non-empty o.StoreDir
-// opens (creating if needed) the persistent record store and attaches it
-// under the session memo; an unusable directory is a construction error.
+// New builds a Server over a fresh session bounded to o.Workers slots. It
+// starts no goroutine: each request walks its own specs (Session.Each). A
+// non-empty o.StoreDir opens (creating if needed) the persistent record
+// store and attaches it under the session memo; an unusable directory is a
+// construction error.
 func New(o Options) (*Server, error) {
 	o = o.WithDefaults()
 	s := &Server{
@@ -108,6 +109,7 @@ func New(o Options) (*Server, error) {
 		session: harness.NewSession(o.Warmup, o.Measure),
 		start:   time.Now(),
 	}
+	s.session.UseWorkers(o.Workers)
 	if o.StoreDir != "" {
 		st, err := store.Open(o.StoreDir, harness.StoreVersion)
 		if err != nil {
@@ -129,7 +131,6 @@ func New(o Options) (*Server, error) {
 	}
 	s.session.Observe(harness.NewObserver(reg, tracer))
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
-	s.sched = newScheduler(s.session, o.Workers, s.metrics)
 	s.mux = http.NewServeMux()
 	s.handle("POST /v1/simulate", "simulate", s.handleSimulate)
 	s.handle("POST /v1/simulate/batch-sync", "batch_sync", s.handleBatchSync)
@@ -172,15 +173,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close cancels every in-flight request, waits for them to settle, and
-// stops the worker pool. Safe to call after Drain.
+// Close cancels every in-flight request and waits for them to answer. A
+// request returns only after its simulations have, so nothing outlives
+// Close. Safe to call after Drain.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
 	s.cancel()
 	s.syncWG.Wait()
-	s.sched.close()
 	return nil
 }
 
@@ -415,8 +416,7 @@ func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.
 
 // plan is the task list for a set of requested specs: the specs themselves
 // plus each non-baseline spec's baseline, deduplicated in first-appearance
-// order (duplicates would only occupy queue slots; the memo and the
-// scheduler coalescing make them free, but there is no reason to carry
+// order (the memo makes duplicates free, but there is no reason to walk
 // them).
 type plan struct {
 	tasks   []harness.Spec // deduplicated specs + baselines
@@ -449,12 +449,14 @@ func newPlan(specs []harness.Spec) plan {
 // budget and returns their records in request order. The specs plus their
 // deduplicated baselines are planned (newPlan); tasks already memoized
 // are answered inline (Session.Peek counts the hit exactly as RunCtx
-// would), so a fully warm request costs map lookups and never touches the
-// worker pool, and only cold tasks fan through the scheduler. On failure it
-// returns the index of the first failing spec in request order with that
-// spec's error, or -1 when the request failed as a whole (draining, a
-// refused submission, the budget expiring while waiting); the caller writes
-// the envelope (writeSyncError).
+// would), so a fully warm request costs map lookups and starts no walker,
+// and only cold tasks are walked (Session.Each) through RunCtx, whose
+// worker slots bound them together with every other request's. runSync
+// returns only once its walkers have, so no simulation outlives its
+// request. On failure it returns the index of the first failing spec in
+// request order with that spec's error, or -1 when the request failed as a
+// whole (draining, or the budget expiring); the caller writes the envelope
+// (writeSyncError).
 func (s *Server) runSync(ctx context.Context, specs []harness.Spec) ([]harness.Record, int, error) {
 	// The draining check and the syncWG.Add share one critical section:
 	// Drain/Close set draining under s.mu before waiting on syncWG, so
@@ -487,22 +489,16 @@ func (s *Server) runSync(ctx context.Context, specs []harness.Spec) ([]harness.R
 		}
 	}
 	if len(cold) > 0 {
-		sink := &syncSink{ctx: ctx, ch: make(chan syncDelivery, len(cold))}
-		for _, i := range cold {
-			if err := s.sched.submit(task{sink: sink, idx: i, spec: p.tasks[i]}); err != nil {
-				return nil, -1, err
+		s.session.Each(len(cold), func(j int) {
+			i := cold[j]
+			if errs[i] = ctx.Err(); errs[i] == nil {
+				results[i], errs[i] = s.session.RunCtx(ctx, p.tasks[i])
 			}
-		}
-		for range cold {
-			select {
-			case d := <-sink.ch:
-				results[d.idx], errs[d.idx] = d.res, d.err
-			case <-ctx.Done():
-				// The budget applies even while parked behind other work
-				// (queued, or coalesced onto an in-flight run); the
-				// cancelled context makes any late delivery a cheap drop.
-				return nil, -1, ctx.Err()
-			}
+		})
+		// The budget covers waiting for a slot or on another request's run
+		// as much as simulating: an expired budget fails the whole request.
+		if err := ctx.Err(); err != nil {
+			return nil, -1, err
 		}
 	}
 	recs := make([]harness.Record, len(specs))
@@ -529,7 +525,7 @@ func (s *Server) runSync(ctx context.Context, specs []harness.Spec) ([]harness.R
 func writeSyncError(w http.ResponseWriter, prefix string, err error) {
 	status, code := http.StatusInternalServerError, CodeInternal
 	switch {
-	case errors.Is(err, errDraining), errors.Is(err, errSchedulerClosed):
+	case errors.Is(err, errDraining):
 		status, code = http.StatusServiceUnavailable, CodeDraining
 	case harness.IsContextErr(err):
 		status, code = http.StatusGatewayTimeout, CodeTimeout
@@ -537,23 +533,6 @@ func writeSyncError(w http.ResponseWriter, prefix string, err error) {
 		status, code = http.StatusNotFound, CodeUnknownProgram
 	}
 	apiErrorCode(w, status, code, "%s%v", prefix, err)
-}
-
-// syncSink collects runSync's cold-task deliveries.
-type syncSink struct {
-	ctx context.Context
-	ch  chan syncDelivery
-}
-
-type syncDelivery struct {
-	idx int
-	res *harness.Result
-	err error
-}
-
-func (s *syncSink) taskCtx() context.Context { return s.ctx }
-func (s *syncSink) deliver(idx int, res *harness.Result, err error) {
-	s.ch <- syncDelivery{idx, res, err}
 }
 
 // handleHealthz answers 200 while serving and 503 once drain begins — the
@@ -581,6 +560,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // Stats snapshots the observable server state (the /v1/statsz body).
 func (s *Server) Stats() ServerStats {
 	memo := s.session.MemoStats()
+	slots := s.session.SlotStats()
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
@@ -588,9 +568,9 @@ func (s *Server) Stats() ServerStats {
 		Workers:       s.opts.Workers,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 		NumCPU:        runtime.NumCPU(),
-		BusyWorkers:   int(s.sched.busy.Load()),
-		QueuedTasks:   int(s.sched.queued.Load()),
-		Coalesced:     s.sched.coalesced.Load(),
+		BusyWorkers:   slots.Busy,
+		QueuedTasks:   slots.Queued,
+		Coalesced:     slots.Joined,
 		MemoHits:      memo.Hits,
 		MemoMisses:    memo.Misses,
 		MemoStoreHits: memo.StoreHits,

@@ -71,7 +71,7 @@ func TestServerEndToEndConcurrentClients(t *testing.T) {
 
 	// The sequential reference on an independent session.
 	ref := harness.NewSession(testWarmup, testMeasure)
-	want, err := ref.Records(specs, 1)
+	want, err := ref.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestServerCancelFreesWorkers(t *testing.T) {
 }
 
 // TestAblationExperimentCancelMidSimulation: an ablation's sweep points are
-// declared extended specs fanned through the shared worker pool, so a frame
+// declared extended specs walked over the session's worker slots, so a frame
 // of abl-hist's declared specs — the sweep CI also cancels — must be
 // cancellable mid-simulation, freeing its workers.
 func TestAblationExperimentCancelMidSimulation(t *testing.T) {
@@ -436,7 +436,7 @@ func TestBatchSync(t *testing.T) {
 		{Kernel: "art", Predictor: "none"},
 	}
 	ref := harness.NewSession(testWarmup, testMeasure)
-	want, err := ref.Records(specs, 1)
+	want, err := ref.Records(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,10 +173,12 @@ type StoreStats struct {
 	WriteErrors uint64 `json:"write_errors"`
 }
 
-// ServerStats is the body of GET /v1/statsz: scheduler load and the shared
-// session's memo/store/snapshot effectiveness.
-// Workers is the scheduler pool size; GOMAXPROCS and NumCPU put it in
-// context — min of the three is the parallelism the pool can really get.
+// ServerStats is the body of GET /v1/statsz: the session's worker-slot load
+// and its memo/store/snapshot effectiveness.
+// Workers is the session's slot count; GOMAXPROCS and NumCPU put it in
+// context — min of the three is the parallelism the slots can really get.
+// BusyWorkers counts slots held, QueuedTasks owners waiting for one, and
+// Coalesced the lookups that joined an identical run in flight instead.
 // MemoMisses counts simulations actually started; a result loaded from the
 // persistent store is a MemoStoreHit, not a miss, so "memo_misses == 0"
 // across a run is the warm-start success criterion.

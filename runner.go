@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/harness"
@@ -53,9 +52,9 @@ type Runner interface {
 	// Experiment regenerates one experiment by id into w. Every backend
 	// runs the experiment's declared spec set through its own Batch path
 	// and renders the records on the client, so the bytes are identical
-	// across backends. Format (text, json, csv) and worker count come from
-	// o; o.Warmup/o.Measure are per-call window overrides (zero: the
-	// runner's windows).
+	// across backends. The format (text, json, csv) comes from o;
+	// o.Warmup/o.Measure are per-call window overrides (zero: the runner's
+	// windows).
 	Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error
 
 	// Experiments returns the experiment index (the same on every backend).
@@ -112,16 +111,16 @@ type Metrics = obs.Registry
 // NewMetrics builds an empty metrics registry.
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
-// RunnerOptions sizes a LocalRunner: per-simulation windows and the worker
-// pool. The zero value is the paper's interactive default (50k warmup /
-// 250k measured µops, GOMAXPROCS workers, no persistent store, no
-// observability). OpenRemoteRunner and OpenShardedRunner honour Metrics and
+// RunnerOptions sizes a LocalRunner: per-simulation windows and the
+// runner's worker slots, which bound every call on the runner together. The
+// zero value is the paper's interactive default (50k warmup / 250k measured
+// µops, GOMAXPROCS workers, no persistent store, no observability). OpenRemoteRunner and OpenShardedRunner honour Metrics and
 // TraceWriter too — the other fields describe the local session a remote
 // daemon owns itself.
 type RunnerOptions struct {
 	Warmup  uint64 // µops before measurement per simulation (default 50_000)
 	Measure uint64 // measured µops per simulation (default 250_000)
-	Workers int    // parallel simulation workers (<=0: GOMAXPROCS)
+	Workers int    // simulation slots shared by every call on the runner (<=0: GOMAXPROCS)
 
 	// Shards is the vpserved base URLs a sharded runner routes across
 	// (OpenShardedRunner). Ignored by the local and remote constructors
@@ -149,8 +148,7 @@ type RunnerOptions struct {
 }
 
 // withDefaults resolves unset windows to the facade defaults. Workers stays
-// as-is: <=0 means GOMAXPROCS at the point of use, so a runner tracks
-// runtime changes.
+// as-is: Session.UseWorkers resolves <=0 to GOMAXPROCS.
 func (o RunnerOptions) withDefaults() RunnerOptions {
 	if o.Warmup == 0 {
 		o.Warmup = 50_000
@@ -159,13 +157,6 @@ func (o RunnerOptions) withDefaults() RunnerOptions {
 		o.Measure = 250_000
 	}
 	return o
-}
-
-func (o RunnerOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // runnerObs is the dispatch-level instrumentation both backends share: the

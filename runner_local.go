@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/harness"
@@ -16,8 +15,9 @@ import (
 // harness.Session: kernel traces and simulation results are memoized for
 // the runner's lifetime, so every consumer — repeated Simulate calls,
 // overlapping Batch sets, experiment renders — pays warmup once per
-// distinct spec. Batches fan out across a bounded worker pool. Safe for
-// concurrent use.
+// distinct spec. The session's RunnerOptions.Workers slots bound the whole
+// runner: concurrent Simulate, Batch and Experiment calls share them, as a
+// daemon's requests do. Safe for concurrent use.
 type LocalRunner struct {
 	opts    RunnerOptions
 	session *harness.Session
@@ -32,6 +32,7 @@ type LocalRunner struct {
 func OpenLocalRunner(o RunnerOptions) (*LocalRunner, error) {
 	o = o.withDefaults()
 	se := harness.NewSession(o.Warmup, o.Measure)
+	se.UseWorkers(o.Workers)
 	if o.StoreDir != "" {
 		st, err := store.Open(o.StoreDir, harness.StoreVersion)
 		if err != nil {
@@ -70,9 +71,9 @@ func (r *LocalRunner) Session() *harness.Session { return r.session }
 // local analogue of the service's /v1/statsz counters.
 func (r *LocalRunner) MemoStats() MemoStats { return r.session.MemoStats() }
 
-// Simulate runs one spec and the baseline its speedup needs (scheduled
+// Simulate runs one spec and the baseline its speedup needs (walked
 // together, so they run in parallel when the runner has more than one
-// worker) and returns the flattened record.
+// worker slot) and returns the flattened record.
 func (r *LocalRunner) Simulate(ctx context.Context, spec Spec) (Record, error) {
 	spec = spec.Canonical()
 	if err := spec.Validate(); err != nil {
@@ -83,7 +84,7 @@ func (r *LocalRunner) Simulate(ctx context.Context, spec Spec) (Record, error) {
 	if spec.Predictor != "none" {
 		batch = append(batch, spec.Baseline())
 	}
-	if _, err := r.session.RunAllCtx(ctx, batch, r.opts.Workers); err != nil {
+	if _, err := r.session.RunAllCtx(ctx, batch); err != nil {
 		r.obs.observe(spec, start, err)
 		return Record{}, err
 	}
@@ -92,11 +93,12 @@ func (r *LocalRunner) Simulate(ctx context.Context, spec Spec) (Record, error) {
 	return rec, err
 }
 
-// Batch implements the streaming contract over the worker pool: specs are
-// simulated concurrently (each worker produces one spec's record, baseline
-// included), and a delivery loop invokes fn in spec order as soon as each
-// record's turn is reachable. Duplicate specs and shared baselines are free
-// via the session memo and its singleflight.
+// Batch implements the streaming contract over the session's walker: specs
+// are produced concurrently (Session.Each; each call produces one spec's
+// record, baseline included, within the runner's worker slots), and a
+// delivery loop invokes fn in spec order as soon as each record's turn is
+// reachable. Duplicate specs and shared baselines are free via the session
+// memo and its singleflight.
 func (r *LocalRunner) Batch(ctx context.Context, specs []Spec, fn func(Record) error) error {
 	if len(specs) == 0 {
 		return nil
@@ -109,52 +111,36 @@ func (r *LocalRunner) Batch(ctx context.Context, specs []Spec, fn func(Record) e
 		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := r.opts.workers()
-	if workers > len(canon) {
-		workers = len(canon)
-	}
 	type outcome struct {
 		rec Record
 		err error
 	}
-	// One buffered slot per spec: workers never block on delivery, and the
-	// in-order delivery loop below never blocks a worker.
-	slots := make([]chan outcome, len(canon))
-	for i := range slots {
-		slots[i] = make(chan outcome, 1)
+	// One buffered channel per spec: walkers never block on delivery, and
+	// the in-order delivery loop below never blocks a walker.
+	outs := make([]chan outcome, len(canon))
+	for i := range outs {
+		outs[i] = make(chan outcome, 1)
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rec, err := r.session.RecordCtx(ctx, canon[i])
-				slots[i] <- outcome{rec, err}
-			}
-		}()
-	}
+	walked := make(chan struct{})
 	go func() {
-		defer close(idx)
-		for i := range canon {
-			select {
-			case idx <- i:
-			case <-ctx.Done():
-				return
+		defer close(walked)
+		r.session.Each(len(canon), func(i int) {
+			var out outcome
+			if out.err = ctx.Err(); out.err == nil {
+				out.rec, out.err = r.session.RecordCtx(ctx, canon[i])
 			}
-		}
+			outs[i] <- out
+		})
 	}()
-	// Make sure no worker goroutine outlives the call, whichever way the
-	// delivery loop exits.
-	defer wg.Wait()
-	defer cancel()
+	// No walker outlives the call, whichever way the delivery loop exits.
+	defer func() {
+		cancel()
+		<-walked
+	}()
 
 	for i := range canon {
 		select {
-		case out := <-slots[i]:
+		case out := <-outs[i]:
 			if out.err != nil {
 				return fmt.Errorf("spec %d: %w", i, out.err)
 			}
@@ -187,12 +173,9 @@ func (r *LocalRunner) Experiment(ctx context.Context, id string, o ExperimentOpt
 	}
 	if warmup != r.opts.Warmup || measure != r.opts.Measure {
 		se = harness.NewSession(warmup, measure)
+		se.UseWorkers(r.opts.Workers)
 	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = r.opts.Workers
-	}
-	return harness.Render(ctx, se, e, o.Format, workers, w)
+	return harness.Render(ctx, se, e, o.Format, w)
 }
 
 // RegisterProgram adds p to the runner's session registry and returns its

@@ -63,6 +63,23 @@ func TestRunnerDispatchObservability(t *testing.T) {
 	if got := reg.Counter("repro_simulations_total", "").Value(); got != 2 {
 		t.Errorf("repro_simulations_total = %d, want 2 (spec + baseline, memo after)", got)
 	}
+	// So do its worker-slot families, the ones a daemon's /metrics carries.
+	var page strings.Builder
+	if err := reg.WritePrometheus(&page); err != nil {
+		t.Fatal(err)
+	}
+	for _, family := range []string{
+		"repro_sched_queue_wait_seconds histogram",
+		"repro_sched_busy_workers gauge",
+		"repro_sched_coalesced_total counter",
+	} {
+		if !strings.Contains(page.String(), "# TYPE "+family+"\n") {
+			t.Errorf("the local runner's registry does not declare %s", family)
+		}
+	}
+	if got := reg.Histogram("repro_sched_queue_wait_seconds", "", nil).Count(); got != 2 {
+		t.Errorf("repro_sched_queue_wait_seconds count = %d, want 2 (one per owner: spec + baseline)", got)
+	}
 
 	for name, buf := range map[string]*bytes.Buffer{"local": &localTrace, "remote": &remoteTrace} {
 		dispatches := 0

@@ -92,9 +92,8 @@ func (r *ShardedRunner) Batch(ctx context.Context, specs []Spec, fn func(Record)
 
 // Experiment regenerates one experiment by id (Runner interface): its
 // declared spec set scatters across the shards and the records render on
-// the client. o.Workers is ignored — concurrency belongs to each shard's
-// pool; nonzero windows must match the shards' windows: sizing is
-// per-daemon.
+// the client. Concurrency belongs to each shard's worker slots; nonzero
+// windows must match the shards' windows: sizing is per-daemon.
 func (r *ShardedRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	e, err := lookupExperiment(id)
 	if err != nil {

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 // runnerWindows are small enough for -short while still exercising real
@@ -247,6 +250,58 @@ func TestRunnerExperimentWindowOverride(t *testing.T) {
 	}
 	if misses := other.MemoStats().Misses; misses != 0 {
 		t.Errorf("window-overridden render leaked %d simulations into the runner's session", misses)
+	}
+}
+
+// TestLocalRunnerWorkersBoundEveryCall: RunnerOptions.Workers bounds the
+// runner, not each call. Concurrent Batch, Simulate and Experiment calls on
+// a one-worker runner share its one slot: a sampler never sees two held.
+func TestLocalRunnerWorkersBoundEveryCall(t *testing.T) {
+	r := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 1})
+	ctx := context.Background()
+	var batch []Spec
+	for _, k := range []string{"gzip", "art", "mcf", "milc"} {
+		batch = append(batch, Spec{Kernel: k, Predictor: "lvp"}, Spec{Kernel: k, Predictor: "stride", Counters: FPC})
+	}
+	calls := []func() error{
+		func() error { return r.Batch(ctx, batch, func(Record) error { return nil }) },
+		func() error {
+			_, err := r.Simulate(ctx, Spec{Kernel: "parser", Predictor: "vtage", Counters: FPC})
+			return err
+		},
+		func() error { return r.Experiment(ctx, "fig1", ExperimentOptions{}, io.Discard) },
+	}
+	errs := make([]error, len(calls))
+	var wg sync.WaitGroup
+	for i, call := range calls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call()
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	maxBusy := 0
+	for sampling := true; sampling; {
+		select {
+		case <-done:
+			sampling = false
+		default:
+			time.Sleep(100 * time.Microsecond)
+		}
+		maxBusy = max(maxBusy, r.Session().SlotStats().Busy)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("call %d: %v", i, err)
+		}
+	}
+	if maxBusy != 1 {
+		t.Errorf("concurrent calls on a Workers: 1 runner held up to %d slots at once, want 1", maxBusy)
 	}
 }
 
