@@ -24,7 +24,7 @@ type FCM struct {
 	vpt   []fcmVPTEntry
 	conf  *Confidence
 	mask  uint64
-	spec  map[uint64]*fcmWindow
+	spec  specTable // in-flight occurrences, each value folded by fold16
 
 	// histBuf is the reusable speculative-history scratch for effHist; the
 	// predictor is single-threaded by contract, so one buffer suffices and
@@ -44,17 +44,6 @@ type fcmVPTEntry struct {
 	hyst uint8 // 2-bit replacement hysteresis
 }
 
-// fcmWindow is the in-flight folded-value window for one static µop,
-// oldest first.
-type fcmWindow struct {
-	vals []fcmSpecVal
-}
-
-type fcmSpecVal struct {
-	seq  uint64
-	fold uint16
-}
-
 // fcmTagBits is the full-tag width charged for the VHT in Table 1.
 const fcmTagBits = 51
 
@@ -68,7 +57,6 @@ func NewFCM(order, logEntries int, vec FPCVector, seed uint32) *FCM {
 		vpt:     make([]fcmVPTEntry, n),
 		conf:    NewConfidence(vec, seed),
 		mask:    uint64(n - 1),
-		spec:    make(map[uint64]*fcmWindow),
 		histBuf: make([]uint16, 0, order),
 	}
 	// One flat backing array for every VHT history window: entries reset on
@@ -105,11 +93,11 @@ func (p *FCM) vptIndex(pc uint64, hist []uint16) uint64 {
 // reusable scratch buffer: the newest in-flight folded values first, then
 // committed history, order deep. The returned slice aliases histBuf and is
 // only valid until the next call.
-func (p *FCM) effHist(e *fcmVHTEntry, w *fcmWindow) []uint16 {
+func (p *FCM) effHist(e *fcmVHTEntry, w *specWindow) []uint16 {
 	hist := p.histBuf[:0]
 	if w != nil {
 		for i := len(w.vals) - 1; i >= 0 && len(hist) < p.order; i-- {
-			hist = append(hist, w.vals[i].fold)
+			hist = append(hist, uint16(w.vals[i].val))
 		}
 	}
 	for i := 0; i < len(e.hist) && len(hist) < p.order; i++ {
@@ -125,7 +113,7 @@ func (p *FCM) Predict(pc uint64, m *Meta) {
 	if !e.ok || e.tag != tag {
 		return
 	}
-	idx := p.vptIndex(pc, p.effHist(e, p.spec[pc]))
+	idx := p.vptIndex(pc, p.effHist(e, p.spec.at(pc)))
 	pred := p.vpt[idx].val
 	m.Pred = pred
 	m.Conf = Saturated(e.c)
@@ -137,32 +125,13 @@ func (p *FCM) Predict(pc uint64, m *Meta) {
 // FeedSpec implements SpecFeeder: records the speculative value of the
 // occurrence seq of pc, in fetch order.
 func (p *FCM) FeedSpec(pc uint64, v Value, seq uint64) {
-	w := p.spec[pc]
-	if w == nil {
-		w = &fcmWindow{}
-		p.spec[pc] = w
-	}
-	for len(w.vals) > 0 && w.vals[len(w.vals)-1].seq >= seq {
-		w.vals = w.vals[:len(w.vals)-1]
-	}
-	w.vals = append(w.vals, fcmSpecVal{seq, fold16(v)})
+	p.spec.feed(pc, seq, Value(fold16(v)))
 }
 
 // Train implements Predictor.
 func (p *FCM) Train(pc uint64, actual Value, m *Meta) {
-	// Consume the in-flight window through this occurrence, compacting in
-	// place. A drained window stays in the map: empty predicts identically
-	// to absent, and keeping it preserves capacity so the steady state
-	// never reallocates it.
-	if w := p.spec[pc]; w != nil {
-		i := 0
-		for i < len(w.vals) && w.vals[i].seq <= m.Seq {
-			i++
-		}
-		if i > 0 {
-			n := copy(w.vals, w.vals[i:])
-			w.vals = w.vals[:n]
-		}
+	if w := p.spec.at(pc); w != nil {
+		w.popThrough(m.Seq)
 	}
 	e, tag := p.slot(pc)
 	if !e.ok || e.tag != tag {
@@ -200,15 +169,8 @@ func (p *FCM) pushHist(e *fcmVHTEntry, actual Value) {
 }
 
 // Squash implements Predictor: in-flight history elements at or after
-// fromSeq are discarded; older in-flight elements survive. Drained windows
-// are kept (see Train).
-func (p *FCM) Squash(fromSeq uint64) {
-	for _, w := range p.spec {
-		for len(w.vals) > 0 && w.vals[len(w.vals)-1].seq >= fromSeq {
-			w.vals = w.vals[:len(w.vals)-1]
-		}
-	}
-}
+// fromSeq are discarded; older in-flight elements survive.
+func (p *FCM) Squash(fromSeq uint64) { p.spec.squash(fromSeq) }
 
 // Name implements Predictor.
 func (p *FCM) Name() string { return "o4-FCM" }

@@ -16,7 +16,7 @@ type PS struct {
 	lastMask, strideMask uint64
 	hist                 *ghist.History
 	fold                 ghist.Fold
-	spec                 map[uint64]*specWindow
+	spec                 specTable
 }
 
 type psLast struct {
@@ -46,7 +46,6 @@ func NewPS(logLast, logStride int, vec FPCVector, seed uint32, h *ghist.History)
 		strideMask: uint64(1)<<logStride - 1,
 		hist:       h,
 		fold:       h.RegisterFold(psHistBits, psHistBits, false),
-		spec:       make(map[uint64]*specWindow),
 	}
 }
 
@@ -69,7 +68,7 @@ func (p *PS) Predict(pc uint64, m *Meta) {
 		return
 	}
 	last := le.last
-	if w := p.spec[pc]; w != nil {
+	if w := p.spec.at(pc); w != nil {
 		if sv, ok := w.newest(); ok {
 			last = sv.val
 		}
@@ -89,18 +88,12 @@ func (p *PS) Predict(pc uint64, m *Meta) {
 
 // FeedSpec implements SpecFeeder.
 func (p *PS) FeedSpec(pc uint64, v Value, seq uint64) {
-	w := p.spec[pc]
-	if w == nil {
-		w = &specWindow{}
-		p.spec[pc] = w
-	}
-	w.push(seq, v)
+	p.spec.feed(pc, seq, v)
 }
 
-// Train implements Predictor. Drained windows stay in the map so their
-// capacity is reused (empty predicts identically to absent).
+// Train implements Predictor.
 func (p *PS) Train(pc uint64, actual Value, m *Meta) {
-	if w := p.spec[pc]; w != nil {
+	if w := p.spec.at(pc); w != nil {
 		w.popThrough(m.Seq)
 	}
 	le, tag := p.lastSlot(pc)
@@ -121,12 +114,8 @@ func (p *PS) Train(pc uint64, actual Value, m *Meta) {
 	le.last = actual
 }
 
-// Squash implements Predictor. Drained windows are kept (see Train).
-func (p *PS) Squash(fromSeq uint64) {
-	for _, w := range p.spec {
-		w.truncFrom(fromSeq)
-	}
-}
+// Squash implements Predictor.
+func (p *PS) Squash(fromSeq uint64) { p.spec.squash(fromSeq) }
 
 // Name implements Predictor.
 func (p *PS) Name() string { return "PS" }

@@ -22,14 +22,14 @@ type lvpState struct {
 
 type strideState struct {
 	entries []strideEntry
-	spec    map[uint64][]specVal
+	spec    []specSnap
 	rng     uint32
 }
 
 type fcmState struct {
 	vht  []fcmVHTEntry // hist slices alias the snapshot's own flat backing
 	vpt  []fcmVPTEntry
-	spec map[uint64][]fcmSpecVal
+	spec []specSnap
 	rng  uint32
 }
 
@@ -51,7 +51,7 @@ type gdiffState struct {
 type psState struct {
 	lasts   []psLast
 	strides []psStride
-	spec    map[uint64][]specVal
+	spec    []specSnap
 	rng     uint32
 }
 
@@ -68,31 +68,32 @@ func (*psState) predictorState()     {}
 func (*hybridState) predictorState() {}
 func (*oracleState) predictorState() {}
 
-// copySpec deep-copies the in-flight occurrence windows.
-func copySpec(spec map[uint64]*specWindow) map[uint64][]specVal {
-	out := make(map[uint64][]specVal, len(spec))
-	for pc, w := range spec {
-		out[pc] = append([]specVal(nil), w.vals...)
+// specSnap is one non-empty in-flight occurrence window in a snapshot.
+type specSnap struct {
+	pc   uint64
+	vals []specVal
+}
+
+// snapshot deep-copies the non-empty in-flight occurrence windows.
+func (t *specTable) snapshot() []specSnap {
+	var out []specSnap
+	for pc := range t.wins {
+		if vals := t.wins[pc].vals; len(vals) > 0 {
+			out = append(out, specSnap{uint64(pc), append([]specVal(nil), vals...)})
+		}
 	}
 	return out
 }
 
-// restoreSpec reinstates windows captured by copySpec. Existing window
-// objects are reused where present so their backing capacity survives.
-func restoreSpec(spec map[uint64]*specWindow, st map[uint64][]specVal) {
-	for pc, w := range spec {
-		if _, ok := st[pc]; !ok {
-			w.vals = w.vals[:0]
-			delete(spec, pc)
-		}
+// restore reinstates windows captured by snapshot; every other window is
+// emptied. Windows keep their backing capacity.
+func (t *specTable) restore(st []specSnap) {
+	for i := range t.wins {
+		t.wins[i].vals = t.wins[i].vals[:0]
 	}
-	for pc, vals := range st {
-		w := spec[pc]
-		if w == nil {
-			w = &specWindow{}
-			spec[pc] = w
-		}
-		w.vals = append(w.vals[:0], vals...)
+	for _, w := range st {
+		win := t.grow(w.pc)
+		win.vals = append(win.vals, w.vals...)
 	}
 }
 
@@ -112,7 +113,7 @@ func (p *LVP) Restore(st PredictorState) {
 func (p *Stride2D) Snapshot() PredictorState {
 	return &strideState{
 		entries: append([]strideEntry(nil), p.entries...),
-		spec:    copySpec(p.spec),
+		spec:    p.spec.snapshot(),
 		rng:     p.conf.rng.s,
 	}
 }
@@ -121,7 +122,7 @@ func (p *Stride2D) Snapshot() PredictorState {
 func (p *Stride2D) Restore(st PredictorState) {
 	s := st.(*strideState)
 	copy(p.entries, s.entries)
-	restoreSpec(p.spec, s.spec)
+	p.spec.restore(s.spec)
 	p.conf.rng.s = s.rng
 }
 
@@ -130,7 +131,7 @@ func (p *FCM) Snapshot() PredictorState {
 	st := &fcmState{
 		vht:  append([]fcmVHTEntry(nil), p.vht...),
 		vpt:  append([]fcmVPTEntry(nil), p.vpt...),
-		spec: make(map[uint64][]fcmSpecVal, len(p.spec)),
+		spec: p.spec.snapshot(),
 		rng:  p.conf.rng.s,
 	}
 	// The live VHT hist slices all alias one flat backing array owned by the
@@ -140,9 +141,6 @@ func (p *FCM) Snapshot() PredictorState {
 		dst := back[i*p.order : (i+1)*p.order : (i+1)*p.order]
 		copy(dst, p.vht[i].hist)
 		st.vht[i].hist = dst
-	}
-	for pc, w := range p.spec {
-		st.spec[pc] = append([]fcmSpecVal(nil), w.vals...)
 	}
 	return st
 }
@@ -157,20 +155,7 @@ func (p *FCM) Restore(st PredictorState) {
 		copy(e.hist, src.hist) // values only: keep the live flat backing
 	}
 	copy(p.vpt, s.vpt)
-	for pc, w := range p.spec {
-		if _, ok := s.spec[pc]; !ok {
-			w.vals = w.vals[:0]
-			delete(p.spec, pc)
-		}
-	}
-	for pc, vals := range s.spec {
-		w := p.spec[pc]
-		if w == nil {
-			w = &fcmWindow{}
-			p.spec[pc] = w
-		}
-		w.vals = append(w.vals[:0], vals...)
-	}
+	p.spec.restore(s.spec)
 	p.conf.rng.s = s.rng
 }
 
@@ -226,7 +211,7 @@ func (p *PS) Snapshot() PredictorState {
 	return &psState{
 		lasts:   append([]psLast(nil), p.lasts...),
 		strides: append([]psStride(nil), p.strides...),
-		spec:    copySpec(p.spec),
+		spec:    p.spec.snapshot(),
 		rng:     p.conf.rng.s,
 	}
 }
@@ -236,7 +221,7 @@ func (p *PS) Restore(st PredictorState) {
 	s := st.(*psState)
 	copy(p.lasts, s.lasts)
 	copy(p.strides, s.strides)
-	restoreSpec(p.spec, s.spec)
+	p.spec.restore(s.spec)
 	p.conf.rng.s = s.rng
 }
 

@@ -15,7 +15,7 @@ type Stride2D struct {
 	entries []strideEntry
 	conf    *Confidence
 	mask    uint64
-	spec    map[uint64]*specWindow
+	spec    specTable
 }
 
 type strideEntry struct {
@@ -24,6 +24,41 @@ type strideEntry struct {
 	s1, s2 int64
 	c      uint8
 	ok     bool
+}
+
+// specTable holds every static µop's in-flight occurrence window, indexed
+// by PC. The PC is a static µop index, so the table is as long as the
+// program; it grows on demand when a new PC is fed. An empty window
+// predicts exactly like an absent one, so drained windows stay and keep
+// their capacity: the steady state allocates nothing.
+type specTable struct {
+	wins []specWindow
+}
+
+// at returns pc's window, or nil if the table does not reach pc yet.
+func (t *specTable) at(pc uint64) *specWindow {
+	if pc < uint64(len(t.wins)) {
+		return &t.wins[pc]
+	}
+	return nil
+}
+
+// grow returns pc's window, extending the table to hold it.
+func (t *specTable) grow(pc uint64) *specWindow {
+	if pc >= uint64(len(t.wins)) {
+		t.wins = append(t.wins, make([]specWindow, pc+1-uint64(len(t.wins)))...)
+	}
+	return &t.wins[pc]
+}
+
+// feed records the speculative value of occurrence seq of pc.
+func (t *specTable) feed(pc uint64, seq uint64, v Value) { t.grow(pc).push(seq, v) }
+
+// squash drops every occurrence at or after fromSeq.
+func (t *specTable) squash(fromSeq uint64) {
+	for i := range t.wins {
+		t.wins[i].truncFrom(fromSeq)
+	}
 }
 
 // specWindow is the in-flight occurrence window for one static µop, oldest
@@ -85,7 +120,6 @@ func NewStride2D(logEntries int, vec FPCVector, seed uint32) *Stride2D {
 		entries: make([]strideEntry, n),
 		conf:    NewConfidence(vec, seed),
 		mask:    uint64(n - 1),
-		spec:    make(map[uint64]*specWindow),
 	}
 }
 
@@ -104,7 +138,7 @@ func (p *Stride2D) Predict(pc uint64, m *Meta) {
 		return
 	}
 	last := e.last
-	if w := p.spec[pc]; w != nil {
+	if w := p.spec.at(pc); w != nil {
 		if sv, ok := w.newest(); ok {
 			last = sv.val
 		}
@@ -119,19 +153,12 @@ func (p *Stride2D) Predict(pc uint64, m *Meta) {
 // FeedSpec implements SpecFeeder: records the speculative value of the
 // occurrence seq of pc, in fetch order.
 func (p *Stride2D) FeedSpec(pc uint64, v Value, seq uint64) {
-	w := p.spec[pc]
-	if w == nil {
-		w = &specWindow{}
-		p.spec[pc] = w
-	}
-	w.push(seq, v)
+	p.spec.feed(pc, seq, v)
 }
 
-// Train implements Predictor. A drained window stays in the map: an empty
-// window predicts identically to an absent one, and keeping it preserves
-// its backing capacity so the steady state never reallocates it.
+// Train implements Predictor.
 func (p *Stride2D) Train(pc uint64, actual Value, m *Meta) {
-	if w := p.spec[pc]; w != nil {
+	if w := p.spec.at(pc); w != nil {
 		w.popThrough(m.Seq)
 	}
 	e, tag := p.slot(pc)
@@ -155,12 +182,7 @@ func (p *Stride2D) Train(pc uint64, actual Value, m *Meta) {
 
 // Squash implements Predictor: speculative occurrences at or after fromSeq
 // died with the pipeline flush; older in-flight occurrences survive.
-// Drained windows are kept (see Train).
-func (p *Stride2D) Squash(fromSeq uint64) {
-	for _, w := range p.spec {
-		w.truncFrom(fromSeq)
-	}
-}
+func (p *Stride2D) Squash(fromSeq uint64) { p.spec.squash(fromSeq) }
 
 // Name implements Predictor.
 func (p *Stride2D) Name() string { return "2D-Stride" }

@@ -22,10 +22,18 @@ const (
 type Fold int
 
 type foldSpec struct {
-	length int    // history bits folded
-	width  int    // output index width in bits
-	path   bool   // fold the path ring instead of the outcome ring
-	val    uint64 // current folded value
+	length int  // history bits folded
+	width  int  // output index width in bits
+	path   bool // fold the path ring instead of the outcome ring
+
+	// Step constants, fixed at registration: the fold's bit mask, the bit
+	// a rotate-left-by-one carries out (width-1), and how far the entry
+	// leaving the window has been rotated since it entered (length % width).
+	mask uint64
+	top  uint
+	out  uint
+
+	val uint64 // current folded value
 }
 
 // History is the speculative global history. The zero value is an empty
@@ -71,32 +79,29 @@ func (h *History) Push(taken bool, pc uint64) {
 		h.ckptFrom = h.pos - 1
 	}
 	ck := h.ckpt[int(h.pos&capMask)*n : int(h.pos&capMask)*n+n]
+	// Step every fold as a TAGE circular shift register: rotate left by
+	// one, insert the new entry, and remove the entry that fell off the
+	// window. That entry was inserted (masked to width bits) length pushes
+	// ago and has been rotated length%width positions since.
 	for i := range h.folds {
-		h.stepFold(&h.folds[i])
-		ck[i] = h.folds[i].val
+		f := &h.folds[i]
+		in := uint64(b)
+		if f.path {
+			in = uint64(uint16(pc))
+		}
+		v := (f.val<<1 | f.val>>f.top) ^ in
+		if h.pos >= uint64(f.length) {
+			j := (h.pos - 1 - uint64(f.length)) & capMask
+			old := uint64(h.bits[j])
+			if f.path {
+				old = uint64(h.path[j])
+			}
+			old &= f.mask
+			v ^= old<<f.out | old>>(f.top+1-f.out)
+		}
+		f.val = v & f.mask
+		ck[i] = f.val
 	}
-}
-
-// stepFold advances fold f for the outcome/path just pushed (h.pos already
-// incremented). Classic TAGE circular shift register: rotate left by 1,
-// insert the new bit, remove the bit that fell off the history window.
-func (h *History) stepFold(f *foldSpec) {
-	mask := uint64(1)<<f.width - 1
-	f.val = ((f.val << 1) | (f.val >> (f.width - 1))) & mask
-	f.val ^= uint64(h.recent(0, f.path))
-	if h.pos >= uint64(f.length) {
-		// The evicted entry was inserted (masked to width bits) length pushes
-		// ago and has been rotated length%width positions since.
-		old := uint64(h.recent(f.length, f.path)) & mask
-		f.val ^= rotl(old, uint(f.length%f.width), f.width)
-	}
-	f.val &= mask
-}
-
-func rotl(v uint64, n uint, width int) uint64 {
-	n %= uint(width)
-	mask := uint64(1)<<width - 1
-	return ((v << n) | (v >> (uint(width) - n))) & mask
 }
 
 // recent returns the i-th most recent entry (i=0 is the newest) from the
@@ -123,7 +128,22 @@ func (h *History) RegisterFold(length, width int, path bool) Fold {
 	if width < 1 {
 		width = 1
 	}
-	h.folds = append(h.folds, foldSpec{length: length, width: width, path: path})
+	// Predictors over one history often ask for the same view (TAGE and
+	// VTAGE share lengths and widths): they share its handle, so Push
+	// steps it once.
+	for i, f := range h.folds {
+		if f.length == length && f.width == width && f.path == path {
+			return Fold(i)
+		}
+	}
+	h.folds = append(h.folds, foldSpec{
+		length: length,
+		width:  width,
+		path:   path,
+		mask:   uint64(1)<<width - 1,
+		top:    uint(width - 1),
+		out:    uint(length % width),
+	})
 	h.rebuildFold(len(h.folds) - 1)
 	// The checkpoint ring is laid out per registered fold, so existing
 	// checkpoints are invalid; Push resizes it lazily on its next call.
@@ -170,12 +190,10 @@ func (h *History) rebuildFold(i int) {
 	if uint64(n) > h.pos {
 		n = int(h.pos)
 	}
-	mask := uint64(1)<<f.width - 1
 	var v uint64
 	for j := n - 1; j >= 0; j-- { // oldest within window first
-		v = ((v << 1) | (v >> (f.width - 1))) & mask
-		v ^= uint64(h.recent(j, f.path))
-		v &= mask
+		v = (v<<1 | v>>f.top) ^ uint64(h.recent(j, f.path))
+		v &= f.mask
 	}
 	f.val = v
 }

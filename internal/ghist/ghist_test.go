@@ -41,6 +41,13 @@ func referenceFold(h *History, length, width int, path bool) uint64 {
 	return v
 }
 
+// rotl rotates the width-bit value v left by n.
+func rotl(v uint64, n uint, width int) uint64 {
+	n %= uint(width)
+	mask := uint64(1)<<width - 1
+	return ((v << n) | (v >> (uint(width) - n))) & mask
+}
+
 func TestFoldMatchesReferenceIncrementally(t *testing.T) {
 	var h History
 	f1 := h.RegisterFold(8, 5, false)
@@ -159,5 +166,78 @@ func TestFoldDeterminismProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIdenticalViewsShareAHandle: registering an identical (length, width,
+// path) view returns the existing handle, after clamping; any difference
+// in the three gets its own.
+func TestIdenticalViewsShareAHandle(t *testing.T) {
+	var h History
+	a := h.RegisterFold(37, 11, false)
+	if b := h.RegisterFold(37, 11, false); b != a {
+		t.Errorf("identical view got handle %d, want %d", b, a)
+	}
+	if c := h.RegisterFold(Capacity*2, 11, false); c != h.RegisterFold(Capacity-1, 11, false) {
+		t.Error("views identical after length clamping got different handles")
+	}
+	if d := h.RegisterFold(4, 0, false); d != h.RegisterFold(4, 1, false) {
+		t.Error("views identical after width clamping got different handles")
+	}
+	seen := map[Fold]bool{a: true}
+	for _, v := range [][3]int{{36, 11, 0}, {37, 10, 0}, {37, 11, 1}} {
+		f := h.RegisterFold(v[0], v[1], v[2] == 1)
+		if seen[f] {
+			t.Errorf("distinct view %v shares handle %d", v, f)
+		}
+		seen[f] = true
+	}
+	if got, want := len(h.folds), 6; got != want {
+		t.Errorf("%d folds registered, want %d", got, want)
+	}
+}
+
+// TestFoldsMatchReferenceAcrossRollbacks drives random pushes and
+// rollbacks and checks every registered view, shared ones included, against
+// the definition after each operation. Shallow rollbacks restore from the
+// checkpoint ring; rollbacks to positions before a Restore are older than
+// the checkpoint window and rebuild by replay. Window plus rollback depth
+// stays within the ring, as the pipeline's in-flight branches guarantee.
+func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
+	views := [][3]int{{8, 5, 0}, {37, 11, 0}, {16, 7, 1}, {8, 5, 0}, {640, 12, 0}, {1, 1, 1}, {37, 11, 1}, {130, 64, 0}}
+	var h History
+	handles := make([]Fold, len(views))
+	for i, v := range views {
+		handles[i] = h.RegisterFold(v[0], v[1], v[2] == 1)
+	}
+	check := func(op string) {
+		t.Helper()
+		for i, v := range views {
+			if got, want := h.Folded(handles[i]), referenceFold(&h, v[0], v[1], v[2] == 1); got != want {
+				t.Fatalf("after %s at pos %d: view %v = %#x, want %#x", op, h.Pos(), v, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+			check("push")
+			if rng.Intn(16) == 0 {
+				h.RollTo(h.Pos() - uint64(rng.Intn(64)))
+				check("rollback")
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		// Grow the history past the ring so entries leave every window.
+		push(2 * Capacity)
+		// Restore invalidates the checkpoints: a rollback to a position
+		// before it replays the ring.
+		restoredAt := h.Pos()
+		h.Restore(h.Snapshot())
+		push(100)
+		h.RollTo(restoredAt - uint64(rng.Intn(300)))
+		check("rollback past the checkpoints")
 	}
 }

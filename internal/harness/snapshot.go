@@ -22,8 +22,8 @@ import (
 // measurement phase, byte-identically (DESIGN.md §9).
 //
 // Entries are LRU-evicted beyond a fixed count — a snapshot of the default
-// machine is about 1.5 MB (dominated by the L2 tag/LRU arrays), so the
-// default cap of 64 bounds the cache near 100 MB.
+// machine is 1.4 to 2.2 MB depending on the predictor (dominated by the L2
+// tag/LRU arrays), so the default cap of 64 bounds the cache near 140 MB.
 type SnapshotCache struct {
 	mu      sync.Mutex
 	max     int

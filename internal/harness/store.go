@@ -16,7 +16,7 @@ import (
 // change — anything that could make an old record differ from what the
 // current simulator would produce — and every stale entry silently becomes
 // a miss instead of a wrong answer.
-const StoreVersion = "vpsim-v1"
+const StoreVersion = "vpsim-v2"
 
 // UseStore attaches a persistent record store under the session memo:
 // reads-through on a memo miss before simulating, writes-behind after a

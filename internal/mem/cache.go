@@ -25,11 +25,18 @@ type Cache struct {
 	memory  *dram.Memory // backing memory for the last level
 	pf      *StridePrefetcher
 
-	// inflight tracks outstanding misses per line: line -> fill-done cycle.
-	// Accesses to a line already being fetched merge with it (MSHR merge).
-	inflight map[uint64]int64
+	// inflight holds the outstanding misses, at most mshrs of them, one per
+	// line. Accesses to a line already being fetched merge with it (MSHR
+	// merge). Entries whose fill completed stay until the next reap.
+	inflight []mshr
 
 	hits, misses, mergedMisses, mshrStalls, prefills uint64
+}
+
+// mshr is one outstanding miss: the line and the cycle its fill completes.
+type mshr struct {
+	line uint64
+	done int64
 }
 
 type set struct {
@@ -69,7 +76,7 @@ func NewCache(cfg Config, next *Cache, memory *dram.Memory) *Cache {
 		mshrs:    cfg.MSHRs,
 		next:     next,
 		memory:   memory,
-		inflight: make(map[uint64]int64),
+		inflight: make([]mshr, 0, cfg.MSHRs),
 	}
 	for i := range c.sets {
 		c.sets[i].ways = make([]way, cfg.Assoc)
@@ -112,11 +119,24 @@ func (c *Cache) victim(lineAddr uint64) *way {
 // reapInflight drops completed misses so MSHR occupancy reflects only
 // genuinely outstanding fills.
 func (c *Cache) reapInflight(now int64) {
-	for l, done := range c.inflight {
-		if done <= now {
-			delete(c.inflight, l)
+	n := 0
+	for _, m := range c.inflight {
+		if m.done > now {
+			c.inflight[n] = m
+			n++
 		}
 	}
+	c.inflight = c.inflight[:n]
+}
+
+// pending returns the fill-done cycle of the outstanding miss on lineAddr.
+func (c *Cache) pending(lineAddr uint64) (int64, bool) {
+	for _, m := range c.inflight {
+		if m.line == lineAddr {
+			return m.done, true
+		}
+	}
+	return 0, false
 }
 
 // Access requests the line containing addr at cycle now. pc identifies the
@@ -148,7 +168,7 @@ func (c *Cache) Access(now int64, addr uint64, pc uint64, write bool, demand boo
 	}
 
 	// Miss. Merge with an outstanding fill of the same line if any.
-	if done, ok := c.inflight[lineAddr]; ok {
+	if done, ok := c.pending(lineAddr); ok {
 		c.mergedMisses++
 		c.install(lineAddr, done, now, write)
 		return done + c.latency, true
@@ -172,7 +192,7 @@ func (c *Cache) Access(now int64, addr uint64, pc uint64, write bool, demand boo
 	} else {
 		fillDone = c.memory.Access(now+c.latency, addr, false)
 	}
-	c.inflight[lineAddr] = fillDone
+	c.inflight = append(c.inflight, mshr{lineAddr, fillDone})
 	c.install(lineAddr, fillDone, now, write)
 	return fillDone + c.latency, true
 }
@@ -207,7 +227,7 @@ func (c *Cache) Prefetch(now int64, addr uint64) {
 	if c.find(lineAddr) != nil {
 		return
 	}
-	if _, ok := c.inflight[lineAddr]; ok {
+	if _, ok := c.pending(lineAddr); ok {
 		return
 	}
 	c.reapInflight(now)
@@ -225,7 +245,7 @@ func (c *Cache) Prefetch(now int64, addr uint64) {
 		fillDone = c.memory.Access(now+c.latency, addr, false)
 	}
 	c.prefills++
-	c.inflight[lineAddr] = fillDone
+	c.inflight = append(c.inflight, mshr{lineAddr, fillDone})
 	c.install(lineAddr, fillDone, now, false)
 }
 

@@ -150,3 +150,76 @@ func TestDistinctLinesDistinctSets(t *testing.T) {
 		t.Error("alias false hit: 0x4000 reported present after filling 0x2000")
 	}
 }
+
+// TestRestoreWithOutstandingMSHRs: a hierarchy restored while misses are
+// still outstanding answers a following access sequence (merges into
+// pending fills, a rejection with the MSHRs full, new misses once fills
+// complete) exactly as the live hierarchy it was taken from.
+func TestRestoreWithOutstandingMSHRs(t *testing.T) {
+	build := func() (*Cache, *Cache, *dram.Memory) {
+		d := dram.New(dram.DefaultConfig())
+		l2 := NewCache(Config{Name: "L2", Bytes: 2 << 20, Assoc: 16, Latency: 12, MSHRs: 8}, nil, d)
+		l1 := NewCache(Config{Name: "L1D", Bytes: 32 << 10, Assoc: 4, Latency: 2, MSHRs: 3}, l2, nil)
+		return l1, l2, d
+	}
+	l1, l2, d := build()
+	for i, addr := range []uint64{0x10000, 0x20000, 0x30000} {
+		if _, ok := l1.Access(int64(i), addr, 1, false, true); !ok {
+			t.Fatalf("miss %d rejected", i)
+		}
+	}
+	if len(l1.inflight) != 3 {
+		t.Fatalf("%d outstanding L1 misses, want 3", len(l1.inflight))
+	}
+	s1, s2, sd := l1.Snapshot(), l2.Snapshot(), d.Snapshot()
+
+	type result struct {
+		done int64
+		ok   bool
+	}
+	probe := func(c *Cache) []result {
+		var out []result
+		for _, a := range []struct {
+			now  int64
+			addr uint64
+		}{
+			{5, 0x20008},    // merges with a pending fill
+			{6, 0x40000},    // rejected: all MSHRs busy
+			{7, 0x10000},    // line present, fill still outstanding
+			{400, 0x40000},  // fills done: reaped, accepted
+			{401, 0x50000},  // another new miss
+			{402, 0x40010},  // merges with the 0x40000 fill
+			{5000, 0x60000}, // everything drained
+			{5001, 0x30000}, // hit
+			{5002, 0x70000}, // new miss
+			{5003, 0x700f0}, // other line of the same page
+			{5004, 0x80000}, // new miss
+			{5005, 0x90000}, // rejected again
+		} {
+			done, ok := c.Access(a.now, a.addr, 1, false, true)
+			out = append(out, result{done, ok})
+		}
+		return out
+	}
+	want := probe(l1)
+
+	r1, r2, rd := build()
+	r1.Restore(s1)
+	r2.Restore(s2)
+	rd.Restore(sd)
+	got := probe(r1)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("access %d: restored (%d,%v), live (%d,%v)", i, got[i].done, got[i].ok, want[i].done, want[i].ok)
+		}
+	}
+	var ls, rs [5]uint64
+	ls[0], ls[1], ls[2], ls[3], ls[4] = l1.Stats()
+	rs[0], rs[1], rs[2], rs[3], rs[4] = r1.Stats()
+	if ls != rs {
+		t.Errorf("restored stats %v, live %v", rs, ls)
+	}
+	if ls[3] == 0 || ls[2] == 0 {
+		t.Errorf("probe exercised no MSHR rejection or merge: stats %v", ls)
+	}
+}

@@ -6,7 +6,7 @@ package mem
 // reinstates the snapshot in place on an identically configured Cache.
 type CacheState struct {
 	ways                                             []way // all sets' ways, flattened in set order
-	inflight                                         map[uint64]int64
+	inflight                                         []mshr
 	hits, misses, mergedMisses, mshrStalls, prefills uint64
 	pf                                               *PrefetcherState // attached prefetcher, nil if none
 }
@@ -19,7 +19,7 @@ func (c *Cache) Snapshot() *CacheState {
 	assoc := len(c.sets[0].ways)
 	st := &CacheState{
 		ways:         make([]way, len(c.sets)*assoc),
-		inflight:     make(map[uint64]int64, len(c.inflight)),
+		inflight:     append([]mshr(nil), c.inflight...),
 		hits:         c.hits,
 		misses:       c.misses,
 		mergedMisses: c.mergedMisses,
@@ -28,9 +28,6 @@ func (c *Cache) Snapshot() *CacheState {
 	}
 	for i := range c.sets {
 		copy(st.ways[i*assoc:], c.sets[i].ways)
-	}
-	for l, done := range c.inflight {
-		st.inflight[l] = done
 	}
 	if c.pf != nil {
 		st.pf = c.pf.Snapshot()
@@ -46,10 +43,7 @@ func (c *Cache) Restore(st *CacheState) {
 			copy(c.sets[i].ways, st.ways[i*assoc:(i+1)*assoc])
 		}
 	}
-	clear(c.inflight)
-	for l, done := range st.inflight {
-		c.inflight[l] = done
-	}
+	c.inflight = append(c.inflight[:0], st.inflight...)
 	c.hits = st.hits
 	c.misses = st.misses
 	c.mergedMisses = st.mergedMisses

@@ -1,12 +1,13 @@
 package memdep
 
 // State is an opaque snapshot of a StoreSets predictor (SSIT assignments,
-// LFST tokens, allocation counter). Restore reinstates it in place on an
-// identically sized instance.
+// LFST tokens and epoch, allocation counter). Restore reinstates it in
+// place on an identically sized instance.
 type State struct {
 	ssit     []uint32
 	lfst     []lfstEntry
 	nextSSID uint32
+	epoch    uint32
 }
 
 // Snapshot deep-copies the predictor state.
@@ -15,6 +16,7 @@ func (s *StoreSets) Snapshot() *State {
 		ssit:     append([]uint32(nil), s.ssit...),
 		lfst:     append([]lfstEntry(nil), s.lfst...),
 		nextSSID: s.nextSSID,
+		epoch:    s.epoch,
 	}
 }
 
@@ -23,4 +25,5 @@ func (s *StoreSets) Restore(st *State) {
 	copy(s.ssit, st.ssit)
 	copy(s.lfst, st.lfst)
 	s.nextSSID = st.nextSSID
+	s.epoch = st.epoch
 }

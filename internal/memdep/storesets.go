@@ -9,17 +9,22 @@ const Invalid = ^uint32(0)
 
 // StoreSets holds the Store Set ID Table (SSIT, indexed by instruction PC)
 // and the Last Fetched Store Table (LFST, indexed by SSID). The LFST maps to
-// an opaque token the pipeline chooses (the store's ROB sequence number).
+// an opaque token the pipeline chooses (the store's trace index).
 type StoreSets struct {
 	ssit     []uint32
 	ssitMask uint64
 	lfst     []lfstEntry
 	nextSSID uint32
+
+	// epoch is the LFST generation: an entry is valid only while its epoch
+	// equals this one, so Clear invalidates every entry by bumping it.
+	// Entry epoch 0 is never current.
+	epoch uint32
 }
 
 type lfstEntry struct {
 	token uint64
-	valid bool
+	epoch uint32
 }
 
 // New builds store sets with 2^logSSIT SSIT entries and as many possible
@@ -30,6 +35,7 @@ func New(logSSIT int) *StoreSets {
 		ssit:     make([]uint32, n),
 		ssitMask: uint64(n - 1),
 		lfst:     make([]lfstEntry, n),
+		epoch:    1,
 	}
 	for i := range s.ssit {
 		s.ssit[i] = Invalid
@@ -54,9 +60,9 @@ func (s *StoreSets) StoreFetched(pc uint64, token uint64) (prev uint64, hasPrev 
 		return 0, false
 	}
 	e := &s.lfst[ssid&uint32(s.ssitMask)]
-	prev, hasPrev = e.token, e.valid
+	prev, hasPrev = e.token, e.epoch == s.epoch
 	e.token = token
-	e.valid = true
+	e.epoch = s.epoch
 	return prev, hasPrev
 }
 
@@ -68,7 +74,7 @@ func (s *StoreSets) LoadFetched(pc uint64) (token uint64, wait bool) {
 		return 0, false
 	}
 	e := &s.lfst[ssid&uint32(s.ssitMask)]
-	return e.token, e.valid
+	return e.token, e.epoch == s.epoch
 }
 
 // StoreRetired clears the LFST entry if this store is still its set's last
@@ -79,8 +85,8 @@ func (s *StoreSets) StoreRetired(pc uint64, token uint64) {
 		return
 	}
 	e := &s.lfst[ssid&uint32(s.ssitMask)]
-	if e.valid && e.token == token {
-		e.valid = false
+	if e.epoch == s.epoch && e.token == token {
+		e.epoch = 0
 	}
 }
 
@@ -112,10 +118,12 @@ func (s *StoreSets) allocSSID() uint32 {
 	return id
 }
 
-// Clear invalidates all LFST entries (used at pipeline squash: no stores
-// remain in flight).
+// Clear invalidates all LFST entries (used at pipeline squash, before the
+// surviving stores re-register). It bumps the epoch; only when the epoch
+// wraps does it reset every entry, so no stale generation can come back.
 func (s *StoreSets) Clear() {
-	for i := range s.lfst {
-		s.lfst[i].valid = false
+	if s.epoch++; s.epoch == 0 {
+		clear(s.lfst)
+		s.epoch = 1
 	}
 }

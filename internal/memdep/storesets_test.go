@@ -1,6 +1,9 @@
 package memdep
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestNoSetNoWait(t *testing.T) {
 	s := New(10)
@@ -91,5 +94,55 @@ func TestStoreRetiredOnlyClearsOwnToken(t *testing.T) {
 	s.StoreRetired(200, 1) // old instance retires
 	if _, wait := s.LoadFetched(100); !wait {
 		t.Error("newer in-flight store forgotten when older instance retired")
+	}
+}
+
+// TestClearAcrossEpochWrap: Clear invalidates by bumping the epoch, so the
+// wrap must reset every entry, or an entry written one full epoch cycle
+// earlier would turn valid again.
+func TestClearAcrossEpochWrap(t *testing.T) {
+	s := New(10)
+	s.Violation(100, 200)
+	s.Violation(300, 400)
+	if s.SSID(100) == s.SSID(300) {
+		t.Skip("hash collision placed both violations in one set")
+	}
+	s.StoreFetched(200, 7) // written at epoch 1
+	s.epoch = math.MaxUint32 - 1
+	s.StoreFetched(400, 8) // written at the epoch just before the wrap
+	for i := 0; i < 2; i++ {
+		s.Clear()
+		for _, pc := range []uint64{100, 300} {
+			if tok, wait := s.LoadFetched(pc); wait {
+				t.Fatalf("after %d clears (epoch %d): load %d still waits on token %d", i+1, s.epoch, pc, tok)
+			}
+		}
+	}
+	if s.epoch != 1 {
+		t.Errorf("epoch after wrap = %d, want 1", s.epoch)
+	}
+	s.StoreFetched(200, 9)
+	if tok, wait := s.LoadFetched(100); !wait || tok != 9 {
+		t.Errorf("after wrap: LoadFetched = (%d,%v), want (9,true)", tok, wait)
+	}
+}
+
+// TestSnapshotRestoreKeepsEpoch: a restored predictor agrees with its
+// donor on which LFST entries are live, across a Clear.
+func TestSnapshotRestoreKeepsEpoch(t *testing.T) {
+	s := New(10)
+	s.Violation(100, 200)
+	s.StoreFetched(200, 5)
+	s.Clear()
+	s.Clear()
+	st := s.Snapshot()
+	r := New(10)
+	r.Restore(st)
+	if _, wait := r.LoadFetched(100); wait {
+		t.Error("restored predictor revived a cleared entry")
+	}
+	r.StoreFetched(200, 6)
+	if tok, wait := r.LoadFetched(100); !wait || tok != 6 {
+		t.Errorf("restored predictor: LoadFetched = (%d,%v), want (6,true)", tok, wait)
 	}
 }

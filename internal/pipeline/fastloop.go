@@ -6,10 +6,10 @@ import (
 	"repro/internal/core"
 )
 
-// This file holds the two legs of the specialized simulate loop
-// (DESIGN.md §9): devirtualized per-µop predictor dispatch, and
-// event-driven idle-cycle skipping. Both are exact — the reference
-// interface-dispatch, step-every-cycle loop stays available behind
+// This file holds two legs of the specialized simulate loop (DESIGN.md
+// §9.3): devirtualized per-µop predictor dispatch, and event-driven
+// idle-cycle skipping; the issue filter lives with the issue stage in
+// sim.go. All are exact — the reference loop stays available behind
 // SetReferenceLoop, and TestFastLoopMatchesReference pins the two
 // byte-identical across every predictor family and recovery mode.
 
@@ -58,8 +58,9 @@ func (s *Sim) resolvePred(pred core.Predictor) {
 }
 
 // SetReferenceLoop switches the sim to the reference simulate loop:
-// interface dispatch for every predictor call and a step every cycle with
-// no idle skipping. The fast loop is exactly equivalent; the reference
+// interface dispatch for every predictor call, an issue scan over every
+// waiting µop (no issue filter), and a step every cycle with no idle
+// skipping. The fast loop is exactly equivalent; the reference
 // exists so differential tests can prove it.
 func (s *Sim) SetReferenceLoop(on bool) { s.refLoop = on }
 

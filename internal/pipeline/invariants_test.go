@@ -62,7 +62,8 @@ func randomProgram(seed int64) *isa.Program {
 
 // TestFuzzPipelineInvariants runs random programs through every predictor
 // and recovery combination, checking global invariants: the run terminates,
-// commits everything requested, and IPC stays within machine bounds.
+// commits everything requested, IPC stays within machine bounds, and the
+// reference loop reproduces the same Stats and commit stream.
 func TestFuzzPipelineInvariants(t *testing.T) {
 	preds := []func(h *ghist.History) core.Predictor{
 		nil,
@@ -87,15 +88,32 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
 				cfg.Recovery = rec
-				h := &ghist.History{}
-				var p core.Predictor
-				if mk != nil {
-					p = mk(h)
+				run := func(ref bool) (Stats, []uint64) {
+					h := &ghist.History{}
+					var p core.Predictor
+					if mk != nil {
+						p = mk(h)
+					}
+					s := New(cfg, tr, p, h)
+					s.SetReferenceLoop(ref)
+					var seqs []uint64
+					s.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+					st, err := s.Run(2_000, 15_000)
+					if err != nil {
+						t.Fatalf("seed %d pred %d %v (ref=%v): %v", seed, pi, rec, ref, err)
+					}
+					return *st, seqs
 				}
-				st, err := New(cfg, tr, p, h).Run(2_000, 15_000)
-				if err != nil {
-					t.Fatalf("seed %d pred %d %v: %v", seed, pi, rec, err)
+				fast, fastSeqs := run(false)
+				ref, refSeqs := run(true)
+				if fast != ref {
+					t.Errorf("seed %d pred %d %v: fast loop diverged from reference:\n fast %+v\n  ref %+v",
+						seed, pi, rec, fast, ref)
 				}
+				if i, ok := sameSeqs(fastSeqs, refSeqs); !ok {
+					t.Errorf("seed %d pred %d %v: commit streams diverge at %d", seed, pi, rec, i)
+				}
+				st := &fast
 				if st.Committed < 17_000 {
 					t.Errorf("seed %d pred %d %v: committed %d < requested", seed, pi, rec, st.Committed)
 				}

@@ -19,60 +19,46 @@ import (
 // noSlot marks an absent ROB dependency.
 const noSlot = -1
 
-// robEntry is one in-flight µop.
+// robEntry is one in-flight µop. Its predictor payload (value and branch
+// prediction metadata, history and RAS checkpoints) lives in the payload
+// ring, not here, so dispatch never copies it.
 type robEntry struct {
-	ti  int    // trace index
-	seq uint64 // trace sequence number (identity across slot reuse)
+	ti int // trace index: the µop's identity across slot reuse
 
-	fetchCyc int64
-	dispCyc  int64
 	issueCyc int64
 	doneCyc  int64
 
-	// recheckAt is a lower bound on the cycle this entry could next become
-	// issue-eligible (set by readyBound when srcStatus fails); the issue scan
-	// skips the srcStatus walk until then. Purely an iteration filter: it
-	// never affects what issues when.
-	recheckAt int64
-
-	dispatched bool
-	issued     bool
-	done       bool
-	wbDone     bool // writeback-side effects already processed
-	inIQ       bool
+	issued bool
+	done   bool
+	wbDone bool // writeback-side effects already processed
+	inIQ   bool
 
 	// Dependencies: ROB slots of the producing µops (noSlot if the operand
-	// was architecturally ready at dispatch), guarded by seq for slot reuse.
-	dep1, dep2       int
-	dep1Seq, dep2Seq uint64
+	// was architecturally ready at dispatch), guarded by the producer's trace
+	// index for slot reuse.
+	dep1, dep2     int
+	dep1TI, dep2TI int
 
 	// Value prediction.
 	vpTried   bool // the predictor was consulted for this µop at fetch
 	conf      bool // confident prediction written to the PRF at dispatch
 	predWrong bool
 	predUsed  bool // a dependent issued consuming the predicted value
-	meta      core.Meta
 
 	// Branch prediction.
 	isCond    bool
 	brMispred bool
-	bmeta     bpred.TageMeta
-	btbBubble bool
-
-	// History/RAS checkpoints (state before this µop at fetch).
-	histPos uint64
-	rasTop  int
 
 	hasDest     bool
-	destFP      bool
 	isLoad      bool
 	isStore     bool
 	fwdStore    bool // load satisfied by store-to-load forwarding
 	usedSpecSrc bool // issued consuming a not-yet-validated predicted value
 
-	// Store-set dependence: the load must wait for this store.
-	depStoreSeq uint64
+	// Store-set dependence: the load must wait for the store at this trace
+	// index.
 	hasDepStore bool
+	depStoreTI  int
 }
 
 // feEntry is a fetched µop waiting in the in-order front-end.
@@ -82,12 +68,23 @@ type feEntry struct {
 	vpTried   bool
 	conf      bool
 	predWrong bool
-	meta      core.Meta
 	isCond    bool
 	brMispred bool
-	bmeta     bpred.TageMeta
-	histPos   uint64
-	rasTop    int
+}
+
+// payload is the per-µop state that travels from fetch to commit untouched
+// by the back-end: the value predictor's and TAGE's fetch-time metadata for
+// training, and the history/RAS checkpoints a squash rolls back to. It
+// lives in a ring indexed by trace index (Sim.pay), written in place at
+// fetch and read in place at commit and squash. In-flight µops (ROB plus
+// fetch queue) always span the contiguous trace-index range
+// [oldest in-flight, fetchIdx), and the ring is longer than that range can
+// be, so a live µop's slot is never reused.
+type payload struct {
+	meta    core.Meta
+	bmeta   bpred.TageMeta
+	histPos uint64 // global history position before this µop
+	rasTop  int    // RAS top before this µop
 }
 
 // Sim is one simulation instance: a machine configuration bound to a trace
@@ -123,11 +120,27 @@ type Sim struct {
 	lqUsed int
 	sqUsed int
 
-	// Per-cycle stage worklists (age-ordered; see slotList). Together they
-	// replace full-ROB scans in issue, writeback and IQ validation.
-	waitIssue slotList // dispatched, not yet issued
+	// Per-cycle stage worklists. Together they replace full-ROB scans in
+	// issue, writeback and IQ validation. waitIssue is a bitmap over ROB
+	// slots (age order is slot order from the head); the lists are
+	// age-ordered (see slotList).
+	waitIssue slotSet  // dispatched, not yet issued
 	waitWB    slotList // issued, writeback-side effects not yet processed
 	iqHeld    slotList // still holding an IQ entry (inIQ)
+
+	// The fast loop's issue filter (DESIGN.md §9.3), an iteration filter
+	// only: it never changes what issues when. awake is the part of
+	// waitIssue the fast loop scans. A waiting µop whose source producer
+	// has not issued is parked on that producer's wakeup chain
+	// (wakeHead[producer], linked through wakeNext) and out of awake until
+	// the producer issues. recheckAt[slot] is a lower bound on the cycle an
+	// awake µop could next be issue-eligible; the scan skips it until then.
+	// Anything that can move a completion earlier or remove a producer (a
+	// squash, a selective-reissue replay, Restore) re-arms the filter.
+	awake     slotSet
+	recheckAt []int64
+	wakeHead  []int
+	wakeNext  []int
 
 	// In-flight memory µops (age-ordered): store-to-load forwarding walks
 	// inFlightSt instead of every older ROB slot, and violation detection
@@ -140,6 +153,12 @@ type Sim struct {
 	feq     []feEntry
 	feqHead int
 	feqLen  int
+
+	// pay is the payload ring, indexed by trace index & payMask (see
+	// payload). Its length is a power of two of at least ROB plus fetch
+	// queue capacity.
+	pay     []payload
+	payMask int
 
 	fetchIdx     int
 	nextFetchCyc int64
@@ -194,10 +213,6 @@ type Sim struct {
 	// staleness costs a redundant scan, never a missed one.
 	wbMinDone int64
 
-	// minIssueLat is the smallest execution latency any µop can have under
-	// cfg, used by readyBound for producers that have not issued yet.
-	minIssueLat int64
-
 	warmupUops uint64
 	warmed     bool
 
@@ -232,7 +247,14 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 		divFree:   make([]int64, cfg.MulDivs),
 		fpDivFree: make([]int64, cfg.FPMulDivs),
 	}
-	s.waitIssue = newSlotList(cfg.ROB)
+	s.waitIssue = newSlotSet(cfg.ROB)
+	s.awake = newSlotSet(cfg.ROB)
+	s.recheckAt = make([]int64, cfg.ROB)
+	s.wakeHead = make([]int, cfg.ROB)
+	s.wakeNext = make([]int, cfg.ROB)
+	for i := range s.wakeHead {
+		s.wakeHead[i] = noSlot
+	}
 	s.waitWB = newSlotList(cfg.ROB)
 	s.iqHeld = newSlotList(cfg.ROB)
 	s.inFlightLd = newSlotList(cfg.ROB)
@@ -245,6 +267,12 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 		fw = 1
 	}
 	s.feq = make([]feEntry, fetchBufCap+fw)
+	n := 1
+	for n < cfg.ROB+len(s.feq) {
+		n <<= 1
+	}
+	s.pay = make([]payload, n)
+	s.payMask = n - 1
 	// Last-fetch-cycle table, indexed by static PC (trace PCs are program
 	// indices, so the table is as small as the program).
 	maxPC := uint32(0)
@@ -262,16 +290,6 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 		s.sfeed, _ = pred.(core.SpecFeeder)
 	}
 	s.resolvePred(pred)
-	s.minIssueLat = cfg.LatALU
-	for _, l := range []int64{cfg.LatMul, cfg.LatDiv, cfg.LatFP, cfg.LatFPMul,
-		cfg.LatFPDiv, cfg.LatForward, 1 /* store addr-gen */, cfg.L1D.Latency} {
-		if l < s.minIssueLat {
-			s.minIssueLat = l
-		}
-	}
-	if s.minIssueLat < 0 {
-		s.minIssueLat = 0
-	}
 	for i := range s.lastProd {
 		s.lastProd[i] = noSlot
 	}
@@ -308,9 +326,12 @@ func (s *Sim) slotAge(slot int) int {
 	return d
 }
 
+// pl returns the payload of the µop at trace index ti.
+func (s *Sim) pl(ti int) *payload { return &s.pay[ti&s.payMask] }
+
 // insertByAge links slot into l keeping l's age order. It walks backwards
 // from the tail: insertions overwhelmingly happen at or near the young end
-// (fresh issues, replayed µops), so the walk is short.
+// (fresh issues), so the walk is short.
 func (s *Sim) insertByAge(l *slotList, slot int) {
 	age := s.slotAge(slot)
 	cur := l.tail
@@ -409,12 +430,12 @@ func (s *Sim) commit() {
 			// Stores write the cache from the post-commit store buffer; the
 			// access is charged for bandwidth/MSHR stats but never blocks.
 			s.l1d.Access(s.cycle, di.Addr, uint64(di.PC), true, true)
-			s.ssets.StoreRetired(uint64(di.PC), e.seq)
+			s.ssets.StoreRetired(uint64(di.PC), uint64(e.ti))
 		}
 
 		// Train predictors with the architectural outcome, in commit order.
 		if e.isCond {
-			s.tage.Train(uint64(di.PC), di.Taken, &e.bmeta)
+			s.tage.Train(uint64(di.PC), di.Taken, &s.pl(e.ti).bmeta)
 			if s.warmed {
 				s.stats.CondBranches++
 				if e.brMispred {
@@ -424,7 +445,7 @@ func (s *Sim) commit() {
 		}
 		valueSquash := false
 		if s.pred != nil && e.vpTried {
-			s.train(uint64(di.PC), di.Result, &e.meta)
+			s.train(uint64(di.PC), di.Result, &s.pl(e.ti).meta)
 			if s.warmed {
 				s.stats.Eligible++
 				if e.conf {
@@ -597,7 +618,8 @@ func (s *Sim) findViolatingLoad(storeSlot int, se *robEntry) int {
 // reissueDependents invalidates (transitively) every issued µop that
 // consumed a value derived from the mispredicted producer at root, making
 // them re-execute with correct inputs. The invalid-set scratch is a Sim
-// field reused across calls.
+// field reused across calls. A replayed µop can complete earlier than its
+// first execution did, so the issue filter's bounds are re-armed.
 func (s *Sim) reissueDependents(root int) {
 	invalid := s.reissueScratch
 	clear(invalid)
@@ -609,10 +631,10 @@ func (s *Sim) reissueDependents(root int) {
 			continue
 		}
 		bad := false
-		if e.dep1 != noSlot && invalid[e.dep1] && s.rob[e.dep1].seq == e.dep1Seq {
+		if e.dep1 != noSlot && invalid[e.dep1] && s.rob[e.dep1].ti == e.dep1TI {
 			bad = s.consumedStale(e, e.dep1, root, rootE)
 		}
-		if !bad && e.dep2 != noSlot && invalid[e.dep2] && s.rob[e.dep2].seq == e.dep2Seq {
+		if !bad && e.dep2 != noSlot && invalid[e.dep2] && s.rob[e.dep2].ti == e.dep2TI {
 			bad = s.consumedStale(e, e.dep2, root, rootE)
 		}
 		if !bad {
@@ -627,11 +649,12 @@ func (s *Sim) reissueDependents(root int) {
 		e.wbDone = false
 		e.fwdStore = false
 		e.doneCyc = 0
-		s.insertByAge(&s.waitIssue, slot) // back on the issue worklist
+		s.waitIssue.add(slot) // back on the issue worklist
 		if s.warmed {
 			s.stats.ReissuedUops++
 		}
 	}
+	s.rearmIssue()
 }
 
 // consumedStale reports whether e's use of producer p was based on a stale
@@ -646,20 +669,41 @@ func (s *Sim) consumedStale(e *robEntry, p int, root int, rootE *robEntry) bool 
 
 // ---------------------------------------------------------------- issue ---
 
+// issue selects up to IssueWidth source-ready µops, oldest first, subject
+// to functional-unit and memory-port limits. The reference loop scans every
+// waiting µop; the fast loop scans only the awake ones and skips those
+// whose recheckAt lies ahead. Both skip only µops whose sources are
+// provably unavailable, whose evaluation has no side effects, so they issue
+// the same µops in the same cycles.
 func (s *Sim) issue() {
 	issued := 0
 	aluUsed, mulUsed, fpUsed, fpMulUsed, memUsed := 0, 0, 0, 0, 0
-	nxt := listEnd
-	for slot := s.waitIssue.head; slot != listEnd && issued < s.cfg.IssueWidth; slot = nxt {
-		nxt = s.waitIssue.next[slot]
-		e := s.entry(slot)
-		if !s.refLoop && e.recheckAt > s.cycle {
+	scan := s.awake
+	if s.refLoop {
+		scan = s.waitIssue
+	}
+	// Age order is slot order from the head: walk [head, len) then
+	// [0, head). next re-reads the bitmap word on every call, so a µop
+	// woken earlier in this scan is seen when the walk reaches it.
+	end := len(s.rob)
+	for slot := scan.next(s.head, end); issued < s.cfg.IssueWidth; slot = scan.next(slot+1, end) {
+		if slot < 0 {
+			if end == s.head {
+				break
+			}
+			end = s.head
+			if slot = scan.next(0, end); slot < 0 {
+				break
+			}
+		}
+		if !s.refLoop && s.recheckAt[slot] > s.cycle {
 			continue // sources provably unavailable until then
 		}
+		e := s.entry(slot)
 		ready, spec1, spec2 := s.srcStatus(e)
 		if !ready {
 			if !s.refLoop {
-				e.recheckAt = s.readyBound(e)
+				s.park(slot, e)
 			}
 			continue
 		}
@@ -742,7 +786,11 @@ func (s *Sim) issue() {
 		e.issueCyc = s.cycle
 		e.doneCyc = s.cycle + lat
 		e.done = true // completion is timestamped; effects apply at doneCyc
-		s.waitIssue.remove(slot)
+		s.waitIssue.del(slot)
+		s.awake.del(slot)
+		if s.wakeHead[slot] != noSlot {
+			s.wake(slot, e.doneCyc)
+		}
 		s.insertByAge(&s.waitWB, slot)
 		if e.doneCyc < s.wbMinDone {
 			s.wbMinDone = e.doneCyc
@@ -799,8 +847,8 @@ func (s *Sim) blockUnitEvent(units []int64) {
 func (s *Sim) srcStatus(e *robEntry) (ready, spec1, spec2 bool) {
 	if e.dep1 != noSlot {
 		p := &s.rob[e.dep1]
-		// p.seq != seq means the producer committed: value is architectural.
-		if p.seq == e.dep1Seq && !(p.done && p.doneCyc <= s.cycle) {
+		// p.ti != dep1TI means the producer committed: value is architectural.
+		if p.ti == e.dep1TI && !(p.done && p.doneCyc <= s.cycle) {
 			if !p.conf {
 				return false, false, false
 			}
@@ -809,7 +857,7 @@ func (s *Sim) srcStatus(e *robEntry) (ready, spec1, spec2 bool) {
 	}
 	if e.dep2 != noSlot {
 		p := &s.rob[e.dep2]
-		if p.seq == e.dep2Seq && !(p.done && p.doneCyc <= s.cycle) {
+		if p.ti == e.dep2TI && !(p.done && p.doneCyc <= s.cycle) {
 			if !p.conf {
 				return false, false, false
 			}
@@ -819,32 +867,73 @@ func (s *Sim) srcStatus(e *robEntry) (ready, spec1, spec2 bool) {
 	return true, spec1, spec2
 }
 
-// readyBound returns a safe lower bound on the cycle e could next become
-// issue-eligible, derived from its first unavailable producer: a producer
-// with a timestamped completion delivers at doneCyc; one that has not even
-// issued cannot deliver before it issues next cycle plus the smallest
-// execution latency. Reissue only pushes producer completions later, so a
-// bound computed before a replay remains a lower bound.
-func (s *Sim) readyBound(e *robEntry) int64 {
-	if e.dep1 != noSlot {
-		p := &s.rob[e.dep1]
-		if p.seq == e.dep1Seq && !p.conf && !(p.done && p.doneCyc <= s.cycle) {
-			if p.done {
-				return p.doneCyc
-			}
-			return s.cycle + 1 + s.minIssueLat
+// park takes e (at slot), whose srcStatus just failed, out of the fast
+// loop's scan until it could be ready. A source whose producer has not
+// issued parks it on that producer's wakeup chain, out of awake; wake
+// returns it when the producer issues. Otherwise every unavailable source
+// has a timestamped completion, and recheckAt waits for the latest.
+func (s *Sim) park(slot int, e *robEntry) {
+	p1, p2 := s.blocker(e.dep1, e.dep1TI), s.blocker(e.dep2, e.dep2TI)
+	switch {
+	case p1 != nil && !p1.issued:
+		s.chain(slot, e.dep1)
+	case p2 != nil && !p2.issued:
+		s.chain(slot, e.dep2)
+	default:
+		at := s.cycle + 1
+		if p1 != nil {
+			at = max(at, p1.doneCyc)
 		}
-	}
-	if e.dep2 != noSlot {
-		p := &s.rob[e.dep2]
-		if p.seq == e.dep2Seq && !p.conf && !(p.done && p.doneCyc <= s.cycle) {
-			if p.done {
-				return p.doneCyc
-			}
-			return s.cycle + 1 + s.minIssueLat
+		if p2 != nil {
+			at = max(at, p2.doneCyc)
 		}
+		s.recheckAt[slot] = at
 	}
-	return s.cycle + 1
+}
+
+// blocker returns the producer at dep (trace index ti) if it leaves its
+// operand unavailable this cycle: in flight, unpredicted and not yet
+// complete. It returns nil for an available operand.
+func (s *Sim) blocker(dep, ti int) *robEntry {
+	if dep == noSlot {
+		return nil
+	}
+	p := &s.rob[dep]
+	if p.ti != ti || p.conf || (p.done && p.doneCyc <= s.cycle) {
+		return nil
+	}
+	return p
+}
+
+// chain parks the waiting µop at slot on producer p's wakeup chain.
+func (s *Sim) chain(slot, p int) {
+	s.wakeNext[slot] = s.wakeHead[p]
+	s.wakeHead[p] = slot
+	s.recheckAt[slot] = noEvent
+	s.awake.del(slot)
+}
+
+// wake returns the µops parked on producer p, which just issued to
+// complete at done, to the scan: none can be ready before done.
+func (s *Sim) wake(p int, done int64) {
+	for w := s.wakeHead[p]; w != noSlot; w = s.wakeNext[w] {
+		s.recheckAt[w] = done
+		s.awake.add(w)
+	}
+	s.wakeHead[p] = noSlot
+}
+
+// rearmIssue resets the issue filter: every waiting µop is awake and
+// rechecked at its next scan, and no wakeup chain remains. The filter's
+// bounds assume producers only complete when their timestamps say and
+// chains only name live producers; squashes, replays and restores break
+// both.
+func (s *Sim) rearmIssue() {
+	copy(s.awake, s.waitIssue)
+	clear(s.recheckAt)
+	for i := range s.wakeHead {
+		s.wakeHead[i] = noSlot
+	}
 }
 
 // loadLatency resolves a load at issue time: store-set blocking, LSQ
@@ -857,7 +946,7 @@ func (s *Sim) loadLatency(slot int, e *robEntry) (int64, bool) {
 	// unblock (the store's doneCyc crossing) is already an idle-skip event
 	// via waitWB, so it need not pin issueBlocked.
 	if e.hasDepStore {
-		if ps := s.findInFlightStore(e.depStoreSeq); ps != noSlot {
+		if ps := s.findInFlightStore(e.depStoreTI); ps != noSlot {
 			p := s.entry(ps)
 			if !(p.done && p.doneCyc <= s.cycle) {
 				return 0, false
@@ -893,22 +982,19 @@ func (s *Sim) loadLatency(slot int, e *robEntry) (int64, bool) {
 	return done - s.cycle, true
 }
 
-func (s *Sim) prevSlot(slot int) int {
-	if slot == 0 {
-		return len(s.rob) - 1
+// findInFlightStore resolves a store-set token (always a store's trace
+// index) to its ROB slot, or noSlot if that store already committed. The
+// ROB holds the contiguous trace-index range starting at the head's, so
+// the slot is arithmetic.
+func (s *Sim) findInFlightStore(ti int) int {
+	d := ti - s.rob[s.head].ti
+	if d < 0 || d >= s.count {
+		return noSlot
 	}
-	return slot - 1
-}
-
-// findInFlightStore resolves a store-set token (always a store's sequence
-// number) to its ROB slot, or noSlot if that store already committed.
-func (s *Sim) findInFlightStore(seq uint64) int {
-	for slot := s.inFlightSt.head; slot != listEnd; slot = s.inFlightSt.next[slot] {
-		if s.rob[slot].seq == seq {
-			return slot
-		}
+	if slot := s.head + d; slot < len(s.rob) {
+		return slot
 	}
-	return noSlot
+	return s.head + d - len(s.rob)
 }
 
 // releaseValidatedIQ frees IQ entries of issued µops whose value-speculative
@@ -922,7 +1008,7 @@ func (s *Sim) releaseValidatedIQ() {
 		if !e.issued || !e.done || e.doneCyc > s.cycle {
 			continue
 		}
-		if s.depValidated(e.dep1, e.dep1Seq) && s.depValidated(e.dep2, e.dep2Seq) {
+		if s.depValidated(e.dep1, e.dep1TI) && s.depValidated(e.dep2, e.dep2TI) {
 			e.inIQ = false
 			s.iqUsed--
 			s.iqHeld.remove(slot)
@@ -931,12 +1017,12 @@ func (s *Sim) releaseValidatedIQ() {
 	}
 }
 
-func (s *Sim) depValidated(dep int, depSeq uint64) bool {
+func (s *Sim) depValidated(dep, depTI int) bool {
 	if dep == noSlot {
 		return true
 	}
 	p := &s.rob[dep]
-	if p.seq != depSeq {
+	if p.ti != depTI {
 		return true
 	}
 	return p.done && p.doneCyc <= s.cycle
@@ -974,33 +1060,22 @@ func (s *Sim) dispatch() {
 			return
 		}
 
+		// Fill the entry field by field: its payload stays in the ring.
 		slot := s.tail
 		e := s.entry(slot)
-		*e = robEntry{
-			ti:         fe.ti,
-			seq:        di.Seq,
-			fetchCyc:   fe.readyCyc - s.cfg.FrontDepth,
-			dispCyc:    s.cycle,
-			dispatched: true,
-			inIQ:       true,
-			vpTried:    fe.vpTried,
-			conf:       fe.conf,
-			predWrong:  fe.predWrong,
-			meta:       fe.meta,
-			isCond:     fe.isCond,
-			brMispred:  fe.brMispred,
-			bmeta:      fe.bmeta,
-			histPos:    fe.histPos,
-			rasTop:     fe.rasTop,
-			hasDest:    hasDest,
-			destFP:     hasDest && di.Dst.IsFP(),
-			isLoad:     isLoad,
-			isStore:    isStore,
-			dep1:       noSlot,
-			dep2:       noSlot,
-		}
+		e.ti = fe.ti
+		e.issueCyc, e.doneCyc = 0, 0
+		e.issued, e.done, e.wbDone, e.inIQ = false, false, false, true
+		e.dep1, e.dep2, e.dep1TI, e.dep2TI = noSlot, noSlot, 0, 0
+		e.vpTried, e.conf, e.predWrong, e.predUsed = fe.vpTried, fe.conf, fe.predWrong, false
+		e.isCond, e.brMispred = fe.isCond, fe.brMispred
+		e.hasDest, e.isLoad, e.isStore = hasDest, isLoad, isStore
+		e.fwdStore, e.usedSpecSrc = false, false
+		e.hasDepStore, e.depStoreTI = false, 0
 		s.iqUsed++
-		s.waitIssue.pushBack(slot)
+		s.waitIssue.add(slot)
+		s.awake.add(slot)
+		s.recheckAt[slot] = 0
 		s.iqHeld.pushBack(slot)
 		if isLoad {
 			s.lqUsed++
@@ -1014,12 +1089,12 @@ func (s *Sim) dispatch() {
 		// Rename: resolve sources to in-flight producers.
 		if di.Src1 != isa.NoReg {
 			if p := s.lastProd[di.Src1]; p != noSlot {
-				e.dep1, e.dep1Seq = p, s.rob[p].seq
+				e.dep1, e.dep1TI = p, s.rob[p].ti
 			}
 		}
 		if di.Src2 != isa.NoReg {
 			if p := s.lastProd[di.Src2]; p != noSlot {
-				e.dep2, e.dep2Seq = p, s.rob[p].seq
+				e.dep2, e.dep2TI = p, s.rob[p].ti
 			}
 		}
 		if hasDest {
@@ -1028,11 +1103,11 @@ func (s *Sim) dispatch() {
 
 		// Memory dependence prediction (store sets).
 		if isStore {
-			s.ssets.StoreFetched(uint64(di.PC), di.Seq)
+			s.ssets.StoreFetched(uint64(di.PC), uint64(fe.ti))
 		}
 		if isLoad {
 			if tok, wait := s.ssets.LoadFetched(uint64(di.PC)); wait {
-				e.depStoreSeq, e.hasDepStore = tok, true
+				e.hasDepStore, e.depStoreTI = true, int(tok)
 			}
 		}
 
@@ -1100,30 +1175,28 @@ func (s *Sim) fetch() {
 			lastLine = lineAddr
 		}
 
-		// Build the entry directly in its ring slot: the predictor writes its
-		// Meta payload in place, so the per-µop hot path copies it exactly
-		// once (ring slot -> ROB entry at dispatch).
+		// The predictors write their metadata straight into the µop's
+		// payload slot; the front-end entry carries only the flags dispatch
+		// needs.
 		fi := s.feqHead + s.feqLen
 		if fi >= len(s.feq) {
 			fi -= len(s.feq)
 		}
 		fe := &s.feq[fi]
-		*fe = feEntry{
-			ti:       s.fetchIdx,
-			readyCyc: s.cycle + s.cfg.FrontDepth,
-			histPos:  s.hist.Pos(),
-			rasTop:   s.ras.Top(),
-		}
+		*fe = feEntry{ti: s.fetchIdx, readyCyc: s.cycle + s.cfg.FrontDepth}
+		pl := s.pl(s.fetchIdx)
+		pl.histPos = s.hist.Pos()
+		pl.rasTop = s.ras.Top()
 
 		// Value prediction happens in the front-end for every µop producing
 		// a register (Section 7.2).
 		if s.pred != nil && di.HasDest() && (!s.cfg.PredictLoadsOnly || isa.IsLoad(di.Op)) {
 			fe.vpTried = true
 			s.feedActual(di.Result)
-			s.predict(uint64(di.PC), &fe.meta)
-			fe.meta.Seq = di.Seq
-			fe.conf = fe.meta.Conf
-			fe.predWrong = fe.conf && fe.meta.Pred != di.Result
+			s.predict(uint64(di.PC), &pl.meta)
+			pl.meta.Seq = di.Seq
+			fe.conf = pl.meta.Conf
+			fe.predWrong = fe.conf && pl.meta.Pred != di.Result
 			// Speculative occurrence tracking, following Section 7.1's
 			// idealization: the paper assumes predictors deliver predictions
 			// instantaneously with the correct last speculative occurrences
@@ -1148,7 +1221,7 @@ func (s *Sim) fetch() {
 
 		stop := false
 		if isa.IsControl(di.Op) {
-			stop = s.fetchControl(di, fe, &taken)
+			stop = s.fetchControl(di, fe, pl, &taken)
 		}
 
 		s.feqLen++
@@ -1163,7 +1236,7 @@ func (s *Sim) fetch() {
 // fetchControl models branch prediction at fetch for one control µop. It
 // returns true if fetch must stop after this µop (taken-branch budget,
 // misprediction stall, or BTB redirect bubble).
-func (s *Sim) fetchControl(di *isa.DynInst, fe *feEntry, taken *int) bool {
+func (s *Sim) fetchControl(di *isa.DynInst, fe *feEntry, pl *payload, taken *int) bool {
 	pc := uint64(di.PC)
 	stop := false
 	mispred := false
@@ -1173,7 +1246,7 @@ func (s *Sim) fetchControl(di *isa.DynInst, fe *feEntry, taken *int) bool {
 	case isa.ClassBranch:
 		fe.isCond = true
 		predTaken, m := s.tage.Predict(pc)
-		fe.bmeta = m
+		pl.bmeta = m
 		mispred = predTaken != di.Taken
 		if predTaken && di.Taken {
 			if _, hit := s.btb.Lookup(pc); !hit {
@@ -1235,8 +1308,8 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 
 	if fromAge < s.count {
 		slot := (s.head + fromAge) % len(s.rob)
-		e := s.entry(slot)
-		histPos, rasTop, restored = e.histPos, e.rasTop, true
+		pl := s.pl(s.entry(slot).ti)
+		histPos, rasTop, restored = pl.histPos, pl.rasTop, true
 		// Free resources of every squashed entry.
 		for cur, n := slot, fromAge; n < s.count; cur, n = s.next(cur), n+1 {
 			se := s.entry(cur)
@@ -1257,8 +1330,8 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 		s.tail = slot
 	}
 	if !restored && s.feqLen > 0 {
-		fe := &s.feq[s.feqHead]
-		histPos, rasTop, restored = fe.histPos, fe.rasTop, true
+		pl := s.pl(s.feq[s.feqHead].ti)
+		histPos, rasTop, restored = pl.histPos, pl.rasTop, true
 	}
 	if restored {
 		s.hist.RollTo(histPos)
@@ -1271,7 +1344,7 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	for i := range s.lastProd {
 		s.lastProd[i] = noSlot
 	}
-	s.waitIssue.clear()
+	clear(s.waitIssue)
 	s.waitWB.clear()
 	s.iqHeld.clear()
 	s.inFlightLd.clear()
@@ -1281,8 +1354,8 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 		if e.hasDest {
 			s.lastProd[s.di(e.ti).Dst] = cur
 		}
-		if e.dispatched && !e.issued {
-			s.waitIssue.pushBack(cur)
+		if !e.issued {
+			s.waitIssue.add(cur)
 		}
 		if e.issued && !e.wbDone {
 			s.waitWB.pushBack(cur)
@@ -1304,9 +1377,10 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	for cur, n := s.head, 0; n < s.count; cur, n = s.next(cur), n+1 {
 		e := s.entry(cur)
 		if e.isStore {
-			s.ssets.StoreFetched(uint64(s.di(e.ti).PC), e.seq)
+			s.ssets.StoreFetched(uint64(s.di(e.ti).PC), uint64(e.ti))
 		}
 	}
+	s.rearmIssue()
 	if s.pred != nil {
 		s.squashPred(s.seqAt(resumeTI))
 	}

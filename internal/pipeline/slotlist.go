@@ -1,5 +1,7 @@
 package pipeline
 
+import "math/bits"
+
 // Chain terminator and not-a-member marker for slotList links.
 const (
 	listEnd  = -1
@@ -7,11 +9,11 @@ const (
 )
 
 // slotList is an intrusive doubly-linked list over ROB slot numbers, kept in
-// age order (oldest first) by its users. The per-cycle pipeline stages each
-// iterate one of these worklists — dispatched-but-unissued µops for issue,
-// completed-but-unprocessed µops for writeback, IQ holders for validation —
-// instead of scanning every ROB slot, turning the dominant per-cycle cost
-// from O(ROB) into O(live work). Links live in flat arrays sized to the ROB,
+// age order (oldest first) by its users. Per-cycle pipeline stages iterate
+// these worklists — completed-but-unprocessed µops for writeback, IQ
+// holders for validation, in-flight loads and stores — instead of scanning
+// every ROB slot, turning the dominant per-cycle cost from O(ROB) into
+// O(live work). Links live in flat arrays sized to the ROB,
 // so membership changes are O(1) pointer swaps with no allocation.
 type slotList struct {
 	head, tail int
@@ -95,4 +97,37 @@ func (l *slotList) clear() {
 		s = n
 	}
 	l.head, l.tail = listEnd, listEnd
+}
+
+// slotSet is a bitmap over ROB slot numbers. Walked from the head slot with
+// wrap-around, its members come out in age order, so a worklist kept as a
+// slotSet needs no ordered insertion: a µop re-entering it sets one bit.
+type slotSet []uint64
+
+// newSlotSet returns an empty set able to hold slots 0..n-1.
+func newSlotSet(n int) slotSet { return make(slotSet, (n+63)/64) }
+
+func (b slotSet) add(s int)      { b[s>>6] |= 1 << (s & 63) }
+func (b slotSet) del(s int)      { b[s>>6] &^= 1 << (s & 63) }
+func (b slotSet) has(s int) bool { return b[s>>6]&(1<<(s&63)) != 0 }
+
+// next returns the smallest member in [from, to), or -1 if there is none.
+// It reads the words afresh on every call, so members added behind a walk
+// that has not reached them yet are found.
+func (b slotSet) next(from, to int) int {
+	if from >= to {
+		return -1
+	}
+	w := from >> 6
+	word := b[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if w++; w<<6 >= to {
+			return -1
+		}
+		word = b[w]
+	}
+	if s := w<<6 + bits.TrailingZeros64(word); s < to {
+		return s
+	}
+	return -1
 }

@@ -108,3 +108,38 @@ func TestSlotListRandomizedAgainstModel(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotSetNextAgainstModel checks slotSet.next on random sets and
+// ranges, sizes that do and do not fill the last word included, against a
+// plain boolean model.
+func TestSlotSetNextAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 63, 64, 65, 128, 200, 256} {
+		b := newSlotSet(n)
+		model := make([]bool, n)
+		for op := 0; op < 5_000; op++ {
+			s := rng.Intn(n)
+			if rng.Intn(2) == 0 {
+				b.add(s)
+				model[s] = true
+			} else {
+				b.del(s)
+				model[s] = false
+			}
+			from, to := rng.Intn(n+1), rng.Intn(n+1)
+			want := -1
+			for i := from; i < to; i++ {
+				if model[i] {
+					want = i
+					break
+				}
+			}
+			if got := b.next(from, to); got != want {
+				t.Fatalf("n=%d op %d: next(%d, %d) = %d, want %d", n, op, from, to, got, want)
+			}
+			if b.has(s) != model[s] {
+				t.Fatalf("n=%d op %d: has(%d) = %v", n, op, s, b.has(s))
+			}
+		}
+	}
+}

@@ -12,9 +12,9 @@ import (
 )
 
 // State is an opaque snapshot of a whole Sim: every piece of mutable
-// machine state — ROB and stage worklists, fetch queue, rename map, memory
-// hierarchy, branch and value predictors, global history, statistics — deep
-// copied mid-flight. Taken at the warmup boundary it lets a sweep re-run
+// machine state — ROB and stage worklists, fetch queue, payload ring,
+// rename map, memory hierarchy, branch and value predictors, global
+// history, statistics — deep copied mid-flight. Taken at the warmup boundary it lets a sweep re-run
 // the measurement phase without re-paying warmup, byte-identically to a
 // straight-through run (DESIGN.md §9).
 //
@@ -32,11 +32,14 @@ type State struct {
 	lqUsed int
 	sqUsed int
 
-	lists [5]slotListState // waitIssue, waitWB, iqHeld, inFlightLd, inFlightSt
+	waitIssue slotSet
+	lists     [4]slotListState // waitWB, iqHeld, inFlightLd, inFlightSt
 
 	feq     []feEntry
 	feqHead int
 	feqLen  int
+
+	pay []payload
 
 	fetchIdx     int
 	nextFetchCyc int64
@@ -101,9 +104,11 @@ func (s *Sim) Snapshot() *State {
 		iqUsed:       s.iqUsed,
 		lqUsed:       s.lqUsed,
 		sqUsed:       s.sqUsed,
+		waitIssue:    append(slotSet(nil), s.waitIssue...),
 		feq:          append([]feEntry(nil), s.feq...),
 		feqHead:      s.feqHead,
 		feqLen:       s.feqLen,
+		pay:          append([]payload(nil), s.pay...),
 		fetchIdx:     s.fetchIdx,
 		nextFetchCyc: s.nextFetchCyc,
 		fetchBlocked: s.fetchBlocked,
@@ -125,11 +130,10 @@ func (s *Sim) Snapshot() *State {
 		ssets:        s.ssets.Snapshot(),
 		regs:         s.regs.Snapshot(),
 	}
-	st.lists[0] = s.waitIssue.snapshot()
-	st.lists[1] = s.waitWB.snapshot()
-	st.lists[2] = s.iqHeld.snapshot()
-	st.lists[3] = s.inFlightLd.snapshot()
-	st.lists[4] = s.inFlightSt.snapshot()
+	st.lists[0] = s.waitWB.snapshot()
+	st.lists[1] = s.iqHeld.snapshot()
+	st.lists[2] = s.inFlightLd.snapshot()
+	st.lists[3] = s.inFlightSt.snapshot()
 	if s.pred != nil {
 		st.pred = s.pred.Snapshot()
 	}
@@ -141,7 +145,7 @@ func (s *Sim) Snapshot() *State {
 // the shared global-history wiring between the sim, TAGE, and
 // history-reading value predictors is preserved.
 func (s *Sim) Restore(st *State) {
-	if len(st.rob) != len(s.rob) || len(st.feq) != len(s.feq) ||
+	if len(st.rob) != len(s.rob) || len(st.feq) != len(s.feq) || len(st.pay) != len(s.pay) ||
 		len(st.lastFetchCyc) != len(s.lastFetchCyc) ||
 		(st.pred == nil) != (s.pred == nil) {
 		panic("pipeline: snapshot does not match this sim's configuration")
@@ -154,14 +158,15 @@ func (s *Sim) Restore(st *State) {
 	s.iqUsed = st.iqUsed
 	s.lqUsed = st.lqUsed
 	s.sqUsed = st.sqUsed
-	s.waitIssue.restore(st.lists[0])
-	s.waitWB.restore(st.lists[1])
-	s.iqHeld.restore(st.lists[2])
-	s.inFlightLd.restore(st.lists[3])
-	s.inFlightSt.restore(st.lists[4])
+	copy(s.waitIssue, st.waitIssue)
+	s.waitWB.restore(st.lists[0])
+	s.iqHeld.restore(st.lists[1])
+	s.inFlightLd.restore(st.lists[2])
+	s.inFlightSt.restore(st.lists[3])
 	copy(s.feq, st.feq)
 	s.feqHead = st.feqHead
 	s.feqLen = st.feqLen
+	copy(s.pay, st.pay)
 	s.fetchIdx = st.fetchIdx
 	s.nextFetchCyc = st.nextFetchCyc
 	s.fetchBlocked = st.fetchBlocked
@@ -185,7 +190,9 @@ func (s *Sim) Restore(st *State) {
 	if s.pred != nil {
 		s.pred.Restore(st.pred)
 	}
-	// The writeback-skip bound is not part of the captured state: force a
-	// fresh scan, which recomputes it exactly.
+	// The writeback-skip bound and the issue filter are not part of the
+	// captured state: force a fresh writeback scan, which recomputes the
+	// bound exactly, and re-arm the filter.
 	s.wbMinDone = 0
+	s.rearmIssue()
 }
