@@ -95,8 +95,8 @@ const (
 // simulation input by registering it with a Runner, which answers the
 // content-addressed workload string to put in Spec.Program. Identity is the
 // program's bytes, never its name: byte-identical programs share memo
-// entries, persisted store records and warm-state snapshots across backends
-// and daemon restarts, and two different programs can never collide.
+// entries and persisted store records across backends and daemon restarts,
+// and two different programs can never collide.
 // ---------------------------------------------------------------------------
 
 // Program is a workload program: code, data segments, initial registers and

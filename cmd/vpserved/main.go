@@ -56,7 +56,6 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 0, "budget of each synchronous request, /v1/simulate and /v1/simulate/batch-sync (0: server default)")
 	storeDir := flag.String("store-dir", "", "persistent record store directory shared across restarts and processes (empty: memory-only)")
 	shardID := flag.String("shard-id", "", "shard identity reported by /v1/healthz and /v1/statsz (empty: the bound host:port)")
-	snapshotCap := flag.Int("snapshot-cap", 0, "warm-state snapshot cache entries (0: default cap, negative: disabled)")
 	traceLog := flag.String("trace-log", "", "append one NDJSON span per simulation lifecycle stage to this file (empty: off)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (same listener)")
@@ -76,7 +75,6 @@ func main() {
 		MaxBatch:       *maxBatch,
 		RequestTimeout: *reqTimeout,
 		StoreDir:       *storeDir,
-		SnapshotCap:    *snapshotCap,
 	}.WithDefaults()
 	if *traceLog != "" {
 		f, err := os.OpenFile(*traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)

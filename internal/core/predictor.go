@@ -70,16 +70,6 @@ type Predictor interface {
 	// history repair is the pipeline's job (ghist.RollTo).
 	Squash(fromSeq uint64)
 
-	// Snapshot returns an opaque deep copy of all mutable state (tables,
-	// LFSRs, speculative windows) for warm-state reuse. The pipeline calls
-	// it at the warmup boundary; see DESIGN.md §9.
-	Snapshot() PredictorState
-
-	// Restore reinstates a snapshot taken from an identically configured
-	// predictor of the same type, in place (the instance is not replaced, so
-	// shared global-history wiring survives). It panics on a type mismatch.
-	Restore(st PredictorState)
-
 	// Name identifies the predictor in tables and figures.
 	Name() string
 

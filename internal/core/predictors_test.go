@@ -321,8 +321,6 @@ func (f *fixedPred) Predict(pc uint64, m *Meta) {
 }
 func (f *fixedPred) Train(pc uint64, actual Value, m *Meta) { f.trained++ }
 func (f *fixedPred) Squash(fromSeq uint64)                  { f.squashed = true }
-func (f *fixedPred) Snapshot() PredictorState               { return &oracleState{} }
-func (f *fixedPred) Restore(st PredictorState)              {}
 func (f *fixedPred) Name() string                           { return "fixed" }
 func (f *fixedPred) StorageBits() int                       { return 0 }
 

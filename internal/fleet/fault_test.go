@@ -1,7 +1,8 @@
-// Fault injection: a test-only proxy in front of a real shard corrupts its
-// batch-sync answers, and a shard's budget expires while a frame waits for a
-// worker slot. Every case must end in records byte-identical to a local
-// session's, or in a typed error — never in a wrong record.
+// Fault injection: a test-only proxy in front of a real shard corrupts or
+// withholds its batch-sync answers, and a shard's budget expires while a
+// frame waits for a worker slot. Every case must end in records
+// byte-identical to a local session's, or in a typed error — never in a
+// wrong record.
 package fleet
 
 import (
@@ -22,13 +23,14 @@ import (
 	"repro/internal/service/client"
 )
 
-// fault rewrites one batch-sync answer of the shard behind a faultProxy.
-type fault func(w http.ResponseWriter, status int, body []byte)
+// fault rewrites one batch-sync answer of the shard behind a faultProxy; r
+// is the request it answers.
+type fault func(w http.ResponseWriter, r *http.Request, status int, body []byte)
 
 // cutAfter answers the shard's status and declared length but only the first
 // n body bytes, then drops the connection: the client reads a short body.
 func cutAfter(n int) fault {
-	return func(w http.ResponseWriter, status int, body []byte) {
+	return func(w http.ResponseWriter, r *http.Request, status int, body []byte) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(status)
 		w.Write(body[:min(n, len(body))])
@@ -39,7 +41,7 @@ func cutAfter(n int) fault {
 // endAfter answers a well-formed response holding only the first n body
 // bytes: the frame codec, not the transport, must notice the truncation.
 func endAfter(n int) fault {
-	return func(w http.ResponseWriter, status int, body []byte) {
+	return func(w http.ResponseWriter, r *http.Request, status int, body []byte) {
 		body = body[:min(n, len(body))]
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(status)
@@ -49,10 +51,20 @@ func endAfter(n int) fault {
 
 // bareBadGateway answers what a load balancer in front of a shard would: a
 // 502 whose plain-text body is no service envelope.
-func bareBadGateway(w http.ResponseWriter, status int, body []byte) {
+func bareBadGateway(w http.ResponseWriter, r *http.Request, status int, body []byte) {
 	w.Header().Set("Content-Type", "text/plain")
 	w.WriteHeader(http.StatusBadGateway)
 	io.WriteString(w, "upstream connect error or disconnect/reset before headers\n")
+}
+
+// stall withholds the shard's answer until the request's context ends —
+// the client gave up or its connection closed — and counts each handler
+// that got free in released.
+func stall(released *atomic.Int64) fault {
+	return func(w http.ResponseWriter, r *http.Request, status int, body []byte) {
+		<-r.Context().Done()
+		released.Add(1)
+	}
 }
 
 // faultProxy forwards every request to a real shard and applies its fault
@@ -85,7 +97,7 @@ func (p *faultProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Path == "/v1/simulate/batch-sync" && p.left.Add(-1) >= 0 {
 		p.faults.Add(1)
-		p.fault(w, resp.StatusCode, body)
+		p.fault(w, r, resp.StatusCode, body)
 		return
 	}
 	for k, v := range resp.Header {
@@ -202,6 +214,45 @@ func TestFleetFaultInjection(t *testing.T) {
 				t.Error("the proxy injected no fault: no frame reached shard 0")
 			}
 		})
+	}
+}
+
+// TestFleetFaultStalledShard: a shard that answers nothing until the client
+// gives up. A batch under a caller deadline must end with a context error
+// within the deadline plus a small margin, deliver nothing but a
+// byte-identical prefix, and leave no proxy handler holding its request.
+func TestFleetFaultStalledShard(t *testing.T) {
+	const budget, margin = 400 * time.Millisecond, 600 * time.Millisecond
+	var released atomic.Int64
+	f, proxy := startFaultyFleet(t, 1, stall(&released), -1)
+	specs := harness.Fig4Specs()[:3]
+	want := refRecords(t, specs)
+
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	start := time.Now()
+	var got []harness.Record
+	err := f.Batch(ctx, specs, func(r harness.Record) error {
+		got = append(got, r)
+		return nil
+	})
+	took := time.Since(start)
+	if checkFaultOutcome(t, got, err, want) || !harness.IsContextErr(err) {
+		t.Errorf("a batch behind a stalled shard ended in %v, want a context error", err)
+	}
+	if took > budget+margin {
+		t.Errorf("the batch took %v under a %v deadline", took, budget)
+	}
+	if proxy.faults.Load() == 0 {
+		t.Fatal("the proxy stalled no answer: no frame reached the shard")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for released.Load() != proxy.faults.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d stalled proxy handlers still hold their request",
+				proxy.faults.Load()-released.Load(), proxy.faults.Load())
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package fleet is the sharded serving tier (DESIGN.md §12): a client-side
 // front that consistent-hashes canonical spec identities across N vpserved
 // shards, each with its own worker slots and memo. Routing keeps every
-// distinct spec on exactly one warm shard (memo/store/snapshot locality),
+// distinct spec on exactly one warm shard (memo and store locality),
 // scatter/gather batching amortizes the HTTP round trip over whole
 // sub-batches, and health probing (/v1/healthz + /v1/statsz) marks shards
 // down or draining so work re-routes without changing results. Reachable

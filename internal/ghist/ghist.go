@@ -50,8 +50,8 @@ type History struct {
 	// replaying every fold over its whole history window.
 	ckpt []uint64 // Capacity * len(folds), laid out slot-major
 	// ckptFrom is the position checkpoints are valid after: rollbacks to
-	// positions at or before it (registration-time state, restored
-	// snapshots) rebuild by replay instead.
+	// positions at or before it (registration-time state) rebuild by replay
+	// instead.
 	ckptFrom uint64
 }
 
@@ -196,44 +196,6 @@ func (h *History) rebuildFold(i int) {
 		v &= f.mask
 	}
 	f.val = v
-}
-
-// State is an opaque snapshot of a History (see Snapshot).
-type State struct {
-	bits [Capacity]byte
-	path [Capacity]uint16
-	pos  uint64
-	vals []uint64 // registered folds' current values, in registration order
-}
-
-// Snapshot captures the complete mutable state of the history: the rings,
-// the position, and every registered fold's value. The checkpoint ring is
-// deliberately excluded — Restore invalidates it, and rollbacks past a
-// restored position rebuild by replay, which produces the same values.
-func (h *History) Snapshot() *State {
-	st := &State{pos: h.pos, vals: make([]uint64, len(h.folds))}
-	st.bits = h.bits
-	st.path = h.path
-	for i := range h.folds {
-		st.vals[i] = h.folds[i].val
-	}
-	return st
-}
-
-// Restore reinstates a snapshot taken from a history with the same fold
-// registration sequence (same predictors constructed in the same order).
-// The receiver's fold registrations are kept; only their values change.
-func (h *History) Restore(st *State) {
-	if len(st.vals) != len(h.folds) {
-		panic("ghist: snapshot fold count mismatch")
-	}
-	h.bits = st.bits
-	h.path = st.path
-	h.pos = st.pos
-	for i := range h.folds {
-		h.folds[i].val = st.vals[i]
-	}
-	h.ckptFrom = h.pos // older checkpoints belong to the abandoned timeline
 }
 
 // Bit returns the i-th most recent outcome (i=0 newest). It returns false

@@ -200,15 +200,19 @@ func TestIdenticalViewsShareAHandle(t *testing.T) {
 // TestFoldsMatchReferenceAcrossRollbacks drives random pushes and
 // rollbacks and checks every registered view, shared ones included, against
 // the definition after each operation. Shallow rollbacks restore from the
-// checkpoint ring; rollbacks to positions before a Restore are older than
-// the checkpoint window and rebuild by replay. Window plus rollback depth
-// stays within the ring, as the pipeline's in-flight branches guarantee.
+// checkpoint ring. Registering a view mid-stream invalidates the ring, so a
+// rollback to a position before the registration is older than the
+// checkpoint window and rebuilds by replay. Window plus rollback depth stays
+// within the ring, as the pipeline's in-flight branches guarantee.
 func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
 	views := [][3]int{{8, 5, 0}, {37, 11, 0}, {16, 7, 1}, {8, 5, 0}, {640, 12, 0}, {1, 1, 1}, {37, 11, 1}, {130, 64, 0}}
 	var h History
-	handles := make([]Fold, len(views))
-	for i, v := range views {
-		handles[i] = h.RegisterFold(v[0], v[1], v[2] == 1)
+	var handles []Fold
+	register := func(v [3]int) {
+		handles = append(handles, h.RegisterFold(v[0], v[1], v[2] == 1))
+	}
+	for _, v := range views {
+		register(v)
 	}
 	check := func(op string) {
 		t.Helper()
@@ -219,11 +223,13 @@ func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
+	// Rollbacks average under half a position per push, so the history
+	// grows.
 	push := func(n int) {
 		for i := 0; i < n; i++ {
 			h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
 			check("push")
-			if rng.Intn(16) == 0 {
+			if rng.Intn(64) == 0 {
 				h.RollTo(h.Pos() - uint64(rng.Intn(64)))
 				check("rollback")
 			}
@@ -231,13 +237,23 @@ func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		// Grow the history past the ring so entries leave every window.
-		push(2 * Capacity)
-		// Restore invalidates the checkpoints: a rollback to a position
-		// before it replays the ring.
-		restoredAt := h.Pos()
-		h.Restore(h.Snapshot())
+		push(3 * Capacity)
+		registeredAt := h.Pos()
+		if registeredAt < uint64(round+1)*Capacity {
+			t.Fatalf("round %d: history at %d, not past the ring", round, registeredAt)
+		}
+		// A view registered now is new to the checkpoint ring: a rollback
+		// to a position before it replays the ring.
+		v := [3]int{20 + round, 9, round % 2}
+		views = append(views, v)
+		register(v)
+		check("register")
 		push(100)
-		h.RollTo(restoredAt - uint64(rng.Intn(300)))
+		to := registeredAt - uint64(rng.Intn(300))
+		h.RollTo(to)
+		if h.Pos() != to {
+			t.Fatalf("round %d: rolled back to %d, want %d", round, h.Pos(), to)
+		}
 		check("rollback past the checkpoints")
 	}
 }

@@ -160,7 +160,7 @@ type Spec struct {
 	// Program, when non-empty, names the workload by its content-addressed
 	// program reference ("prog:<sha256>", from Session.RegisterProgram)
 	// instead of a builtin kernel. Canonical() folds it into Kernel — the
-	// workload field the memo, store and snapshot keys use — so a spec may
+	// workload field the memo and store keys use — so a spec may
 	// set either field; setting both to different workloads is invalid.
 	Program string
 }
@@ -373,7 +373,7 @@ type traceCall struct {
 }
 
 // fpCall is the equivalent singleflight slot for one builtin workload's
-// fingerprint (store and snapshot keys).
+// fingerprint (store keys).
 type fpCall struct {
 	done chan struct{}
 	fp   string
@@ -407,7 +407,6 @@ type Session struct {
 	waiting atomic.Int64  // owners blocked on a slot
 
 	store *store.Store            // optional persistent tier under the memo (UseStore)
-	snaps *SnapshotCache          // optional warm-state snapshot cache (UseSnapshots)
 	fps   map[string]*fpCall      // builtin workload → fingerprint, computed once per session
 	progs map[string]*isa.Program // registered programs by prog:<sha256> reference
 
@@ -730,18 +729,12 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 		return nil, err
 	}
 	sim := pipeline.New(spec.config(), tr, pred, h)
-	se.mu.Lock()
-	snaps := se.snaps
-	se.mu.Unlock()
 	rt.countSimulation()
 	var st *pipeline.Stats
-	switch {
-	case snaps != nil && se.Warmup > 0:
-		st, err = se.runWithSnapshots(ctx, snaps, spec, sim, uint64(len(tr)), rt)
-	case rt == nil && ctx.Done() == nil:
+	if rt == nil && ctx.Done() == nil {
 		// Unobserved, uncancellable fast path: one Run call, no phase split.
 		st, err = sim.Run(se.Warmup, se.Measure)
-	default:
+	} else {
 		st, err = se.runCancellable(ctx, sim, uint64(len(tr)), rt)
 	}
 	if err != nil {
@@ -777,7 +770,7 @@ func (se *Session) runCancellable(ctx context.Context, sim *pipeline.Sim, traceL
 	if err != nil {
 		return nil, err
 	}
-	rt.phase(obs.StageWarmup, obs.TierSimulated, time.Since(t0))
+	rt.phase(obs.StageWarmup, time.Since(t0))
 	t0 = time.Now()
 	for st.Committed < total {
 		if err := ctx.Err(); err != nil {
@@ -791,7 +784,7 @@ func (se *Session) runCancellable(ctx context.Context, sim *pipeline.Sim, traceL
 			return nil, err
 		}
 	}
-	rt.phase(obs.StageMeasure, obs.TierSimulated, time.Since(t0))
+	rt.phase(obs.StageMeasure, time.Since(t0))
 	return st, nil
 }
 
@@ -804,11 +797,6 @@ type MemoStats struct {
 	Misses    uint64 `json:"misses"`     // simulations actually started
 
 	Store store.Stats `json:"store"` // attached store's own counters (zero when no store)
-
-	// Snapshots reports the attached warm-state snapshot cache (zero when
-	// none). A snapshot hit is not a memo hit: the simulation still runs,
-	// but skips its warmup phase.
-	Snapshots SnapshotStats `json:"snapshots"`
 }
 
 // MemoStats reports memo and store effectiveness.
@@ -818,9 +806,6 @@ func (se *Session) MemoStats() MemoStats {
 	m := MemoStats{Hits: se.hits, StoreHits: se.storeHits, Misses: se.misses}
 	if se.store != nil {
 		m.Store = se.store.Stats()
-	}
-	if se.snaps != nil {
-		m.Snapshots = se.snaps.Stats()
 	}
 	return m
 }

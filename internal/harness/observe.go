@@ -16,8 +16,8 @@ import (
 // Metric semantics (DESIGN.md §10): the lookup counters count *served*
 // lookups by the tier that answered them — a memo "hit" is a lookup
 // answered from (or coalesced onto) an in-process entry, a memo "miss" is
-// a lookup that took ownership and had to go below the memo; store and
-// snapshot hits/misses count probes of those tiers by owners. They are
+// a lookup that took ownership and had to go below the memo; store
+// hits/misses count probes of the store by owners. They are
 // deliberately not identical to MemoStats, which counts lookups at entry
 // (a waiter cancelled mid-join counts there but produced nothing here).
 type Observer struct {
@@ -25,7 +25,6 @@ type Observer struct {
 
 	memoHits, memoMisses   *obs.Counter
 	storeHits, storeMisses *obs.Counter
-	snapHits, snapMisses   *obs.Counter
 	simulations            *obs.Counter
 	warmupSeconds          *obs.Histogram
 	measureSeconds         *obs.Histogram
@@ -40,18 +39,16 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer) *Observer {
 	o := &Observer{tracer: tracer}
 	if reg != nil {
 		lookups := reg.CounterVec("repro_cache_lookups_total",
-			"Simulation-result cache lookups by tier (memo, store, snapshot) and outcome.",
+			"Simulation-result cache lookups by tier (memo, store) and outcome.",
 			"tier", "result")
 		o.memoHits = lookups.With(obs.TierMemo, "hit")
 		o.memoMisses = lookups.With(obs.TierMemo, "miss")
 		o.storeHits = lookups.With(obs.TierStore, "hit")
 		o.storeMisses = lookups.With(obs.TierStore, "miss")
-		o.snapHits = lookups.With(obs.TierSnapshot, "hit")
-		o.snapMisses = lookups.With(obs.TierSnapshot, "miss")
 		o.simulations = reg.Counter("repro_simulations_total",
 			"Simulations actually executed (memo misses not served by the persistent store).")
 		phase := reg.HistogramVec("repro_simulate_phase_seconds",
-			"Wall time of one simulation phase; warmup is near-zero when restored from a snapshot.",
+			"Wall time of one simulation phase: warmup, or measure.",
 			nil, "phase")
 		o.warmupSeconds = phase.With("warmup")
 		o.measureSeconds = phase.With("measure")
@@ -95,19 +92,6 @@ func (o *Observer) countStore(hit bool) {
 	c := o.storeMisses
 	if hit {
 		c = o.storeHits
-	}
-	if c != nil {
-		c.Inc()
-	}
-}
-
-func (o *Observer) countSnapshot(hit bool) {
-	if o == nil {
-		return
-	}
-	c := o.snapMisses
-	if hit {
-		c = o.snapHits
 	}
 	if c != nil {
 		c.Inc()
@@ -212,9 +196,8 @@ func (rt *runRec) lookup(stage, tier string, hit bool, d time.Duration) {
 	rt.span(stage, tier, outcome, d, nil)
 }
 
-// phase records one simulate phase: the phase histogram plus a span whose
-// tier says what served it (simulated, or snapshot for a restored warmup).
-func (rt *runRec) phase(stage, tier string, d time.Duration) {
+// phase records one simulated phase: the phase histogram plus a span.
+func (rt *runRec) phase(stage string, d time.Duration) {
 	if rt == nil {
 		return
 	}
@@ -230,7 +213,7 @@ func (rt *runRec) phase(stage, tier string, d time.Duration) {
 			}
 		}
 	}
-	rt.span(stage, tier, "", d, nil)
+	rt.span(stage, obs.TierSimulated, "", d, nil)
 }
 
 // Identity returns the spec's canonical human-readable identity string —

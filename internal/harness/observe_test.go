@@ -139,9 +139,9 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 	}
 }
 
-// TestObservedRunsByteIdentical is the PR's record-level differential: an
-// observed session (which times warmup and measure via the split simulate
-// path) and an observed session with snapshots attached must both render
+// TestObservedRunsByteIdentical is the record-level differential for
+// observation: an observed session (which times warmup and measure via the
+// split simulate path) and an observed, traced session must both render
 // records byte-identical to the plain unobserved fast path.
 func TestObservedRunsByteIdentical(t *testing.T) {
 	t.Parallel()
@@ -178,12 +178,11 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 		t.Error("observed session records differ from unobserved fast path")
 	}
 
-	snapped := NewSession(warmup, measure)
-	snapped.Observe(NewObserver(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{})))
-	snapped.UseSnapshots(NewSnapshotCache(8))
-	gotJSON, gotCSV = render(snapped)
+	traced := NewSession(warmup, measure)
+	traced.Observe(NewObserver(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{})))
+	gotJSON, gotCSV = render(traced)
 	if gotJSON != wantJSON || gotCSV != wantCSV {
-		t.Error("observed+snapshot session records differ from unobserved fast path")
+		t.Error("observed+traced session records differ from unobserved fast path")
 	}
 }
 

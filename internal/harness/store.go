@@ -103,20 +103,6 @@ func (se *Session) storeKey(spec Spec) (key store.Key, id string, ok bool) {
 	return store.KeyOf(id, fp, windows, StoreVersion), id, true
 }
 
-// snapKey derives the warm-state snapshot key for spec: like storeKey but
-// without the measure window. A snapshot is taken at the warmup boundary,
-// so only warmup-affecting state goes into the key — spec identity, workload
-// fingerprint, the warmup window, the version token. Sessions that differ
-// only in how long they measure share warm states; that cross-window reuse
-// is the snapshot cache's reason to exist alongside the result store.
-func (se *Session) snapKey(spec Spec) (key store.Key, ok bool) {
-	fp, ok := se.workloadFingerprint(spec.Kernel)
-	if !ok {
-		return store.Key{}, false
-	}
-	return store.KeyOf(spec.storeID(), fp, fmt.Sprintf("warmup=%d", se.Warmup), StoreVersion), true
-}
-
 // storeLoad is the read-through: probe the attached store for spec's
 // persisted stats. Any load failure — missing, corrupt, stale version,
 // mismatched identity, a payload parseStats rejects — reports false and the

@@ -5,8 +5,8 @@ package harness
 // the program's binary encoding. The reference is self-certifying — two
 // byte-identical programs get one identity no matter who uploads them, and
 // two different programs can never collide, even if both are named "mcf" —
-// so memo entries, persisted store records, and warm-state snapshots all key
-// correctly across processes without trusting the program's display name.
+// so memo entries and persisted store records key correctly across
+// processes without trusting the program's display name.
 
 import (
 	"crypto/sha256"
@@ -60,9 +60,9 @@ func ProgramID(p *isa.Program) string {
 // returning the same reference.
 //
 // A program byte-identical to a builtin kernel returns the builtin's name:
-// it is the same workload, so it shares the builtin's memo entries, store
-// records and warm-state snapshots. A different program that merely shares
-// a builtin's name gets its own prog: reference and can never collide.
+// it is the same workload, so it shares the builtin's memo entries and
+// store records. A different program that merely shares a builtin's name
+// gets its own prog: reference and can never collide.
 func (se *Session) RegisterProgram(p *isa.Program) (string, error) {
 	if p == nil {
 		return "", errors.New("harness: RegisterProgram: nil program")

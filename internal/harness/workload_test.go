@@ -40,9 +40,9 @@ func impostorProgram() *isa.Program {
 
 // TestRegisterProgramIdentity pins the tentpole's identity rules (satellite:
 // identity isolation). A byte-identical upload of builtin mcf resolves to
-// the workload "mcf" and therefore memo-hits, store-hits, and snapshot-hits
-// the builtin's entries; an impostor named "mcf" gets its own prog: identity
-// and shares nothing.
+// the workload "mcf" and therefore memo-hits and store-hits the builtin's
+// entries; an impostor named "mcf" gets its own prog: identity and shares
+// nothing.
 func TestRegisterProgramIdentity(t *testing.T) {
 	t.Parallel()
 	st, err := store.Open(t.TempDir(), StoreVersion)
@@ -51,7 +51,6 @@ func TestRegisterProgramIdentity(t *testing.T) {
 	}
 	se := NewSession(testWindows(5_000, 20_000))
 	se.UseStore(st)
-	se.UseSnapshots(NewSnapshotCache(8))
 
 	// Byte-identical upload deduplicates onto the builtin name...
 	id, err := se.RegisterProgram(mcfProgram(t))
@@ -117,20 +116,6 @@ func TestRegisterProgramIdentity(t *testing.T) {
 	}
 	if m2.Store.Hits != 2 {
 		t.Fatalf("store counters disagree: %+v", m2.Store)
-	}
-
-	// Snapshot isolation: the builtin and the impostor have different
-	// workload fingerprints, so their snapshot keys differ.
-	bk, ok := se.snapKey(spec.Canonical())
-	if !ok {
-		t.Fatal("no snapshot key for builtin spec")
-	}
-	ik, ok := se.snapKey(Spec{Kernel: impID, Predictor: "vtage", Counters: FPC}.Canonical())
-	if !ok {
-		t.Fatal("no snapshot key for impostor spec")
-	}
-	if bk == ik {
-		t.Fatal("impostor shares the builtin's snapshot key")
 	}
 }
 

@@ -126,23 +126,3 @@ func TestClearAcrossEpochWrap(t *testing.T) {
 		t.Errorf("after wrap: LoadFetched = (%d,%v), want (9,true)", tok, wait)
 	}
 }
-
-// TestSnapshotRestoreKeepsEpoch: a restored predictor agrees with its
-// donor on which LFST entries are live, across a Clear.
-func TestSnapshotRestoreKeepsEpoch(t *testing.T) {
-	s := New(10)
-	s.Violation(100, 200)
-	s.StoreFetched(200, 5)
-	s.Clear()
-	s.Clear()
-	st := s.Snapshot()
-	r := New(10)
-	r.Restore(st)
-	if _, wait := r.LoadFetched(100); wait {
-		t.Error("restored predictor revived a cleared entry")
-	}
-	r.StoreFetched(200, 6)
-	if tok, wait := r.LoadFetched(100); !wait || tok != 6 {
-		t.Errorf("restored predictor: LoadFetched = (%d,%v), want (6,true)", tok, wait)
-	}
-}

@@ -9,16 +9,15 @@ import (
 )
 
 // Span stages, in lifecycle order. One simulation run emits one span-set:
-// an admit span when the lookup takes ownership of the memo entry, one
-// lookup span per cache tier probed below it (store, snapshot), warmup and
-// measure spans when the simulator actually ran, and a publish span when
-// the result lands (memoized, plus the store write-behind when a store is
-// attached). Runs served entirely from the in-process memo emit no spans —
-// the span stream records work performed, not lookups answered.
+// an admit span when the lookup takes ownership of the memo entry, a lookup
+// span when the store below it is probed, warmup and measure spans when the
+// simulator actually ran, and a publish span when the result lands
+// (memoized, plus the store write-behind when a store is attached). Runs
+// served entirely from the in-process memo emit no spans — the span stream
+// records work performed, not lookups answered.
 const (
 	StageAdmit    = "admit"
 	StageStore    = "store"
-	StageSnapshot = "snapshot"
 	StageWarmup   = "warmup"
 	StageMeasure  = "measure"
 	StagePublish  = "publish"
@@ -29,7 +28,6 @@ const (
 const (
 	TierMemo      = "memo"
 	TierStore     = "store"
-	TierSnapshot  = "snapshot"
 	TierSimulated = "simulated"
 	TierLocal     = "local"  // dispatch: in-process backend
 	TierRemote    = "remote" // dispatch: vpserved round trip
@@ -42,8 +40,8 @@ type Span struct {
 	Spec  string `json:"spec"` // canonical spec identity
 	Stage string `json:"stage"`
 	// Tier is the cache tier that served the stage: which tier answered a
-	// lookup, whether warmup was simulated or snapshot-restored, where a
-	// publish landed.
+	// lookup, simulated for the warmup and measure phases, where a publish
+	// landed.
 	Tier string `json:"tier,omitempty"`
 	// Outcome qualifies lookup stages: "hit" or "miss".
 	Outcome string `json:"outcome,omitempty"`

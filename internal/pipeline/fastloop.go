@@ -7,7 +7,7 @@ import (
 )
 
 // This file holds two legs of the specialized simulate loop (DESIGN.md
-// §9.3): devirtualized per-µop predictor dispatch, and event-driven
+// §9): devirtualized per-µop predictor dispatch, and event-driven
 // idle-cycle skipping; the issue filter lives with the issue stage in
 // sim.go. All are exact — the reference loop stays available behind
 // SetReferenceLoop, and TestFastLoopMatchesReference pins the two

@@ -11,6 +11,29 @@ import (
 	"repro/internal/kernels"
 )
 
+// familyPredictors covers every predictor family the harness can build,
+// including the hybrids' cross-feeding and the oracle's feed path.
+func familyPredictors() map[string]func(h *ghist.History) core.Predictor {
+	return map[string]func(h *ghist.History) core.Predictor{
+		"none":   nil,
+		"oracle": func(h *ghist.History) core.Predictor { return &core.Oracle{} },
+		"lvp":    func(h *ghist.History) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
+		"stride": func(h *ghist.History) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
+		"fcm":    func(h *ghist.History) core.Predictor { return core.NewFCM(4, 10, core.FPCBaseline, 3) },
+		"gdiff":  func(h *ghist.History) core.Predictor { return core.NewGDiff(10, core.FPCBaseline, 3) },
+		"ps": func(h *ghist.History) core.Predictor {
+			return core.NewPS(10, 10, core.FPCBaseline, 3, h)
+		},
+		"vtage": func(h *ghist.History) core.Predictor {
+			return core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCCommit), h)
+		},
+		"vtage+stride": func(h *ghist.History) core.Predictor {
+			return core.NewHybrid(core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCCommit), h),
+				core.NewStride2D(10, core.FPCCommit, 4))
+		},
+	}
+}
+
 // fastRefWorkloads are the traces TestFastLoopMatchesReference runs, with
 // different idle and wakeup profiles: mcf is memory-bound (long idle
 // windows the fast loop skips), gzip is branchy (frequent squashes and
@@ -47,7 +70,7 @@ func TestFastLoopMatchesReference(t *testing.T) {
 	total := w + m
 
 	for wl, tr := range fastRefWorkloads(t, int(total)) {
-		for name, mk := range snapPredictors() {
+		for name, mk := range familyPredictors() {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
 				cfg.Recovery = rec

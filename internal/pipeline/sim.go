@@ -128,7 +128,7 @@ type Sim struct {
 	waitWB    slotList // issued, writeback-side effects not yet processed
 	iqHeld    slotList // still holding an IQ entry (inIQ)
 
-	// The fast loop's issue filter (DESIGN.md §9.3), an iteration filter
+	// The fast loop's issue filter (DESIGN.md §9), an iteration filter
 	// only: it never changes what issues when. awake is the part of
 	// waitIssue the fast loop scans. A waiting µop whose source producer
 	// has not issued is parked on that producer's wakeup chain
@@ -136,7 +136,7 @@ type Sim struct {
 	// the producer issues. recheckAt[slot] is a lower bound on the cycle an
 	// awake µop could next be issue-eligible; the scan skips it until then.
 	// Anything that can move a completion earlier or remove a producer (a
-	// squash, a selective-reissue replay, Restore) re-arms the filter.
+	// squash or a selective-reissue replay) re-arms the filter.
 	awake     slotSet
 	recheckAt []int64
 	wakeHead  []int
@@ -209,7 +209,7 @@ type Sim struct {
 
 	// wbMinDone is a lower bound on the earliest doneCyc in waitWB: while it
 	// is in the future the writeback scan is skipped entirely. It only
-	// decreases outside the scan (insert-time min, 0 on squash/restore), so
+	// decreases outside the scan (insert-time min, 0 on squash), so
 	// staleness costs a redundant scan, never a missed one.
 	wbMinDone int64
 
@@ -926,8 +926,7 @@ func (s *Sim) wake(p int, done int64) {
 // rearmIssue resets the issue filter: every waiting µop is awake and
 // rechecked at its next scan, and no wakeup chain remains. The filter's
 // bounds assume producers only complete when their timestamps say and
-// chains only name live producers; squashes, replays and restores break
-// both.
+// chains only name live producers; squashes and replays break both.
 func (s *Sim) rearmIssue() {
 	copy(s.awake, s.waitIssue)
 	clear(s.recheckAt)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/emu"
 	"repro/internal/ghist"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 )
 
 // simpleLoop builds an independent-add loop with plenty of ILP.
@@ -89,6 +90,66 @@ func TestCommittedMatchesRequest(t *testing.T) {
 	want := w + m
 	if st.Committed < want || st.Committed >= want+8 {
 		t.Errorf("Committed = %d, want %d..%d", st.Committed, want, want+7)
+	}
+}
+
+// TestSplitRunMatchesStraightRun pins the split-run contract every
+// cancellable or observed harness run relies on: Run(warmup, 0) followed by
+// Advance calls in chunks smaller than the measure window reproduces a
+// straight Run(warmup, measure) exactly — the same Stats and the same
+// commit stream — for every predictor family × both recovery modes.
+// Pausing between cycles must be state-neutral.
+func TestSplitRunMatchesStraightRun(t *testing.T) {
+	w, m := testWin(8_000, 20_000)
+	const chunk = 1_733 // below the measure window, so every run splits it
+	for _, kernel := range []string{"gzip", "applu"} {
+		k, ok := kernels.ByName(kernel)
+		if !ok {
+			t.Fatalf("unknown kernel %q", kernel)
+		}
+		tr := emu.Trace(k.Build(), int(w+m))
+		total := min(w+m, uint64(len(tr)))
+		for name, mk := range familyPredictors() {
+			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
+				cfg := DefaultConfig()
+				cfg.Recovery = rec
+				build := func() (*Sim, *[]uint64) {
+					h := &ghist.History{}
+					var p core.Predictor
+					if mk != nil {
+						p = mk(h)
+					}
+					s := New(cfg, tr, p, h)
+					var seqs []uint64
+					s.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+					return s, &seqs
+				}
+
+				ref, refSeqs := build()
+				refSt, err := ref.Run(w, m)
+				if err != nil {
+					t.Fatalf("%s/%s/%v: straight run: %v", kernel, name, rec, err)
+				}
+
+				split, seqs := build()
+				st, err := split.Run(w, 0)
+				for err == nil && st.Committed < total {
+					st, err = split.Advance(min(chunk, total-st.Committed))
+				}
+				if err != nil {
+					t.Fatalf("%s/%s/%v: split run: %v", kernel, name, rec, err)
+				}
+
+				if *st != *refSt {
+					t.Errorf("%s/%s/%v: split run differs from straight run:\n split %+v\n  ref %+v",
+						kernel, name, rec, *st, *refSt)
+				}
+				if i, ok := sameSeqs(*seqs, *refSeqs); !ok {
+					t.Fatalf("%s/%s/%v: commit streams diverge at %d (lengths %d, %d)",
+						kernel, name, rec, i, len(*seqs), len(*refSeqs))
+				}
+			}
+		}
 	}
 }
 

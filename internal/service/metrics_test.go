@@ -124,34 +124,3 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 }
-
-// TestStatszSnapshots verifies the snapshot cache is attached by default,
-// reported in /v1/statsz, and disabled by a negative SnapshotCap.
-func TestStatszSnapshots(t *testing.T) {
-	srv, c, _ := newTestServer(t, Options{Workers: 2})
-	if srv.Session().Snapshots() == nil {
-		t.Fatal("default server has no snapshot cache attached")
-	}
-	spec := harness.Spec{Kernel: "gzip", Predictor: "lvp"}
-	if _, err := c.Simulate(t.Context(), RequestFor(spec)); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := c.Stats(t.Context())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Snapshots == nil {
-		t.Fatal("statsz has no snapshots section")
-	}
-	if stats.Snapshots.Misses == 0 || stats.Snapshots.Entries == 0 {
-		t.Errorf("snapshot stats not populated: %+v", *stats.Snapshots)
-	}
-
-	off, _, _ := newTestServer(t, Options{Workers: 1, SnapshotCap: -1})
-	if off.Session().Snapshots() != nil {
-		t.Error("SnapshotCap < 0 still attached a snapshot cache")
-	}
-	if s := off.Stats(); s.Snapshots != nil {
-		t.Error("statsz reports snapshots with the cache disabled")
-	}
-}

@@ -44,12 +44,6 @@ type Options struct {
 	// in a mutex by the tracer; an *os.File is fine.
 	TraceWriter io.Writer
 
-	// SnapshotCap bounds the warm-state snapshot cache attached to the
-	// session: 0 selects harness.DefaultSnapshotCap, negative disables the
-	// cache. Snapshots skip the warmup phase of repeat specs
-	// byte-identically (DESIGN.md §9).
-	SnapshotCap int
-
 	// ShardID names this daemon within a fleet (vpserved -shard-id; the
 	// daemon defaults it to the bound host:port). It is reported by
 	// /v1/healthz and the /v1/statsz shard block so fleet probing and logs
@@ -116,9 +110,6 @@ func New(o Options) (*Server, error) {
 			return nil, fmt.Errorf("service: %w", err)
 		}
 		s.session.UseStore(st)
-	}
-	if o.SnapshotCap >= 0 {
-		s.session.UseSnapshots(harness.NewSnapshotCache(o.SnapshotCap))
 	}
 	reg := o.Metrics
 	if reg == nil {
@@ -597,10 +588,6 @@ func (s *Server) Stats() ServerStats {
 			Writes:      memo.Store.Writes,
 			WriteErrors: memo.Store.WriteErrors,
 		}
-	}
-	if s.session.Snapshots() != nil {
-		snaps := memo.Snapshots
-		out.Snapshots = &snaps
 	}
 	return out
 }

@@ -174,7 +174,7 @@ type StoreStats struct {
 }
 
 // ServerStats is the body of GET /v1/statsz: the session's worker-slot load
-// and its memo/store/snapshot effectiveness.
+// and its memo/store effectiveness.
 // Workers is the session's slot count; GOMAXPROCS and NumCPU put it in
 // context — min of the three is the parallelism the slots can really get.
 // BusyWorkers counts slots held, QueuedTasks owners waiting for one, and
@@ -198,12 +198,6 @@ type ServerStats struct {
 	// deduplicated onto a builtin kernel are not counted — they added nothing.
 	Programs int         `json:"programs"`
 	Store    *StoreStats `json:"store,omitempty"`
-
-	// Snapshots reports the warm-state snapshot cache (harness
-	// SnapshotCache.Stats), present unless the cache was disabled with a
-	// negative SnapshotCap. A snapshot hit still simulates — it skips only
-	// the warmup phase — so these are orthogonal to the memo counters.
-	Snapshots *harness.SnapshotStats `json:"snapshots,omitempty"`
 
 	// Shard identifies this daemon within a fleet (DESIGN.md §12).
 	Shard ShardInfo `json:"shard"`
