@@ -62,15 +62,10 @@ func Experiments() []string {
 	return ids
 }
 
-// ExperimentOptions sizes and formats one experiment run. With a Runner,
-// Warmup/Measure are per-call window overrides: zero keeps the runner's
-// windows; a LocalRunner honours an override on a throwaway session, a
-// RemoteRunner refuses a mismatch with the server's windows. Concurrency is
-// the runner's (RunnerOptions.Workers), not the call's.
+// ExperimentOptions formats one experiment run. Windows and concurrency are
+// the runner's (RunnerOptions, or each daemon's own), not the call's.
 type ExperimentOptions struct {
-	Warmup  uint64 // µops before measurement per simulation (0: runner default)
-	Measure uint64 // measured µops per simulation (0: runner default)
-	Format  string // "text" (default), "json", or "csv"
+	Format string // "text" (default), "json", or "csv"
 }
 
 // APIError is a typed service-layer failure: HTTP status, a stable

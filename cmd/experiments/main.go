@@ -87,12 +87,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Remote backends size simulations daemon-wide; only forward the window
-	// flags the user actually set, so the runner can verify them against the
-	// server (and default invocations just use the server's windows).
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
 	opts := repro.RunnerOptions{
 		Warmup: *warmup, Measure: *measure, Workers: *workers, StoreDir: *storeDir,
 	}
@@ -112,6 +106,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	remote := *server != "" || *shards != ""
 	if remote && *storeDir != "" {
 		fmt.Fprintln(stderr, "experiments: -store-dir applies to in-process runs; a remote daemon's store is set by vpserved -store-dir")
+		return 2
+	}
+	windows := false
+	fs.Visit(func(f *flag.Flag) { windows = windows || f.Name == "warmup" || f.Name == "measure" })
+	if remote && windows {
+		fmt.Fprintln(stderr, "experiments: -warmup/-measure apply to in-process runs; a remote daemon's windows are set by vpserved -warmup/-measure")
 		return 2
 	}
 	// -server is a fleet of one daemon, -shards routes across several.
@@ -134,14 +134,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	defer runner.Close()
 
 	eo := repro.ExperimentOptions{Format: *format}
-	if remote {
-		if explicit["warmup"] {
-			eo.Warmup = *warmup
-		}
-		if explicit["measure"] {
-			eo.Measure = *measure
-		}
-	}
 
 	if *corpus != "" {
 		if *runID != "" || *all {

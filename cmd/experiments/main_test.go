@@ -52,7 +52,7 @@ func TestServerFlagMatchesInProcess(t *testing.T) {
 		if code := run(context.Background(), args, &local, &errb); code != 0 {
 			t.Fatalf("local %s exited %d: %s", format, code, errb.String())
 		}
-		args = append(args, "-server", url)
+		args = []string{"-run", "fig1", "-format", format, "-server", url}
 		if code := run(context.Background(), args, &remote, &errb); code != 0 {
 			t.Fatalf("remote %s exited %d: %s", format, code, errb.String())
 		}
@@ -63,8 +63,9 @@ func TestServerFlagMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestServerFlagListAndErrors: -list reads the server's index; a window
-// mismatch against the daemon fails loudly; a dead server exits 1.
+// TestServerFlagListAndErrors: -list reads the server's index; window flags
+// with a remote backend are a usage error, since a daemon's windows are its
+// own; a dead server exits 1.
 func TestServerFlagListAndErrors(t *testing.T) {
 	url := startServer(t, 500, 2_000)
 	var out, errb bytes.Buffer
@@ -77,14 +78,18 @@ func TestServerFlagListAndErrors(t *testing.T) {
 		}
 	}
 
-	out.Reset()
-	errb.Reset()
-	args := []string{"-run", "fig1", "-server", url, "-warmup", "999"}
-	if code := run(context.Background(), args, &out, &errb); code != 1 {
-		t.Fatalf("window mismatch exited %d, want 1 (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "per-daemon") {
-		t.Errorf("window mismatch error does not explain itself: %s", errb.String())
+	for _, args := range [][]string{
+		{"-run", "fig1", "-server", url, "-warmup", "500"},
+		{"-run", "fig1", "-shards", url, "-measure", "2000"},
+	} {
+		out.Reset()
+		errb.Reset()
+		if code := run(context.Background(), args, &out, &errb); code != 2 {
+			t.Fatalf("%v exited %d, want 2 (stderr: %s)", args, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "vpserved -warmup/-measure") {
+			t.Errorf("%v: window flag error does not explain itself: %s", args, errb.String())
+		}
 	}
 
 	errb.Reset()

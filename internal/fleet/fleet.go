@@ -495,39 +495,23 @@ func (f *Runner) RegisterProgram(ctx context.Context, p *isa.Program) (string, e
 	return id, nil
 }
 
-// ExperimentOptions is the subset of the facade's experiment options a
-// fleet honours: format plus the window assertion. Concurrency belongs to
-// each shard's own worker slots.
-type ExperimentOptions struct {
-	Warmup  uint64
-	Measure uint64
-	Format  string
-}
-
-// Experiment renders e on the client, in every format: its declared spec
-// set scatters through Batch and the records render through
+// Experiment renders e on the client in format (text, json or csv): its
+// declared spec set scatters through Batch and the records render through
 // harness.RenderRecords, so the bytes are identical to a LocalRunner's.
 // Spec-less experiments render on a throwaway session sized to the shards'
-// windows (only profile touches it, to trace kernels). Nonzero
-// o.Warmup/o.Measure must match the shards' windows: sizing is per-daemon,
-// not per call. One /v1/statsz read serves both needs.
-func (f *Runner) Experiment(ctx context.Context, e harness.Experiment, o ExperimentOptions, w io.Writer) error {
-	if err := harness.CheckFormat(e, o.Format); err != nil {
+// windows, read from one /v1/statsz (only profile touches it, to trace
+// kernels).
+func (f *Runner) Experiment(ctx context.Context, e harness.Experiment, format string, w io.Writer) error {
+	if err := harness.CheckFormat(e, format); err != nil {
 		return err
 	}
 	var se *harness.Session
-	if o.Warmup != 0 || o.Measure != 0 || e.Specs == nil {
+	if e.Specs == nil {
 		stats, err := f.stats(ctx)
 		if err != nil {
 			return err
 		}
-		lim := stats.Limits
-		if (o.Warmup != 0 && o.Warmup != lim.Warmup) || (o.Measure != 0 && o.Measure != lim.Measure) {
-			return fmt.Errorf("repro: server simulates %d+%d µops, not the requested %d+%d: "+
-				"window sizing is per-daemon (vpserved -warmup/-measure), not per call",
-				lim.Warmup, lim.Measure, o.Warmup, o.Measure)
-		}
-		se = harness.NewSession(lim.Warmup, lim.Measure)
+		se = harness.NewSession(stats.Limits.Warmup, stats.Limits.Measure)
 	}
 	var recs []harness.Record
 	if e.Specs != nil {
@@ -538,7 +522,7 @@ func (f *Runner) Experiment(ctx context.Context, e harness.Experiment, o Experim
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}
-	return harness.RenderRecords(ctx, se, e, o.Format, recs, w)
+	return harness.RenderRecords(ctx, se, e, format, recs, w)
 }
 
 // stats fetches /v1/statsz from any healthy shard.

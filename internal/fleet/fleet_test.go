@@ -51,8 +51,11 @@ func startShards(t *testing.T, n int) (*Runner, []*service.Server, []*httptest.S
 func refRecords(t *testing.T, specs []harness.Spec) []harness.Record {
 	t.Helper()
 	se := harness.NewSession(testWarmup, testMeasure)
-	recs, err := se.Records(specs)
-	if err != nil {
+	var recs []harness.Record
+	if _, err := se.Records(context.Background(), specs, func(r harness.Record) error {
+		recs = append(recs, r)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return recs

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
 	"io"
 	"strconv"
 )
@@ -48,32 +49,162 @@ var csvHeader = []string{
 	"branch_mpki", "b2b_fraction",
 }
 
-// Record flattens r into the machine-readable form, computing speedup
-// against the memoized no-VP baseline (running it if absent). The baseline
-// machine's own speedup is 1 by definition.
-func (se *Session) Record(r *Result) (Record, error) {
-	sp := 1.0
-	if r.Spec.Predictor != "none" {
-		var err error
-		sp, err = se.Speedup(r.Spec)
-		if err != nil {
-			return Record{}, err
+// Records produces the record of every spec and calls fn with each one, in
+// spec order, as soon as it is complete; fn is never called concurrently. It
+// is the one path from specs to records: the daemon's batch-sync core, the
+// LocalRunner and Render all call it.
+//
+// Every spec is canonicalized, not validated: input from outside is
+// validated where it enters, and simulate still rejects an invalid spec at
+// its task. Each distinct spec, and each non-baseline spec's Baseline(), is
+// one task (planTasks). A task with a completed memo entry is answered
+// inline (peek), so a fully warm call starts no goroutine, allocates no
+// channel and takes no slot. Cold tasks are walked (Each) through RunCtx,
+// whose worker slots bound them together with every other caller's. Within
+// one call every task is distinct, so no walker waits on another's run. A
+// record is built from its spec's and its baseline's results directly
+// (newRecord), with no further lookup.
+//
+// On failure Records returns the index of the first failing spec in spec
+// order with that spec's error, or -1 when fn failed or ctx ended. It
+// returns only once its walkers have: returning early cancels the cold tasks
+// that remain.
+func (se *Session) Records(ctx context.Context, specs []Spec, fn func(Record) error) (failed int, err error) {
+	if err := ctx.Err(); err != nil {
+		return -1, err
+	}
+	p := planTasks(specs)
+	var cold []int
+	for i := range p.tasks {
+		t := &p.tasks[i]
+		var ok bool
+		if t.res, t.err, ok = se.peek(t.spec); !ok {
+			t.done = make(chan struct{})
+			cold = append(cold, i)
 		}
 	}
-	counters := r.Spec.Counters.String()
-	if r.Spec.FPCVec != "" {
+	if len(cold) > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(ctx)
+		walked := make(chan struct{})
+		go func() {
+			defer close(walked)
+			se.Each(len(cold), func(j int) {
+				t := &p.tasks[cold[j]]
+				if t.err = ctx.Err(); t.err == nil {
+					t.res, t.err = se.RunCtx(ctx, t.spec)
+				}
+				close(t.done)
+			})
+		}()
+		defer func() {
+			cancel()
+			<-walked
+		}()
+	}
+	for i := range specs {
+		res, err := p.tasks[p.spec[i]].wait(ctx)
+		var base *Result
+		if err == nil && p.base[i] >= 0 {
+			base, err = p.tasks[p.base[i]].wait(ctx)
+		}
+		var rec Record
+		if err == nil {
+			rec, err = newRecord(res, base)
+		}
+		if err != nil {
+			// The budget covers waiting for a slot or on another caller's
+			// run as much as simulating: an ended ctx fails the whole call.
+			if ctx.Err() != nil {
+				return -1, ctx.Err()
+			}
+			return i, err
+		}
+		if err := fn(rec); err != nil {
+			return -1, err
+		}
+	}
+	return -1, nil
+}
+
+// task is one distinct simulation of a Records call.
+type task struct {
+	spec Spec
+	res  *Result
+	err  error
+	done chan struct{} // closed once a walker has set res and err; nil when answered inline
+}
+
+// wait returns t's outcome once it is known, or ctx's error if ctx ends
+// first.
+func (t *task) wait(ctx context.Context) (*Result, error) {
+	if t.done != nil {
+		select {
+		case <-t.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	return t.res, t.err
+}
+
+// plan is the task list of a Records call.
+type plan struct {
+	tasks []task
+	spec  []int // requested spec i -> its task
+	base  []int // requested spec i -> its baseline's task, -1 for a baseline spec
+}
+
+// planTasks plans every distinct canonical spec and each non-baseline spec's
+// Baseline() once, in first-appearance order: each spec, then its baseline.
+func planTasks(specs []Spec) plan {
+	p := plan{spec: make([]int, len(specs)), base: make([]int, len(specs))}
+	seen := make(map[Spec]int, 2*len(specs))
+	add := func(sp Spec) int {
+		i, ok := seen[sp]
+		if !ok {
+			i = len(p.tasks)
+			seen[sp] = i
+			p.tasks = append(p.tasks, task{spec: sp})
+		}
+		return i
+	}
+	for i, sp := range specs {
+		sp = sp.Canonical()
+		p.spec[i], p.base[i] = add(sp), -1
+		if sp.Predictor != "none" {
+			p.base[i] = add(sp.Baseline())
+		}
+	}
+	return p
+}
+
+// newRecord flattens res into the machine-readable form. base is the result
+// of res's Baseline() spec, nil for a baseline spec, whose speedup is 1 by
+// definition. It is the one place a spec's IPC is divided by its
+// baseline's.
+func newRecord(res, base *Result) (Record, error) {
+	sp := 1.0
+	if base != nil {
+		if base.Stats.IPC() == 0 {
+			return Record{}, fmt.Errorf("harness: zero baseline IPC for %s", res.Spec.Kernel)
+		}
+		sp = res.Stats.IPC() / base.Stats.IPC()
+	}
+	counters := res.Spec.Counters.String()
+	if res.Spec.FPCVec != "" {
 		counters = "custom"
 	}
-	st := r.Stats
+	st := res.Stats
 	return Record{
-		Kernel:         r.Spec.Kernel,
-		Predictor:      r.Spec.Predictor,
+		Kernel:         res.Spec.Kernel,
+		Predictor:      res.Spec.Predictor,
 		Counters:       counters,
-		Recovery:       r.Spec.Recovery.String(),
-		Width:          r.Spec.Width,
-		LoadsOnly:      r.Spec.LoadsOnly,
-		MaxHist:        r.Spec.MaxHist,
-		FPCVector:      r.Spec.FPCVec,
+		Recovery:       res.Spec.Recovery.String(),
+		Width:          res.Spec.Width,
+		LoadsOnly:      res.Spec.LoadsOnly,
+		MaxHist:        res.Spec.MaxHist,
+		FPCVector:      res.Spec.FPCVec,
 		IPC:            st.IPC(),
 		Speedup:        sp,
 		Coverage:       st.Coverage(),
@@ -87,55 +218,6 @@ func (se *Session) Record(r *Result) (Record, error) {
 		BranchMPKI:     st.BranchMPKI(),
 		B2BFraction:    st.B2BFraction(),
 	}, nil
-}
-
-// RecordCtx simulates one spec (memoized) plus the baseline its speedup
-// needs and flattens the result — the single-spec form of RecordsCtx, shared
-// by the facade's runners. Both runs are warm no-ops when a batch pass
-// already scheduled them.
-func (se *Session) RecordCtx(ctx context.Context, spec Spec) (Record, error) {
-	spec = spec.Canonical()
-	res, err := se.RunCtx(ctx, spec)
-	if err != nil {
-		return Record{}, err
-	}
-	if spec.Predictor != "none" {
-		if _, err := se.RunCtx(ctx, spec.Baseline()); err != nil {
-			return Record{}, err
-		}
-	}
-	return se.Record(res)
-}
-
-// Records simulates specs (plus the baselines their speedups need) on the
-// session's worker slots and flattens the results in spec order.
-func (se *Session) Records(specs []Spec) ([]Record, error) {
-	return se.RecordsCtx(context.Background(), specs)
-}
-
-// RecordsCtx is Records with cancellation (see RunAllCtx).
-func (se *Session) RecordsCtx(ctx context.Context, specs []Spec) ([]Record, error) {
-	batch := make([]Spec, 0, 2*len(specs))
-	for _, s := range specs {
-		batch = append(batch, s.Canonical())
-	}
-	for _, s := range specs {
-		if s.Predictor != "none" {
-			batch = append(batch, s.Canonical().Baseline())
-		}
-	}
-	results, err := se.RunAllCtx(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Record, len(specs))
-	for i := range specs {
-		out[i], err = se.Record(results[i])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // WriteJSON emits records as an indented JSON array with stable field names.

@@ -7,7 +7,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
+
+	"repro/internal/isa"
 )
 
 // goldenRecords are fixed, hand-written values: the golden files pin the
@@ -159,46 +163,64 @@ func TestRecordFieldNamesStable(t *testing.T) {
 	}
 }
 
-// TestRecordCtx: the single-spec record path must agree with the batch
-// Records layer, cancel cleanly, and memoize — a repeat call starts no new
-// simulations.
+// collect runs se.Records over specs and gathers the records in spec order.
+func collect(ctx context.Context, se *Session, specs []Spec) ([]Record, error) {
+	var recs []Record
+	_, err := se.Records(ctx, specs, func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, err
+}
+
+// TestRecordCtx: a one-spec Records call under a context, the form
+// LocalRunner.Simulate makes, must agree with the same spec's record from a
+// batch call, memoize (a repeat call starts no new simulations) and fail
+// cleanly on a dead context.
 func TestRecordCtx(t *testing.T) {
 	se := NewSession(testWindows(1_000, 4_000))
 	spec := Spec{Kernel: "art", Predictor: "lvp", Counters: FPC}
 	ctx := context.Background()
-	rec, err := se.RecordCtx(ctx, spec)
+	single, err := collect(ctx, se, []Spec{spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := se.Records([]Spec{spec})
+	batch, err := collect(ctx, NewSession(testWindows(1_000, 4_000)), []Spec{{Kernel: "gzip", Predictor: "none"}, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec != recs[0] {
-		t.Errorf("RecordCtx differs from Records:\nsingle: %+v\nbatch:  %+v", rec, recs[0])
+	if len(single) != 1 || len(batch) != 2 || single[0] != batch[1] {
+		t.Errorf("one-spec Records differs from the batch:\nsingle: %+v\nbatch:  %+v", single, batch)
 	}
 	misses := se.MemoStats().Misses
-	if _, err := se.RecordCtx(ctx, spec); err != nil {
+	again, err := collect(ctx, se, []Spec{spec})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if after := se.MemoStats().Misses; after != misses {
-		t.Errorf("repeat RecordCtx started %d new simulations", after-misses)
+		t.Errorf("repeat Records started %d new simulations", after-misses)
+	}
+	if !slices.Equal(again, single) {
+		t.Errorf("repeat Records differs:\nfirst:  %+v\nrepeat: %+v", single, again)
 	}
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := se.RecordCtx(dead, Spec{Kernel: "gzip", Predictor: "vtage"}); !IsContextErr(err) {
-		t.Errorf("cancelled RecordCtx returned %v, want a context error", err)
+	if _, err := collect(dead, se, []Spec{{Kernel: "gzip", Predictor: "vtage"}}); !IsContextErr(err) {
+		t.Errorf("cancelled Records returned %v, want a context error", err)
 	}
 }
 
-// TestSessionRecords runs a tiny real batch through the Record layer.
+// TestSessionRecords runs a tiny real batch through the Record layer: the
+// speedup divides by the baseline's IPC, and an unknown kernel fails the
+// call.
 func TestSessionRecords(t *testing.T) {
 	se := NewSession(testWindows(1_000, 4_000))
 	specs := []Spec{
 		{Kernel: "art", Predictor: "none"},
 		{Kernel: "art", Predictor: "lvp", Counters: FPC},
 	}
-	recs, err := se.Records(specs)
+	ctx := context.Background()
+	recs, err := collect(ctx, se, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +236,141 @@ func TestSessionRecords(t *testing.T) {
 	if recs[1].IPC <= 0 || recs[1].Speedup <= 0 {
 		t.Errorf("degenerate record: %+v", recs[1])
 	}
-	if _, err := se.Records([]Spec{{Kernel: "nope", Predictor: "none"}}); err == nil {
+	if want := recs[1].IPC / recs[0].IPC; recs[1].Speedup != want {
+		t.Errorf("speedup %v, want the IPC ratio %v", recs[1].Speedup, want)
+	}
+	if _, err := collect(ctx, se, []Spec{{Kernel: "nope", Predictor: "none"}}); err == nil {
 		t.Error("unknown kernel accepted by Records")
+	}
+}
+
+// TestRecordsRunsEachTaskOnce pins the planner: a cold call simulates every
+// distinct spec and baseline exactly once, with no memo hit and no join,
+// and an identical warm call answers every task from the memo, one hit
+// each, without taking a slot.
+func TestRecordsRunsEachTaskOnce(t *testing.T) {
+	t.Parallel()
+	se := NewSession(testWindows(1_000, 4_000))
+	se.UseWorkers(2)
+	var progs []string
+	for _, family := range []string{"branchy", "memory"} {
+		p, err := isa.Generate(family, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := se.RegisterProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, id)
+	}
+	specs := []Spec{
+		{Kernel: "art", Predictor: "none"},
+		{Kernel: "art", Predictor: "lvp", Counters: FPC},
+		{Kernel: "art", Predictor: "vtage", Counters: FPC},
+		{Program: progs[0], Predictor: "stride", Counters: FPC},
+		{Program: progs[1], Predictor: "vtage", Counters: FPC},
+		{Kernel: "art", Predictor: "lvp", Counters: FPC},
+	}
+	const tasks = 7 // art's baseline, lvp and vtage; each program's spec and baseline
+
+	ctx := context.Background()
+	cold, err := collect(ctx, se, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := se.MemoStats(); m.Misses != tasks || m.Hits != 0 {
+		t.Errorf("cold call: %d misses / %d hits, want %d / 0: one lookup per distinct task", m.Misses, m.Hits, tasks)
+	}
+	if j := se.SlotStats().Joined; j != 0 {
+		t.Errorf("cold call joined %d runs in flight, want 0: its tasks are distinct", j)
+	}
+	if len(cold) != len(specs) || cold[5] != cold[1] {
+		t.Fatalf("got %d records, want %d with the duplicate spec's equal to its first", len(cold), len(specs))
+	}
+
+	// Hold every slot: a warm lookup that took one would wait until ctx ends.
+	slots := se.slots
+	for range cap(slots) {
+		slots <- struct{}{}
+	}
+	defer func() {
+		for range cap(slots) {
+			<-slots
+		}
+	}()
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	warm, err := collect(ctx, se, specs)
+	if err != nil {
+		t.Fatalf("warm call with every slot held: %v", err)
+	}
+	if m := se.MemoStats(); m.Misses != tasks || m.Hits != tasks {
+		t.Errorf("warm call: %d misses / %d hits, want %d / %d: one hit per task", m.Misses, m.Hits, tasks, tasks)
+	}
+	if !slices.Equal(warm, cold) {
+		t.Error("warm records differ from cold ones")
+	}
+}
+
+// TestRecordsStreamsInSpecOrder pins delivery: fn receives a warm spec's
+// record while a later cold spec still holds a slot, and an fn error ends
+// the call at once with (-1, err), the cold run cancelled and no slot
+// held.
+func TestRecordsStreamsInSpecOrder(t *testing.T) {
+	t.Parallel()
+	se := NewSession(longWarmup, longMeasure)
+	se.UseWorkers(2)
+	warm := Spec{Kernel: "art", Predictor: "none"}
+	cold := Spec{Kernel: "gzip", Predictor: "none"}
+	if _, err := se.Run(warm); err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	var got []Record
+	failed, err := se.Records(context.Background(), []Spec{warm, cold}, func(r Record) error {
+		got = append(got, r)
+		waitFor(t, "the cold spec holding a slot", func() bool { return se.SlotStats().Busy == 1 })
+		return stop
+	})
+	if failed != -1 || !errors.Is(err, stop) {
+		t.Fatalf("Records returned (%d, %v), want (-1, %v)", failed, err, stop)
+	}
+	if len(got) != 1 || got[0].Kernel != "art" {
+		t.Errorf("fn received %+v, want only the warm art record", got)
+	}
+	if busy := se.SlotStats().Busy; busy != 0 {
+		t.Errorf("%d slots still held after Records returned: a walker outlived the call", busy)
+	}
+	if _, _, ok := se.peek(cold); ok {
+		t.Error("the abandoned cold run was memoized")
+	}
+}
+
+// TestRecordsFirstFailureInSpecOrder: a spec naming an unregistered program
+// fails the call at its own index with the curable unknown-workload error,
+// once the specs before it have been delivered.
+func TestRecordsFirstFailureInSpecOrder(t *testing.T) {
+	t.Parallel()
+	se := NewSession(testWindows(1_000, 4_000))
+	p, err := isa.Generate("mixed", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []Spec{
+		{Kernel: "art", Predictor: "lvp", Counters: FPC},
+		{Program: ProgramID(p), Predictor: "lvp", Counters: FPC},
+		{Kernel: "art", Predictor: "none"},
+	}
+	var got []Record
+	failed, err := se.Records(context.Background(), specs, func(r Record) error {
+		got = append(got, r)
+		return nil
+	})
+	if failed != 1 || !IsUnknownWorkload(err) {
+		t.Fatalf("Records returned (%d, %v), want (1, an unknown-workload error)", failed, err)
+	}
+	if len(got) != 1 || got[0].Predictor != "lvp" {
+		t.Errorf("fn received %+v, want only spec 0's record", got)
 	}
 }

@@ -55,8 +55,8 @@ type Source struct {
 }
 
 // newSource keys recs — the records of specs, in the same order, as
-// RecordsCtx or any Runner's Batch returns them — by canonical spec. se may
-// be nil unless the experiment traces kernels (profile).
+// Session.Records or any Runner's Batch delivers them — by canonical spec.
+// se may be nil unless the experiment traces kernels (profile).
 func newSource(se *Session, specs []Spec, recs []Record) (*Source, error) {
 	if len(recs) != len(specs) {
 		return nil, fmt.Errorf("harness: %d records for %d declared specs", len(recs), len(specs))
@@ -451,18 +451,21 @@ func RenderRecords(ctx context.Context, se *Session, e Experiment, format string
 	return nil
 }
 
-// Render runs an experiment's declared spec set on se (RecordsCtx, bounded
-// by the session's worker slots) and renders the records (RenderRecords). ctx cancels the
-// batch: unstarted specs are abandoned, in-flight simulations stop at their
-// next cancellation checkpoint, and Render returns the context error.
+// Render runs an experiment's declared spec set on se (Session.Records,
+// bounded by the session's worker slots) and renders the records
+// (RenderRecords). ctx cancels the batch: unstarted specs are abandoned,
+// in-flight simulations stop at their next cancellation checkpoint, and
+// Render returns the context error.
 func Render(ctx context.Context, se *Session, e Experiment, format string, w io.Writer) error {
 	if err := CheckFormat(e, format); err != nil {
 		return err
 	}
 	var recs []Record
 	if e.Specs != nil {
-		var err error
-		if recs, err = se.RecordsCtx(ctx, e.Specs()); err != nil {
+		if _, err := se.Records(ctx, e.Specs(), func(r Record) error {
+			recs = append(recs, r)
+			return nil
+		}); err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}

@@ -140,11 +140,11 @@ func TestExtendedSpecsSimulate(t *testing.T) {
 			narrow.Stats.IPC(), wide.Stats.IPC())
 	}
 	// Speedup of a width spec divides by the width-matched baseline.
-	if _, err := se.SpeedupCtx(ctx, Spec{Kernel: "art", Predictor: "vtage", Counters: FPC, Width: 4}); err != nil {
+	if _, err := collect(ctx, se, []Spec{{Kernel: "art", Predictor: "vtage", Counters: FPC, Width: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := se.memo[Spec{Kernel: "art", Predictor: "none", Width: 4}]; !ok {
-		t.Error("width-matched baseline missing from the memo after SpeedupCtx")
+		t.Error("width-matched baseline missing from the memo after Records")
 	}
 
 	// LoadsOnly: restricting scope must reduce eligibility.
@@ -206,7 +206,7 @@ func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 			continue
 		}
 		specs := e.Specs()
-		recs, err := se.RecordsCtx(ctx, specs)
+		recs, err := collect(ctx, se, specs)
 		if err != nil {
 			t.Fatalf("%s: records: %v", e.ID, err)
 		}
@@ -263,7 +263,7 @@ func TestAccFilterAdmitsEveryUsedOver100(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := se.Records(specs)
+	recs, err := collect(context.Background(), se, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -460,9 +460,6 @@ func (se *Session) SlotStats() SlotStats {
 	return SlotStats{Busy: len(se.slots), Queued: int(se.waiting.Load()), Joined: se.joined}
 }
 
-// DefaultSession sizes runs for interactive use (seconds per figure).
-func DefaultSession() *Session { return NewSession(50_000, 250_000) }
-
 // trace returns the workload's instruction trace, generating it on first
 // use. The workload is a builtin kernel name or a registered program
 // reference; concurrent requests for the same workload share one generation.
@@ -683,32 +680,29 @@ func (se *Session) release(slots chan struct{}, o *Observer) {
 	o.slotFreed()
 }
 
-// Peek returns spec's memoized outcome without blocking and without
-// starting any work: it hits only when a completed in-process memo entry
-// already exists. An in-flight entry, an absent entry, or one abandoned by
-// cancellation all report !ok — the caller falls back to RunCtx. A hit
-// counts in MemoStats exactly like a RunCtx memo hit, so "one bucket per
-// lookup" holds no matter which door served it; the warm batch-sync fast
-// path (DESIGN.md §12) is built on this.
-func (se *Session) Peek(spec Spec) (res *Result, err error, ok bool) {
-	spec = spec.Canonical()
+// peek returns the canonical spec's memoized outcome without blocking and
+// without starting any work: it hits only when a completed in-process memo
+// entry already exists. An in-flight entry, an absent entry, or one
+// abandoned by cancellation all report !ok, and Records walks the task
+// through RunCtx instead. A hit counts in MemoStats exactly like a RunCtx
+// memo hit, so "one bucket per lookup" holds no matter which door served
+// it.
+func (se *Session) peek(spec Spec) (res *Result, err error, ok bool) {
 	se.mu.Lock()
+	defer se.mu.Unlock()
 	c, found := se.memo[spec]
-	se.mu.Unlock()
 	if !found {
 		return nil, nil, false
 	}
 	select {
 	case <-c.done:
 	default:
-		return nil, nil, false // still simulating; Peek never waits
+		return nil, nil, false // still simulating; peek never waits
 	}
 	if c.err != nil && IsContextErr(c.err) {
 		return nil, nil, false
 	}
-	se.mu.Lock()
 	se.hits++
-	se.mu.Unlock()
 	se.observer().countMemo(true, 1)
 	return c.res, c.err, true
 }
@@ -808,29 +802,6 @@ func (se *Session) MemoStats() MemoStats {
 		m.Store = se.store.Stats()
 	}
 	return m
-}
-
-// Speedup returns the ratio of the spec's IPC to the baseline (no-VP)
-// machine's IPC on the same kernel, recovery mode and machine width.
-func (se *Session) Speedup(spec Spec) (float64, error) {
-	return se.SpeedupCtx(context.Background(), spec)
-}
-
-// SpeedupCtx is Speedup with cancellation.
-func (se *Session) SpeedupCtx(ctx context.Context, spec Spec) (float64, error) {
-	spec = spec.Canonical()
-	r, err := se.RunCtx(ctx, spec)
-	if err != nil {
-		return 0, err
-	}
-	base, err := se.RunCtx(ctx, spec.Baseline())
-	if err != nil {
-		return 0, err
-	}
-	if base.Stats.IPC() == 0 {
-		return 0, fmt.Errorf("harness: zero baseline IPC for %s", spec.Kernel)
-	}
-	return r.Stats.IPC() / base.Stats.IPC(), nil
 }
 
 // AMean returns the arithmetic mean.

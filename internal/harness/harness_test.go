@@ -100,13 +100,16 @@ func TestSessionUnknownKernel(t *testing.T) {
 
 func TestSpeedupOracleAtLeastOne(t *testing.T) {
 	se := NewSession(testWindows(5_000, 30_000))
-	for _, k := range []string{"art", "hmmer"} {
-		s, err := se.Speedup(Spec{Kernel: k, Predictor: "oracle"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s < 0.999 {
-			t.Errorf("%s: oracle speedup %.3f < 1", k, s)
+	recs, err := collect(context.Background(), se, []Spec{
+		{Kernel: "art", Predictor: "oracle"},
+		{Kernel: "hmmer", Predictor: "oracle"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Speedup < 0.999 {
+			t.Errorf("%s: oracle speedup %.3f < 1", r.Kernel, r.Speedup)
 		}
 	}
 }
@@ -165,25 +168,25 @@ func TestFig4ShapeHolds(t *testing.T) {
 	se := NewSession(testWindows(10_000, 40_000))
 	var specs []Spec
 	for _, k := range KernelNames() {
-		specs = append(specs,
-			Spec{Kernel: k, Predictor: "none"},
-			Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
+		specs = append(specs, Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
 	}
-	if _, err := se.RunAll(specs); err != nil {
+	recs, err := collect(context.Background(), se, specs)
+	if err != nil {
 		t.Fatal(err)
 	}
 	worst := 1.0
 	worstK := ""
-	for _, k := range KernelNames() {
-		s, err := se.Speedup(Spec{Kernel: k, Predictor: "vtage", Counters: FPC})
-		if err != nil {
-			t.Fatal(err)
-		}
+	art := 0.0
+	for _, r := range recs {
+		s := r.Speedup
 		if s <= 0 {
-			t.Fatalf("%s: degenerate speedup %v", k, s)
+			t.Fatalf("%s: degenerate speedup %v", r.Kernel, s)
 		}
 		if s < worst {
-			worst, worstK = s, k
+			worst, worstK = s, r.Kernel
+		}
+		if r.Kernel == "art" {
+			art = s
 		}
 	}
 	if testing.Short() {
@@ -193,8 +196,8 @@ func TestFig4ShapeHolds(t *testing.T) {
 		t.Errorf("FPC VTAGE slows %s to %.3f; paper's claim is no significant slowdown", worstK, worst)
 	}
 	// art is engineered as the paper's headline winner.
-	if s, _ := se.Speedup(Spec{Kernel: "art", Predictor: "vtage", Counters: FPC}); s < 1.3 {
-		t.Errorf("art VTAGE speedup %.3f, want the paper's large-gain shape (>1.3)", s)
+	if art < 1.3 {
+		t.Errorf("art VTAGE speedup %.3f, want the paper's large-gain shape (>1.3)", art)
 	}
 }
 
@@ -213,23 +216,15 @@ func TestRecoveryIrrelevantUnderFPC(t *testing.T) {
 	var specs []Spec
 	for _, k := range kernels {
 		for _, rec := range []pipeline.RecoveryMode{pipeline.SquashAtCommit, pipeline.SelectiveReissue} {
-			specs = append(specs,
-				Spec{Kernel: k, Predictor: "none", Recovery: rec},
-				Spec{Kernel: k, Predictor: "vtage+stride", Counters: FPC, Recovery: rec})
+			specs = append(specs, Spec{Kernel: k, Predictor: "vtage+stride", Counters: FPC, Recovery: rec})
 		}
 	}
-	if _, err := se.RunAll(specs); err != nil {
+	recs, err := collect(context.Background(), se, specs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range kernels {
-		sq, err := se.Speedup(Spec{Kernel: k, Predictor: "vtage+stride", Counters: FPC, Recovery: pipeline.SquashAtCommit})
-		if err != nil {
-			t.Fatal(err)
-		}
-		re, err := se.Speedup(Spec{Kernel: k, Predictor: "vtage+stride", Counters: FPC, Recovery: pipeline.SelectiveReissue})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i, k := range kernels {
+		sq, re := recs[2*i].Speedup, recs[2*i+1].Speedup
 		if testing.Short() {
 			continue // windows too small for the equivalence claim
 		}

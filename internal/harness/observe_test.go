@@ -154,7 +154,7 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 
 	render := func(se *Session) (string, string) {
 		t.Helper()
-		recs, err := se.Records(specs)
+		recs, err := collect(context.Background(), se, specs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -107,7 +107,7 @@ func TestOwnerPromotionServesParkedWaiters(t *testing.T) {
 			"the misses; the dead waiter and the re-run's waiter the hits — a double-counted promotion would "+
 			"inflate the misses, an uncounted join would deflate the hits", m.Misses, m.Hits)
 	}
-	if _, _, ok := se.Peek(spec); !ok {
+	if _, _, ok := se.peek(spec); !ok {
 		t.Error("the re-run's result was not memoized")
 	}
 }

@@ -248,26 +248,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return f.get(nil, func() any { return new(Gauge) }).(*Gauge)
 }
 
-// GaugeVec is a gauge family keyed by label values.
-type GaugeVec struct {
-	f *family
-}
-
-// GaugeVec returns the registry's gauge family with the given name and
-// label names, registering it on first use.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if len(labels) == 0 {
-		panic(fmt.Sprintf("obs: GaugeVec %q needs at least one label (use Gauge)", name))
-	}
-	return &GaugeVec{f: r.register(name, help, typeGauge, labels, nil)}
-}
-
-// With returns the child gauge for the given label values, creating it on
-// first use.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return v.f.get(labelValues, func() any { return new(Gauge) }).(*Gauge)
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------

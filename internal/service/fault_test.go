@@ -33,7 +33,7 @@ func TestCorruptStoreEntryUnderLiveDaemon(t *testing.T) {
 	}
 	local := harness.NewSession(testWarmup, testMeasure)
 	local.UseStore(st)
-	want, err := local.Records(specs)
+	want, err := collect(local, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,6 @@ import (
 // table (never from request paths), code labels are the handful of statuses
 // the API emits — every family here is bounded by construction.
 type serverMetrics struct {
-	reg *obs.Registry
-
 	requests *obs.CounterVec   // repro_http_requests_total{endpoint,code}
 	latency  *obs.HistogramVec // repro_http_request_seconds{endpoint}
 	inflight *obs.Gauge        // repro_http_inflight_requests
@@ -28,7 +26,6 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		reg: reg,
 		requests: reg.CounterVec("repro_http_requests_total",
 			"API requests by route and response status.",
 			"endpoint", "code"),

@@ -63,7 +63,7 @@ func TestProgramUploadAndSimulate(t *testing.T) {
 	if _, err := se.RegisterProgram(prog); err != nil {
 		t.Fatal(err)
 	}
-	want, err := se.Records([]harness.Spec{{Kernel: info.ID, Predictor: "vtage", Counters: harness.FPC}})
+	want, err := collect(se, []harness.Spec{{Kernel: info.ID, Predictor: "vtage", Counters: harness.FPC}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -133,17 +133,8 @@ func New(o Options) (*Server, error) {
 	return s, nil
 }
 
-// Registry exposes the metric registry the server's instruments live on —
-// the one GET /metrics renders — so embedding processes (cmd/vpserved, the
-// Runner facade) can register their own instruments beside it.
-func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Session exposes the shared session (benchmarks and tests compare service
-// results against direct harness runs).
-func (s *Server) Session() *harness.Session { return s.session }
 
 // Drain stops admitting work and waits until every in-flight request has
 // answered. ctx bounds the wait.
@@ -405,48 +396,14 @@ func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.
 	return specs, s.checkPrograms(w, specs...)
 }
 
-// plan is the task list for a set of requested specs: the specs themselves
-// plus each non-baseline spec's baseline, deduplicated in first-appearance
-// order (the memo makes duplicates free, but there is no reason to walk
-// them).
-type plan struct {
-	tasks   []harness.Spec // deduplicated specs + baselines
-	taskIdx []int          // requested spec i -> index into tasks
-	baseIdx []int          // requested spec i -> baseline index into tasks, -1 if none
-}
-
-func newPlan(specs []harness.Spec) plan {
-	p := plan{taskIdx: make([]int, len(specs)), baseIdx: make([]int, len(specs))}
-	seen := make(map[harness.Spec]int)
-	add := func(sp harness.Spec) int {
-		i, ok := seen[sp]
-		if !ok {
-			i = len(p.tasks)
-			seen[sp] = i
-			p.tasks = append(p.tasks, sp)
-		}
-		return i
-	}
-	for i, sp := range specs {
-		p.taskIdx[i], p.baseIdx[i] = add(sp), -1
-		if sp.Predictor != "none" {
-			p.baseIdx[i] = add(sp.Baseline())
-		}
-	}
-	return p
-}
-
-// runSync is the one synchronous core: it answers specs within the request
-// budget and returns their records in request order. The specs plus their
-// deduplicated baselines are planned (newPlan); tasks already memoized
-// are answered inline (Session.Peek counts the hit exactly as RunCtx
-// would), so a fully warm request costs map lookups and starts no walker,
-// and only cold tasks are walked (Session.Each) through RunCtx, whose
-// worker slots bound them together with every other request's. runSync
-// returns only once its walkers have, so no simulation outlives its
-// request. On failure it returns the index of the first failing spec in
-// request order with that spec's error, or -1 when the request failed as a
-// whole (draining, or the budget expiring); the caller writes the envelope
+// runSync is the one synchronous core: admission (draining/syncWG) and the
+// request budget around Session.Records, which answers warm specs inline
+// and walks cold ones on the session's worker slots, bounded together with
+// every other request's. It returns the records in request order, and only
+// once Records' walkers have, so no simulation outlives its request. On
+// failure it returns the index of the first failing spec in request order
+// with that spec's error, or -1 when the request failed as a whole
+// (draining, the budget expiring, or Close); the caller writes the envelope
 // (writeSyncError).
 func (s *Server) runSync(ctx context.Context, specs []harness.Spec) ([]harness.Record, int, error) {
 	// The draining check and the syncWG.Add share one critical section:
@@ -468,42 +425,13 @@ func (s *Server) runSync(ctx context.Context, specs []harness.Spec) ([]harness.R
 	stop := context.AfterFunc(s.baseCtx, cancel) // Close aborts sync work too
 	defer stop()
 
-	p := newPlan(specs)
-	results := make([]*harness.Result, len(p.tasks))
-	errs := make([]error, len(p.tasks))
-	var cold []int
-	for i, sp := range p.tasks {
-		if res, err, ok := s.session.Peek(sp); ok {
-			results[i], errs[i] = res, err
-		} else {
-			cold = append(cold, i)
-		}
-	}
-	if len(cold) > 0 {
-		s.session.Each(len(cold), func(j int) {
-			i := cold[j]
-			if errs[i] = ctx.Err(); errs[i] == nil {
-				results[i], errs[i] = s.session.RunCtx(ctx, p.tasks[i])
-			}
-		})
-		// The budget covers waiting for a slot or on another request's run
-		// as much as simulating: an expired budget fails the whole request.
-		if err := ctx.Err(); err != nil {
-			return nil, -1, err
-		}
-	}
-	recs := make([]harness.Record, len(specs))
-	for i := range specs {
-		err := errs[p.taskIdx[i]]
-		if err == nil && p.baseIdx[i] >= 0 {
-			err = errs[p.baseIdx[i]]
-		}
-		if err == nil {
-			recs[i], err = s.session.Record(results[p.taskIdx[i]])
-		}
-		if err != nil {
-			return nil, i, err
-		}
+	recs := make([]harness.Record, 0, len(specs))
+	failed, err := s.session.Records(ctx, specs, func(rec harness.Record) error {
+		recs = append(recs, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, failed, err
 	}
 	return recs, -1, nil
 }

@@ -49,6 +49,16 @@ func newTestServer(t testing.TB, o Options) (*Server, *client.Client, *httptest.
 	return srv, client.New(ts.URL), ts
 }
 
+// collect runs se.Records over specs and gathers the records in spec order.
+func collect(se *harness.Session, specs []harness.Spec) ([]harness.Record, error) {
+	var recs []harness.Record
+	_, err := se.Records(context.Background(), specs, func(r harness.Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	return recs, err
+}
+
 // specRequests converts harness specs to their wire form.
 func specRequests(specs []harness.Spec) []SpecRequest {
 	out := make([]SpecRequest, len(specs))
@@ -71,7 +81,7 @@ func TestServerEndToEndConcurrentClients(t *testing.T) {
 
 	// The sequential reference on an independent session.
 	ref := harness.NewSession(testWarmup, testMeasure)
-	want, err := ref.Records(specs)
+	want, err := collect(ref, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +219,9 @@ func TestAblationExperimentCancelMidSimulation(t *testing.T) {
 
 // TestSimulateSync covers the synchronous endpoint: a valid spec returns a
 // record with a real speedup, the same record a one-spec batch-sync frame
-// answers; a warm repeat counts the memo hits a scheduled lookup counts —
-// spec and baseline once to answer, once more each for the record's
-// speedup — and no miss; and bad specs, unknown programs and a draining
+// answers; a warm repeat counts one memo hit per task — the spec and its
+// baseline, the record built from their results without another lookup —
+// and no miss; and bad specs, unknown programs and a draining
 // server fail with the same status and code on both endpoints.
 func TestSimulateSync(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{})
@@ -236,8 +246,8 @@ func TestSimulateSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := srv.Stats()
-	if hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses; hits != 4 || misses != 0 {
-		t.Errorf("warm simulate counted %d memo hits and %d misses, want 4 and 0", hits, misses)
+	if hits, misses := after.MemoHits-before.MemoHits, after.MemoMisses-before.MemoMisses; hits != 2 || misses != 0 {
+		t.Errorf("warm simulate counted %d memo hits and %d misses, want 2 and 0", hits, misses)
 	}
 
 	bothFail := func(req SpecRequest, status int, code string) {
@@ -436,7 +446,7 @@ func TestBatchSync(t *testing.T) {
 		{Kernel: "art", Predictor: "none"},
 	}
 	ref := harness.NewSession(testWarmup, testMeasure)
-	want, err := ref.Records(specs)
+	want, err := collect(ref, specs)
 	if err != nil {
 		t.Fatal(err)
 	}

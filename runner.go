@@ -52,9 +52,8 @@ type Runner interface {
 	// Experiment regenerates one experiment by id into w. Every backend
 	// runs the experiment's declared spec set through its own Batch path
 	// and renders the records on the client, so the bytes are identical
-	// across backends. The format (text, json, csv) comes from o;
-	// o.Warmup/o.Measure are per-call window overrides (zero: the runner's
-	// windows).
+	// across backends. The format (text, json, csv) comes from o; the
+	// windows are the backend's own.
 	Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error
 
 	// Experiments returns the experiment index (the same on every backend).

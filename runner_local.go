@@ -19,7 +19,6 @@ import (
 // runner: concurrent Simulate, Batch and Experiment calls share them, as a
 // daemon's requests do. Safe for concurrent use.
 type LocalRunner struct {
-	opts    RunnerOptions
 	session *harness.Session
 	obs     *runnerObs // nil when unobserved
 }
@@ -40,7 +39,7 @@ func OpenLocalRunner(o RunnerOptions) (*LocalRunner, error) {
 		}
 		se.UseStore(st)
 	}
-	r := &LocalRunner{opts: o, session: se}
+	r := &LocalRunner{session: se}
 	if o.Metrics != nil || o.TraceWriter != nil {
 		var tracer *obs.Tracer
 		if o.TraceWriter != nil {
@@ -80,102 +79,43 @@ func (r *LocalRunner) Simulate(ctx context.Context, spec Spec) (Record, error) {
 		return Record{}, err
 	}
 	start := time.Now()
-	batch := []harness.Spec{spec}
-	if spec.Predictor != "none" {
-		batch = append(batch, spec.Baseline())
-	}
-	if _, err := r.session.RunAllCtx(ctx, batch); err != nil {
-		r.obs.observe(spec, start, err)
-		return Record{}, err
-	}
-	rec, err := r.session.RecordCtx(ctx, spec) // warm: both runs just landed
+	var rec Record
+	_, err := r.session.Records(ctx, []Spec{spec}, func(got Record) error {
+		rec = got
+		return nil
+	})
 	r.obs.observe(spec, start, err)
 	return rec, err
 }
 
-// Batch implements the streaming contract over the session's walker: specs
-// are produced concurrently (Session.Each; each call produces one spec's
-// record, baseline included, within the runner's worker slots), and a
-// delivery loop invokes fn in spec order as soon as each record's turn is
-// reachable. Duplicate specs and shared baselines are free via the session
-// memo and its singleflight.
+// Batch implements the streaming contract over Session.Records: every
+// distinct spec and baseline is one task, walked on the runner's worker
+// slots, and fn receives each record in spec order as soon as it is
+// complete.
 func (r *LocalRunner) Batch(ctx context.Context, specs []Spec, fn func(Record) error) error {
 	if len(specs) == 0 {
 		return nil
 	}
-	canon := make([]harness.Spec, len(specs))
 	for i, sp := range specs {
-		canon[i] = sp.Canonical()
-		if err := canon[i].Validate(); err != nil {
+		if err := sp.Canonical().Validate(); err != nil {
 			return fmt.Errorf("spec %d: %w", i, err)
 		}
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	type outcome struct {
-		rec Record
-		err error
+	failed, err := r.session.Records(ctx, specs, fn)
+	if failed >= 0 {
+		return fmt.Errorf("spec %d: %w", failed, err)
 	}
-	// One buffered channel per spec: walkers never block on delivery, and
-	// the in-order delivery loop below never blocks a walker.
-	outs := make([]chan outcome, len(canon))
-	for i := range outs {
-		outs[i] = make(chan outcome, 1)
-	}
-	walked := make(chan struct{})
-	go func() {
-		defer close(walked)
-		r.session.Each(len(canon), func(i int) {
-			var out outcome
-			if out.err = ctx.Err(); out.err == nil {
-				out.rec, out.err = r.session.RecordCtx(ctx, canon[i])
-			}
-			outs[i] <- out
-		})
-	}()
-	// No walker outlives the call, whichever way the delivery loop exits.
-	defer func() {
-		cancel()
-		<-walked
-	}()
-
-	for i := range canon {
-		select {
-		case out := <-outs[i]:
-			if out.err != nil {
-				return fmt.Errorf("spec %d: %w", i, out.err)
-			}
-			if err := fn(out.rec); err != nil {
-				return err
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
+	return err
 }
 
-// Experiment renders one experiment through the shared session. A nonzero
-// o.Warmup/o.Measure differing from the runner's windows forgoes the shared
-// memo: measurement windows are session-wide state, so a differently-sized
-// request runs on its own throwaway session.
+// Experiment renders one experiment through the shared session, at the
+// runner's windows and within its worker slots.
 func (r *LocalRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	e, err := lookupExperiment(id)
 	if err != nil {
 		return err
 	}
-	se := r.session
-	warmup, measure := r.opts.Warmup, r.opts.Measure
-	if o.Warmup != 0 {
-		warmup = o.Warmup
-	}
-	if o.Measure != 0 {
-		measure = o.Measure
-	}
-	if warmup != r.opts.Warmup || measure != r.opts.Measure {
-		se = harness.NewSession(warmup, measure)
-		se.UseWorkers(r.opts.Workers)
-	}
-	return harness.Render(ctx, se, e, o.Format, w)
+	return harness.Render(ctx, r.session, e, o.Format, w)
 }
 
 // RegisterProgram adds p to the runner's session registry and returns its

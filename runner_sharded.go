@@ -92,18 +92,13 @@ func (r *ShardedRunner) Batch(ctx context.Context, specs []Spec, fn func(Record)
 
 // Experiment regenerates one experiment by id (Runner interface): its
 // declared spec set scatters across the shards and the records render on
-// the client. Concurrency belongs to each shard's worker slots; nonzero
-// windows must match the shards' windows: sizing is per-daemon.
+// the client. Windows and concurrency belong to each shard daemon.
 func (r *ShardedRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	e, err := lookupExperiment(id)
 	if err != nil {
 		return err
 	}
-	return r.f.Experiment(ctx, e, fleet.ExperimentOptions{
-		Warmup:  o.Warmup,
-		Measure: o.Measure,
-		Format:  o.Format,
-	}, w)
+	return r.f.Experiment(ctx, e, o.Format, w)
 }
 
 // Experiments returns the experiment index (Runner interface): the

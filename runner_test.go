@@ -221,36 +221,6 @@ func TestRemoteRunnerTypedErrors(t *testing.T) {
 	} else if !strings.Contains(remoteErr.Error(), "fig4") {
 		t.Errorf("unknown-experiment error does not carry the index: %v", remoteErr)
 	}
-
-	// Window-mismatch refusal is loud and names both sizings.
-	err = remote.Experiment(ctx, "fig1", ExperimentOptions{Warmup: 77, Measure: 88}, &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "per-daemon") {
-		t.Errorf("window mismatch error: %v", err)
-	}
-}
-
-// TestRunnerExperimentWindowOverride: a LocalRunner honours per-call window
-// overrides on a throwaway session — the output matches a runner built with
-// those windows natively.
-func TestRunnerExperimentWindowOverride(t *testing.T) {
-	big := NewLocalRunner(RunnerOptions{Warmup: 500, Measure: 2_000})
-	var native bytes.Buffer
-	if err := big.Experiment(context.Background(), "fig1", ExperimentOptions{}, &native); err != nil {
-		t.Fatal(err)
-	}
-	other := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure})
-	var overridden bytes.Buffer
-	opts := ExperimentOptions{Warmup: 500, Measure: 2_000}
-	if err := other.Experiment(context.Background(), "fig1", opts, &overridden); err != nil {
-		t.Fatal(err)
-	}
-	if native.String() != overridden.String() {
-		t.Errorf("window override render differs from native windows:\n--- native\n%s--- override\n%s",
-			native.String(), overridden.String())
-	}
-	if misses := other.MemoStats().Misses; misses != 0 {
-		t.Errorf("window-overridden render leaked %d simulations into the runner's session", misses)
-	}
 }
 
 // TestLocalRunnerWorkersBoundEveryCall: RunnerOptions.Workers bounds the
