@@ -29,28 +29,24 @@ type Options struct {
 	// one-shard fleet never probes: it routes to its only shard whatever
 	// that shard's health.
 	ProbeInterval time.Duration
-
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
-
-	// MaxFrame caps the specs per batch-sync frame (default 256, well under
-	// the server's default 4096 admission limit). Oversized frames are also
-	// split adaptively when a shard answers 413.
-	MaxFrame int
 }
 
 func (o Options) withDefaults() Options {
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = 2 * time.Second
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = 256
-	}
 	return o
 }
+
+const (
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+
+	// maxFrame caps the specs per batch-sync frame, well under the
+	// server's default 4096 admission limit. Oversized frames are also
+	// split adaptively when a shard answers 413.
+	maxFrame = 256
+)
 
 // Shard health states. A shard starts Up (optimistically — the first failed
 // dispatch or probe demotes it), turns Draining when it answers the 503
@@ -193,7 +189,7 @@ func (f *Runner) ProbeOnce(ctx context.Context) {
 		wg.Add(1)
 		go func(s *shard) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, f.opts.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			h, err := s.c.Health(pctx)
 			switch {
@@ -383,8 +379,8 @@ func (f *Runner) scatter(ctx context.Context, wg *sync.WaitGroup, canon []harnes
 	for s, group := range groups {
 		for len(group) > 0 {
 			n := len(group)
-			if n > f.opts.MaxFrame {
-				n = f.opts.MaxFrame
+			if n > maxFrame {
+				n = maxFrame
 			}
 			frame := group[:n]
 			group = group[n:]

@@ -4,12 +4,13 @@
 // The history is a ring of conditional-branch outcomes plus a ring of branch
 // PC low bits (the path). Predictors register folded views (circular-shift
 // XOR folds of the most recent L bits into W-bit indices, as in TAGE/ITTAGE
-// hardware); folds are maintained incrementally on every push. On rollback
-// (which the pipeline invokes when it squashes) the fold values are restored
-// from a per-push checkpoint ring; positions that predate the checkpoint
-// window fall back to replay-rebuilding from the ring contents, which yields
-// the same values the incremental maintenance had at that position.
+// hardware); folds are maintained incrementally on every push. Folds are
+// registered before the first push. On rollback (which the pipeline invokes
+// when it squashes) the fold values are restored from a per-push checkpoint
+// ring.
 package ghist
+
+import "fmt"
 
 const (
 	// Capacity is the number of outcomes retained; it bounds the longest
@@ -46,13 +47,10 @@ type History struct {
 
 	// ckpt is the fold-value checkpoint ring: slot (p & capMask) holds the
 	// complete fold vector as it stood at position p, written by the push
-	// that reached p. RollTo restores the vector with one copy instead of
-	// replaying every fold over its whole history window.
+	// that reached p; slot 0 starts as the empty history's all-zero folds.
+	// RollTo restores the vector with one copy. Sized by the first push, so
+	// it is non-nil exactly when registration has closed.
 	ckpt []uint64 // Capacity * len(folds), laid out slot-major
-	// ckptFrom is the position checkpoints are valid after: rollbacks to
-	// positions at or before it (registration-time state) rebuild by replay
-	// instead.
-	ckptFrom uint64
 }
 
 // Pos returns the current history position (total outcomes pushed). Pipeline
@@ -66,18 +64,16 @@ func (h *History) Push(taken bool, pc uint64) {
 	if taken {
 		b = 1
 	}
+	n := len(h.folds)
+	if h.ckpt == nil {
+		// Every fold is registered by now, so this allocates once per
+		// history rather than once per fold.
+		h.ckpt = make([]uint64, Capacity*n)
+	}
 	idx := h.pos & capMask
 	h.bits[idx] = b
 	h.path[idx] = uint16(pc)
 	h.pos++
-	n := len(h.folds)
-	if len(h.ckpt) != Capacity*n {
-		// Sized lazily at the first push after registration settles:
-		// predictors register all folds at construction time, so this
-		// allocates once per history rather than once per fold.
-		h.ckpt = make([]uint64, Capacity*n)
-		h.ckptFrom = h.pos - 1
-	}
 	ck := h.ckpt[int(h.pos&capMask)*n : int(h.pos&capMask)*n+n]
 	// Step every fold as a TAGE circular shift register: rotate left by
 	// one, insert the new entry, and remove the entry that fell off the
@@ -115,10 +111,13 @@ func (h *History) recent(i int, path bool) uint16 {
 }
 
 // RegisterFold registers a folded view of the last length outcomes (or path
-// entries) into width bits and returns its handle. Must be called before any
-// Push for the fold to be exact; predictors register all folds at
-// construction time.
+// entries) into width bits and returns its handle. Predictors register all
+// folds at construction time; registering after the first Push panics, since
+// the checkpoint ring is laid out per registered fold.
 func (h *History) RegisterFold(length, width int, path bool) Fold {
+	if h.ckpt != nil {
+		panic("ghist: RegisterFold after Push")
+	}
 	// The ring overwrites the slot that is exactly Capacity pushes old at
 	// every push, so the longest window whose eviction is still readable is
 	// Capacity-1.
@@ -144,10 +143,6 @@ func (h *History) RegisterFold(length, width int, path bool) Fold {
 		top:    uint(width - 1),
 		out:    uint(length % width),
 	})
-	h.rebuildFold(len(h.folds) - 1)
-	// The checkpoint ring is laid out per registered fold, so existing
-	// checkpoints are invalid; Push resizes it lazily on its next call.
-	h.ckptFrom = h.pos
 	return Fold(len(h.folds) - 1)
 }
 
@@ -155,47 +150,25 @@ func (h *History) RegisterFold(length, width int, path bool) Fold {
 func (h *History) Folded(f Fold) uint64 { return h.folds[f].val }
 
 // RollTo rewinds the history to position pos (forgetting newer outcomes) and
-// restores every fold to the value it had there — from the checkpoint ring
-// when pos is inside its window, by replay otherwise (the two agree: the
-// ring entries a fold's window covers are untouched by newer pushes, so a
-// replay reproduces exactly the inputs the incremental maintenance saw).
-// pos must not be older than what the ring still holds.
+// restores every fold from the checkpoint ring to the value it had there.
+// The ring holds checkpoints for the Capacity-1 positions before the current
+// one, so a rollback of Capacity or more positions panics rather than
+// restore a stale slot. Later pushes stay exact while the rollback depth
+// plus the longest fold window fits in Capacity: the pipeline rolls back
+// only over its in-flight µops.
 func (h *History) RollTo(pos uint64) {
-	if pos > h.pos {
+	if pos >= h.pos {
 		return // nothing newer to forget
 	}
-	if h.pos-pos > Capacity {
-		pos = h.pos - Capacity
+	if h.pos-pos >= Capacity {
+		panic(fmt.Sprintf("ghist: rollback of %d positions exceeds the %d-entry checkpoint ring", h.pos-pos, Capacity))
 	}
-	inWindow := h.pos-pos < Capacity && pos > h.ckptFrom
 	h.pos = pos
-	if inWindow {
-		n := len(h.folds)
-		ck := h.ckpt[int(pos&capMask)*n : int(pos&capMask)*n+n]
-		for i := range h.folds {
-			h.folds[i].val = ck[i]
-		}
-		return
-	}
+	n := len(h.folds)
+	ck := h.ckpt[int(pos&capMask)*n : int(pos&capMask)*n+n]
 	for i := range h.folds {
-		h.rebuildFold(i)
+		h.folds[i].val = ck[i]
 	}
-}
-
-// rebuildFold recomputes fold i from the ring contents by replaying the last
-// length entries oldest-first through the same rotate-insert step.
-func (h *History) rebuildFold(i int) {
-	f := &h.folds[i]
-	n := f.length
-	if uint64(n) > h.pos {
-		n = int(h.pos)
-	}
-	var v uint64
-	for j := n - 1; j >= 0; j-- { // oldest within window first
-		v = (v<<1 | v>>f.top) ^ uint64(h.recent(j, f.path))
-		v &= f.mask
-	}
-	f.val = v
 }
 
 // Bit returns the i-th most recent outcome (i=0 newest). It returns false

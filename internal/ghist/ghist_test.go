@@ -199,20 +199,15 @@ func TestIdenticalViewsShareAHandle(t *testing.T) {
 
 // TestFoldsMatchReferenceAcrossRollbacks drives random pushes and
 // rollbacks and checks every registered view, shared ones included, against
-// the definition after each operation. Shallow rollbacks restore from the
-// checkpoint ring. Registering a view mid-stream invalidates the ring, so a
-// rollback to a position before the registration is older than the
-// checkpoint window and rebuilds by replay. Window plus rollback depth stays
-// within the ring, as the pipeline's in-flight branches guarantee.
+// the definition after each operation, while the history grows past the
+// checkpoint ring several times. Window plus rollback depth stays within the
+// ring, as the pipeline's in-flight branches guarantee.
 func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
 	views := [][3]int{{8, 5, 0}, {37, 11, 0}, {16, 7, 1}, {8, 5, 0}, {640, 12, 0}, {1, 1, 1}, {37, 11, 1}, {130, 64, 0}}
 	var h History
-	var handles []Fold
-	register := func(v [3]int) {
-		handles = append(handles, h.RegisterFold(v[0], v[1], v[2] == 1))
-	}
-	for _, v := range views {
-		register(v)
+	handles := make([]Fold, len(views))
+	for i, v := range views {
+		handles[i] = h.RegisterFold(v[0], v[1], v[2] == 1)
 	}
 	check := func(op string) {
 		t.Helper()
@@ -223,10 +218,10 @@ func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(3))
-	// Rollbacks average under half a position per push, so the history
-	// grows.
-	push := func(n int) {
-		for i := 0; i < n; i++ {
+	for round := 0; round < 3; round++ {
+		// Rollbacks average under half a position per push, so the
+		// history grows past the ring and entries leave every window.
+		for i := 0; i < 3*Capacity; i++ {
 			h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
 			check("push")
 			if rng.Intn(64) == 0 {
@@ -234,26 +229,79 @@ func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
 				check("rollback")
 			}
 		}
-	}
-	for round := 0; round < 3; round++ {
-		// Grow the history past the ring so entries leave every window.
-		push(3 * Capacity)
-		registeredAt := h.Pos()
-		if registeredAt < uint64(round+1)*Capacity {
-			t.Fatalf("round %d: history at %d, not past the ring", round, registeredAt)
+		if h.Pos() < uint64(round+1)*Capacity {
+			t.Fatalf("round %d: history at %d, not past the ring", round, h.Pos())
 		}
-		// A view registered now is new to the checkpoint ring: a rollback
-		// to a position before it replays the ring.
-		v := [3]int{20 + round, 9, round % 2}
-		views = append(views, v)
-		register(v)
-		check("register")
-		push(100)
-		to := registeredAt - uint64(rng.Intn(300))
-		h.RollTo(to)
-		if h.Pos() != to {
-			t.Fatalf("round %d: rolled back to %d, want %d", round, h.Pos(), to)
-		}
-		check("rollback past the checkpoints")
 	}
+}
+
+// TestRollToOldestCheckpoint: the deepest rollback the ring holds,
+// Capacity-1 positions, restores every fold to the value it had there.
+func TestRollToOldestCheckpoint(t *testing.T) {
+	var h History
+	f := h.RegisterFold(37, 11, false)
+	p := h.RegisterFold(16, 7, true)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < Capacity+100; i++ {
+		h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+	}
+	at, fv, pv := h.Pos(), h.Folded(f), h.Folded(p)
+	for i := 0; i < Capacity-1; i++ {
+		h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+	}
+	h.RollTo(at)
+	if h.Folded(f) != fv || h.Folded(p) != pv {
+		t.Errorf("folds after a %d-position rollback = %#x, %#x, want %#x, %#x",
+			Capacity-1, h.Folded(f), h.Folded(p), fv, pv)
+	}
+}
+
+// TestRollToZeroClearsFolds: rolling back to the empty history restores the
+// all-zero folds the definition gives there.
+func TestRollToZeroClearsFolds(t *testing.T) {
+	views := [][3]int{{8, 5, 0}, {37, 11, 0}, {16, 7, 1}}
+	var h History
+	handles := make([]Fold, len(views))
+	for i, v := range views {
+		handles[i] = h.RegisterFold(v[0], v[1], v[2] == 1)
+	}
+	for i := 0; i < 300; i++ {
+		h.Push(i%3 != 0, uint64(i*7919))
+	}
+	h.RollTo(0)
+	if h.Pos() != 0 {
+		t.Fatalf("Pos after RollTo(0) = %d", h.Pos())
+	}
+	for i, v := range views {
+		if got, want := h.Folded(handles[i]), referenceFold(&h, v[0], v[1], v[2] == 1); got != want || got != 0 {
+			t.Errorf("view %v after RollTo(0) = %#x, want %#x", v, got, want)
+		}
+	}
+}
+
+// TestMisuseOfTheCheckpointRingPanics: registering a fold after the first
+// push, or rolling back Capacity or more positions, would leave the ring
+// answering with stale folds, so both panic.
+func TestMisuseOfTheCheckpointRingPanics(t *testing.T) {
+	mustPanic := func(name string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		fn()
+	}
+	var h History
+	h.RegisterFold(8, 5, false)
+	h.Push(true, 1)
+	mustPanic("RegisterFold after Push", func() { h.RegisterFold(16, 7, false) })
+	h.RollTo(0)
+	mustPanic("RegisterFold after a rollback to 0", func() { h.RegisterFold(16, 7, false) })
+
+	for i := 0; i < Capacity+10; i++ {
+		h.Push(i%2 == 0, uint64(i))
+	}
+	mustPanic("RollTo Capacity positions back", func() { h.RollTo(h.Pos() - Capacity) })
+	mustPanic("RollTo(0) past the ring", func() { h.RollTo(0) })
 }

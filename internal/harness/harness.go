@@ -280,7 +280,7 @@ func (s Spec) Validate() error {
 		if err := checkProgramRef(workload); err != nil {
 			return err
 		}
-	} else if !slices.Contains(kernels.Names(), workload) {
+	} else if _, ok := kernels.ByName(workload); !ok {
 		return fmt.Errorf("harness: unknown kernel %q (builtin kernels: %s; registered programs are referenced as prog:<sha256>)",
 			workload, strings.Join(kernels.Names(), ", "))
 	}
@@ -724,13 +724,7 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 	}
 	sim := pipeline.New(spec.config(), tr, pred, h)
 	rt.countSimulation()
-	var st *pipeline.Stats
-	if rt == nil && ctx.Done() == nil {
-		// Unobserved, uncancellable fast path: one Run call, no phase split.
-		st, err = sim.Run(se.Warmup, se.Measure)
-	} else {
-		st, err = se.runCancellable(ctx, sim, uint64(len(tr)), rt)
-	}
+	st, err := se.runCancellable(ctx, sim, uint64(len(tr)), rt)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%s/%s: %w",
 			spec.Kernel, spec.Predictor, spec.Counters, spec.Recovery, err)
@@ -749,8 +743,8 @@ const cancelChunk = 25_000
 // is state-neutral, so chunking changes nothing but the cancellation
 // latency. The warmup window runs in one piece (Run must set the
 // measurement boundary itself); cancellation granularity during measurement
-// is cancelChunk µops. Observed runs (rt != nil) reuse the same split to
-// time the two phases separately without perturbing the records.
+// is cancelChunk µops. Observed runs (rt != nil) time the two phases
+// separately without perturbing the records.
 func (se *Session) runCancellable(ctx context.Context, sim *pipeline.Sim, traceLen uint64, rt *runRec) (*pipeline.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

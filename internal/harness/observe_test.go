@@ -140,9 +140,9 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 }
 
 // TestObservedRunsByteIdentical is the record-level differential for
-// observation: an observed session (which times warmup and measure via the
-// split simulate path) and an observed, traced session must both render
-// records byte-identical to the plain unobserved fast path.
+// observation: it pins that observation changes no record. An observed
+// session (which times warmup and measure) and an observed, traced session
+// must both render records byte-identical to an unobserved session's.
 func TestObservedRunsByteIdentical(t *testing.T) {
 	t.Parallel()
 	warmup, measure := testWindows(5_000, 40_000)
@@ -175,14 +175,14 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 	observed.Observe(NewObserver(obs.NewRegistry(), nil))
 	gotJSON, gotCSV := render(observed)
 	if gotJSON != wantJSON || gotCSV != wantCSV {
-		t.Error("observed session records differ from unobserved fast path")
+		t.Error("observed session records differ from the unobserved session's")
 	}
 
 	traced := NewSession(warmup, measure)
 	traced.Observe(NewObserver(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{})))
 	gotJSON, gotCSV = render(traced)
 	if gotJSON != wantJSON || gotCSV != wantCSV {
-		t.Error("observed+traced session records differ from unobserved fast path")
+		t.Error("observed+traced session records differ from the unobserved session's")
 	}
 }
 

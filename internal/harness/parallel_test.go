@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"context"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/pipeline"
+	"repro/internal/timegate"
 )
 
 // TestRunAllDeterminism runs the same spec set sequentially and with eight
@@ -174,17 +173,11 @@ func TestRunAllErrorDeterministic(t *testing.T) {
 // single core, and asserting a speedup there would fail (or worse, pass by
 // scheduler accident) without measuring anything.
 //
-// Inside `go test ./...` other packages build and test on the same CPUs.
-// One busy thread elsewhere is enough to hide the scaling on two CPUs: the
-// OS scheduler may leave that thread a CPU of its own and put both workers
-// on the other, so the N-slot side runs no faster than the 1-slot side.
-// So the test times pairs of rounds, one round of each side, only while
-// this process can get the CPUs it is timing (cpusFree): before a pair it
-// waits for them, and a pair after which they are busy again is timed
-// again. It alternates the sides' order from pair to pair (1-slot first,
-// then N-slot first, ...) and gates the ratio of the two sides' median
-// round times. Once speedupWait has passed it waits no more and keeps
-// every pair, so a machine that stays busy still gets the gate.
+// Inside `go test ./...` other packages build and test on the same CPUs,
+// and one busy thread elsewhere is enough to hide the scaling on two CPUs.
+// So the rounds are timed in alternating pairs while the CPUs are free
+// (timegate.Pairs), and the test gates the ratio of the two sides' median
+// round times.
 func TestRunAllParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -218,28 +211,10 @@ func TestRunAllParallelSpeedup(t *testing.T) {
 		return d
 	}
 
-	const rounds = 3
-	deadline := time.Now().Add(speedupWait)
-	var seqD, parD []time.Duration
-	var busy int
-	for len(seqD) < rounds {
-		for time.Now().Before(deadline) && !cpusFree(par) {
-			busy++
-			time.Sleep(250 * time.Millisecond)
-		}
-		var s, p time.Duration
-		if len(seqD)%2 == 0 {
-			s, p = round(1), round(procs)
-		} else {
-			p, s = round(procs), round(1)
-		}
-		if time.Now().Before(deadline) && !cpusFree(par) {
-			busy++
-			continue // other work took CPUs during the pair: time it again
-		}
-		seqD, parD = append(seqD, s), append(parD, p)
-	}
-	seqMed, parMed := median(seqD), median(parD)
+	seqD, parD, busy := timegate.Pairs(3,
+		func() time.Duration { return round(1) },
+		func() time.Duration { return round(procs) })
+	seqMed, parMed := timegate.Median(seqD), timegate.Median(parD)
 	bar := 1.15 // modest bar for 2-3 cores
 	if procs >= 4 {
 		bar = 1.5
@@ -250,47 +225,6 @@ func TestRunAllParallelSpeedup(t *testing.T) {
 	} else {
 		t.Logf("workers=%d: %.2fx faster by median round (%v -> %v; %d busy CPU checks)", procs, ratio, seqMed, parMed, busy)
 	}
-}
-
-// speedupWait bounds how long TestRunAllParallelSpeedup waits for free
-// CPUs: long enough for the rest of a `go test ./...` run to finish.
-const speedupWait = 30 * time.Second
-
-// cpusFree reports whether n goroutines of pure computation, each doing
-// one goroutine's work (about 50 ms of it), finish within 10/9 of one
-// goroutine's time: whether this process can get n CPUs right now.
-func cpusFree(n int) bool {
-	spin := func(goroutines int) time.Duration {
-		var wg sync.WaitGroup
-		t0 := time.Now()
-		for range goroutines {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				x := uint64(1)
-				for range 20_000_000 {
-					x ^= x << 13
-					x ^= x >> 7
-					x ^= x << 17
-				}
-				spinSink.Add(x)
-			}()
-		}
-		wg.Wait()
-		return time.Since(t0)
-	}
-	one := spin(1)
-	return spin(n) <= one*10/9
-}
-
-// spinSink keeps cpusFree's loops from being optimized away.
-var spinSink atomic.Uint64
-
-// median returns the middle of ds (the upper middle for an even count).
-func median(ds []time.Duration) time.Duration {
-	s := slices.Clone(ds)
-	slices.Sort(s)
-	return s[len(s)/2]
 }
 
 // BenchmarkRunAllFig4 measures the fig4 spec set under one worker and under

@@ -11,7 +11,11 @@
 // deterministic, and use disjoint static memory regions.
 package kernels
 
-import "repro/internal/isa"
+import (
+	"slices"
+
+	"repro/internal/isa"
+)
 
 // Kernel is one synthetic benchmark.
 type Kernel struct {
@@ -21,34 +25,36 @@ type Kernel struct {
 	Build func() *isa.Program
 }
 
-// All returns the 19 kernels in the paper's Table 3 order.
-func All() []Kernel {
-	return []Kernel{
-		{"gzip", "164.gzip (INT)", false, buildGzip},
-		{"wupwise", "168.wupwise (FP)", true, buildWupwise},
-		{"applu", "173.applu (FP)", true, buildApplu},
-		{"vpr", "175.vpr (INT)", false, buildVpr},
-		{"art", "179.art (FP)", true, buildArt},
-		{"crafty", "186.crafty (INT)", false, buildCrafty},
-		{"parser", "197.parser (INT)", false, buildParser},
-		{"vortex", "255.vortex (INT)", false, buildVortex},
-		{"bzip2", "401.bzip2 (INT)", false, buildBzip2},
-		{"gcc", "403.gcc (INT)", false, buildGcc},
-		{"gamess", "416.gamess (FP)", true, buildGamess},
-		{"mcf", "429.mcf (INT)", false, buildMcf},
-		{"milc", "433.milc (FP)", true, buildMilc},
-		{"namd", "444.namd (FP)", true, buildNamd},
-		{"gobmk", "445.gobmk (INT)", false, buildGobmk},
-		{"hmmer", "456.hmmer (INT)", false, buildHmmer},
-		{"sjeng", "458.sjeng (INT)", false, buildSjeng},
-		{"h264ref", "464.h264ref (INT)", false, buildH264},
-		{"lbm", "470.lbm (FP)", true, buildLbm},
-	}
+// all is the kernel table in the paper's Table 3 order, built once. It is
+// never handed out: All returns a copy.
+var all = []Kernel{
+	{"gzip", "164.gzip (INT)", false, buildGzip},
+	{"wupwise", "168.wupwise (FP)", true, buildWupwise},
+	{"applu", "173.applu (FP)", true, buildApplu},
+	{"vpr", "175.vpr (INT)", false, buildVpr},
+	{"art", "179.art (FP)", true, buildArt},
+	{"crafty", "186.crafty (INT)", false, buildCrafty},
+	{"parser", "197.parser (INT)", false, buildParser},
+	{"vortex", "255.vortex (INT)", false, buildVortex},
+	{"bzip2", "401.bzip2 (INT)", false, buildBzip2},
+	{"gcc", "403.gcc (INT)", false, buildGcc},
+	{"gamess", "416.gamess (FP)", true, buildGamess},
+	{"mcf", "429.mcf (INT)", false, buildMcf},
+	{"milc", "433.milc (FP)", true, buildMilc},
+	{"namd", "444.namd (FP)", true, buildNamd},
+	{"gobmk", "445.gobmk (INT)", false, buildGobmk},
+	{"hmmer", "456.hmmer (INT)", false, buildHmmer},
+	{"sjeng", "458.sjeng (INT)", false, buildSjeng},
+	{"h264ref", "464.h264ref (INT)", false, buildH264},
+	{"lbm", "470.lbm (FP)", true, buildLbm},
 }
+
+// All returns the 19 kernels in the paper's Table 3 order.
+func All() []Kernel { return slices.Clone(all) }
 
 // ByName returns the kernel called name.
 func ByName(name string) (Kernel, bool) {
-	for _, k := range All() {
+	for _, k := range all {
 		if k.Name == name {
 			return k, true
 		}
@@ -58,9 +64,8 @@ func ByName(name string) (Kernel, bool) {
 
 // Names lists all kernel names in order.
 func Names() []string {
-	ks := All()
-	out := make([]string, len(ks))
-	for i, k := range ks {
+	out := make([]string, len(all))
+	for i, k := range all {
 		out[i] = k.Name
 	}
 	return out

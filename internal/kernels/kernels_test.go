@@ -97,6 +97,12 @@ func TestByName(t *testing.T) {
 	if len(Names()) != 19 {
 		t.Errorf("Names() = %d entries, want 19", len(Names()))
 	}
+	// The table is shared: what All and Names hand out is the caller's own.
+	All()[0].Name = "mutated"
+	Names()[1] = "mutated"
+	if _, ok := ByName("gzip"); !ok || All()[0].Name != "gzip" || Names()[1] != "wupwise" {
+		t.Error("a caller's edit of All() or Names() reached the kernel table")
+	}
 }
 
 func TestH264HasTightLoop(t *testing.T) {

@@ -60,11 +60,10 @@ func fastRefWorkloads(t *testing.T, n int) map[string][]isa.DynInst {
 	return out
 }
 
-// TestFastLoopMatchesReference pins the specialized simulate loop
-// (devirtualized predictor dispatch, the issue filter, idle-cycle skipping)
-// byte-identical to the reference loop (interface dispatch, a full issue
-// scan and a step every cycle) for every predictor family × both recovery
-// modes × the fastRefWorkloads traces.
+// TestFastLoopMatchesReference pins the specialized simulate loop (the
+// issue filter, idle-cycle skipping) byte-identical to the reference loop
+// (a full issue scan and a step every cycle) for every predictor family ×
+// both recovery modes × the fastRefWorkloads traces.
 func TestFastLoopMatchesReference(t *testing.T) {
 	w, m := testWin(8_000, 20_000)
 	total := w + m

@@ -178,19 +178,7 @@ type Sim struct {
 	ofeed core.OracleFeed
 	sfeed core.SpecFeeder
 
-	// Devirtualized predictor dispatch (fastloop.go): the concrete type is
-	// resolved once at construction so the per-µop wrappers switch on
-	// predKind and call directly instead of through the interface.
-	predKind predKind
-	lvp      *core.LVP
-	stride   *core.Stride2D
-	fcm      *core.FCM
-	vtage    *core.VTAGE
-	gdiff    *core.GDiff
-	ps       *core.PS
-	hyb      *core.Hybrid
-	orc      *core.Oracle
-	refLoop  bool // reference loop: interface dispatch, no idle skipping
+	refLoop bool // reference loop: no issue filter, no idle skipping
 
 	// Per-step transients feeding maybeSkipIdle (fastloop.go). progress is
 	// set by any stage that changed machine state this cycle; issueBlocked
@@ -289,7 +277,6 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 		s.ofeed, _ = pred.(core.OracleFeed)
 		s.sfeed, _ = pred.(core.SpecFeeder)
 	}
-	s.resolvePred(pred)
 	for i := range s.lastProd {
 		s.lastProd[i] = noSlot
 	}
@@ -445,7 +432,7 @@ func (s *Sim) commit() {
 		}
 		valueSquash := false
 		if s.pred != nil && e.vpTried {
-			s.train(uint64(di.PC), di.Result, &s.pl(e.ti).meta)
+			s.pred.Train(uint64(di.PC), di.Result, &s.pl(e.ti).meta)
 			if s.warmed {
 				s.stats.Eligible++
 				if e.conf {
@@ -1191,8 +1178,10 @@ func (s *Sim) fetch() {
 		// a register (Section 7.2).
 		if s.pred != nil && di.HasDest() && (!s.cfg.PredictLoadsOnly || isa.IsLoad(di.Op)) {
 			fe.vpTried = true
-			s.feedActual(di.Result)
-			s.predict(uint64(di.PC), &pl.meta)
+			if s.ofeed != nil {
+				s.ofeed.FeedActual(di.Result)
+			}
+			s.pred.Predict(uint64(di.PC), &pl.meta)
 			pl.meta.Seq = di.Seq
 			fe.conf = pl.meta.Conf
 			fe.predWrong = fe.conf && pl.meta.Pred != di.Result
@@ -1204,7 +1193,9 @@ func (s *Sim) fetch() {
 			// cycles"). The trace-driven equivalent feeds the occurrence's
 			// actual outcome, which a real machine approximates through
 			// execution-time repair of the speculative window.
-			s.feedSpec(uint64(di.PC), di.Result, di.Seq)
+			if s.sfeed != nil {
+				s.sfeed.FeedSpec(uint64(di.PC), di.Result, di.Seq)
+			}
 		}
 
 		// Back-to-back statistic (Section 3.2).
@@ -1381,7 +1372,7 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	}
 	s.rearmIssue()
 	if s.pred != nil {
-		s.squashPred(s.seqAt(resumeTI))
+		s.pred.Squash(s.seqAt(resumeTI))
 	}
 
 	s.fetchIdx = resumeTI

@@ -93,8 +93,8 @@ func TestCommittedMatchesRequest(t *testing.T) {
 	}
 }
 
-// TestSplitRunMatchesStraightRun pins the split-run contract every
-// cancellable or observed harness run relies on: Run(warmup, 0) followed by
+// TestSplitRunMatchesStraightRun pins the split-run contract every harness
+// run relies on: Run(warmup, 0) followed by
 // Advance calls in chunks smaller than the measure window reproduces a
 // straight Run(warmup, measure) exactly — the same Stats and the same
 // commit stream — for every predictor family × both recovery modes.

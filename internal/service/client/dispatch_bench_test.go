@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/service"
+	"repro/internal/timegate"
 )
 
 // Dispatch-cost pins for the wire path. The frozen BENCH_pr5.json measured
@@ -45,8 +46,8 @@ func newWarmDispatchFixture(tb testing.TB) *warmDispatchFixture {
 	return &warmDispatchFixture{c: c, reqs: reqs}
 }
 
-// timePerCall returns warm µs per Simulate round-trip.
-func (fx *warmDispatchFixture) timePerCall(tb testing.TB, calls int) float64 {
+// timePerCall returns the warm time per Simulate round-trip.
+func (fx *warmDispatchFixture) timePerCall(tb testing.TB, calls int) time.Duration {
 	tb.Helper()
 	ctx := context.Background()
 	start := time.Now()
@@ -55,11 +56,11 @@ func (fx *warmDispatchFixture) timePerCall(tb testing.TB, calls int) float64 {
 			tb.Fatal(err)
 		}
 	}
-	return time.Since(start).Seconds() * 1e6 / float64(calls)
+	return time.Since(start) / time.Duration(calls)
 }
 
-// timeBatched returns warm µs per spec through batch-sync frames.
-func (fx *warmDispatchFixture) timeBatched(tb testing.TB, frames int) float64 {
+// timeBatched returns the warm time per spec through batch-sync frames.
+func (fx *warmDispatchFixture) timeBatched(tb testing.TB, frames int) time.Duration {
 	tb.Helper()
 	ctx := context.Background()
 	start := time.Now()
@@ -68,26 +69,33 @@ func (fx *warmDispatchFixture) timeBatched(tb testing.TB, frames int) float64 {
 			tb.Fatal(err)
 		}
 	}
-	return time.Since(start).Seconds() * 1e6 / float64(frames*len(fx.reqs))
+	return time.Since(start) / time.Duration(frames*len(fx.reqs))
 }
 
 // TestBatchedDispatchBeatsPerCall is the regression gate for the batched
 // wire path: per spec, a batch-sync frame must dispatch at least 5x
 // cheaper than warm per-call Simulate on the same connection. Both sides
 // run on this machine in this process, so the ratio holds on slow CI
-// runners where an absolute µs bound would not.
+// runners where an absolute µs bound would not. Inside `go test ./...`
+// other packages share the CPUs, so the sides are timed in alternating
+// pairs while the CPUs are free (timegate.Pairs), and the test gates the
+// ratio of their median rounds.
 func TestBatchedDispatchBeatsPerCall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	fx := newWarmDispatchFixture(t)
-	perCall := fx.timePerCall(t, 200)
-	batched := fx.timeBatched(t, 20)
-	t.Logf("warm dispatch: %.1f µs/call per-call, %.2f µs/spec batched (%.1fx)",
-		perCall, batched, perCall/batched)
+	perCallD, batchedD, busy := timegate.Pairs(5,
+		func() time.Duration { return fx.timePerCall(t, 200) },
+		func() time.Duration { return fx.timeBatched(t, 20) })
+	perCall := timegate.Median(perCallD).Seconds() * 1e6
+	batched := timegate.Median(batchedD).Seconds() * 1e6
 	if batched*5 > perCall {
-		t.Errorf("batched dispatch %.2f µs/spec is not 5x cheaper than per-call %.1f µs/call (%.1fx)",
-			batched, perCall, perCall/batched)
+		t.Errorf("batched dispatch %.2f µs/spec is not 5x cheaper than per-call %.1f µs/call (%.1fx; %d busy CPU checks)\nper-call rounds: %v\nbatched rounds: %v",
+			batched, perCall, perCall/batched, busy, perCallD, batchedD)
+	} else {
+		t.Logf("warm dispatch: %.1f µs/call per-call, %.2f µs/spec batched (%.1fx by median round; %d busy CPU checks)",
+			perCall, batched, perCall/batched, busy)
 	}
 }
 
