@@ -114,17 +114,17 @@ const (
 var steadyPredictors = []string{"none", "lvp", "stride", "fcm", "vtage", "vtage+stride"}
 
 // steadyTrace builds the dynamic trace for kernel, uops long.
-func steadyTrace(kernel string, uops int) ([]isa.DynInst, error) {
+func steadyTrace(kernel string, uops int) (isa.Trace, error) {
 	k, ok := kernels.ByName(kernel)
 	if !ok {
-		return nil, fmt.Errorf("unknown kernel %q", kernel)
+		return isa.Trace{}, fmt.Errorf("unknown kernel %q", kernel)
 	}
 	return emu.Trace(k.Build(), uops), nil
 }
 
 // newWarmSim builds a simulator for the named predictor over tr and runs it
 // through the warmup window, leaving it ready for timed Advance calls.
-func newWarmSim(tr []isa.DynInst, predictor string) (*pipeline.Sim, error) {
+func newWarmSim(tr isa.Trace, predictor string) (*pipeline.Sim, error) {
 	h := &ghist.History{}
 	pred, err := harness.NewPredictor(predictor, core.FPCCommit, h)
 	if err != nil {
@@ -149,7 +149,7 @@ func newSteadySim(tb testing.TB, kernel, predictor string, traceUops int) (*pipe
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sim, len(tr)
+	return sim, len(tr.Uops)
 }
 
 // BenchmarkSteadyStateSimulate times the simulate loop alone — construction,
@@ -280,7 +280,7 @@ func TestAdvanceContinuesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Committed != uint64(len(tr)) {
-		t.Errorf("Advance past trace end committed %d, want %d", st.Committed, len(tr))
+	if st.Committed != uint64(len(tr.Uops)) {
+		t.Errorf("Advance past trace end committed %d, want %d", st.Committed, len(tr.Uops))
 	}
 }

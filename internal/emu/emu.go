@@ -8,6 +8,7 @@ package emu
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -26,7 +27,6 @@ type Machine struct {
 	regs   [isa.NumRegs]uint64
 	mem    map[uint64]*page
 	pc     uint32
-	seq    uint64
 	halted bool
 }
 
@@ -95,16 +95,9 @@ func (m *Machine) Step() (d isa.DynInst, ok bool) {
 		return isa.DynInst{}, false
 	}
 	in := m.prog.Insts[m.pc]
-	d = isa.DynInst{
-		Seq:  m.seq,
-		PC:   m.pc,
-		Op:   in.Op,
-		Dst:  in.Dst,
-		Src1: in.Src1,
-		Src2: in.Src2,
-	}
-	m.seq++
+	d.SetPC(m.pc)
 	next := m.pc + 1
+	taken := false
 
 	switch in.Op {
 	case isa.NOP:
@@ -187,25 +180,25 @@ func (m *Machine) Step() (d isa.DynInst, ok bool) {
 		m.WriteMem(d.Addr, m.regs[in.Src2])
 
 	case isa.BEQ:
-		d.Taken = m.regs[in.Src1] == m.src2branch(in)
+		taken = m.regs[in.Src1] == m.src2branch(in)
 	case isa.BNE:
-		d.Taken = m.regs[in.Src1] != m.src2branch(in)
+		taken = m.regs[in.Src1] != m.src2branch(in)
 	case isa.BLT:
-		d.Taken = int64(m.regs[in.Src1]) < int64(m.src2branch(in))
+		taken = int64(m.regs[in.Src1]) < int64(m.src2branch(in))
 	case isa.BGE:
-		d.Taken = int64(m.regs[in.Src1]) >= int64(m.src2branch(in))
+		taken = int64(m.regs[in.Src1]) >= int64(m.src2branch(in))
 	case isa.JMP:
-		d.Taken = true
+		taken = true
 		next = uint32(in.Imm)
 	case isa.JR:
-		d.Taken = true
+		taken = true
 		next = uint32(m.regs[in.Src1])
 	case isa.CALL:
-		d.Taken = true
+		taken = true
 		d.Result = uint64(m.pc) + 1
 		next = uint32(in.Imm)
 	case isa.RET:
-		d.Taken = true
+		taken = true
 		next = uint32(m.regs[in.Src1])
 	case isa.HALT:
 		m.halted = true
@@ -213,12 +206,13 @@ func (m *Machine) Step() (d isa.DynInst, ok bool) {
 		panic(fmt.Sprintf("emu: unknown opcode %v at pc %d", in.Op, m.pc))
 	}
 
-	if isa.IsConditional(in.Op) && d.Taken {
+	if isa.IsConditional(in.Op) && taken {
 		next = uint32(in.Imm)
 	}
 	if in.Dst != isa.NoReg {
 		m.regs[in.Dst] = d.Result
 	}
+	d.SetTaken(taken)
 	d.NextPC = next
 	m.pc = next
 	return d, true
@@ -245,11 +239,11 @@ func fop(a, b uint64, f func(x, y float64) float64) uint64 {
 	return math.Float64bits(f(math.Float64frombits(a), math.Float64frombits(b)))
 }
 
-// Trace executes p for at most maxUops µops and returns the dynamic stream.
-// The trace ends early if the program halts. It returns an error if the
-// program runs a single µop short of maxUops without halting and
-// requireHalt is set.
-func Trace(p *isa.Program, maxUops int) []isa.DynInst {
+// Trace executes p for at most maxUops µops and returns the dynamic stream
+// with a copy of p's instructions. The trace ends early if the program
+// halts; its µop slice then holds exactly the µops executed, so a short
+// trace does not keep a maxUops-long array alive.
+func Trace(p *isa.Program, maxUops int) isa.Trace {
 	m := New(p)
 	out := make([]isa.DynInst, 0, maxUops)
 	for len(out) < maxUops {
@@ -259,5 +253,8 @@ func Trace(p *isa.Program, maxUops int) []isa.DynInst {
 		}
 		out = append(out, d)
 	}
-	return out
+	if len(out) < cap(out) {
+		out = append(make([]isa.DynInst, 0, len(out)), out...)
+	}
+	return isa.Trace{Insts: slices.Clone(p.Insts), Uops: out}
 }

@@ -163,7 +163,8 @@ func TestCallRet(t *testing.T) {
 	b.Bind(fn)
 	b.Addi(isa.R1, isa.R1, 10)
 	b.Ret(isa.R31)
-	m := New(b.Program())
+	p := b.Program()
+	m := New(p)
 	var dyns []isa.DynInst
 	for {
 		d, ok := m.Step()
@@ -179,15 +180,15 @@ func TestCallRet(t *testing.T) {
 	var call isa.DynInst
 	found := false
 	for _, d := range dyns {
-		if d.Op == isa.CALL {
+		if p.Insts[d.PC()].Op == isa.CALL {
 			call, found = d, true
 		}
 	}
 	if !found {
 		t.Fatal("no CALL in trace")
 	}
-	if call.Result != uint64(call.PC)+1 {
-		t.Errorf("call link = %d, want %d", call.Result, call.PC+1)
+	if call.Result != uint64(call.PC())+1 {
+		t.Errorf("call link = %d, want %d", call.Result, call.PC()+1)
 	}
 }
 
@@ -195,15 +196,15 @@ func TestDynInstFieldsForBranch(t *testing.T) {
 	p := buildLoop(3)
 	tr := Trace(p, 1000)
 	takenSeen := 0
-	for _, d := range tr {
-		if d.Op == isa.BLT {
-			if d.Taken {
+	for i, d := range tr.Uops {
+		if tr.Inst(i).Op == isa.BLT {
+			if d.Taken() {
 				takenSeen++
 				if d.NextPC != 3 {
 					t.Errorf("taken branch NextPC = %d, want 3", d.NextPC)
 				}
-			} else if d.NextPC != d.PC+1 {
-				t.Errorf("not-taken branch NextPC = %d, want %d", d.NextPC, d.PC+1)
+			} else if d.NextPC != d.PC()+1 {
+				t.Errorf("not-taken branch NextPC = %d, want %d", d.NextPC, d.PC()+1)
 			}
 		}
 	}
@@ -212,19 +213,38 @@ func TestDynInstFieldsForBranch(t *testing.T) {
 	}
 }
 
+// TestTraceSeqIsDense checks that a µop's index is its sequence number:
+// the trace holds every executed µop, in order, with no gap, so each µop
+// starts where the one before it went.
 func TestTraceSeqIsDense(t *testing.T) {
 	tr := Trace(buildLoop(50), 10000)
-	for i, d := range tr {
-		if d.Seq != uint64(i) {
-			t.Fatalf("trace[%d].Seq = %d", i, d.Seq)
+	if tr.Uops[0].PC() != 0 {
+		t.Fatalf("trace starts at pc %d, want the entry 0", tr.Uops[0].PC())
+	}
+	for i := 1; i < len(tr.Uops); i++ {
+		if tr.Uops[i].PC() != tr.Uops[i-1].NextPC {
+			t.Fatalf("trace[%d] at pc %d, but trace[%d] went to %d", i, tr.Uops[i].PC(), i-1, tr.Uops[i-1].NextPC)
 		}
 	}
 }
 
 func TestTraceMaxUops(t *testing.T) {
 	tr := Trace(buildLoop(1_000_000), 100)
-	if len(tr) != 100 {
-		t.Errorf("len(trace) = %d, want 100", len(tr))
+	if len(tr.Uops) != 100 {
+		t.Errorf("len(trace) = %d, want 100", len(tr.Uops))
+	}
+}
+
+// TestHaltingTraceIsTrimmed checks that a trace that ends before maxUops
+// holds no more memory than its µops: callers keep traces for a session's
+// life, so a spare maxUops-long array would stay alive with it.
+func TestHaltingTraceIsTrimmed(t *testing.T) {
+	tr := Trace(buildLoop(3), 100_000)
+	if len(tr.Uops) == 0 || len(tr.Uops) >= 100_000 {
+		t.Fatalf("len = %d, want a short trace that halted", len(tr.Uops))
+	}
+	if cap(tr.Uops) != len(tr.Uops) {
+		t.Errorf("cap = %d for %d µops, want equal", cap(tr.Uops), len(tr.Uops))
 	}
 }
 
@@ -233,8 +253,8 @@ func TestTraceMaxUops(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	f := func(n uint16) bool {
 		iters := int64(n%100) + 1
-		a := Trace(buildLoop(iters), 5000)
-		b := Trace(buildLoop(iters), 5000)
+		a := Trace(buildLoop(iters), 5000).Uops
+		b := Trace(buildLoop(iters), 5000).Uops
 		if len(a) != len(b) {
 			return false
 		}

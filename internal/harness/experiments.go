@@ -80,9 +80,9 @@ func (src *Source) Record(spec Spec) (Record, error) {
 }
 
 // trace returns a kernel's instruction trace from the source's session.
-func (src *Source) trace(ctx context.Context, kernel string) ([]isa.DynInst, error) {
+func (src *Source) trace(ctx context.Context, kernel string) (isa.Trace, error) {
 	if src.session == nil {
-		return nil, errors.New("harness: no session to trace kernels on")
+		return isa.Trace{}, errors.New("harness: no session to trace kernels on")
 	}
 	return src.session.trace(ctx, kernel)
 }

@@ -132,7 +132,7 @@ func FuzzFastLoopMatchesReference(f *testing.F) {
 			sim := pipeline.New(spec.config(), tr, pred, h)
 			sim.SetReferenceLoop(ref)
 			var seqs []uint64
-			sim.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+			sim.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
 			st, err := sim.Run(w, m)
 			if err != nil {
 				t.Fatalf("%s (reference loop %v): %v", spec.Identity(), ref, err)

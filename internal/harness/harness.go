@@ -368,7 +368,7 @@ type Result struct {
 // that created the slot generates the trace; everyone else waits on done.
 type traceCall struct {
 	done chan struct{}
-	tr   []isa.DynInst
+	tr   isa.Trace
 	err  error
 }
 
@@ -466,9 +466,9 @@ func (se *Session) SlotStats() SlotStats {
 // ctx aborts only this caller's wait: the generation itself always runs to
 // completion, because a trace is workload-wide shared state every future run
 // will want.
-func (se *Session) trace(ctx context.Context, workload string) ([]isa.DynInst, error) {
+func (se *Session) trace(ctx context.Context, workload string) (isa.Trace, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return isa.Trace{}, err
 	}
 	se.mu.Lock()
 	c, ok := se.traces[workload]
@@ -478,7 +478,7 @@ func (se *Session) trace(ctx context.Context, workload string) ([]isa.DynInst, e
 		case <-c.done:
 			return c.tr, c.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return isa.Trace{}, ctx.Err()
 		}
 	}
 	c = &traceCall{done: make(chan struct{})}
@@ -724,7 +724,7 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 	}
 	sim := pipeline.New(spec.config(), tr, pred, h)
 	rt.countSimulation()
-	st, err := se.runCancellable(ctx, sim, uint64(len(tr)), rt)
+	st, err := se.runCancellable(ctx, sim, uint64(len(tr.Uops)), rt)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%s/%s: %w",
 			spec.Kernel, spec.Predictor, spec.Counters, spec.Recovery, err)

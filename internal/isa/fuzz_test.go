@@ -87,7 +87,7 @@ func FuzzBuild(f *testing.F) {
 		}
 		// Functional execution must terminate (bounded) without panicking.
 		tr := emu.Trace(prog, 2_000)
-		if len(tr) == 0 {
+		if len(tr.Uops) == 0 {
 			t.Fatal("empty trace from a non-empty program")
 		}
 		// Codec round trip: compare canonical encodings (DeepEqual would trip

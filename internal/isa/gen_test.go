@@ -52,8 +52,8 @@ func TestGenerateValidAndNonHalting(t *testing.T) {
 			}
 			const n = 10_000
 			tr := emu.Trace(p, n)
-			if len(tr) != n {
-				t.Errorf("%s/%d: trace stopped after %d µops (program halted?)", family, seed, len(tr))
+			if len(tr.Uops) != n {
+				t.Errorf("%s/%d: trace stopped after %d µops (program halted?)", family, seed, len(tr.Uops))
 			}
 		}
 	}

@@ -43,24 +43,55 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// DynInst is one dynamic µop as produced by the functional emulator: the
-// static instruction plus everything the timing model and the value
-// predictors need to know about this execution of it.
+// DynInst is one dynamic µop as produced by the functional emulator: what
+// this execution of the instruction at PC adds to the static instruction.
+// The opcode and registers are the program's (see Trace), and a µop's
+// sequence number is its index in the trace, so the record holds 24 bytes.
 type DynInst struct {
-	Seq    uint64 // dynamic sequence number (0-based)
-	PC     uint32 // static instruction index
-	NextPC uint32 // architecturally correct next PC
-	Op     Op
-	Dst    Reg
-	Src1   Reg
-	Src2   Reg
-	Result uint64 // value written to Dst (valid iff HasDest())
+	pc     uint32 // static instruction index; takenBit holds Taken
+	NextPC uint32 // architecturally correct next PC (any value: JR and RET jump to a register's)
+	Result uint64 // value written to the destination register, if any
 	Addr   uint64 // effective address for memory µops
-	Taken  bool   // control-flow outcome (valid for control µops)
 }
 
-// HasDest reports whether this dynamic µop produces a value-predictable
-// register result.
-func (d *DynInst) HasDest() bool {
-	return d.Dst != NoReg && !IsControl(d.Op)
+// takenBit is the bit of DynInst.pc that holds Taken. PCs never reach it:
+// the emulator emits a µop only for a PC inside the program, and no program
+// has 2^31 instructions.
+const takenBit = 1 << 31
+
+// PC returns the µop's static instruction index.
+func (d *DynInst) PC() uint32 { return d.pc &^ takenBit }
+
+// SetPC sets the µop's static instruction index. It panics on a PC of 2^31
+// or more, which no program can reach.
+func (d *DynInst) SetPC(pc uint32) {
+	if pc&takenBit != 0 {
+		panic(fmt.Sprintf("isa: pc %d out of range", pc))
+	}
+	d.pc = pc | d.pc&takenBit
 }
+
+// Taken returns the control-flow outcome (valid for control µops).
+func (d *DynInst) Taken() bool { return d.pc&takenBit != 0 }
+
+// SetTaken sets the control-flow outcome.
+func (d *DynInst) SetTaken(taken bool) {
+	if taken {
+		d.pc |= takenBit
+	} else {
+		d.pc &^= takenBit
+	}
+}
+
+// Trace is the dynamic µop stream of one program run together with the
+// program's instructions: µop i is the i-th to execute, so i is its
+// sequence number, and its opcode and registers are Insts[Uops[i].PC()].
+// Insts is the trace's own copy, so a later edit of the program cannot
+// change a trace already made.
+type Trace struct {
+	Insts []Inst
+	Uops  []DynInst
+}
+
+// Inst returns the static instruction µop i executed.
+func (t Trace) Inst(i int) Inst { return t.Insts[t.Uops[i].PC()] }

@@ -32,8 +32,8 @@ func TestAllKernelsRunWithoutHalting(t *testing.T) {
 	for _, k := range All() {
 		t.Run(k.Name, func(t *testing.T) {
 			tr := emu.Trace(k.Build(), want)
-			if len(tr) != want {
-				t.Fatalf("trace ended after %d µops", len(tr))
+			if len(tr.Uops) != want {
+				t.Fatalf("trace ended after %d µops", len(tr.Uops))
 			}
 		})
 	}
@@ -41,8 +41,8 @@ func TestAllKernelsRunWithoutHalting(t *testing.T) {
 
 func TestKernelsAreDeterministic(t *testing.T) {
 	for _, k := range All() {
-		a := emu.Trace(k.Build(), 20_000)
-		bb := emu.Trace(k.Build(), 20_000)
+		a := emu.Trace(k.Build(), 20_000).Uops
+		bb := emu.Trace(k.Build(), 20_000).Uops
 		for i := range a {
 			if a[i] != bb[i] {
 				t.Fatalf("%s: traces diverge at µop %d", k.Name, i)
@@ -57,18 +57,18 @@ func TestKernelMix(t *testing.T) {
 	for _, k := range All() {
 		tr := emu.Trace(k.Build(), 50_000)
 		var branches, mems, fpops, dests int
-		for i := range tr {
-			d := &tr[i]
-			if isa.IsControl(d.Op) {
+		for i := range tr.Uops {
+			in := tr.Inst(i)
+			if isa.IsControl(in.Op) {
 				branches++
 			}
-			if isa.IsMem(d.Op) {
+			if isa.IsMem(in.Op) {
 				mems++
 			}
-			if d.Dst != isa.NoReg && d.Dst.IsFP() {
+			if in.Dst != isa.NoReg && in.Dst.IsFP() {
 				fpops++
 			}
-			if d.HasDest() {
+			if in.HasDest() {
 				dests++
 			}
 		}
@@ -78,8 +78,8 @@ func TestKernelMix(t *testing.T) {
 		if mems == 0 {
 			t.Errorf("%s: no memory traffic", k.Name)
 		}
-		if dests < len(tr)/4 {
-			t.Errorf("%s: only %d/%d µops produce registers", k.Name, dests, len(tr))
+		if dests < len(tr.Uops)/4 {
+			t.Errorf("%s: only %d/%d µops produce registers", k.Name, dests, len(tr.Uops))
 		}
 		if kk, _ := ByName(k.Name); kk.FP && fpops == 0 {
 			t.Errorf("%s: declared FP but no FP results", k.Name)
@@ -113,12 +113,12 @@ func TestH264HasTightLoop(t *testing.T) {
 	// Measure the most common PC-revisit distance.
 	last := map[uint32]uint64{}
 	hist := map[uint64]int{}
-	for i := range tr {
-		d := &tr[i]
-		if prev, ok := last[d.PC]; ok {
-			hist[d.Seq-prev]++
+	for i := range tr.Uops {
+		pc, seq := tr.Uops[i].PC(), uint64(i) // a µop's index is its sequence number
+		if prev, ok := last[pc]; ok {
+			hist[seq-prev]++
 		}
-		last[d.PC] = d.Seq
+		last[pc] = seq
 	}
 	best, bestN := uint64(0), 0
 	for d, n := range hist {
@@ -136,18 +136,18 @@ func TestMcfChaseIsSerialAndConstant(t *testing.T) {
 	// stream: each chase slot holds a constant next-index.
 	tr := emu.Trace(buildMcf(), 100_000)
 	seen := map[uint32]map[uint64]map[uint64]bool{} // pc -> addr -> values
-	for i := range tr {
-		d := &tr[i]
-		if !isa.IsLoad(d.Op) {
+	for i := range tr.Uops {
+		d := &tr.Uops[i]
+		if !isa.IsLoad(tr.Inst(i).Op) {
 			continue
 		}
-		if seen[d.PC] == nil {
-			seen[d.PC] = map[uint64]map[uint64]bool{}
+		if seen[d.PC()] == nil {
+			seen[d.PC()] = map[uint64]map[uint64]bool{}
 		}
-		if seen[d.PC][d.Addr] == nil {
-			seen[d.PC][d.Addr] = map[uint64]bool{}
+		if seen[d.PC()][d.Addr] == nil {
+			seen[d.PC()][d.Addr] = map[uint64]bool{}
 		}
-		seen[d.PC][d.Addr][d.Result] = true
+		seen[d.PC()][d.Addr][d.Result] = true
 	}
 	for pc, addrs := range seen {
 		for addr, vals := range addrs {

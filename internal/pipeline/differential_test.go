@@ -37,13 +37,14 @@ func newArchShadow(p *isa.Program) *archShadow {
 	return s
 }
 
-// apply replays one committed µop's architectural effects.
-func (s *archShadow) apply(di *isa.DynInst) {
-	if isa.IsStore(di.Op) {
-		s.mem[di.Addr&^7] = s.regs[di.Src2]
+// apply replays the architectural effects of tr's µop ti, which committed.
+func (s *archShadow) apply(tr isa.Trace, ti int) {
+	d, in := &tr.Uops[ti], tr.Inst(ti)
+	if isa.IsStore(in.Op) {
+		s.mem[d.Addr&^7] = s.regs[in.Src2]
 	}
-	if di.Dst != isa.NoReg {
-		s.regs[di.Dst] = di.Result
+	if in.Dst != isa.NoReg {
+		s.regs[in.Dst] = d.Result
 	}
 }
 
@@ -76,9 +77,9 @@ func TestDifferentialEmuVsPipeline(t *testing.T) {
 		tr := emu.Trace(prog, traceUops)
 
 		// Reference: the emulator's own architectural state after exactly
-		// len(tr) steps.
+		// len(tr.Uops) steps.
 		ref := emu.New(prog)
-		for i := 0; i < len(tr); i++ {
+		for i := 0; i < len(tr.Uops); i++ {
 			if _, ok := ref.Step(); !ok {
 				t.Fatalf("seed %d: emulator halted before the trace ended", seed)
 			}
@@ -98,23 +99,23 @@ func TestDifferentialEmuVsPipeline(t *testing.T) {
 				var commits uint64
 				var orderErr bool
 				sim := New(cfg, tr, p, h)
-				sim.OnCommit = func(di *isa.DynInst) {
-					if di.Seq != commits {
+				sim.OnCommit = func(ti int) {
+					if uint64(ti) != commits {
 						orderErr = true
 					}
 					commits++
-					shadow.apply(di)
+					shadow.apply(tr, ti)
 				}
-				st, err := sim.Run(0, uint64(len(tr)))
+				st, err := sim.Run(0, uint64(len(tr.Uops)))
 				if err != nil {
 					t.Fatalf("seed %d pred %d %v: %v", seed, pi, rec, err)
 				}
 				if orderErr {
 					t.Fatalf("seed %d pred %d %v: commits out of order or duplicated", seed, pi, rec)
 				}
-				if commits != uint64(len(tr)) || st.Committed != commits {
+				if commits != uint64(len(tr.Uops)) || st.Committed != commits {
 					t.Fatalf("seed %d pred %d %v: %d commits for a %d-uop trace (stats say %d)",
-						seed, pi, rec, commits, len(tr), st.Committed)
+						seed, pi, rec, commits, len(tr.Uops), st.Committed)
 				}
 
 				for r := isa.Reg(0); r < isa.NumRegs; r++ {
@@ -155,8 +156,8 @@ func TestDifferentialKernels(t *testing.T) {
 		}
 		var commits uint64
 		ok := true
-		sim.OnCommit = func(di *isa.DynInst) {
-			if di.Seq != commits {
+		sim.OnCommit = func(ti int) {
+			if uint64(ti) != commits {
 				ok = false
 			}
 			commits++

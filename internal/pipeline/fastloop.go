@@ -59,7 +59,7 @@ func (s *Sim) nextEventCycle() int64 {
 			t = d
 		}
 	}
-	if !s.fetchBlocked && s.fetchIdx < len(s.trace) && s.feqLen < fetchBufCap {
+	if !s.fetchBlocked && s.fetchIdx < len(s.uops) && s.feqLen < fetchBufCap {
 		if d := s.nextFetchCyc; d < t {
 			t = d
 		}

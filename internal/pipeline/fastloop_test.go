@@ -40,9 +40,9 @@ func familyPredictors() map[string]func(h *ghist.History) core.Predictor {
 // short windows), applu under selective reissue replays loads that complete
 // earlier than their first execution, and the generated branchy and memory
 // programs are where the issue stage's wakeup chains do most of the work.
-func fastRefWorkloads(t *testing.T, n int) map[string][]isa.DynInst {
+func fastRefWorkloads(t *testing.T, n int) map[string]isa.Trace {
 	t.Helper()
-	out := make(map[string][]isa.DynInst)
+	out := make(map[string]isa.Trace)
 	for _, name := range []string{"mcf", "gzip", "applu"} {
 		k, ok := kernels.ByName(name)
 		if !ok {
@@ -83,7 +83,7 @@ func TestFastLoopMatchesReference(t *testing.T) {
 					s := New(cfg, tr, p, h)
 					s.SetReferenceLoop(ref)
 					var seqs []uint64
-					s.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+					s.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
 					st, err := s.Run(w, m)
 					if err != nil {
 						t.Fatalf("%s/%s/%v (ref=%v): %v", wl, name, rec, ref, err)

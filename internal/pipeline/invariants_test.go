@@ -97,7 +97,7 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 					s := New(cfg, tr, p, h)
 					s.SetReferenceLoop(ref)
 					var seqs []uint64
-					s.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+					s.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
 					st, err := s.Run(2_000, 15_000)
 					if err != nil {
 						t.Fatalf("seed %d pred %d %v (ref=%v): %v", seed, pi, rec, ref, err)

@@ -45,13 +45,13 @@ type robEntry struct {
 	predWrong bool
 	predUsed  bool // a dependent issued consuming the predicted value
 
-	// Branch prediction.
-	isCond    bool
-	brMispred bool
+	brMispred bool // fetch mispredicted this control µop
 
-	hasDest     bool
-	isLoad      bool
-	isStore     bool
+	// The µop's static class and destination register, cached at dispatch
+	// so issue, commit and squash need not look them up.
+	class isa.Class
+	dst   isa.Reg
+
 	fwdStore    bool // load satisfied by store-to-load forwarding
 	usedSpecSrc bool // issued consuming a not-yet-validated predicted value
 
@@ -68,7 +68,6 @@ type feEntry struct {
 	vpTried   bool
 	conf      bool
 	predWrong bool
-	isCond    bool
 	brMispred bool
 }
 
@@ -87,17 +86,30 @@ type payload struct {
 	rasTop  int    // RAS top before this µop
 }
 
+// staticInst is one instruction of the trace's code as the hot path reads
+// it, decoded once in New and indexed by PC, so fetch and dispatch look up
+// no opcode tables per µop.
+type staticInst struct {
+	class           isa.Class
+	dst, src1, src2 isa.Reg
+	vpEligible      bool // isa.Inst.HasDest: a value-predictable register result
+	control         bool
+	load, store     bool
+}
+
 // Sim is one simulation instance: a machine configuration bound to a trace
 // and a value predictor. Zero value is not usable; construct with New.
 type Sim struct {
-	cfg   Config
-	trace []isa.DynInst
-	pred  core.Predictor // nil = baseline machine without value prediction
+	cfg  Config
+	uops []isa.DynInst  // the trace's µops; a µop's trace index is its sequence number
+	code []staticInst   // the trace's instructions, by PC
+	pred core.Predictor // nil = baseline machine without value prediction
 
-	// OnCommit, when non-nil, observes every architecturally committed µop in
-	// commit order — exactly once each, squashes included. Differential tests
-	// replay the committed stream against the functional emulator through it.
-	OnCommit func(*isa.DynInst)
+	// OnCommit, when non-nil, observes the trace index of every
+	// architecturally committed µop in commit order — exactly once each,
+	// squashes included. Differential tests replay the committed stream
+	// against the functional emulator through it.
+	OnCommit func(ti int)
 
 	hist  *ghist.History
 	tage  *bpred.Tage
@@ -209,7 +221,7 @@ type Sim struct {
 
 // New builds a simulator for trace under cfg using pred for value prediction
 // (nil disables VP: the baseline machine).
-func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.History) *Sim {
+func New(cfg Config, trace isa.Trace, pred core.Predictor, hist *ghist.History) *Sim {
 	if hist == nil {
 		hist = &ghist.History{}
 	}
@@ -219,7 +231,8 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 	l2.AttachPrefetcher(pf)
 	s := &Sim{
 		cfg:       cfg,
-		trace:     trace,
+		uops:      trace.Uops,
+		code:      make([]staticInst, len(trace.Insts)),
 		pred:      pred,
 		hist:      hist,
 		tage:      bpred.NewTage(bpred.DefaultTageConfig(), hist),
@@ -261,15 +274,19 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 	}
 	s.pay = make([]payload, n)
 	s.payMask = n - 1
-	// Last-fetch-cycle table, indexed by static PC (trace PCs are program
-	// indices, so the table is as small as the program).
-	maxPC := uint32(0)
-	for i := range trace {
-		if trace[i].PC > maxPC {
-			maxPC = trace[i].PC
+	for pc, in := range trace.Insts {
+		cls := isa.ClassOf(in.Op)
+		s.code[pc] = staticInst{
+			class: cls, dst: in.Dst, src1: in.Src1, src2: in.Src2,
+			vpEligible: in.HasDest(),
+			control:    isa.IsControl(in.Op),
+			load:       cls == isa.ClassLoad,
+			store:      cls == isa.ClassStore,
 		}
 	}
-	s.lastFetchCyc = make([]int64, maxPC+1)
+	// Last-fetch-cycle table, indexed by static PC: a trace's PCs index its
+	// code, so the table is as long as the code.
+	s.lastFetchCyc = make([]int64, len(trace.Insts))
 	for i := range s.lastFetchCyc {
 		s.lastFetchCyc[i] = -1
 	}
@@ -293,7 +310,7 @@ func NewForKernel(cfg Config, kernel string, nUops int, pred core.Predictor, his
 	return New(cfg, emu.Trace(k.Build(), nUops), pred, hist), nil
 }
 
-func (s *Sim) di(ti int) *isa.DynInst { return &s.trace[ti] }
+func (s *Sim) di(ti int) *isa.DynInst { return &s.uops[ti] }
 
 func (s *Sim) entry(slot int) *robEntry { return &s.rob[slot] }
 
@@ -337,7 +354,7 @@ func (s *Sim) Run(warmup, measure uint64) (*Stats, error) {
 		s.warmed = true
 	}
 	total := warmup + measure
-	if t := uint64(len(s.trace)); total > t {
+	if t := uint64(len(s.uops)); total > t {
 		total = t
 	}
 	return s.advanceTo(total)
@@ -350,7 +367,7 @@ func (s *Sim) Run(warmup, measure uint64) (*Stats, error) {
 // generation, and cold-start effects.
 func (s *Sim) Advance(n uint64) (*Stats, error) {
 	target := s.stats.Committed + n
-	if t := uint64(len(s.trace)); target > t {
+	if t := uint64(len(s.uops)); target > t {
 		target = t
 	}
 	return s.advanceTo(target)
@@ -412,17 +429,18 @@ func (s *Sim) commit() {
 			return
 		}
 		di := s.di(e.ti)
+		pc := uint64(di.PC())
 
-		if e.isStore {
+		if e.class == isa.ClassStore {
 			// Stores write the cache from the post-commit store buffer; the
 			// access is charged for bandwidth/MSHR stats but never blocks.
-			s.l1d.Access(s.cycle, di.Addr, uint64(di.PC), true, true)
-			s.ssets.StoreRetired(uint64(di.PC), uint64(e.ti))
+			s.l1d.Access(s.cycle, di.Addr, pc, true, true)
+			s.ssets.StoreRetired(pc, uint64(e.ti))
 		}
 
 		// Train predictors with the architectural outcome, in commit order.
-		if e.isCond {
-			s.tage.Train(uint64(di.PC), di.Taken, &s.pl(e.ti).bmeta)
+		if e.class == isa.ClassBranch {
+			s.tage.Train(pc, di.Taken(), &s.pl(e.ti).bmeta)
 			if s.warmed {
 				s.stats.CondBranches++
 				if e.brMispred {
@@ -432,7 +450,7 @@ func (s *Sim) commit() {
 		}
 		valueSquash := false
 		if s.pred != nil && e.vpTried {
-			s.pred.Train(uint64(di.PC), di.Result, &s.pl(e.ti).meta)
+			s.pred.Train(pc, di.Result, &s.pl(e.ti).meta)
 			if s.warmed {
 				s.stats.Eligible++
 				if e.conf {
@@ -453,14 +471,14 @@ func (s *Sim) commit() {
 			}
 		}
 
-		if e.hasDest {
-			s.regs.For(s.di(e.ti).Dst).Release()
+		if e.dst != isa.NoReg {
+			s.regs.For(e.dst).Release()
 		}
-		if e.isLoad {
+		if e.class == isa.ClassLoad {
 			s.lqUsed--
 			s.inFlightLd.remove(s.head)
 		}
-		if e.isStore {
+		if e.class == isa.ClassStore {
 			s.sqUsed--
 			s.inFlightSt.remove(s.head)
 		}
@@ -481,8 +499,8 @@ func (s *Sim) commit() {
 			s.waitWB.remove(s.head)
 		}
 		// The committed entry can no longer forward through the ROB.
-		if e.hasDest && s.lastProd[di.Dst] == s.head {
-			s.lastProd[di.Dst] = noSlot
+		if e.dst != isa.NoReg && s.lastProd[e.dst] == s.head {
+			s.lastProd[e.dst] = noSlot
 		}
 		s.head = s.next(s.head)
 		s.count--
@@ -490,7 +508,7 @@ func (s *Sim) commit() {
 		s.progress = true
 		s.doneActivity = true
 		if s.OnCommit != nil {
-			s.OnCommit(di)
+			s.OnCommit(e.ti)
 		}
 
 		if !s.warmed && s.stats.Committed >= s.warmupUops {
@@ -536,7 +554,6 @@ func (s *Sim) writeback() {
 		s.waitWB.remove(slot)
 		s.progress = true
 		s.doneActivity = true
-		di := s.di(e.ti)
 
 		// Branch resolution: redirect the stalled front-end.
 		if e.brMispred {
@@ -550,13 +567,13 @@ func (s *Sim) writeback() {
 
 		// Memory-order violation: a store whose address resolves after a
 		// younger overlapping load already executed.
-		if e.isStore {
+		if e.class == isa.ClassStore {
 			if v := s.findViolatingLoad(slot, e); v != noSlot {
 				ve := s.entry(v)
 				if s.warmed {
 					s.stats.SquashMemOrder++
 				}
-				s.ssets.Violation(uint64(s.di(ve.ti).PC), uint64(di.PC))
+				s.ssets.Violation(uint64(s.di(ve.ti).PC()), uint64(s.di(e.ti).PC()))
 				s.squashFromAge(s.slotAge(v), ve.ti, e.doneCyc+1)
 				s.fetchBlocked = false
 				return
@@ -694,9 +711,8 @@ func (s *Sim) issue() {
 			}
 			continue
 		}
-		di := s.di(e.ti)
 		var lat int64
-		switch isa.ClassOf(di.Op) {
+		switch e.class {
 		case isa.ClassNop, isa.ClassHalt:
 			lat = s.cfg.LatALU
 			if aluUsed >= s.cfg.ALUs {
@@ -957,7 +973,7 @@ func (s *Sim) loadLatency(slot int, e *robEntry) (int64, bool) {
 		}
 	}
 
-	done, ok := s.l1d.Access(s.cycle, di.Addr, uint64(di.PC), false, true)
+	done, ok := s.l1d.Access(s.cycle, di.Addr, uint64(di.PC()), false, true)
 	if !ok {
 		// The rejected probe counted an MSHR stall and fed the prefetcher:
 		// the retry itself has architectural side effects, so idle-skip must
@@ -1030,18 +1046,17 @@ func (s *Sim) dispatch() {
 			s.stall(&s.stats.StallIQ)
 			return
 		}
-		di := s.di(fe.ti)
-		isLoad, isStore := isa.IsLoad(di.Op), isa.IsStore(di.Op)
-		if isLoad && s.lqUsed >= s.cfg.LQ {
+		pc := s.di(fe.ti).PC()
+		st := &s.code[pc]
+		if st.load && s.lqUsed >= s.cfg.LQ {
 			s.stall(&s.stats.StallLQ)
 			return
 		}
-		if isStore && s.sqUsed >= s.cfg.SQ {
+		if st.store && s.sqUsed >= s.cfg.SQ {
 			s.stall(&s.stats.StallSQ)
 			return
 		}
-		hasDest := di.Dst != isa.NoReg
-		if hasDest && !s.regs.For(di.Dst).TryAlloc() {
+		if st.dst != isa.NoReg && !s.regs.For(st.dst).TryAlloc() {
 			s.stall(&s.stats.StallRegs)
 			return
 		}
@@ -1054,8 +1069,8 @@ func (s *Sim) dispatch() {
 		e.issued, e.done, e.wbDone, e.inIQ = false, false, false, true
 		e.dep1, e.dep2, e.dep1TI, e.dep2TI = noSlot, noSlot, 0, 0
 		e.vpTried, e.conf, e.predWrong, e.predUsed = fe.vpTried, fe.conf, fe.predWrong, false
-		e.isCond, e.brMispred = fe.isCond, fe.brMispred
-		e.hasDest, e.isLoad, e.isStore = hasDest, isLoad, isStore
+		e.brMispred = fe.brMispred
+		e.class, e.dst = st.class, st.dst
 		e.fwdStore, e.usedSpecSrc = false, false
 		e.hasDepStore, e.depStoreTI = false, 0
 		s.iqUsed++
@@ -1063,36 +1078,36 @@ func (s *Sim) dispatch() {
 		s.awake.add(slot)
 		s.recheckAt[slot] = 0
 		s.iqHeld.pushBack(slot)
-		if isLoad {
+		if st.load {
 			s.lqUsed++
 			s.inFlightLd.pushBack(slot)
 		}
-		if isStore {
+		if st.store {
 			s.sqUsed++
 			s.inFlightSt.pushBack(slot)
 		}
 
 		// Rename: resolve sources to in-flight producers.
-		if di.Src1 != isa.NoReg {
-			if p := s.lastProd[di.Src1]; p != noSlot {
+		if st.src1 != isa.NoReg {
+			if p := s.lastProd[st.src1]; p != noSlot {
 				e.dep1, e.dep1TI = p, s.rob[p].ti
 			}
 		}
-		if di.Src2 != isa.NoReg {
-			if p := s.lastProd[di.Src2]; p != noSlot {
+		if st.src2 != isa.NoReg {
+			if p := s.lastProd[st.src2]; p != noSlot {
 				e.dep2, e.dep2TI = p, s.rob[p].ti
 			}
 		}
-		if hasDest {
-			s.lastProd[di.Dst] = slot
+		if st.dst != isa.NoReg {
+			s.lastProd[st.dst] = slot
 		}
 
 		// Memory dependence prediction (store sets).
-		if isStore {
-			s.ssets.StoreFetched(uint64(di.PC), uint64(fe.ti))
+		if st.store {
+			s.ssets.StoreFetched(uint64(pc), uint64(fe.ti))
 		}
-		if isLoad {
-			if tok, wait := s.ssets.LoadFetched(uint64(di.PC)); wait {
+		if st.load {
+			if tok, wait := s.ssets.LoadFetched(uint64(pc)); wait {
 				e.hasDepStore, e.depStoreTI = true, int(tok)
 			}
 		}
@@ -1120,7 +1135,7 @@ func (s *Sim) stall(counter *uint64) {
 const fetchBufCap = 64
 
 func (s *Sim) fetch() {
-	if s.fetchBlocked || s.cycle < s.nextFetchCyc || s.fetchIdx >= len(s.trace) {
+	if s.fetchBlocked || s.cycle < s.nextFetchCyc || s.fetchIdx >= len(s.uops) {
 		return
 	}
 	// The high-water check gates the start of a group only; the ring is sized
@@ -1133,20 +1148,22 @@ func (s *Sim) fetch() {
 	var lastLine uint64 = ^uint64(0)
 
 	for n := 0; n < s.cfg.FetchWidth; n++ {
-		if s.fetchIdx >= len(s.trace) {
+		if s.fetchIdx >= len(s.uops) {
 			return
 		}
 		di := s.di(s.fetchIdx)
+		pc := di.PC()
+		st := &s.code[pc]
 
 		// Instruction cache: µops are 8 bytes, 8 per 64B line; a fetch group
 		// may span two lines.
-		lineAddr := uint64(di.PC) * 8 / mem.LineBytes
+		lineAddr := uint64(pc) * 8 / mem.LineBytes
 		if lineAddr != lastLine {
 			if linesTouched == 2 {
 				return // line bandwidth exhausted this cycle
 			}
-			if !s.l1i.Contains(uint64(di.PC) * 8) {
-				done, ok := s.l1i.Access(s.cycle, uint64(di.PC)*8, uint64(di.PC), false, true)
+			if !s.l1i.Contains(uint64(pc) * 8) {
+				done, ok := s.l1i.Access(s.cycle, uint64(pc)*8, uint64(pc), false, true)
 				if s.warmed {
 					s.stats.FetchIMissStalls++
 				}
@@ -1176,13 +1193,13 @@ func (s *Sim) fetch() {
 
 		// Value prediction happens in the front-end for every µop producing
 		// a register (Section 7.2).
-		if s.pred != nil && di.HasDest() && (!s.cfg.PredictLoadsOnly || isa.IsLoad(di.Op)) {
+		if s.pred != nil && st.vpEligible && (!s.cfg.PredictLoadsOnly || st.load) {
 			fe.vpTried = true
 			if s.ofeed != nil {
 				s.ofeed.FeedActual(di.Result)
 			}
-			s.pred.Predict(uint64(di.PC), &pl.meta)
-			pl.meta.Seq = di.Seq
+			s.pred.Predict(uint64(pc), &pl.meta)
+			pl.meta.Seq = uint64(s.fetchIdx)
 			fe.conf = pl.meta.Conf
 			fe.predWrong = fe.conf && pl.meta.Pred != di.Result
 			// Speculative occurrence tracking, following Section 7.1's
@@ -1194,24 +1211,24 @@ func (s *Sim) fetch() {
 			// actual outcome, which a real machine approximates through
 			// execution-time repair of the speculative window.
 			if s.sfeed != nil {
-				s.sfeed.FeedSpec(uint64(di.PC), di.Result, di.Seq)
+				s.sfeed.FeedSpec(uint64(pc), di.Result, uint64(s.fetchIdx))
 			}
 		}
 
 		// Back-to-back statistic (Section 3.2).
 		if s.warmed {
 			s.stats.FetchedUops++
-			if di.HasDest() {
-				if last := s.lastFetchCyc[di.PC]; last >= 0 && last == s.cycle-1 {
+			if st.vpEligible {
+				if last := s.lastFetchCyc[pc]; last >= 0 && last == s.cycle-1 {
 					s.stats.B2BEligible++
 				}
 			}
 		}
-		s.lastFetchCyc[di.PC] = s.cycle
+		s.lastFetchCyc[pc] = s.cycle
 
 		stop := false
-		if isa.IsControl(di.Op) {
-			stop = s.fetchControl(di, fe, pl, &taken)
+		if st.control {
+			stop = s.fetchControl(di, st.class, fe, pl, &taken)
 		}
 
 		s.feqLen++
@@ -1226,30 +1243,30 @@ func (s *Sim) fetch() {
 // fetchControl models branch prediction at fetch for one control µop. It
 // returns true if fetch must stop after this µop (taken-branch budget,
 // misprediction stall, or BTB redirect bubble).
-func (s *Sim) fetchControl(di *isa.DynInst, fe *feEntry, pl *payload, taken *int) bool {
-	pc := uint64(di.PC)
+func (s *Sim) fetchControl(di *isa.DynInst, class isa.Class, fe *feEntry, pl *payload, taken *int) bool {
+	pc := uint64(di.PC())
 	stop := false
 	mispred := false
 	btbBubble := false
+	diTaken := di.Taken()
 
-	switch isa.ClassOf(di.Op) {
+	switch class {
 	case isa.ClassBranch:
-		fe.isCond = true
 		predTaken, m := s.tage.Predict(pc)
 		pl.bmeta = m
-		mispred = predTaken != di.Taken
-		if predTaken && di.Taken {
+		mispred = predTaken != diTaken
+		if predTaken && diTaken {
 			if _, hit := s.btb.Lookup(pc); !hit {
 				btbBubble = true
 			}
 		}
-		s.hist.Push(di.Taken, pc)
+		s.hist.Push(diTaken, pc)
 	case isa.ClassJump, isa.ClassCall:
 		if _, hit := s.btb.Lookup(pc); !hit {
 			btbBubble = true
 		}
-		if isa.ClassOf(di.Op) == isa.ClassCall {
-			s.ras.Push(di.PC + 1)
+		if class == isa.ClassCall {
+			s.ras.Push(di.PC() + 1)
 		}
 	case isa.ClassJumpInd:
 		tgt, hit := s.btb.Lookup(pc)
@@ -1258,7 +1275,7 @@ func (s *Sim) fetchControl(di *isa.DynInst, fe *feEntry, pl *payload, taken *int
 		mispred = s.ras.Pop() != di.NextPC
 	}
 
-	if di.Taken {
+	if diTaken {
 		s.btb.Insert(pc, di.NextPC)
 		*taken++
 		if *taken >= s.cfg.TakenPerCyc {
@@ -1303,13 +1320,13 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 		// Free resources of every squashed entry.
 		for cur, n := slot, fromAge; n < s.count; cur, n = s.next(cur), n+1 {
 			se := s.entry(cur)
-			if se.hasDest {
-				s.regs.For(s.di(se.ti).Dst).Release()
+			if se.dst != isa.NoReg {
+				s.regs.For(se.dst).Release()
 			}
-			if se.isLoad {
+			if se.class == isa.ClassLoad {
 				s.lqUsed--
 			}
-			if se.isStore {
+			if se.class == isa.ClassStore {
 				s.sqUsed--
 			}
 			if se.inIQ {
@@ -1341,8 +1358,8 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	s.inFlightSt.clear()
 	for cur, n := s.head, 0; n < s.count; cur, n = s.next(cur), n+1 {
 		e := s.entry(cur)
-		if e.hasDest {
-			s.lastProd[s.di(e.ti).Dst] = cur
+		if e.dst != isa.NoReg {
+			s.lastProd[e.dst] = cur
 		}
 		if !e.issued {
 			s.waitIssue.add(cur)
@@ -1353,10 +1370,10 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 		if e.inIQ {
 			s.iqHeld.pushBack(cur)
 		}
-		if e.isLoad {
+		if e.class == isa.ClassLoad {
 			s.inFlightLd.pushBack(cur)
 		}
-		if e.isStore {
+		if e.class == isa.ClassStore {
 			s.inFlightSt.pushBack(cur)
 		}
 	}
@@ -1366,13 +1383,13 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	s.ssets.Clear()
 	for cur, n := s.head, 0; n < s.count; cur, n = s.next(cur), n+1 {
 		e := s.entry(cur)
-		if e.isStore {
-			s.ssets.StoreFetched(uint64(s.di(e.ti).PC), uint64(e.ti))
+		if e.class == isa.ClassStore {
+			s.ssets.StoreFetched(uint64(s.di(e.ti).PC()), uint64(e.ti))
 		}
 	}
 	s.rearmIssue()
 	if s.pred != nil {
-		s.pred.Squash(s.seqAt(resumeTI))
+		s.pred.Squash(uint64(resumeTI)) // a µop's sequence number is its trace index
 	}
 
 	s.fetchIdx = resumeTI
@@ -1380,18 +1397,6 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	s.fetchBlocked = false
 	s.wbMinDone = 0 // worklists changed mid-scan: force a fresh walk
 	s.doneActivity = true
-}
-
-// seqAt returns the sequence number of the µop at trace index ti, or one
-// past the last sequence when ti is at the end of the trace.
-func (s *Sim) seqAt(ti int) uint64 {
-	if ti >= len(s.trace) {
-		if len(s.trace) == 0 {
-			return 0
-		}
-		return s.trace[len(s.trace)-1].Seq + 1
-	}
-	return s.trace[ti].Seq
 }
 
 // Stats exposes the accumulated statistics (valid after Run).

@@ -11,7 +11,7 @@ import (
 )
 
 // simpleLoop builds an independent-add loop with plenty of ILP.
-func simpleLoop() []isa.DynInst {
+func simpleLoop() isa.Trace {
 	b := isa.NewBuilder("ilp")
 	b.Li(isa.R1, 0)
 	loop := b.Here()
@@ -28,7 +28,7 @@ func simpleLoop() []isa.DynInst {
 // serialChain builds a serial dependence chain through a constant-value
 // load: without VP the loop is latency-bound; with a last-value predictor it
 // is not.
-func serialChain() []isa.DynInst {
+func serialChain() isa.Trace {
 	b := isa.NewBuilder("chain")
 	b.Data(0x1000, 0) // chase slot holding index 0 (self-loop)
 	b.Li(isa.R1, 0x1000)
@@ -53,7 +53,7 @@ func testWin(warmup, measure uint64) (uint64, uint64) {
 	return warmup, measure
 }
 
-func runTrace(t *testing.T, tr []isa.DynInst, mk func(h *ghist.History) core.Predictor, rec RecoveryMode) *Stats {
+func runTrace(t *testing.T, tr isa.Trace, mk func(h *ghist.History) core.Predictor, rec RecoveryMode) *Stats {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Recovery = rec
@@ -108,7 +108,7 @@ func TestSplitRunMatchesStraightRun(t *testing.T) {
 			t.Fatalf("unknown kernel %q", kernel)
 		}
 		tr := emu.Trace(k.Build(), int(w+m))
-		total := min(w+m, uint64(len(tr)))
+		total := min(w+m, uint64(len(tr.Uops)))
 		for name, mk := range familyPredictors() {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
@@ -121,7 +121,7 @@ func TestSplitRunMatchesStraightRun(t *testing.T) {
 					}
 					s := New(cfg, tr, p, h)
 					var seqs []uint64
-					s.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+					s.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
 					return s, &seqs
 				}
 
@@ -196,7 +196,7 @@ func TestLVPBreaksConstantLoadChain(t *testing.T) {
 // changingValues builds a loop whose load value changes every k iterations:
 // a predictor that becomes confident will periodically be wrong, exercising
 // the recovery paths.
-func changingValues() []isa.DynInst {
+func changingValues() isa.Trace {
 	b := isa.NewBuilder("change")
 	b.Li(isa.R1, 0x1000)
 	b.Li(isa.R2, 0) // iteration counter
@@ -255,7 +255,7 @@ func TestReissueCheaperThanSquashAtLowAccuracy(t *testing.T) {
 
 // storeLoadConflict builds a late-resolving store followed by an early load
 // to the same address: classic memory-order violation until store sets learn.
-func storeLoadConflict() []isa.DynInst {
+func storeLoadConflict() isa.Trace {
 	b := isa.NewBuilder("conflict")
 	b.Li(isa.R1, 0x1000)
 	b.Li(isa.R2, 100)
@@ -334,7 +334,7 @@ func TestB2BStatisticCollected(t *testing.T) {
 }
 
 func TestIPCNeverExceedsWidth(t *testing.T) {
-	for _, tr := range [][]isa.DynInst{simpleLoop(), serialChain(), changingValues()} {
+	for _, tr := range []isa.Trace{simpleLoop(), serialChain(), changingValues()} {
 		st := runTrace(t, tr, nil, SquashAtCommit)
 		if st.IPC() > float64(DefaultConfig().RetireWidth) {
 			t.Errorf("IPC %.2f exceeds retire width", st.IPC())

@@ -39,10 +39,11 @@ type Profile struct {
 }
 
 // Compute builds the profile of a trace.
-func Compute(trace []isa.DynInst) Profile {
+func Compute(trace isa.Trace) Profile {
 	var p Profile
-	p.Uops = uint64(len(trace))
-	if len(trace) == 0 {
+	uops := trace.Uops
+	p.Uops = uint64(len(uops))
+	if len(uops) == 0 {
 		return p
 	}
 
@@ -57,15 +58,16 @@ func Compute(trace []isa.DynInst) Profile {
 	var loads, stores, branches, fpops, intops, takenCond, conds, callsRets uint64
 	var lastHits, strideHits uint64
 
-	for i := range trace {
-		d := &trace[i]
+	for i := range uops {
+		d := &uops[i]
+		in := trace.Inst(i)
 		switch {
-		case isa.IsLoad(d.Op):
+		case isa.IsLoad(in.Op):
 			loads++
-		case isa.IsStore(d.Op):
+		case isa.IsStore(in.Op):
 			stores++
 		}
-		cls := isa.ClassOf(d.Op)
+		cls := isa.ClassOf(in.Op)
 		switch cls {
 		case isa.ClassFPAlu, isa.ClassFPMul, isa.ClassFPDiv:
 			fpops++
@@ -74,24 +76,24 @@ func Compute(trace []isa.DynInst) Profile {
 		case isa.ClassCall, isa.ClassRet:
 			callsRets++
 		}
-		if isa.IsControl(d.Op) {
+		if isa.IsControl(in.Op) {
 			branches++
-			if isa.IsConditional(d.Op) {
+			if isa.IsConditional(in.Op) {
 				conds++
-				if d.Taken {
+				if d.Taken() {
 					takenCond++
 				}
 			}
 		}
-		if isa.IsMem(d.Op) {
+		if isa.IsMem(in.Op) {
 			lines[d.Addr/64] = struct{}{}
 		}
-		if d.HasDest() {
+		if in.HasDest() {
 			p.Eligible++
-			h := perPC[d.PC]
+			h := perPC[d.PC()]
 			if h == nil {
 				h = &hist{}
-				perPC[d.PC] = h
+				perPC[d.PC()] = h
 			}
 			if h.seen {
 				if d.Result == h.last {
@@ -108,7 +110,7 @@ func Compute(trace []isa.DynInst) Profile {
 		}
 	}
 
-	n := float64(len(trace))
+	n := float64(len(uops))
 	p.Loads = float64(loads) / n
 	p.Stores = float64(stores) / n
 	p.Branches = float64(branches) / n
@@ -120,8 +122,8 @@ func Compute(trace []isa.DynInst) Profile {
 	p.CallsReturns = callsRets
 	p.FootprintLines = len(lines)
 	pcs := make(map[uint32]struct{})
-	for i := range trace {
-		pcs[trace[i].PC] = struct{}{}
+	for i := range uops {
+		pcs[uops[i].PC()] = struct{}{}
 	}
 	p.StaticPCs = len(pcs)
 	if p.Eligible > 0 {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestEmptyTrace(t *testing.T) {
-	p := Compute(nil)
+	p := Compute(isa.Trace{})
 	if p.Uops != 0 || p.Eligible != 0 {
 		t.Errorf("empty trace profile: %+v", p)
 	}

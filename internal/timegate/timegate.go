@@ -13,6 +13,11 @@
 // every pair, so a machine that stays busy still gets the gate. A pair is
 // never dropped because of its own times, so a gate cannot pass by
 // discarding the rounds that would fail it.
+//
+// Two gates in two test processes would each read the other's probe and
+// rounds as busy CPUs, so Pairs holds an exclusive file lock for its whole
+// run (where flock exists): concurrent gates take turns, and the 30 s wait
+// starts once the lock is held.
 package timegate
 
 import (
@@ -33,6 +38,7 @@ const wait = 30 * time.Second
 // It returns each side's round times in pair order and how many CPU checks
 // found the CPUs busy.
 func Pairs(n int, a, b func() time.Duration) (as, bs []time.Duration, busy int) {
+	defer lock()()
 	cpus := min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 	deadline := time.Now().Add(wait)
 	for len(as) < n {
