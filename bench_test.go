@@ -28,8 +28,7 @@ const (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		se := harness.NewSession(benchWarmup, benchMeasure)
-		se.UseWorkers(1)
+		se := harness.NewSession(harness.SessionConfig{Warmup: benchWarmup, Measure: benchMeasure, Workers: 1})
 		e, ok := harness.ExperimentByID(id)
 		if !ok {
 			b.Fatalf("unknown experiment %q", id)
@@ -91,8 +90,8 @@ func BenchmarkSec4RegfileModel(b *testing.B) { benchExperiment(b, "sec4") }
 // BenchmarkSteadyStateSimulate isolates the simulate loop itself.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		se := harness.NewSession(benchWarmup, benchMeasure)
-		if _, err := se.Run(harness.Spec{Kernel: "gzip", Predictor: "none"}); err != nil {
+		se := harness.NewSession(harness.SessionConfig{Warmup: benchWarmup, Measure: benchMeasure})
+		if _, err := se.RunCtx(context.Background(), harness.Spec{Kernel: "gzip", Predictor: "none"}); err != nil {
 			b.Fatal(err)
 		}
 	}

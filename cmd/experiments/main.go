@@ -60,8 +60,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	runID := fs.String("run", "", "experiment id to run (see -list)")
 	all := fs.Bool("all", false, "run every experiment")
-	warmup := fs.Uint64("warmup", 50_000, "warmup µops per simulation")
-	measure := fs.Uint64("measure", 250_000, "measured µops per simulation")
+	warmup := fs.Uint64("warmup", harness.DefaultWarmup, "warmup µops per simulation")
+	measure := fs.Uint64("measure", harness.DefaultMeasure, "measured µops per simulation")
 	workers := fs.Int("workers", 0, "parallel simulation workers (<=0: GOMAXPROCS; remote: server pool)")
 	format := fs.String("format", "text", "output format for -run: text, json, or csv")
 	list := fs.Bool("list", false, "list experiment ids and exit")

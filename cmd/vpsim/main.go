@@ -46,6 +46,7 @@ import (
 	"syscall"
 
 	"repro"
+	"repro/internal/harness"
 )
 
 func main() {
@@ -66,8 +67,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	pred := fs.String("pred", "vtage", "value predictor: "+strings.Join(repro.Predictors(), ", "))
 	counters := fs.String("counters", "fpc", "confidence counters: baseline or fpc")
 	recovery := fs.String("recovery", "squash", "misprediction recovery: squash or reissue")
-	warmup := fs.Uint64("warmup", 50_000, "warmup µops")
-	measure := fs.Uint64("measure", 250_000, "measured µops")
+	warmup := fs.Uint64("warmup", harness.DefaultWarmup, "warmup µops")
+	measure := fs.Uint64("measure", harness.DefaultMeasure, "measured µops")
 	workers := fs.Int("workers", 0, "parallel simulation workers (<=0: GOMAXPROCS; ignored with -server: the daemon's pool applies)")
 	width := fs.Int("width", 0, "machine width override (0: the paper's 8-wide)")
 	loadsOnly := fs.Bool("loads-only", false, "restrict value prediction to load µops")

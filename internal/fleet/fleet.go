@@ -507,7 +507,7 @@ func (f *Runner) Experiment(ctx context.Context, e harness.Experiment, format st
 		if err != nil {
 			return err
 		}
-		se = harness.NewSession(stats.Limits.Warmup, stats.Limits.Measure)
+		se = harness.NewSession(harness.SessionConfig{Warmup: stats.Limits.Warmup, Measure: stats.Limits.Measure})
 	}
 	var recs []harness.Record
 	if e.Specs != nil {

@@ -50,7 +50,7 @@ func startShards(t *testing.T, n int) (*Runner, []*service.Server, []*httptest.S
 
 func refRecords(t *testing.T, specs []harness.Spec) []harness.Record {
 	t.Helper()
-	se := harness.NewSession(testWarmup, testMeasure)
+	se := harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure})
 	var recs []harness.Record
 	if _, err := se.Records(context.Background(), specs, func(r harness.Record) error {
 		recs = append(recs, r)

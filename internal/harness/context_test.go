@@ -7,12 +7,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/emu"
+	"repro/internal/ghist"
+	"repro/internal/kernels"
+	"repro/internal/pipeline"
 )
 
 // TestRunCtxMatchesRun pins the equivalence the service layer depends on:
-// the cancellable chunked simulation path must produce stats byte-identical
-// to the one-shot Run path, because Advance targets absolute commit counts
-// and pausing between cycles is state-neutral.
+// the session's cancellable chunked simulation must produce stats
+// byte-identical to one sim.Run over the same windows, because Advance
+// targets absolute commit counts and pausing between cycles is
+// state-neutral.
 func TestRunCtxMatchesRun(t *testing.T) {
 	t.Parallel()
 	specs := []Spec{
@@ -20,25 +26,26 @@ func TestRunCtxMatchesRun(t *testing.T) {
 		{Kernel: "gzip", Predictor: "vtage", Counters: FPC},
 		{Kernel: "art", Predictor: "stride", Counters: BaselineCounters},
 	}
-	warmup, measure := testWindows(5_000, 60_000)
+	c := testWindows(5_000, 60_000)
 	for _, spec := range specs {
-		plain := NewSession(warmup, measure)
-		want, err := plain.Run(spec)
+		k, _ := kernels.ByName(spec.Kernel)
+		h := &ghist.History{}
+		pred, err := spec.newPredictor(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A cancellable (but never cancelled) context forces the chunked
-		// Advance path through a fresh session.
-		ctx, cancel := context.WithCancel(context.Background())
-		chunked := NewSession(warmup, measure)
-		got, err := chunked.RunCtx(ctx, spec)
-		cancel()
+		tr := emu.Trace(k.Build(), int(c.Warmup+c.Measure))
+		want, err := pipeline.New(spec.config(), tr, pred, h).Run(c.Warmup, c.Measure)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Stats != want.Stats {
+		got, err := NewSession(c).RunCtx(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != *want {
 			t.Errorf("%v: chunked cancellable run diverged from one-shot run:\n%+v\n%+v",
-				spec, got.Stats, want.Stats)
+				spec, got.Stats, *want)
 		}
 	}
 }
@@ -55,7 +62,7 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 	if _, err := se.RunCtx(ctx, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
-	r, err := se.Run(spec)
+	r, err := se.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("run after cancellation: %v (cancellation was memoized)", err)
 	}
@@ -71,7 +78,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 	t.Parallel()
 	// Large windows so the run is comfortably longer than the cancellation
 	// latency being measured.
-	se := NewSession(50_000, 1_500_000)
+	se := NewSession(SessionConfig{Warmup: 50_000, Measure: 1_500_000})
 	spec := Spec{Kernel: "gzip", Predictor: "none"}
 	ctx, cancel := context.WithCancel(context.Background())
 
@@ -92,7 +99,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 		t.Fatalf("RunCtx still running %v after cancel", time.Since(start))
 	}
 	// The abandoned entry must be gone so a fresh small-window session-level
-	// retry re-owns it (checked via memo counters: a new Run is a miss).
+	// retry re-owns it (checked via memo counters: a new RunCtx is a miss).
 	misses := se.MemoStats().Misses
 	se.mu.Lock()
 	_, stillThere := se.memo[spec]
@@ -110,7 +117,7 @@ func TestRunCtxCancelMidRun(t *testing.T) {
 // succeed under its own live context.
 func TestRunCtxWaiterRetriesAfterAbandonedOwner(t *testing.T) {
 	t.Parallel()
-	se := NewSession(50_000, 1_000_000)
+	se := NewSession(SessionConfig{Warmup: 50_000, Measure: 1_000_000})
 	spec := Spec{Kernel: "art", Predictor: "none"}
 
 	ownerCtx, cancelOwner := context.WithCancel(context.Background())
@@ -165,12 +172,11 @@ func TestRunCtxWaiterRetriesAfterAbandonedOwner(t *testing.T) {
 	}
 }
 
-// TestRunAllCtxCancel: cancelling a batch abandons the unstarted tail with
-// the context error and reports it deterministically.
+// TestRunAllCtxCancel: cancelling a batch abandons the unstarted tail and
+// Records reports the context error, not a spec's.
 func TestRunAllCtxCancel(t *testing.T) {
 	t.Parallel()
-	se := NewSession(50_000, 600_000)
-	se.UseWorkers(2)
+	se := NewSession(SessionConfig{Warmup: 50_000, Measure: 600_000, Workers: 2})
 	var specs []Spec
 	for _, k := range KernelNames() {
 		specs = append(specs, Spec{Kernel: k, Predictor: "none"})
@@ -181,12 +187,12 @@ func TestRunAllCtxCancel(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := se.RunAllCtx(ctx, specs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
+	failed, err := se.Records(ctx, specs, func(Record) error { return nil })
+	if !errors.Is(err, context.Canceled) || failed != -1 {
+		t.Fatalf("got (%d, %v), want (-1, context.Canceled)", failed, err)
 	}
 	if d := time.Since(start); d > 30*time.Second {
-		t.Errorf("cancelled RunAllCtx took %v to return", d)
+		t.Errorf("cancelled Records took %v to return", d)
 	}
 }
 
@@ -230,7 +236,7 @@ func TestMemoStatsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i := range specs {
-					if _, err := se.Run(specs[(g+i)%len(specs)]); err != nil {
+					if _, err := se.RunCtx(context.Background(), specs[(g+i)%len(specs)]); err != nil {
 						t.Error(err)
 						return
 					}

@@ -250,8 +250,9 @@ func TestSessionRecords(t *testing.T) {
 // each, without taking a slot.
 func TestRecordsRunsEachTaskOnce(t *testing.T) {
 	t.Parallel()
-	se := NewSession(testWindows(1_000, 4_000))
-	se.UseWorkers(2)
+	cfg := testWindows(1_000, 4_000)
+	cfg.Workers = 2
+	se := NewSession(cfg)
 	var progs []string
 	for _, family := range []string{"branchy", "memory"} {
 		p, err := isa.Generate(family, 1)
@@ -319,11 +320,10 @@ func TestRecordsRunsEachTaskOnce(t *testing.T) {
 // held.
 func TestRecordsStreamsInSpecOrder(t *testing.T) {
 	t.Parallel()
-	se := NewSession(longWarmup, longMeasure)
-	se.UseWorkers(2)
+	se := NewSession(SessionConfig{Warmup: longWarmup, Measure: longMeasure, Workers: 2})
 	warm := Spec{Kernel: "art", Predictor: "none"}
 	cold := Spec{Kernel: "gzip", Predictor: "none"}
-	if _, err := se.Run(warm); err != nil {
+	if _, err := se.RunCtx(context.Background(), warm); err != nil {
 		t.Fatal(err)
 	}
 	stop := errors.New("stop")

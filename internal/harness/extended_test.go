@@ -108,11 +108,11 @@ func TestSpecValidate(t *testing.T) {
 			t.Errorf("Validate(%+v) accepted", s)
 		}
 	}
-	// Run surfaces the same errors (memoized like any other failure). Note
-	// MaxHist=64 would canonicalize to the default and pass; 256 cannot.
-	se := NewSession(100, 400)
-	if _, err := se.Run(Spec{Kernel: "art", Predictor: "lvp", MaxHist: 256}); err == nil {
-		t.Error("Run accepted max_hist on a non-vtage predictor")
+	// RunCtx surfaces the same errors (memoized like any other failure).
+	// Note MaxHist=64 would canonicalize to the default and pass; 256 cannot.
+	se := NewSession(SessionConfig{Warmup: 100, Measure: 400})
+	if _, err := se.RunCtx(context.Background(), Spec{Kernel: "art", Predictor: "lvp", MaxHist: 256}); err == nil {
+		t.Error("RunCtx accepted max_hist on a non-vtage predictor")
 	}
 }
 
@@ -259,16 +259,17 @@ func TestAccFilterAdmitsEveryUsedOver100(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(2_000, 8_000))
 	specs := accSpecs()
-	results, err := se.RunAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := collect(context.Background(), se, specs)
+	ctx := context.Background()
+	recs, err := collect(ctx, se, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	admitted := 0
-	for i, res := range results {
+	for i, spec := range specs {
+		res, err := se.RunCtx(ctx, spec) // a memo hit: Records ran every spec
+		if err != nil {
+			t.Fatal(err)
+		}
 		used := float64(res.Stats.Used)
 		if bound := recs[i].Coverage * float64(recs[i].Committed); bound < used*(1-1e-12) {
 			t.Errorf("%s: coverage × committed = %.3f below the used count %d", specs[i].Identity(), bound, res.Stats.Used)

@@ -75,8 +75,8 @@ func decodeFastRef(workload, genSeed, predictor uint8, fpc, reissue bool, width 
 		}
 		spec.Kernel = ProgramID(prog)
 	}
-	w, m := testWindows(uint64(warmup)%8_001, uint64(measure)%20_001)
-	return spec.Canonical(), prog, w, m, nil
+	c := testWindows(uint64(warmup)%8_001, uint64(measure)%20_001)
+	return spec.Canonical(), prog, c.Warmup, c.Measure, nil
 }
 
 // FuzzFastLoopMatchesReference compares the specialized simulate loop with

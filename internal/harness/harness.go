@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -36,67 +35,93 @@ import (
 	"repro/internal/store"
 )
 
-// PredictorNames lists the constructible predictor configurations. "ps" and
-// "gdiff" are the extension predictors the paper references but does not
-// evaluate in its figures (footnote 4 and Section 2).
-var PredictorNames = []string{
-	"none", "lvp", "stride", "fcm", "vtage", "oracle",
-	"fcm+stride", "vtage+stride", "ps", "gdiff",
+// predictorDef is one constructible predictor configuration: its config
+// name, the paper's label for it, and its constructor over confidence
+// vector vec and the shared history h. maxHist overrides VTAGE's maximum
+// history length (0: Table 1's); only the vtage family reads it.
+type predictorDef struct {
+	name, label string
+	build       func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor
+}
+
+// predictorSeed seeds every predictor's LFSR; a hybrid's second component
+// takes predictorSeed+1.
+const predictorSeed = 0xC0FFEE
+
+// predictors is the one table of constructible predictors, in
+// PredictorNames order. "ps" and "gdiff" are the extension predictors the
+// paper references but does not evaluate in its figures (footnote 4 and
+// Section 2).
+var predictors = []predictorDef{
+	{"none", "Baseline", func(core.FPCVector, *ghist.History, int) core.Predictor { return nil }},
+	{"lvp", "LVP", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+		return core.NewLVP(13, vec, predictorSeed)
+	}},
+	{"stride", "2D-Str", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+		return core.NewStride2D(13, vec, predictorSeed)
+	}},
+	{"fcm", "o4-FCM", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+		return core.NewFCM(4, 13, vec, predictorSeed)
+	}},
+	{"vtage", "VTAGE", func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
+		return core.NewVTAGE(vtageConfig(vec, maxHist), h)
+	}},
+	{"oracle", "Oracle", func(core.FPCVector, *ghist.History, int) core.Predictor { return &core.Oracle{} }},
+	{"fcm+stride", "o4-FCM-2DStr", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+		return core.NewHybrid(core.NewFCM(4, 13, vec, predictorSeed), core.NewStride2D(13, vec, predictorSeed+1))
+	}},
+	{"vtage+stride", "VTAGE-2DStr", func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
+		return core.NewHybrid(core.NewVTAGE(vtageConfig(vec, maxHist), h), core.NewStride2D(13, vec, predictorSeed+1))
+	}},
+	{"ps", "PS", func(vec core.FPCVector, h *ghist.History, _ int) core.Predictor {
+		return core.NewPS(13, 13, vec, predictorSeed, h)
+	}},
+	{"gdiff", "gDiff", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+		return core.NewGDiff(13, vec, predictorSeed)
+	}},
+}
+
+// vtageConfig is Table 1's VTAGE over vec, its maximum history length
+// overridden when maxHist is non-zero.
+func vtageConfig(vec core.FPCVector, maxHist int) core.VTAGEConfig {
+	cfg := core.DefaultVTAGEConfig(vec)
+	if maxHist != 0 {
+		cfg.MaxHist = maxHist
+	}
+	return cfg
+}
+
+// PredictorNames lists the constructible predictor configurations.
+var PredictorNames = func() []string {
+	names := make([]string, len(predictors))
+	for i, p := range predictors {
+		names[i] = p.name
+	}
+	return names
+}()
+
+// buildPredictor constructs the named predictor (see predictorDef.build).
+func buildPredictor(name string, vec core.FPCVector, h *ghist.History, maxHist int) (core.Predictor, error) {
+	for _, p := range predictors {
+		if p.name == name {
+			return p.build(vec, h, maxHist), nil
+		}
+	}
+	return nil, fmt.Errorf("harness: unknown predictor %q", name)
 }
 
 // NewPredictor constructs the named predictor with confidence vector vec
 // over the shared history h. "none" returns nil (the baseline machine).
 func NewPredictor(name string, vec core.FPCVector, h *ghist.History) (core.Predictor, error) {
-	const seed = 0xC0FFEE
-	switch name {
-	case "none":
-		return nil, nil
-	case "lvp":
-		return core.NewLVP(13, vec, seed), nil
-	case "stride":
-		return core.NewStride2D(13, vec, seed), nil
-	case "fcm":
-		return core.NewFCM(4, 13, vec, seed), nil
-	case "vtage":
-		return core.NewVTAGE(core.DefaultVTAGEConfig(vec), h), nil
-	case "oracle":
-		return &core.Oracle{}, nil
-	case "fcm+stride":
-		return core.NewHybrid(core.NewFCM(4, 13, vec, seed), core.NewStride2D(13, vec, seed+1)), nil
-	case "vtage+stride":
-		return core.NewHybrid(core.NewVTAGE(core.DefaultVTAGEConfig(vec), h), core.NewStride2D(13, vec, seed+1)), nil
-	case "ps":
-		return core.NewPS(13, 13, vec, seed, h), nil
-	case "gdiff":
-		return core.NewGDiff(13, vec, seed), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown predictor %q", name)
-	}
+	return buildPredictor(name, vec, h, 0)
 }
 
 // DisplayName maps predictor config names to the paper's labels.
 func DisplayName(name string) string {
-	switch name {
-	case "none":
-		return "Baseline"
-	case "lvp":
-		return "LVP"
-	case "stride":
-		return "2D-Str"
-	case "fcm":
-		return "o4-FCM"
-	case "vtage":
-		return "VTAGE"
-	case "oracle":
-		return "Oracle"
-	case "fcm+stride":
-		return "o4-FCM-2DStr"
-	case "vtage+stride":
-		return "VTAGE-2DStr"
-	case "ps":
-		return "PS"
-	case "gdiff":
-		return "gDiff"
+	for _, p := range predictors {
+		if p.name == name {
+			return p.label
+		}
 	}
 	return name
 }
@@ -336,20 +361,7 @@ func (s Spec) newPredictor(h *ghist.History) (core.Predictor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.MaxHist == 0 {
-		return NewPredictor(s.Predictor, vec, h)
-	}
-	const seed = 0xC0FFEE // same seeds as NewPredictor, so MaxHist=default ≡ the named config
-	cfg := core.DefaultVTAGEConfig(vec)
-	cfg.MaxHist = s.MaxHist
-	switch s.Predictor {
-	case "vtage":
-		return core.NewVTAGE(cfg, h), nil
-	case "vtage+stride":
-		return core.NewHybrid(core.NewVTAGE(cfg, h), core.NewStride2D(13, vec, seed+1)), nil
-	default:
-		return nil, fmt.Errorf("harness: max_hist applies to vtage-family predictors, not %q", s.Predictor)
-	}
+	return buildPredictor(s.Predictor, vec, h, s.MaxHist)
 }
 
 // Baseline returns the no-VP spec this spec's speedup is measured against:
@@ -387,64 +399,77 @@ type runCall struct {
 	err  error
 }
 
+// DefaultWarmup and DefaultMeasure are the windows a runner, a daemon or a
+// command line uses when none is given: µops of warmup, then measured µops,
+// per simulation. They stand in for the paper's 50M+50M SimPoint windows
+// at interactive cost.
+const (
+	DefaultWarmup  = 50_000
+	DefaultMeasure = 250_000
+)
+
+// SessionConfig is a Session's whole configuration, fixed by NewSession.
+type SessionConfig struct {
+	Warmup  uint64 // µops before measurement per simulation
+	Measure uint64 // measured µops per simulation
+	// Workers bounds the session's concurrent runs across every caller of
+	// RunCtx (<= 0: GOMAXPROCS).
+	Workers int
+	// Store, when non-nil, is the persistent record tier under the memo:
+	// an owner reads it through before simulating and writes clean
+	// successes behind. Cancellations and errors are never persisted,
+	// mirroring the memo's own invariant.
+	Store *store.Store
+	// Observer, when non-nil, receives the session's metrics and run
+	// spans from its first lookup on.
+	Observer *Observer
+}
+
 // Session runs experiments with shared settings and memoized results. It is
 // safe for concurrent use: identical Specs (and kernel traces) are simulated
 // exactly once even when requested from many goroutines. The zero value is
 // not usable; construct with NewSession.
 type Session struct {
-	Warmup  uint64
-	Measure uint64
+	// Fixed by NewSession and only read afterwards.
+	warmup, measure uint64
+	slots           chan struct{} // one token per owner reading the store or simulating
+	store           *store.Store  // optional persistent tier under the memo
+	obs             *Observer     // optional metrics + run tracing
 
 	mu        sync.Mutex // guards the maps and counters; never held while simulating
 	traces    map[string]*traceCall
 	memo      map[Spec]*runCall
-	hits      uint64 // Run lookups that joined an existing (possibly in-flight) entry
-	misses    uint64 // Run lookups that started a simulation
-	storeHits uint64 // Run lookups served by loading a persisted record
+	hits      uint64 // RunCtx lookups that joined an existing (possibly in-flight) entry
+	misses    uint64 // RunCtx lookups that started a simulation
+	storeHits uint64 // RunCtx lookups served by loading a persisted record
 	joined    uint64 // hits that joined a run still in flight
 
-	slots   chan struct{} // one token per owner reading the store or simulating (UseWorkers)
-	waiting atomic.Int64  // owners blocked on a slot
+	waiting atomic.Int64 // owners blocked on a slot
 
-	store *store.Store            // optional persistent tier under the memo (UseStore)
 	fps   map[string]*fpCall      // builtin workload → fingerprint, computed once per session
 	progs map[string]*isa.Program // registered programs by prog:<sha256> reference
-
-	obs atomic.Pointer[Observer] // optional metrics + run tracing (Observe)
 }
 
-// NewSession builds a session with the given measurement window, standing in
-// for the paper's 50M-warmup/50M-measure Simpoint methodology.
-func NewSession(warmup, measure uint64) *Session {
+// NewSession builds a session from its whole configuration. The windows
+// stand in for the paper's 50M-warmup/50M-measure SimPoint methodology.
+func NewSession(c SessionConfig) *Session {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	return &Session{
-		Warmup:  warmup,
-		Measure: measure,
+		warmup:  c.Warmup,
+		measure: c.Measure,
+		slots:   make(chan struct{}, c.Workers),
+		store:   c.Store,
+		obs:     c.Observer,
 		traces:  make(map[string]*traceCall),
 		memo:    make(map[Spec]*runCall),
 		fps:     make(map[string]*fpCall),
-		slots:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 }
 
-// UseWorkers bounds the session to n concurrent runs (n <= 0: GOMAXPROCS,
-// the default). Call it once, before the session serves any lookup: the
-// bound covers every caller of RunCtx, and a run in flight keeps the slot it
-// took under the old bound.
-func (se *Session) UseWorkers(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	se.mu.Lock()
-	se.slots = make(chan struct{}, n)
-	se.mu.Unlock()
-}
-
-// Workers reports the session's bound on concurrent runs (UseWorkers).
-func (se *Session) Workers() int {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return cap(se.slots)
-}
+// Workers reports the session's bound on concurrent runs.
+func (se *Session) Workers() int { return cap(se.slots) }
 
 // SlotStats is a snapshot of the session's worker slots.
 type SlotStats struct {
@@ -483,12 +508,16 @@ func (se *Session) trace(ctx context.Context, workload string) (isa.Trace, error
 	}
 	c = &traceCall{done: make(chan struct{})}
 	se.traces[workload] = c
+	p, ok := se.progs[workload]
 	se.mu.Unlock()
 
-	if p, ok := se.Program(workload); ok {
-		c.tr = emu.Trace(p, int(se.Warmup+se.Measure))
-	} else if k, ok := kernels.ByName(workload); ok {
-		c.tr = emu.Trace(k.Build(), int(se.Warmup+se.Measure))
+	if !ok {
+		if k, found := kernels.ByName(workload); found {
+			p, ok = k.Build(), true
+		}
+	}
+	if ok {
+		c.tr = emu.Trace(p, int(se.warmup+se.measure))
 	} else {
 		// Unresolvable today is not unresolvable forever: registering the
 		// program cures it, so drop the slot instead of caching the failure.
@@ -501,12 +530,6 @@ func (se *Session) trace(ctx context.Context, workload string) (isa.Trace, error
 	return c.tr, c.err
 }
 
-// Run simulates spec (memoized) and returns its result. Concurrent calls
-// with the same spec share one simulation; errors are memoized too.
-func (se *Session) Run(spec Spec) (*Result, error) {
-	return se.RunCtx(context.Background(), spec)
-}
-
 // IsContextErr reports whether err is (or wraps) a cancellation or deadline
 // error — caller state, not a property of the spec. The session uses it to
 // decide what not to memoize; the service layer uses the same predicate to
@@ -515,14 +538,17 @@ func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunCtx is Run with cancellation. ctx aborts waiting on another
-// goroutine's in-flight simulation, waiting for a worker slot, and the
-// simulation loop itself (the loop checks the context every cancelChunk
-// committed µops, so a cancelled caller stops burning CPU promptly). A run
-// abandoned by cancellation is not memoized: its memo entry is removed
-// before waiters wake, so the next request re-simulates, and goroutines that
-// joined the abandoned entry with a live context of their own transparently
-// retry; the first to retry becomes the new owner.
+// RunCtx simulates spec (memoized) and returns its result. Concurrent calls
+// with the same spec share one simulation; errors are memoized too.
+//
+// ctx aborts waiting on another goroutine's in-flight simulation, waiting
+// for a worker slot, and the simulation loop itself (the loop checks the
+// context every cancelChunk committed µops, so a cancelled caller stops
+// burning CPU promptly). A run abandoned by cancellation is not memoized:
+// its memo entry is removed before waiters wake, so the next request
+// re-simulates, and goroutines that joined the abandoned entry with a live
+// context of their own transparently retry; the first to retry becomes the
+// new owner.
 //
 // Only an owner holds a worker slot (see own); a lookup that joins an
 // existing entry, finished or in flight, waits without one.
@@ -531,9 +557,8 @@ func IsContextErr(err error) bool {
 // configurations share one memo entry no matter how the caller spelled them.
 func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 	spec = spec.Canonical()
-	o := se.observer()
 	var start time.Time
-	if o != nil {
+	if se.obs != nil {
 		start = time.Now()
 	}
 	counted := false
@@ -548,7 +573,7 @@ func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 				case <-c.done:
 				default:
 					se.joined++
-					o.countJoin()
+					se.obs.countJoin()
 				}
 			}
 			se.mu.Unlock()
@@ -558,7 +583,7 @@ func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 				return nil, ctx.Err()
 			}
 			if c.err == nil || !IsContextErr(c.err) {
-				o.countMemo(true, 1) // served from an in-process entry
+				se.obs.countMemo(true, 1) // served from an in-process entry
 				return c.res, c.err
 			}
 			// The owner abandoned this entry (and deleted it). Retry under
@@ -577,12 +602,11 @@ func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 		}
 		c = &runCall{done: make(chan struct{})}
 		se.memo[spec] = c
-		st, slots := se.store, se.slots
 		se.mu.Unlock()
 
 		// This lookup took ownership: a memo miss, and the start of one
 		// run's trace span-set (admit → tier lookups → phases → publish).
-		return se.own(ctx, spec, c, st, slots, o.beginRun(spec, start))
+		return se.own(ctx, spec, c, se.obs.beginRun(spec, start))
 	}
 }
 
@@ -592,8 +616,8 @@ func (se *Session) RunCtx(ctx context.Context, spec Spec) (*Result, error) {
 // Workers() owners do any of them at once across every caller. An owner
 // cancelled while it waits for a slot ends like a cancelled run: it counts
 // its miss and unpublishes c.
-func (se *Session) own(ctx context.Context, spec Spec, c *runCall, st *store.Store, slots chan struct{}, rt *runRec) (*Result, error) {
-	if err := se.acquire(ctx, slots, rt.observer()); err != nil {
+func (se *Session) own(ctx context.Context, spec Spec, c *runCall, rt *runRec) (*Result, error) {
+	if err := se.acquire(ctx); err != nil {
 		se.mu.Lock()
 		se.misses++
 		delete(se.memo, spec)
@@ -602,15 +626,15 @@ func (se *Session) own(ctx context.Context, spec Spec, c *runCall, st *store.Sto
 		close(c.done)
 		return nil, err
 	}
-	defer se.release(slots, rt.observer())
+	defer se.release()
 
 	// Read-through: a populated store turns this would-be miss into a
 	// disk load. Waiters parked on c still count as plain memo hits.
-	if st != nil {
+	if se.store != nil {
 		t0 := time.Now()
-		res, ok := se.storeLoad(st, spec)
+		res, ok := se.storeLoad(spec)
 		rt.lookup(obs.StageStore, obs.TierStore, ok, time.Since(t0))
-		rt.observer().countStore(ok)
+		se.obs.countStore(ok)
 		if ok {
 			se.mu.Lock()
 			se.storeHits++
@@ -634,11 +658,11 @@ func (se *Session) own(ctx context.Context, spec Spec, c *runCall, st *store.Sto
 		se.mu.Lock()
 		delete(se.memo, spec)
 		se.mu.Unlock()
-	} else if c.err == nil && st != nil {
+	} else if c.err == nil && se.store != nil {
 		// Write-behind: persist only clean successes — cancellations and
 		// errors are never stored, mirroring the memo invariant.
 		t0 := time.Now()
-		se.storeSave(st, spec, c.res)
+		se.storeSave(spec, c.res)
 		rt.span(obs.StagePublish, obs.TierStore, "", time.Since(t0), nil)
 	} else {
 		rt.span(obs.StagePublish, obs.TierMemo, "", 0, c.err)
@@ -647,37 +671,37 @@ func (se *Session) own(ctx context.Context, spec Spec, c *runCall, st *store.Sto
 	return c.res, c.err
 }
 
-// acquire takes one of slots for an owner. While every slot is held the
-// owner waits, counted as queued; blocked owners get slots in arrival order
-// (a channel wakes blocked senders first in, first out). ctx aborts the
-// wait.
-func (se *Session) acquire(ctx context.Context, slots chan struct{}, o *Observer) error {
+// acquire takes one of the session's worker slots for an owner. While
+// every slot is held the owner waits, counted as queued; blocked owners get
+// slots in arrival order (a channel wakes blocked senders first in, first
+// out). ctx aborts the wait.
+func (se *Session) acquire(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	var t0 time.Time
-	if o != nil {
+	if se.obs != nil {
 		t0 = time.Now()
 	}
 	select {
-	case slots <- struct{}{}:
+	case se.slots <- struct{}{}:
 	default:
 		se.waiting.Add(1)
 		defer se.waiting.Add(-1)
 		select {
-		case slots <- struct{}{}:
+		case se.slots <- struct{}{}:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	o.slotTaken(t0)
+	se.obs.slotTaken(t0)
 	return nil
 }
 
 // release returns a slot taken by acquire.
-func (se *Session) release(slots chan struct{}, o *Observer) {
-	<-slots
-	o.slotFreed()
+func (se *Session) release() {
+	<-se.slots
+	se.obs.slotFreed()
 }
 
 // peek returns the canonical spec's memoized outcome without blocking and
@@ -703,7 +727,7 @@ func (se *Session) peek(spec Spec) (res *Result, err error, ok bool) {
 		return nil, nil, false
 	}
 	se.hits++
-	se.observer().countMemo(true, 1)
+	se.obs.countMemo(true, 1)
 	return c.res, c.err, true
 }
 
@@ -738,7 +762,7 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 // per-chunk bookkeeping is invisible next to the simulate loop.
 const cancelChunk = 25_000
 
-// runCancellable produces the exact machine state Run(Warmup, Measure)
+// runCancellable produces the exact machine state sim.Run(warmup, measure)
 // would: Advance targets absolute commit counts and pausing between cycles
 // is state-neutral, so chunking changes nothing but the cancellation
 // latency. The warmup window runs in one piece (Run must set the
@@ -749,12 +773,12 @@ func (se *Session) runCancellable(ctx context.Context, sim *pipeline.Sim, traceL
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	total := se.Warmup + se.Measure
+	total := se.warmup + se.measure
 	if total > traceLen {
 		total = traceLen
 	}
 	t0 := time.Now()
-	st, err := sim.Run(se.Warmup, 0)
+	st, err := sim.Run(se.warmup, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -778,7 +802,7 @@ func (se *Session) runCancellable(ctx context.Context, sim *pipeline.Sim, traceL
 
 // MemoStats is a snapshot of the session's caching effectiveness. Every
 // RunCtx lookup lands in exactly one bucket, so Hits+StoreHits+Misses equals
-// the total number of Run calls.
+// the total number of RunCtx calls.
 type MemoStats struct {
 	Hits      uint64 `json:"hits"`       // served from (or joined to) an in-process memo entry
 	StoreHits uint64 `json:"store_hits"` // served by loading a persisted record instead of simulating
@@ -823,42 +847,3 @@ func Max(xs []float64) float64 {
 
 // KernelNames returns all kernels in Table 3 order.
 func KernelNames() []string { return kernels.Names() }
-
-// sortedSpecs is a test helper keeping memo iteration deterministic.
-func (se *Session) sortedSpecs() []Spec {
-	se.mu.Lock()
-	out := make([]Spec, 0, len(se.memo))
-	for s := range se.memo {
-		out = append(out, s)
-	}
-	se.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		if a.Predictor != b.Predictor {
-			return a.Predictor < b.Predictor
-		}
-		if a.Counters != b.Counters {
-			return a.Counters < b.Counters
-		}
-		if a.Recovery != b.Recovery {
-			return a.Recovery < b.Recovery
-		}
-		if a.Width != b.Width {
-			return a.Width < b.Width
-		}
-		if a.LoadsOnly != b.LoadsOnly {
-			return b.LoadsOnly
-		}
-		if a.MaxHist != b.MaxHist {
-			return a.MaxHist < b.MaxHist
-		}
-		if a.FPCVec != b.FPCVec {
-			return a.FPCVec < b.FPCVec
-		}
-		return a.Program < b.Program
-	})
-	return out
-}

@@ -11,14 +11,21 @@ import (
 	"repro/internal/pipeline"
 )
 
-// testWindows sizes simulation windows for the test mode: full windows in
-// long mode carry the statistical claims; -short mode shrinks them 10x so
-// the suite stays fast while still exercising every code path.
-func testWindows(warmup, measure uint64) (uint64, uint64) {
+// testWindows sizes a session's simulation windows for the test mode: full
+// windows in long mode carry the statistical claims; -short mode shrinks
+// them 10x so the suite stays fast while still exercising every code path.
+func testWindows(warmup, measure uint64) SessionConfig {
 	if testing.Short() {
-		return warmup / 10, measure / 10
+		warmup, measure = warmup/10, measure/10
 	}
-	return warmup, measure
+	return SessionConfig{Warmup: warmup, Measure: measure}
+}
+
+// memoLen counts the session's memo entries, finished or in flight.
+func memoLen(se *Session) int {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	return len(se.memo)
 }
 
 func TestNewPredictorAllNames(t *testing.T) {
@@ -70,21 +77,22 @@ func TestCountersVectorMatchesRecovery(t *testing.T) {
 }
 
 func TestSessionMemoizes(t *testing.T) {
-	se := NewSession(5_000, 20_000)
+	se := NewSession(SessionConfig{Warmup: 5_000, Measure: 20_000})
 	spec := Spec{Kernel: "gzip", Predictor: "none"}
-	r1, err := se.Run(spec)
+	ctx := context.Background()
+	r1, err := se.RunCtx(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := se.Run(spec)
+	r2, err := se.RunCtx(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
 		t.Error("identical specs were re-simulated (memoization broken)")
 	}
-	if len(se.sortedSpecs()) != 1 {
-		t.Errorf("memo holds %d specs, want 1", len(se.sortedSpecs()))
+	if n := memoLen(se); n != 1 {
+		t.Errorf("memo holds %d specs, want 1", n)
 	}
 	if m := se.MemoStats(); m.Hits != 1 || m.Misses != 1 {
 		t.Errorf("MemoStats = (%d hits, %d misses), want (1, 1)", m.Hits, m.Misses)
@@ -92,8 +100,8 @@ func TestSessionMemoizes(t *testing.T) {
 }
 
 func TestSessionUnknownKernel(t *testing.T) {
-	se := NewSession(100, 100)
-	if _, err := se.Run(Spec{Kernel: "bogus", Predictor: "none"}); err == nil {
+	se := NewSession(SessionConfig{Warmup: 100, Measure: 100})
+	if _, err := se.RunCtx(context.Background(), Spec{Kernel: "bogus", Predictor: "none"}); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 }
@@ -130,7 +138,7 @@ func TestMeanHelpers(t *testing.T) {
 }
 
 func TestStaticExperimentsRender(t *testing.T) {
-	se := NewSession(100, 100)
+	se := NewSession(SessionConfig{Warmup: 100, Measure: 100})
 	for _, id := range []string{"table1", "table2", "table3", "sec3", "sec4"} {
 		e, ok := ExperimentByID(id)
 		if !ok {
@@ -282,7 +290,7 @@ func TestRenderFormats(t *testing.T) {
 
 // TestPredictLoadsOnlyRestrictsEligibility checks the loads-only switch.
 func TestPredictLoadsOnlyRestrictsEligibility(t *testing.T) {
-	se := NewSession(2_000, 20_000)
+	se := NewSession(SessionConfig{Warmup: 2_000, Measure: 20_000})
 	tr, err := se.trace(context.Background(), "parser")
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,10 @@ import (
 
 // Observer is the session's connection to the observability layer: metric
 // instruments registered on an obs.Registry plus an optional run-lifecycle
-// tracer. Attach one with Session.Observe; any number of sessions may share
-// one Observer (its instruments are concurrency-safe), and a nil Observer
-// (or a nil field inside one) is always a no-op, so instrumented paths need
-// no conditionals.
+// tracer. Give one to NewSession (SessionConfig.Observer); any number of
+// sessions may share one Observer (its instruments are concurrency-safe),
+// and a nil Observer (or a nil field inside one) is always a no-op, so
+// instrumented paths need no conditionals.
 //
 // Metric semantics (DESIGN.md §10): the lookup counters count *served*
 // lookups by the tier that answered them — a memo "hit" is a lookup
@@ -60,16 +60,6 @@ func NewObserver(reg *obs.Registry, tracer *obs.Tracer) *Observer {
 			"Worker slots held: runs reading the store or simulating.")
 	}
 	return o
-}
-
-// Observe attaches o to the session (nil detaches). Instruments are
-// concurrency-safe, so attaching mid-flight only means earlier lookups went
-// uncounted.
-func (se *Session) Observe(o *Observer) { se.obs.Store(o) }
-
-// observer returns the attached observer, nil when none.
-func (se *Session) observer() *Observer {
-	return se.obs.Load()
 }
 
 func (o *Observer) countMemo(hit bool, n uint64) {
@@ -153,14 +143,6 @@ type runRec struct {
 	spec string
 }
 
-// observer returns the run's observer (nil when unobserved).
-func (rt *runRec) observer() *Observer {
-	if rt == nil {
-		return nil
-	}
-	return rt.o
-}
-
 // countSimulation bumps the executed-simulations counter for this run.
 func (rt *runRec) countSimulation() {
 	if rt != nil {
@@ -215,7 +197,3 @@ func (rt *runRec) phase(stage string, d time.Duration) {
 	}
 	rt.span(stage, obs.TierSimulated, "", d, nil)
 }
-
-// Identity returns the spec's canonical human-readable identity string —
-// the same rendering the persistent store records and trace spans carry.
-func (s Spec) Identity() string { return s.storeID() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -66,15 +67,18 @@ func uniqueCanonical(specs []Spec) int {
 func TestObserverE2EColdThenWarm(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	warmup, measure := testWindows(500, 2_000)
+	cfg := testWindows(500, 2_000)
 	specs := fig4Subset()
 	unique := uniqueCanonical(specs)
+	ctx := context.Background()
 
-	observe := func(se *Session) (*obs.Registry, *bytes.Buffer) {
+	// observed builds a traced session over the store at dir.
+	observed := func() (*Session, *obs.Registry, *bytes.Buffer) {
 		reg := obs.NewRegistry()
 		var buf bytes.Buffer
-		se.Observe(NewObserver(reg, obs.NewTracer(&buf)))
-		return reg, &buf
+		c := cfg
+		c.Observer = NewObserver(reg, obs.NewTracer(&buf))
+		return storeSession(t, dir, StoreVersion, c), reg, &buf
 	}
 	counter := func(reg *obs.Registry, name string, labels ...string) uint64 {
 		if len(labels) == 0 {
@@ -84,9 +88,8 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 	}
 
 	// Cold: every unique spec simulates and publishes to the store.
-	cold := storeSession(t, dir, StoreVersion, warmup, measure)
-	coldReg, coldBuf := observe(cold)
-	if _, err := cold.RunAll(specs); err != nil {
+	cold, coldReg, coldBuf := observed()
+	if _, err := collect(ctx, cold, specs); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(coldReg, "repro_simulations_total"); got != uint64(unique) {
@@ -117,9 +120,8 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 	}
 
 	// Warm: a fresh session (fresh memo) over the same store directory.
-	warm := storeSession(t, dir, StoreVersion, warmup, measure)
-	warmReg, warmBuf := observe(warm)
-	if _, err := warm.RunAll(specs); err != nil {
+	warm, warmReg, warmBuf := observed()
+	if _, err := collect(ctx, warm, specs); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(warmReg, "repro_simulations_total"); got != 0 {
@@ -145,7 +147,7 @@ func TestObserverE2EColdThenWarm(t *testing.T) {
 // must both render records byte-identical to an unobserved session's.
 func TestObservedRunsByteIdentical(t *testing.T) {
 	t.Parallel()
-	warmup, measure := testWindows(5_000, 40_000)
+	cfg := testWindows(5_000, 40_000)
 	specs := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "gzip", Predictor: "vtage", Counters: FPC},
@@ -168,19 +170,18 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 		return j.String(), c.String()
 	}
 
-	plain := NewSession(warmup, measure)
-	wantJSON, wantCSV := render(plain)
+	wantJSON, wantCSV := render(NewSession(cfg))
 
-	observed := NewSession(warmup, measure)
-	observed.Observe(NewObserver(obs.NewRegistry(), nil))
-	gotJSON, gotCSV := render(observed)
+	observed := cfg
+	observed.Observer = NewObserver(obs.NewRegistry(), nil)
+	gotJSON, gotCSV := render(NewSession(observed))
 	if gotJSON != wantJSON || gotCSV != wantCSV {
 		t.Error("observed session records differ from the unobserved session's")
 	}
 
-	traced := NewSession(warmup, measure)
-	traced.Observe(NewObserver(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{})))
-	gotJSON, gotCSV = render(traced)
+	traced := cfg
+	traced.Observer = NewObserver(obs.NewRegistry(), obs.NewTracer(&bytes.Buffer{}))
+	gotJSON, gotCSV = render(NewSession(traced))
 	if gotJSON != wantJSON || gotCSV != wantCSV {
 		t.Error("observed+traced session records differ from the unobserved session's")
 	}
@@ -189,21 +190,24 @@ func TestObservedRunsByteIdentical(t *testing.T) {
 // TestObserverQueueWaitAndCoalesced covers the slot instruments: one
 // queue-wait observation per owner (a duplicate joins or hits the memo and
 // takes no slot), the coalesced counter mirroring SlotStats.Joined, and the
-// busy gauge back at 0 once the batch returns.
+// busy gauge back at 0 once the batch returns. The specs are walked one
+// RunCtx each, so the duplicate really looks its spec up a second time.
 func TestObserverQueueWaitAndCoalesced(t *testing.T) {
 	t.Parallel()
-	warmup, measure := testWindows(500, 2_000)
-	se := NewSession(warmup, measure)
-	se.UseWorkers(2)
+	cfg := testWindows(500, 2_000)
+	cfg.Workers = 2
 	reg := obs.NewRegistry()
-	se.Observe(NewObserver(reg, nil))
+	cfg.Observer = NewObserver(reg, nil)
+	se := NewSession(cfg)
 
 	specs := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "gzip", Predictor: "lvp"},
 		{Kernel: "gzip", Predictor: "none"}, // duplicate: memo hit, no slot
 	}
-	if _, err := se.RunAllCtx(context.Background(), specs); err != nil {
+	errs := make([]error, len(specs))
+	se.Each(len(specs), func(i int) { _, errs[i] = se.RunCtx(context.Background(), specs[i]) })
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 	qw := reg.Histogram("repro_sched_queue_wait_seconds", "", nil)

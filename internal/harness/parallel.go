@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 )
@@ -36,32 +35,6 @@ func (se *Session) Each(n int, do func(i int)) {
 	wg.Wait()
 }
 
-// RunAll simulates every spec and returns the results in spec order:
-// results[i] always corresponds to specs[i], regardless of completion
-// order, so parallel scheduling never changes rendered output. The session
-// walks the batch (Each) and bounds it with its worker slots (UseWorkers).
-// Duplicate specs in the batch are simulated once (the session memo
-// singleflights them). On error the first failure in spec order is
-// returned; results holds every run that did complete.
-func (se *Session) RunAll(specs []Spec) ([]*Result, error) {
-	return se.RunAllCtx(context.Background(), specs)
-}
-
-// RunAllCtx is RunAll with cancellation: once ctx is done, unstarted specs
-// are abandoned with ctx's error, in-flight simulations stop at their next
-// cancellation checkpoint, and the call returns. Results that completed
-// before the cancellation are still populated.
-func (se *Session) RunAllCtx(ctx context.Context, specs []Spec) ([]*Result, error) {
-	results := make([]*Result, len(specs))
-	errs := make([]error, len(specs))
-	se.Each(len(specs), func(i int) {
-		if errs[i] = ctx.Err(); errs[i] == nil {
-			results[i], errs[i] = se.RunCtx(ctx, specs[i])
-		}
-	})
-	return results, firstError(errs)
-}
-
 // DedupSpecs returns specs with exact duplicates removed, keeping
 // first-appearance order — the one definition of "unique specs" vpbench and
 // the tests share. Declared spec sets repeat per-kernel baselines across
@@ -77,15 +50,4 @@ func DedupSpecs(specs []Spec) []Spec {
 		}
 	}
 	return out
-}
-
-// firstError returns the earliest non-nil error, keeping failure reporting
-// deterministic under parallel execution.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

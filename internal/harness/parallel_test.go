@@ -13,9 +13,10 @@ import (
 	"repro/internal/timegate"
 )
 
-// TestRunAllDeterminism runs the same spec set sequentially and with eight
-// workers and requires identical Stats per spec and byte-identical rendered
-// output: parallel scheduling must never change simulation results.
+// TestRunAllDeterminism runs the same spec set through Records on one
+// worker and on eight and requires identical Stats per spec and
+// byte-identical rendered output: parallel scheduling must never change
+// simulation results.
 func TestRunAllDeterminism(t *testing.T) {
 	t.Parallel()
 	kernels := []string{"gzip", "art", "parser", "milc"}
@@ -25,40 +26,41 @@ func TestRunAllDeterminism(t *testing.T) {
 			specs = append(specs, matrixSpecsFor(k, singlePredictors, c)...)
 		}
 	}
-	warmup, measure := testWindows(1_000, 4_000)
-	seq := NewSession(warmup, measure)
-	seq.UseWorkers(1)
-	seqRes, err := seq.RunAll(specs)
+	ctx := context.Background()
+	cfg := testWindows(1_000, 4_000)
+	cfg.Workers = 1
+	seq := NewSession(cfg)
+	seqRecs, err := collect(ctx, seq, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := NewSession(warmup, measure)
-	par.UseWorkers(8)
-	parRes, err := par.RunAll(specs)
+	cfg.Workers = 8
+	par := NewSession(cfg)
+	parRecs, err := collect(ctx, par, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		if seqRes[i].Spec != spec || parRes[i].Spec != spec {
-			t.Fatalf("result %d out of order: seq=%v par=%v want=%v",
-				i, seqRes[i].Spec, parRes[i].Spec, spec)
+		for _, r := range []Record{seqRecs[i], parRecs[i]} {
+			if r.Kernel != spec.Kernel || r.Predictor != spec.Predictor || r.Counters != spec.Counters.String() {
+				t.Fatalf("record %d out of order: %s/%s/%s, want %v", i, r.Kernel, r.Predictor, r.Counters, spec)
+			}
 		}
-		if seqRes[i].Stats != parRes[i].Stats {
-			t.Errorf("%v: stats differ between workers=1 and workers=8:\n%+v\n%+v",
-				spec, seqRes[i].Stats, parRes[i].Stats)
+		// Both sessions are warm: these lookups are memo hits.
+		a, err := seq.RunCtx(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := par.RunCtx(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Stats != b.Stats {
+			t.Errorf("%v: stats differ between workers=1 and workers=8:\n%+v\n%+v", spec, a.Stats, b.Stats)
 		}
 	}
 	// The rendered artifacts must match byte for byte too: the fig4-style
-	// text table over these kernels and the structured JSON emission (both
-	// sessions are fully warm, so flattening adds no simulations).
-	seqRecs, err := collect(context.Background(), seq, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parRecs, err := collect(context.Background(), par, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// text table over these kernels and the structured JSON emission.
 	seqSrc, err := newSource(nil, specs, seqRecs)
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +109,7 @@ func matrixSpecsFor(kernel string, preds []string, c Counters) []Spec {
 func TestConcurrentRunSingleflight(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(1_000, 4_000))
+	ctx := context.Background()
 	distinct := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "gzip", Predictor: "lvp"},
@@ -123,7 +126,7 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 			defer wg.Done()
 			for i := range distinct {
 				spec := distinct[(g+i)%len(distinct)] // rotate to force contention
-				r, err := se.Run(spec)
+				r, err := se.RunCtx(ctx, spec)
 				if err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
 					return
@@ -145,29 +148,31 @@ func TestConcurrentRunSingleflight(t *testing.T) {
 	}
 }
 
-// TestRunAllErrorDeterministic: under parallel execution the reported error
-// must be the first failure in spec order, not whichever finished first.
+// TestRunAllErrorDeterministic: under parallel execution Records must
+// report the first failure in spec order, not whichever finished first.
 func TestRunAllErrorDeterministic(t *testing.T) {
-	se := NewSession(testWindows(1_000, 4_000))
-	se.UseWorkers(4)
+	cfg := testWindows(1_000, 4_000)
+	cfg.Workers = 4
+	se := NewSession(cfg)
 	specs := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "zzz-missing", Predictor: "none"},
 		{Kernel: "art", Predictor: "none"},
 		{Kernel: "aaa-missing", Predictor: "none"},
 	}
-	_, err := se.RunAll(specs)
+	failed, err := se.Records(context.Background(), specs, func(Record) error { return nil })
 	if err == nil {
 		t.Fatal("bad kernels accepted")
 	}
-	if !strings.Contains(err.Error(), "zzz-missing") {
-		t.Errorf("error %q is not the first failure in spec order", err)
+	if failed != 1 || !strings.Contains(err.Error(), "zzz-missing") {
+		t.Errorf("failure (%d, %q) is not the first in spec order", failed, err)
 	}
 }
 
 // TestRunAllParallelSpeedup demonstrates the engine's purpose: on a
-// multi-core runner the fig4 spec set completes measurably faster with
-// workers=GOMAXPROCS than with workers=1, with identical results. The gate
+// multi-core runner Records over the fig4 spec set completes measurably
+// faster with workers=GOMAXPROCS than with workers=1, with identical
+// results. The gate
 // is effective parallelism — min(GOMAXPROCS, NumCPU) — not GOMAXPROCS
 // alone: a raised GOMAXPROCS on a one-CPU machine still time-slices a
 // single core, and asserting a speedup there would fail (or worse, pass by
@@ -190,22 +195,26 @@ func TestRunAllParallelSpeedup(t *testing.T) {
 			"measures scheduler noise, not parallel scaling", par, procs, runtime.NumCPU())
 	}
 	specs := Fig4Specs()
-	var want []*Result
+	ctx := context.Background()
+	var want []pipeline.Stats
 	round := func(workers int) time.Duration {
-		se := NewSession(2_000, 8_000)
-		se.UseWorkers(workers)
+		se := NewSession(SessionConfig{Warmup: 2_000, Measure: 8_000, Workers: workers})
 		t0 := time.Now()
-		res, err := se.RunAll(specs)
+		_, err := se.Records(ctx, specs, func(Record) error { return nil })
 		d := time.Since(t0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = res
-		}
-		for i := range specs {
-			if res[i].Stats != want[i].Stats {
-				t.Fatalf("%v: workers=%d changed results", specs[i], workers)
+		// Full Stats, read through memo hits outside the timed region.
+		for i, spec := range specs {
+			res, err := se.RunCtx(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) < len(specs) {
+				want = append(want, res.Stats)
+			} else if res.Stats != want[i] {
+				t.Fatalf("%v: workers=%d changed results", spec, workers)
 			}
 		}
 		return d
@@ -227,15 +236,15 @@ func TestRunAllParallelSpeedup(t *testing.T) {
 	}
 }
 
-// BenchmarkRunAllFig4 measures the fig4 spec set under one worker and under
-// GOMAXPROCS workers; compare the two to see the engine's scaling.
+// BenchmarkRunAllFig4 measures Records over the fig4 spec set under one
+// worker and under GOMAXPROCS workers; compare the two to see the engine's
+// scaling.
 func BenchmarkRunAllFig4(b *testing.B) {
 	bench := func(workers int) func(*testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				se := NewSession(2_000, 8_000)
-				se.UseWorkers(workers)
-				if _, err := se.RunAll(Fig4Specs()); err != nil {
+				se := NewSession(SessionConfig{Warmup: 2_000, Measure: 8_000, Workers: workers})
+				if _, err := se.Records(context.Background(), Fig4Specs(), func(Record) error { return nil }); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -62,8 +62,7 @@ func await(t *testing.T, what string, ch <-chan runOutcome) runOutcome {
 // and the re-run must serve the other too.
 func TestOwnerPromotionServesParkedWaiters(t *testing.T) {
 	t.Parallel()
-	se := NewSession(longWarmup, longMeasure)
-	se.UseWorkers(2)
+	se := NewSession(SessionConfig{Warmup: longWarmup, Measure: longMeasure, Workers: 2})
 	spec := Spec{Kernel: "gzip", Predictor: "none"}
 
 	ownerCtx, cancelOwner := context.WithCancel(context.Background())
@@ -118,8 +117,7 @@ func TestOwnerPromotionServesParkedWaiters(t *testing.T) {
 // less (coalescing swallowing lookups).
 func TestMemoStatsCoalescedWaitersCountAsHits(t *testing.T) {
 	t.Parallel()
-	se := NewSession(longWarmup, longMeasure)
-	se.UseWorkers(2)
+	se := NewSession(SessionConfig{Warmup: longWarmup, Measure: longMeasure, Workers: 2})
 	spec := Spec{Kernel: "gzip", Predictor: "none"}
 
 	owner := goRun(se, context.Background(), spec)
@@ -154,8 +152,7 @@ func TestMemoStatsCoalescedWaitersCountAsHits(t *testing.T) {
 // slot while the first run is still in flight.
 func TestJoinedWaitersHoldNoSlot(t *testing.T) {
 	t.Parallel()
-	se := NewSession(longWarmup, longMeasure)
-	se.UseWorkers(2)
+	se := NewSession(SessionConfig{Warmup: longWarmup, Measure: longMeasure, Workers: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	first := Spec{Kernel: "gzip", Predictor: "none"}
@@ -196,8 +193,7 @@ func TestJoinedWaitersHoldNoSlot(t *testing.T) {
 // so the next lookup of its spec re-runs it.
 func TestOwnerCancelledWaitingForSlot(t *testing.T) {
 	t.Parallel()
-	se := NewSession(longWarmup, longMeasure)
-	se.UseWorkers(1)
+	se := NewSession(SessionConfig{Warmup: longWarmup, Measure: longMeasure, Workers: 1})
 	holdCtx, release := context.WithCancel(context.Background())
 	defer release()
 	holder := goRun(se, holdCtx, Spec{Kernel: "gzip", Predictor: "none"})

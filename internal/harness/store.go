@@ -18,28 +18,14 @@ import (
 // a miss instead of a wrong answer.
 const StoreVersion = "vpsim-v2"
 
-// UseStore attaches a persistent record store under the session memo:
-// reads-through on a memo miss before simulating, writes-behind after a
-// successful simulation. Cancellations and errors are never persisted
-// (mirroring the memo's own "cancellation never memoized" invariant).
-// Attach before concurrent use; a nil store detaches.
-func (se *Session) UseStore(st *store.Store) {
-	se.mu.Lock()
-	se.store = st
-	se.mu.Unlock()
-}
+// Store returns the session's persistent store (nil when none).
+func (se *Session) Store() *store.Store { return se.store }
 
-// Store returns the attached store (nil when none).
-func (se *Session) Store() *store.Store {
-	se.mu.Lock()
-	defer se.mu.Unlock()
-	return se.store
-}
-
-// storeID renders the canonical spec as the entry's recorded identity — the
-// human-readable string the key is derived from, re-verified on load so a
-// key collision degrades to a miss.
-func (s Spec) storeID() string {
+// Identity renders the canonical spec as its human-readable identity: the
+// string a store entry's key is derived from and records, re-verified on
+// load so a key collision degrades to a miss, and the spec trace spans
+// carry.
+func (s Spec) Identity() string {
 	return fmt.Sprintf("%s/%s/counters=%d/recovery=%d/width=%d/loads_only=%t/max_hist=%d/fpc_vec=%s",
 		s.Kernel, s.Predictor, s.Counters, s.Recovery, s.Width, s.LoadsOnly, s.MaxHist, s.FPCVec)
 }
@@ -98,22 +84,22 @@ func (se *Session) storeKey(spec Spec) (key store.Key, id string, ok bool) {
 	if !ok {
 		return store.Key{}, "", false
 	}
-	id = spec.storeID()
-	windows := fmt.Sprintf("warmup=%d/measure=%d", se.Warmup, se.Measure)
+	id = spec.Identity()
+	windows := fmt.Sprintf("warmup=%d/measure=%d", se.warmup, se.measure)
 	return store.KeyOf(id, fp, windows, StoreVersion), id, true
 }
 
-// storeLoad is the read-through: probe the attached store for spec's
+// storeLoad is the read-through: probe the session's store for spec's
 // persisted stats. Any load failure — missing, corrupt, stale version,
 // mismatched identity, a payload parseStats rejects — reports false and the
 // caller simulates.
-func (se *Session) storeLoad(st *store.Store, spec Spec) (*Result, bool) {
+func (se *Session) storeLoad(spec Spec) (*Result, bool) {
 	key, id, ok := se.storeKey(spec)
 	if !ok {
 		return nil, false
 	}
 	res := &Result{Spec: spec}
-	if !st.Get(key, id, func(s *wirejson.Scanner) bool { return parseStats(s, &res.Stats) }) {
+	if !se.store.Get(key, id, func(s *wirejson.Scanner) bool { return parseStats(s, &res.Stats) }) {
 		return nil, false
 	}
 	return res, true
@@ -122,10 +108,10 @@ func (se *Session) storeLoad(st *store.Store, spec Spec) (*Result, bool) {
 // storeSave is the write-behind: persist a freshly simulated result.
 // Best-effort — a failed write is counted in the store's own stats and only
 // costs a future process a re-simulation.
-func (se *Session) storeSave(st *store.Store, spec Spec, r *Result) {
+func (se *Session) storeSave(spec Spec, r *Result) {
 	key, id, ok := se.storeKey(spec)
 	if !ok {
 		return
 	}
-	_ = st.Put(key, id, r.Stats)
+	_ = se.store.Put(key, id, r.Stats)
 }

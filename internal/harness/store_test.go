@@ -20,17 +20,16 @@ import (
 )
 
 // storeSession opens a store over dir with the given version token and
-// attaches it to a fresh session — the moral equivalent of a new process
-// pointed at a shared -store-dir.
-func storeSession(t *testing.T, dir, version string, warmup, measure uint64) *Session {
+// builds a fresh session of configuration c over it — the moral equivalent
+// of a new process pointed at a shared -store-dir.
+func storeSession(t *testing.T, dir, version string, c SessionConfig) *Session {
 	t.Helper()
 	st, err := store.Open(dir, version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := NewSession(warmup, measure)
-	se.UseStore(st)
-	return se
+	c.Store = st
+	return NewSession(c)
 }
 
 // TestStoreDifferentialByteIdentical is the PR's acceptance differential:
@@ -41,7 +40,7 @@ func storeSession(t *testing.T, dir, version string, warmup, measure uint64) *Se
 func TestStoreDifferentialByteIdentical(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	warmup, measure := testWindows(5_000, 60_000)
+	cfg := testWindows(5_000, 60_000)
 	specs := []Spec{
 		{Kernel: "gzip", Predictor: "none"},
 		{Kernel: "gzip", Predictor: "vtage", Counters: FPC},
@@ -65,13 +64,13 @@ func TestStoreDifferentialByteIdentical(t *testing.T) {
 		return j.String(), c.String()
 	}
 
-	cold := storeSession(t, dir, StoreVersion, warmup, measure)
+	cold := storeSession(t, dir, StoreVersion, cfg)
 	coldJSON, coldCSV := render(cold)
 	if m := cold.MemoStats(); m.StoreHits != 0 || m.Misses == 0 {
 		t.Fatalf("cold session over an empty store: %d store hits / %d misses, want 0 / >0", m.StoreHits, m.Misses)
 	}
 
-	warm := storeSession(t, dir, StoreVersion, warmup, measure)
+	warm := storeSession(t, dir, StoreVersion, cfg)
 	warmJSON, warmCSV := render(warm)
 	m := warm.MemoStats()
 	if m.Misses != 0 {
@@ -95,7 +94,7 @@ func TestStoreDifferentialByteIdentical(t *testing.T) {
 func TestStoreCancelledRunNotPersisted(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	se := storeSession(t, dir, StoreVersion, 50_000, 1_500_000)
+	se := storeSession(t, dir, StoreVersion, SessionConfig{Warmup: 50_000, Measure: 1_500_000})
 	spec := Spec{Kernel: "gzip", Predictor: "none"}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -125,19 +124,19 @@ func TestStoreCancelledRunNotPersisted(t *testing.T) {
 func TestStoreVersionBumpInvalidates(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	warmup, measure := testWindows(1_000, 4_000)
+	cfg := testWindows(1_000, 4_000)
 	spec := Spec{Kernel: "gzip", Predictor: "lvp"}
 
-	v1 := storeSession(t, dir, StoreVersion, warmup, measure)
-	if _, err := v1.Run(spec); err != nil {
+	v1 := storeSession(t, dir, StoreVersion, cfg)
+	if _, err := v1.RunCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := v1.Store().Len(); err != nil || n == 0 {
 		t.Fatalf("first run persisted %d entries (err %v), want >0", n, err)
 	}
 
-	v2 := storeSession(t, dir, StoreVersion+"-next", warmup, measure)
-	if _, err := v2.Run(spec); err != nil {
+	v2 := storeSession(t, dir, StoreVersion+"-next", cfg)
+	if _, err := v2.RunCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
 	m := v2.MemoStats()
@@ -154,14 +153,14 @@ func TestStoreWindowChangeInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Kernel: "gzip", Predictor: "lvp"}
 
-	a := storeSession(t, dir, StoreVersion, 1_000, 4_000)
-	ra, err := a.Run(spec)
+	a := storeSession(t, dir, StoreVersion, SessionConfig{Warmup: 1_000, Measure: 4_000})
+	ra, err := a.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	b := storeSession(t, dir, StoreVersion, 1_000, 8_000)
-	rb, err := b.Run(spec)
+	b := storeSession(t, dir, StoreVersion, SessionConfig{Warmup: 1_000, Measure: 8_000})
+	rb, err := b.RunCtx(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func withPayload(b []byte, raw string) []byte {
 // too, never a hit of zeros.
 func TestStoreCorruptionResimulatesAndHeals(t *testing.T) {
 	t.Parallel()
-	warmup, measure := testWindows(1_000, 4_000)
+	cfg := testWindows(1_000, 4_000)
 	spec := Spec{Kernel: "art", Predictor: "lvp"}
 	for _, tc := range []struct {
 		name    string
@@ -221,7 +220,7 @@ func TestStoreCorruptionResimulatesAndHeals(t *testing.T) {
 				return b.String()
 			}
 
-			first := storeSession(t, dir, StoreVersion, warmup, measure)
+			first := storeSession(t, dir, StoreVersion, cfg)
 			want := render(first)
 			key, _, ok := first.storeKey(spec.Canonical())
 			if !ok {
@@ -232,7 +231,7 @@ func TestStoreCorruptionResimulatesAndHeals(t *testing.T) {
 			}
 
 			// Only the spec's own entry is damaged; its baseline's is served.
-			second := storeSession(t, dir, StoreVersion, warmup, measure)
+			second := storeSession(t, dir, StoreVersion, cfg)
 			if got := render(second); got != want {
 				t.Errorf("record after re-simulation differs:\n--- got\n%s--- want\n%s", got, want)
 			}
@@ -243,7 +242,7 @@ func TestStoreCorruptionResimulatesAndHeals(t *testing.T) {
 			}
 
 			// The write-behind healed the entry: a third session is warm again.
-			third := storeSession(t, dir, StoreVersion, warmup, measure)
+			third := storeSession(t, dir, StoreVersion, cfg)
 			if got := render(third); got != want {
 				t.Errorf("healed record differs:\n--- got\n%s--- want\n%s", got, want)
 			}
@@ -264,7 +263,7 @@ func TestWorkloadFingerprintConcurrent(t *testing.T) {
 		t.Fatal("no mcf kernel")
 	}
 	want := strings.TrimPrefix(ProgramID(k.Build()), progRefPrefix)
-	se := NewSession(1_000, 4_000)
+	se := NewSession(SessionConfig{Warmup: 1_000, Measure: 4_000})
 	fps := make([]string, 8)
 	var wg sync.WaitGroup
 	for i := range fps {
@@ -367,16 +366,15 @@ const maxStoreLoadAllocs = 24
 // the fingerprint already computed. Not parallel: AllocsPerRun counts the
 // whole process's allocations.
 func TestStoreLoadAllocs(t *testing.T) {
-	warmup, measure := testWindows(1_000, 4_000)
-	se := storeSession(t, t.TempDir(), StoreVersion, warmup, measure)
+	cfg := testWindows(1_000, 4_000)
+	se := storeSession(t, t.TempDir(), StoreVersion, cfg)
 	spec := Spec{Kernel: "mcf", Predictor: "lvp"}.Canonical()
-	if _, err := se.Run(spec); err != nil {
+	if _, err := se.RunCtx(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	st := se.Store()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, ok := se.storeLoad(st, spec); !ok {
-			t.Fatal("storeLoad missed the entry Run persisted")
+		if _, ok := se.storeLoad(spec); !ok {
+			t.Fatal("storeLoad missed the entry RunCtx persisted")
 		}
 	})
 	t.Logf("%.0f allocations per store hit", allocs)
@@ -485,16 +483,16 @@ func FuzzStoreEnvelope(f *testing.F) {
 func TestStoreFig4SecondProcessZeroMisses(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	warmup, measure := testWindows(1_000, 4_000)
+	cfg := testWindows(1_000, 4_000)
 	specs := Fig4Specs()
 
-	first := storeSession(t, dir, StoreVersion, warmup, measure)
+	first := storeSession(t, dir, StoreVersion, cfg)
 	want, err := collect(context.Background(), first, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	second := storeSession(t, dir, StoreVersion, warmup, measure)
+	second := storeSession(t, dir, StoreVersion, cfg)
 	got, err := collect(context.Background(), second, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -527,10 +525,10 @@ func TestStoreFig4SecondProcessZeroMisses(t *testing.T) {
 func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
-	warmup, measure := testWindows(1_000, 4_000)
+	cfg := testWindows(1_000, 4_000)
 	specs := Fig4Specs()[:40]
 
-	ref := NewSession(warmup, measure)
+	ref := NewSession(cfg)
 	want, err := collect(context.Background(), ref, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -540,8 +538,8 @@ func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a := storeSession(t, dir, StoreVersion, warmup, measure)
-	b := storeSession(t, dir, StoreVersion, warmup, measure)
+	a := storeSession(t, dir, StoreVersion, cfg)
+	b := storeSession(t, dir, StoreVersion, cfg)
 	type result struct {
 		recs []Record
 		err  error
@@ -572,7 +570,7 @@ func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 	// memo guarantees that), so the combined misses can never exceed two
 	// full passes — and the race must not have produced load errors.
 	ma, mb := a.MemoStats(), b.MemoStats()
-	tasks := uint64(len(ref.sortedSpecs())) // distinct specs incl. baselines
+	tasks := uint64(memoLen(ref)) // distinct specs incl. baselines
 	if total := ma.Misses + mb.Misses; total > 2*tasks {
 		t.Errorf("racing sessions simulated %d tasks over %d distinct specs — more than duplicate work", total, tasks)
 	}
@@ -587,7 +585,7 @@ func TestStoreConcurrentSessionsRaceSameSpecs(t *testing.T) {
 
 	// A fresh third session over the raced directory is fully warm: nothing
 	// was corrupted, everything was persisted.
-	third := storeSession(t, dir, StoreVersion, warmup, measure)
+	third := storeSession(t, dir, StoreVersion, cfg)
 	got, err := collect(context.Background(), third, specs)
 	if err != nil {
 		t.Fatal(err)

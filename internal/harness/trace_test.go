@@ -12,7 +12,7 @@ import (
 // workload: a 100k-µop window keeps 100k 24-byte records, 2.4 MB, for the
 // session's life, plus the program's instructions.
 func TestMemoTraceFootprint(t *testing.T) {
-	se := NewSession(20_000, 80_000)
+	se := NewSession(SessionConfig{Warmup: 20_000, Measure: 80_000})
 	tr, err := se.trace(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
@@ -26,10 +26,10 @@ func TestMemoTraceFootprint(t *testing.T) {
 }
 
 // TestMemoTraceOwnsItsCode checks that a memoized trace of a registered
-// program keeps its own instructions: Program hands out the registry's
-// copy, and an edit through it must not change a trace already made.
+// program keeps its own instructions: an edit to the registry's program
+// must not change a trace already made.
 func TestMemoTraceOwnsItsCode(t *testing.T) {
-	se := NewSession(0, 1_000)
+	se := NewSession(SessionConfig{Measure: 1_000})
 	p, err := isa.Generate("mixed", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +44,9 @@ func TestMemoTraceOwnsItsCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tr.Insts[0]
-	reg, _ := se.Program(id)
-	reg.Insts[0] = isa.Inst{Op: isa.HALT}
+	se.mu.Lock()
+	se.progs[id].Insts[0] = isa.Inst{Op: isa.HALT}
+	se.mu.Unlock()
 	again, err := se.trace(ctx, id)
 	if err != nil {
 		t.Fatal(err)

@@ -99,12 +99,31 @@ func (se *Session) RegisterProgram(p *isa.Program) (string, error) {
 	return id, nil
 }
 
-// Program returns the registered program for a prog: reference.
+// Program returns a copy of the registered program for a prog: reference.
+// The registry's own program must keep matching its id, so no caller gets
+// it: an edit to the copy changes neither what the registry reports nor
+// what a later trace runs.
 func (se *Session) Program(workload string) (*isa.Program, bool) {
 	se.mu.Lock()
-	defer se.mu.Unlock()
 	p, ok := se.progs[workload]
-	return p, ok
+	se.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	cp, err := isa.Decode(p.Encode())
+	if err != nil {
+		panic(fmt.Sprintf("harness: registered program %s does not round-trip: %v", workload, err))
+	}
+	return cp, true
+}
+
+// HasProgram reports whether a prog: reference is registered, without
+// copying the program.
+func (se *Session) HasProgram(workload string) bool {
+	se.mu.Lock()
+	defer se.mu.Unlock()
+	_, ok := se.progs[workload]
+	return ok
 }
 
 // ProgramIDs returns the registered program references in sorted order.

@@ -1,10 +1,13 @@
 package harness
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/store"
@@ -49,8 +52,10 @@ func TestRegisterProgramIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := NewSession(testWindows(5_000, 20_000))
-	se.UseStore(st)
+	cfg := testWindows(5_000, 20_000)
+	cfg.Store = st
+	se := NewSession(cfg)
+	ctx := context.Background()
 
 	// Byte-identical upload deduplicates onto the builtin name...
 	id, err := se.RegisterProgram(mcfProgram(t))
@@ -66,10 +71,10 @@ func TestRegisterProgramIdentity(t *testing.T) {
 
 	// ...so simulating the builtin and then "the upload" is one memo entry.
 	spec := Spec{Kernel: "mcf", Predictor: "vtage", Counters: FPC}
-	if _, err := se.Run(spec); err != nil {
+	if _, err := se.RunCtx(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se.Run(Spec{Kernel: id, Predictor: "vtage", Counters: FPC}); err != nil {
+	if _, err := se.RunCtx(ctx, Spec{Kernel: id, Predictor: "vtage", Counters: FPC}); err != nil {
 		t.Fatal(err)
 	}
 	m := se.MemoStats()
@@ -88,7 +93,7 @@ func TestRegisterProgramIdentity(t *testing.T) {
 	if p, ok := se.Program(impID); !ok || p.Name != "mcf" {
 		t.Fatalf("registry lookup = %v, %v", p, ok)
 	}
-	if _, err := se.Run(Spec{Kernel: impID, Predictor: "vtage", Counters: FPC}); err != nil {
+	if _, err := se.RunCtx(ctx, Spec{Kernel: impID, Predictor: "vtage", Counters: FPC}); err != nil {
 		t.Fatal(err)
 	}
 	m = se.MemoStats()
@@ -99,15 +104,14 @@ func TestRegisterProgramIdentity(t *testing.T) {
 	// Store isolation across processes: a fresh session over the same store
 	// dir serves the builtin and the impostor from disk — each from its own
 	// entry — and never cross-serves.
-	se2 := NewSession(testWindows(5_000, 20_000))
-	se2.UseStore(st)
+	se2 := NewSession(cfg)
 	if _, err := se2.RegisterProgram(impostorProgram()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se2.Run(spec); err != nil {
+	if _, err := se2.RunCtx(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := se2.Run(Spec{Kernel: impID, Predictor: "vtage", Counters: FPC}); err != nil {
+	if _, err := se2.RunCtx(ctx, Spec{Kernel: impID, Predictor: "vtage", Counters: FPC}); err != nil {
 		t.Fatal(err)
 	}
 	m2 := se2.MemoStats()
@@ -116,6 +120,45 @@ func TestRegisterProgramIdentity(t *testing.T) {
 	}
 	if m2.Store.Hits != 2 {
 		t.Fatalf("store counters disagree: %+v", m2.Store)
+	}
+}
+
+// TestRegistryHandsOutCopies edits the program Program returns and checks
+// that the registry's own program is unchanged: a later lookup still
+// reports the program its id names, and a session's first trace of that id
+// runs the registered code, not the edit.
+func TestRegistryHandsOutCopies(t *testing.T) {
+	t.Parallel()
+	se := NewSession(SessionConfig{Measure: 1_000})
+	p, err := isa.Generate("mixed", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := se.RegisterProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := se.Program(id)
+	if !ok {
+		t.Fatalf("registered program %s not found", id)
+	}
+	got.Name = "edited"
+	got.Insts[0] = isa.Inst{Op: isa.HALT}
+	got.Insts = got.Insts[:1]
+
+	listed, _ := se.Program(id)
+	if listed.Name != p.Name || len(listed.Insts) != len(p.Insts) || ProgramID(listed) != id {
+		t.Errorf("an edit to a returned program reached the registry: %s lists as %q with %d insts, want %q with %d",
+			id, listed.Name, len(listed.Insts), p.Name, len(p.Insts))
+	}
+	tr, err := se.trace(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := emu.Trace(p, 1_000)
+	if !slices.Equal(tr.Insts, want.Insts) || !slices.Equal(tr.Uops, want.Uops) {
+		t.Errorf("the first trace of %s ran the edited program (%d insts, %d µops), want the registered one (%d, %d)",
+			id, len(tr.Insts), len(tr.Uops), len(want.Insts), len(want.Uops))
 	}
 }
 
@@ -144,7 +187,7 @@ func TestRegisterProgramConcurrent(t *testing.T) {
 				return
 			}
 			ids[i] = id
-			if _, err := se.Run(Spec{Kernel: id, Predictor: "stride", Counters: FPC}); err != nil {
+			if _, err := se.RunCtx(context.Background(), Spec{Kernel: id, Predictor: "stride", Counters: FPC}); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -173,14 +216,15 @@ func TestRegisterProgramConcurrent(t *testing.T) {
 func TestWorkloadErrors(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(1_000, 5_000))
+	ctx := context.Background()
 
-	_, err := se.Run(Spec{Kernel: "gcc9", Predictor: "vtage"})
+	_, err := se.RunCtx(ctx, Spec{Kernel: "gcc9", Predictor: "vtage"})
 	if err == nil || !strings.Contains(err.Error(), "builtin kernels:") || !strings.Contains(err.Error(), "gzip") {
 		t.Errorf("unknown kernel error does not list the index: %v", err)
 	}
 
 	ref := strings.Repeat("ab", 32)
-	_, err = se.Run(Spec{Kernel: "prog:" + ref, Predictor: "vtage"})
+	_, err = se.RunCtx(ctx, Spec{Kernel: "prog:" + ref, Predictor: "vtage"})
 	if err == nil || !strings.Contains(err.Error(), "no programs registered") {
 		t.Errorf("unregistered program error unhelpful: %v", err)
 	}
@@ -193,7 +237,7 @@ func TestWorkloadErrors(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	_, err = se.Run(Spec{Kernel: "prog:" + ref, Predictor: "vtage"})
+	_, err = se.RunCtx(ctx, Spec{Kernel: "prog:" + ref, Predictor: "vtage"})
 	if err == nil || !strings.Contains(err.Error(), id) {
 		t.Errorf("unregistered program error does not list registered ids: %v", err)
 	}

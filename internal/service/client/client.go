@@ -51,12 +51,6 @@ func New(base string) *Client {
 	return &Client{base: strings.TrimRight(base, "/"), hc: &http.Client{Transport: sharedTransport}}
 }
 
-// NewWithHTTPClient uses a caller-supplied http.Client (tests, custom
-// transports).
-func NewWithHTTPClient(base string, hc *http.Client) *Client {
-	return &Client{base: strings.TrimRight(base, "/"), hc: hc}
-}
-
 // APIError is a non-2xx response decoded from the server's error envelope.
 // It is the service-level type (status, stable code, message): assert on it
 // with errors.As at any layer above the client, RemoteRunner included.

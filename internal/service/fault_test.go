@@ -31,8 +31,7 @@ func TestCorruptStoreEntryUnderLiveDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := harness.NewSession(testWarmup, testMeasure)
-	local.UseStore(st)
+	local := harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure, Store: st})
 	want, err := collect(local, specs)
 	if err != nil {
 		t.Fatal(err)

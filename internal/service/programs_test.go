@@ -59,7 +59,7 @@ func TestProgramUploadAndSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	se := harness.NewSession(testWarmup, testMeasure)
+	se := harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure})
 	if _, err := se.RegisterProgram(prog); err != nil {
 		t.Fatal(err)
 	}

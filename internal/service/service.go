@@ -21,8 +21,8 @@ import (
 // Options configures a Server. The zero value is usable: every field has a
 // serving-oriented default.
 type Options struct {
-	Warmup  uint64 // µops before measurement per simulation (default 50_000)
-	Measure uint64 // measured µops per simulation (default 250_000)
+	Warmup  uint64 // µops before measurement per simulation (default harness.DefaultWarmup)
+	Measure uint64 // measured µops per simulation (default harness.DefaultMeasure)
 	Workers int    // the session's worker slots, shared by all requests (<=0: GOMAXPROCS)
 
 	MaxBatch       int           // max specs per batch-sync frame (default 4096)
@@ -56,10 +56,10 @@ type Options struct {
 // (and document) the values a zero-configured daemon actually runs with.
 func (o Options) WithDefaults() Options {
 	if o.Warmup == 0 {
-		o.Warmup = 50_000
+		o.Warmup = harness.DefaultWarmup
 	}
 	if o.Measure == 0 {
-		o.Measure = 250_000
+		o.Measure = harness.DefaultMeasure
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -94,33 +94,37 @@ type Server struct {
 // New builds a Server over a fresh session bounded to o.Workers slots. It
 // starts no goroutine: each request walks its own specs (Session.Each). A
 // non-empty o.StoreDir opens (creating if needed) the persistent record
-// store and attaches it under the session memo; an unusable directory is a
+// store the session keeps under its memo; an unusable directory is a
 // construction error.
 func New(o Options) (*Server, error) {
 	o = o.WithDefaults()
-	s := &Server{
-		opts:    o,
-		session: harness.NewSession(o.Warmup, o.Measure),
-		start:   time.Now(),
-	}
-	s.session.UseWorkers(o.Workers)
+	var st *store.Store
 	if o.StoreDir != "" {
-		st, err := store.Open(o.StoreDir, harness.StoreVersion)
-		if err != nil {
+		var err error
+		if st, err = store.Open(o.StoreDir, harness.StoreVersion); err != nil {
 			return nil, fmt.Errorf("service: %w", err)
 		}
-		s.session.UseStore(st)
 	}
 	reg := o.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s.metrics = newServerMetrics(reg)
 	var tracer *obs.Tracer
 	if o.TraceWriter != nil {
 		tracer = obs.NewTracer(o.TraceWriter)
 	}
-	s.session.Observe(harness.NewObserver(reg, tracer))
+	s := &Server{
+		opts: o,
+		session: harness.NewSession(harness.SessionConfig{
+			Warmup:   o.Warmup,
+			Measure:  o.Measure,
+			Workers:  o.Workers,
+			Store:    st,
+			Observer: harness.NewObserver(reg, tracer),
+		}),
+		metrics: newServerMetrics(reg),
+		start:   time.Now(),
+	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
 	s.handle("POST /v1/simulate", "simulate", s.handleSimulate)
@@ -293,7 +297,7 @@ func (s *Server) checkPrograms(w http.ResponseWriter, specs ...harness.Spec) boo
 		if !harness.IsProgramRef(sp.Kernel) {
 			continue
 		}
-		if _, ok := s.session.Program(sp.Kernel); ok {
+		if s.session.HasProgram(sp.Kernel) {
 			continue
 		}
 		if ids := s.session.ProgramIDs(); len(ids) > 0 {

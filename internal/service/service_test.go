@@ -80,7 +80,7 @@ func TestServerEndToEndConcurrentClients(t *testing.T) {
 	reqs := specRequests(specs)
 
 	// The sequential reference on an independent session.
-	ref := harness.NewSession(testWarmup, testMeasure)
+	ref := harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure})
 	want, err := collect(ref, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -445,7 +445,7 @@ func TestBatchSync(t *testing.T) {
 		{Kernel: "gzip", Predictor: "vtage"}, // duplicate: dedup must not reorder
 		{Kernel: "art", Predictor: "none"},
 	}
-	ref := harness.NewSession(testWarmup, testMeasure)
+	ref := harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure})
 	want, err := collect(ref, specs)
 	if err != nil {
 		t.Fatal(err)

@@ -117,8 +117,8 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // TraceWriter too — the other fields describe the local session a remote
 // daemon owns itself.
 type RunnerOptions struct {
-	Warmup  uint64 // µops before measurement per simulation (default 50_000)
-	Measure uint64 // measured µops per simulation (default 250_000)
+	Warmup  uint64 // µops before measurement per simulation (default harness.DefaultWarmup)
+	Measure uint64 // measured µops per simulation (default harness.DefaultMeasure)
 	Workers int    // simulation slots shared by every call on the runner (<=0: GOMAXPROCS)
 
 	// Shards is the vpserved base URLs a sharded runner routes across
@@ -146,14 +146,14 @@ type RunnerOptions struct {
 	TraceWriter io.Writer
 }
 
-// withDefaults resolves unset windows to the facade defaults. Workers stays
-// as-is: Session.UseWorkers resolves <=0 to GOMAXPROCS.
+// withDefaults resolves unset windows to the harness defaults. Workers
+// stays as-is: harness.NewSession resolves <=0 to GOMAXPROCS.
 func (o RunnerOptions) withDefaults() RunnerOptions {
 	if o.Warmup == 0 {
-		o.Warmup = 50_000
+		o.Warmup = harness.DefaultWarmup
 	}
 	if o.Measure == 0 {
-		o.Measure = 250_000
+		o.Measure = harness.DefaultMeasure
 	}
 	return o
 }

@@ -30,25 +30,27 @@ type LocalRunner struct {
 // runner's own dispatch histogram.
 func OpenLocalRunner(o RunnerOptions) (*LocalRunner, error) {
 	o = o.withDefaults()
-	se := harness.NewSession(o.Warmup, o.Measure)
-	se.UseWorkers(o.Workers)
+	var st *store.Store
 	if o.StoreDir != "" {
-		st, err := store.Open(o.StoreDir, harness.StoreVersion)
-		if err != nil {
+		var err error
+		if st, err = store.Open(o.StoreDir, harness.StoreVersion); err != nil {
 			return nil, err
 		}
-		se.UseStore(st)
 	}
-	r := &LocalRunner{session: se}
+	var observer *harness.Observer
+	var ro *runnerObs
 	if o.Metrics != nil || o.TraceWriter != nil {
 		var tracer *obs.Tracer
 		if o.TraceWriter != nil {
 			tracer = obs.NewTracer(o.TraceWriter)
 		}
-		se.Observe(harness.NewObserver(o.Metrics, tracer))
-		r.obs = newRunnerObs(o.Metrics, tracer, "local")
+		observer = harness.NewObserver(o.Metrics, tracer)
+		ro = newRunnerObs(o.Metrics, tracer, "local")
 	}
-	return r, nil
+	se := harness.NewSession(harness.SessionConfig{
+		Warmup: o.Warmup, Measure: o.Measure, Workers: o.Workers, Store: st, Observer: observer,
+	})
+	return &LocalRunner{session: se, obs: ro}, nil
 }
 
 // NewLocalRunner builds a runner over a fresh session sized by o. It panics

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // runnerWindows are small enough for -short while still exercising real
@@ -309,6 +311,41 @@ func TestRemoteRunnerBisectsOversizedFrames(t *testing.T) {
 	}
 	if want, got := collect(local), collect(remote); !bytes.Equal(want, got) {
 		t.Errorf("bisected batch differs from LocalRunner:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestZeroOptionsShareDefaultWindows pins the window defaults: a
+// LocalRunner from zero RunnerOptions and a daemon from zero ServerOptions
+// both run harness.DefaultWarmup+DefaultMeasure, so one spec's records are
+// byte-identical and cover the default measurement window.
+func TestZeroOptionsShareDefaultWindows(t *testing.T) {
+	local := NewLocalRunner(RunnerOptions{})
+	srv, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	remote := OpenRemoteRunner(ts.URL, RunnerOptions{})
+	t.Cleanup(func() {
+		local.Close()
+		remote.Close()
+		ts.Close()
+		srv.Close()
+	})
+	spec := Spec{Kernel: "gzip", Predictor: "lvp"}
+	var got [2][]byte
+	for i, r := range []Runner{local, remote} {
+		rec, err := r.Simulate(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%T: %v", r, err)
+		}
+		if rec.Committed != harness.DefaultMeasure {
+			t.Errorf("%T measured %d µops, want harness.DefaultMeasure (%d)", r, rec.Committed, harness.DefaultMeasure)
+		}
+		got[i], _ = json.Marshal(rec)
+	}
+	if !bytes.Equal(got[0], got[1]) {
+		t.Errorf("zero-option records differ:\nlocal  %s\nremote %s", got[0], got[1])
 	}
 }
 
