@@ -134,8 +134,9 @@ func ProgramID(p *Program) string { return harness.ProgramID(p) }
 // ---------------------------------------------------------------------------
 // Service layer (DESIGN.md §6): the simulation-as-a-service subsystem. A
 // Server is one process-lifetime session behind the synchronous /v1 HTTP
-// API — single specs and batch-sync spec frames answered with records,
-// program upload, and /healthz, /statsz and /metrics observability;
+// API — batch-sync spec frames answered with records (one spec is a
+// one-spec frame), program upload, and /healthz, /statsz and /metrics
+// observability;
 // cancelling a request frees its workers. Experiments render on the client
 // from their records. cmd/vpserved is the standalone daemon; Client is the
 // typed way to talk to either, and RemoteRunner (a one-shard

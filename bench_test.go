@@ -28,12 +28,8 @@ const (
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		se := harness.NewSession(harness.SessionConfig{Warmup: benchWarmup, Measure: benchMeasure, Workers: 1})
-		e, ok := harness.ExperimentByID(id)
-		if !ok {
-			b.Fatalf("unknown experiment %q", id)
-		}
-		if err := harness.Render(context.Background(), se, e, "text", io.Discard); err != nil {
+		r := NewLocalRunner(RunnerOptions{Warmup: benchWarmup, Measure: benchMeasure, Workers: 1})
+		if err := r.Experiment(context.Background(), id, ExperimentOptions{}, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

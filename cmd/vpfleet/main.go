@@ -1,10 +1,12 @@
 // Command vpfleet spawns and supervises N local vpserved shards — the
 // one-command way to stand up a fleet for CI, benchmarks and examples
-// (DESIGN.md §12). Each shard is this same binary re-executed in a serving
-// mode (no separate vpserved binary needed), listening on a random
-// loopback port with a stable shard id; the supervisor waits until every
-// shard answers /v1/healthz, publishes the roster, and then forwards
-// SIGTERM/SIGINT to the children so the whole fleet drains as one unit.
+// (DESIGN.md §12). Each shard is this same binary re-executed in its
+// serve-shard mode, which runs vpserved's own daemon (cmd/internal/daemon:
+// the same flags, access log and drain; no separate vpserved binary
+// needed), listening on a random loopback port with a stable shard id that
+// tags its log lines. The supervisor waits until every shard answers
+// /v1/healthz, publishes the roster, and then forwards SIGTERM/SIGINT to
+// the children so the whole fleet drains as one unit.
 //
 // Usage:
 //
@@ -21,11 +23,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -36,7 +36,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro"
+	"repro/cmd/internal/daemon"
 )
 
 // child is one supervised shard process.
@@ -48,7 +48,7 @@ type child struct {
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve-shard" {
-		os.Exit(serveShard(os.Args[2:]))
+		os.Exit(daemon.Run(os.Args[2:]))
 	}
 	os.Exit(supervise(os.Args[1:]))
 }
@@ -214,74 +214,4 @@ func killAll(children []*child) {
 			ch.cmd.Process.Kill()
 		}
 	}
-}
-
-// serveShard is the child mode: one vpserved-equivalent daemon, drained by
-// SIGTERM exactly like the real thing.
-func serveShard(args []string) int {
-	fs := flag.NewFlagSet("vpfleet serve-shard", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
-	addr := fs.String("addr", "127.0.0.1:0", "listen address")
-	addrFile := fs.String("addr-file", "", "write the bound address here once listening")
-	shardID := fs.String("shard-id", "", "shard identity (empty: bound host:port)")
-	storeDir := fs.String("store-dir", "", "persistent record store directory")
-	warmup := fs.Uint64("warmup", 0, "warmup µops per simulation (0: server default)")
-	measure := fs.Uint64("measure", 0, "measured µops per simulation (0: server default)")
-	workers := fs.Int("workers", 0, "simulation workers (0: GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("shard", *shardID)
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		logger.Error("listen", "err", err)
-		return 1
-	}
-	bound := ln.Addr().String()
-	id := *shardID
-	if id == "" {
-		id = bound
-	}
-	svc, err := repro.NewServer(repro.ServerOptions{
-		Warmup:   *warmup,
-		Measure:  *measure,
-		Workers:  *workers,
-		StoreDir: *storeDir,
-		ShardID:  id,
-	})
-	if err != nil {
-		logger.Error("start", "err", err)
-		return 1
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			logger.Error("write addr-file", "err", err)
-			return 1
-		}
-	}
-	logger.Info("shard listening", "addr", bound)
-
-	httpSrv := &http.Server{Handler: svc, ReadHeaderTimeout: 10 * time.Second}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case s := <-sig:
-		logger.Info("draining", "signal", s.String())
-	case err := <-serveErr:
-		logger.Error("serve", "err", err)
-		return 1
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if err := svc.Drain(ctx); err != nil {
-		logger.Warn("drain interrupted", "err", err)
-	}
-	httpSrv.Shutdown(ctx)
-	svc.Close()
-	logger.Info("shard drained")
-	return 0
 }

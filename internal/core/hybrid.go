@@ -85,6 +85,3 @@ func (p *Hybrid) Name() string { return p.name }
 func (p *Hybrid) StorageBits() int {
 	return p.a.StorageBits() + p.b.StorageBits()
 }
-
-// Components returns the two combined predictors.
-func (p *Hybrid) Components() (a, b Predictor) { return p.a, p.b }

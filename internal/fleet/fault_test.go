@@ -196,7 +196,7 @@ func TestFleetFaultInjection(t *testing.T) {
 			specs := append(harness.Fig4Specs()[:12], ownedBy(t, f, 0))
 			want := refRecords(t, specs)
 			var got []harness.Record
-			err := f.Batch(context.Background(), specs, func(r harness.Record) error {
+			err := batch(context.Background(), f, specs, func(r harness.Record) error {
 				got = append(got, r)
 				return nil
 			})
@@ -232,7 +232,7 @@ func TestFleetFaultStalledShard(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	var got []harness.Record
-	err := f.Batch(ctx, specs, func(r harness.Record) error {
+	err := batch(ctx, f, specs, func(r harness.Record) error {
 		got = append(got, r)
 		return nil
 	})
@@ -289,7 +289,7 @@ func TestFleetFaultBudgetExpiresWaitingForSlot(t *testing.T) {
 	answered := make(chan error, 1)
 	var got []harness.Record
 	go func() {
-		answered <- f.Batch(ctx, []harness.Spec{{Kernel: "art", Predictor: "none"}}, func(r harness.Record) error {
+		answered <- batch(ctx, f, []harness.Spec{{Kernel: "art", Predictor: "none"}}, func(r harness.Record) error {
 			got = append(got, r)
 			return nil
 		})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,8 +93,9 @@ type ShardStatus struct {
 	LastErr string
 }
 
-// Runner is the fleet front: it implements the same method set as the
-// public repro.Runner over N vpserved shards. Safe for concurrent use.
+// Runner is the fleet front over N vpserved shards: the records primitive
+// (Records), program registration and a render session that the public
+// ShardedRunner builds its Runner methods on. Safe for concurrent use.
 type Runner struct {
 	opts   Options
 	shards []*shard
@@ -285,50 +285,31 @@ func (f *Runner) reupload(ctx context.Context, s *shard) bool {
 // dispatch gives up with the last error.
 func (f *Runner) maxAttempts() int { return 2*len(f.shards) + 1 }
 
-// Simulate sends one spec to its owning shard as a one-spec batch-sync
-// frame, through runFrame like every frame of a Batch: shard failure or
-// drain re-routes to the next ring candidate, unknown_program re-uploads
-// and retries in place. The spec is canonicalized and validated locally
-// first, exactly like the other runners.
-func (f *Runner) Simulate(ctx context.Context, spec harness.Spec) (harness.Record, error) {
-	spec = spec.Canonical()
-	if err := spec.Validate(); err != nil {
-		return harness.Record{}, err
-	}
-	slots := []chan outcome{make(chan outcome, 1)}
-	var wg sync.WaitGroup
-	f.runFrame(ctx, &wg, f.target(spec.Identity()), []harness.Spec{spec}, []int{0}, slots, f.maxAttempts(), false)
-	wg.Wait() // a reroute finishes on scattered goroutines
-	out := <-slots[0]
-	return out.rec, out.err
-}
-
 // outcome is one spec's gathered result.
 type outcome struct {
 	rec harness.Record
 	err error
 }
 
-// Batch scatters the specs across their owning shards as batch-sync frames
-// and gathers the records back into deterministic spec order: fn is invoked
-// exactly once per spec, in spec order, never concurrently, as soon as each
-// record's turn is reachable — the same streaming contract as LocalRunner.
-// A shard lost mid-batch has its frames re-scattered over the surviving
-// shards; records stay byte-identical because simulation is a pure function
-// of spec and windows, wherever it runs.
-func (f *Runner) Batch(ctx context.Context, specs []harness.Spec, fn func(harness.Record) error) error {
-	if len(specs) == 0 {
-		return nil
+// Records scatters the specs across their owning shards as batch-sync
+// frames and gathers the records back into deterministic spec order, with
+// harness.Session.Records' contract: fn is invoked exactly once per spec,
+// in spec order, never concurrently, as soon as each record's turn is
+// reachable; specs are canonicalized, not validated (a shard rejects an
+// invalid one); on failure it returns the index of the first failing spec
+// with that spec's error, or -1 when fn failed or ctx ended. A shard lost
+// mid-batch has its frames re-scattered over the surviving shards; records
+// stay byte-identical because simulation is a pure function of spec and
+// windows, wherever it runs.
+func (f *Runner) Records(ctx context.Context, specs []harness.Spec, fn func(harness.Record) error) (failed int, err error) {
+	if err := ctx.Err(); err != nil {
+		return -1, err
 	}
 	canon := make([]harness.Spec, len(specs))
 	for i, sp := range specs {
 		canon[i] = sp.Canonical()
-		if err := canon[i].Validate(); err != nil {
-			return fmt.Errorf("spec %d: %w", i, err)
-		}
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	// One buffered slot per spec: every dispatch path delivers each index
 	// exactly once, so senders never block and the in-order loop below
@@ -347,16 +328,19 @@ func (f *Runner) Batch(ctx context.Context, specs []harness.Spec, fn func(harnes
 		select {
 		case out := <-slots[i]:
 			if out.err != nil {
-				return fmt.Errorf("spec %d: %w", i, out.err)
+				if ctx.Err() != nil {
+					return -1, ctx.Err()
+				}
+				return i, out.err
 			}
 			if err := fn(out.rec); err != nil {
-				return err
+				return -1, err
 			}
 		case <-ctx.Done():
-			return ctx.Err()
+			return -1, ctx.Err()
 		}
 	}
-	return nil
+	return -1, nil
 }
 
 func indexRange(n int) []int {
@@ -367,14 +351,23 @@ func indexRange(n int) []int {
 	return out
 }
 
-// scatter groups the given spec indices by owning shard and dispatches one
-// goroutine per frame. Grouping consults live health, so a re-scatter after
-// a mark-down lands on the survivors.
+// scatter groups the given spec indices by owning shard into frames of at
+// most maxFrame specs and dispatches one goroutine per frame. A lone frame
+// (every Simulate, and a remote runner's batch of up to maxFrame specs)
+// runs on the calling goroutine instead, which would only wait for it.
+// Grouping consults live health, so a re-scatter after a mark-down lands on
+// the survivors.
 func (f *Runner) scatter(ctx context.Context, wg *sync.WaitGroup, canon []harness.Spec, idxs []int, slots []chan outcome, attempts int) {
 	groups := make(map[*shard][]int)
 	for _, i := range idxs {
 		s := f.target(canon[i].Identity())
 		groups[s] = append(groups[s], i)
+	}
+	if len(groups) == 1 && len(idxs) <= maxFrame {
+		for s, group := range groups {
+			f.runFrame(ctx, wg, s, canon, group, slots, attempts, false)
+		}
+		return
 	}
 	for s, group := range groups {
 		for len(group) > 0 {
@@ -491,34 +484,15 @@ func (f *Runner) RegisterProgram(ctx context.Context, p *isa.Program) (string, e
 	return id, nil
 }
 
-// Experiment renders e on the client in format (text, json or csv): its
-// declared spec set scatters through Batch and the records render through
-// harness.RenderRecords, so the bytes are identical to a LocalRunner's.
-// Spec-less experiments render on a throwaway session sized to the shards'
-// windows, read from one /v1/statsz (only profile touches it, to trace
-// kernels).
-func (f *Runner) Experiment(ctx context.Context, e harness.Experiment, format string, w io.Writer) error {
-	if err := harness.CheckFormat(e, format); err != nil {
-		return err
+// Session builds a fresh session at the shards' windows, read from one
+// /v1/statsz: the session spec-less experiments render on (only profile
+// reads it, to trace kernels).
+func (f *Runner) Session(ctx context.Context) (*harness.Session, error) {
+	st, err := f.stats(ctx)
+	if err != nil {
+		return nil, err
 	}
-	var se *harness.Session
-	if e.Specs == nil {
-		stats, err := f.stats(ctx)
-		if err != nil {
-			return err
-		}
-		se = harness.NewSession(harness.SessionConfig{Warmup: stats.Limits.Warmup, Measure: stats.Limits.Measure})
-	}
-	var recs []harness.Record
-	if e.Specs != nil {
-		if err := f.Batch(ctx, e.Specs(), func(rec harness.Record) error {
-			recs = append(recs, rec)
-			return nil
-		}); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return harness.RenderRecords(ctx, se, e, format, recs, w)
+	return harness.NewSession(harness.SessionConfig{Warmup: st.Limits.Warmup, Measure: st.Limits.Measure}), nil
 }
 
 // stats fetches /v1/statsz from any healthy shard.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -62,7 +63,8 @@ func refRecords(t *testing.T, specs []harness.Spec) []harness.Record {
 }
 
 // TestFleetSimulateAndBatch: routed results are byte-identical to a local
-// session, Batch delivers in spec order, and the work really spreads — with
+// session, one spec or many, Records delivers in spec order, and the work
+// really spreads — with
 // the fig4 spec set over two shards, both end up with simulations.
 func TestFleetSimulateAndBatch(t *testing.T) {
 	f, _, tss := startShards(t, 2)
@@ -70,7 +72,7 @@ func TestFleetSimulateAndBatch(t *testing.T) {
 	specs := harness.Fig4Specs()[:24]
 	want := refRecords(t, specs)
 
-	rec, err := f.Simulate(ctx, specs[1])
+	rec, err := simulate(ctx, f, specs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +81,14 @@ func TestFleetSimulateAndBatch(t *testing.T) {
 	}
 
 	var got []harness.Record
-	if err := f.Batch(ctx, specs, func(r harness.Record) error {
+	if err := batch(ctx, f, specs, func(r harness.Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if a, b := mustJSON(t, got), mustJSON(t, want); !bytes.Equal(a, b) {
-		t.Errorf("Batch records differ from local session:\n got %s\nwant %s", a, b)
+		t.Errorf("Records differ from local session:\n got %s\nwant %s", a, b)
 	}
 
 	// Both shards simulated something: the scatter really sharded.
@@ -99,6 +101,27 @@ func TestFleetSimulateAndBatch(t *testing.T) {
 			t.Errorf("shard %d ran no simulations: scatter did not shard", i)
 		}
 	}
+}
+
+// simulate runs one spec as a one-spec Records call, as the facade's
+// Simulate does.
+func simulate(ctx context.Context, f *Runner, spec harness.Spec) (harness.Record, error) {
+	var rec harness.Record
+	_, err := f.Records(ctx, []harness.Spec{spec}, func(r harness.Record) error {
+		rec = r
+		return nil
+	})
+	return rec, err
+}
+
+// batch runs specs through Records and names a failing spec as the facade's
+// Batch does ("spec N: ...").
+func batch(ctx context.Context, f *Runner, specs []harness.Spec, fn func(harness.Record) error) error {
+	failed, err := f.Records(ctx, specs, fn)
+	if failed >= 0 {
+		return fmt.Errorf("spec %d: %w", failed, err)
+	}
+	return err
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -138,7 +161,7 @@ func TestFleetFailoverDeadShard(t *testing.T) {
 	tss[0].Close() // kill one shard before any traffic
 
 	one := ownedBy(t, f, 0)
-	rec, err := f.Simulate(ctx, one)
+	rec, err := simulate(ctx, f, one)
 	if err != nil {
 		t.Fatalf("Simulate on a dead owner: %v", err)
 	}
@@ -160,7 +183,7 @@ func TestFleetFailoverDeadShard(t *testing.T) {
 	}
 
 	var got []harness.Record
-	if err := f.Batch(ctx, specs, func(r harness.Record) error {
+	if err := batch(ctx, f, specs, func(r harness.Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
@@ -194,7 +217,7 @@ func TestFleetDrainAwareRouting(t *testing.T) {
 	}
 
 	one := ownedBy(t, f, 0)
-	rec, err := f.Simulate(ctx, one)
+	rec, err := simulate(ctx, f, one)
 	if err != nil {
 		t.Fatalf("Simulate on a draining owner: %v", err)
 	}
@@ -213,7 +236,7 @@ func TestFleetDrainAwareRouting(t *testing.T) {
 	specs := harness.Fig4Specs()[:8]
 	want := refRecords(t, specs)
 	var got []harness.Record
-	if err := f.Batch(ctx, specs, func(r harness.Record) error {
+	if err := batch(ctx, f, specs, func(r harness.Record) error {
 		got = append(got, r)
 		return nil
 	}); err != nil {
@@ -237,7 +260,7 @@ func TestFleetPerSpecFailureAttribution(t *testing.T) {
 		{Kernel: "prog:" + string(bytes.Repeat([]byte("ab"), 32)), Predictor: "lvp"},
 		{Kernel: "art", Predictor: "none"},
 	}
-	err := f.Batch(ctx, specs, func(harness.Record) error { return nil })
+	err := batch(ctx, f, specs, func(harness.Record) error { return nil })
 	if err == nil {
 		t.Fatal("batch with an unknown program succeeded")
 	}
@@ -253,7 +276,7 @@ func TestFleetPerSpecFailureAttribution(t *testing.T) {
 // first to name the spec).
 func TestClassifyTaxonomy(t *testing.T) {
 	transport := func(err error) error {
-		return &url.Error{Op: "Post", URL: "http://127.0.0.1:1/v1/simulate", Err: err}
+		return &url.Error{Op: "Post", URL: "http://127.0.0.1:1/v1/simulate/batch-sync", Err: err}
 	}
 	apiErr := func(status int, code string) error {
 		return &service.APIError{Status: status, Code: code, Msg: "x"}

@@ -3,9 +3,11 @@
 // shards, each with its own worker slots and memo. Routing keeps every
 // distinct spec on exactly one warm shard (memo and store locality),
 // scatter/gather batching amortizes the HTTP round trip over whole
-// sub-batches, and health probing (/v1/healthz + /v1/statsz) marks shards
-// down or draining so work re-routes without changing results. Reachable
-// from outside the module via repro.OpenShardedRunner.
+// sub-batches, and health probing (/v1/healthz) marks shards down or
+// draining so work re-routes without changing results. /v1/statsz is read
+// only for the shards' windows, which a spec-less experiment's render
+// session needs. Reachable from outside the module via
+// repro.OpenShardedRunner.
 package fleet
 
 import (

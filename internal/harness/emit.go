@@ -51,8 +51,8 @@ var csvHeader = []string{
 
 // Records produces the record of every spec and calls fn with each one, in
 // spec order, as soon as it is complete; fn is never called concurrently. It
-// is the one path from specs to records: the daemon's batch-sync core, the
-// LocalRunner and Render all call it.
+// is the one path from specs to records: the daemon's batch-sync core and
+// the LocalRunner both call it.
 //
 // Every spec is canonicalized, not validated: input from outside is
 // validated where it enters, and simulate still rejects an invalid spec at

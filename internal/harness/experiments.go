@@ -450,24 +450,3 @@ func RenderRecords(ctx context.Context, se *Session, e Experiment, format string
 	}
 	return nil
 }
-
-// Render runs an experiment's declared spec set on se (Session.Records,
-// bounded by the session's worker slots) and renders the records
-// (RenderRecords). ctx cancels the batch: unstarted specs are abandoned,
-// in-flight simulations stop at their next cancellation checkpoint, and
-// Render returns the context error.
-func Render(ctx context.Context, se *Session, e Experiment, format string, w io.Writer) error {
-	if err := CheckFormat(e, format); err != nil {
-		return err
-	}
-	var recs []Record
-	if e.Specs != nil {
-		if _, err := se.Records(ctx, e.Specs(), func(r Record) error {
-			recs = append(recs, r)
-			return nil
-		}); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return RenderRecords(ctx, se, e, format, recs, w)
-}

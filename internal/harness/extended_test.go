@@ -116,6 +116,41 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestMaxHistOnlyWhereTheConstructorReadsIt: the predictor table's
+// readsMaxHist flag is the one list of who reads max_hist. Validate accepts
+// MaxHist 8 on exactly the flagged entries, and on each flagged entry the
+// override reaches the constructor: gobmk's record at max_hist 8 differs
+// from its default-history record in more than the echoed key.
+func TestMaxHistOnlyWhereTheConstructorReadsIt(t *testing.T) {
+	t.Parallel()
+	se := NewSession(SessionConfig{Warmup: 1_000, Measure: 4_000})
+	flagged := 0
+	for _, p := range predictors {
+		spec := Spec{Kernel: "gobmk", Predictor: p.name, Counters: FPC, MaxHist: 8}
+		if err := spec.Validate(); (err == nil) != p.readsMaxHist {
+			t.Errorf("%s (readsMaxHist %v): Validate with max_hist 8 = %v", p.name, p.readsMaxHist, err)
+		}
+		if !p.readsMaxHist {
+			continue
+		}
+		flagged++
+		def := spec
+		def.MaxHist = 0
+		recs, err := collect(context.Background(), se, []Spec{spec, def})
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		short := recs[0]
+		short.MaxHist = recs[1].MaxHist
+		if short == recs[1] {
+			t.Errorf("%s: max_hist 8 gave the default-history record; the constructor ignores it", p.name)
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("no predictor reads max_hist; the check proves nothing")
+	}
+}
+
 // TestExtendedSpecsSimulate runs one spec from each extension axis through
 // the ordinary memoized path and checks the results are real and respond to
 // the knob.
@@ -190,7 +225,8 @@ func TestExtendedSpecsSimulate(t *testing.T) {
 // TestExperimentsRenderFromDeclaredRecords pins DESIGN.md §5.2's "rendering
 // is a pure read" by construction. Every spec-bearing experiment renders
 // from a Source holding exactly the records of its declared spec set and no
-// session, so nothing can simulate, and the text matches Render's. Dropping
+// session, so nothing can simulate, and the text matches a render on the
+// session that ran them (render). Dropping
 // any one declared record either leaves the text byte-identical (the
 // renderer never reads it) or fails the render with the out-of-set error,
 // never a different table; and every experiment reads at least one.
@@ -211,14 +247,14 @@ func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 			t.Fatalf("%s: records: %v", e.ID, err)
 		}
 		var want, got strings.Builder
-		if err := Render(ctx, se, e, "text", &want); err != nil {
+		if err := render(ctx, se, e, "text", &want); err != nil {
 			t.Fatalf("%s: render: %v", e.ID, err)
 		}
 		if err := RenderRecords(ctx, nil, e, "text", recs, &got); err != nil {
 			t.Fatalf("%s: render from records alone: %v", e.ID, err)
 		}
 		if got.String() != want.String() {
-			t.Errorf("%s: render from records differs from Render", e.ID)
+			t.Errorf("%s: render from records alone differs from the session render", e.ID)
 		}
 
 		full, err := newSource(nil, specs, recs)
@@ -286,7 +322,7 @@ func TestAccFilterAdmitsEveryUsedOver100(t *testing.T) {
 	}
 }
 
-// TestRenderCancelled: a dead context aborts Render with the context error,
+// TestRenderCancelled: a dead context aborts a render with the context error,
 // in both the text and structured paths.
 func TestRenderCancelled(t *testing.T) {
 	se := NewSession(testWindows(1_000, 4_000))
@@ -295,7 +331,7 @@ func TestRenderCancelled(t *testing.T) {
 	e, _ := ExperimentByID("abl-hist")
 	for _, format := range []string{"text", "json"} {
 		var sb strings.Builder
-		err := Render(ctx, se, e, format, &sb)
+		err := render(ctx, se, e, format, &sb)
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s render under a dead context returned %v, want context.Canceled", format, err)
 		}

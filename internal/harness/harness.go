@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,10 +37,12 @@ import (
 // predictorDef is one constructible predictor configuration: its config
 // name, the paper's label for it, and its constructor over confidence
 // vector vec and the shared history h. maxHist overrides VTAGE's maximum
-// history length (0: Table 1's); only the vtage family reads it.
+// history length (0: Table 1's); readsMaxHist marks the entries whose
+// constructor reads it, and Spec.Validate rejects max_hist on every other.
 type predictorDef struct {
-	name, label string
-	build       func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor
+	name, label  string
+	readsMaxHist bool
+	build        func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor
 }
 
 // predictorSeed seeds every predictor's LFSR; a hybrid's second component
@@ -53,30 +54,30 @@ const predictorSeed = 0xC0FFEE
 // paper references but does not evaluate in its figures (footnote 4 and
 // Section 2).
 var predictors = []predictorDef{
-	{"none", "Baseline", func(core.FPCVector, *ghist.History, int) core.Predictor { return nil }},
-	{"lvp", "LVP", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"none", "Baseline", false, func(core.FPCVector, *ghist.History, int) core.Predictor { return nil }},
+	{"lvp", "LVP", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
 		return core.NewLVP(13, vec, predictorSeed)
 	}},
-	{"stride", "2D-Str", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"stride", "2D-Str", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
 		return core.NewStride2D(13, vec, predictorSeed)
 	}},
-	{"fcm", "o4-FCM", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"fcm", "o4-FCM", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
 		return core.NewFCM(4, 13, vec, predictorSeed)
 	}},
-	{"vtage", "VTAGE", func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
+	{"vtage", "VTAGE", true, func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
 		return core.NewVTAGE(vtageConfig(vec, maxHist), h)
 	}},
-	{"oracle", "Oracle", func(core.FPCVector, *ghist.History, int) core.Predictor { return &core.Oracle{} }},
-	{"fcm+stride", "o4-FCM-2DStr", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"oracle", "Oracle", false, func(core.FPCVector, *ghist.History, int) core.Predictor { return &core.Oracle{} }},
+	{"fcm+stride", "o4-FCM-2DStr", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
 		return core.NewHybrid(core.NewFCM(4, 13, vec, predictorSeed), core.NewStride2D(13, vec, predictorSeed+1))
 	}},
-	{"vtage+stride", "VTAGE-2DStr", func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
+	{"vtage+stride", "VTAGE-2DStr", true, func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
 		return core.NewHybrid(core.NewVTAGE(vtageConfig(vec, maxHist), h), core.NewStride2D(13, vec, predictorSeed+1))
 	}},
-	{"ps", "PS", func(vec core.FPCVector, h *ghist.History, _ int) core.Predictor {
+	{"ps", "PS", false, func(vec core.FPCVector, h *ghist.History, _ int) core.Predictor {
 		return core.NewPS(13, 13, vec, predictorSeed, h)
 	}},
-	{"gdiff", "gDiff", func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"gdiff", "gDiff", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
 		return core.NewGDiff(13, vec, predictorSeed)
 	}},
 }
@@ -100,12 +101,20 @@ var PredictorNames = func() []string {
 	return names
 }()
 
+// lookupPredictor returns name's entry in the predictor table.
+func lookupPredictor(name string) (*predictorDef, bool) {
+	for i := range predictors {
+		if predictors[i].name == name {
+			return &predictors[i], true
+		}
+	}
+	return nil, false
+}
+
 // buildPredictor constructs the named predictor (see predictorDef.build).
 func buildPredictor(name string, vec core.FPCVector, h *ghist.History, maxHist int) (core.Predictor, error) {
-	for _, p := range predictors {
-		if p.name == name {
-			return p.build(vec, h, maxHist), nil
-		}
+	if p, ok := lookupPredictor(name); ok {
+		return p.build(vec, h, maxHist), nil
 	}
 	return nil, fmt.Errorf("harness: unknown predictor %q", name)
 }
@@ -118,10 +127,8 @@ func NewPredictor(name string, vec core.FPCVector, h *ghist.History) (core.Predi
 
 // DisplayName maps predictor config names to the paper's labels.
 func DisplayName(name string) string {
-	for _, p := range predictors {
-		if p.name == name {
-			return p.label
-		}
+	if p, ok := lookupPredictor(name); ok {
+		return p.label
 	}
 	return name
 }
@@ -284,12 +291,6 @@ func (s Spec) Canonical() Spec {
 	return s
 }
 
-// vtageFamily reports whether the predictor embeds a VTAGE (and therefore
-// honours the MaxHist override).
-func vtageFamily(predictor string) bool {
-	return predictor == "vtage" || predictor == "vtage+stride"
-}
-
 // Validate checks the spec against the constructible configuration space;
 // the service layer rejects invalid wire specs with it before scheduling,
 // and simulate applies it so direct harness users get the same errors.
@@ -309,14 +310,15 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("harness: unknown kernel %q (builtin kernels: %s; registered programs are referenced as prog:<sha256>)",
 			workload, strings.Join(kernels.Names(), ", "))
 	}
-	if !slices.Contains(PredictorNames, s.Predictor) {
+	pred, ok := lookupPredictor(s.Predictor)
+	if !ok {
 		return fmt.Errorf("harness: unknown predictor %q (have %v)", s.Predictor, PredictorNames)
 	}
 	if s.Width < 0 || s.Width > 16 {
 		return fmt.Errorf("harness: machine width %d out of range 1..16", s.Width)
 	}
 	if s.MaxHist != 0 {
-		if !vtageFamily(s.Predictor) {
+		if !pred.readsMaxHist {
 			return fmt.Errorf("harness: max_hist applies to vtage-family predictors, not %q", s.Predictor)
 		}
 		if s.MaxHist < 2 || s.MaxHist > 1024 {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -26,6 +27,22 @@ func memoLen(se *Session) int {
 	se.mu.Lock()
 	defer se.mu.Unlock()
 	return len(se.memo)
+}
+
+// render runs e's declared spec set on se and renders its records, as a
+// LocalRunner's Experiment does over its session.
+func render(ctx context.Context, se *Session, e Experiment, format string, w io.Writer) error {
+	if err := CheckFormat(e, format); err != nil {
+		return err
+	}
+	var recs []Record
+	if e.Specs != nil {
+		var err error
+		if recs, err = collect(ctx, se, e.Specs()); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return RenderRecords(ctx, se, e, format, recs, w)
 }
 
 func TestNewPredictorAllNames(t *testing.T) {
@@ -145,7 +162,7 @@ func TestStaticExperimentsRender(t *testing.T) {
 			t.Fatalf("experiment %q missing", id)
 		}
 		var sb strings.Builder
-		if err := Render(context.Background(), se, e, "text", &sb); err != nil {
+		if err := render(context.Background(), se, e, "text", &sb); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 		if len(sb.String()) < 50 {
@@ -245,7 +262,8 @@ func TestRecoveryIrrelevantUnderFPC(t *testing.T) {
 
 // TestAblationExperimentsRun exercises the beyond-the-paper runners with
 // small windows (rendering correctness, not statistical claims). Rendering
-// goes through Render so the pre-declared spec batches are exercised too.
+// goes through Records and RenderRecords (render) so the pre-declared spec
+// batches are exercised too.
 func TestAblationExperimentsRun(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(1_000, 5_000))
@@ -255,7 +273,7 @@ func TestAblationExperimentsRun(t *testing.T) {
 			t.Fatalf("experiment %q missing", id)
 		}
 		var sb strings.Builder
-		if err := Render(context.Background(), se, e, "text", &sb); err != nil {
+		if err := render(context.Background(), se, e, "text", &sb); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 		if len(sb.String()) < 80 {
@@ -264,22 +282,22 @@ func TestAblationExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestRenderFormats pins the Render contract: text-only experiments reject
+// TestRenderFormats pins the render contract: text-only experiments reject
 // structured formats, unknown formats are rejected, and a spec-bearing
 // experiment renders in all three formats.
 func TestRenderFormats(t *testing.T) {
 	se := NewSession(testWindows(1_000, 4_000))
 	table1, _ := ExperimentByID("table1")
-	if err := Render(context.Background(), se, table1, "json", io.Discard); err == nil {
+	if err := render(context.Background(), se, table1, "json", io.Discard); err == nil {
 		t.Error("json rendering of a text-only experiment accepted")
 	}
 	fig1, _ := ExperimentByID("fig1")
-	if err := Render(context.Background(), se, fig1, "bogus", io.Discard); err == nil {
+	if err := render(context.Background(), se, fig1, "bogus", io.Discard); err == nil {
 		t.Error("unknown format accepted")
 	}
 	for _, format := range []string{"text", "json", "csv"} {
 		var sb strings.Builder
-		if err := Render(context.Background(), se, fig1, format, &sb); err != nil {
+		if err := render(context.Background(), se, fig1, format, &sb); err != nil {
 			t.Errorf("fig1 %s: %v", format, err)
 		}
 		if sb.Len() == 0 {

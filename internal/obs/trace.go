@@ -29,8 +29,6 @@ const (
 	TierMemo      = "memo"
 	TierStore     = "store"
 	TierSimulated = "simulated"
-	TierLocal     = "local"  // dispatch: in-process backend
-	TierRemote    = "remote" // dispatch: vpserved round trip
 )
 
 // Span is one NDJSON trace record: a stage of one run's lifecycle.
@@ -41,7 +39,8 @@ type Span struct {
 	Stage string `json:"stage"`
 	// Tier is the cache tier that served the stage: which tier answered a
 	// lookup, simulated for the warmup and measure phases, where a publish
-	// landed.
+	// landed. A dispatch span carries the runner's backend label instead:
+	// local, remote or sharded.
 	Tier string `json:"tier,omitempty"`
 	// Outcome qualifies lookup stages: "hit" or "miss".
 	Outcome string `json:"outcome,omitempty"`

@@ -108,14 +108,6 @@ func decodeError(resp *http.Response) error {
 	return &e
 }
 
-// Simulate runs one spec synchronously (POST /v1/simulate) and returns its
-// flattened record, speedup included.
-func (c *Client) Simulate(ctx context.Context, spec service.SpecRequest) (harness.Record, error) {
-	var rec harness.Record
-	err := c.do(ctx, http.MethodPost, "/v1/simulate", spec, &rec)
-	return rec, err
-}
-
 // SimulateBatchSync runs many specs in one synchronous round trip (POST
 // /v1/simulate/batch-sync) and returns their records in request order. The
 // frame is all-or-nothing: any failing spec fails the whole call with the

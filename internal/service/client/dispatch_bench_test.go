@@ -46,13 +46,20 @@ func newWarmDispatchFixture(tb testing.TB) *warmDispatchFixture {
 	return &warmDispatchFixture{c: c, reqs: reqs}
 }
 
-// timePerCall returns the warm time per Simulate round-trip.
+// simulateOne sends spec i of the fixture as a one-spec batch-sync frame:
+// one spec per round trip, the frame a runner's Simulate sends.
+func (fx *warmDispatchFixture) simulateOne(ctx context.Context, i int) error {
+	_, err := fx.c.SimulateBatchSync(ctx, []service.SpecRequest{fx.reqs[i%len(fx.reqs)]})
+	return err
+}
+
+// timePerCall returns the warm time per one-spec round-trip.
 func (fx *warmDispatchFixture) timePerCall(tb testing.TB, calls int) time.Duration {
 	tb.Helper()
 	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < calls; i++ {
-		if _, err := fx.c.Simulate(ctx, fx.reqs[i%len(fx.reqs)]); err != nil {
+		if err := fx.simulateOne(ctx, i); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -73,13 +80,13 @@ func (fx *warmDispatchFixture) timeBatched(tb testing.TB, frames int) time.Durat
 }
 
 // TestBatchedDispatchBeatsPerCall is the regression gate for the batched
-// wire path: per spec, a batch-sync frame must dispatch at least 5x
-// cheaper than warm per-call Simulate on the same connection. Both sides
-// run on this machine in this process, so the ratio holds on slow CI
-// runners where an absolute µs bound would not. Inside `go test ./...`
-// other packages share the CPUs, so the sides are timed in alternating
-// pairs while the CPUs are free (timegate.Pairs), and the test gates the
-// ratio of their median rounds.
+// wire path: per spec, a full batch-sync frame must dispatch at least 5x
+// cheaper than warm one-spec frames, one per call, on the same connection.
+// Both sides run on this machine in this process, so the ratio holds on
+// slow CI runners where an absolute µs bound would not. Inside `go test
+// ./...` other packages share the CPUs, so the sides are timed in
+// alternating pairs while the CPUs are free (timegate.Pairs), and the test
+// gates the ratio of their median rounds.
 func TestBatchedDispatchBeatsPerCall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -100,13 +107,13 @@ func TestBatchedDispatchBeatsPerCall(t *testing.T) {
 }
 
 // BenchmarkWarmSimulateDispatch is the per-call baseline: one warm spec
-// per HTTP round-trip (the frozen BENCH_pr5.json recorded ~48 µs/call).
+// per HTTP round-trip, as a one-spec batch-sync frame.
 func BenchmarkWarmSimulateDispatch(b *testing.B) {
 	fx := newWarmDispatchFixture(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fx.c.Simulate(ctx, fx.reqs[i%len(fx.reqs)]); err != nil {
+		if err := fx.simulateOne(ctx, i); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -55,7 +55,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	_, c, ts := newTestServer(t, Options{Workers: 2, Metrics: reg, TraceWriter: &trace})
 
 	spec := harness.Spec{Kernel: "gzip", Predictor: "vtage", Counters: harness.FPC}
-	if _, err := c.Simulate(t.Context(), RequestFor(spec)); err != nil {
+	if _, err := simulate(t.Context(), c, RequestFor(spec)); err != nil {
 		t.Fatal(err)
 	}
 	// A warm repeat is answered inline: it never takes a worker slot.
@@ -63,7 +63,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		return metricValue(t, scrape(t, ts.URL+"/metrics"), "repro_sched_queue_wait_seconds_count")
 	}
 	cold := queued()
-	if _, err := c.Simulate(t.Context(), RequestFor(spec)); err != nil {
+	if _, err := simulate(t.Context(), c, RequestFor(spec)); err != nil {
 		t.Fatal(err)
 	}
 	if warm := queued(); warm != cold {
@@ -81,7 +81,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Error("repro_simulations_total = 0 after real work")
 	}
 	for _, prefix := range []string{
-		`repro_http_requests_total{endpoint="simulate",code="200"}`,
 		`repro_http_requests_total{endpoint="batch_sync",code="200"}`,
 		`repro_cache_lookups_total{tier="memo",result="miss"}`,
 		`repro_sched_queue_wait_seconds_count`,

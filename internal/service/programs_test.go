@@ -55,7 +55,7 @@ func TestProgramUploadAndSimulate(t *testing.T) {
 	}
 
 	// Simulating by reference matches a direct harness run byte for byte.
-	rec, err := c.Simulate(ctx, SpecRequest{Program: info.ID, Predictor: "vtage", Counters: "fpc"})
+	rec, err := simulate(ctx, c, SpecRequest{Program: info.ID, Predictor: "vtage", Counters: "fpc"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestProgramUploadBuiltinDedup(t *testing.T) {
 
 // TestUnknownProgramTypedError pins the curable error contract: a spec
 // naming an unuploaded prog: reference answers 404 with the stable
-// unknown_program code (simulate and batch-sync alike), and the message lists
+// unknown_program code, before and after any upload, and the message lists
 // what IS uploaded once anything is.
 func TestUnknownProgramTypedError(t *testing.T) {
 	t.Parallel()
@@ -126,7 +126,7 @@ func TestUnknownProgramTypedError(t *testing.T) {
 	ctx := context.Background()
 
 	ghost := "prog:" + strings.Repeat("ab", 32)
-	_, err := c.Simulate(ctx, SpecRequest{Program: ghost, Predictor: "vtage"})
+	_, err := simulate(ctx, c, SpecRequest{Program: ghost, Predictor: "vtage"})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != CodeUnknownProgram {
 		t.Fatalf("unknown program error = %v, want 404 %s", err, CodeUnknownProgram)

@@ -127,7 +127,6 @@ func New(o Options) (*Server, error) {
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.mux = http.NewServeMux()
-	s.handle("POST /v1/simulate", "simulate", s.handleSimulate)
 	s.handle("POST /v1/simulate/batch-sync", "batch_sync", s.handleBatchSync)
 	s.handle("POST /v1/programs", "program_upload", s.handleProgramUpload)
 	s.handle("GET /v1/programs", "programs", s.handleProgramList)
@@ -312,29 +311,6 @@ func (s *Server) checkPrograms(w http.ResponseWriter, specs ...harness.Spec) boo
 		return false
 	}
 	return true
-}
-
-// handleSimulate runs one spec synchronously (POST /v1/simulate): a
-// one-spec frame through runSync, answered with the flattened Record.
-func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
-	var req SpecRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	spec, err := req.Spec()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.checkPrograms(w, spec) {
-		return
-	}
-	recs, _, err := s.runSync(r.Context(), []harness.Spec{spec})
-	if err != nil {
-		writeSyncError(w, "", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, recs[0])
 }
 
 // handleBatchSync runs a whole spec frame synchronously (POST

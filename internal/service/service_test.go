@@ -68,6 +68,16 @@ func specRequests(specs []harness.Spec) []SpecRequest {
 	return out
 }
 
+// simulate runs one spec as a one-spec batch-sync frame, the form a
+// runner's Simulate sends.
+func simulate(ctx context.Context, c *client.Client, req SpecRequest) (harness.Record, error) {
+	recs, err := c.SimulateBatchSync(ctx, []SpecRequest{req})
+	if err != nil {
+		return harness.Record{}, err
+	}
+	return recs[0], nil
+}
+
 // TestServerEndToEndConcurrentClients is the subsystem's acceptance test
 // (run it with -race): several clients concurrently send overlapping fig4
 // batch-sync frames; every frame's records must be byte-identical to a
@@ -190,7 +200,7 @@ func TestServerCancelFreesWorkers(t *testing.T) {
 	// The abandoned runs must not have been memoized as failures: a
 	// follow-up simulate of the frame's first spec, in flight when the
 	// cancel landed, succeeds.
-	rec, err := c.Simulate(ctx, reqs[0])
+	rec, err := simulate(ctx, c, reqs[0])
 	if err != nil {
 		t.Fatalf("simulate after cancel: %v", err)
 	}
@@ -217,32 +227,34 @@ func TestAblationExperimentCancelMidSimulation(t *testing.T) {
 	cancelFrameMidFlight(t, ctx, c, specRequests(specs))
 }
 
-// TestSimulateSync covers the synchronous endpoint: a valid spec returns a
-// record with a real speedup, the same record a one-spec batch-sync frame
-// answers; a warm repeat counts one memo hit per task — the spec and its
-// baseline, the record built from their results without another lookup —
-// and no miss; and bad specs, unknown programs and a draining
-// server fail with the same status and code on both endpoints.
+// TestSimulateSync covers one spec on the synchronous wire, sent as a
+// one-spec batch-sync frame: a valid spec returns a record with a real
+// speedup, the same record it gets inside a larger frame; a warm repeat
+// counts one memo hit per task — the spec and its baseline, the record
+// built from their results without another lookup — and no miss; bad
+// specs, unknown programs and a draining server fail with their status and
+// code; and POST /v1/simulate answers 404, since one spec is a one-spec
+// frame.
 func TestSimulateSync(t *testing.T) {
-	srv, c, _ := newTestServer(t, Options{})
+	srv, c, ts := newTestServer(t, Options{})
 	ctx := context.Background()
 	req := SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc"}
-	rec, err := c.Simulate(ctx, req)
+	rec, err := simulate(ctx, c, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Kernel != "art" || rec.Predictor != "vtage" || rec.Speedup <= 0 {
 		t.Errorf("bad record: %+v", rec)
 	}
-	frame, err := c.SimulateBatchSync(ctx, []SpecRequest{req})
+	frame, err := c.SimulateBatchSync(ctx, []SpecRequest{{Kernel: "art", Predictor: "none"}, req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame[0] != rec {
-		t.Errorf("endpoints disagree:\nsimulate   %+v\nbatch-sync %+v", rec, frame[0])
+	if frame[1] != rec {
+		t.Errorf("frames disagree:\none spec  %+v\ntwo specs %+v", rec, frame[1])
 	}
 	before := srv.Stats()
-	if _, err := c.Simulate(ctx, req); err != nil {
+	if _, err := simulate(ctx, c, req); err != nil {
 		t.Fatal(err)
 	}
 	after := srv.Stats()
@@ -250,15 +262,12 @@ func TestSimulateSync(t *testing.T) {
 		t.Errorf("warm simulate counted %d memo hits and %d misses, want 2 and 0", hits, misses)
 	}
 
-	bothFail := func(req SpecRequest, status int, code string) {
+	fails := func(req SpecRequest, status int, code string) {
 		t.Helper()
-		_, simErr := c.Simulate(ctx, req)
-		_, frameErr := c.SimulateBatchSync(ctx, []SpecRequest{req})
-		for _, err := range []error{simErr, frameErr} {
-			var apiErr *client.APIError
-			if !errors.As(err, &apiErr) || apiErr.Status != status || apiErr.Code != code {
-				t.Errorf("spec %+v: got %v, want HTTP %d %s", req, err, status, code)
-			}
+		_, err := simulate(ctx, c, req)
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Status != status || apiErr.Code != code {
+			t.Errorf("spec %+v: got %v, want HTTP %d %s", req, err, status, code)
 		}
 	}
 	for _, bad := range []SpecRequest{
@@ -267,14 +276,24 @@ func TestSimulateSync(t *testing.T) {
 		{Kernel: "art", Predictor: "lvp", Counters: "nope"},
 		{Kernel: "art", Predictor: "lvp", Recovery: "nope"},
 	} {
-		bothFail(bad, http.StatusBadRequest, CodeBadRequest)
+		fails(bad, http.StatusBadRequest, CodeBadRequest)
 	}
-	bothFail(SpecRequest{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"},
+	fails(SpecRequest{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"},
 		http.StatusNotFound, CodeUnknownProgram)
+
+	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(`{"kernel":"art","predictor":"lvp"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/simulate: HTTP %d, want 404 (one spec is a one-spec batch-sync frame)", resp.StatusCode)
+	}
+
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	bothFail(req, http.StatusServiceUnavailable, CodeDraining)
+	fails(req, http.StatusServiceUnavailable, CodeDraining)
 }
 
 // TestRequestBodiesAreOneValue: every JSON POST endpoint takes exactly one
@@ -296,7 +315,6 @@ func TestRequestBodiesAreOneValue(t *testing.T) {
 		path, body string
 		ok         int
 	}{
-		{"/v1/simulate", spec, http.StatusOK},
 		{"/v1/simulate/batch-sync", frame, http.StatusOK},
 		{"/v1/programs", string(upload), http.StatusOK},
 	} {
@@ -331,8 +349,7 @@ func TestRequestBodiesAreOneValue(t *testing.T) {
 }
 
 // TestAdmissionLimits: an oversized batch-sync frame is rejected with 413,
-// and a draining server answers 503 on both synchronous endpoints while
-// reporting itself draining.
+// and a draining server answers 503 while reporting itself draining.
 func TestAdmissionLimits(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{Workers: 1, MaxBatch: 4})
 	ctx := context.Background()
@@ -360,9 +377,6 @@ func TestAdmissionLimits(t *testing.T) {
 		t.Error("draining server accepted a frame")
 	} else if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Code != CodeDraining {
 		t.Errorf("draining frame: got %v, want HTTP 503 %s", err, CodeDraining)
-	}
-	if _, err := c.Simulate(ctx, big[0]); err == nil {
-		t.Error("draining server accepted a synchronous simulate")
 	}
 	h, err := c.Health(ctx)
 	if err != nil {
@@ -400,7 +414,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 func TestExtendedSpecOverWire(t *testing.T) {
 	_, c, _ := newTestServer(t, Options{})
 	ctx := context.Background()
-	rec, err := c.Simulate(ctx, SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc", Width: 4, MaxHist: 256})
+	rec, err := simulate(ctx, c, SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc", Width: 4, MaxHist: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +422,7 @@ func TestExtendedSpecOverWire(t *testing.T) {
 		t.Errorf("extended record did not round-trip: %+v", rec)
 	}
 	// An explicit vector equal to a named scheme folds onto it on the wire.
-	rec, err = c.Simulate(ctx, SpecRequest{Kernel: "art", Predictor: "lvp", FPCVector: "0,4,4,4,4,5,5"})
+	rec, err = simulate(ctx, c, SpecRequest{Kernel: "art", Predictor: "lvp", FPCVector: "0,4,4,4,4,5,5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +436,7 @@ func TestExtendedSpecOverWire(t *testing.T) {
 		{Kernel: "art", Predictor: "vtage", FPCVector: "1,2,3"},
 	} {
 		var apiErr *client.APIError
-		if _, err := c.Simulate(ctx, bad); err == nil {
+		if _, err := simulate(ctx, c, bad); err == nil {
 			t.Errorf("bad extended spec %+v accepted", bad)
 		} else if !errors.As(err, &apiErr) || apiErr.Status != 400 || apiErr.Code != CodeBadRequest {
 			t.Errorf("bad extended spec %+v: got %v, want HTTP 400 %s", bad, err, CodeBadRequest)

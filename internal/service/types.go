@@ -1,9 +1,10 @@
 // Package service is the simulation-as-a-service layer: a synchronous HTTP
 // server over one process-lifetime harness.Session, so the memo (kernel
 // traces and simulation results) is shared across every request the daemon
-// ever answers. The versioned JSON API (DESIGN.md §6) answers single specs
-// and batch-sync spec frames with their records, registers workload
-// programs, and offers /healthz, /statsz and /metrics observability.
+// ever answers. The versioned JSON API (DESIGN.md §6) answers batch-sync
+// spec frames with their records (a single spec is a one-spec frame),
+// registers workload programs, and offers /healthz, /statsz and /metrics
+// observability.
 // Experiments render on the client, from the records of their declared
 // spec sets. cmd/vpserved is the daemon; service/client the typed Go
 // client; repro.NewServer the facade constructor.

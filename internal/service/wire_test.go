@@ -75,8 +75,9 @@ func TestSpecRequestUnmarshalStrict(t *testing.T) {
 		t.Errorf("unknown field must be rejected, got: %v", err)
 	}
 
-	// Called directly (decodeBody does), the codec takes one value and
-	// nothing after it — on the fast path and the fallback alike.
+	// Called directly (as decodeBody calls a frame's codec), the codec takes
+	// one value and nothing after it — on the fast path and the fallback
+	// alike.
 	for _, body := range []string{
 		`{"kernel":"gzip","predictor":"none"}{"kernel":"art"}`,
 		`{"kernel":"gzip","predictor":"none"} trailing-garbage`,

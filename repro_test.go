@@ -87,8 +87,8 @@ func TestExperimentsCoverEveryPaperArtifact(t *testing.T) {
 }
 
 // TestNewServerFacade mounts the service layer through the facade only —
-// the path external consumers take — and drives one synchronous simulation
-// and one batch-sync frame through NewClient.
+// the path external consumers take — and drives a one-spec and a two-spec
+// batch-sync frame through NewClient.
 func TestNewServerFacade(t *testing.T) {
 	srv, err := NewServer(ServerOptions{Warmup: 1_000, Measure: 4_000, Workers: 2})
 	if err != nil {
@@ -100,10 +100,11 @@ func TestNewServerFacade(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	ctx := context.Background()
-	rec, err := c.Simulate(ctx, SpecRequest{Kernel: "gzip", Predictor: "stride", Counters: "fpc"})
+	one, err := c.SimulateBatchSync(ctx, []SpecRequest{{Kernel: "gzip", Predictor: "stride", Counters: "fpc"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := one[0]
 	if rec.Kernel != "gzip" || rec.Predictor != "stride" || rec.IPC <= 0 {
 		t.Errorf("bad record over the facade: %+v", rec)
 	}

@@ -50,10 +50,10 @@ type Runner interface {
 	Batch(ctx context.Context, specs []Spec, fn func(Record) error) error
 
 	// Experiment regenerates one experiment by id into w. Every backend
-	// runs the experiment's declared spec set through its own Batch path
-	// and renders the records on the client, so the bytes are identical
-	// across backends. The format (text, json, csv) comes from o; the
-	// windows are the backend's own.
+	// runs the experiment's declared spec set through Batch and renders the
+	// records on the client, so the bytes are identical across backends.
+	// The format (text, json, csv) comes from o; the windows are the
+	// backend's own.
 	Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error
 
 	// Experiments returns the experiment index (the same on every backend).
@@ -76,18 +76,94 @@ type Runner interface {
 // Interface compliance is part of the facade contract.
 var _ Runner = (*LocalRunner)(nil)
 
-// lookupExperiment resolves id against the harness index: one lookup, and
-// one error for an unknown id, on every backend.
-func lookupExperiment(id string) (harness.Experiment, error) {
-	e, ok := harness.ExperimentByID(id)
-	if !ok {
-		return e, fmt.Errorf("repro: unknown experiment %q (have %v)", id, Experiments())
-	}
-	return e, nil
+// backend is what one Runner backend supplies, and the one place the
+// shared Runner methods (Simulate, Batch, Experiment, Experiments) are
+// written: LocalRunner and ShardedRunner embed it, so every backend runs
+// the same validation, error wrapping, rendering and dispatch observation
+// over its own records function.
+type backend struct {
+	// records is the backend's one primitive, with
+	// harness.Session.Records' contract: the record of every spec, in spec
+	// order, to fn; specs are canonicalized, not validated; on failure the
+	// index of the first failing spec, or -1 when fn failed or ctx ended.
+	records func(ctx context.Context, specs []Spec, fn func(Record) error) (failed int, err error)
+
+	// session returns the session spec-less experiments render on (profile
+	// traces kernels on it).
+	session func(ctx context.Context) (*harness.Session, error)
+
+	obs *runnerObs // nil when unobserved
 }
 
-// experimentIndex is every backend's Runner.Experiments.
-func experimentIndex(ctx context.Context) ([]ExperimentInfo, error) {
+// Simulate runs one spec and the baseline its speedup needs as a one-spec
+// records call and returns the flattened record (Runner interface). The
+// spec is canonicalized and validated before dispatch; errors return
+// unwrapped.
+func (b *backend) Simulate(ctx context.Context, spec Spec) (Record, error) {
+	spec = spec.Canonical()
+	if err := spec.Validate(); err != nil {
+		return Record{}, err
+	}
+	start := time.Now()
+	var rec Record
+	_, err := b.records(ctx, []Spec{spec}, func(got Record) error {
+		rec = got
+		return nil
+	})
+	b.obs.observe(spec, start, err)
+	return rec, err
+}
+
+// Batch validates every spec, then streams their records to fn in spec
+// order (Runner interface). A failing spec reads "spec N: ...".
+func (b *backend) Batch(ctx context.Context, specs []Spec, fn func(Record) error) error {
+	if len(specs) == 0 {
+		return nil
+	}
+	for i, sp := range specs {
+		if err := sp.Canonical().Validate(); err != nil {
+			return fmt.Errorf("spec %d: %w", i, err)
+		}
+	}
+	failed, err := b.records(ctx, specs, fn)
+	if failed >= 0 {
+		return fmt.Errorf("spec %d: %w", failed, err)
+	}
+	return err
+}
+
+// Experiment renders one experiment by id into w (Runner interface): the
+// format is checked before any work, the declared spec set runs through
+// Batch, and the records render on the client (harness.RenderRecords), so
+// the bytes are identical across backends. A spec-less experiment renders
+// on the backend's session.
+func (b *backend) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
+	e, ok := harness.ExperimentByID(id)
+	if !ok {
+		return fmt.Errorf("repro: unknown experiment %q (have %v)", id, Experiments())
+	}
+	if err := harness.CheckFormat(e, o.Format); err != nil {
+		return err
+	}
+	var se *harness.Session
+	var recs []Record
+	if e.Specs == nil {
+		var err error
+		if se, err = b.session(ctx); err != nil {
+			return err
+		}
+	} else if err := b.Batch(ctx, e.Specs(), func(rec Record) error {
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		return fmt.Errorf("%s: %w", e.ID, err)
+	}
+	return harness.RenderRecords(ctx, se, e, o.Format, recs, w)
+}
+
+// Experiments returns the experiment index (Runner interface): the same on
+// every backend, since every backend renders on the client.
+func (b *backend) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -158,29 +234,31 @@ func (o RunnerOptions) withDefaults() RunnerOptions {
 	return o
 }
 
-// runnerObs is the dispatch-level instrumentation both backends share: the
+// runnerObs is the dispatch-level instrumentation every backend shares: the
 // repro_dispatch_seconds{backend} histogram and a dispatch span per Simulate
-// call. Comparing the two backend labels on one registry puts a number on
-// the wire tax a remote runner pays over a warm local call. A nil *runnerObs
-// is a no-op, so unobserved runners carry no overhead.
+// call, both under the runner's backend label (local, remote or sharded).
+// Comparing the labels on one registry puts a number on the wire tax a
+// remote runner pays over a warm local call. A nil *runnerObs is a no-op,
+// so unobserved runners carry no overhead.
 type runnerObs struct {
 	dispatch *obs.Histogram
 	tracer   *obs.Tracer
-	tier     string
+	label    string
 }
 
-// newRunnerObs builds the dispatch instruments for one backend. The tracer
-// is shared with the session observer (one writer, one mutex) rather than
-// rebuilt from the writer, so concurrent span emissions cannot interleave.
-func newRunnerObs(reg *Metrics, tracer *obs.Tracer, backend string) *runnerObs {
+// newRunnerObs builds the dispatch instruments for one backend label. The
+// tracer is shared with the session observer (one writer, one mutex) rather
+// than rebuilt from the writer, so concurrent span emissions cannot
+// interleave.
+func newRunnerObs(reg *Metrics, tracer *obs.Tracer, label string) *runnerObs {
 	if reg == nil && tracer == nil {
 		return nil
 	}
-	ro := &runnerObs{tracer: tracer, tier: backend}
+	ro := &runnerObs{tracer: tracer, label: label}
 	if reg != nil {
 		ro.dispatch = reg.HistogramVec("repro_dispatch_seconds",
 			"Runner wall time per Simulate dispatch by backend: in-process scheduling (local) vs full HTTP round-trip (remote).",
-			nil, "backend").With(backend)
+			nil, "backend").With(label)
 	}
 	return ro
 }
@@ -200,7 +278,7 @@ func (ro *runnerObs) observe(spec Spec, start time.Time, err error) {
 			Run:   ro.tracer.Begin(),
 			Spec:  spec.Identity(),
 			Stage: obs.StageDispatch,
-			Tier:  ro.tier,
+			Tier:  ro.label,
 			DurNS: d.Nanoseconds(),
 		}
 		if err != nil {

@@ -2,9 +2,6 @@ package repro
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -19,8 +16,8 @@ import (
 // runner: concurrent Simulate, Batch and Experiment calls share them, as a
 // daemon's requests do. Safe for concurrent use.
 type LocalRunner struct {
-	session *harness.Session
-	obs     *runnerObs // nil when unobserved
+	backend // records: the session's own Records
+	se      *harness.Session
 }
 
 // OpenLocalRunner builds a runner over a fresh session sized by o, opening
@@ -50,7 +47,14 @@ func OpenLocalRunner(o RunnerOptions) (*LocalRunner, error) {
 	se := harness.NewSession(harness.SessionConfig{
 		Warmup: o.Warmup, Measure: o.Measure, Workers: o.Workers, Store: st, Observer: observer,
 	})
-	return &LocalRunner{session: se, obs: ro}, nil
+	return &LocalRunner{
+		backend: backend{
+			records: se.Records,
+			session: func(context.Context) (*harness.Session, error) { return se, nil },
+			obs:     ro,
+		},
+		se: se,
+	}, nil
 }
 
 // NewLocalRunner builds a runner over a fresh session sized by o. It panics
@@ -66,59 +70,11 @@ func NewLocalRunner(o RunnerOptions) *LocalRunner {
 
 // Session exposes the shared session, for callers that need harness-level
 // access (benchmarks, tests).
-func (r *LocalRunner) Session() *harness.Session { return r.session }
+func (r *LocalRunner) Session() *harness.Session { return r.se }
 
 // MemoStats reports the shared session's memo and store effectiveness — the
 // local analogue of the service's /v1/statsz counters.
-func (r *LocalRunner) MemoStats() MemoStats { return r.session.MemoStats() }
-
-// Simulate runs one spec and the baseline its speedup needs (walked
-// together, so they run in parallel when the runner has more than one
-// worker slot) and returns the flattened record.
-func (r *LocalRunner) Simulate(ctx context.Context, spec Spec) (Record, error) {
-	spec = spec.Canonical()
-	if err := spec.Validate(); err != nil {
-		return Record{}, err
-	}
-	start := time.Now()
-	var rec Record
-	_, err := r.session.Records(ctx, []Spec{spec}, func(got Record) error {
-		rec = got
-		return nil
-	})
-	r.obs.observe(spec, start, err)
-	return rec, err
-}
-
-// Batch implements the streaming contract over Session.Records: every
-// distinct spec and baseline is one task, walked on the runner's worker
-// slots, and fn receives each record in spec order as soon as it is
-// complete.
-func (r *LocalRunner) Batch(ctx context.Context, specs []Spec, fn func(Record) error) error {
-	if len(specs) == 0 {
-		return nil
-	}
-	for i, sp := range specs {
-		if err := sp.Canonical().Validate(); err != nil {
-			return fmt.Errorf("spec %d: %w", i, err)
-		}
-	}
-	failed, err := r.session.Records(ctx, specs, fn)
-	if failed >= 0 {
-		return fmt.Errorf("spec %d: %w", failed, err)
-	}
-	return err
-}
-
-// Experiment renders one experiment through the shared session, at the
-// runner's windows and within its worker slots.
-func (r *LocalRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
-	e, err := lookupExperiment(id)
-	if err != nil {
-		return err
-	}
-	return harness.Render(ctx, r.session, e, o.Format, w)
-}
+func (r *LocalRunner) MemoStats() MemoStats { return r.se.MemoStats() }
 
 // RegisterProgram adds p to the runner's session registry and returns its
 // canonical workload string (Runner interface). Content-addressed and
@@ -128,12 +84,7 @@ func (r *LocalRunner) RegisterProgram(ctx context.Context, p *Program) (string, 
 	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	return r.session.RegisterProgram(p)
-}
-
-// Experiments returns the harness's §5.1 experiment index.
-func (r *LocalRunner) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
-	return experimentIndex(ctx)
+	return r.se.RegisterProgram(p)
 }
 
 // Close implements Runner. A local runner holds no resources beyond the

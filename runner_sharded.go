@@ -2,8 +2,6 @@ package repro
 
 import (
 	"context"
-	"io"
-	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -17,8 +15,8 @@ import (
 // LocalRunner over the same specs and windows — sharding changes where a
 // simulation runs, never what it computes. Safe for concurrent use.
 type ShardedRunner struct {
-	f   *fleet.Runner
-	obs *runnerObs // nil when unobserved
+	backend // records: the fleet's scatter/gather; session: one at the shards' windows
+	f       *fleet.Runner
 }
 
 // RemoteRunner is a ShardedRunner over one daemon: the same batch-sync
@@ -56,7 +54,7 @@ func OpenRemoteRunner(baseURL string, o RunnerOptions) *RemoteRunner {
 
 // openFleet builds the fleet front over shards with dispatch observability
 // under the given backend label.
-func openFleet(shards []string, o RunnerOptions, backend string) (*ShardedRunner, error) {
+func openFleet(shards []string, o RunnerOptions, label string) (*ShardedRunner, error) {
 	f, err := fleet.New(fleet.Options{Shards: shards})
 	if err != nil {
 		return nil, err
@@ -65,7 +63,10 @@ func openFleet(shards []string, o RunnerOptions, backend string) (*ShardedRunner
 	if o.TraceWriter != nil {
 		tracer = obs.NewTracer(o.TraceWriter)
 	}
-	return &ShardedRunner{f: f, obs: newRunnerObs(o.Metrics, tracer, backend)}, nil
+	return &ShardedRunner{
+		backend: backend{records: f.Records, session: f.Session, obs: newRunnerObs(o.Metrics, tracer, label)},
+		f:       f,
+	}, nil
 }
 
 // Shards reports every shard's current health (url, id, up/draining/down),
@@ -75,37 +76,6 @@ func (r *ShardedRunner) Shards() []fleet.ShardStatus { return r.f.Shards() }
 // ProbeShards refreshes every shard's health once, synchronously, ahead of
 // the background prober's next tick (a one-shard fleet runs no prober).
 func (r *ShardedRunner) ProbeShards(ctx context.Context) { r.f.ProbeOnce(ctx) }
-
-// Simulate routes one spec to its owning shard (Runner interface).
-func (r *ShardedRunner) Simulate(ctx context.Context, spec Spec) (Record, error) {
-	start := time.Now()
-	rec, err := r.f.Simulate(ctx, spec)
-	r.obs.observe(spec.Canonical(), start, err)
-	return rec, err
-}
-
-// Batch scatters the specs across their owning shards and delivers records
-// to fn in spec order (Runner interface).
-func (r *ShardedRunner) Batch(ctx context.Context, specs []Spec, fn func(Record) error) error {
-	return r.f.Batch(ctx, specs, fn)
-}
-
-// Experiment regenerates one experiment by id (Runner interface): its
-// declared spec set scatters across the shards and the records render on
-// the client. Windows and concurrency belong to each shard daemon.
-func (r *ShardedRunner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
-	e, err := lookupExperiment(id)
-	if err != nil {
-		return err
-	}
-	return r.f.Experiment(ctx, e, o.Format, w)
-}
-
-// Experiments returns the experiment index (Runner interface): the
-// client's own, since experiments render on the client.
-func (r *ShardedRunner) Experiments(ctx context.Context) ([]ExperimentInfo, error) {
-	return experimentIndex(ctx)
-}
 
 // RegisterProgram uploads p to every shard and remembers its bytes for
 // re-upload self-healing (Runner interface). The content-addressed workload
