@@ -151,9 +151,6 @@ type Server = service.Server
 // budget).
 type ServerOptions = service.Options
 
-// SpecRequest is the wire form of one simulation spec.
-type SpecRequest = service.SpecRequest
-
 // ServerStats is the /v1/statsz body.
 type ServerStats = service.ServerStats
 

@@ -17,7 +17,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
-	"repro/internal/service"
 )
 
 const (
@@ -219,14 +218,10 @@ func TestSteadyStateSimulateZeroAllocs(t *testing.T) {
 
 // TestSpecValidationZeroAllocs is the allocation gate for spec validation,
 // which every served spec passes twice (in the client and in the daemon's
-// decoder): on builtin-kernel specs neither Spec.Validate nor the wire
-// decoder SpecRequest.Spec allocates.
+// decoder): on builtin-kernel specs neither Spec.Validate nor the daemon's
+// decode-side Canonical().Validate() allocates.
 func TestSpecValidationZeroAllocs(t *testing.T) {
 	specs := harness.DedupSpecs(harness.Fig4Specs())
-	reqs := make([]SpecRequest, len(specs))
-	for i, sp := range specs {
-		reqs[i] = service.RequestFor(sp)
-	}
 	validate := testing.AllocsPerRun(10, func() {
 		for _, sp := range specs {
 			if err := sp.Validate(); err != nil {
@@ -235,14 +230,14 @@ func TestSpecValidationZeroAllocs(t *testing.T) {
 		}
 	})
 	decode := testing.AllocsPerRun(10, func() {
-		for _, r := range reqs {
-			if _, err := r.Spec(); err != nil {
+		for _, sp := range specs {
+			if err := sp.Canonical().Validate(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	})
 	if validate != 0 || decode != 0 {
-		t.Errorf("validating %d fig4 specs allocates: Spec.Validate %.0f, SpecRequest.Spec %.0f allocs",
+		t.Errorf("validating %d fig4 specs allocates: Spec.Validate %.0f, Canonical().Validate() %.0f allocs",
 			len(specs), validate, decode)
 	}
 }

@@ -14,7 +14,7 @@
 //	experiments -run abl-fpc -format csv     # ablations are structured too
 //	experiments -run fig4 -server http://127.0.0.1:8437   # remote, memo-warm
 //	experiments -run fig4 -shards "$(cat fleet.addrs)"    # sharded across a fleet
-//	experiments -list -server http://127.0.0.1:8437       # the server's index
+//	experiments -list -server http://127.0.0.1:8437       # the same index: it is the client's
 //	experiments -run fig4 -store-dir .vpstore             # warm-start next run
 //	experiments -corpus ./corpus -pred lvp,stride,vtage   # sweep your own programs
 //

@@ -65,8 +65,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	programFile := fs.String("program", "", "simulate this program file instead of a builtin kernel (binary .isa or text .vasm; format sniffed)")
 	gen := fs.String("gen", "", `simulate a generated workload "family:seed" (families: `+strings.Join(repro.GeneratorFamilies(), ", ")+")")
 	pred := fs.String("pred", "vtage", "value predictor: "+strings.Join(repro.Predictors(), ", "))
-	counters := fs.String("counters", "fpc", "confidence counters: baseline or fpc")
-	recovery := fs.String("recovery", "squash", "misprediction recovery: squash or reissue")
+	var counters repro.Counters
+	fs.TextVar(&counters, "counters", repro.FPC, "confidence counters: baseline or fpc")
+	var recovery repro.Recovery
+	fs.TextVar(&recovery, "recovery", repro.SquashAtCommit, "misprediction recovery: squash or reissue")
 	warmup := fs.Uint64("warmup", harness.DefaultWarmup, "warmup µops")
 	measure := fs.Uint64("measure", harness.DefaultMeasure, "measured µops")
 	workers := fs.Int("workers", 0, "parallel simulation workers (<=0: GOMAXPROCS; ignored with -server: the daemon's pool applies)")
@@ -183,28 +185,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	spec := repro.Spec{
 		Kernel:    *kernel,
 		Predictor: *pred,
-		Recovery:  repro.SquashAtCommit,
+		Counters:  counters,
+		Recovery:  recovery,
 		Width:     *width,
 		LoadsOnly: *loadsOnly,
 		MaxHist:   *maxHist,
 		FPCVec:    *fpcVector,
-	}
-	switch *counters {
-	case "baseline":
-		spec.Counters = repro.BaselineCounters
-	case "fpc":
-		spec.Counters = repro.FPC
-	default:
-		fmt.Fprintf(stderr, "vpsim: unknown counters %q (have baseline, fpc)\n", *counters)
-		return 2
-	}
-	switch *recovery {
-	case "squash":
-	case "reissue":
-		spec.Recovery = repro.SelectiveReissue
-	default:
-		fmt.Fprintf(stderr, "vpsim: unknown recovery %q (have squash, reissue)\n", *recovery)
-		return 2
 	}
 	if prog != nil {
 		// The content-addressed identity is computable before any backend

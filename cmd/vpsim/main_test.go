@@ -39,6 +39,21 @@ func TestTextReport(t *testing.T) {
 		t.Errorf("default spec printed an extended-config line:\n%s", out)
 	}
 
+	// -counters and -recovery take every spelling the wire takes; an empty
+	// value is the default.
+	for _, tc := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-counters", "FPC", "-recovery", "reissue"}, "lvp (FPC counters, reissue recovery)"},
+		{[]string{"-counters", "", "-recovery", ""}, "lvp (baseline counters, squash recovery)"},
+	} {
+		args := append(append([]string{"-kernel", "gzip", "-pred", "lvp"}, tc.flags...), shortWindows...)
+		if out, errb, code := runArgs(t, args...); code != 0 || !strings.Contains(out, tc.want) {
+			t.Errorf("%v exited %d (stderr %q), want a report with %q:\n%s", tc.flags, code, errb, tc.want, out)
+		}
+	}
+
 	args = append([]string{"-kernel", "gzip", "-pred", "vtage", "-width", "4", "-max-hist", "256"}, shortWindows...)
 	out, errb, code = runArgs(t, args...)
 	if code != 0 {

@@ -276,7 +276,7 @@ func TestFleetFaultBudgetExpiresWaitingForSlot(t *testing.T) {
 
 	held := make(chan error, 1)
 	go func() {
-		_, err := direct.SimulateBatchSync(ctx, []service.SpecRequest{{Kernel: "gzip", Predictor: "none"}})
+		_, err := direct.SimulateBatchSync(ctx, []harness.Spec{{Kernel: "gzip", Predictor: "none"}})
 		held <- err
 	}()
 	waitForStats(t, direct, "slot held", func(s service.ServerStats) bool { return s.BusyWorkers == 1 })

@@ -404,11 +404,11 @@ func (f *Runner) runFrame(ctx context.Context, wg *sync.WaitGroup, s *shard, can
 		deliver(slots, idxs, outcome{err: ctx.Err()})
 		return
 	}
-	reqs := make([]service.SpecRequest, len(idxs))
+	frame := make([]harness.Spec, len(idxs))
 	for k, i := range idxs {
-		reqs[k] = service.RequestFor(canon[i])
+		frame[k] = canon[i]
 	}
-	recs, err := s.c.SimulateBatchSync(ctx, reqs)
+	recs, err := s.c.SimulateBatchSync(ctx, frame)
 	if err == nil {
 		for k, i := range idxs {
 			slots[i] <- outcome{rec: recs[k]}

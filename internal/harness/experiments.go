@@ -47,21 +47,22 @@ func Index() []ExperimentInfo {
 }
 
 // Source is what an experiment renders from: the records of its declared
-// spec set keyed by canonical spec, plus a session that only the
-// trace-driven profile reads, to trace kernels.
+// spec set keyed by canonical spec, plus a getter for the session that only
+// the trace-driven profile reads, to trace kernels.
 type Source struct {
 	recs    map[Spec]Record
-	session *Session
+	session func(context.Context) (*Session, error)
+	se      *Session // session's answer, once trace has asked
 }
 
 // newSource keys recs — the records of specs, in the same order, as
 // Session.Records or any Runner's Batch delivers them — by canonical spec.
-// se may be nil unless the experiment traces kernels (profile).
-func newSource(se *Session, specs []Spec, recs []Record) (*Source, error) {
+// session may be nil unless the experiment traces kernels (profile).
+func newSource(session func(context.Context) (*Session, error), specs []Spec, recs []Record) (*Source, error) {
 	if len(recs) != len(specs) {
 		return nil, fmt.Errorf("harness: %d records for %d declared specs", len(recs), len(specs))
 	}
-	src := &Source{recs: make(map[Spec]Record, len(specs)), session: se}
+	src := &Source{recs: make(map[Spec]Record, len(specs)), session: session}
 	for i, sp := range specs {
 		src.recs[sp.Canonical()] = recs[i]
 	}
@@ -79,12 +80,21 @@ func (src *Source) Record(spec Spec) (Record, error) {
 	return r, nil
 }
 
-// trace returns a kernel's instruction trace from the source's session.
+// trace returns a kernel's instruction trace from the source's session,
+// which it asks the getter for on first use: a render that traces nothing
+// never needs one (through a remote backend, a daemon's answer).
 func (src *Source) trace(ctx context.Context, kernel string) (isa.Trace, error) {
-	if src.session == nil {
-		return isa.Trace{}, errors.New("harness: no session to trace kernels on")
+	if src.se == nil {
+		if src.session == nil {
+			return isa.Trace{}, errors.New("harness: no session to trace kernels on")
+		}
+		se, err := src.session(ctx)
+		if err != nil {
+			return isa.Trace{}, err
+		}
+		src.se = se
 	}
-	return src.session.trace(ctx, kernel)
+	return src.se.trace(ctx, kernel)
 }
 
 // Experiments returns every experiment in DESIGN.md §5 order.
@@ -424,10 +434,11 @@ func CheckFormat(e Experiment, format string) error {
 
 // RenderRecords writes e to w in format from recs, the records of e.Specs()
 // in declared order however the backend produced them: "text" (the
-// paper-style table, rendered from a Source over recs and se), "json" or
-// "csv". It is the one render path of every backend; se may be nil unless
-// e traces kernels (profile).
-func RenderRecords(ctx context.Context, se *Session, e Experiment, format string, recs []Record, w io.Writer) error {
+// paper-style table, rendered from a Source over recs and session), "json"
+// or "csv". It is the one render path of every backend. session is called
+// only when e traces kernels (profile), at most once, and may be nil for
+// any other experiment.
+func RenderRecords(ctx context.Context, session func(context.Context) (*Session, error), e Experiment, format string, recs []Record, w io.Writer) error {
 	if err := CheckFormat(e, format); err != nil {
 		return err
 	}
@@ -441,7 +452,7 @@ func RenderRecords(ctx context.Context, se *Session, e Experiment, format string
 	if e.Specs != nil {
 		specs = e.Specs()
 	}
-	src, err := newSource(se, specs, recs)
+	src, err := newSource(session, specs, recs)
 	if err == nil {
 		err = e.Run(ctx, src, w)
 	}

@@ -236,7 +236,7 @@ func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 	ctx := context.Background()
 	for _, e := range Experiments() {
 		if e.Specs == nil {
-			if err := RenderRecords(ctx, se, e, "text", nil, io.Discard); err != nil {
+			if err := RenderRecords(ctx, sessionOf(se), e, "text", nil, io.Discard); err != nil {
 				t.Errorf("%s: spec-less render: %v", e.ID, err)
 			}
 			continue

@@ -151,6 +151,31 @@ func (c Counters) String() string {
 	return "baseline"
 }
 
+// MarshalText implements encoding.TextMarshaler with the wire's and the
+// CLIs' spelling: "fpc" for FPC, "baseline" otherwise (records keep
+// String's "FPC").
+func (c Counters) MarshalText() ([]byte, error) {
+	if c == FPC {
+		return []byte("fpc"), nil
+	}
+	return []byte("baseline"), nil
+}
+
+// UnmarshalText implements encoding.TextUnmarshaler and is the one parser of
+// the spelling: "baseline" or "fpc" (or String's "FPC"), and "" for the
+// default, baseline.
+func (c *Counters) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "", "baseline":
+		*c = BaselineCounters
+	case "fpc", "FPC":
+		*c = FPC
+	default:
+		return fmt.Errorf("unknown counters %q (have baseline, fpc)", b)
+	}
+	return nil
+}
+
 // Vector returns the probability vector for the counter scheme under the
 // given recovery mechanism, following Section 5.
 func (c Counters) Vector(rec pipeline.RecoveryMode) core.FPCVector {
@@ -168,33 +193,37 @@ func (c Counters) Vector(rec pipeline.RecoveryMode) core.FPCVector {
 // simulation the repo can run — including the sensitivity ablations — is a
 // memoizable, schedulable value. Zero values mean "the paper's default", so
 // pre-existing four-field specs keep their identity (and memo entries).
+//
+// Its encoding/json form is the wire's spec object (DESIGN.md §6.1):
+// Counters and Recovery travel as their text spellings, and every field
+// after Predictor is omitted at its default.
 type Spec struct {
-	Kernel    string
-	Predictor string
-	Counters  Counters
-	Recovery  pipeline.RecoveryMode
+	Kernel    string                `json:"kernel"`
+	Predictor string                `json:"predictor"`
+	Counters  Counters              `json:"counters,omitempty"`
+	Recovery  pipeline.RecoveryMode `json:"recovery,omitempty"`
 
 	// Width overrides the machine's fetch/dispatch/issue/retire width.
 	// 0 means Table 2's 8-wide machine.
-	Width int
+	Width int `json:"width,omitempty"`
 	// LoadsOnly restricts value prediction to load µops (the classic
 	// load-value-prediction deployment the paper argues against, §7.2).
-	LoadsOnly bool
+	LoadsOnly bool `json:"loads_only,omitempty"`
 	// MaxHist overrides VTAGE's maximum history length (vtage-family
 	// predictors only). 0 means Table 1's 64.
-	MaxHist int
+	MaxHist int `json:"max_hist,omitempty"`
 	// FPCVec, when non-empty, is an explicit FPC probability vector in
 	// FormatFPCVector form ("0,2,2,2,2,3,3") that replaces the vector
 	// Counters.Vector(Recovery) would derive. Canonical specs keep Counters
 	// zero when FPCVec is set.
-	FPCVec string
+	FPCVec string `json:"fpc_vector,omitempty"`
 
 	// Program, when non-empty, names the workload by its content-addressed
 	// program reference ("prog:<sha256>", from Session.RegisterProgram)
 	// instead of a builtin kernel. Canonical() folds it into Kernel — the
 	// workload field the memo and store keys use — so a spec may
 	// set either field; setting both to different workloads is invalid.
-	Program string
+	Program string `json:"program,omitempty"`
 }
 
 // defaultWidth is Table 2's machine width; defaultMaxHist is Table 1's

@@ -29,6 +29,11 @@ func memoLen(se *Session) int {
 	return len(se.memo)
 }
 
+// sessionOf is the session getter RenderRecords takes, answering se.
+func sessionOf(se *Session) func(context.Context) (*Session, error) {
+	return func(context.Context) (*Session, error) { return se, nil }
+}
+
 // render runs e's declared spec set on se and renders its records, as a
 // LocalRunner's Experiment does over its session.
 func render(ctx context.Context, se *Session, e Experiment, format string, w io.Writer) error {
@@ -42,7 +47,7 @@ func render(ctx context.Context, se *Session, e Experiment, format string, w io.
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}
-	return RenderRecords(ctx, se, e, format, recs, w)
+	return RenderRecords(ctx, sessionOf(se), e, format, recs, w)
 }
 
 func TestNewPredictorAllNames(t *testing.T) {
@@ -90,6 +95,49 @@ func TestCountersVectorMatchesRecovery(t *testing.T) {
 	}
 	if BaselineCounters.Vector(pipeline.SquashAtCommit) != core.FPCBaseline {
 		t.Error("baseline counters should be deterministic")
+	}
+}
+
+// TestCountersAndRecoveryText pins the one parser of the counters and
+// recovery spellings that the wire and vpsim share: every value round-trips
+// its text form, each accepted spelling reads as its value ("" as the
+// default), and anything else fails with the error the API reports.
+func TestCountersAndRecoveryText(t *testing.T) {
+	// Each read starts from the other value (1 - v), so a reader that left
+	// its target alone would fail.
+	for _, c := range []Counters{BaselineCounters, FPC} {
+		text, err := c.MarshalText()
+		var back Counters = 1 - c
+		if err != nil || back.UnmarshalText(text) != nil || back != c {
+			t.Errorf("counters %v: text %q (%v) reads back as %v", c, text, err, back)
+		}
+	}
+	for _, m := range []pipeline.RecoveryMode{pipeline.SquashAtCommit, pipeline.SelectiveReissue} {
+		text, err := m.MarshalText()
+		var back pipeline.RecoveryMode = 1 - m
+		if err != nil || back.UnmarshalText(text) != nil || back != m || string(text) != m.String() {
+			t.Errorf("recovery %v: text %q (%v) reads back as %v", m, text, err, back)
+		}
+	}
+	for text, want := range map[string]Counters{"": BaselineCounters, "baseline": BaselineCounters, "fpc": FPC, "FPC": FPC} {
+		got := 1 - want
+		if err := got.UnmarshalText([]byte(text)); err != nil || got != want {
+			t.Errorf("counters %q read as %v (%v), want %v", text, got, err, want)
+		}
+	}
+	for text, want := range map[string]pipeline.RecoveryMode{"": pipeline.SquashAtCommit, "squash": pipeline.SquashAtCommit, "reissue": pipeline.SelectiveReissue} {
+		got := 1 - want
+		if err := got.UnmarshalText([]byte(text)); err != nil || got != want {
+			t.Errorf("recovery %q read as %v (%v), want %v", text, got, err, want)
+		}
+	}
+	var c Counters
+	if err := c.UnmarshalText([]byte("Fpc")); err == nil || err.Error() != `unknown counters "Fpc" (have baseline, fpc)` {
+		t.Errorf("counters Fpc: error %v", err)
+	}
+	var m pipeline.RecoveryMode
+	if err := m.UnmarshalText([]byte("Reissue")); err == nil || err.Error() != `unknown recovery "Reissue" (have squash, reissue)` {
+		t.Errorf("recovery Reissue: error %v", err)
 	}
 }
 

@@ -41,6 +41,24 @@ func (m RecoveryMode) String() string {
 	return "squash"
 }
 
+// MarshalText implements encoding.TextMarshaler with String's spelling, the
+// wire's and the CLIs'.
+func (m RecoveryMode) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+// UnmarshalText implements encoding.TextUnmarshaler and is the one parser of
+// the spelling: "squash" or "reissue", and "" for the default, squash.
+func (m *RecoveryMode) UnmarshalText(b []byte) error {
+	switch string(b) {
+	case "", "squash":
+		*m = SquashAtCommit
+	case "reissue":
+		*m = SelectiveReissue
+	default:
+		return fmt.Errorf("unknown recovery %q (have squash, reissue)", b)
+	}
+	return nil
+}
+
 // Config is the machine description. DefaultConfig returns Table 2.
 type Config struct {
 	FetchWidth    int

@@ -109,14 +109,15 @@ func decodeError(resp *http.Response) error {
 }
 
 // SimulateBatchSync runs many specs in one synchronous round trip (POST
-// /v1/simulate/batch-sync) and returns their records in request order. The
-// frame is all-or-nothing: any failing spec fails the whole call with the
-// server's typed APIError for the first failure in request order.
+// /v1/simulate/batch-sync) and returns their records in request order; the
+// daemon canonicalizes and validates each spec. The frame is
+// all-or-nothing: any failing spec fails the whole call with the server's
+// typed APIError for the first failure in request order.
 //
 // This is the hot path of a fleet front, so the response body is parsed by
 // the frame codec directly (one scanner pass) instead of going through
 // json.Decoder's extra validation walk.
-func (c *Client) SimulateBatchSync(ctx context.Context, specs []service.SpecRequest) ([]harness.Record, error) {
+func (c *Client) SimulateBatchSync(ctx context.Context, specs []harness.Spec) ([]harness.Record, error) {
 	in, err := service.BatchSyncRequest{Specs: specs}.MarshalJSON()
 	if err != nil {
 		return nil, err

@@ -22,8 +22,8 @@ import (
 // warmDispatchFixture is a live in-process service with every fig4 spec
 // already simulated, so timed calls measure dispatch alone.
 type warmDispatchFixture struct {
-	c    *Client
-	reqs []service.SpecRequest
+	c     *Client
+	specs []harness.Spec
 }
 
 func newWarmDispatchFixture(tb testing.TB) *warmDispatchFixture {
@@ -35,21 +35,18 @@ func newWarmDispatchFixture(tb testing.TB) *warmDispatchFixture {
 	hs := httptest.NewServer(srv)
 	tb.Cleanup(func() { hs.Close(); srv.Close() })
 
-	var reqs []service.SpecRequest
-	for _, sp := range harness.DedupSpecs(harness.Fig4Specs()) {
-		reqs = append(reqs, service.RequestFor(sp))
-	}
+	specs := harness.DedupSpecs(harness.Fig4Specs())
 	c := New(hs.URL)
-	if _, err := c.SimulateBatchSync(context.Background(), reqs); err != nil {
+	if _, err := c.SimulateBatchSync(context.Background(), specs); err != nil {
 		tb.Fatal(err)
 	}
-	return &warmDispatchFixture{c: c, reqs: reqs}
+	return &warmDispatchFixture{c: c, specs: specs}
 }
 
 // simulateOne sends spec i of the fixture as a one-spec batch-sync frame:
 // one spec per round trip, the frame a runner's Simulate sends.
 func (fx *warmDispatchFixture) simulateOne(ctx context.Context, i int) error {
-	_, err := fx.c.SimulateBatchSync(ctx, []service.SpecRequest{fx.reqs[i%len(fx.reqs)]})
+	_, err := fx.c.SimulateBatchSync(ctx, []harness.Spec{fx.specs[i%len(fx.specs)]})
 	return err
 }
 
@@ -72,11 +69,11 @@ func (fx *warmDispatchFixture) timeBatched(tb testing.TB, frames int) time.Durat
 	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < frames; i++ {
-		if _, err := fx.c.SimulateBatchSync(ctx, fx.reqs); err != nil {
+		if _, err := fx.c.SimulateBatchSync(ctx, fx.specs); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return time.Since(start) / time.Duration(frames*len(fx.reqs))
+	return time.Since(start) / time.Duration(frames*len(fx.specs))
 }
 
 // TestBatchedDispatchBeatsPerCall is the regression gate for the batched
@@ -125,8 +122,8 @@ func BenchmarkWarmBatchSyncDispatch(b *testing.B) {
 	fx := newWarmDispatchFixture(b)
 	ctx := context.Background()
 	b.ResetTimer()
-	for i := 0; i < b.N; i += len(fx.reqs) {
-		if _, err := fx.c.SimulateBatchSync(ctx, fx.reqs); err != nil {
+	for i := 0; i < b.N; i += len(fx.specs) {
+		if _, err := fx.c.SimulateBatchSync(ctx, fx.specs); err != nil {
 			b.Fatal(err)
 		}
 	}

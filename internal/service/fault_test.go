@@ -47,7 +47,7 @@ func TestCorruptStoreEntryUnderLiveDaemon(t *testing.T) {
 		if corrupt {
 			truncateEntry(t, dir, specs[1])
 		}
-		got, err := c.SimulateBatchSync(ctx, specRequests(specs))
+		got, err := c.SimulateBatchSync(ctx, specs)
 		if err != nil {
 			t.Fatalf("%s store: %v", what, err)
 		}

@@ -55,7 +55,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	_, c, ts := newTestServer(t, Options{Workers: 2, Metrics: reg, TraceWriter: &trace})
 
 	spec := harness.Spec{Kernel: "gzip", Predictor: "vtage", Counters: harness.FPC}
-	if _, err := simulate(t.Context(), c, RequestFor(spec)); err != nil {
+	if _, err := simulate(t.Context(), c, spec); err != nil {
 		t.Fatal(err)
 	}
 	// A warm repeat is answered inline: it never takes a worker slot.
@@ -63,15 +63,15 @@ func TestMetricsEndToEnd(t *testing.T) {
 		return metricValue(t, scrape(t, ts.URL+"/metrics"), "repro_sched_queue_wait_seconds_count")
 	}
 	cold := queued()
-	if _, err := simulate(t.Context(), c, RequestFor(spec)); err != nil {
+	if _, err := simulate(t.Context(), c, spec); err != nil {
 		t.Fatal(err)
 	}
 	if warm := queued(); warm != cold {
 		t.Errorf("warm simulate waited for a worker slot: queue waits %s -> %s", cold, warm)
 	}
-	if _, err := c.SimulateBatchSync(t.Context(), specRequests([]harness.Spec{
+	if _, err := c.SimulateBatchSync(t.Context(), []harness.Spec{
 		{Kernel: "art", Predictor: "stride", Counters: harness.BaselineCounters},
-	})); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 

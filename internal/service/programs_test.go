@@ -55,7 +55,7 @@ func TestProgramUploadAndSimulate(t *testing.T) {
 	}
 
 	// Simulating by reference matches a direct harness run byte for byte.
-	rec, err := simulate(ctx, c, SpecRequest{Program: info.ID, Predictor: "vtage", Counters: "fpc"})
+	rec, err := simulate(ctx, c, harness.Spec{Program: info.ID, Predictor: "vtage", Counters: harness.FPC})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestUnknownProgramTypedError(t *testing.T) {
 	ctx := context.Background()
 
 	ghost := "prog:" + strings.Repeat("ab", 32)
-	_, err := simulate(ctx, c, SpecRequest{Program: ghost, Predictor: "vtage"})
+	_, err := simulate(ctx, c, harness.Spec{Program: ghost, Predictor: "vtage"})
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound || apiErr.Code != CodeUnknownProgram {
 		t.Fatalf("unknown program error = %v, want 404 %s", err, CodeUnknownProgram)
@@ -143,7 +143,7 @@ func TestUnknownProgramTypedError(t *testing.T) {
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	_, err = c.SimulateBatchSync(ctx, []SpecRequest{{Program: ghost, Predictor: "vtage"}})
+	_, err = c.SimulateBatchSync(ctx, []harness.Spec{{Program: ghost, Predictor: "vtage"}})
 	if !errors.As(err, &apiErr) || apiErr.Code != CodeUnknownProgram {
 		t.Fatalf("batch-sync unknown program error = %v, want %s", err, CodeUnknownProgram)
 	}

@@ -347,9 +347,11 @@ func (s *Server) handleBatchSync(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte{'\n'})
 }
 
-// decodeSpecs is the prelude of POST /v1/simulate/batch-sync: an empty
-// frame is 400, one over MaxBatch 413, an invalid spec a "spec %d:" 400,
-// then checkPrograms. Reports false after writing the error.
+// decodeSpecs is the prelude of POST /v1/simulate/batch-sync: a body that
+// does not decode (an unknown counters or recovery spelling included) is
+// 400, an empty frame 400, one over MaxBatch 413, an invalid spec a
+// "spec %d:" 400, then checkPrograms. The specs come back canonical.
+// Reports false after writing the error.
 func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.Spec, bool) {
 	var req BatchSyncRequest
 	if !decodeBody(w, r, &req) {
@@ -364,16 +366,15 @@ func (s *Server) decodeSpecs(w http.ResponseWriter, r *http.Request) ([]harness.
 			"batch of %d specs exceeds the %d-spec limit", len(req.Specs), s.opts.MaxBatch)
 		return nil, false
 	}
-	specs := make([]harness.Spec, len(req.Specs))
-	for i, sr := range req.Specs {
-		sp, err := sr.Spec()
-		if err != nil {
+	for i, sp := range req.Specs {
+		sp = sp.Canonical()
+		if err := sp.Validate(); err != nil {
 			apiError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return nil, false
 		}
-		specs[i] = sp
+		req.Specs[i] = sp
 	}
-	return specs, s.checkPrograms(w, specs...)
+	return req.Specs, s.checkPrograms(w, req.Specs...)
 }
 
 // runSync is the one synchronous core: admission (draining/syncWG) and the

@@ -59,19 +59,10 @@ func collect(se *harness.Session, specs []harness.Spec) ([]harness.Record, error
 	return recs, err
 }
 
-// specRequests converts harness specs to their wire form.
-func specRequests(specs []harness.Spec) []SpecRequest {
-	out := make([]SpecRequest, len(specs))
-	for i, s := range specs {
-		out[i] = RequestFor(s)
-	}
-	return out
-}
-
 // simulate runs one spec as a one-spec batch-sync frame, the form a
 // runner's Simulate sends.
-func simulate(ctx context.Context, c *client.Client, req SpecRequest) (harness.Record, error) {
-	recs, err := c.SimulateBatchSync(ctx, []SpecRequest{req})
+func simulate(ctx context.Context, c *client.Client, spec harness.Spec) (harness.Record, error) {
+	recs, err := c.SimulateBatchSync(ctx, []harness.Spec{spec})
 	if err != nil {
 		return harness.Record{}, err
 	}
@@ -87,7 +78,6 @@ func simulate(ctx context.Context, c *client.Client, req SpecRequest) (harness.R
 func TestServerEndToEndConcurrentClients(t *testing.T) {
 	_, c, _ := newTestServer(t, Options{Workers: 4})
 	specs := harness.Fig4Specs()
-	reqs := specRequests(specs)
 
 	// The sequential reference on an independent session.
 	ref := harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure})
@@ -110,7 +100,7 @@ func TestServerEndToEndConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
-			got[n], errs[n] = c.SimulateBatchSync(ctx, reqs)
+			got[n], errs[n] = c.SimulateBatchSync(ctx, specs)
 		}(n)
 	}
 	wg.Wait()
@@ -141,16 +131,16 @@ func TestServerEndToEndConcurrentClients(t *testing.T) {
 	}
 }
 
-// cancelFrameMidFlight sends reqs as one batch-sync frame, cancels the
+// cancelFrameMidFlight sends specs as one batch-sync frame, cancels the
 // request once /v1/statsz shows busy workers, and requires the frame to end
 // canceled with every worker and queued task released.
-func cancelFrameMidFlight(t *testing.T, ctx context.Context, c *client.Client, reqs []SpecRequest) {
+func cancelFrameMidFlight(t *testing.T, ctx context.Context, c *client.Client, specs []harness.Spec) {
 	t.Helper()
 	reqCtx, cancelReq := context.WithCancel(ctx)
 	defer cancelReq()
 	answered := make(chan error, 1)
 	go func() {
-		_, err := c.SimulateBatchSync(reqCtx, reqs)
+		_, err := c.SimulateBatchSync(reqCtx, specs)
 		answered <- err
 	}()
 
@@ -189,18 +179,18 @@ func TestServerCancelFreesWorkers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	var reqs []SpecRequest
+	var specs []harness.Spec
 	for _, k := range []string{"gzip", "art"} {
 		for _, p := range []string{"none", "lvp", "stride"} {
-			reqs = append(reqs, SpecRequest{Kernel: k, Predictor: p})
+			specs = append(specs, harness.Spec{Kernel: k, Predictor: p})
 		}
 	}
-	cancelFrameMidFlight(t, ctx, c, reqs)
+	cancelFrameMidFlight(t, ctx, c, specs)
 
 	// The abandoned runs must not have been memoized as failures: a
 	// follow-up simulate of the frame's first spec, in flight when the
 	// cancel landed, succeeds.
-	rec, err := simulate(ctx, c, reqs[0])
+	rec, err := simulate(ctx, c, specs[0])
 	if err != nil {
 		t.Fatalf("simulate after cancel: %v", err)
 	}
@@ -224,7 +214,7 @@ func TestAblationExperimentCancelMidSimulation(t *testing.T) {
 	if len(specs) == 0 {
 		t.Fatal("abl-hist declared no specs; the ablation is not pool-scheduled")
 	}
-	cancelFrameMidFlight(t, ctx, c, specRequests(specs))
+	cancelFrameMidFlight(t, ctx, c, specs)
 }
 
 // TestSimulateSync covers one spec on the synchronous wire, sent as a
@@ -233,20 +223,20 @@ func TestAblationExperimentCancelMidSimulation(t *testing.T) {
 // counts one memo hit per task — the spec and its baseline, the record
 // built from their results without another lookup — and no miss; bad
 // specs, unknown programs and a draining server fail with their status and
-// code; and POST /v1/simulate answers 404, since one spec is a one-spec
-// frame.
+// code, and so do spellings no harness.Spec can hold, sent as raw bodies;
+// and POST /v1/simulate answers 404, since one spec is a one-spec frame.
 func TestSimulateSync(t *testing.T) {
 	srv, c, ts := newTestServer(t, Options{})
 	ctx := context.Background()
-	req := SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc"}
-	rec, err := simulate(ctx, c, req)
+	spec := harness.Spec{Kernel: "art", Predictor: "vtage", Counters: harness.FPC}
+	rec, err := simulate(ctx, c, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Kernel != "art" || rec.Predictor != "vtage" || rec.Speedup <= 0 {
 		t.Errorf("bad record: %+v", rec)
 	}
-	frame, err := c.SimulateBatchSync(ctx, []SpecRequest{{Kernel: "art", Predictor: "none"}, req})
+	frame, err := c.SimulateBatchSync(ctx, []harness.Spec{{Kernel: "art", Predictor: "none"}, spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +244,7 @@ func TestSimulateSync(t *testing.T) {
 		t.Errorf("frames disagree:\none spec  %+v\ntwo specs %+v", rec, frame[1])
 	}
 	before := srv.Stats()
-	if _, err := simulate(ctx, c, req); err != nil {
+	if _, err := simulate(ctx, c, spec); err != nil {
 		t.Fatal(err)
 	}
 	after := srv.Stats()
@@ -262,24 +252,39 @@ func TestSimulateSync(t *testing.T) {
 		t.Errorf("warm simulate counted %d memo hits and %d misses, want 2 and 0", hits, misses)
 	}
 
-	fails := func(req SpecRequest, status int, code string) {
+	fails := func(spec harness.Spec, status int, code string) {
 		t.Helper()
-		_, err := simulate(ctx, c, req)
+		_, err := simulate(ctx, c, spec)
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status != status || apiErr.Code != code {
-			t.Errorf("spec %+v: got %v, want HTTP %d %s", req, err, status, code)
+			t.Errorf("spec %+v: got %v, want HTTP %d %s", spec, err, status, code)
 		}
 	}
-	for _, bad := range []SpecRequest{
+	for _, bad := range []harness.Spec{
 		{Kernel: "nope", Predictor: "lvp"},
 		{Kernel: "art", Predictor: "nope"},
-		{Kernel: "art", Predictor: "lvp", Counters: "nope"},
-		{Kernel: "art", Predictor: "lvp", Recovery: "nope"},
 	} {
 		fails(bad, http.StatusBadRequest, CodeBadRequest)
 	}
-	fails(SpecRequest{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"},
+	fails(harness.Spec{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"},
 		http.StatusNotFound, CodeUnknownProgram)
+	for _, tc := range []struct{ body, msg string }{
+		{`{"specs":[{"kernel":"art","predictor":"lvp","counters":"nope"}]}`,
+			`bad request body: unknown counters "nope" (have baseline, fpc)`},
+		{`{"specs":[{"kernel":"art","predictor":"lvp","recovery":"nope"}]}`,
+			`bad request body: unknown recovery "nope" (have squash, reissue)`},
+	} {
+		resp, err := http.Post(ts.URL+"/v1/simulate/batch-sync", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr APIError
+		err = json.NewDecoder(resp.Body).Decode(&apiErr)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || apiErr.Code != CodeBadRequest || apiErr.Msg != tc.msg {
+			t.Errorf("%s: HTTP %d %+v (%v), want 400 %s %q", tc.body, resp.StatusCode, apiErr, err, CodeBadRequest, tc.msg)
+		}
+	}
 
 	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json", strings.NewReader(`{"kernel":"art","predictor":"lvp"}`))
 	if err != nil {
@@ -293,7 +298,7 @@ func TestSimulateSync(t *testing.T) {
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	fails(req, http.StatusServiceUnavailable, CodeDraining)
+	fails(spec, http.StatusServiceUnavailable, CodeDraining)
 }
 
 // TestRequestBodiesAreOneValue: every JSON POST endpoint takes exactly one
@@ -354,11 +359,11 @@ func TestAdmissionLimits(t *testing.T) {
 	srv, c, _ := newTestServer(t, Options{Workers: 1, MaxBatch: 4})
 	ctx := context.Background()
 
-	big := specRequests([]harness.Spec{
+	big := []harness.Spec{
 		{Kernel: "gzip", Predictor: "none"}, {Kernel: "gzip", Predictor: "lvp"},
 		{Kernel: "art", Predictor: "none"}, {Kernel: "art", Predictor: "lvp"},
 		{Kernel: "parser", Predictor: "none"},
-	})
+	}
 	var apiErr *client.APIError
 	if _, err := c.SimulateBatchSync(ctx, big); err == nil {
 		t.Error("oversized frame accepted")
@@ -395,13 +400,12 @@ func BenchmarkServerThroughput(b *testing.B) {
 	_, c, _ := newTestServer(b, Options{Workers: 4})
 	ctx := context.Background()
 	specs := harness.DedupSpecs(harness.Fig4Specs())
-	reqs := specRequests(specs)
-	if _, err := c.SimulateBatchSync(ctx, reqs); err != nil {
+	if _, err := c.SimulateBatchSync(ctx, specs); err != nil {
 		b.Fatalf("warm frame: %v", err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.SimulateBatchSync(ctx, reqs); err != nil {
+		if _, err := c.SimulateBatchSync(ctx, specs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -414,7 +418,7 @@ func BenchmarkServerThroughput(b *testing.B) {
 func TestExtendedSpecOverWire(t *testing.T) {
 	_, c, _ := newTestServer(t, Options{})
 	ctx := context.Background()
-	rec, err := simulate(ctx, c, SpecRequest{Kernel: "art", Predictor: "vtage", Counters: "fpc", Width: 4, MaxHist: 256})
+	rec, err := simulate(ctx, c, harness.Spec{Kernel: "art", Predictor: "vtage", Counters: harness.FPC, Width: 4, MaxHist: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,18 +426,18 @@ func TestExtendedSpecOverWire(t *testing.T) {
 		t.Errorf("extended record did not round-trip: %+v", rec)
 	}
 	// An explicit vector equal to a named scheme folds onto it on the wire.
-	rec, err = simulate(ctx, c, SpecRequest{Kernel: "art", Predictor: "lvp", FPCVector: "0,4,4,4,4,5,5"})
+	rec, err = simulate(ctx, c, harness.Spec{Kernel: "art", Predictor: "lvp", FPCVec: "0,4,4,4,4,5,5"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Counters != "FPC" || rec.FPCVector != "" {
 		t.Errorf("canonicalization did not fold the explicit vector onto FPC: %+v", rec)
 	}
-	for _, bad := range []SpecRequest{
+	for _, bad := range []harness.Spec{
 		{Kernel: "art", Predictor: "lvp", Width: 99},
 		{Kernel: "art", Predictor: "lvp", MaxHist: 256},
 		{Kernel: "art", Predictor: "vtage", MaxHist: 1},
-		{Kernel: "art", Predictor: "vtage", FPCVector: "1,2,3"},
+		{Kernel: "art", Predictor: "vtage", FPCVec: "1,2,3"},
 	} {
 		var apiErr *client.APIError
 		if _, err := simulate(ctx, c, bad); err == nil {
@@ -464,7 +468,7 @@ func TestBatchSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.SimulateBatchSync(ctx, specRequests(specs))
+	got, err := c.SimulateBatchSync(ctx, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,17 +484,17 @@ func TestBatchSync(t *testing.T) {
 	} else if !errors.As(err, &apiErr) || apiErr.Status != 400 {
 		t.Errorf("empty frame: got %v, want HTTP 400", err)
 	}
-	big := make([]SpecRequest, 9)
+	big := make([]harness.Spec, 9)
 	for i := range big {
-		big[i] = RequestFor(harness.Spec{Kernel: "gzip", Predictor: "none"})
+		big[i] = harness.Spec{Kernel: "gzip", Predictor: "none"}
 	}
 	if _, err := c.SimulateBatchSync(ctx, big); err == nil {
 		t.Error("oversized batch-sync frame accepted")
 	} else if !errors.As(err, &apiErr) || apiErr.Status != 413 || apiErr.Code != CodeTooLarge {
 		t.Errorf("oversized frame: got %v, want HTTP 413 %s", err, CodeTooLarge)
 	}
-	ghost := []SpecRequest{
-		RequestFor(harness.Spec{Kernel: "gzip", Predictor: "none"}),
+	ghost := []harness.Spec{
+		{Kernel: "gzip", Predictor: "none"},
 		{Program: "prog:" + strings.Repeat("ab", 32), Predictor: "lvp"},
 	}
 	if _, err := c.SimulateBatchSync(ctx, ghost); err == nil {
@@ -534,10 +538,10 @@ func TestDrainWindowHealthz(t *testing.T) {
 	}
 	answered := make(chan answer, 1)
 	go func() {
-		recs, err := c.SimulateBatchSync(ctx, specRequests([]harness.Spec{
+		recs, err := c.SimulateBatchSync(ctx, []harness.Spec{
 			{Kernel: "gzip", Predictor: "vtage"},
 			{Kernel: "art", Predictor: "vtage"},
-		}))
+		})
 		answered <- answer{recs, err}
 	}()
 	deadline := time.Now().Add(30 * time.Second)
@@ -592,7 +596,7 @@ func TestDrainWindowHealthz(t *testing.T) {
 	}
 	// New frames are refused.
 	var apiErr *client.APIError
-	if _, err := c.SimulateBatchSync(ctx, specRequests([]harness.Spec{{Kernel: "gzip", Predictor: "none"}})); err == nil {
+	if _, err := c.SimulateBatchSync(ctx, []harness.Spec{{Kernel: "gzip", Predictor: "none"}}); err == nil {
 		t.Error("draining server accepted a batch-sync frame")
 	} else if !errors.As(err, &apiErr) || apiErr.Status != 503 || apiErr.Code != CodeDraining {
 		t.Errorf("draining batch-sync: got %v, want HTTP 503 %s", err, CodeDraining)

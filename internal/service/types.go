@@ -10,99 +10,17 @@
 // client; repro.NewServer the facade constructor.
 package service
 
-import (
-	"fmt"
-
-	"repro/internal/harness"
-	"repro/internal/pipeline"
-)
-
-// SpecRequest is the wire form of one simulation spec. Counters and
-// Recovery use the same strings as the CLIs: "baseline" (default) or "fpc",
-// and "squash" (default) or "reissue". The remaining fields are the
-// extended config key (harness.Spec): zero values mean the paper's default
-// machine, so pre-PR4 requests are unchanged. Width overrides the machine
-// width, LoadsOnly restricts prediction to loads, MaxHist overrides
-// VTAGE's history length (vtage-family predictors only), and FPCVector
-// ("0,2,2,2,2,3,3") replaces the counters-derived probability vector.
-type SpecRequest struct {
-	Kernel string `json:"kernel"`
-	// Program names the workload by content-addressed reference
-	// ("prog:<sha256>", from POST /v1/programs) instead of a builtin kernel
-	// name. Set one of Kernel and Program; a prog: reference in Kernel is
-	// also accepted (the canonical spec carries the workload there), so
-	// RequestFor round-trips program specs through the Kernel field.
-	Program   string `json:"program,omitempty"`
-	Predictor string `json:"predictor"`
-	Counters  string `json:"counters,omitempty"`
-	Recovery  string `json:"recovery,omitempty"`
-	Width     int    `json:"width,omitempty"`
-	LoadsOnly bool   `json:"loads_only,omitempty"`
-	MaxHist   int    `json:"max_hist,omitempty"`
-	FPCVector string `json:"fpc_vector,omitempty"`
-}
-
-// Spec converts the request to a canonical harness spec, validating it the
-// same way (and in the same canonical-first order) as the harness itself,
-// so the wire layer and the Go API accept exactly the same configurations.
-func (r SpecRequest) Spec() (harness.Spec, error) {
-	var s harness.Spec
-	s.Kernel, s.Program, s.Predictor = r.Kernel, r.Program, r.Predictor
-	switch r.Counters {
-	case "", "baseline":
-		s.Counters = harness.BaselineCounters
-	case "fpc", "FPC":
-		s.Counters = harness.FPC
-	default:
-		return s, fmt.Errorf("unknown counters %q (have baseline, fpc)", r.Counters)
-	}
-	switch r.Recovery {
-	case "", "squash":
-		s.Recovery = pipeline.SquashAtCommit
-	case "reissue":
-		s.Recovery = pipeline.SelectiveReissue
-	default:
-		return s, fmt.Errorf("unknown recovery %q (have squash, reissue)", r.Recovery)
-	}
-	s.Width = r.Width
-	s.LoadsOnly = r.LoadsOnly
-	s.MaxHist = r.MaxHist
-	s.FPCVec = r.FPCVector
-	s = s.Canonical()
-	if err := s.Validate(); err != nil {
-		return s, err
-	}
-	return s, nil
-}
-
-// RequestFor is Spec's inverse: the wire form of a harness spec. It is the
-// one place the counters/recovery strings are produced (clients, benchmarks
-// and tests all go through it, so the wire vocabulary cannot drift).
-func RequestFor(s harness.Spec) SpecRequest {
-	counters := "baseline"
-	if s.Counters == harness.FPC {
-		counters = "fpc"
-	}
-	return SpecRequest{
-		Kernel:    s.Kernel,
-		Predictor: s.Predictor,
-		Counters:  counters,
-		Recovery:  s.Recovery.String(),
-		Width:     s.Width,
-		LoadsOnly: s.LoadsOnly,
-		MaxHist:   s.MaxHist,
-		FPCVector: s.FPCVec,
-	}
-}
+import "repro/internal/harness"
 
 // BatchSyncRequest is a spec frame, {"specs":[...]}: the body of POST
 // /v1/simulate/batch-sync, the batched synchronous wire framing (DESIGN.md
 // §12). One request carries many specs and one response carries their
 // records in request order, so the HTTP round trip — the dominant cost of
 // warm, memo-served dispatch — is amortized over the whole frame instead of
-// paid per spec.
+// paid per spec. Each spec object is harness.Spec's JSON form (DESIGN.md
+// §6.1).
 type BatchSyncRequest struct {
-	Specs []SpecRequest `json:"specs"`
+	Specs []harness.Spec `json:"specs"`
 }
 
 // BatchSyncResponse answers a batch-sync frame: Records[i] is the flattened
@@ -125,7 +43,7 @@ type ProgramRequest struct {
 }
 
 // ProgramInfo describes one registered program: the workload string to put
-// in SpecRequest.Program (a prog: reference — or a builtin kernel name, when
+// in a spec's Program (a prog: reference — or a builtin kernel name, when
 // the upload was byte-identical to that builtin), plus display metadata.
 type ProgramInfo struct {
 	ID    string `json:"id"`

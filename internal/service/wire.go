@@ -8,11 +8,12 @@ import (
 	"strconv"
 
 	"repro/internal/harness"
+	"repro/internal/pipeline"
 	"repro/internal/wirejson"
 )
 
 // Hand-rolled JSON codecs for the batched wire path (DESIGN.md §12.3): a
-// batch-sync frame carries thousands of spec requests in and records out,
+// batch-sync frame carries thousands of specs in and records out,
 // and encoding/json's per-element machinery (scan, reflect, re-scan) was
 // the dominant cost of a warm frame on both sides. The frame types parse
 // and emit in one scanner pass; byte-compatibility and semantics match
@@ -35,113 +36,81 @@ func decodeStrict(r io.Reader, v any) error {
 	return nil
 }
 
-// appendSpecRequest appends r's JSON object, byte-compatible with the
-// reflection encoding (field order and omitempty behavior included).
-func appendSpecRequest(b []byte, r SpecRequest) []byte {
+// appendSpec appends sp's JSON object, byte-compatible with the reflection
+// encoding of harness.Spec: its field order and omitempty rules, Counters
+// and Recovery as their MarshalText spellings (plain ASCII, so quoting is
+// all the escaping they need).
+func appendSpec(b []byte, sp harness.Spec) []byte {
 	b = append(b, `{"kernel":`...)
-	b = wirejson.AppendString(b, r.Kernel)
-	if r.Program != "" {
-		b = append(b, `,"program":`...)
-		b = wirejson.AppendString(b, r.Program)
-	}
+	b = wirejson.AppendString(b, sp.Kernel)
 	b = append(b, `,"predictor":`...)
-	b = wirejson.AppendString(b, r.Predictor)
-	if r.Counters != "" {
-		b = append(b, `,"counters":`...)
-		b = wirejson.AppendString(b, r.Counters)
+	b = wirejson.AppendString(b, sp.Predictor)
+	if sp.Counters != harness.BaselineCounters {
+		text, _ := sp.Counters.MarshalText() // never fails
+		b = append(b, `,"counters":"`...)
+		b = append(append(b, text...), '"')
 	}
-	if r.Recovery != "" {
-		b = append(b, `,"recovery":`...)
-		b = wirejson.AppendString(b, r.Recovery)
+	if sp.Recovery != pipeline.SquashAtCommit {
+		text, _ := sp.Recovery.MarshalText() // never fails
+		b = append(b, `,"recovery":"`...)
+		b = append(append(b, text...), '"')
 	}
-	if r.Width != 0 {
+	if sp.Width != 0 {
 		b = append(b, `,"width":`...)
-		b = strconv.AppendInt(b, int64(r.Width), 10)
+		b = strconv.AppendInt(b, int64(sp.Width), 10)
 	}
-	if r.LoadsOnly {
+	if sp.LoadsOnly {
 		b = append(b, `,"loads_only":true`...)
 	}
-	if r.MaxHist != 0 {
+	if sp.MaxHist != 0 {
 		b = append(b, `,"max_hist":`...)
-		b = strconv.AppendInt(b, int64(r.MaxHist), 10)
+		b = strconv.AppendInt(b, int64(sp.MaxHist), 10)
 	}
-	if r.FPCVector != "" {
+	if sp.FPCVec != "" {
 		b = append(b, `,"fpc_vector":`...)
-		b = wirejson.AppendString(b, r.FPCVector)
+		b = wirejson.AppendString(b, sp.FPCVec)
+	}
+	if sp.Program != "" {
+		b = append(b, `,"program":`...)
+		b = wirejson.AppendString(b, sp.Program)
 	}
 	return append(b, '}')
 }
 
-// MarshalJSON implements json.Marshaler byte-compatibly with the default
-// reflection encoding.
-func (r SpecRequest) MarshalJSON() ([]byte, error) {
-	return appendSpecRequest(make([]byte, 0, 128), r), nil
-}
-
-// UnmarshalJSON implements json.Unmarshaler: fast scanner first, then
-// decodeStrict — so unknown fields still fail with the standard "json:
-// unknown field" error the API has always returned.
-func (r *SpecRequest) UnmarshalJSON(b []byte) error {
-	s := wirejson.NewScanner(b)
-	if req, ok := parseSpecRequest(s); ok && s.End() {
-		*r = req
-		return nil
-	}
-	type plain SpecRequest
-	var p plain
-	if err := decodeStrict(bytes.NewReader(b), &p); err != nil {
-		return err
-	}
-	*r = SpecRequest(p)
-	return nil
-}
-
-// parseSpecRequest consumes one spec-request object from s, in any key
-// order; escapes, unknown keys, or anything else report false for the
-// fallback.
-func parseSpecRequest(s *wirejson.Scanner) (SpecRequest, bool) {
-	var req SpecRequest
-	if !s.Byte('{') {
-		return req, false
-	}
-	if s.Byte('}') {
-		return req, true
-	}
-	for {
-		key, ok := s.String()
-		if !ok || !s.Byte(':') {
-			return req, false
-		}
-		switch key {
+// parseSpec consumes one spec object from s, in any key order, reading
+// Counters and Recovery through their UnmarshalText; escapes, unknown keys,
+// an unknown spelling or anything else report false for the fallback,
+// whose strict decode then reports the error.
+func parseSpec(s *wirejson.Scanner) (harness.Spec, bool) {
+	var sp harness.Spec
+	ok := s.Object(func(name []byte) bool {
+		var ok bool
+		var text []byte
+		switch string(name) {
 		case "kernel":
-			req.Kernel, ok = s.String()
-		case "program":
-			req.Program, ok = s.String()
+			sp.Kernel, ok = s.String()
 		case "predictor":
-			req.Predictor, ok = s.String()
+			sp.Predictor, ok = s.String()
 		case "counters":
-			req.Counters, ok = s.String()
+			text, ok = s.Bytes()
+			ok = ok && sp.Counters.UnmarshalText(text) == nil
 		case "recovery":
-			req.Recovery, ok = s.String()
+			text, ok = s.Bytes()
+			ok = ok && sp.Recovery.UnmarshalText(text) == nil
 		case "width":
-			req.Width, ok = s.Int()
+			sp.Width, ok = s.Int()
 		case "loads_only":
-			req.LoadsOnly, ok = s.Bool()
+			sp.LoadsOnly, ok = s.Bool()
 		case "max_hist":
-			req.MaxHist, ok = s.Int()
+			sp.MaxHist, ok = s.Int()
 		case "fpc_vector":
-			req.FPCVector, ok = s.String()
-		default:
-			return req, false
+			sp.FPCVec, ok = s.String()
+		case "program":
+			sp.Program, ok = s.String()
 		}
-		if !ok {
-			return req, false
-		}
-		if s.Byte(',') {
-			continue
-		}
-		return req, s.Byte('}')
-	}
+		return ok
+	})
+	return sp, ok
 }
 
 // MarshalJSON emits the whole frame in one pass — {"specs":[...]} — so the
@@ -157,7 +126,7 @@ func (r BatchSyncRequest) MarshalJSON() ([]byte, error) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendSpecRequest(b, sp)
+		b = appendSpec(b, sp)
 	}
 	return append(b, ']', '}'), nil
 }
@@ -180,7 +149,7 @@ func (r *BatchSyncRequest) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-func parseSpecFrame(s *wirejson.Scanner) ([]SpecRequest, bool) {
+func parseSpecFrame(s *wirejson.Scanner) ([]harness.Spec, bool) {
 	if !s.Byte('{') {
 		return nil, false
 	}
@@ -190,12 +159,12 @@ func parseSpecFrame(s *wirejson.Scanner) ([]SpecRequest, bool) {
 	if !s.Byte('[') {
 		return nil, false
 	}
-	specs := []SpecRequest{} // [] decodes to an empty slice, as in encoding/json
+	specs := []harness.Spec{} // [] decodes to an empty slice, as in encoding/json
 	if s.Byte(']') {
 		return specs, s.Byte('}')
 	}
 	for {
-		sp, ok := parseSpecRequest(s)
+		sp, ok := parseSpec(s)
 		if !ok {
 			return nil, false
 		}

@@ -1,8 +1,11 @@
 package wirejson
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -162,4 +165,84 @@ func TestScannerNumberGrammar(t *testing.T) {
 	if n, ok := NewScanner([]byte("-0")).Int64(); !ok || n != 0 {
 		t.Errorf("Int64(-0) = %d, %v", n, ok)
 	}
+}
+
+// scanMatches checks one Scanner reader, followed by End, against
+// json.Unmarshal into T over the same bytes: the same inputs accepted, with
+// the same value. The one deliberate difference is a bare null, which
+// encoding/json reads as "leave the value unchanged": the scanner rejects
+// it, so its callers fall back to encoding/json and keep that rule.
+func scanMatches[T comparable](t *testing.T, data []byte, name string, read func(*Scanner) (T, bool)) {
+	t.Helper()
+	s := NewScanner(data)
+	got, ok := read(s)
+	ok = ok && s.End()
+	var want T
+	err := json.Unmarshal(data, &want)
+	if err == nil && strings.Trim(string(data), " \t\r\n") == "null" {
+		if ok {
+			t.Fatalf("%s accepted %q", name, data)
+		}
+		return
+	}
+	if ok != (err == nil) {
+		t.Fatalf("%s(%q): scanner accepts %t, encoding/json error %v", name, data, ok, err)
+	}
+	if ok && got != want {
+		t.Fatalf("%s(%q) = %v, encoding/json reads %v", name, data, got, want)
+	}
+}
+
+// FuzzScanner pins the scanner and the appenders against encoding/json,
+// their reference: Float, Int, Int64, Uint64 and Bool, each followed by
+// End, accept exactly what json.Unmarshal into float64, int, int64, uint64
+// and bool accepts, with the same value; whatever String accepts decodes to
+// the same string through encoding/json, and a quoted run of printable
+// ASCII with no quote or backslash is always accepted; AppendString, and
+// AppendFloat on finite values, write what json.Marshal writes.
+func FuzzScanner(f *testing.F) {
+	for _, seed := range []string{
+		"0", "-0", " 7 ", "1.5e3", "-2.5E-07", "18446744073709551615", "9223372036854775808",
+		"-9223372036854775809", "1e400", "01", "1.", "-", "true", "false", " truex", "null",
+		`"plain"`, `"esc\"aped"`, `"é"`, "\"\x7f\"", "\"\xff\"", `"open`, "\x00\x00\x00\x00\x00\x00\xf0\x3f",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scanMatches(t, data, "Float", (*Scanner).Float)
+		scanMatches(t, data, "Int", (*Scanner).Int)
+		scanMatches(t, data, "Int64", (*Scanner).Int64)
+		scanMatches(t, data, "Uint64", (*Scanner).Uint64)
+		scanMatches(t, data, "Bool", (*Scanner).Bool)
+
+		s := NewScanner(data)
+		if str, ok := s.String(); ok {
+			var want string
+			if err := json.Unmarshal(data[:s.i], &want); err != nil || str != want {
+				t.Fatalf("String(%q) = %q, encoding/json reads %q (%v)", data[:s.i], str, want, err)
+			}
+		}
+		plain := []byte{'"'}
+		for _, c := range data {
+			if c >= 0x20 && c <= 0x7e && c != '"' && c != '\\' {
+				plain = append(plain, c)
+			}
+		}
+		plain = append(plain, '"')
+		if str, ok := NewScanner(plain).String(); !ok || str != string(plain[1:len(plain)-1]) {
+			t.Fatalf("String(%s) = %q, %t", plain, str, ok)
+		}
+
+		if want, _ := json.Marshal(string(data)); !bytes.Equal(AppendString(nil, string(data)), want) {
+			t.Fatalf("AppendString(%q) = %s, encoding/json = %s", data, AppendString(nil, string(data)), want)
+		}
+		if len(data) >= 8 {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+			got, ok := AppendFloat(nil, v)
+			want, err := json.Marshal(v)
+			if ok != (err == nil) || ok && !bytes.Equal(got, want) {
+				t.Fatalf("AppendFloat(%v) = %s (%t), encoding/json = %s (%v)", v, got, ok, want, err)
+			}
+		}
+	})
 }

@@ -100,7 +100,7 @@ func TestNewServerFacade(t *testing.T) {
 
 	c := NewClient(ts.URL)
 	ctx := context.Background()
-	one, err := c.SimulateBatchSync(ctx, []SpecRequest{{Kernel: "gzip", Predictor: "stride", Counters: "fpc"}})
+	one, err := c.SimulateBatchSync(ctx, []Spec{{Kernel: "gzip", Predictor: "stride", Counters: FPC}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestNewServerFacade(t *testing.T) {
 		t.Errorf("bad record over the facade: %+v", rec)
 	}
 
-	frame, err := c.SimulateBatchSync(ctx, []SpecRequest{
+	frame, err := c.SimulateBatchSync(ctx, []Spec{
 		{Kernel: "gzip", Predictor: "none"},
-		{Kernel: "gzip", Predictor: "stride", Counters: "fpc"},
+		{Kernel: "gzip", Predictor: "stride", Counters: FPC},
 	})
 	if err != nil {
 		t.Fatal(err)

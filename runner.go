@@ -88,8 +88,8 @@ type backend struct {
 	// index of the first failing spec, or -1 when fn failed or ctx ended.
 	records func(ctx context.Context, specs []Spec, fn func(Record) error) (failed int, err error)
 
-	// session returns the session spec-less experiments render on (profile
-	// traces kernels on it).
+	// session returns the session profile traces kernels on; Experiment
+	// asks for it only then.
 	session func(ctx context.Context) (*harness.Session, error)
 
 	obs *runnerObs // nil when unobserved
@@ -135,8 +135,9 @@ func (b *backend) Batch(ctx context.Context, specs []Spec, fn func(Record) error
 // Experiment renders one experiment by id into w (Runner interface): the
 // format is checked before any work, the declared spec set runs through
 // Batch, and the records render on the client (harness.RenderRecords), so
-// the bytes are identical across backends. A spec-less experiment renders
-// on the backend's session.
+// the bytes are identical across backends. The backend's session is asked
+// for only when the render traces kernels (profile), so a static table
+// needs no daemon.
 func (b *backend) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	e, ok := harness.ExperimentByID(id)
 	if !ok {
@@ -145,20 +146,16 @@ func (b *backend) Experiment(ctx context.Context, id string, o ExperimentOptions
 	if err := harness.CheckFormat(e, o.Format); err != nil {
 		return err
 	}
-	var se *harness.Session
 	var recs []Record
-	if e.Specs == nil {
-		var err error
-		if se, err = b.session(ctx); err != nil {
-			return err
+	if e.Specs != nil {
+		if err := b.Batch(ctx, e.Specs(), func(rec Record) error {
+			recs = append(recs, rec)
+			return nil
+		}); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
-	} else if err := b.Batch(ctx, e.Specs(), func(rec Record) error {
-		recs = append(recs, rec)
-		return nil
-	}); err != nil {
-		return fmt.Errorf("%s: %w", e.ID, err)
 	}
-	return harness.RenderRecords(ctx, se, e, o.Format, recs, w)
+	return harness.RenderRecords(ctx, b.session, e, o.Format, recs, w)
 }
 
 // Experiments returns the experiment index (Runner interface): the same on

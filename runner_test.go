@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -222,6 +223,41 @@ func TestRemoteRunnerTypedErrors(t *testing.T) {
 		t.Errorf("unknown experiment: remote %v, local %v; want the same error", remoteErr, localErr)
 	} else if !strings.Contains(remoteErr.Error(), "fig4") {
 		t.Errorf("unknown-experiment error does not carry the index: %v", remoteErr)
+	}
+}
+
+// TestStaticExperimentsNeedNoDaemon: an experiment that declares no specs
+// and traces no kernel reads nothing from its backend, so a remote runner
+// whose daemon is gone renders it byte-identically to a LocalRunner. Only
+// profile, which traces kernels on the backend's session, asks the daemon,
+// and it returns the transport error.
+func TestStaticExperimentsNeedNoDaemon(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+	remote := OpenRemoteRunner(closed, RunnerOptions{})
+	defer remote.Close()
+	local := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure})
+	defer local.Close()
+	ctx := context.Background()
+	for _, id := range []string{"table1", "table2", "table3", "sec3", "sec4"} {
+		var got, want bytes.Buffer
+		if err := local.Experiment(ctx, id, ExperimentOptions{}, &want); err != nil {
+			t.Fatal(err)
+		}
+		if err := remote.Experiment(ctx, id, ExperimentOptions{}, &got); err != nil {
+			t.Errorf("%s with no daemon: %v", id, err)
+		} else if got.String() != want.String() {
+			t.Errorf("%s with no daemon differs from the local render:\n--- got\n%s--- want\n%s", id, &got, &want)
+		}
+	}
+	err = remote.Experiment(ctx, "profile", ExperimentOptions{}, io.Discard)
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) {
+		t.Errorf("profile with no daemon: got %v, want the transport error", err)
 	}
 }
 
