@@ -66,7 +66,7 @@ type shard struct {
 	state atomic.Int32 // 0 up, 1 draining, 2 down
 
 	mu      sync.Mutex
-	shardID string // from healthz/statsz, for ShardStatus reporting
+	shardID string // from healthz, for ShardStatus reporting
 	lastErr error
 }
 
@@ -94,8 +94,9 @@ type ShardStatus struct {
 }
 
 // Runner is the fleet front over N vpserved shards: the records primitive
-// (Records), program registration and a render session that the public
-// ShardedRunner builds its Runner methods on. Safe for concurrent use.
+// (Records) and program registration that the public ShardedRunner builds
+// its Runner methods on. It calls a shard only to send batch-sync frames,
+// upload programs and probe health. Safe for concurrent use.
 type Runner struct {
 	opts   Options
 	shards []*shard
@@ -106,8 +107,9 @@ type Runner struct {
 	wg       sync.WaitGroup
 
 	// progs remembers every registered program's encoded bytes so any shard
-	// that has forgotten one (restart, late join after mark-down) is cured
-	// by re-upload instead of surfacing unknown_program.
+	// that missed or has forgotten one (down at registration, restart, late
+	// join after mark-down) is cured by re-upload instead of surfacing
+	// unknown_program.
 	mu    sync.Mutex
 	progs map[string][]byte
 }
@@ -262,8 +264,8 @@ func (f *Runner) markUnfit(s *shard, err error) {
 }
 
 // reupload pushes every remembered program to one shard, curing
-// unknown_program after a shard restart. Reports whether anything was
-// uploaded (i.e. whether a retry could help).
+// unknown_program after a shard restart or a missed registration upload.
+// Reports whether anything was uploaded (i.e. whether a retry could help).
 func (f *Runner) reupload(ctx context.Context, s *shard) bool {
 	f.mu.Lock()
 	encs := make([][]byte, 0, len(f.progs))
@@ -440,86 +442,26 @@ func (f *Runner) runFrame(ctx context.Context, wg *sync.WaitGroup, s *shard, can
 	}
 }
 
-// RegisterProgram validates and encodes p, uploads it to every shard, and
-// remembers the bytes so shards that restart (or were down during
-// registration) are cured on demand. The returned workload id is content-
-// addressed, so every shard answers the same id.
+// RegisterProgram names p as harness.WorkloadOf does on every backend and,
+// for a prog: reference, remembers its bytes and uploads them to every
+// shard. Upload answers are not read: a shard that missed the program
+// (down, restarted, or joined later) is cured by runFrame's unknown_program
+// re-upload, so registration fails exactly when a local one does.
 func (f *Runner) RegisterProgram(ctx context.Context, p *isa.Program) (string, error) {
-	if p == nil {
-		return "", errors.New("repro: RegisterProgram: nil program")
-	}
-	if err := isa.CheckEncodable(p); err != nil {
+	if err := ctx.Err(); err != nil {
 		return "", err
 	}
-	if err := p.Validate(); err != nil {
-		return "", fmt.Errorf("repro: invalid program: %w", err)
+	id, enc, err := harness.WorkloadOf(p)
+	if err != nil || !harness.IsProgramRef(id) {
+		return id, err
 	}
-	enc := p.Encode()
-	id := ""
-	var lastErr error
+	f.mu.Lock()
+	f.progs[id] = enc
+	f.mu.Unlock()
 	for _, s := range f.shards {
-		info, err := s.c.UploadProgram(ctx, enc)
-		if err != nil {
-			if reroute, _ := classify(err); reroute {
-				f.markUnfit(s, err)
-				lastErr = err
-				continue
-			}
-			return "", err
-		}
-		if id == "" {
-			id = info.ID
-		} else if id != info.ID {
-			return "", fmt.Errorf("fleet: shards disagree on program identity: %s vs %s", id, info.ID)
-		}
-	}
-	if id == "" {
-		return "", fmt.Errorf("fleet: no shard accepted the program: %w", lastErr)
-	}
-	if harness.IsProgramRef(id) {
-		f.mu.Lock()
-		f.progs[id] = enc
-		f.mu.Unlock()
+		_, _ = s.c.UploadProgram(ctx, enc)
 	}
 	return id, nil
-}
-
-// Session builds a fresh session at the shards' windows, read from one
-// /v1/statsz: the session spec-less experiments render on (only profile
-// reads it, to trace kernels).
-func (f *Runner) Session(ctx context.Context) (*harness.Session, error) {
-	st, err := f.stats(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return harness.NewSession(harness.SessionConfig{Warmup: st.Limits.Warmup, Measure: st.Limits.Measure}), nil
-}
-
-// stats fetches /v1/statsz from any healthy shard.
-func (f *Runner) stats(ctx context.Context) (service.ServerStats, error) {
-	var st service.ServerStats
-	err := f.onShard("fleet:stats", func(s *shard) (err error) {
-		st, err = s.c.Stats(ctx)
-		return err
-	})
-	return st, err
-}
-
-// onShard runs one single-shard call against key's shard, rerouting around
-// shards the call proves unfit (classify) up to maxAttempts; any other
-// error is the call's own and returns as is.
-func (f *Runner) onShard(key string, call func(*shard) error) error {
-	var lastErr error
-	for attempt := 0; attempt < f.maxAttempts(); attempt++ {
-		s := f.target(key)
-		err := call(s)
-		if reroute, _ := classify(err); !reroute {
-			return err
-		}
-		f.markUnfit(s, err)
-		lastErr = err
-	}
-	return fmt.Errorf("fleet: no shard could serve %s: %w", key, lastErr)
 }
 
 // Close stops the prober and releases every shard client's pooled

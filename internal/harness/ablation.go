@@ -8,13 +8,11 @@ package harness
 // figures; nothing here simulates.
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 )
 
 // ablationKernels is a small representative set: a large-gain kernel, a
@@ -72,7 +70,7 @@ func ablFPCSpecs() []Spec {
 // recovery: the Section 5 trade-off between coverage (weak counters) and
 // accuracy (strong counters), and the basis for the paper's suggestion of
 // adapting probabilities at run time.
-func runAblFPC(ctx context.Context, src *Source, w io.Writer) error {
+func runAblFPC(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE under squash-at-commit, varying confidence strength\n")
 	fmt.Fprintf(w, "%-8s", "kernel")
 	for _, p := range fpcSweep {
@@ -102,7 +100,7 @@ func runAblFPC(ctx context.Context, src *Source, w io.Writer) error {
 // runExtPredictors compares the extension predictors the paper references
 // but does not chart: the Per-Path Stride predictor (footnote 4: "on par
 // with 2D-Str") and gDiff [27] (composable global-stride prediction).
-func runExtPredictors(ctx context.Context, src *Source, w io.Writer) error {
+func runExtPredictors(src *Source, w io.Writer) error {
 	preds := []string{"stride", "ps", "vtage", "gdiff"}
 	if err := speedupMatrix(src, w, preds, FPC, pipeline.SquashAtCommit); err != nil {
 		return err
@@ -141,7 +139,7 @@ func ablHistSpecs() []Spec {
 // runAblHist sweeps VTAGE's maximum history length: too short loses
 // control-flow context, too long dilutes capacity across components and
 // slows learning — the paper picked 2..64 as "a good tradeoff".
-func runAblHist(ctx context.Context, src *Source, w io.Writer) error {
+func runAblHist(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE with FPC and squash-at-commit, varying max history length\n")
 	fmt.Fprintf(w, "%-8s", "kernel")
 	for _, mh := range maxHists {
@@ -159,24 +157,6 @@ func runAblHist(ctx context.Context, src *Source, w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 	}
-	return nil
-}
-
-// runProfile renders the workload characterization table: the evidence for
-// the Table 3 substitution argument (which predictor family each kernel is
-// built to exercise). It is trace-driven (no simulations), so it declares
-// no specs and reads kernel traces from the source's session; the context
-// check between kernels keeps it cancellable.
-func runProfile(ctx context.Context, src *Source, w io.Writer) error {
-	fmt.Fprintln(w, stats.Header())
-	for _, k := range KernelNames() {
-		tr, err := src.trace(ctx, k)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, stats.Compute(tr).Row(k))
-	}
-	fmt.Fprintln(w, "(lastv%/stride% bound what last-value and stride predictors can cover)")
 	return nil
 }
 
@@ -208,7 +188,7 @@ func ablLoadsSpecs() []Spec {
 // deployment) with classic load-value prediction only: loads carry the
 // longest latencies, but the paper's whole-instruction scope also breaks
 // ALU/FP dependence chains.
-func runAblLoads(ctx context.Context, src *Source, w io.Writer) error {
+func runAblLoads(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE-2DStr hybrid with FPC, squash-at-commit: all µops vs loads only\n")
 	fmt.Fprintf(w, "%-10s %12s %12s\n", "kernel", "all uops", "loads only")
 	for _, k := range ablLoadsKernels {
@@ -259,7 +239,7 @@ func ablWidthSpecs() []Spec {
 // runAblWidth shows the paper's premise — value prediction is a lever for
 // wide machines: on a narrower pipeline the same predictor buys less,
 // because fewer independent µops are waiting on the broken dependences.
-func runAblWidth(ctx context.Context, src *Source, w io.Writer) error {
+func runAblWidth(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "VTAGE-2DStr with FPC, squash-at-commit: speedup vs machine width\n")
 	fmt.Fprintf(w, "%-10s", "kernel")
 	for _, wd := range widthPoints {

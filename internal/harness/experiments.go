@@ -1,14 +1,11 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 
 	"repro/internal/analytic"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
 	"repro/internal/regfile"
@@ -19,14 +16,13 @@ import (
 // included — every sweep point is an extended Spec), so any backend can run
 // the whole set through its own batch path before rendering. Run is then a
 // pure read: it renders from the records of exactly that set (Source), and
-// reading a spec outside it is an error. Static tables and the
-// trace-driven profile declare nothing; profile reads kernel traces from
-// the source's session.
+// reading a spec outside it is an error. Static tables declare nothing and
+// read nothing.
 type Experiment struct {
 	ID    string
 	Title string
 	Specs func() []Spec
-	Run   func(ctx context.Context, src *Source, w io.Writer) error
+	Run   func(src *Source, w io.Writer) error
 }
 
 // ExperimentInfo is one row of the experiment index: id plus the paper
@@ -47,22 +43,18 @@ func Index() []ExperimentInfo {
 }
 
 // Source is what an experiment renders from: the records of its declared
-// spec set keyed by canonical spec, plus a getter for the session that only
-// the trace-driven profile reads, to trace kernels.
+// spec set keyed by canonical spec.
 type Source struct {
-	recs    map[Spec]Record
-	session func(context.Context) (*Session, error)
-	se      *Session // session's answer, once trace has asked
+	recs map[Spec]Record
 }
 
 // newSource keys recs — the records of specs, in the same order, as
 // Session.Records or any Runner's Batch delivers them — by canonical spec.
-// session may be nil unless the experiment traces kernels (profile).
-func newSource(session func(context.Context) (*Session, error), specs []Spec, recs []Record) (*Source, error) {
+func newSource(specs []Spec, recs []Record) (*Source, error) {
 	if len(recs) != len(specs) {
 		return nil, fmt.Errorf("harness: %d records for %d declared specs", len(recs), len(specs))
 	}
-	src := &Source{recs: make(map[Spec]Record, len(specs)), session: session}
+	src := &Source{recs: make(map[Spec]Record, len(specs))}
 	for i, sp := range specs {
 		src.recs[sp.Canonical()] = recs[i]
 	}
@@ -78,23 +70,6 @@ func (src *Source) Record(spec Spec) (Record, error) {
 		return Record{}, fmt.Errorf("harness: %s is outside the experiment's declared spec set", spec.Identity())
 	}
 	return r, nil
-}
-
-// trace returns a kernel's instruction trace from the source's session,
-// which it asks the getter for on first use: a render that traces nothing
-// never needs one (through a remote backend, a daemon's answer).
-func (src *Source) trace(ctx context.Context, kernel string) (isa.Trace, error) {
-	if src.se == nil {
-		if src.session == nil {
-			return isa.Trace{}, errors.New("harness: no session to trace kernels on")
-		}
-		se, err := src.session(ctx)
-		if err != nil {
-			return isa.Trace{}, err
-		}
-		src.se = se
-	}
-	return src.se.trace(ctx, kernel)
 }
 
 // Experiments returns every experiment in DESIGN.md §5 order.
@@ -115,7 +90,6 @@ func Experiments() []Experiment {
 		{"abl-fpc", "Ablation (beyond the paper): FPC vector strength sweep", ablFPCSpecs, runAblFPC},
 		{"abl-hist", "Ablation (beyond the paper): VTAGE max history length", ablHistSpecs, runAblHist},
 		{"ext-pred", "Extension predictors (paper refs): PS and gDiff vs 2D-Str and VTAGE", extPredSpecs, runExtPredictors},
-		{"profile", "Workload characterization: mix, footprint, value locality", nil, runProfile},
 		{"abl-loads", "Ablation (beyond the paper): all-uop VP vs loads-only VP", ablLoadsSpecs, runAblLoads},
 		{"abl-width", "Ablation (beyond the paper): VP gain vs machine width", ablWidthSpecs, runAblWidth},
 	}
@@ -197,17 +171,17 @@ func ExperimentByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-func runTable1(ctx context.Context, src *Source, w io.Writer) error {
+func runTable1(src *Source, w io.Writer) error {
 	_, err := io.WriteString(w, core.FormatTable1())
 	return err
 }
 
-func runTable2(ctx context.Context, src *Source, w io.Writer) error {
+func runTable2(src *Source, w io.Writer) error {
 	_, err := io.WriteString(w, pipeline.DefaultConfig().FormatTable2())
 	return err
 }
 
-func runTable3(ctx context.Context, src *Source, w io.Writer) error {
+func runTable3(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %-22s %s\n", "Kernel", "Stands in for", "Class")
 	for _, k := range kernels.All() {
 		class := "INT"
@@ -219,7 +193,7 @@ func runTable3(ctx context.Context, src *Source, w io.Writer) error {
 	return nil
 }
 
-func runFig1(ctx context.Context, src *Source, w io.Writer) error {
+func runFig1(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %10s\n", "kernel", "b2b frac")
 	var fracs []float64
 	for _, k := range KernelNames() {
@@ -237,7 +211,7 @@ func runFig1(ctx context.Context, src *Source, w io.Writer) error {
 	return nil
 }
 
-func runFig3(ctx context.Context, src *Source, w io.Writer) error {
+func runFig3(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %8s\n", "kernel", "speedup")
 	var sp []float64
 	for _, k := range KernelNames() {
@@ -289,7 +263,7 @@ func speedupMatrixOver(src *Source, w io.Writer, kernels, preds []string, c Coun
 
 var singlePredictors = []string{"lvp", "stride", "fcm", "vtage"}
 
-func runFig4(ctx context.Context, src *Source, w io.Writer) error {
+func runFig4(src *Source, w io.Writer) error {
 	fmt.Fprintln(w, "(a) baseline 3-bit counters, squash at commit")
 	if err := speedupMatrix(src, w, singlePredictors, BaselineCounters, pipeline.SquashAtCommit); err != nil {
 		return err
@@ -298,7 +272,7 @@ func runFig4(ctx context.Context, src *Source, w io.Writer) error {
 	return speedupMatrix(src, w, singlePredictors, FPC, pipeline.SquashAtCommit)
 }
 
-func runFig5(ctx context.Context, src *Source, w io.Writer) error {
+func runFig5(src *Source, w io.Writer) error {
 	fmt.Fprintln(w, "(a) baseline 3-bit counters, selective reissue")
 	if err := speedupMatrix(src, w, singlePredictors, BaselineCounters, pipeline.SelectiveReissue); err != nil {
 		return err
@@ -307,7 +281,7 @@ func runFig5(ctx context.Context, src *Source, w io.Writer) error {
 	return speedupMatrix(src, w, singlePredictors, FPC, pipeline.SelectiveReissue)
 }
 
-func runFig6(ctx context.Context, src *Source, w io.Writer) error {
+func runFig6(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s %14s %10s %14s %10s\n",
 		"kernel", "speedup(base)", "cov(base)", "speedup(FPC)", "cov(FPC)")
 	for _, k := range KernelNames() {
@@ -327,7 +301,7 @@ func runFig6(ctx context.Context, src *Source, w io.Writer) error {
 
 var hybridPredictors = []string{"stride", "fcm", "vtage", "fcm+stride", "vtage+stride"}
 
-func runFig7(ctx context.Context, src *Source, w io.Writer) error {
+func runFig7(src *Source, w io.Writer) error {
 	fmt.Fprintln(w, "(a) speedup (FPC, squash at commit)")
 	if err := speedupMatrix(src, w, hybridPredictors, FPC, pipeline.SquashAtCommit); err != nil {
 		return err
@@ -360,7 +334,7 @@ func runFig7(ctx context.Context, src *Source, w io.Writer) error {
 // worst case, never hide one (DESIGN.md §4).
 func usedOver100(r Record) bool { return r.Coverage*float64(r.Committed) > 100 }
 
-func runAccuracy(ctx context.Context, src *Source, w io.Writer) error {
+func runAccuracy(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "%-10s", "kernel")
 	for _, p := range singlePredictors {
 		fmt.Fprintf(w, " %10s(b) %10s(F)", DisplayName(p), DisplayName(p))
@@ -394,7 +368,7 @@ func runAccuracy(ctx context.Context, src *Source, w io.Writer) error {
 	return nil
 }
 
-func runSec3(ctx context.Context, src *Source, w io.Writer) error {
+func runSec3(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "Recovery cost model, cycles gained per kilo-instruction (Trecov = Pvalue x Nmisp)\n")
 	fmt.Fprintf(w, "%-22s %8s %28s %30s\n", "mechanism", "penalty",
 		"ex.1: 40% cov, 95% acc", "ex.2: 30% cov, 99.75% acc")
@@ -406,7 +380,7 @@ func runSec3(ctx context.Context, src *Source, w io.Writer) error {
 	return nil
 }
 
-func runSec4(ctx context.Context, src *Source, w io.Writer) error {
+func runSec4(src *Source, w io.Writer) error {
 	fmt.Fprintf(w, "Register file area model (Zyuban-Kogge, area ~ (R+W)(R+2W)), issue width W=8\n")
 	fmt.Fprintf(w, "%-30s %6s %6s %10s\n", "design", "R", "W", "area (W^2)")
 	for _, sc := range regfile.Section4Scenarios(8) {
@@ -434,11 +408,9 @@ func CheckFormat(e Experiment, format string) error {
 
 // RenderRecords writes e to w in format from recs, the records of e.Specs()
 // in declared order however the backend produced them: "text" (the
-// paper-style table, rendered from a Source over recs and session), "json"
-// or "csv". It is the one render path of every backend. session is called
-// only when e traces kernels (profile), at most once, and may be nil for
-// any other experiment.
-func RenderRecords(ctx context.Context, session func(context.Context) (*Session, error), e Experiment, format string, recs []Record, w io.Writer) error {
+// paper-style table, rendered from a Source over recs), "json" or "csv". It
+// is the one render path of every backend.
+func RenderRecords(e Experiment, format string, recs []Record, w io.Writer) error {
 	if err := CheckFormat(e, format); err != nil {
 		return err
 	}
@@ -452,9 +424,9 @@ func RenderRecords(ctx context.Context, session func(context.Context) (*Session,
 	if e.Specs != nil {
 		specs = e.Specs()
 	}
-	src, err := newSource(session, specs, recs)
+	src, err := newSource(specs, recs)
 	if err == nil {
-		err = e.Run(ctx, src, w)
+		err = e.Run(src, w)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.ID, err)

@@ -102,6 +102,10 @@ func TestSpecValidate(t *testing.T) {
 		{Kernel: "art", Predictor: "vtage", MaxHist: 1},    // below MinHist
 		{Kernel: "art", Predictor: "vtage", MaxHist: 4096}, // above cap
 		{Kernel: "art", Predictor: "vtage", FPCVec: "1,2"},
+		{Kernel: "art", Predictor: "lvp", Counters: 2},  // neither baseline nor FPC
+		{Kernel: "art", Predictor: "lvp", Counters: -1}, // neither baseline nor FPC
+		{Kernel: "art", Predictor: "lvp", Recovery: 2},  // neither squash nor reissue
+		{Kernel: "art", Predictor: "lvp", Recovery: -1}, // neither squash nor reissue
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -223,20 +227,20 @@ func TestExtendedSpecsSimulate(t *testing.T) {
 }
 
 // TestExperimentsRenderFromDeclaredRecords pins DESIGN.md §5.2's "rendering
-// is a pure read" by construction. Every spec-bearing experiment renders
-// from a Source holding exactly the records of its declared spec set and no
-// session, so nothing can simulate, and the text matches a render on the
-// session that ran them (render). Dropping
-// any one declared record either leaves the text byte-identical (the
-// renderer never reads it) or fails the render with the out-of-set error,
-// never a different table; and every experiment reads at least one.
+// is a pure read" by construction. Every experiment renders from a Source
+// holding exactly the records of its declared spec set, so nothing can
+// simulate, and a spec-bearing experiment's text matches a render on the
+// session that ran them (render). Dropping any one declared record either
+// leaves the text byte-identical (the renderer never reads it) or fails the
+// render with the out-of-set error, never a different table; and every
+// spec-bearing experiment reads at least one.
 func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(500, 2_000))
 	ctx := context.Background()
 	for _, e := range Experiments() {
 		if e.Specs == nil {
-			if err := RenderRecords(ctx, sessionOf(se), e, "text", nil, io.Discard); err != nil {
+			if err := RenderRecords(e, "text", nil, io.Discard); err != nil {
 				t.Errorf("%s: spec-less render: %v", e.ID, err)
 			}
 			continue
@@ -250,14 +254,14 @@ func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 		if err := render(ctx, se, e, "text", &want); err != nil {
 			t.Fatalf("%s: render: %v", e.ID, err)
 		}
-		if err := RenderRecords(ctx, nil, e, "text", recs, &got); err != nil {
+		if err := RenderRecords(e, "text", recs, &got); err != nil {
 			t.Fatalf("%s: render from records alone: %v", e.ID, err)
 		}
 		if got.String() != want.String() {
 			t.Errorf("%s: render from records alone differs from the session render", e.ID)
 		}
 
-		full, err := newSource(nil, specs, recs)
+		full, err := newSource(specs, recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -270,7 +274,7 @@ func TestExperimentsRenderFromDeclaredRecords(t *testing.T) {
 				}
 			}
 			var sb strings.Builder
-			err := e.Run(ctx, src, &sb)
+			err := e.Run(src, &sb)
 			switch {
 			case err == nil && sb.String() != want.String():
 				t.Errorf("%s: without %s the render changed instead of failing", e.ID, drop.Identity())

@@ -343,6 +343,12 @@ func (s Spec) Validate() error {
 	if !ok {
 		return fmt.Errorf("harness: unknown predictor %q (have %v)", s.Predictor, PredictorNames)
 	}
+	if s.Counters != BaselineCounters && s.Counters != FPC {
+		return fmt.Errorf("harness: unknown counters %d (have baseline, fpc)", s.Counters)
+	}
+	if s.Recovery != pipeline.SquashAtCommit && s.Recovery != pipeline.SelectiveReissue {
+		return fmt.Errorf("harness: unknown recovery %d (have squash, reissue)", s.Recovery)
+	}
 	if s.Width < 0 || s.Width > 16 {
 		return fmt.Errorf("harness: machine width %d out of range 1..16", s.Width)
 	}

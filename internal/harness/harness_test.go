@@ -29,11 +29,6 @@ func memoLen(se *Session) int {
 	return len(se.memo)
 }
 
-// sessionOf is the session getter RenderRecords takes, answering se.
-func sessionOf(se *Session) func(context.Context) (*Session, error) {
-	return func(context.Context) (*Session, error) { return se, nil }
-}
-
 // render runs e's declared spec set on se and renders its records, as a
 // LocalRunner's Experiment does over its session.
 func render(ctx context.Context, se *Session, e Experiment, format string, w io.Writer) error {
@@ -47,7 +42,7 @@ func render(ctx context.Context, se *Session, e Experiment, format string, w io.
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}
-	return RenderRecords(ctx, sessionOf(se), e, format, recs, w)
+	return RenderRecords(e, format, recs, w)
 }
 
 func TestNewPredictorAllNames(t *testing.T) {
@@ -315,7 +310,7 @@ func TestRecoveryIrrelevantUnderFPC(t *testing.T) {
 func TestAblationExperimentsRun(t *testing.T) {
 	t.Parallel()
 	se := NewSession(testWindows(1_000, 5_000))
-	for _, id := range []string{"abl-fpc", "abl-hist", "ext-pred", "profile", "abl-loads", "abl-width"} {
+	for _, id := range []string{"abl-fpc", "abl-hist", "ext-pred", "abl-loads", "abl-width"} {
 		e, ok := ExperimentByID(id)
 		if !ok {
 			t.Fatalf("experiment %q missing", id)

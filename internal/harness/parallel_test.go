@@ -61,11 +61,11 @@ func TestRunAllDeterminism(t *testing.T) {
 	}
 	// The rendered artifacts must match byte for byte too: the fig4-style
 	// text table over these kernels and the structured JSON emission.
-	seqSrc, err := newSource(nil, specs, seqRecs)
+	seqSrc, err := newSource(specs, seqRecs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parSrc, err := newSource(nil, specs, parRecs)
+	parSrc, err := newSource(specs, parRecs)
 	if err != nil {
 		t.Fatal(err)
 	}

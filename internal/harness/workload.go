@@ -9,6 +9,7 @@ package harness
 // processes without trusting the program's display name.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -54,32 +55,39 @@ func ProgramID(p *isa.Program) string {
 	return progRefPrefix + hex.EncodeToString(sum[:])
 }
 
-// RegisterProgram adds p to the session's workload registry and returns the
-// workload string to put in Spec.Kernel (or Spec.Program). Safe for
-// concurrent use; registering the same program twice is an idempotent no-op
-// returning the same reference.
-//
-// A program byte-identical to a builtin kernel returns the builtin's name:
-// it is the same workload, so it shares the builtin's memo entries and
-// store records. A different program that merely shares a builtin's name
-// gets its own prog: reference and can never collide.
-func (se *Session) RegisterProgram(p *isa.Program) (string, error) {
+// WorkloadOf names p as every backend does, with no session: the builtin
+// kernel's name when p is byte-identical to that builtin (it is the same
+// workload, so it shares the builtin's memo entries and store records), and
+// its content-addressed "prog:<sha256>" reference otherwise, so a different
+// program that merely shares a builtin's name can never collide. enc is p's
+// binary encoding. A nil, unencodable or invalid program is an error.
+func WorkloadOf(p *isa.Program) (workload string, enc []byte, err error) {
 	if p == nil {
-		return "", errors.New("harness: RegisterProgram: nil program")
+		return "", nil, errors.New("harness: RegisterProgram: nil program")
 	}
 	if err := isa.CheckEncodable(p); err != nil {
-		return "", err
+		return "", nil, err
 	}
 	if err := p.Validate(); err != nil {
-		return "", fmt.Errorf("harness: invalid program: %w", err)
+		return "", nil, fmt.Errorf("harness: invalid program: %w", err)
 	}
-	enc := p.Encode()
+	enc = p.Encode()
+	if k, builtin := kernels.ByName(p.Name); builtin && bytes.Equal(k.Build().Encode(), enc) {
+		return p.Name, enc, nil
+	}
 	sum := sha256.Sum256(enc)
-	fp := hex.EncodeToString(sum[:])
-	if _, builtin := kernels.ByName(p.Name); builtin {
-		if kfp, ok := se.workloadFingerprint(p.Name); ok && kfp == fp {
-			return p.Name, nil
-		}
+	return progRefPrefix + hex.EncodeToString(sum[:]), enc, nil
+}
+
+// RegisterProgram adds p to the session's workload registry and returns the
+// workload string to put in Spec.Kernel (or Spec.Program), WorkloadOf's
+// name for p. Safe for concurrent use; registering the same program twice
+// is an idempotent no-op returning the same reference, and a builtin's
+// byte-identical copy registers nothing.
+func (se *Session) RegisterProgram(p *isa.Program) (string, error) {
+	id, enc, err := WorkloadOf(p)
+	if err != nil || !IsProgramRef(id) {
+		return id, err
 	}
 	// Register a private decoded copy: the caller keeps ownership of p and
 	// may mutate it afterwards without corrupting the registry.
@@ -87,7 +95,6 @@ func (se *Session) RegisterProgram(p *isa.Program) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	id := progRefPrefix + fp
 	se.mu.Lock()
 	if se.progs == nil {
 		se.progs = make(map[string]*isa.Program)

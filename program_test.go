@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -177,5 +179,56 @@ func TestProgramWarmRestartZeroMisses(t *testing.T) {
 	m := r2.MemoStats()
 	if m.Misses != 0 || m.StoreHits == 0 {
 		t.Fatalf("warm restart re-simulated: %+v", m)
+	}
+}
+
+// TestRemoteRegisterProgramNeedsNoDaemon: registration names a program the
+// same way on every backend without asking a daemon, so a remote
+// RegisterProgram fails exactly when a local one does (an ended context, a
+// nil or an invalid program), with the same error. Against a dead daemon it
+// still returns the program's id, and the first Simulate returns the
+// transport error.
+func TestRemoteRegisterProgramNeedsNoDaemon(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+	remote := OpenRemoteRunner(closed, RunnerOptions{})
+	defer remote.Close()
+	local := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure})
+	ctx := context.Background()
+
+	prog, err := GenerateProgram("memory", 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := remote.RegisterProgram(ctx, prog)
+	if err != nil || id != ProgramID(prog) {
+		t.Fatalf("RegisterProgram with no daemon = %q, %v; want %q", id, err, ProgramID(prog))
+	}
+	_, err = remote.Simulate(ctx, Spec{Program: id, Predictor: "lvp"})
+	var opErr *net.OpError
+	if !errors.As(err, &opErr) {
+		t.Errorf("Simulate with no daemon: got %v, want the transport error", err)
+	}
+
+	ended, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		p    *Program
+	}{
+		{"ended context", ended, prog},
+		{"nil program", ctx, nil},
+		{"invalid program", ctx, &Program{Name: "empty"}},
+	} {
+		_, lerr := local.RegisterProgram(tc.ctx, tc.p)
+		_, rerr := remote.RegisterProgram(tc.ctx, tc.p)
+		if lerr == nil || rerr == nil || lerr.Error() != rerr.Error() {
+			t.Errorf("%s: local %v, remote %v; want the same error", tc.name, lerr, rerr)
+		}
 	}
 }

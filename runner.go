@@ -62,10 +62,12 @@ type Runner interface {
 	// RegisterProgram promotes p to a first-class workload of this backend
 	// and returns the workload string to put in Spec.Program: normally the
 	// content-addressed "prog:<sha256>" reference, or the builtin kernel's
-	// name when p is byte-identical to one. A LocalRunner registers it on
-	// the warm session; remote backends upload it (POST /v1/programs) and
-	// re-upload transparently if a daemon restarts, so program specs
-	// behave identically across backends.
+	// name when p is byte-identical to one. Every backend names p the same
+	// way before any work, so it fails only for an ended context or a nil
+	// or invalid program. A LocalRunner registers it on the warm session;
+	// remote backends upload it (POST /v1/programs) and re-upload
+	// transparently to a daemon that missed it or restarted, so program
+	// specs behave identically across backends.
 	RegisterProgram(ctx context.Context, p *Program) (string, error)
 
 	// Close releases the runner's resources. The error is always nil today;
@@ -87,10 +89,6 @@ type backend struct {
 	// order, to fn; specs are canonicalized, not validated; on failure the
 	// index of the first failing spec, or -1 when fn failed or ctx ended.
 	records func(ctx context.Context, specs []Spec, fn func(Record) error) (failed int, err error)
-
-	// session returns the session profile traces kernels on; Experiment
-	// asks for it only then.
-	session func(ctx context.Context) (*harness.Session, error)
 
 	obs *runnerObs // nil when unobserved
 }
@@ -135,9 +133,8 @@ func (b *backend) Batch(ctx context.Context, specs []Spec, fn func(Record) error
 // Experiment renders one experiment by id into w (Runner interface): the
 // format is checked before any work, the declared spec set runs through
 // Batch, and the records render on the client (harness.RenderRecords), so
-// the bytes are identical across backends. The backend's session is asked
-// for only when the render traces kernels (profile), so a static table
-// needs no daemon.
+// the bytes are identical across backends. An experiment that declares no
+// specs reads nothing from the backend, so it needs no daemon.
 func (b *backend) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	e, ok := harness.ExperimentByID(id)
 	if !ok {
@@ -155,7 +152,7 @@ func (b *backend) Experiment(ctx context.Context, id string, o ExperimentOptions
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 	}
-	return harness.RenderRecords(ctx, b.session, e, o.Format, recs, w)
+	return harness.RenderRecords(e, o.Format, recs, w)
 }
 
 // Experiments returns the experiment index (Runner interface): the same on

@@ -48,12 +48,8 @@ func OpenLocalRunner(o RunnerOptions) (*LocalRunner, error) {
 		Warmup: o.Warmup, Measure: o.Measure, Workers: o.Workers, Store: st, Observer: observer,
 	})
 	return &LocalRunner{
-		backend: backend{
-			records: se.Records,
-			session: func(context.Context) (*harness.Session, error) { return se, nil },
-			obs:     ro,
-		},
-		se: se,
+		backend: backend{records: se.Records, obs: ro},
+		se:      se,
 	}, nil
 }
 

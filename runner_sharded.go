@@ -15,7 +15,7 @@ import (
 // LocalRunner over the same specs and windows — sharding changes where a
 // simulation runs, never what it computes. Safe for concurrent use.
 type ShardedRunner struct {
-	backend // records: the fleet's scatter/gather; session: one at the shards' windows
+	backend // records: the fleet's scatter/gather
 	f       *fleet.Runner
 }
 
@@ -64,7 +64,7 @@ func openFleet(shards []string, o RunnerOptions, label string) (*ShardedRunner, 
 		tracer = obs.NewTracer(o.TraceWriter)
 	}
 	return &ShardedRunner{
-		backend: backend{records: f.Records, session: f.Session, obs: newRunnerObs(o.Metrics, tracer, label)},
+		backend: backend{records: f.Records, obs: newRunnerObs(o.Metrics, tracer, label)},
 		f:       f,
 	}, nil
 }
@@ -77,9 +77,10 @@ func (r *ShardedRunner) Shards() []fleet.ShardStatus { return r.f.Shards() }
 // the background prober's next tick (a one-shard fleet runs no prober).
 func (r *ShardedRunner) ProbeShards(ctx context.Context) { r.f.ProbeOnce(ctx) }
 
-// RegisterProgram uploads p to every shard and remembers its bytes for
-// re-upload self-healing (Runner interface). The content-addressed workload
-// id is the same on every shard and every backend.
+// RegisterProgram names p as every backend does, uploads a prog: reference
+// to every shard and remembers its bytes for re-upload self-healing (Runner
+// interface). No shard's answer is needed, so a dead fleet still returns
+// the id and the first simulation reports the transport error.
 func (r *ShardedRunner) RegisterProgram(ctx context.Context, p *Program) (string, error) {
 	return r.f.RegisterProgram(ctx, p)
 }

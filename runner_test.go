@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/kernels"
 )
 
 // runnerWindows are small enough for -short while still exercising real
@@ -181,21 +183,31 @@ func TestRunnerBatchCallbackAbort(t *testing.T) {
 }
 
 // TestRunnerValidatesSpecs: both backends reject invalid specs before (or
-// at) the wire, with the shared harness validation error.
+// at) the wire, with the shared harness validation error. Counters and
+// Recovery outside their two values are invalid too: a backend would
+// otherwise simulate one machine and record (or send) the other's name.
 func TestRunnerValidatesSpecs(t *testing.T) {
 	local, remote := newBackends(t)
 	ctx := context.Background()
-	bad := Spec{Kernel: "art", Predictor: "lvp", MaxHist: 256} // max_hist is vtage-only
-	for _, tc := range []struct {
-		name string
-		r    Runner
-	}{{"local", local}, {"remote", remote}} {
-		if _, err := tc.r.Simulate(ctx, bad); err == nil || !strings.Contains(err.Error(), "max_hist") {
-			t.Errorf("%s: bad spec error %v", tc.name, err)
-		}
-		err := tc.r.Batch(ctx, []Spec{bad}, func(Record) error { return nil })
-		if err == nil || !strings.Contains(err.Error(), "spec 0") {
-			t.Errorf("%s: bad batch error %v", tc.name, err)
+	for _, bad := range []struct {
+		spec Spec
+		want string
+	}{
+		{Spec{Kernel: "art", Predictor: "lvp", MaxHist: 256}, "max_hist"}, // max_hist is vtage-only
+		{Spec{Kernel: "art", Predictor: "lvp", Counters: 2}, "unknown counters 2"},
+		{Spec{Kernel: "art", Predictor: "lvp", Recovery: 2}, "unknown recovery 2"},
+	} {
+		for _, tc := range []struct {
+			name string
+			r    Runner
+		}{{"local", local}, {"remote", remote}} {
+			if _, err := tc.r.Simulate(ctx, bad.spec); err == nil || !strings.Contains(err.Error(), bad.want) {
+				t.Errorf("%s: Simulate(%s) error %v, want %q", tc.name, bad.spec.Identity(), err, bad.want)
+			}
+			err := tc.r.Batch(ctx, []Spec{bad.spec}, func(Record) error { return nil })
+			if err == nil || !strings.Contains(err.Error(), "spec 0") || !strings.Contains(err.Error(), bad.want) {
+				t.Errorf("%s: Batch(%s) error %v, want spec 0 and %q", tc.name, bad.spec.Identity(), err, bad.want)
+			}
 		}
 	}
 }
@@ -226,11 +238,11 @@ func TestRemoteRunnerTypedErrors(t *testing.T) {
 	}
 }
 
-// TestStaticExperimentsNeedNoDaemon: an experiment that declares no specs
-// and traces no kernel reads nothing from its backend, so a remote runner
-// whose daemon is gone renders it byte-identically to a LocalRunner. Only
-// profile, which traces kernels on the backend's session, asks the daemon,
-// and it returns the transport error.
+// TestStaticExperimentsNeedNoDaemon walks the experiment index: an
+// experiment that declares no specs reads nothing from its backend, so a
+// remote runner whose daemon is gone renders it byte-identically to a
+// LocalRunner; one that declares specs asks the daemon for their records
+// and returns the transport error.
 func TestStaticExperimentsNeedNoDaemon(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -243,21 +255,102 @@ func TestStaticExperimentsNeedNoDaemon(t *testing.T) {
 	local := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure})
 	defer local.Close()
 	ctx := context.Background()
-	for _, id := range []string{"table1", "table2", "table3", "sec3", "sec4"} {
+	for _, e := range harness.Experiments() {
 		var got, want bytes.Buffer
-		if err := local.Experiment(ctx, id, ExperimentOptions{}, &want); err != nil {
+		err := remote.Experiment(ctx, e.ID, ExperimentOptions{}, &got)
+		if e.Specs != nil {
+			var opErr *net.OpError
+			if !errors.As(err, &opErr) {
+				t.Errorf("%s with no daemon: got %v, want the transport error", e.ID, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s with no daemon: %v", e.ID, err)
+			continue
+		}
+		if err := local.Experiment(ctx, e.ID, ExperimentOptions{}, &want); err != nil {
 			t.Fatal(err)
 		}
-		if err := remote.Experiment(ctx, id, ExperimentOptions{}, &got); err != nil {
-			t.Errorf("%s with no daemon: %v", id, err)
-		} else if got.String() != want.String() {
-			t.Errorf("%s with no daemon differs from the local render:\n--- got\n%s--- want\n%s", id, &got, &want)
+		if got.String() != want.String() {
+			t.Errorf("%s with no daemon differs from the local render:\n--- got\n%s--- want\n%s", e.ID, &got, &want)
 		}
 	}
-	err = remote.Experiment(ctx, "profile", ExperimentOptions{}, io.Discard)
-	var opErr *net.OpError
-	if !errors.As(err, &opErr) {
-		t.Errorf("profile with no daemon: got %v, want the transport error", err)
+}
+
+// TestRemoteRunnerReachesDaemonOnlyForRecordsAndUploads pins what a remote
+// backend asks its daemon for: a records frame or a program upload, nothing
+// else. Through a path-recording handler in front of one daemon, the runner
+// registers a copy of builtin mcf (named "mcf", as on a LocalRunner, and
+// registering nothing on the daemon) and a generated program, renders every
+// experiment in the index in every format, and runs a batch over the
+// program; every request the daemon sees is POST /v1/simulate/batch-sync or
+// POST /v1/programs.
+func TestRemoteRunnerReachesDaemonOnlyForRecordsAndUploads(t *testing.T) {
+	srv, err := NewServer(ServerOptions{Warmup: 200, Measure: 800, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path]++
+		mu.Unlock()
+		srv.ServeHTTP(w, r)
+	}))
+	remote := OpenRemoteRunner(ts.URL, RunnerOptions{})
+	local := NewLocalRunner(RunnerOptions{Warmup: 200, Measure: 800, Workers: 2})
+	t.Cleanup(func() {
+		local.Close()
+		remote.Close()
+		ts.Close()
+		srv.Close()
+	})
+	ctx := context.Background()
+
+	k, _ := kernels.ByName("mcf")
+	for _, r := range []Runner{local, remote} {
+		if id, err := r.RegisterProgram(ctx, k.Build()); err != nil || id != "mcf" {
+			t.Errorf("%T: builtin mcf's copy registered as %q, %v; want \"mcf\"", r, id, err)
+		}
+	}
+	if n := srv.Stats().Programs; n != 0 {
+		t.Errorf("daemon holds %d programs after a builtin's copy registered, want 0", n)
+	}
+	prog, err := GenerateProgram("mixed", 29)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := remote.RegisterProgram(ctx, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range harness.Experiments() {
+		for _, format := range []string{"text", "json", "csv"} {
+			err := remote.Experiment(ctx, e.ID, ExperimentOptions{Format: format}, io.Discard)
+			if (err == nil) != (e.Specs != nil || format == "text") {
+				t.Errorf("%s %s: %v", e.ID, format, err)
+			}
+		}
+	}
+	specs := []Spec{{Program: id, Predictor: "none"}, {Program: id, Predictor: "vtage", Counters: FPC}}
+	if err := remote.Batch(ctx, specs, func(Record) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	allowed := []string{"POST /v1/simulate/batch-sync", "POST /v1/programs"}
+	for _, req := range allowed {
+		if seen[req] == 0 {
+			t.Errorf("the daemon never saw %s (saw %v)", req, seen)
+		}
+	}
+	for req, n := range seen {
+		if req != allowed[0] && req != allowed[1] {
+			t.Errorf("the runner asked the daemon for %s (%d times); it may send only records frames and uploads", req, n)
+		}
 	}
 }
 
