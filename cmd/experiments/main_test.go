@@ -295,4 +295,17 @@ func TestCorpusSweepBackends(t *testing.T) {
 	if code := run(context.Background(), []string{"-corpus", dir, "-run", "fig1"}, &out, &errb); code != 2 {
 		t.Errorf("-corpus with -run exited %d, want 2", code)
 	}
+
+	// A program the emulator cannot run fails the sweep with Validate's
+	// message, naming the file, before anything simulates.
+	bad := t.TempDir()
+	if err := os.WriteFile(filepath.Join(bad, "unrunnable.vasm"), []byte("add r1, -, r2\njmp @0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errb.Reset()
+	args := []string{"-corpus", bad, "-pred", "lvp", "-warmup", "500", "-measure", "2000"}
+	if code := run(context.Background(), args, &out, &errb); code != 1 ||
+		!strings.Contains(errb.String(), "unrunnable.vasm: ") || !strings.Contains(errb.String(), "reads Src1, which names no register") {
+		t.Errorf("unrunnable corpus exited %d (stderr %q), want 1 with the file and the validation message", code, errb.String())
+	}
 }

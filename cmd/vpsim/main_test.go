@@ -231,6 +231,17 @@ func TestProgramFlagUsageErrors(t *testing.T) {
 			t.Errorf("run(%v) exited %d (stderr %q), want 2", args, code, errb)
 		}
 	}
+
+	// A program the emulator cannot run is refused with Validate's message,
+	// naming the file, before anything simulates.
+	unrunnable := filepath.Join(dir, "unrunnable.vasm")
+	if err := writeFile(unrunnable, []byte("add r1, -, r2\njmp @0\n")); err != nil {
+		t.Fatal(err)
+	}
+	_, errb, code := runArgs(t, append([]string{"-program", unrunnable, "-pred", "lvp"}, shortWindows...)...)
+	if code != 2 || !strings.Contains(errb, unrunnable+": ") || !strings.Contains(errb, "reads Src1, which names no register") {
+		t.Errorf("unrunnable program exited %d (stderr %q), want 2 with the file and the validation message", code, errb)
+	}
 }
 
 // TestProgramUploadsToServer: -program with -server must match the local

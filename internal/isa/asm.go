@@ -1,9 +1,12 @@
 package isa
 
 // Text assembly: a line-oriented, human-writable rendering of Program that
-// round-trips byte-exactly through the binary codec — for every program p,
-// Assemble(Disassemble(p)) encodes to the same bytes as p (pinned against
-// every builtin kernel in asm_test.go). The grammar mirrors Inst.String:
+// round-trips byte-exactly through the binary codec: for every program p
+// that Validate accepts and whose name fits a .name line (one line, no ';',
+// no surrounding spaces), Assemble(Disassemble(p)) encodes to the same bytes
+// as p (pinned against every builtin kernel and a grid of instructions in
+// asm_test.go). Instructions are written in the operand forms of opForms
+// (op.go), the one table the assembler, the disassembler and Validate read:
 //
 //	# whole-line comment; ';' comments to end of line anywhere
 //	.name gzip            program name (optional; overrides the default)
@@ -11,8 +14,10 @@ package isa
 //	.reg r1 4096          initial register value
 //	.data 4096 1 2 3      seed memory: byte address, then 64-bit words
 //	loop:                 label (binds the next instruction's index)
-//	add r1, r2, r3        three-register ALU
-//	add r1, r2, #5        immediate ALU (Src2 = NoReg)
+//	add r1, r2, r3        integer ALU, registers
+//	add r1, r2, #5        integer ALU, immediate (Src2 = NoReg)
+//	mul r1, r2, r3, #7    a trailing immediate fills Imm (FP ops too)
+//	fadd f1, f2, f3       FP binary ops always take a register Src2
 //	movi r1, #42          load immediate
 //	mov r1, r2            register move (mov/fmov/fneg/fabs/i2f/f2i)
 //	ld r1, [r2+8]         load  (also [r2], [r2-8])
@@ -22,10 +27,12 @@ package isa
 //	jmp loop / jr r1 / call r31, fn / ret r31 / nop / halt
 //	raw 1 2 3 255 -7      escape hatch: op dst src1 src2 imm, all numeric
 //
-// Numbers accept Go literal syntax (0x.., 0o.., decimal). Disassemble emits
-// the canonical form above with absolute @N branch targets; `raw` appears
-// only for decodable-but-unidiomatic field combinations (e.g. a nop with
-// register fields), so arbitrary Decode output still round-trips.
+// '-' names no register: a destination of '-' discards the result, and
+// Validate refuses it where the opcode reads a register. Numbers accept Go
+// literal syntax (0x.., 0o.., decimal). Disassemble emits each instruction
+// in the first form whose text parses back to the same fields, with
+// absolute @N branch targets; `raw` appears only for decodable-but-
+// unidiomatic field combinations (e.g. a nop with register fields).
 
 import (
 	"bytes"
@@ -201,8 +208,8 @@ func asmDirective(p *Program, fixups *[]fixup, lineNo int, line string) error {
 	return nil
 }
 
-// asmInst parses one instruction line into the exact field encoding the
-// builder would emit, plus a label fixup when the target is symbolic.
+// asmInst parses one instruction line by the first form of its opcode the
+// operands match, plus a label fixup when the target is symbolic.
 func asmInst(lineNo int, line string, pc int) (Inst, *fixup, error) {
 	mnem := line
 	rest := ""
@@ -218,12 +225,6 @@ func asmInst(lineNo int, line string, pc int) (Inst, *fixup, error) {
 	}
 	fail := func(format string, args ...any) (Inst, *fixup, error) {
 		return Inst{}, nil, asmError(lineNo, format, args...)
-	}
-	want := func(n int) error {
-		if len(ops) != n {
-			return asmError(lineNo, "%s takes %d operands, got %d", mnem, n, len(ops))
-		}
-		return nil
 	}
 
 	if mnem == "raw" {
@@ -253,183 +254,97 @@ func asmInst(lineNo int, line string, pc int) (Inst, *fixup, error) {
 	if !ok {
 		return fail("unknown mnemonic %q", mnem)
 	}
-
-	// target parses a branch destination: @N absolute, or a label (returned
-	// as a fixup against this instruction).
-	var f *fixup
-	target := func(tok string) (int64, error) {
-		if strings.HasPrefix(tok, "@") {
-			return strconv.ParseInt(tok[1:], 0, 64)
+	forms := opForms[op]
+	var err error
+	for _, f := range forms {
+		if len(f) != len(ops) {
+			continue
 		}
-		if !isLabelName(tok) {
-			return 0, fmt.Errorf("bad target %q", tok)
+		in, label, ferr := parseForm(op, f, ops)
+		switch {
+		case ferr == nil && label != "":
+			return in, &fixup{line: lineNo, label: label, pc: pc}, nil
+		case ferr == nil:
+			return in, nil, nil
+		case err == nil:
+			err = ferr
 		}
-		f = &fixup{line: lineNo, label: tok, pc: pc}
-		return 0, nil
 	}
+	if err != nil {
+		return fail("%v", err)
+	}
+	if n := len(forms[len(forms)-1]); n != len(forms[0]) {
+		return fail("%s takes %d operands (or %d), got %d", mnem, len(forms[0]), n, len(ops))
+	}
+	return fail("%s takes %d operands, got %d", mnem, len(forms[0]), len(ops))
+}
 
-	switch {
-	case op == NOP || op == HALT:
-		if err := want(0); err != nil {
-			return Inst{}, nil, err
-		}
-		return Inst{Op: op}, nil, nil
-
-	case op == MOVI:
-		if err := want(2); err != nil {
-			return Inst{}, nil, err
-		}
-		d, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, err := parseImm(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return Inst{Op: op, Dst: d, Src1: NoReg, Src2: NoReg, Imm: imm}, nil, nil
-
-	case op == MOV || op == FMOV || op == FNEG || op == FABS || op == I2F || op == F2I:
-		if err := want(2); err != nil {
-			return Inst{}, nil, err
-		}
-		d, err1 := parseReg(ops[0])
-		s, err2 := parseReg(ops[1])
-		if err1 != nil || err2 != nil {
-			return fail("bad register in %q", line)
-		}
-		return Inst{Op: op, Dst: d, Src1: s, Src2: NoReg}, nil, nil
-
-	case op == LD || op == FLD:
-		if err := want(2); err != nil {
-			return Inst{}, nil, err
-		}
-		d, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		base, idx, off, err := parseMem(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		if idx != NoReg {
-			return fail("%s takes a base+offset address; use ldx for base+index", mnem)
-		}
-		return Inst{Op: op, Dst: d, Src1: base, Src2: NoReg, Imm: off}, nil, nil
-
-	case op == LDX:
-		if err := want(2); err != nil {
-			return Inst{}, nil, err
-		}
-		d, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		base, idx, off, err := parseMem(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		if idx == NoReg || off != 0 {
-			return fail("ldx takes a [base+index] address")
-		}
-		return Inst{Op: op, Dst: d, Src1: base, Src2: idx}, nil, nil
-
-	case op == ST || op == FST:
-		if err := want(2); err != nil {
-			return Inst{}, nil, err
-		}
-		base, idx, off, err := parseMem(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		if idx != NoReg {
-			return fail("%s takes a base+offset address", mnem)
-		}
-		src, err := parseReg(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return Inst{Op: op, Dst: NoReg, Src1: base, Src2: src, Imm: off}, nil, nil
-
-	case IsConditional(op):
-		if err := want(3); err != nil {
-			return Inst{}, nil, err
-		}
-		s1, err1 := parseReg(ops[0])
-		s2, err2 := parseReg(ops[1])
-		if err1 != nil || err2 != nil {
-			return fail("bad register in %q", line)
-		}
-		imm, err := target(ops[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return Inst{Op: op, Dst: NoReg, Src1: s1, Src2: s2, Imm: imm}, f, nil
-
-	case op == JMP:
-		if err := want(1); err != nil {
-			return Inst{}, nil, err
-		}
-		imm, err := target(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return Inst{Op: op, Dst: NoReg, Src1: NoReg, Src2: NoReg, Imm: imm}, f, nil
-
-	case op == JR || op == RET:
-		if err := want(1); err != nil {
-			return Inst{}, nil, err
-		}
-		s, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return Inst{Op: op, Dst: NoReg, Src1: s, Src2: NoReg}, nil, nil
-
-	case op == CALL:
-		if err := want(2); err != nil {
-			return Inst{}, nil, err
-		}
-		link, err := parseReg(ops[0])
-		if err != nil {
-			return fail("%v", err)
-		}
-		imm, err := target(ops[1])
-		if err != nil {
-			return fail("%v", err)
-		}
-		return Inst{Op: op, Dst: link, Src1: NoReg, Src2: NoReg, Imm: imm}, f, nil
-
-	default: // three-operand ALU / FP, with optional immediate forms
-		if len(ops) != 3 && len(ops) != 4 {
-			return fail("%s takes 3 operands (or 4 with a trailing immediate), got %d", mnem, len(ops))
-		}
-		d, err1 := parseReg(ops[0])
-		s1, err2 := parseReg(ops[1])
-		if err1 != nil || err2 != nil {
-			return fail("bad register in %q", line)
-		}
-		if strings.HasPrefix(ops[2], "#") { // immediate form: Src2 = NoReg
-			if len(ops) != 3 {
-				return fail("immediate %s takes 3 operands", mnem)
+// parseForm parses operand texts written in form f into an instruction of
+// op. A symbolic branch target comes back as label, for the caller to
+// resolve.
+func parseForm(op Op, f form, ops []string) (in Inst, label string, err error) {
+	in.Op = op
+	if len(f) > 0 {
+		in.Dst, in.Src1, in.Src2 = NoReg, NoReg, NoReg
+	}
+	for i, o := range f {
+		tok := ops[i]
+		switch o {
+		case oDst:
+			in.Dst, err = parseReg(tok)
+		case oSrc1:
+			in.Src1, err = parseReg(tok)
+		case oSrc2, oSrc2Opt:
+			in.Src2, err = parseReg(tok)
+		case oImm:
+			in.Imm, err = parseImm(tok)
+		case oMem:
+			var idx Reg
+			if in.Src1, idx, in.Imm, err = parseMem(tok); err == nil && idx != NoReg {
+				err = fmt.Errorf("bad address %q (want [reg], [reg+off] or [reg-off])", tok)
 			}
-			imm, err := parseImm(ops[2])
-			if err != nil {
-				return fail("%v", err)
+		case oMemX:
+			var off int64
+			if in.Src1, in.Src2, off, err = parseMem(tok); err == nil && (in.Src2 == NoReg || off != 0) {
+				err = fmt.Errorf("bad address %q (want [reg+reg])", tok)
 			}
-			return Inst{Op: op, Dst: d, Src1: s1, Src2: NoReg, Imm: imm}, nil, nil
-		}
-		s2, err := parseReg(ops[2])
-		if err != nil {
-			return fail("%v", err)
-		}
-		var imm int64
-		if len(ops) == 4 {
-			if imm, err = parseImm(ops[3]); err != nil {
-				return fail("%v", err)
+		case oTarget:
+			switch {
+			case strings.HasPrefix(tok, "@"):
+				if in.Imm, err = strconv.ParseInt(tok[1:], 0, 64); err != nil {
+					err = fmt.Errorf("bad target %q", tok)
+				}
+			case isLabelName(tok):
+				label = tok
+			default:
+				err = fmt.Errorf("bad target %q", tok)
 			}
 		}
-		return Inst{Op: op, Dst: d, Src1: s1, Src2: s2, Imm: imm}, nil, nil
+		if err != nil {
+			return Inst{}, "", err
+		}
+	}
+	return in, label, nil
+}
+
+// render writes the fields of in that operand o names, as parseForm reads
+// them back.
+func (o operand) render(in Inst) string {
+	switch o {
+	case oDst:
+		return in.Dst.String()
+	case oSrc1:
+		return in.Src1.String()
+	case oSrc2, oSrc2Opt:
+		return in.Src2.String()
+	case oImm:
+		return fmt.Sprintf("#%d", in.Imm)
+	case oMem:
+		return renderAddr(in.Src1, in.Imm)
+	case oMemX:
+		return fmt.Sprintf("[%s+%s]", in.Src1, in.Src2)
+	default: // oTarget
+		return fmt.Sprintf("@%d", in.Imm)
 	}
 }
 
@@ -556,72 +471,22 @@ func Disassemble(p *Program) []byte {
 	return b.Bytes()
 }
 
-// renderInst emits the canonical text for one instruction, falling back to
-// the raw escape for field combinations the grammar has no idiom for.
+// renderInst emits the canonical text for one instruction: the first form
+// of its opcode whose text parses back to the same fields, else the raw
+// escape.
 func renderInst(in Inst) string {
-	raw := func() string {
-		return fmt.Sprintf("raw %d %d %d %d %d", uint8(in.Op), uint8(in.Dst), uint8(in.Src1), uint8(in.Src2), in.Imm)
+	if in.Op < numOps {
+		for _, f := range opForms[in.Op] {
+			ops := make([]string, len(f))
+			for i, o := range f {
+				ops[i] = o.render(in)
+			}
+			if back, _, err := parseForm(in.Op, f, ops); err == nil && back == in {
+				return strings.TrimSpace(in.Op.String() + " " + strings.Join(ops, ", "))
+			}
+		}
 	}
-	switch {
-	case in.Op == NOP || in.Op == HALT:
-		if in.Dst != 0 || in.Src1 != 0 || in.Src2 != 0 || in.Imm != 0 {
-			return raw()
-		}
-		return in.Op.String()
-	case in.Op == MOVI:
-		if in.Src1 != NoReg || in.Src2 != NoReg {
-			return raw()
-		}
-		return fmt.Sprintf("movi %s, #%d", in.Dst, in.Imm)
-	case in.Op == MOV || in.Op == FMOV || in.Op == FNEG || in.Op == FABS || in.Op == I2F || in.Op == F2I:
-		if in.Src2 != NoReg || in.Imm != 0 {
-			return raw()
-		}
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Dst, in.Src1)
-	case in.Op == LD || in.Op == FLD:
-		if in.Src2 != NoReg {
-			return raw()
-		}
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Dst, renderAddr(in.Src1, in.Imm))
-	case in.Op == LDX:
-		if in.Imm != 0 {
-			return raw()
-		}
-		return fmt.Sprintf("ldx %s, [%s+%s]", in.Dst, in.Src1, in.Src2)
-	case in.Op == ST || in.Op == FST:
-		if in.Dst != NoReg {
-			return raw()
-		}
-		return fmt.Sprintf("%s %s, %s", in.Op, renderAddr(in.Src1, in.Imm), in.Src2)
-	case IsConditional(in.Op):
-		if in.Dst != NoReg {
-			return raw()
-		}
-		return fmt.Sprintf("%s %s, %s, @%d", in.Op, in.Src1, in.Src2, in.Imm)
-	case in.Op == JMP:
-		if in.Dst != NoReg || in.Src1 != NoReg || in.Src2 != NoReg {
-			return raw()
-		}
-		return fmt.Sprintf("jmp @%d", in.Imm)
-	case in.Op == JR || in.Op == RET:
-		if in.Dst != NoReg || in.Src2 != NoReg || in.Imm != 0 {
-			return raw()
-		}
-		return fmt.Sprintf("%s %s", in.Op, in.Src1)
-	case in.Op == CALL:
-		if in.Src1 != NoReg || in.Src2 != NoReg {
-			return raw()
-		}
-		return fmt.Sprintf("call %s, @%d", in.Dst, in.Imm)
-	default: // three-operand ALU / FP
-		if in.Src2 == NoReg {
-			return fmt.Sprintf("%s %s, %s, #%d", in.Op, in.Dst, in.Src1, in.Imm)
-		}
-		if in.Imm != 0 {
-			return fmt.Sprintf("%s %s, %s, %s, #%d", in.Op, in.Dst, in.Src1, in.Src2, in.Imm)
-		}
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.Src1, in.Src2)
-	}
+	return fmt.Sprintf("raw %d %d %d %d %d", uint8(in.Op), uint8(in.Dst), uint8(in.Src1), uint8(in.Src2), in.Imm)
 }
 
 // renderAddr formats a base+offset memory operand.

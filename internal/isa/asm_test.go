@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 )
@@ -52,6 +53,86 @@ func TestDisassembleRoundTripGenerated(t *testing.T) {
 			}
 		}
 	}
+}
+
+// gridInsts returns every instruction of every opcode whose Dst, Src1 and
+// Src2 each range over regs and whose Imm ranges over imms.
+func gridInsts(regs []isa.Reg, imms []int64) []isa.Inst {
+	var out []isa.Inst
+	for op := isa.NOP; op <= isa.HALT; op++ {
+		for _, d := range regs {
+			for _, s1 := range regs {
+				for _, s2 := range regs {
+					for _, imm := range imms {
+						out = append(out, isa.Inst{Op: op, Dst: d, Src1: s1, Src2: s2, Imm: imm})
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestInstStringCoversForms pins the form table's round trip over a grid of
+// single-instruction programs: every opcode, each register field r0, r1,
+// r31, f0, f31 or '-', and four immediates. Every program Validate accepts
+// reassembles from its disassembly to the same bytes, and Inst.String is
+// its disassembly line.
+func TestInstStringCoversForms(t *testing.T) {
+	regs := []isa.Reg{isa.R0, isa.R1, isa.R31, isa.F0, isa.F31, isa.NoReg}
+	accepted := 0
+	for _, in := range gridInsts(regs, []int64{0, 1, -8, 5}) {
+		p := &isa.Program{Insts: []isa.Inst{in}}
+		if p.Validate() != nil {
+			continue
+		}
+		accepted++
+		text := string(isa.Disassemble(p))
+		back, err := isa.Assemble("", []byte(text))
+		if err != nil {
+			t.Errorf("%q does not reassemble: %v", text, err)
+			continue
+		}
+		if !bytes.Equal(back.Encode(), p.Encode()) {
+			t.Errorf("%q reassembles to %+v, want %+v", text, back.Insts[0], in)
+		}
+		if in.String()+"\n" != text {
+			t.Errorf("String() = %q, disassembly %q", in.String(), text)
+		}
+	}
+	t.Logf("%d grid programs validate", accepted)
+}
+
+// TestValidateMatchesEmulator pins the form table against the emulator over
+// a grid: every opcode, each register field r0, r31, f0, f31 or '-', and
+// immediates 0 and 1, followed by a jmp @0, with every register set to 1.
+// Validate rejects a program exactly when emu.Trace panics on it, so no form
+// misses a register the emulator reads or names one it never reads. The one
+// exception is a division by a literal zero with no Src1 (div d, -, #0):
+// the emulator never reads Src1 there, and Validate refuses it anyway.
+func TestValidateMatchesEmulator(t *testing.T) {
+	ones := make(map[isa.Reg]uint64, isa.NumRegs)
+	for r := range isa.Reg(isa.NumRegs) {
+		ones[r] = 1
+	}
+	jmp := isa.Inst{Op: isa.JMP, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}
+	regs := []isa.Reg{isa.R0, isa.R31, isa.F0, isa.F31, isa.NoReg}
+	for _, in := range gridInsts(regs, []int64{0, 1}) {
+		p := &isa.Program{Name: "grid", Insts: []isa.Inst{in, jmp}, InitRegs: ones}
+		rejected := p.Validate() != nil
+		panicked := tracePanics(p)
+		divByZero := in.Op == isa.DIV && in.Src1 == isa.NoReg && in.Src2 == isa.NoReg && in.Imm == 0
+		if rejected != (panicked || divByZero) {
+			t.Errorf("%v: Validate rejects it: %v; emu.Trace panics: %v", in, rejected, panicked)
+		}
+	}
+}
+
+// tracePanics reports whether emu.Trace panics on p.
+func tracePanics(p *isa.Program) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	emu.Trace(p, 64)
+	return false
 }
 
 // TestAssembleBasics checks labels, directives, every operand shape, and
@@ -134,6 +215,11 @@ func TestAssembleErrors(t *testing.T) {
 		{"ldx without brackets", "ldx r4, r1, r2", "takes 2 operands"},
 		{"empty program", "# nothing", "out of range"},
 		{"dup reg init", ".reg r1 1\n.reg r1 2\nnop\njmp @0", "initialized twice"},
+		{"FP immediate", "fadd f1, f2, #5", `bad register "#5"`},
+		{"reads no register", "add r1, -, r2\njmp @0", `"add r1, -, r2" reads Src1, which names no register`},
+		{"store of no register", "st [r1], -\njmp @0", "reads Src2, which names no register"},
+		{"indexed ld", "ld r1, [r2+r3]", "bad address"},
+		{"operand count with a trailing immediate", "add r1, r2, r3, #4, #5", "add takes 3 operands (or 4), got 5"},
 	}
 	for _, tc := range cases {
 		_, err := isa.Assemble("t", []byte(tc.src))

@@ -43,19 +43,31 @@ func seedProgram() *isa.Program {
 
 // FuzzDecode round-trips arbitrary bytes through the binary program codec:
 // any input Decode accepts must Validate without panicking, re-Encode, and
-// decode back to the identical program.
+// decode back to the identical program; and any program Validate accepts
+// must run in the emulator without panicking.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VPP1"))
 	f.Add(seedProgram().Encode())
 	tiny := isa.Program{Name: "t", Insts: []isa.Inst{{Op: isa.HALT}}}
 	f.Add(tiny.Encode())
+	// Two programs the emulator cannot run: an add that reads no register,
+	// and an initial value for a register the machine does not have.
+	noSrc := isa.Program{Name: "t", Insts: []isa.Inst{
+		{Op: isa.ADD, Dst: isa.R1, Src1: isa.NoReg, Src2: isa.R2},
+		{Op: isa.JMP, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg},
+	}}
+	f.Add(noSrc.Encode())
+	badInit := isa.Program{Name: "t", Insts: []isa.Inst{{Op: isa.HALT}}, InitRegs: map[isa.Reg]uint64{200: 1}}
+	f.Add(badInit.Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := isa.Decode(data)
 		if err != nil {
 			return // structurally rejected input is a correct outcome
 		}
-		_ = p.Validate() // semantic validation must not panic
+		if p.Validate() == nil { // semantic validation must not panic
+			emu.Trace(p, 64)
+		}
 		for _, in := range p.Insts {
 			_ = in.String()
 		}

@@ -4,8 +4,8 @@ import "fmt"
 
 // Reg names an architectural register. R0..R31 are the integer registers,
 // F0..F31 the floating-point registers (held as float64 bit patterns).
-// NoReg marks an absent operand; an absent Src2 on an ALU op selects the
-// immediate operand instead.
+// NoReg marks an absent operand; an absent Src2 on an integer ALU op selects
+// the immediate operand instead.
 type Reg uint8
 
 // NumRegs is the total architectural register count (32 INT + 32 FP).
@@ -105,8 +105,8 @@ func (r Reg) String() string {
 }
 
 // Inst is one static instruction (µop). Branch targets live in Imm as
-// absolute instruction indices. ALU ops with Src2 == NoReg use Imm as the
-// second operand.
+// absolute instruction indices. Integer ALU ops with Src2 == NoReg use Imm as
+// the second operand.
 type Inst struct {
 	Op   Op
 	Dst  Reg
@@ -123,30 +123,5 @@ func (in Inst) HasDest() bool {
 	return in.Dst != NoReg && !IsControl(in.Op)
 }
 
-func (in Inst) String() string {
-	switch {
-	case in.Op == HALT || in.Op == NOP:
-		return in.Op.String()
-	case IsControl(in.Op):
-		switch ClassOf(in.Op) {
-		case ClassJump:
-			return fmt.Sprintf("%s @%d", in.Op, in.Imm)
-		case ClassJumpInd, ClassRet:
-			return fmt.Sprintf("%s %s", in.Op, in.Src1)
-		case ClassCall:
-			return fmt.Sprintf("%s %s, @%d", in.Op, in.Dst, in.Imm)
-		default:
-			return fmt.Sprintf("%s %s, %s, @%d", in.Op, in.Src1, in.Src2, in.Imm)
-		}
-	case in.Op == ST || in.Op == FST:
-		return fmt.Sprintf("%s [%s+%d], %s", in.Op, in.Src1, in.Imm, in.Src2)
-	case in.Op == LD || in.Op == FLD:
-		return fmt.Sprintf("%s %s, [%s+%d]", in.Op, in.Dst, in.Src1, in.Imm)
-	case in.Op == LDX:
-		return fmt.Sprintf("%s %s, [%s+%s]", in.Op, in.Dst, in.Src1, in.Src2)
-	case in.Src2 == NoReg:
-		return fmt.Sprintf("%s %s, %s, #%d", in.Op, in.Dst, in.Src1, in.Imm)
-	default:
-		return fmt.Sprintf("%s %s, %s, %s", in.Op, in.Dst, in.Src1, in.Src2)
-	}
-}
+// String returns the instruction's disassembly line (see Disassemble).
+func (in Inst) String() string { return renderInst(in) }

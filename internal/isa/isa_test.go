@@ -160,31 +160,41 @@ func TestValidateRejectsBadTarget(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadRegister: a register field must name one of the 64
+// registers, or NoReg where the opcode's forms allow it, and every initial
+// register must be one of the 64.
 func TestValidateRejectsBadRegister(t *testing.T) {
-	p := &Program{Name: "bad", Insts: []Inst{{Op: ADD, Dst: Reg(99), Src1: R0, Src2: R1}}}
-	if err := p.Validate(); err == nil {
-		t.Fatal("Validate accepted invalid register")
+	jmp := Inst{Op: JMP, Dst: NoReg, Src1: NoReg, Src2: NoReg}
+	cases := []struct {
+		name     string
+		in       Inst
+		initRegs map[Reg]uint64
+	}{
+		{"register 99", Inst{Op: ADD, Dst: Reg(99), Src1: R0, Src2: R1}, nil},
+		{"ALU Src1 -", Inst{Op: ADD, Dst: R1, Src1: NoReg, Src2: R2}, nil},
+		{"FP Src2 -", Inst{Op: FADD, Dst: F1, Src1: F2, Src2: NoReg, Imm: 5}, nil},
+		{"store value -", Inst{Op: ST, Dst: NoReg, Src1: R1, Src2: NoReg}, nil},
+		{"load base -", Inst{Op: LD, Dst: R1, Src1: NoReg, Src2: NoReg}, nil},
+		{"index -", Inst{Op: LDX, Dst: R1, Src1: R2, Src2: NoReg}, nil},
+		{"branch Src1 -", Inst{Op: BEQ, Dst: NoReg, Src1: NoReg, Src2: R1}, nil},
+		{"ret -", Inst{Op: RET, Dst: NoReg, Src1: NoReg, Src2: NoReg}, nil},
+		{"initial register 200", Inst{Op: NOP}, map[Reg]uint64{200: 1}},
+		{"initial register -", Inst{Op: NOP}, map[Reg]uint64{NoReg: 1}},
 	}
-}
-
-func TestInstStringCoversForms(t *testing.T) {
-	forms := []Inst{
-		{Op: ADD, Dst: R1, Src1: R2, Src2: R3},
-		{Op: ADD, Dst: R1, Src1: R2, Src2: NoReg, Imm: 4},
-		{Op: LD, Dst: R1, Src1: R2, Imm: 8},
-		{Op: LDX, Dst: R1, Src1: R2, Src2: R3},
-		{Op: ST, Src1: R2, Src2: R3, Imm: 8},
-		{Op: BEQ, Src1: R1, Src2: R2, Imm: 0},
-		{Op: JMP, Imm: 0},
-		{Op: JR, Src1: R1},
-		{Op: CALL, Dst: R31, Imm: 0},
-		{Op: RET, Src1: R31},
-		{Op: HALT},
-	}
-	for _, in := range forms {
-		if in.String() == "" {
-			t.Errorf("empty String() for %v opcode", in.Op)
+	for _, tc := range cases {
+		p := &Program{Name: "bad", Insts: []Inst{tc.in, jmp}, InitRegs: tc.initRegs}
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %v", tc.name, tc.in)
 		}
+	}
+	ok := &Program{Name: "ok", Insts: []Inst{
+		{Op: ADD, Dst: NoReg, Src1: R1, Src2: NoReg}, // '-' destination, immediate operand
+		{Op: BEQ, Dst: NoReg, Src1: R1, Src2: NoReg}, // compare with zero
+		{Op: ADD, Dst: F1, Src1: R2, Src2: R3},       // no register classes
+		jmp,
+	}, InitRegs: map[Reg]uint64{R0: 1, F31: 2}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("Validate refused a runnable program: %v", err)
 	}
 }
 

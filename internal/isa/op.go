@@ -14,8 +14,9 @@ import "fmt"
 // Op is a µop opcode.
 type Op uint8
 
-// Opcodes. Register-register forms also accept an immediate second operand
-// when Src2 == NoReg (the assembler's *I variants use this encoding).
+// Opcodes. Integer ALU ops read Imm as their second operand when Src2 ==
+// NoReg (the Builder's immediate methods use this encoding); opForms says
+// which fields each opcode reads.
 const (
 	NOP Op = iota
 
@@ -149,6 +150,57 @@ var opName = [numOps]string{
 	FCMPLT: "fcmplt", LD: "ld", LDX: "ldx", ST: "st", FLD: "fld", FST: "fst",
 	BEQ: "beq", BNE: "bne", BLT: "blt", BGE: "bge", JMP: "jmp", JR: "jr",
 	CALL: "call", RET: "ret", HALT: "halt",
+}
+
+// operand is one operand of an assembly form: how it is written and which
+// instruction fields it fills.
+type operand uint8
+
+const (
+	oDst     operand = iota // Dst: a register, or '-' to discard the result
+	oSrc1                   // Src1: a register the emulator reads
+	oSrc2                   // Src2: a register the emulator reads
+	oSrc2Opt                // Src2: a register, or '-' for zero or the immediate
+	oImm                    // Imm: #imm
+	oMem                    // Src1 and Imm: [base], [base+off] or [base-off]; the base is read
+	oMemX                   // Src1 and Src2: [base+index]; both are read
+	oTarget                 // Imm: @N or a label
+)
+
+// form lists an opcode's operands in text order. A register field no
+// operand names is NoReg and an unnamed Imm is 0, except that a form with
+// no operands (nop, halt) leaves every field zero.
+type form []operand
+
+var (
+	formsNone   = []form{{}}
+	formsIntALU = []form{{oDst, oSrc1, oImm}, {oDst, oSrc1, oSrc2Opt}, {oDst, oSrc1, oSrc2Opt, oImm}}
+	formsFPALU  = []form{{oDst, oSrc1, oSrc2}, {oDst, oSrc1, oSrc2, oImm}}
+	formsUnary  = []form{{oDst, oSrc1}}
+	formsLoad   = []form{{oDst, oMem}}
+	formsStore  = []form{{oMem, oSrc2}}
+	formsBranch = []form{{oSrc1, oSrc2Opt, oTarget}}
+	formsInd    = []form{{oSrc1}}
+)
+
+// opForms lists each opcode's operand forms, preferred form first. It is
+// the one statement of which fields an opcode reads and how they are
+// written: Assemble parses by the first form the operands match,
+// Disassemble and Inst.String render the first form whose text parses back
+// to the same fields, and Validate requires every field a form reads as a
+// register to name one.
+var opForms = [numOps][]form{
+	NOP: formsNone, HALT: formsNone, MOVI: {{oDst, oImm}},
+	ADD: formsIntALU, SUB: formsIntALU, AND: formsIntALU, OR: formsIntALU,
+	XOR: formsIntALU, SHL: formsIntALU, SHR: formsIntALU, SRA: formsIntALU,
+	CMPEQ: formsIntALU, CMPLT: formsIntALU, CMPLTU: formsIntALU,
+	MUL: formsIntALU, DIV: formsIntALU, REM: formsIntALU,
+	MOV: formsUnary, FMOV: formsUnary, FNEG: formsUnary, FABS: formsUnary,
+	I2F: formsUnary, F2I: formsUnary,
+	FADD: formsFPALU, FSUB: formsFPALU, FMUL: formsFPALU, FDIV: formsFPALU, FCMPLT: formsFPALU,
+	LD: formsLoad, FLD: formsLoad, LDX: {{oDst, oMemX}}, ST: formsStore, FST: formsStore,
+	BEQ: formsBranch, BNE: formsBranch, BLT: formsBranch, BGE: formsBranch,
+	JMP: {{oTarget}}, JR: formsInd, RET: formsInd, CALL: {{oDst, oTarget}},
 }
 
 // ClassOf returns the execution class of op.

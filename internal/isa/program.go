@@ -18,11 +18,19 @@ type Program struct {
 	InitRegs map[Reg]uint64
 }
 
-// Validate checks structural well-formedness: branch targets in range,
-// operand register classes consistent with opcodes.
+// Validate checks that the emulator can run p: every opcode is known, every
+// register field names a register or NoReg, every field its opcode's forms
+// read as a register (opForms) names one, every initial register is a
+// register, and the entry and every direct branch target are instruction
+// indices. It checks no register classes (add f1, r2, r3 is valid). It
+// refuses one program the emulator could run: a division by a literal zero
+// with no Src1 (div r1, -, #0), which never reads Src1.
 func (p *Program) Validate() error {
 	n := int64(len(p.Insts))
 	for pc, in := range p.Insts {
+		if in.Op >= numOps {
+			return fmt.Errorf("%s: pc %d: unknown opcode %d", p.Name, pc, uint8(in.Op))
+		}
 		if IsControl(in.Op) {
 			cls := ClassOf(in.Op)
 			if cls != ClassJumpInd && cls != ClassRet {
@@ -31,10 +39,18 @@ func (p *Program) Validate() error {
 				}
 			}
 		}
-		for _, r := range [...]Reg{in.Dst, in.Src1, in.Src2} {
-			if r != NoReg && !r.Valid() {
+		for i, r := range [...]Reg{in.Dst, in.Src1, in.Src2} {
+			switch {
+			case r != NoReg && !r.Valid():
 				return fmt.Errorf("%s: pc %d: invalid register %d", p.Name, pc, uint8(r))
+			case r == NoReg && readsReg[in.Op][i]:
+				return fmt.Errorf("%s: pc %d: %q reads Src%d, which names no register", p.Name, pc, in, i)
 			}
+		}
+	}
+	for r := range p.InitRegs {
+		if !r.Valid() {
+			return fmt.Errorf("%s: initial register %d is not a register", p.Name, uint8(r))
 		}
 	}
 	if int64(p.Entry) >= n {
@@ -42,6 +58,21 @@ func (p *Program) Validate() error {
 	}
 	return nil
 }
+
+// readsReg records, per opcode, whether its forms read Src1 (index 1) and
+// Src2 (index 2) as registers: the emulator indexes its register file with
+// those fields. It never reads Dst (index 0).
+var readsReg = func() (t [numOps][3]bool) {
+	for op, forms := range opForms {
+		for _, f := range forms {
+			for _, o := range f {
+				t[op][1] = t[op][1] || o == oSrc1 || o == oMem || o == oMemX
+				t[op][2] = t[op][2] || o == oSrc2 || o == oMemX
+			}
+		}
+	}
+	return t
+}()
 
 // DynInst is one dynamic µop as produced by the functional emulator: what
 // this execution of the instruction at PC adds to the static instruction.

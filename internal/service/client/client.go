@@ -1,6 +1,7 @@
 // Package client is the typed Go client for the vpserved simulation
-// service (internal/service). It wraps the /v1 JSON API: single-spec and
-// batch-sync simulation, program upload, and health and stats reads.
+// service (internal/service). It wraps the /v1 JSON API: batch-sync
+// simulation (a single spec is a one-spec frame), program upload and
+// listing, and health and stats reads.
 // Reachable from outside the module via the repro facade (repro.NewClient).
 package client
 

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,12 +153,17 @@ func TestUnknownProgramTypedError(t *testing.T) {
 	}
 }
 
-// TestProgramUploadRejects pins the 400 paths of POST /v1/programs. The
+// TestProgramUploadRejects pins the 400 bad_request paths of POST
+// /v1/programs, programs the emulator cannot run among them: a frame naming
+// one answers the curable unknown_program, and the daemon keeps serving. The
 // malformed bodies are posted raw (the typed client refuses to build them).
 func TestProgramUploadRejects(t *testing.T) {
 	t.Parallel()
-	_, _, ts := newTestServer(t, Options{Workers: 1})
+	_, c, ts := newTestServer(t, Options{Workers: 1})
 
+	jmp := isa.Inst{Op: isa.JMP, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}
+	noSrc := &isa.Program{Name: "nosrc", Insts: []isa.Inst{{Op: isa.ADD, Dst: isa.R1, Src1: isa.NoReg, Src2: isa.R2}, jmp}}
+	badInit := &isa.Program{Name: "badinit", Insts: []isa.Inst{jmp}, InitRegs: map[isa.Reg]uint64{200: 1}}
 	cases := []struct {
 		name string
 		req  ProgramRequest
@@ -167,6 +173,9 @@ func TestProgramUploadRejects(t *testing.T) {
 		{"both", ProgramRequest{Encoded: []byte("VPP1junk"), Assembly: "halt"}, "exactly one"},
 		{"bad encoding", ProgramRequest{Encoded: []byte("not a program")}, ""},
 		{"bad assembly", ProgramRequest{Assembly: "frobnicate r1, r2", Name: "t"}, "unknown"},
+		{"reads no register", ProgramRequest{Encoded: noSrc.Encode()}, "reads Src1, which names no register"},
+		{"initial register 200", ProgramRequest{Encoded: badInit.Encode()}, "initial register 200"},
+		{"FP immediate", ProgramRequest{Assembly: "fadd f1, f2, #5\njmp @0", Name: "t"}, `bad register "#5"`},
 	}
 	for _, tc := range cases {
 		body, err := json.Marshal(tc.req)
@@ -182,12 +191,36 @@ func TestProgramUploadRejects(t *testing.T) {
 			t.Fatalf("%s: bad error body: %v", tc.name, jerr)
 		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, apiErr.Msg)
+		if resp.StatusCode != http.StatusBadRequest || apiErr.Code != CodeBadRequest {
+			t.Errorf("%s: status %d code %q, want 400 %s (%s)", tc.name, resp.StatusCode, apiErr.Code, CodeBadRequest, apiErr.Msg)
 			continue
 		}
 		if tc.frag != "" && !strings.Contains(apiErr.Msg, tc.frag) {
 			t.Errorf("%s: message %q missing %q", tc.name, apiErr.Msg, tc.frag)
 		}
+	}
+
+	ctx := context.Background()
+	_, err := simulate(ctx, c, harness.Spec{Program: harness.ProgramID(noSrc), Predictor: "lvp"})
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != CodeUnknownProgram {
+		t.Fatalf("a frame naming the refused program answered %v, want %s", err, CodeUnknownProgram)
+	}
+	var specs []harness.Spec
+	for _, sp := range harness.Fig4Specs() {
+		if sp.Kernel == "art" {
+			specs = append(specs, sp)
+		}
+	}
+	got, err := c.SimulateBatchSync(ctx, specs)
+	if err != nil {
+		t.Fatalf("fig4 frame after the refusals: %v", err)
+	}
+	want, err := collect(harness.NewSession(harness.SessionConfig{Warmup: testWarmup, Measure: testMeasure}), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fig4 frame records differ from a direct run:\n got %+v\nwant %+v", got, want)
 	}
 }
