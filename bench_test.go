@@ -14,7 +14,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/ghist"
 	"repro/internal/harness"
-	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
 )
@@ -107,18 +106,18 @@ const (
 // single-scheme predictor of the paper's figures, and the headline hybrid.
 var steadyPredictors = []string{"none", "lvp", "stride", "fcm", "vtage", "vtage+stride"}
 
-// steadyTrace builds the dynamic trace for kernel, uops long.
-func steadyTrace(kernel string, uops int) (isa.Trace, error) {
+// steadyTrace builds the prepared dynamic trace for kernel, uops long.
+func steadyTrace(kernel string, uops int) (*pipeline.Prepared, error) {
 	k, ok := kernels.ByName(kernel)
 	if !ok {
-		return isa.Trace{}, fmt.Errorf("unknown kernel %q", kernel)
+		return nil, fmt.Errorf("unknown kernel %q", kernel)
 	}
-	return emu.Trace(k.Build(), uops), nil
+	return pipeline.Prepare(emu.Trace(k.Build(), uops)), nil
 }
 
 // newWarmSim builds a simulator for the named predictor over tr and runs it
 // through the warmup window, leaving it ready for timed Advance calls.
-func newWarmSim(tr isa.Trace, predictor string) (*pipeline.Sim, error) {
+func newWarmSim(tr *pipeline.Prepared, predictor string) (*pipeline.Sim, error) {
 	h := &ghist.History{}
 	pred, err := harness.NewPredictor(predictor, core.FPCCommit, h)
 	if err != nil {
@@ -143,7 +142,7 @@ func newSteadySim(tb testing.TB, kernel, predictor string, traceUops int) (*pipe
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sim, len(tr.Uops)
+	return sim, len(tr.Trace().Uops)
 }
 
 // BenchmarkSteadyStateSimulate times the simulate loop alone — construction,
@@ -248,7 +247,7 @@ func TestSpecValidationZeroAllocs(t *testing.T) {
 func TestAdvanceContinuesRun(t *testing.T) {
 	k, _ := kernels.ByName("gzip")
 	tr := emu.Trace(k.Build(), 60_000)
-	sim := pipeline.New(pipeline.DefaultConfig(), tr, nil, nil)
+	sim := pipeline.New(pipeline.DefaultConfig(), pipeline.Prepare(tr), nil, nil)
 	st, err := sim.Run(5_000, 5_000)
 	if err != nil {
 		t.Fatal(err)

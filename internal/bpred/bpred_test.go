@@ -4,40 +4,55 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/ghist"
 )
 
-// runPattern feeds TAGE a branch at pc whose outcome follows pattern
-// cyclically, training after each prediction, and returns the accuracy over
-// the last `tail` occurrences.
-func runPattern(t *Tage, h *ghist.History, pc uint64, pattern []bool, n, tail int) float64 {
+// branch is one conditional branch of a stream: its PC and outcome.
+type branch struct {
+	pc    uint64
+	taken bool
+}
+
+// lookupsOf builds the default configuration's lookups for stream.
+func lookupsOf(stream []branch) *Lookups {
+	return BuildLookups(DefaultTageConfig(), func(yield func(uint64, bool) bool) {
+		for _, b := range stream {
+			if !yield(b.pc, b.taken) {
+				return
+			}
+		}
+	})
+}
+
+// runPattern feeds TAGE n occurrences of a branch at pc whose outcome
+// follows pattern cyclically, predicting each at its history position and
+// training after it, and returns the accuracy over the last `tail`
+// occurrences.
+func runPattern(pc uint64, pattern []bool, n, tail int) float64 {
+	stream := make([]branch, n)
+	for i := range stream {
+		stream[i] = branch{pc, pattern[i%len(pattern)]}
+	}
+	t := NewTage(lookupsOf(stream))
 	correct := 0
-	for i := 0; i < n; i++ {
-		outcome := pattern[i%len(pattern)]
-		pred, m := t.Predict(pc)
-		if i >= n-tail && pred == outcome {
+	for i, b := range stream {
+		pred, m := t.Predict(b.pc, uint64(i))
+		if i >= n-tail && pred == b.taken {
 			correct++
 		}
-		t.Train(pc, outcome, &m)
-		h.Push(outcome, pc)
+		t.Train(b.pc, b.taken, &m)
 	}
 	return float64(correct) / float64(tail)
 }
 
 func TestTageAlwaysTaken(t *testing.T) {
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
-	if acc := runPattern(tg, &h, 100, []bool{true}, 200, 100); acc != 1.0 {
+	if acc := runPattern(100, []bool{true}, 200, 100); acc != 1.0 {
 		t.Errorf("always-taken accuracy = %.3f, want 1.0", acc)
 	}
 }
 
 func TestTageShortPeriodicPattern(t *testing.T) {
 	// TTN repeating — bimodal alone cannot exceed 2/3, TAGE must nail it.
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
-	if acc := runPattern(tg, &h, 100, []bool{true, true, false}, 3000, 500); acc < 0.98 {
+	if acc := runPattern(100, []bool{true, true, false}, 3000, 500); acc < 0.98 {
 		t.Errorf("TTN pattern accuracy = %.3f, want ≥ 0.98", acc)
 	}
 }
@@ -48,16 +63,13 @@ func TestTageLongPeriodicPattern(t *testing.T) {
 	for i := range pattern {
 		pattern[i] = i%3 == 0
 	}
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
-	if acc := runPattern(tg, &h, 100, pattern, 6000, 1000); acc < 0.95 {
+	if acc := runPattern(100, pattern, 6000, 1000); acc < 0.95 {
 		t.Errorf("period-17 accuracy = %.3f, want ≥ 0.95", acc)
 	}
 }
 
 func TestTageHistoryLengthsGeometric(t *testing.T) {
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
+	tg := NewTage(lookupsOf(nil))
 	if got := tg.HistLen(0); got != 4 {
 		t.Errorf("first history length = %d, want 4", got)
 	}
@@ -72,8 +84,7 @@ func TestTageHistoryLengthsGeometric(t *testing.T) {
 }
 
 func TestTageEntryBudget(t *testing.T) {
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
+	tg := NewTage(lookupsOf(nil))
 	// Paper: "15K-entry total". 8192 + 12*512 = 14336.
 	if n := tg.Entries(); n < 14000 || n > 16000 {
 		t.Errorf("TAGE entries = %d, want ≈ 15K", n)
@@ -83,28 +94,116 @@ func TestTageEntryBudget(t *testing.T) {
 func TestTageCorrelatedBranches(t *testing.T) {
 	// Branch B is always the opposite of the preceding branch A: global
 	// history correlation that bimodal can't see when A is random.
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
 	rng := rand.New(rand.NewSource(3))
-	correctB := 0
 	const n, tail = 8000, 1000
-	for i := 0; i < n; i++ {
+	stream := make([]branch, 0, 2*n)
+	for range n {
 		a := rng.Intn(2) == 0
-		predA, ma := tg.Predict(10)
-		_ = predA
-		tg.Train(10, a, &ma)
-		h.Push(a, 10)
-
-		b := !a
-		predB, mb := tg.Predict(20)
-		if i >= n-tail && predB == b {
+		stream = append(stream, branch{10, a}, branch{20, !a})
+	}
+	tg := NewTage(lookupsOf(stream))
+	correctB := 0
+	for p, b := range stream {
+		pred, m := tg.Predict(b.pc, uint64(p))
+		if b.pc == 20 && p >= 2*(n-tail) && pred == b.taken {
 			correctB++
 		}
-		tg.Train(20, b, &mb)
-		h.Push(b, 20)
+		tg.Train(b.pc, b.taken, &m)
 	}
 	if acc := float64(correctB) / tail; acc < 0.95 {
 		t.Errorf("correlated branch accuracy = %.3f, want ≥ 0.95", acc)
+	}
+}
+
+// refFold folds the newest length entries of hist (hist[len(hist)-1] is the
+// newest) into width bits from the definition, as ghist's own reference
+// does: the entry of age a, masked to width bits, enters rotated left by
+// a mod width.
+func refFold(hist []uint64, length, width int) uint64 {
+	mask := uint64(1)<<width - 1
+	var v uint64
+	for a := 0; a < length && a < len(hist); a++ {
+		e := hist[len(hist)-1-a] & mask
+		n := uint(a % width)
+		v ^= (e<<n | e>>(uint(width)-n)) & mask
+	}
+	return v
+}
+
+// refRow computes TAGE's lookup for the branch at pc after the branches of
+// prefix from the definition of every fold, with no ghist.History.
+func refRow(cfg TageConfig, prefix []branch, pc uint64) lookupRow {
+	outcomes := make([]uint64, len(prefix))
+	path := make([]uint64, len(prefix))
+	for i, b := range prefix {
+		if b.taken {
+			outcomes[i] = 1
+		}
+		path[i] = uint64(uint16(b.pc))
+	}
+	histLen, tagBits := cfg.geometry()
+	hi, ht := hash64(pc), hash64(pc^0x61C88647)
+	var r lookupRow
+	for k := range NTables {
+		L, w := histLen[k], cfg.LogTagged
+		idx := hi ^ hi>>uint(9+k) ^ refFold(outcomes, L, w) ^ refFold(path, min(L, 16), w)
+		r.idx[k] = uint16(idx & (uint64(1)<<w - 1))
+		tag := ht ^ refFold(outcomes, L, tagBits[k]) ^ refFold(outcomes, L, tagBits[k]-1)<<1
+		r.tag[k] = uint16(tag & (uint64(1)<<tagBits[k] - 1))
+	}
+	return r
+}
+
+// TestLookupsMatchReferenceFold checks BuildLookups against TAGE's lookup
+// computed from the definition of each fold, on streams longer than the
+// longest history (640): every position's row equals its direct
+// computation, and the interned table holds no row twice, so distinct ids
+// name distinct rows. The periodic stream must share rows.
+func TestLookupsMatchReferenceFold(t *testing.T) {
+	cfg := DefaultTageConfig()
+	rng := rand.New(rand.NewSource(5))
+	random := func(n, pcs int) []branch {
+		s := make([]branch, n)
+		for i := range s {
+			s[i] = branch{uint64(rng.Intn(pcs)) * 0x1001, rng.Intn(3) != 0}
+		}
+		return s
+	}
+	periodic := make([]branch, 1500)
+	for i := range periodic {
+		periodic[i] = branch{uint64(40 + i%5), i%7 < 4}
+	}
+	streams := map[string][]branch{
+		"random, 4 PCs":          random(1400, 4),
+		"random, 1000 PCs":       random(1000, 1000),
+		"periodic, 5 PCs":        periodic,
+		"random, one PC":         random(700, 1),
+		"periodic, 5 PCs, short": periodic[:300],
+	}
+	for name, stream := range streams {
+		lk := lookupsOf(stream)
+		if len(lk.at) != len(stream) {
+			t.Fatalf("%s: %d positions for %d branches", name, len(lk.at), len(stream))
+		}
+		for p, b := range stream {
+			id := lk.at[p]
+			if int(id) >= len(lk.rows) {
+				t.Fatalf("%s: position %d names row %d of %d", name, p, id, len(lk.rows))
+			}
+			if got, want := lk.rows[id], refRow(cfg, stream[:p], b.pc); got != want {
+				t.Fatalf("%s: position %d: row %+v, want %+v", name, p, got, want)
+			}
+		}
+		seen := make(map[lookupRow]int, len(lk.rows))
+		for id, r := range lk.rows {
+			if prev, dup := seen[r]; dup {
+				t.Errorf("%s: rows %d and %d are equal", name, prev, id)
+			}
+			seen[r] = id
+		}
+	}
+	if lk := lookupsOf(periodic); len(lk.rows) >= len(lk.at)/2 {
+		t.Errorf("periodic stream: %d distinct rows for %d positions, want sharing", len(lk.rows), len(lk.at))
 	}
 }
 
@@ -185,19 +284,30 @@ func TestRASDepthWraps(t *testing.T) {
 }
 
 // Property: TAGE Predict/Train never panic and stay in range under random
-// interleavings of branches, outcomes, and history pushes.
+// interleavings of branch PCs, outcomes, and history pushes over built
+// lookups: a prediction without a push repeats a position, as a re-fetch
+// after a squash does.
 func TestTageRobustProperty(t *testing.T) {
-	var h ghist.History
-	tg := NewTage(DefaultTageConfig(), &h)
+	const maxCount = 3000
+	rng := rand.New(rand.NewSource(9))
+	stream := make([]branch, maxCount+1)
+	for i := range stream {
+		stream[i] = branch{uint64(rng.Int63()), rng.Intn(2) == 0}
+	}
+	lk := lookupsOf(stream)
+	tg := NewTage(lk)
+	pos := uint64(0)
 	f := func(pc uint64, outcome, push bool) bool {
-		_, m := tg.Predict(pc)
+		_, m := tg.Predict(pc, pos)
 		tg.Train(pc, outcome, &m)
 		if push {
-			h.Push(outcome, pc)
+			pos++
 		}
-		return true
+		return m.Prov >= -1 && m.Prov < NTables &&
+			(m.AltProv == -1 || m.AltProv >= 0 && m.AltProv < m.Prov) &&
+			m.Row < uint32(len(lk.rows)) && m.BaseIdx < 1<<DefaultTageConfig().LogBase
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
 		t.Error(err)
 	}
 }

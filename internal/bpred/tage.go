@@ -1,36 +1,37 @@
 // Package bpred implements the front-end branch prediction substrate from
 // the paper's Table 2: a TAGE conditional branch predictor with 1+12
 // components (~15K entries total), a 2-way 4K-entry BTB, and a 32-entry
-// return address stack. TAGE shares the speculative global history object
-// with the VTAGE value predictor, exactly as the paper leverages "context
-// that is usually already available in the processor thanks to the branch
-// predictor".
+// return address stack. The paper's VTAGE reuses the global branch
+// history the branch predictor keeps; here VTAGE reads it live
+// (internal/ghist), and TAGE does not need to. In this trace-driven model
+// fetch pushes each branch's own outcome and a squash rewinds to the first
+// squashed µop, so TAGE's indices and tags at a trace's p-th conditional
+// branch depend on p alone: BuildLookups computes them once per trace, and
+// every simulation of the trace reads them from its Lookups.
 package bpred
 
-import (
-	"math"
-
-	"repro/internal/ghist"
-)
+import "math"
 
 // NTables is the number of tagged TAGE components (Table 2: 1+12).
 const NTables = 12
 
 // TageMeta carries fetch-time bookkeeping from Predict to the commit-time
-// Train, the same role core.Meta plays for value predictors.
+// Train, the same role core.Meta plays for value predictors. Row names the
+// lookup row Predict read, so Train finds the same indices and tags there.
 type TageMeta struct {
 	Pred    bool
 	AltPred bool
 	Prov    int8 // provider table, -1 = bimodal base
 	AltProv int8
 	BaseIdx uint32
-	Idx     [NTables]uint32
-	Tag     [NTables]uint16
+	Row     uint32
 }
 
-// Tage is a TAGE conditional branch direction predictor.
+// Tage is a TAGE conditional branch direction predictor over one trace's
+// Lookups.
 type Tage struct {
-	hist *ghist.History
+	at   []uint32    // the Lookups' row of each history position
+	rows []lookupRow // and their distinct rows
 
 	base     []uint8 // 2-bit bimodal counters
 	baseMask uint64
@@ -40,14 +41,9 @@ type Tage struct {
 }
 
 type tageTable struct {
-	entries  []tageEntry
-	mask     uint64
-	histLen  int
-	tagBits  int
-	idxFold  ghist.Fold
-	tagFoldA ghist.Fold
-	tagFoldB ghist.Fold
-	pathFold ghist.Fold
+	entries []tageEntry
+	histLen int
+	tagBits int
 }
 
 type tageEntry struct {
@@ -69,10 +65,26 @@ func DefaultTageConfig() TageConfig {
 	return TageConfig{LogBase: 13, LogTagged: 9, MinHist: 4, MaxHist: 640}
 }
 
-// NewTage builds a TAGE predictor over the shared global history h.
-func NewTage(cfg TageConfig, h *ghist.History) *Tage {
+// geometry returns each tagged table's history length, geometric from
+// MinHist to MaxHist, and tag width, 9 to 14 bits.
+func (cfg TageConfig) geometry() (histLen, tagBits [NTables]int) {
+	ratio := math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1.0/float64(NTables-1))
+	hl := float64(cfg.MinHist)
+	for k := range NTables {
+		histLen[k] = int(hl + 0.5)
+		tagBits[k] = min(9+k/2, 15)
+		hl *= ratio
+	}
+	return histLen, tagBits
+}
+
+// NewTage builds a TAGE predictor sized by the configuration lk was built
+// with, reading its indices and tags from lk.
+func NewTage(lk *Lookups) *Tage {
+	cfg := lk.cfg
 	t := &Tage{
-		hist: h,
+		at:   lk.at,
+		rows: lk.rows,
 		base: make([]uint8, 1<<cfg.LogBase),
 		rng:  0x2545F491,
 	}
@@ -80,24 +92,13 @@ func NewTage(cfg TageConfig, h *ghist.History) *Tage {
 	for i := range t.base {
 		t.base[i] = 2 // weakly taken
 	}
-	ratio := math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1.0/float64(NTables-1))
-	hl := float64(cfg.MinHist)
-	for i := 0; i < NTables; i++ {
-		tb := &t.tables[i]
-		n := 1 << cfg.LogTagged
-		L := int(hl + 0.5)
-		tb.entries = make([]tageEntry, n)
-		tb.mask = uint64(n - 1)
-		tb.histLen = L
-		tb.tagBits = 9 + i/2 // 9..14 bits
-		if tb.tagBits > 15 {
-			tb.tagBits = 15
+	histLen, tagBits := cfg.geometry()
+	for k := range t.tables {
+		t.tables[k] = tageTable{
+			entries: make([]tageEntry, 1<<cfg.LogTagged),
+			histLen: histLen[k],
+			tagBits: tagBits[k],
 		}
-		tb.idxFold = h.RegisterFold(L, cfg.LogTagged, false)
-		tb.tagFoldA = h.RegisterFold(L, tb.tagBits, false)
-		tb.tagFoldB = h.RegisterFold(L, tb.tagBits-1, false)
-		tb.pathFold = h.RegisterFold(min(L, 16), cfg.LogTagged, true)
-		hl *= ratio
 	}
 	return t
 }
@@ -118,29 +119,17 @@ func (t *Tage) nextRand() uint32 {
 	return s
 }
 
-func (t *Tage) index(k int, pc uint64) uint32 {
-	tb := &t.tables[k]
-	h := hash64(pc)
-	return uint32((h ^ h>>uint(9+k) ^ t.hist.Folded(tb.idxFold) ^ t.hist.Folded(tb.pathFold)) & tb.mask)
-}
-
-func (t *Tage) tag(k int, pc uint64) uint16 {
-	tb := &t.tables[k]
-	h := hash64(pc ^ 0x61C88647)
-	mask := uint64(1)<<tb.tagBits - 1
-	return uint16((h ^ t.hist.Folded(tb.tagFoldA) ^ t.hist.Folded(tb.tagFoldB)<<1) & mask)
-}
-
-// Predict returns the predicted direction for the conditional branch at pc
-// using the current speculative history, plus the bookkeeping for Train.
-func (t *Tage) Predict(pc uint64) (bool, TageMeta) {
+// Predict returns the predicted direction for the conditional branch at pc,
+// fetched at history position pos (the number of conditional branches
+// before it in the trace), plus the bookkeeping for Train.
+func (t *Tage) Predict(pc, pos uint64) (bool, TageMeta) {
 	var m TageMeta
 	m.Prov, m.AltProv = -1, -1
 	m.BaseIdx = uint32(hash64(pc) & t.baseMask)
-	for k := 0; k < NTables; k++ {
-		m.Idx[k] = t.index(k, pc)
-		m.Tag[k] = t.tag(k, pc)
-		if t.tables[k].entries[m.Idx[k]].tag == m.Tag[k] {
+	m.Row = t.at[pos]
+	r := &t.rows[m.Row]
+	for k := range NTables {
+		if t.tables[k].entries[r.idx[k]].tag == r.tag[k] {
 			m.AltProv = m.Prov
 			m.Prov = int8(k)
 		}
@@ -148,26 +137,24 @@ func (t *Tage) Predict(pc uint64) (bool, TageMeta) {
 	basePred := t.base[m.BaseIdx] >= 2
 	m.AltPred = basePred
 	if m.AltProv >= 0 {
-		m.AltPred = t.tables[m.AltProv].entries[m.Idx[m.AltProv]].ctr >= 4
+		m.AltPred = t.tables[m.AltProv].entries[r.idx[m.AltProv]].ctr >= 4
 	}
 	if m.Prov >= 0 {
-		m.Pred = t.tables[m.Prov].entries[m.Idx[m.Prov]].ctr >= 4
+		m.Pred = t.tables[m.Prov].entries[r.idx[m.Prov]].ctr >= 4
 	} else {
 		m.Pred = basePred
 	}
-	return m.Pred, m.Meta()
+	return m.Pred, m
 }
-
-// Meta returns m itself; it exists so Predict reads naturally at call sites.
-func (m TageMeta) Meta() TageMeta { return m }
 
 // Train updates the predictor at commit time with the actual outcome.
 func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {
 	correct := m.Pred == taken
+	r := &t.rows[m.Row]
 
 	if m.Prov >= 0 {
-		e := &t.tables[m.Prov].entries[m.Idx[m.Prov]]
-		if e.tag == m.Tag[m.Prov] {
+		e := &t.tables[m.Prov].entries[r.idx[m.Prov]]
+		if e.tag == r.tag[m.Prov] {
 			e.ctr = bump3(e.ctr, taken)
 			if m.Pred != m.AltPred {
 				if correct {
@@ -191,14 +178,14 @@ func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {
 	var cands [NTables]int
 	nc := 0
 	for k := lo; k < NTables; k++ {
-		if t.tables[k].entries[m.Idx[k]].u == 0 {
+		if t.tables[k].entries[r.idx[k]].u == 0 {
 			cands[nc] = k
 			nc++
 		}
 	}
 	if nc == 0 {
 		for k := lo; k < NTables; k++ {
-			e := &t.tables[k].entries[m.Idx[k]]
+			e := &t.tables[k].entries[r.idx[k]]
 			if e.u > 0 {
 				e.u--
 			}
@@ -210,8 +197,8 @@ func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {
 	if nc > 1 && t.nextRand()&3 == 0 {
 		pick = cands[int(t.nextRand())%nc]
 	}
-	e := &t.tables[pick].entries[m.Idx[pick]]
-	*e = tageEntry{tag: m.Tag[pick], ctr: weakCtr(taken), u: 0}
+	e := &t.tables[pick].entries[r.idx[pick]]
+	*e = tageEntry{tag: r.tag[pick], ctr: weakCtr(taken), u: 0}
 }
 
 func weakCtr(taken bool) uint8 {

@@ -35,7 +35,7 @@ func TestRunCtxMatchesRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := emu.Trace(k.Build(), int(c.Warmup+c.Measure))
-		want, err := pipeline.New(spec.config(), tr, pred, h).Run(c.Warmup, c.Measure)
+		want, err := pipeline.New(spec.config(), pipeline.Prepare(tr), pred, h).Run(c.Warmup, c.Measure)
 		if err != nil {
 			t.Fatal(err)
 		}

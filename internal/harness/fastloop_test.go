@@ -122,7 +122,7 @@ func FuzzFastLoopMatchesReference(f *testing.F) {
 		if spec.Validate() != nil || w+m == 0 {
 			return
 		}
-		tr := emu.Trace(prog, int(w+m))
+		tr := pipeline.Prepare(emu.Trace(prog, int(w+m)))
 		run := func(ref bool) (pipeline.Stats, []uint64) {
 			h := &ghist.History{}
 			pred, err := spec.newPredictor(h)

@@ -414,10 +414,11 @@ type Result struct {
 }
 
 // traceCall is a singleflight slot for one kernel's trace: the goroutine
-// that created the slot generates the trace; everyone else waits on done.
+// that created the slot generates and prepares the trace (its TAGE lookups
+// included, pipeline.Prepare); everyone else waits on done.
 type traceCall struct {
 	done chan struct{}
-	tr   isa.Trace
+	tr   *pipeline.Prepared
 	err  error
 }
 
@@ -522,15 +523,15 @@ func (se *Session) SlotStats() SlotStats {
 	return SlotStats{Busy: len(se.slots), Queued: int(se.waiting.Load()), Joined: se.joined}
 }
 
-// trace returns the workload's instruction trace, generating it on first
-// use. The workload is a builtin kernel name or a registered program
-// reference; concurrent requests for the same workload share one generation.
-// ctx aborts only this caller's wait: the generation itself always runs to
-// completion, because a trace is workload-wide shared state every future run
-// will want.
-func (se *Session) trace(ctx context.Context, workload string) (isa.Trace, error) {
+// trace returns the workload's prepared instruction trace, generating and
+// preparing it on first use. The workload is a builtin kernel name or a
+// registered program reference; concurrent requests for the same workload
+// share one generation. ctx aborts only this caller's wait: the generation
+// itself always runs to completion, because a trace is workload-wide shared
+// state every future run will want.
+func (se *Session) trace(ctx context.Context, workload string) (*pipeline.Prepared, error) {
 	if err := ctx.Err(); err != nil {
-		return isa.Trace{}, err
+		return nil, err
 	}
 	se.mu.Lock()
 	c, ok := se.traces[workload]
@@ -540,7 +541,7 @@ func (se *Session) trace(ctx context.Context, workload string) (isa.Trace, error
 		case <-c.done:
 			return c.tr, c.err
 		case <-ctx.Done():
-			return isa.Trace{}, ctx.Err()
+			return nil, ctx.Err()
 		}
 	}
 	c = &traceCall{done: make(chan struct{})}
@@ -554,7 +555,7 @@ func (se *Session) trace(ctx context.Context, workload string) (isa.Trace, error
 		}
 	}
 	if ok {
-		c.tr = emu.Trace(p, int(se.warmup+se.measure))
+		c.tr = pipeline.Prepare(emu.Trace(p, int(se.warmup+se.measure)))
 	} else {
 		// Unresolvable today is not unresolvable forever: registering the
 		// program cures it, so drop the slot instead of caching the failure.
@@ -785,7 +786,7 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 	}
 	sim := pipeline.New(spec.config(), tr, pred, h)
 	rt.countSimulation()
-	st, err := se.runCancellable(ctx, sim, uint64(len(tr.Uops)), rt)
+	st, err := se.runCancellable(ctx, sim, uint64(len(tr.Trace().Uops)), rt)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%s/%s: %w",
 			spec.Kernel, spec.Predictor, spec.Counters, spec.Recovery, err)

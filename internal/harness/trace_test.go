@@ -10,18 +10,20 @@ import (
 
 // TestMemoTraceFootprint pins what the session's trace memo holds per
 // workload: a 100k-µop window keeps 100k 24-byte records, 2.4 MB, for the
-// session's life, plus the program's instructions.
+// session's life, plus the program's instructions and TAGE's lookups (4 B
+// per conditional branch and 48 B per distinct row, bpred.Lookups).
 func TestMemoTraceFootprint(t *testing.T) {
 	se := NewSession(SessionConfig{Warmup: 20_000, Measure: 80_000})
 	tr, err := se.trace(context.Background(), "gzip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := uintptr(cap(tr.Uops)) * unsafe.Sizeof(isa.DynInst{}); got != 2_400_000 {
-		t.Errorf("memo trace holds %d bytes of records (%d µops), want 2,400,000", got, cap(tr.Uops))
+	uops := tr.Trace().Uops
+	if got := uintptr(cap(uops)) * unsafe.Sizeof(isa.DynInst{}); got != 2_400_000 {
+		t.Errorf("memo trace holds %d bytes of records (%d µops), want 2,400,000", got, cap(uops))
 	}
-	if len(tr.Uops) != 100_000 {
-		t.Errorf("memo trace has %d µops, want 100,000", len(tr.Uops))
+	if len(uops) != 100_000 {
+		t.Errorf("memo trace has %d µops, want 100,000", len(uops))
 	}
 }
 
@@ -43,7 +45,7 @@ func TestMemoTraceOwnsItsCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Insts[0]
+	want := tr.Trace().Insts[0]
 	se.mu.Lock()
 	se.progs[id].Insts[0] = isa.Inst{Op: isa.HALT}
 	se.mu.Unlock()
@@ -51,7 +53,7 @@ func TestMemoTraceOwnsItsCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Insts[0] != want {
-		t.Errorf("memo trace code changed with the registry's program: %v, want %v", again.Insts[0], want)
+	if got := again.Trace().Insts[0]; got != want {
+		t.Errorf("memo trace code changed with the registry's program: %v, want %v", got, want)
 	}
 }

@@ -151,10 +151,11 @@ func TestRegistryHandsOutCopies(t *testing.T) {
 		t.Errorf("an edit to a returned program reached the registry: %s lists as %q with %d insts, want %q with %d",
 			id, listed.Name, len(listed.Insts), p.Name, len(p.Insts))
 	}
-	tr, err := se.trace(context.Background(), id)
+	pt, err := se.trace(context.Background(), id)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := pt.Trace()
 	want := emu.Trace(p, 1_000)
 	if !slices.Equal(tr.Insts, want.Insts) || !slices.Equal(tr.Uops, want.Uops) {
 		t.Errorf("the first trace of %s ran the edited program (%d insts, %d µops), want the registered one (%d, %d)",

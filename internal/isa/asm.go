@@ -2,11 +2,12 @@ package isa
 
 // Text assembly: a line-oriented, human-writable rendering of Program that
 // round-trips byte-exactly through the binary codec: for every program p
-// that Validate accepts and whose name fits a .name line (one line, no ';',
-// no surrounding spaces), Assemble(Disassemble(p)) encodes to the same bytes
+// that Validate accepts (its name included: one line, no ';' or ':', no
+// surrounding spaces), Assemble(Disassemble(p)) encodes to the same bytes
 // as p (pinned against every builtin kernel and a grid of instructions in
-// asm_test.go). Instructions are written in the operand forms of opForms
-// (op.go), the one table the assembler, the disassembler and Validate read:
+// asm_test.go, and fuzzed by FuzzDecode). Instructions are written in the
+// operand forms of opForms (op.go), the one table the assembler, the
+// disassembler and Validate read:
 //
 //	# whole-line comment; ';' comments to end of line anywhere
 //	.name gzip            program name (optional; overrides the default)
@@ -415,19 +416,27 @@ func parseMem(tok string) (base, idx Reg, off int64, err error) {
 	if len(tok) < 2 || tok[0] != '[' || tok[len(tok)-1] != ']' {
 		return NoReg, NoReg, 0, fmt.Errorf("bad address %q (want [reg], [reg+off], or [reg+reg])", tok)
 	}
+	// Inside brackets '-' is an offset's sign, never "no register": an
+	// address names every register it reads.
+	reg := func(s string) (Reg, error) {
+		if s == "-" {
+			return NoReg, fmt.Errorf("bad address %q ('-' names no register)", tok)
+		}
+		return parseReg(s)
+	}
 	inner := strings.TrimSpace(tok[1 : len(tok)-1])
 	i := strings.IndexAny(inner, "+-")
-	if i < 0 {
-		base, err = parseReg(inner)
+	if i <= 0 {
+		base, err = reg(inner)
 		return base, NoReg, 0, err
 	}
-	base, err = parseReg(strings.TrimSpace(inner[:i]))
+	base, err = reg(strings.TrimSpace(inner[:i]))
 	if err != nil {
 		return NoReg, NoReg, 0, err
 	}
 	rest := strings.TrimSpace(inner[i:])
 	if inner[i] == '+' {
-		if r, rerr := parseReg(strings.TrimSpace(rest[1:])); rerr == nil {
+		if r, rerr := reg(strings.TrimSpace(rest[1:])); rerr == nil {
 			return base, r, 0, nil
 		}
 	}

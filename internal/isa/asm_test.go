@@ -220,6 +220,8 @@ func TestAssembleErrors(t *testing.T) {
 		{"store of no register", "st [r1], -\njmp @0", "reads Src2, which names no register"},
 		{"indexed ld", "ld r1, [r2+r3]", "bad address"},
 		{"operand count with a trailing immediate", "add r1, r2, r3, #4, #5", "add takes 3 operands (or 4), got 5"},
+		{"index of no register", "ld r1, [r2+-]", "bad address"},
+		{"base of no register", "ld r1, [-]", "bad address"},
 	}
 	for _, tc := range cases {
 		_, err := isa.Assemble("t", []byte(tc.src))

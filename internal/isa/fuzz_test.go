@@ -60,6 +60,12 @@ func FuzzDecode(f *testing.F) {
 	f.Add(noSrc.Encode())
 	badInit := isa.Program{Name: "t", Insts: []isa.Inst{{Op: isa.HALT}}, InitRegs: map[isa.Reg]uint64{200: 1}}
 	f.Add(badInit.Encode())
+	// Names a .name line cannot carry: each disassembles to a different
+	// program unless Validate refuses it.
+	for _, name := range []string{"a;b", " a", "a ", "a\u00a0", "a\nnop", "a:b"} {
+		named := isa.Program{Name: name, Insts: []isa.Inst{{Op: isa.HALT}}}
+		f.Add(named.Encode())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := isa.Decode(data)
 		if err != nil {
@@ -67,6 +73,15 @@ func FuzzDecode(f *testing.F) {
 		}
 		if p.Validate() == nil { // semantic validation must not panic
 			emu.Trace(p, 64)
+			// Every program Validate accepts is its own text form.
+			text := isa.Disassemble(p)
+			back, err := isa.Assemble("", text)
+			if err != nil {
+				t.Fatalf("disassembly of a valid program does not assemble: %v\n%s", err, text)
+			}
+			if !bytes.Equal(back.Encode(), p.Encode()) {
+				t.Fatalf("disassembly assembles to a different program:\n%s", text)
+			}
 		}
 		for _, in := range p.Insts {
 			_ = in.String()

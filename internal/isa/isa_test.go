@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -195,6 +196,42 @@ func TestValidateRejectsBadRegister(t *testing.T) {
 	}, InitRegs: map[Reg]uint64{R0: 1, F31: 2}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate refused a runnable program: %v", err)
+	}
+}
+
+// TestValidateRejectsUnwritableName pins the names Validate refuses: those
+// a .name line cannot carry, because Disassemble's text would assemble to
+// a different program (a comment, a label, an extra line, trimmed spaces).
+// Every name it accepts round-trips through the text form, and a text file
+// with no .name takes its default name through the same check.
+func TestValidateRejectsUnwritableName(t *testing.T) {
+	halt := []Inst{{Op: HALT, Dst: NoReg, Src1: NoReg, Src2: NoReg}}
+	for _, name := range []string{"a;b", " a", "a ", "a\u00a0", "a\nnop", "a:b", "\ta", "a\r", "a\n"} {
+		p := &Program{Name: name, Insts: halt}
+		if err := p.Validate(); err == nil {
+			t.Errorf("Validate accepted the name %q", name)
+		}
+	}
+	for _, name := range []string{"", "a", "gzip", "branchy-1", "a b", "a#b", "#a", "a\tb", "a\rb", "a\u00a0b"} {
+		p := &Program{Name: name, Insts: halt}
+		if err := p.Validate(); err != nil {
+			t.Errorf("Validate refused the name %q: %v", name, err)
+			continue
+		}
+		back, err := Assemble("", Disassemble(p))
+		if err != nil {
+			t.Errorf("%q: the disassembly does not assemble: %v", name, err)
+			continue
+		}
+		if !bytes.Equal(back.Encode(), p.Encode()) {
+			t.Errorf("%q: the disassembly assembles to %q", name, back.Name)
+		}
+	}
+	if _, err := Assemble("a:b", []byte("halt")); err == nil {
+		t.Error("a text source with no .name took the unwritable default name a:b")
+	}
+	if p, err := Assemble("a:b", []byte(".name ab\nhalt")); err != nil || p.Name != "ab" {
+		t.Errorf("a .name line did not replace the default name: %v", err)
 	}
 }
 

@@ -1,6 +1,9 @@
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // DataSeg seeds a region of data memory before a program runs.
 type DataSeg struct {
@@ -18,14 +21,20 @@ type Program struct {
 	InitRegs map[Reg]uint64
 }
 
-// Validate checks that the emulator can run p: every opcode is known, every
-// register field names a register or NoReg, every field its opcode's forms
-// read as a register (opForms) names one, every initial register is a
-// register, and the entry and every direct branch target are instruction
-// indices. It checks no register classes (add f1, r2, r3 is valid). It
-// refuses one program the emulator could run: a division by a literal zero
-// with no Src1 (div r1, -, #0), which never reads Src1.
+// Validate checks that the emulator can run p and that its text form is p:
+// every opcode is known, every register field names a register or NoReg,
+// every field its opcode's forms read as a register (opForms) names one,
+// every initial register is a register, the entry and every direct branch
+// target are instruction indices, and the name fits a .name line (no
+// surrounding spaces, no ';', ':' or newline, which the assembler reads as
+// a comment, a label or the next line). It checks no register classes (add
+// f1, r2, r3 is valid). It refuses one program the emulator could run: a
+// division by a literal zero with no Src1 (div r1, -, #0), which never
+// reads Src1.
 func (p *Program) Validate() error {
+	if strings.TrimSpace(p.Name) != p.Name || strings.ContainsAny(p.Name, ";:\n") {
+		return fmt.Errorf("program name %q does not fit a .name line (surrounding spaces, ';', ':' or a newline)", p.Name)
+	}
 	n := int64(len(p.Insts))
 	for pc, in := range p.Insts {
 		if in.Op >= numOps {

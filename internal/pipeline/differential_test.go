@@ -85,6 +85,7 @@ func TestDifferentialEmuVsPipeline(t *testing.T) {
 			}
 		}
 
+		pt := Prepare(tr)
 		for pi, mk := range diffPredictors() {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				h := &ghist.History{}
@@ -98,7 +99,7 @@ func TestDifferentialEmuVsPipeline(t *testing.T) {
 				shadow := newArchShadow(prog)
 				var commits uint64
 				var orderErr bool
-				sim := New(cfg, tr, p, h)
+				sim := New(cfg, pt, p, h)
 				sim.OnCommit = func(ti int) {
 					if uint64(ti) != commits {
 						orderErr = true

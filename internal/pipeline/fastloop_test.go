@@ -40,22 +40,22 @@ func familyPredictors() map[string]func(h *ghist.History) core.Predictor {
 // short windows), applu under selective reissue replays loads that complete
 // earlier than their first execution, and the generated branchy and memory
 // programs are where the issue stage's wakeup chains do most of the work.
-func fastRefWorkloads(t *testing.T, n int) map[string]isa.Trace {
+func fastRefWorkloads(t *testing.T, n int) map[string]*Prepared {
 	t.Helper()
-	out := make(map[string]isa.Trace)
+	out := make(map[string]*Prepared)
 	for _, name := range []string{"mcf", "gzip", "applu"} {
 		k, ok := kernels.ByName(name)
 		if !ok {
 			t.Fatalf("unknown kernel %q", name)
 		}
-		out[name] = emu.Trace(k.Build(), n)
+		out[name] = Prepare(emu.Trace(k.Build(), n))
 	}
 	for _, fam := range []string{"branchy", "memory"} {
 		prog, err := isa.Generate(fam, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[prog.Name] = emu.Trace(prog, n)
+		out[prog.Name] = Prepare(emu.Trace(prog, n))
 	}
 	return out
 }
@@ -167,13 +167,17 @@ func TestFastLoopSkipsIdleCycles(t *testing.T) {
 }
 
 // TestInFlightInvariants steps sims through both recovery modes and checks
-// after every step the two facts the fast loop's bookkeeping rests on:
+// after every step the facts the fast loop's bookkeeping and TAGE's
+// per-trace lookups rest on:
 //
 //   - the in-flight µops (ROB, then fetch queue) hold consecutive trace
 //     indexes ending just before fetchIdx, and span no more of them than
 //     the payload ring holds, so no live payload slot is ever reused;
 //   - every parked µop (waiting but not awake) sits on exactly one wakeup
-//     chain, whose producer is in flight and has not issued.
+//     chain, whose producer is in flight and has not issued;
+//   - the global history position is a function of the trace index: every
+//     in-flight µop's checkpoint (histPos) and, at fetchIdx, the history
+//     itself stand at the number of conditional branches before it.
 func TestInFlightInvariants(t *testing.T) {
 	w, m := testWin(5_000, 15_000)
 	total := w + m
@@ -192,6 +196,7 @@ func TestInFlightInvariants(t *testing.T) {
 				cfg.Recovery = rec
 				h := &ghist.History{}
 				s := New(cfg, workloads[wl], mk(h), h)
+				before := branchesBefore(s)
 				parkedSeen := 0
 				for steps := 0; s.stats.Committed < total; steps++ {
 					if steps > 10_000_000 {
@@ -199,7 +204,7 @@ func TestInFlightInvariants(t *testing.T) {
 					}
 					s.step()
 					s.maybeSkipIdle()
-					n, err := checkInFlight(s)
+					n, err := checkInFlight(s, before)
 					if err != nil {
 						t.Fatalf("%s/%s/%v at cycle %d: %v", wl, name, rec, s.cycle, err)
 					}
@@ -213,9 +218,23 @@ func TestInFlightInvariants(t *testing.T) {
 	}
 }
 
+// branchesBefore returns, for every trace index i of s's trace and one
+// past its end, the number of conditional branches in uops[:i]: the
+// history position fetch must stand at when it reaches i.
+func branchesBefore(s *Sim) []uint64 {
+	before := make([]uint64, len(s.uops)+1)
+	for i := range s.uops {
+		before[i+1] = before[i]
+		if s.code[s.uops[i].PC()].class == isa.ClassBranch {
+			before[i+1]++
+		}
+	}
+	return before
+}
+
 // checkInFlight verifies the invariants TestInFlightInvariants names and
-// returns the number of parked µops.
-func checkInFlight(s *Sim) (int, error) {
+// returns the number of parked µops. before is branchesBefore(s).
+func checkInFlight(s *Sim, before []uint64) (int, error) {
 	next := s.fetchIdx // trace index the next older in-flight µop must hold
 	for i := s.feqLen - 1; i >= 0; i-- {
 		fi := (s.feqHead + i) % len(s.feq)
@@ -233,6 +252,14 @@ func checkInFlight(s *Sim) (int, error) {
 	}
 	if span := s.fetchIdx - next; span > len(s.pay) {
 		return 0, fmt.Errorf("in-flight µops span %d trace indexes, payload ring holds %d", span, len(s.pay))
+	}
+	for ti := next; ti < s.fetchIdx; ti++ {
+		if got := s.pl(ti).histPos; got != before[ti] {
+			return 0, fmt.Errorf("trace index %d: history checkpoint %d, want %d conditional branches before it", ti, got, before[ti])
+		}
+	}
+	if got := s.hist.Pos(); got != before[s.fetchIdx] {
+		return 0, fmt.Errorf("history at position %d fetching trace index %d, want %d", got, s.fetchIdx, before[s.fetchIdx])
 	}
 
 	chained := make(map[int]bool)

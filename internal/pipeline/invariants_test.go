@@ -83,7 +83,7 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 		seeds = 2 // two seeds still cross every predictor x recovery pair
 	}
 	for seed := int64(1); seed <= seeds; seed++ {
-		tr := emu.Trace(randomProgram(seed), 20_000)
+		tr := Prepare(emu.Trace(randomProgram(seed), 20_000))
 		for pi, mk := range preds {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
@@ -133,7 +133,7 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 
 // Property: used predictions partition into correct and wrong.
 func TestStatsPartitionProperty(t *testing.T) {
-	tr := emu.Trace(randomProgram(42), 20_000)
+	tr := Prepare(emu.Trace(randomProgram(42), 20_000))
 	f := func(seed uint32) bool {
 		cfg := DefaultConfig()
 		h := &ghist.History{}

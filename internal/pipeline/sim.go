@@ -87,8 +87,8 @@ type payload struct {
 }
 
 // staticInst is one instruction of the trace's code as the hot path reads
-// it, decoded once in New and indexed by PC, so fetch and dispatch look up
-// no opcode tables per µop.
+// it, decoded once in Prepare and indexed by PC, so fetch and dispatch look
+// up no opcode tables per µop.
 type staticInst struct {
 	class           isa.Class
 	dst, src1, src2 isa.Reg
@@ -97,12 +97,51 @@ type staticInst struct {
 	load, store     bool
 }
 
+// Prepared is a trace made ready to simulate: its µops, its code decoded
+// as the hot path reads it, and TAGE's lookup of every conditional branch
+// (bpred.Lookups). Everything in it is a property of the trace alone, so
+// it is built once per trace and shared, read-only, by every simulation of
+// it. Construct with Prepare.
+type Prepared struct {
+	trace isa.Trace
+	code  []staticInst
+	tage  *bpred.Lookups
+}
+
+// Prepare decodes tr's code and builds its TAGE lookups from its
+// conditional branches, the µops fetch pushes onto the global history.
+func Prepare(tr isa.Trace) *Prepared {
+	w := &Prepared{trace: tr, code: make([]staticInst, len(tr.Insts))}
+	for pc, in := range tr.Insts {
+		cls := isa.ClassOf(in.Op)
+		w.code[pc] = staticInst{
+			class: cls, dst: in.Dst, src1: in.Src1, src2: in.Src2,
+			vpEligible: in.HasDest(),
+			control:    isa.IsControl(in.Op),
+			load:       cls == isa.ClassLoad,
+			store:      cls == isa.ClassStore,
+		}
+	}
+	w.tage = bpred.BuildLookups(bpred.DefaultTageConfig(), func(yield func(uint64, bool) bool) {
+		for i := range tr.Uops {
+			di := &tr.Uops[i]
+			if w.code[di.PC()].class == isa.ClassBranch && !yield(uint64(di.PC()), di.Taken()) {
+				return
+			}
+		}
+	})
+	return w
+}
+
+// Trace returns the trace w was prepared from.
+func (w *Prepared) Trace() isa.Trace { return w.trace }
+
 // Sim is one simulation instance: a machine configuration bound to a trace
 // and a value predictor. Zero value is not usable; construct with New.
 type Sim struct {
 	cfg  Config
 	uops []isa.DynInst  // the trace's µops; a µop's trace index is its sequence number
-	code []staticInst   // the trace's instructions, by PC
+	code []staticInst   // the trace's instructions, by PC (Prepared's, shared)
 	pred core.Predictor // nil = baseline machine without value prediction
 
 	// OnCommit, when non-nil, observes the trace index of every
@@ -219,9 +258,11 @@ type Sim struct {
 	stats Stats
 }
 
-// New builds a simulator for trace under cfg using pred for value prediction
-// (nil disables VP: the baseline machine).
-func New(cfg Config, trace isa.Trace, pred core.Predictor, hist *ghist.History) *Sim {
+// New builds a simulator for the prepared trace w under cfg using pred for
+// value prediction (nil disables VP: the baseline machine). hist is the
+// global history pred reads, if any; fetch pushes every conditional
+// branch onto it and a squash rolls it back.
+func New(cfg Config, w *Prepared, pred core.Predictor, hist *ghist.History) *Sim {
 	if hist == nil {
 		hist = &ghist.History{}
 	}
@@ -231,11 +272,11 @@ func New(cfg Config, trace isa.Trace, pred core.Predictor, hist *ghist.History) 
 	l2.AttachPrefetcher(pf)
 	s := &Sim{
 		cfg:       cfg,
-		uops:      trace.Uops,
-		code:      make([]staticInst, len(trace.Insts)),
+		uops:      w.trace.Uops,
+		code:      w.code,
 		pred:      pred,
 		hist:      hist,
-		tage:      bpred.NewTage(bpred.DefaultTageConfig(), hist),
+		tage:      bpred.NewTage(w.tage),
 		btb:       bpred.NewBTB(12),
 		ras:       &bpred.RAS{},
 		l1i:       mem.NewCache(cfg.L1I, l2, nil),
@@ -274,19 +315,9 @@ func New(cfg Config, trace isa.Trace, pred core.Predictor, hist *ghist.History) 
 	}
 	s.pay = make([]payload, n)
 	s.payMask = n - 1
-	for pc, in := range trace.Insts {
-		cls := isa.ClassOf(in.Op)
-		s.code[pc] = staticInst{
-			class: cls, dst: in.Dst, src1: in.Src1, src2: in.Src2,
-			vpEligible: in.HasDest(),
-			control:    isa.IsControl(in.Op),
-			load:       cls == isa.ClassLoad,
-			store:      cls == isa.ClassStore,
-		}
-	}
 	// Last-fetch-cycle table, indexed by static PC: a trace's PCs index its
 	// code, so the table is as long as the code.
-	s.lastFetchCyc = make([]int64, len(trace.Insts))
+	s.lastFetchCyc = make([]int64, len(w.code))
 	for i := range s.lastFetchCyc {
 		s.lastFetchCyc[i] = -1
 	}
@@ -301,13 +332,13 @@ func New(cfg Config, trace isa.Trace, pred core.Predictor, hist *ghist.History) 
 }
 
 // NewForKernel is a convenience constructor: trace the named kernel for
-// nUops and build a simulator over it.
+// nUops, prepare the trace and build a simulator over it.
 func NewForKernel(cfg Config, kernel string, nUops int, pred core.Predictor, hist *ghist.History) (*Sim, error) {
 	k, ok := kernels.ByName(kernel)
 	if !ok {
 		return nil, fmt.Errorf("pipeline: unknown kernel %q", kernel)
 	}
-	return New(cfg, emu.Trace(k.Build(), nUops), pred, hist), nil
+	return New(cfg, Prepare(emu.Trace(k.Build(), nUops)), pred, hist), nil
 }
 
 func (s *Sim) di(ti int) *isa.DynInst { return &s.uops[ti] }
@@ -1252,7 +1283,7 @@ func (s *Sim) fetchControl(di *isa.DynInst, class isa.Class, fe *feEntry, pl *pa
 
 	switch class {
 	case isa.ClassBranch:
-		predTaken, m := s.tage.Predict(pc)
+		predTaken, m := s.tage.Predict(pc, s.hist.Pos())
 		pl.bmeta = m
 		mispred = predTaken != diTaken
 		if predTaken && diTaken {

@@ -62,7 +62,7 @@ func runTrace(t *testing.T, tr isa.Trace, mk func(h *ghist.History) core.Predict
 	if mk != nil {
 		p = mk(h)
 	}
-	s := New(cfg, tr, p, h)
+	s := New(cfg, Prepare(tr), p, h)
 	w, m := testWin(10_000, 40_000)
 	st, err := s.Run(w, m)
 	if err != nil {
@@ -107,8 +107,8 @@ func TestSplitRunMatchesStraightRun(t *testing.T) {
 		if !ok {
 			t.Fatalf("unknown kernel %q", kernel)
 		}
-		tr := emu.Trace(k.Build(), int(w+m))
-		total := min(w+m, uint64(len(tr.Uops)))
+		tr := Prepare(emu.Trace(k.Build(), int(w+m)))
+		total := min(w+m, uint64(len(tr.Trace().Uops)))
 		for name, mk := range familyPredictors() {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
@@ -278,7 +278,7 @@ func storeLoadConflict() isa.Trace {
 func TestMemoryOrderViolationAndLearning(t *testing.T) {
 	// No warmup: the first violation must be visible in the stats.
 	cfg := DefaultConfig()
-	s := New(cfg, storeLoadConflict(), nil, nil)
+	s := New(cfg, Prepare(storeLoadConflict()), nil, nil)
 	_, m := testWin(0, 50_000)
 	st, err := s.Run(0, m)
 	if err != nil {
