@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/harness"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
@@ -118,12 +117,11 @@ func steadyTrace(kernel string, uops int) (*pipeline.Prepared, error) {
 // newWarmSim builds a simulator for the named predictor over tr and runs it
 // through the warmup window, leaving it ready for timed Advance calls.
 func newWarmSim(tr *pipeline.Prepared, predictor string) (*pipeline.Sim, error) {
-	h := &ghist.History{}
-	pred, err := harness.NewPredictor(predictor, core.FPCCommit, h)
+	pred, err := harness.NewPredictor(predictor, core.FPCCommit, tr)
 	if err != nil {
 		return nil, err
 	}
-	sim := pipeline.New(pipeline.DefaultConfig(), tr, pred, h)
+	sim := pipeline.New(pipeline.DefaultConfig(), tr, pred)
 	if _, err := sim.Run(steadyWarmUops, 0); err != nil {
 		return nil, err
 	}
@@ -247,7 +245,7 @@ func TestSpecValidationZeroAllocs(t *testing.T) {
 func TestAdvanceContinuesRun(t *testing.T) {
 	k, _ := kernels.ByName("gzip")
 	tr := emu.Trace(k.Build(), 60_000)
-	sim := pipeline.New(pipeline.DefaultConfig(), pipeline.Prepare(tr), nil, nil)
+	sim := pipeline.New(pipeline.DefaultConfig(), pipeline.Prepare(tr), nil)
 	st, err := sim.Run(5_000, 5_000)
 	if err != nil {
 		t.Fatal(err)

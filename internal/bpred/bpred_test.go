@@ -2,8 +2,12 @@ package bpred
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"repro/internal/ghist"
 )
 
 // branch is one conditional branch of a stream: its PC and outcome.
@@ -69,16 +73,16 @@ func TestTageLongPeriodicPattern(t *testing.T) {
 }
 
 func TestTageHistoryLengthsGeometric(t *testing.T) {
-	tg := NewTage(lookupsOf(nil))
-	if got := tg.HistLen(0); got != 4 {
+	histLen, _ := DefaultTageConfig().geometry()
+	if got := histLen[0]; got != 4 {
 		t.Errorf("first history length = %d, want 4", got)
 	}
-	if got := tg.HistLen(NTables - 1); got != 640 {
+	if got := histLen[NTables-1]; got != 640 {
 		t.Errorf("last history length = %d, want 640", got)
 	}
 	for k := 1; k < NTables; k++ {
-		if tg.HistLen(k) <= tg.HistLen(k-1) {
-			t.Errorf("history lengths not increasing at %d: %d <= %d", k, tg.HistLen(k), tg.HistLen(k-1))
+		if histLen[k] <= histLen[k-1] {
+			t.Errorf("history lengths not increasing at %d: %d <= %d", k, histLen[k], histLen[k-1])
 		}
 	}
 }
@@ -131,7 +135,7 @@ func refFold(hist []uint64, length, width int) uint64 {
 }
 
 // refRow computes TAGE's lookup for the branch at pc after the branches of
-// prefix from the definition of every fold, with no ghist.History.
+// prefix from the definition of every fold, with no incremental history.
 func refRow(cfg TageConfig, prefix []branch, pc uint64) lookupRow {
 	outcomes := make([]uint64, len(prefix))
 	path := make([]uint64, len(prefix))
@@ -156,9 +160,11 @@ func refRow(cfg TageConfig, prefix []branch, pc uint64) lookupRow {
 
 // TestLookupsMatchReferenceFold checks BuildLookups against TAGE's lookup
 // computed from the definition of each fold, on streams longer than the
-// longest history (640): every position's row equals its direct
-// computation, and the interned table holds no row twice, so distinct ids
-// name distinct rows. The periodic stream must share rows.
+// longest history (640) and on one with no branch: the rows cover
+// positions 0..n, every position's row equals its direct computation (at
+// n, where no branch follows, for PC 0), and the interned table holds no
+// row twice, so distinct ids name distinct rows. The periodic stream must
+// share rows.
 func TestLookupsMatchReferenceFold(t *testing.T) {
 	cfg := DefaultTageConfig()
 	rng := rand.New(rand.NewSource(5))
@@ -179,32 +185,83 @@ func TestLookupsMatchReferenceFold(t *testing.T) {
 		"periodic, 5 PCs":        periodic,
 		"random, one PC":         random(700, 1),
 		"periodic, 5 PCs, short": periodic[:300],
+		"no branches":            nil,
 	}
 	for name, stream := range streams {
 		lk := lookupsOf(stream)
-		if len(lk.at) != len(stream) {
-			t.Fatalf("%s: %d positions for %d branches", name, len(lk.at), len(stream))
+		if len(lk.tab.At) != len(stream)+1 {
+			t.Fatalf("%s: %d positions for %d branches", name, len(lk.tab.At), len(stream))
 		}
-		for p, b := range stream {
-			id := lk.at[p]
-			if int(id) >= len(lk.rows) {
-				t.Fatalf("%s: position %d names row %d of %d", name, p, id, len(lk.rows))
+		for p, id := range lk.tab.At {
+			if int(id) >= len(lk.tab.Rows) {
+				t.Fatalf("%s: position %d names row %d of %d", name, p, id, len(lk.tab.Rows))
 			}
-			if got, want := lk.rows[id], refRow(cfg, stream[:p], b.pc); got != want {
+			var pc uint64
+			if p < len(stream) {
+				pc = stream[p].pc
+			}
+			if got, want := lk.tab.Rows[id], refRow(cfg, stream[:p], pc); got != want {
 				t.Fatalf("%s: position %d: row %+v, want %+v", name, p, got, want)
 			}
 		}
-		seen := make(map[lookupRow]int, len(lk.rows))
-		for id, r := range lk.rows {
+		seen := make(map[lookupRow]int, len(lk.tab.Rows))
+		for id, r := range lk.tab.Rows {
 			if prev, dup := seen[r]; dup {
 				t.Errorf("%s: rows %d and %d are equal", name, prev, id)
 			}
 			seen[r] = id
 		}
 	}
-	if lk := lookupsOf(periodic); len(lk.rows) >= len(lk.at)/2 {
-		t.Errorf("periodic stream: %d distinct rows for %d positions, want sharing", len(lk.rows), len(lk.at))
+	if lk := lookupsOf(periodic); len(lk.tab.Rows) >= len(lk.tab.At)/2 {
+		t.Errorf("periodic stream: %d distinct rows for %d positions, want sharing", len(lk.tab.Rows), len(lk.tab.At))
 	}
+}
+
+// internSink keeps TestLookupsAllocateOnlyRowsIdsAndRings' reference map
+// on the heap, where the builder's map lives.
+var internSink map[lookupRow]uint32
+
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLookupsAllocateOnlyRowsIdsAndRings: building a trace's lookups
+// allocates its rows, its ids, the private history's outcome and path
+// rings and the map that interns the rows, and nothing per position
+// beyond them. The map is measured by building the same one over the same
+// rows; the slack covers TAGE's 48 views, their fold state and handles
+// (under 5 KB). A stream of 500 branches keeps the map in one table, so
+// its growth is the same in both builds.
+func TestLookupsAllocateOnlyRowsIdsAndRings(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	stream := make([]branch, 500)
+	for i := range stream {
+		stream[i] = branch{uint64(rng.Intn(64)), rng.Intn(2) == 0}
+	}
+	var lk *Lookups
+	got := allocBytes(func() { lk = lookupsOf(stream) })
+	interning := allocBytes(func() {
+		internSink = make(map[lookupRow]uint32)
+		for id, r := range lk.tab.Rows {
+			internSink[r] = uint32(id)
+		}
+	})
+	internSink = nil
+	rows := uint64(len(lk.tab.Rows)) * uint64(unsafe.Sizeof(lookupRow{}))
+	ids := uint64(len(lk.tab.At)) * 4
+	rings := uint64(ghist.Capacity) * (1 + 2) // 1-B outcomes, 2-B path entries
+	const slack = 8 << 10
+	if limit := rows + ids + rings + interning + slack; got > limit {
+		t.Errorf("building lookups for %d branches allocated %d B, over the %d B of %d B rows, %d B ids, %d B rings, %d B interning and %d B slack",
+			len(stream), got, limit, rows, ids, rings, interning, slack)
+	}
+	t.Logf("%d branches, %d distinct rows: %d B allocated (rows %d, ids %d, rings %d, interning %d)",
+		len(stream), len(lk.tab.Rows), got, rows, ids, rings, interning)
 }
 
 func TestBTBInsertLookup(t *testing.T) {
@@ -305,7 +362,7 @@ func TestTageRobustProperty(t *testing.T) {
 		}
 		return m.Prov >= -1 && m.Prov < NTables &&
 			(m.AltProv == -1 || m.AltProv >= 0 && m.AltProv < m.Prov) &&
-			m.Row < uint32(len(lk.rows)) && m.BaseIdx < 1<<DefaultTageConfig().LogBase
+			m.Row < uint32(len(lk.tab.Rows)) && m.BaseIdx < 1<<DefaultTageConfig().LogBase
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
 		t.Error(err)

@@ -2,12 +2,11 @@
 // the paper's Table 2: a TAGE conditional branch predictor with 1+12
 // components (~15K entries total), a 2-way 4K-entry BTB, and a 32-entry
 // return address stack. The paper's VTAGE reuses the global branch
-// history the branch predictor keeps; here VTAGE reads it live
-// (internal/ghist), and TAGE does not need to. In this trace-driven model
-// fetch pushes each branch's own outcome and a squash rewinds to the first
-// squashed µop, so TAGE's indices and tags at a trace's p-th conditional
-// branch depend on p alone: BuildLookups computes them once per trace, and
-// every simulation of the trace reads them from its Lookups.
+// history the branch predictor keeps. In this trace-driven model that
+// history at a trace's p-th conditional branch depends on p alone
+// (internal/ghist), so TAGE's indices and tags there do too: BuildLookups
+// computes them once per trace, and every simulation of the trace reads
+// them from its Lookups.
 package bpred
 
 import "math"
@@ -36,14 +35,8 @@ type Tage struct {
 	base     []uint8 // 2-bit bimodal counters
 	baseMask uint64
 
-	tables [NTables]tageTable
+	tables [NTables][]tageEntry // tagged tables, indexed by the Lookups' rows
 	rng    uint32
-}
-
-type tageTable struct {
-	entries []tageEntry
-	histLen int
-	tagBits int
 }
 
 type tageEntry struct {
@@ -83,8 +76,8 @@ func (cfg TageConfig) geometry() (histLen, tagBits [NTables]int) {
 func NewTage(lk *Lookups) *Tage {
 	cfg := lk.cfg
 	t := &Tage{
-		at:   lk.at,
-		rows: lk.rows,
+		at:   lk.tab.At,
+		rows: lk.tab.Rows,
 		base: make([]uint8, 1<<cfg.LogBase),
 		rng:  0x2545F491,
 	}
@@ -92,13 +85,8 @@ func NewTage(lk *Lookups) *Tage {
 	for i := range t.base {
 		t.base[i] = 2 // weakly taken
 	}
-	histLen, tagBits := cfg.geometry()
 	for k := range t.tables {
-		t.tables[k] = tageTable{
-			entries: make([]tageEntry, 1<<cfg.LogTagged),
-			histLen: histLen[k],
-			tagBits: tagBits[k],
-		}
+		t.tables[k] = make([]tageEntry, 1<<cfg.LogTagged)
 	}
 	return t
 }
@@ -129,7 +117,7 @@ func (t *Tage) Predict(pc, pos uint64) (bool, TageMeta) {
 	m.Row = t.at[pos]
 	r := &t.rows[m.Row]
 	for k := range NTables {
-		if t.tables[k].entries[r.idx[k]].tag == r.tag[k] {
+		if t.tables[k][r.idx[k]].tag == r.tag[k] {
 			m.AltProv = m.Prov
 			m.Prov = int8(k)
 		}
@@ -137,10 +125,10 @@ func (t *Tage) Predict(pc, pos uint64) (bool, TageMeta) {
 	basePred := t.base[m.BaseIdx] >= 2
 	m.AltPred = basePred
 	if m.AltProv >= 0 {
-		m.AltPred = t.tables[m.AltProv].entries[r.idx[m.AltProv]].ctr >= 4
+		m.AltPred = t.tables[m.AltProv][r.idx[m.AltProv]].ctr >= 4
 	}
 	if m.Prov >= 0 {
-		m.Pred = t.tables[m.Prov].entries[r.idx[m.Prov]].ctr >= 4
+		m.Pred = t.tables[m.Prov][r.idx[m.Prov]].ctr >= 4
 	} else {
 		m.Pred = basePred
 	}
@@ -153,7 +141,7 @@ func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {
 	r := &t.rows[m.Row]
 
 	if m.Prov >= 0 {
-		e := &t.tables[m.Prov].entries[r.idx[m.Prov]]
+		e := &t.tables[m.Prov][r.idx[m.Prov]]
 		if e.tag == r.tag[m.Prov] {
 			e.ctr = bump3(e.ctr, taken)
 			if m.Pred != m.AltPred {
@@ -178,14 +166,14 @@ func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {
 	var cands [NTables]int
 	nc := 0
 	for k := lo; k < NTables; k++ {
-		if t.tables[k].entries[r.idx[k]].u == 0 {
+		if t.tables[k][r.idx[k]].u == 0 {
 			cands[nc] = k
 			nc++
 		}
 	}
 	if nc == 0 {
 		for k := lo; k < NTables; k++ {
-			e := &t.tables[k].entries[r.idx[k]]
+			e := &t.tables[k][r.idx[k]]
 			if e.u > 0 {
 				e.u--
 			}
@@ -197,7 +185,7 @@ func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {
 	if nc > 1 && t.nextRand()&3 == 0 {
 		pick = cands[int(t.nextRand())%nc]
 	}
-	e := &t.tables[pick].entries[r.idx[pick]]
+	e := &t.tables[pick][r.idx[pick]]
 	*e = tageEntry{tag: r.tag[pick], ctr: weakCtr(taken), u: 0}
 }
 
@@ -234,24 +222,11 @@ func bump2(c uint8, up bool) uint8 {
 	return 0
 }
 
-// StorageBits reports the predictor's storage cost.
-func (t *Tage) StorageBits() int {
-	bits := len(t.base) * 2
-	for i := range t.tables {
-		tb := &t.tables[i]
-		bits += len(tb.entries) * (tb.tagBits + 3 + 2)
-	}
-	return bits
-}
-
 // Entries reports the total entry count (paper: ~15K).
 func (t *Tage) Entries() int {
 	n := len(t.base)
 	for i := range t.tables {
-		n += len(t.tables[i].entries)
+		n += len(t.tables[i])
 	}
 	return n
 }
-
-// HistLen returns table k's history length (for tests).
-func (t *Tage) HistLen(k int) int { return t.tables[k].histLen }

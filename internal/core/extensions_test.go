@@ -1,16 +1,11 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/ghist"
-)
+import "testing"
 
 // --- Per-Path Stride ---
 
 func TestPSPredictsAffine(t *testing.T) {
-	var h ghist.History
-	p := NewPS(10, 10, FPCBaseline, 1, &h)
+	p := NewPS(10, 10, FPCBaseline, 1, BuildPSRows(branchesOf(nil)))
 	correct, wrong := drive(p, 100, affineSeq(500, 16, 60), 40)
 	if wrong != 0 {
 		t.Errorf("PS made %d wrong confident predictions on affine sequence", wrong)
@@ -24,21 +19,23 @@ func TestPSDistinguishesStridesByPath(t *testing.T) {
 	// One instruction whose delta depends on the preceding branch direction:
 	// +1 after taken, +100 after not-taken. A plain stride predictor cannot
 	// hold both strides; PS keys the stride on history bits.
-	var h ghist.History
-	p := NewPS(10, 10, FPCBaseline, 1, &h)
-	v := Value(0)
-	correct, confident := 0, 0
 	const n, tail = 4000, 500
+	stream := make([]branch, 0, 2*n)
 	for i := 0; i < n; i++ {
 		taken := (i/4)%2 == 0 // direction changes every 4 iterations
-		h.Push(taken, 0x77)
-		h.Push(taken, 0x78) // widen the path signature
+		// Two branches per iteration widen the path signature.
+		stream = append(stream, branch{0x77, taken}, branch{0x78, taken})
+	}
+	p := NewPS(10, 10, FPCBaseline, 1, BuildPSRows(branchesOf(stream)))
+	v := Value(0)
+	correct, confident := 0, 0
+	for i := 0; i < n; i++ {
 		delta := Value(100)
-		if taken {
+		if stream[2*i].taken {
 			delta = 1
 		}
 		v += delta
-		m := predict(p, 42)
+		m := predictAt(p, 42, uint64(2*i+2)) // after the iteration's branches
 		m.Seq = uint64(i)
 		p.FeedSpec(42, v, uint64(i))
 		if i >= n-tail && m.Conf {
@@ -58,8 +55,7 @@ func TestPSDistinguishesStridesByPath(t *testing.T) {
 }
 
 func TestPSSquashAndStorage(t *testing.T) {
-	var h ghist.History
-	p := NewPS(10, 10, FPCBaseline, 1, &h)
+	p := NewPS(10, 10, FPCBaseline, 1, BuildPSRows(branchesOf(nil)))
 	p.FeedSpec(1, 5, 10)
 	p.Squash(10)
 	if m := predict(p, 1); m.Conf {

@@ -107,7 +107,7 @@ func (p *FCM) effHist(e *fcmVHTEntry, w *specWindow) []uint16 {
 }
 
 // Predict implements Predictor.
-func (p *FCM) Predict(pc uint64, m *Meta) {
+func (p *FCM) Predict(pc, _ uint64, m *Meta) {
 	*m = Meta{}
 	e, tag := p.slot(pc)
 	if !e.ok || e.tag != tag {

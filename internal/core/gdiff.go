@@ -65,7 +65,7 @@ func (p *GDiff) snapshot(out *[gdiffDepth]Value) {
 // stashed in the Meta (distances 1..n map to GVH slots 0..n-1); CompMeta
 // would be too small for 8 values, so Meta carries them in the dedicated GVH
 // field, written in place.
-func (p *GDiff) Predict(pc uint64, m *Meta) {
+func (p *GDiff) Predict(pc, _ uint64, m *Meta) {
 	*m = Meta{}
 	p.snapshot(&m.GVH)
 	e, tag := p.slot(pc)

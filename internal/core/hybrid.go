@@ -25,9 +25,9 @@ func NewHybrid(a, b Predictor) *Hybrid {
 }
 
 // Predict implements Predictor.
-func (p *Hybrid) Predict(pc uint64, m *Meta) {
-	p.a.Predict(pc, &p.ma)
-	p.b.Predict(pc, &p.mb)
+func (p *Hybrid) Predict(pc, pos uint64, m *Meta) {
+	p.a.Predict(pc, pos, &p.ma)
+	p.b.Predict(pc, pos, &p.mb)
 	ma, mb := &p.ma, &p.mb
 	*m = Meta{C1: ma.C1, C2: mb.C1}
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/ghist"
 )
 
 // LayoutRow is one line of the Table 1 reproduction.
@@ -16,18 +14,16 @@ type LayoutRow struct {
 }
 
 // Table1 builds the paper's Table 1 (predictor layout summary) from the
-// actual storage accounting of freshly constructed predictors.
+// actual storage accounting of freshly constructed predictors and, for
+// VTAGE, of its configuration.
 func Table1() []LayoutRow {
-	var h ghist.History
 	lvp := NewLVP(13, FPCCommit, 1)
 	str := NewStride2D(13, FPCCommit, 1)
 	fcm := NewFCM(4, 13, FPCCommit, 1)
-	vt := NewVTAGE(DefaultVTAGEConfig(FPCCommit), &h)
 
 	kb := func(bits int) float64 { return float64(bits) / 8 / 1000 }
 
-	vtBase := len(vt.base) * (64 + 3)
-	vtTagged := vt.StorageBits() - vtBase
+	vtBase, vtTagged := DefaultVTAGEConfig(FPCCommit).storageBits()
 	fcmVHT := len(fcm.vht) * (fcmTagBits + fcm.order*16 + 3)
 	fcmVPT := fcm.StorageBits() - fcmVHT
 

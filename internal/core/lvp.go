@@ -38,7 +38,7 @@ func (p *LVP) slot(pc uint64) (*lvpEntry, uint64) {
 }
 
 // Predict implements Predictor.
-func (p *LVP) Predict(pc uint64, m *Meta) {
+func (p *LVP) Predict(pc, _ uint64, m *Meta) {
 	*m = Meta{}
 	e, tag := p.slot(pc)
 	if !e.ok || e.tag != tag {

@@ -11,7 +11,7 @@ type Oracle struct {
 func (p *Oracle) FeedActual(v Value) { p.next = v }
 
 // Predict implements Predictor: always confident, always right.
-func (p *Oracle) Predict(pc uint64, m *Meta) {
+func (p *Oracle) Predict(pc, _ uint64, m *Meta) {
 	*m = Meta{Pred: p.next, Conf: true}
 	m.C1.Pred = p.next
 	m.C1.Conf = true

@@ -6,8 +6,8 @@
 // Section 7.1.2, and the oracle predictor used for the Figure 3 upper bound.
 //
 // All predictors share one interface. Predictions are made in program order
-// at fetch time (so context-based predictors see the right global history)
-// and trained in program order at commit time with the architectural value,
+// at fetch time, at the µop's global history position, and trained in
+// program order at commit time with the architectural value,
 // exactly as in the paper's commit-time-validation design. The Meta value
 // returned by Predict carries per-prediction bookkeeping (provider component,
 // fetch-time table indices and tags) back to Train, playing the role of the
@@ -48,15 +48,16 @@ type Meta struct {
 // the single in-order front-end of the machine.
 type Predictor interface {
 	// Predict fills m with the prediction for the next dynamic occurrence of
-	// the µop at pc. It must be called in fetch order: context-based
-	// predictors read the current global history, and computational
-	// predictors advance their speculative per-PC value state.
+	// the µop at pc, at history position pos (the number of conditional
+	// branches before it in the trace), whose history VTAGE and PS read
+	// from their per-trace rows. It must be called in fetch order:
+	// computational predictors advance their speculative per-PC state.
 	//
 	// m is caller-provided scratch (typically the µop's in-flight payload
 	// slot) and must be fully overwritten — nothing survives from its
 	// previous use. Passing the scratch in rather than returning a Meta keeps
 	// the per-µop hot path free of large value copies and heap escapes.
-	Predict(pc uint64, m *Meta)
+	Predict(pc, pos uint64, m *Meta)
 
 	// Train updates the predictor with the architectural result of the µop,
 	// in commit order. m is the Meta returned by the matching Predict.
@@ -66,8 +67,8 @@ type Predictor interface {
 	// speculative value histories) belonging to occurrences with sequence
 	// number >= fromSeq after a pipeline flush; older in-flight state
 	// survives. This models the in-flight occurrence tracking Section 3.2
-	// requires of computational and local-history predictors. Global branch
-	// history repair is the pipeline's job (ghist.RollTo).
+	// requires of computational and local-history predictors. The global
+	// history needs no repair: the pipeline restores the position.
 	Squash(fromSeq uint64)
 
 	// Name identifies the predictor in tables and figures.

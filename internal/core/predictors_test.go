@@ -1,18 +1,48 @@
 package core
 
 import (
+	"iter"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/ghist"
 )
 
 // predict adapts the scratch-passing Predict contract for tests that want a
-// value result.
+// value result, at history position 0: the start of a trace, or any
+// position for a predictor that reads no history.
 func predict(p Predictor, pc uint64) Meta {
+	return predictAt(p, pc, 0)
+}
+
+// predictAt is predict at history position pos.
+func predictAt(p Predictor, pc, pos uint64) Meta {
 	var m Meta
-	p.Predict(pc, &m)
+	p.Predict(pc, pos, &m)
 	return m
+}
+
+// branch is one conditional branch of a test's trace: its PC and outcome.
+type branch struct {
+	pc    uint64
+	taken bool
+}
+
+// branchesOf yields stream as a trace's conditional branches, the form the
+// row builders read.
+func branchesOf(stream []branch) iter.Seq2[uint64, bool] {
+	return func(yield func(uint64, bool) bool) {
+		for _, b := range stream {
+			if !yield(b.pc, b.taken) {
+				return
+			}
+		}
+	}
+}
+
+// vtageOver builds a VTAGE under cfg over the rows of a trace whose
+// conditional branches are stream: at history position p it reads the
+// history of stream's first p branches.
+func vtageOver(cfg VTAGEConfig, stream []branch) *VTAGE {
+	return NewVTAGE(cfg, BuildVTAGERows(cfg, branchesOf(stream)))
 }
 
 // drive feeds a value sequence for one PC through predict/train and returns
@@ -257,8 +287,7 @@ func TestOracleAlwaysRight(t *testing.T) {
 }
 
 func TestHybridSelectionRules(t *testing.T) {
-	var h ghist.History
-	vt := NewVTAGE(DefaultVTAGEConfig(FPCBaseline), &h)
+	vt := vtageOver(DefaultVTAGEConfig(FPCBaseline), nil)
 	st := NewStride2D(13, FPCBaseline, 1)
 	hy := NewHybrid(vt, st)
 
@@ -314,7 +343,7 @@ type fixedPred struct {
 	squashed bool
 }
 
-func (f *fixedPred) Predict(pc uint64, m *Meta) {
+func (f *fixedPred) Predict(pc, _ uint64, m *Meta) {
 	*m = Meta{Pred: f.val, Conf: f.conf}
 	m.C1.Pred = f.val
 	m.C1.Conf = f.conf

@@ -1,6 +1,10 @@
 package core
 
-import "repro/internal/ghist"
+import (
+	"iter"
+
+	"repro/internal/ghist"
+)
 
 // PS is the Per-Path Stride predictor of Nakra, Gupta and Soffa [15]: a
 // stride predictor whose stride is selected by a few bits of the global
@@ -14,8 +18,8 @@ type PS struct {
 	strides              []psStride // per (PC, path) stride + confidence
 	conf                 *Confidence
 	lastMask, strideMask uint64
-	hist                 *ghist.History
-	fold                 ghist.Fold
+	at                   []uint32 // the rows' id of each history position
+	rows                 []uint8  // and their distinct history bits
 	spec                 specTable
 }
 
@@ -35,17 +39,30 @@ type psStride struct {
 // uses a few bits of the global branch history" — Section 6).
 const psHistBits = 4
 
+// PSRows holds the history bits PS selects a stride by at every history
+// position of one trace (BuildPSRows). Every PS over the trace may share it.
+type PSRows struct{ tab ghist.Table[uint8] }
+
+// BuildPSRows builds PS's rows for a trace whose conditional branches, in
+// trace order, are branches.
+func BuildPSRows(branches iter.Seq2[uint64, bool]) *PSRows {
+	views := []ghist.View{{Length: psHistBits, Width: psHistBits}}
+	return &PSRows{tab: ghist.Build(views, branches, func(_ uint64, folds []uint64) uint8 {
+		return uint8(folds[0])
+	})}
+}
+
 // NewPS builds a per-path stride predictor with 2^logLast last-value entries
-// and 2^logStride path-qualified stride entries over the shared history h.
-func NewPS(logLast, logStride int, vec FPCVector, seed uint32, h *ghist.History) *PS {
+// and 2^logStride path-qualified stride entries over rows.
+func NewPS(logLast, logStride int, vec FPCVector, seed uint32, rows *PSRows) *PS {
 	return &PS{
 		lasts:      make([]psLast, 1<<logLast),
 		strides:    make([]psStride, 1<<logStride),
 		conf:       NewConfidence(vec, seed),
 		lastMask:   uint64(1)<<logLast - 1,
 		strideMask: uint64(1)<<logStride - 1,
-		hist:       h,
-		fold:       h.RegisterFold(psHistBits, psHistBits, false),
+		at:         rows.tab.At,
+		rows:       rows.tab.Rows,
 	}
 }
 
@@ -60,8 +77,8 @@ func (p *PS) strideSlot(pc uint64, hist uint64) (*psStride, uint16) {
 }
 
 // Predict implements Predictor: last speculative occurrence plus the stride
-// recorded for the current path.
-func (p *PS) Predict(pc uint64, m *Meta) {
+// recorded for the path at history position pos.
+func (p *PS) Predict(pc, pos uint64, m *Meta) {
 	*m = Meta{}
 	le, tag := p.lastSlot(pc)
 	if !le.ok || le.tag != tag {
@@ -73,7 +90,7 @@ func (p *PS) Predict(pc uint64, m *Meta) {
 			last = sv.val
 		}
 	}
-	hist := p.hist.Folded(p.fold)
+	hist := uint64(p.rows[p.at[pos]])
 	se, stag := p.strideSlot(pc, hist)
 	if se.tag == stag {
 		m.Pred = last + Value(se.stride)

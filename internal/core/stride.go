@@ -131,7 +131,7 @@ func (p *Stride2D) slot(pc uint64) (*strideEntry, uint64) {
 // Predict implements Predictor: the last speculative occurrence (the newest
 // in-flight value if any, else the committed last value) plus the predicting
 // stride.
-func (p *Stride2D) Predict(pc uint64, m *Meta) {
+func (p *Stride2D) Predict(pc, _ uint64, m *Meta) {
 	*m = Meta{}
 	e, tag := p.slot(pc)
 	if !e.ok || e.tag != tag {

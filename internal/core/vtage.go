@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"iter"
 	"math"
 
 	"repro/internal/ghist"
@@ -17,8 +19,13 @@ import (
 // never on previous values of the same µop — VTAGE has no speculative
 // per-PC value state to track and can predict back-to-back occurrences of an
 // instruction even with a multi-cycle lookup (Section 3.2).
+//
+// The history part of each index and tag depends on the history position
+// alone, so VTAGE reads it from per-trace rows (VTAGERows).
 type VTAGE struct {
-	hist *ghist.History
+	cfg  VTAGEConfig
+	at   []uint32   // the rows' id of each history position
+	rows []vtageRow // and their distinct rows
 
 	base     []vtageBase
 	baseMask uint64
@@ -34,14 +41,9 @@ type vtageBase struct {
 }
 
 type vtageComp struct {
-	entries  []vtageEntry
-	mask     uint64
-	histLen  int
-	tagBits  int
-	idxFold  ghist.Fold
-	tagFoldA ghist.Fold
-	tagFoldB ghist.Fold
-	pathFold ghist.Fold
+	entries []vtageEntry
+	mask    uint64 // index mask
+	tagMask uint64
 }
 
 type vtageEntry struct {
@@ -75,73 +77,122 @@ func DefaultVTAGEConfig(vec FPCVector) VTAGEConfig {
 	}
 }
 
-// NewVTAGE builds a VTAGE predictor reading (and sharing) the global history
-// h, which the pipeline updates at fetch and repairs on squash.
-func NewVTAGE(cfg VTAGEConfig, h *ghist.History) *VTAGE {
+// histLens returns the tagged components' history lengths: a geometric
+// series from MinHist to MaxHist (paper: 2, 4, ..., 64).
+func (cfg VTAGEConfig) histLens() (hl [NComp]int) {
+	ratio := 1.0
+	if NComp > 1 {
+		ratio = math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1.0/float64(NComp-1))
+	}
+	h := float64(cfg.MinHist)
+	for k := range hl {
+		hl[k] = int(h + 0.5)
+		h *= ratio
+	}
+	return hl
+}
+
+// storageBits returns the storage of a VTAGE under cfg: base entries hold
+// value+confidence; tagged entries add the partial tag and the u bit.
+func (cfg VTAGEConfig) storageBits() (base, tagged int) {
+	base = (1 << cfg.LogBase) * (64 + 3)
+	for k := range NComp {
+		tagged += (1 << cfg.LogTagged) * (cfg.TagBitsMin + k + 64 + 3 + 1)
+	}
+	return base, tagged
+}
+
+// VTAGERows holds the history part of every tagged component's index and
+// tag at every history position of one trace, for one history geometry
+// (BuildVTAGERows). Every VTAGE of that geometry over the trace may share
+// it.
+type VTAGERows struct {
+	cfg VTAGEConfig // built under; only its history geometry matters
+	tab ghist.Table[vtageRow]
+}
+
+// vtageRow is one position's history part of VTAGE's lookup: per tagged
+// component, the XOR of its index folds and that of its tag folds. Meta's
+// tags are 16 bits, so only a tag's low 16 bits reach a prediction.
+type vtageRow struct {
+	idx [NComp]uint16
+	tag [NComp]uint16
+}
+
+// BuildVTAGERows builds VTAGE's rows under cfg's history geometry for a
+// trace whose conditional branches, in trace order, are branches.
+func BuildVTAGERows(cfg VTAGEConfig, branches iter.Seq2[uint64, bool]) *VTAGERows {
+	if cfg.LogTagged > 16 {
+		panic(fmt.Sprintf("core: %d-bit VTAGE indices do not fit a row's 16 bits", cfg.LogTagged))
+	}
+	views := make([]ghist.View, 0, 4*NComp)
+	for k, L := range cfg.histLens() {
+		tagBits := cfg.TagBitsMin + k
+		views = append(views,
+			ghist.View{Length: L, Width: cfg.LogTagged},
+			ghist.View{Length: L, Width: tagBits},
+			ghist.View{Length: L, Width: tagBits - 1},
+			ghist.View{Length: min(L, 16), Width: cfg.LogTagged, Path: true})
+	}
+	return &VTAGERows{cfg: cfg, tab: ghist.Build(views, branches, func(_ uint64, folds []uint64) (r vtageRow) {
+		for k := range NComp {
+			f := folds[4*k : 4*k+4]
+			r.idx[k] = uint16(f[0] ^ f[3])
+			r.tag[k] = uint16(f[1] ^ f[2]<<1)
+		}
+		return r
+	})}
+}
+
+// Fits reports whether rows were built for cfg's history geometry: cfg
+// equals their configuration but for the base and confidence fields.
+func (rows *VTAGERows) Fits(cfg VTAGEConfig) bool {
+	cfg.LogBase, cfg.Vector, cfg.Seed = rows.cfg.LogBase, rows.cfg.Vector, rows.cfg.Seed
+	return cfg == rows.cfg
+}
+
+// NewVTAGE builds a VTAGE predictor under cfg over rows built for cfg's
+// history geometry.
+func NewVTAGE(cfg VTAGEConfig, rows *VTAGERows) *VTAGE {
+	if !rows.Fits(cfg) {
+		panic(fmt.Sprintf("core: VTAGE rows built for %+v do not fit %+v", rows.cfg, cfg))
+	}
 	p := &VTAGE{
-		hist: h,
+		cfg:  cfg,
+		at:   rows.tab.At,
+		rows: rows.tab.Rows,
 		base: make([]vtageBase, 1<<cfg.LogBase),
 		conf: NewConfidence(cfg.Vector, cfg.Seed),
 		rng:  NewLFSR(cfg.Seed*2 + 1),
 	}
 	p.baseMask = uint64(len(p.base) - 1)
-
-	// Geometric history series from MinHist to MaxHist (paper: 2,4,...,64).
-	ratio := 1.0
-	if NComp > 1 {
-		ratio = math.Pow(float64(cfg.MaxHist)/float64(cfg.MinHist), 1.0/float64(NComp-1))
-	}
-	hl := float64(cfg.MinHist)
-	for i := 0; i < NComp; i++ {
-		n := 1 << cfg.LogTagged
-		L := int(hl + 0.5)
-		c := &p.comps[i]
-		c.entries = make([]vtageEntry, n)
-		c.mask = uint64(n - 1)
-		c.histLen = L
-		c.tagBits = cfg.TagBitsMin + i
-		c.idxFold = h.RegisterFold(L, cfg.LogTagged, false)
-		c.tagFoldA = h.RegisterFold(L, c.tagBits, false)
-		c.tagFoldB = h.RegisterFold(L, c.tagBits-1, false)
-		c.pathFold = h.RegisterFold(minInt(L, 16), cfg.LogTagged, true)
-		hl *= ratio
+	n := 1 << cfg.LogTagged
+	for k := range p.comps {
+		p.comps[k] = vtageComp{
+			entries: make([]vtageEntry, n),
+			mask:    uint64(n - 1),
+			tagMask: uint64(1)<<(cfg.TagBitsMin+k) - 1,
+		}
 	}
 	return p
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// index and tag computation for component k at the current history state.
-func (p *VTAGE) compIndex(k int, pc uint64) uint32 {
-	c := &p.comps[k]
-	h := hashPC(pc)
-	return uint32((h ^ h>>uint(10+k) ^ p.hist.Folded(c.idxFold) ^ p.hist.Folded(c.pathFold)) & c.mask)
-}
-
-func (p *VTAGE) compTag(k int, pc uint64) uint16 {
-	c := &p.comps[k]
-	h := hashPC(pc ^ 0x7F4A7C15)
-	mask := uint64(1)<<c.tagBits - 1
-	return uint16((h ^ p.hist.Folded(c.tagFoldA) ^ p.hist.Folded(c.tagFoldB)<<1) & mask)
-}
-
 // Predict implements Predictor. All components are searched in parallel; the
-// hitting component with the longest history provides the prediction.
-func (p *VTAGE) Predict(pc uint64, m *Meta) {
+// hitting component with the longest history provides the prediction. An
+// index or tag is the PC's hash XOR the history part in the row at pos.
+func (p *VTAGE) Predict(pc, pos uint64, m *Meta) {
 	*m = Meta{}
 	m.C1.Prov = -1
-	m.C1.Idx[0] = uint32(hashPC(pc) & p.baseMask)
-	for k := 0; k < NComp; k++ {
-		idx := p.compIndex(k, pc)
-		tag := p.compTag(k, pc)
+	h, ht := hashPC(pc), hashPC(pc^0x7F4A7C15)
+	m.C1.Idx[0] = uint32(h & p.baseMask)
+	r := &p.rows[p.at[pos]]
+	for k := range NComp {
+		c := &p.comps[k]
+		idx := uint32((h ^ h>>uint(10+k) ^ uint64(r.idx[k])) & c.mask)
+		tag := uint16((ht ^ uint64(r.tag[k])) & c.tagMask)
 		m.C1.Idx[k+1] = idx
 		m.C1.Tag[k] = tag
-		if p.comps[k].entries[idx].tag == tag {
+		if c.entries[idx].tag == tag {
 			m.C1.Prov = int8(k)
 		}
 	}
@@ -226,7 +277,7 @@ func (p *VTAGE) updateEntry(val *Value, c *uint8, actual Value, correct bool) {
 }
 
 // Squash implements Predictor. VTAGE keeps no speculative per-PC value
-// state; the shared global history is rolled back by the pipeline.
+// state, and its history is a function of the position Predict is given.
 func (p *VTAGE) Squash(fromSeq uint64) {}
 
 // Name implements Predictor.
@@ -236,14 +287,6 @@ func (p *VTAGE) Name() string { return "VTAGE" }
 // tagged entries add the partial tag and the u bit (Table 1: 68.6 kB +
 // 64.1 kB in the paper's configuration).
 func (p *VTAGE) StorageBits() int {
-	bits := len(p.base) * (64 + 3)
-	for i := range p.comps {
-		c := &p.comps[i]
-		bits += len(c.entries) * (c.tagBits + 64 + 3 + 1)
-	}
-	return bits
+	base, tagged := p.cfg.storageBits()
+	return base + tagged
 }
-
-// HistLen returns the history length of tagged component k (for tests and
-// the Table 1 printer).
-func (p *VTAGE) HistLen(k int) int { return p.comps[k].histLen }

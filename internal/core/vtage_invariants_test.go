@@ -1,23 +1,20 @@
 package core
 
-import (
-	"testing"
-
-	"repro/internal/ghist"
-)
+import "testing"
 
 // White-box invariants of the VTAGE update automaton (Section 6): where
 // allocation on a misprediction may land, what a fresh allocation must look
 // like, the u-bit decay when every candidate is useful, and the confidence
 // hysteresis protecting a confident value from a single misprediction.
 
-func newInvariantVTAGE(t *testing.T) (*VTAGE, *ghist.History) {
+// newInvariantVTAGE is a small VTAGE over a trace with no conditional
+// branch: every prediction reads the empty history, position 0.
+func newInvariantVTAGE(t *testing.T) *VTAGE {
 	t.Helper()
-	h := &ghist.History{}
 	cfg := DefaultVTAGEConfig(FPCBaseline)
 	cfg.LogBase = 6
 	cfg.LogTagged = 5
-	return NewVTAGE(cfg, h), h
+	return vtageOver(cfg, nil)
 }
 
 // allocatedComps returns the tagged components whose fetch-indexed entry now
@@ -33,9 +30,9 @@ func allocatedComps(p *VTAGE, m *Meta) []int {
 }
 
 func TestVTAGEMispredictAllocatesLongerHistoryEntry(t *testing.T) {
-	p, _ := newInvariantVTAGE(t)
+	p := newInvariantVTAGE(t)
 	var m Meta
-	p.Predict(100, &m)
+	p.Predict(100, 0, &m)
 	if m.C1.Prov != -1 {
 		t.Fatalf("fresh predictor has a tagged provider %d", m.C1.Prov)
 	}
@@ -56,9 +53,9 @@ func TestVTAGEMispredictAllocatesLongerHistoryEntry(t *testing.T) {
 }
 
 func TestVTAGEAllUsefulCandidatesDecayInsteadOfAllocate(t *testing.T) {
-	p, _ := newInvariantVTAGE(t)
+	p := newInvariantVTAGE(t)
 	var m Meta
-	p.Predict(200, &m)
+	p.Predict(200, 0, &m)
 	if m.C1.Prov != -1 {
 		t.Fatalf("unexpected provider %d", m.C1.Prov)
 	}
@@ -87,13 +84,13 @@ func TestVTAGEAllUsefulCandidatesDecayInsteadOfAllocate(t *testing.T) {
 }
 
 func TestVTAGEConfidenceActsAsValueHysteresis(t *testing.T) {
-	p, _ := newInvariantVTAGE(t)
+	p := newInvariantVTAGE(t)
 	var m Meta
 	// Saturate the base entry on value 0: every prediction is correct (a
 	// fresh base already holds 0), so no tagged entry is ever allocated and
 	// the base stays the provider throughout.
 	for i := 0; i < ConfMax+1; i++ {
-		p.Predict(300, &m)
+		p.Predict(300, 0, &m)
 		p.Train(300, 0, &m)
 	}
 	b := &p.base[m.C1.Idx[0]]
@@ -101,7 +98,7 @@ func TestVTAGEConfidenceActsAsValueHysteresis(t *testing.T) {
 		t.Fatalf("base entry not saturated on 0: {val %d, c %d}", b.val, b.c)
 	}
 	// First misprediction: confidence resets, value survives (hysteresis).
-	p.Predict(300, &m)
+	p.Predict(300, 0, &m)
 	if m.C1.Prov != -1 {
 		t.Fatalf("provider %d, want base", m.C1.Prov)
 	}
@@ -119,13 +116,13 @@ func TestVTAGEConfidenceActsAsValueHysteresis(t *testing.T) {
 }
 
 func TestVTAGEProviderUpdateSetsUsefulness(t *testing.T) {
-	p, _ := newInvariantVTAGE(t)
+	p := newInvariantVTAGE(t)
 	var m Meta
-	p.Predict(400, &m)
+	p.Predict(400, 0, &m)
 	p.Train(400, 3, &m) // allocate a tagged entry for pc 400
 
 	// Find the allocated component and make it the provider.
-	p.Predict(400, &m)
+	p.Predict(400, 0, &m)
 	if m.C1.Prov < 0 {
 		t.Skip("allocation landed on a colliding tag; provider did not form")
 	}
@@ -135,7 +132,7 @@ func TestVTAGEProviderUpdateSetsUsefulness(t *testing.T) {
 	if e.u != 1 {
 		t.Error("correct provider prediction did not set the u bit")
 	}
-	p.Predict(400, &m)
+	p.Predict(400, 0, &m)
 	p.Train(400, m.C1.Pred+1, &m) // wrong provider prediction
 	if e.u != 0 {
 		t.Error("wrong provider prediction did not clear the u bit")

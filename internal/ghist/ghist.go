@@ -1,16 +1,16 @@
-// Package ghist maintains the speculative global branch history and path
-// history shared by the TAGE branch predictor and the VTAGE value predictor.
+// Package ghist builds the per-position rows through which TAGE and VTAGE
+// read the global branch and path history, and PS its history bits.
 //
-// The history is a ring of conditional-branch outcomes plus a ring of branch
-// PC low bits (the path). Predictors register folded views (circular-shift
-// XOR folds of the most recent L bits into W-bit indices, as in TAGE/ITTAGE
-// hardware); folds are maintained incrementally on every push. Folds are
-// registered before the first push. On rollback (which the pipeline invokes
-// when it squashes) the fold values are restored from a per-push checkpoint
-// ring.
+// In this trace-driven model the history at a µop is that of the
+// conditional branches before it in the trace, so it depends only on their
+// number, the µop's history position: a simulation keeps that position as
+// an integer, and a predictor reads its row there from a Table that Build
+// made once per trace. Build steps a private History (rings of outcomes
+// and branch PC low bits, with TAGE-style folded views maintained
+// incrementally on every push) through the trace's conditional branches.
 package ghist
 
-import "fmt"
+import "iter"
 
 const (
 	// Capacity is the number of outcomes retained; it bounds the longest
@@ -37,25 +37,15 @@ type foldSpec struct {
 	val uint64 // current folded value
 }
 
-// History is the speculative global history. The zero value is an empty
-// history with no registered folds, ready to use.
+// History is the global history Build steps through a trace. The zero
+// value is an empty history with no registered folds, ready to use; folds
+// are registered before the first push.
 type History struct {
 	bits  [Capacity]byte   // outcome ring: 0 or 1
 	path  [Capacity]uint16 // PC low bits of every control µop
 	pos   uint64           // total pushes so far; ring index = pos & capMask
 	folds []foldSpec
-
-	// ckpt is the fold-value checkpoint ring: slot (p & capMask) holds the
-	// complete fold vector as it stood at position p, written by the push
-	// that reached p; slot 0 starts as the empty history's all-zero folds.
-	// RollTo restores the vector with one copy. Sized by the first push, so
-	// it is non-nil exactly when registration has closed.
-	ckpt []uint64 // Capacity * len(folds), laid out slot-major
 }
-
-// Pos returns the current history position (total outcomes pushed). Pipeline
-// components snapshot Pos per in-flight µop and RollTo it on squash.
-func (h *History) Pos() uint64 { return h.pos }
 
 // Push appends one branch outcome and its PC to the history and updates all
 // registered folds.
@@ -64,17 +54,10 @@ func (h *History) Push(taken bool, pc uint64) {
 	if taken {
 		b = 1
 	}
-	n := len(h.folds)
-	if h.ckpt == nil {
-		// Every fold is registered by now, so this allocates once per
-		// history rather than once per fold.
-		h.ckpt = make([]uint64, Capacity*n)
-	}
 	idx := h.pos & capMask
 	h.bits[idx] = b
 	h.path[idx] = uint16(pc)
 	h.pos++
-	ck := h.ckpt[int(h.pos&capMask)*n : int(h.pos&capMask)*n+n]
 	// Step every fold as a TAGE circular shift register: rotate left by
 	// one, insert the new entry, and remove the entry that fell off the
 	// window. That entry was inserted (masked to width bits) length pushes
@@ -96,28 +79,12 @@ func (h *History) Push(taken bool, pc uint64) {
 			v ^= old<<f.out | old>>(f.top+1-f.out)
 		}
 		f.val = v & f.mask
-		ck[i] = f.val
 	}
-}
-
-// recent returns the i-th most recent entry (i=0 is the newest) from the
-// outcome ring, or the path ring when path is set.
-func (h *History) recent(i int, path bool) uint16 {
-	idx := (h.pos - 1 - uint64(i)) & capMask
-	if path {
-		return h.path[idx]
-	}
-	return uint16(h.bits[idx])
 }
 
 // RegisterFold registers a folded view of the last length outcomes (or path
-// entries) into width bits and returns its handle. Predictors register all
-// folds at construction time; registering after the first Push panics, since
-// the checkpoint ring is laid out per registered fold.
+// entries) into width bits and returns its handle.
 func (h *History) RegisterFold(length, width int, path bool) Fold {
-	if h.ckpt != nil {
-		panic("ghist: RegisterFold after Push")
-	}
 	// The ring overwrites the slot that is exactly Capacity pushes old at
 	// every push, so the longest window whose eviction is still readable is
 	// Capacity-1.
@@ -127,8 +94,8 @@ func (h *History) RegisterFold(length, width int, path bool) Fold {
 	if width < 1 {
 		width = 1
 	}
-	// Predictors over one history often ask for the same view (TAGE and
-	// VTAGE share lengths and widths): they share its handle, so Push
+	// A builder often asks for the same view twice (TAGE's and VTAGE's
+	// index and tag folds can coincide): the views share a handle, so Push
 	// steps it once.
 	for i, f := range h.folds {
 		if f.length == length && f.width == width && f.path == path {
@@ -149,33 +116,59 @@ func (h *History) RegisterFold(length, width int, path bool) Fold {
 // Folded returns the current value of fold f.
 func (h *History) Folded(f Fold) uint64 { return h.folds[f].val }
 
-// RollTo rewinds the history to position pos (forgetting newer outcomes) and
-// restores every fold from the checkpoint ring to the value it had there.
-// The ring holds checkpoints for the Capacity-1 positions before the current
-// one, so a rollback of Capacity or more positions panics rather than
-// restore a stale slot. Later pushes stay exact while the rollback depth
-// plus the longest fold window fits in Capacity: the pipeline rolls back
-// only over its in-flight µops.
-func (h *History) RollTo(pos uint64) {
-	if pos >= h.pos {
-		return // nothing newer to forget
-	}
-	if h.pos-pos >= Capacity {
-		panic(fmt.Sprintf("ghist: rollback of %d positions exceeds the %d-entry checkpoint ring", h.pos-pos, Capacity))
-	}
-	h.pos = pos
-	n := len(h.folds)
-	ck := h.ckpt[int(pos&capMask)*n : int(pos&capMask)*n+n]
-	for i := range h.folds {
-		h.folds[i].val = ck[i]
-	}
+// View is a folded view of the last Length outcomes (or path entries) into
+// Width bits.
+type View struct {
+	Length, Width int
+	Path          bool
 }
 
-// Bit returns the i-th most recent outcome (i=0 newest). It returns false
-// beyond the recorded history.
-func (h *History) Bit(i int) bool {
-	if uint64(i) >= h.pos || i >= Capacity {
-		return false
+// Table is one trace's rows by history position: position p reads
+// Rows[At[p]], and positions with equal rows share one. It is read-only
+// once built, so every simulation of the trace may share it.
+type Table[R comparable] struct {
+	Rows []R      // the distinct rows, in order of first position
+	At   []uint32 // At[p]: the index in Rows of position p's row
+}
+
+// Build tabulates row over a trace whose conditional branches, in trace
+// order, are branches (each one's PC and outcome; walked twice, the first
+// time to size At). At every position p from 0 to n, the number of
+// branches, row gets folds[i], the value of views[i] over the first p
+// branches, and pc, the PC of branch p (0 at n, where no branch follows).
+func Build[R comparable](views []View, branches iter.Seq2[uint64, bool], row func(pc uint64, folds []uint64) R) Table[R] {
+	n := 0
+	for range branches {
+		n++
 	}
-	return h.recent(i, false) == 1
+	h := &History{folds: make([]foldSpec, 0, len(views))}
+	handles := make([]Fold, len(views))
+	for i, v := range views {
+		handles[i] = h.RegisterFold(v.Length, v.Width, v.Path)
+	}
+	folds := make([]uint64, len(views))
+	ids := make(map[R]uint32)
+	at := make([]uint32, 0, n+1)
+	add := func(pc uint64) {
+		for i, f := range handles {
+			folds[i] = h.Folded(f)
+		}
+		r := row(pc, folds)
+		id, ok := ids[r]
+		if !ok {
+			id = uint32(len(ids))
+			ids[r] = id
+		}
+		at = append(at, id)
+	}
+	for pc, taken := range branches {
+		add(pc)
+		h.Push(taken, pc)
+	}
+	add(0)
+	t := Table[R]{Rows: make([]R, len(ids)), At: at}
+	for r, id := range ids {
+		t.Rows[id] = r
+	}
+	return t
 }

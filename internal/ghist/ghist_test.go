@@ -6,6 +6,26 @@ import (
 	"testing/quick"
 )
 
+// recent returns the i-th most recent entry (i=0 is the newest) from the
+// outcome ring, or the path ring when path is set: the tests' reader of the
+// rings Push writes.
+func (h *History) recent(i int, path bool) uint16 {
+	idx := (h.pos - 1 - uint64(i)) & capMask
+	if path {
+		return h.path[idx]
+	}
+	return uint16(h.bits[idx])
+}
+
+// Bit returns the i-th most recent outcome (i=0 newest). It returns false
+// beyond the recorded history.
+func (h *History) Bit(i int) bool {
+	if uint64(i) >= h.pos || i >= Capacity {
+		return false
+	}
+	return h.recent(i, false) == 1
+}
+
 func TestPushAndBit(t *testing.T) {
 	var h History
 	h.Push(true, 0x10)
@@ -66,44 +86,6 @@ func TestFoldMatchesReferenceIncrementally(t *testing.T) {
 		if got, want := h.Folded(f3), referenceFold(&h, 16, 7, true); got != want {
 			t.Fatalf("push %d: path fold(16,7) = %#x, want %#x", i, got, want)
 		}
-	}
-}
-
-func TestRollToRestoresFolds(t *testing.T) {
-	var h History
-	f := h.RegisterFold(20, 9, false)
-	rng := rand.New(rand.NewSource(11))
-
-	for i := 0; i < 100; i++ {
-		h.Push(rng.Intn(2) == 0, uint64(i))
-	}
-	snapPos := h.Pos()
-	snapVal := h.Folded(f)
-
-	for i := 0; i < 30; i++ {
-		h.Push(rng.Intn(3) == 0, uint64(1000+i))
-	}
-	h.RollTo(snapPos)
-
-	if h.Pos() != snapPos {
-		t.Errorf("Pos after RollTo = %d, want %d", h.Pos(), snapPos)
-	}
-	if got := h.Folded(f); got != snapVal {
-		t.Errorf("fold after RollTo = %#x, want %#x", got, snapVal)
-	}
-	// History must be replayable identically after rollback.
-	h.Push(true, 42)
-	if got, want := h.Folded(f), referenceFold(&h, 20, 9, false); got != want {
-		t.Errorf("fold after rollback+push = %#x, want %#x", got, want)
-	}
-}
-
-func TestRollToNewerPosIsNoop(t *testing.T) {
-	var h History
-	h.Push(true, 1)
-	h.RollTo(99)
-	if h.Pos() != 1 {
-		t.Errorf("Pos = %d, want 1", h.Pos())
 	}
 }
 
@@ -197,111 +179,69 @@ func TestIdenticalViewsShareAHandle(t *testing.T) {
 	}
 }
 
-// TestFoldsMatchReferenceAcrossRollbacks drives random pushes and
-// rollbacks and checks every registered view, shared ones included, against
-// the definition after each operation, while the history grows past the
-// checkpoint ring several times. Window plus rollback depth stays within the
-// ring, as the pipeline's in-flight branches guarantee.
-func TestFoldsMatchReferenceAcrossRollbacks(t *testing.T) {
-	views := [][3]int{{8, 5, 0}, {37, 11, 0}, {16, 7, 1}, {8, 5, 0}, {640, 12, 0}, {1, 1, 1}, {37, 11, 1}, {130, 64, 0}}
-	var h History
-	handles := make([]Fold, len(views))
-	for i, v := range views {
-		handles[i] = h.RegisterFold(v[0], v[1], v[2] == 1)
-	}
-	check := func(op string) {
-		t.Helper()
-		for i, v := range views {
-			if got, want := h.Folded(handles[i]), referenceFold(&h, v[0], v[1], v[2] == 1); got != want {
-				t.Fatalf("after %s at pos %d: view %v = %#x, want %#x", op, h.Pos(), v, got, want)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 3; round++ {
-		// Rollbacks average under half a position per push, so the
-		// history grows past the ring and entries leave every window.
-		for i := 0; i < 3*Capacity; i++ {
-			h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
-			check("push")
-			if rng.Intn(64) == 0 {
-				h.RollTo(h.Pos() - uint64(rng.Intn(64)))
-				check("rollback")
-			}
-		}
-		if h.Pos() < uint64(round+1)*Capacity {
-			t.Fatalf("round %d: history at %d, not past the ring", round, h.Pos())
-		}
-	}
+// foldRow is a row that records everything Build hands its row function:
+// the PC of the branch at the position and three fold values.
+type foldRow struct {
+	pc    uint64
+	folds [3]uint64
 }
 
-// TestRollToOldestCheckpoint: the deepest rollback the ring holds,
-// Capacity-1 positions, restores every fold to the value it had there.
-func TestRollToOldestCheckpoint(t *testing.T) {
-	var h History
-	f := h.RegisterFold(37, 11, false)
-	p := h.RegisterFold(16, 7, true)
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < Capacity+100; i++ {
-		h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+// TestBuildTabulatesEveryPosition checks Build against a History stepped
+// alongside it: position p's row carries branch p's PC (0 at the last
+// position, where no branch follows) and each view's fold over the first p
+// branches, computed from the definition; the table covers positions 0..n,
+// and distinct ids name distinct rows. A stream with no branch has the
+// empty history's one row.
+func TestBuildTabulatesEveryPosition(t *testing.T) {
+	views := []View{{8, 5, false}, {37, 11, false}, {16, 7, true}}
+	rng := rand.New(rand.NewSource(13))
+	type branch struct {
+		pc    uint64
+		taken bool
 	}
-	at, fv, pv := h.Pos(), h.Folded(f), h.Folded(p)
-	for i := 0; i < Capacity-1; i++ {
-		h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+	random := make([]branch, 600)
+	for i := range random {
+		random[i] = branch{uint64(rng.Intn(1 << 16)), rng.Intn(2) == 0}
 	}
-	h.RollTo(at)
-	if h.Folded(f) != fv || h.Folded(p) != pv {
-		t.Errorf("folds after a %d-position rollback = %#x, %#x, want %#x, %#x",
-			Capacity-1, h.Folded(f), h.Folded(p), fv, pv)
+	periodic := make([]branch, 400)
+	for i := range periodic {
+		periodic[i] = branch{uint64(0x40 + i%3), i%5 < 2}
 	}
-}
-
-// TestRollToZeroClearsFolds: rolling back to the empty history restores the
-// all-zero folds the definition gives there.
-func TestRollToZeroClearsFolds(t *testing.T) {
-	views := [][3]int{{8, 5, 0}, {37, 11, 0}, {16, 7, 1}}
-	var h History
-	handles := make([]Fold, len(views))
-	for i, v := range views {
-		handles[i] = h.RegisterFold(v[0], v[1], v[2] == 1)
-	}
-	for i := 0; i < 300; i++ {
-		h.Push(i%3 != 0, uint64(i*7919))
-	}
-	h.RollTo(0)
-	if h.Pos() != 0 {
-		t.Fatalf("Pos after RollTo(0) = %d", h.Pos())
-	}
-	for i, v := range views {
-		if got, want := h.Folded(handles[i]), referenceFold(&h, v[0], v[1], v[2] == 1); got != want || got != 0 {
-			t.Errorf("view %v after RollTo(0) = %#x, want %#x", v, got, want)
+	for name, stream := range map[string][]branch{"random": random, "periodic": periodic, "empty": nil} {
+		tab := Build(views, func(yield func(uint64, bool) bool) {
+			for _, b := range stream {
+				if !yield(b.pc, b.taken) {
+					return
+				}
+			}
+		}, func(pc uint64, folds []uint64) foldRow {
+			return foldRow{pc, [3]uint64(folds)}
+		})
+		if len(tab.At) != len(stream)+1 {
+			t.Fatalf("%s: %d positions for %d branches", name, len(tab.At), len(stream))
+		}
+		var ref History
+		for p := range tab.At {
+			var want foldRow
+			if p < len(stream) {
+				want.pc = stream[p].pc
+			}
+			for i, v := range views {
+				want.folds[i] = referenceFold(&ref, v.Length, v.Width, v.Path)
+			}
+			if id := tab.At[p]; int(id) >= len(tab.Rows) || tab.Rows[id] != want {
+				t.Fatalf("%s: position %d reads row %d, want %+v", name, p, id, want)
+			}
+			if p < len(stream) {
+				ref.Push(stream[p].taken, stream[p].pc)
+			}
+		}
+		seen := make(map[foldRow]bool, len(tab.Rows))
+		for id, r := range tab.Rows {
+			if seen[r] {
+				t.Errorf("%s: row %d repeats an earlier row", name, id)
+			}
+			seen[r] = true
 		}
 	}
-}
-
-// TestMisuseOfTheCheckpointRingPanics: registering a fold after the first
-// push, or rolling back Capacity or more positions, would leave the ring
-// answering with stale folds, so both panic.
-func TestMisuseOfTheCheckpointRingPanics(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	var h History
-	h.RegisterFold(8, 5, false)
-	h.Push(true, 1)
-	mustPanic("RegisterFold after Push", func() { h.RegisterFold(16, 7, false) })
-	h.RollTo(0)
-	mustPanic("RegisterFold after a rollback to 0", func() { h.RegisterFold(16, 7, false) })
-
-	for i := 0; i < Capacity+10; i++ {
-		h.Push(i%2 == 0, uint64(i))
-	}
-	mustPanic("RollTo Capacity positions back", func() { h.RollTo(h.Pos() - Capacity) })
-	mustPanic("RollTo(0) past the ring", func() { h.RollTo(0) })
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
 )
@@ -29,13 +28,12 @@ func TestRunCtxMatchesRun(t *testing.T) {
 	c := testWindows(5_000, 60_000)
 	for _, spec := range specs {
 		k, _ := kernels.ByName(spec.Kernel)
-		h := &ghist.History{}
-		pred, err := spec.newPredictor(h)
+		tr := pipeline.Prepare(emu.Trace(k.Build(), int(c.Warmup+c.Measure)))
+		pred, err := spec.newPredictor(tr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := emu.Trace(k.Build(), int(c.Warmup+c.Measure))
-		want, err := pipeline.New(spec.config(), pipeline.Prepare(tr), pred, h).Run(c.Warmup, c.Measure)
+		want, err := pipeline.New(spec.config(), tr, pred).Run(c.Warmup, c.Measure)
 		if err != nil {
 			t.Fatal(err)
 		}

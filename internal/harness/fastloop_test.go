@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/pipeline"
@@ -124,12 +123,11 @@ func FuzzFastLoopMatchesReference(f *testing.F) {
 		}
 		tr := pipeline.Prepare(emu.Trace(prog, int(w+m)))
 		run := func(ref bool) (pipeline.Stats, []uint64) {
-			h := &ghist.History{}
-			pred, err := spec.newPredictor(h)
+			pred, err := spec.newPredictor(tr)
 			if err != nil {
 				t.Fatalf("%s: %v", spec.Identity(), err)
 			}
-			sim := pipeline.New(spec.config(), tr, pred, h)
+			sim := pipeline.New(spec.config(), tr, pred)
 			sim.SetReferenceLoop(ref)
 			var seqs []uint64
 			sim.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }

@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/obs"
@@ -36,13 +35,14 @@ import (
 
 // predictorDef is one constructible predictor configuration: its config
 // name, the paper's label for it, and its constructor over confidence
-// vector vec and the shared history h. maxHist overrides VTAGE's maximum
+// vector vec for a simulation of the prepared trace w, whose rows a
+// history-reading predictor reads. maxHist overrides VTAGE's maximum
 // history length (0: Table 1's); readsMaxHist marks the entries whose
 // constructor reads it, and Spec.Validate rejects max_hist on every other.
 type predictorDef struct {
 	name, label  string
 	readsMaxHist bool
-	build        func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor
+	build        func(vec core.FPCVector, w *pipeline.Prepared, maxHist int) core.Predictor
 }
 
 // predictorSeed seeds every predictor's LFSR; a hybrid's second component
@@ -54,42 +54,40 @@ const predictorSeed = 0xC0FFEE
 // paper references but does not evaluate in its figures (footnote 4 and
 // Section 2).
 var predictors = []predictorDef{
-	{"none", "Baseline", false, func(core.FPCVector, *ghist.History, int) core.Predictor { return nil }},
-	{"lvp", "LVP", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"none", "Baseline", false, func(core.FPCVector, *pipeline.Prepared, int) core.Predictor { return nil }},
+	{"lvp", "LVP", false, func(vec core.FPCVector, _ *pipeline.Prepared, _ int) core.Predictor {
 		return core.NewLVP(13, vec, predictorSeed)
 	}},
-	{"stride", "2D-Str", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"stride", "2D-Str", false, func(vec core.FPCVector, _ *pipeline.Prepared, _ int) core.Predictor {
 		return core.NewStride2D(13, vec, predictorSeed)
 	}},
-	{"fcm", "o4-FCM", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"fcm", "o4-FCM", false, func(vec core.FPCVector, _ *pipeline.Prepared, _ int) core.Predictor {
 		return core.NewFCM(4, 13, vec, predictorSeed)
 	}},
-	{"vtage", "VTAGE", true, func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
-		return core.NewVTAGE(vtageConfig(vec, maxHist), h)
-	}},
-	{"oracle", "Oracle", false, func(core.FPCVector, *ghist.History, int) core.Predictor { return &core.Oracle{} }},
-	{"fcm+stride", "o4-FCM-2DStr", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"vtage", "VTAGE", true, newVTAGE},
+	{"oracle", "Oracle", false, func(core.FPCVector, *pipeline.Prepared, int) core.Predictor { return &core.Oracle{} }},
+	{"fcm+stride", "o4-FCM-2DStr", false, func(vec core.FPCVector, _ *pipeline.Prepared, _ int) core.Predictor {
 		return core.NewHybrid(core.NewFCM(4, 13, vec, predictorSeed), core.NewStride2D(13, vec, predictorSeed+1))
 	}},
-	{"vtage+stride", "VTAGE-2DStr", true, func(vec core.FPCVector, h *ghist.History, maxHist int) core.Predictor {
-		return core.NewHybrid(core.NewVTAGE(vtageConfig(vec, maxHist), h), core.NewStride2D(13, vec, predictorSeed+1))
+	{"vtage+stride", "VTAGE-2DStr", true, func(vec core.FPCVector, w *pipeline.Prepared, maxHist int) core.Predictor {
+		return core.NewHybrid(newVTAGE(vec, w, maxHist), core.NewStride2D(13, vec, predictorSeed+1))
 	}},
-	{"ps", "PS", false, func(vec core.FPCVector, h *ghist.History, _ int) core.Predictor {
-		return core.NewPS(13, 13, vec, predictorSeed, h)
+	{"ps", "PS", false, func(vec core.FPCVector, w *pipeline.Prepared, _ int) core.Predictor {
+		return core.NewPS(13, 13, vec, predictorSeed, w.PSRows())
 	}},
-	{"gdiff", "gDiff", false, func(vec core.FPCVector, _ *ghist.History, _ int) core.Predictor {
+	{"gdiff", "gDiff", false, func(vec core.FPCVector, _ *pipeline.Prepared, _ int) core.Predictor {
 		return core.NewGDiff(13, vec, predictorSeed)
 	}},
 }
 
-// vtageConfig is Table 1's VTAGE over vec, its maximum history length
-// overridden when maxHist is non-zero.
-func vtageConfig(vec core.FPCVector, maxHist int) core.VTAGEConfig {
+// newVTAGE is Table 1's VTAGE over vec, its maximum history length
+// overridden when maxHist is non-zero, reading w's rows for that length.
+func newVTAGE(vec core.FPCVector, w *pipeline.Prepared, maxHist int) core.Predictor {
 	cfg := core.DefaultVTAGEConfig(vec)
 	if maxHist != 0 {
 		cfg.MaxHist = maxHist
 	}
-	return cfg
+	return core.NewVTAGE(cfg, w.VTAGERows(cfg))
 }
 
 // PredictorNames lists the constructible predictor configurations.
@@ -112,17 +110,18 @@ func lookupPredictor(name string) (*predictorDef, bool) {
 }
 
 // buildPredictor constructs the named predictor (see predictorDef.build).
-func buildPredictor(name string, vec core.FPCVector, h *ghist.History, maxHist int) (core.Predictor, error) {
+func buildPredictor(name string, vec core.FPCVector, w *pipeline.Prepared, maxHist int) (core.Predictor, error) {
 	if p, ok := lookupPredictor(name); ok {
-		return p.build(vec, h, maxHist), nil
+		return p.build(vec, w, maxHist), nil
 	}
 	return nil, fmt.Errorf("harness: unknown predictor %q", name)
 }
 
 // NewPredictor constructs the named predictor with confidence vector vec
-// over the shared history h. "none" returns nil (the baseline machine).
-func NewPredictor(name string, vec core.FPCVector, h *ghist.History) (core.Predictor, error) {
-	return buildPredictor(name, vec, h, 0)
+// for a simulation of the prepared trace w. "none" returns nil (the
+// baseline machine).
+func NewPredictor(name string, vec core.FPCVector, w *pipeline.Prepared) (core.Predictor, error) {
+	return buildPredictor(name, vec, w, 0)
 }
 
 // DisplayName maps predictor config names to the paper's labels.
@@ -391,14 +390,14 @@ func (s Spec) config() pipeline.Config {
 	return cfg
 }
 
-// newPredictor constructs the spec's predictor over h, honouring the
-// extended key (explicit vector, VTAGE history override).
-func (s Spec) newPredictor(h *ghist.History) (core.Predictor, error) {
+// newPredictor constructs the spec's predictor for a simulation of w,
+// honouring the extended key (explicit vector, VTAGE history override).
+func (s Spec) newPredictor(w *pipeline.Prepared) (core.Predictor, error) {
 	vec, err := s.vector()
 	if err != nil {
 		return nil, err
 	}
-	return buildPredictor(s.Predictor, vec, h, s.MaxHist)
+	return buildPredictor(s.Predictor, vec, w, s.MaxHist)
 }
 
 // Baseline returns the no-VP spec this spec's speedup is measured against:
@@ -779,12 +778,11 @@ func (se *Session) simulate(ctx context.Context, spec Spec, rt *runRec) (*Result
 	if err != nil {
 		return nil, err
 	}
-	h := &ghist.History{}
-	pred, err := spec.newPredictor(h)
+	pred, err := spec.newPredictor(tr)
 	if err != nil {
 		return nil, err
 	}
-	sim := pipeline.New(spec.config(), tr, pred, h)
+	sim := pipeline.New(spec.config(), tr, pred)
 	rt.countSimulation()
 	st, err := se.runCancellable(ctx, sim, uint64(len(tr.Trace().Uops)), rt)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ghist"
 	"repro/internal/pipeline"
 )
 
@@ -46,9 +45,12 @@ func render(ctx context.Context, se *Session, e Experiment, format string, w io.
 }
 
 func TestNewPredictorAllNames(t *testing.T) {
+	tr, err := NewSession(SessionConfig{Warmup: 200, Measure: 800}).trace(context.Background(), "gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, name := range PredictorNames {
-		h := &ghist.History{}
-		p, err := NewPredictor(name, core.FPCCommit, h)
+		p, err := NewPredictor(name, core.FPCCommit, tr)
 		if err != nil {
 			t.Errorf("NewPredictor(%q): %v", name, err)
 			continue
@@ -63,7 +65,7 @@ func TestNewPredictorAllNames(t *testing.T) {
 			t.Errorf("NewPredictor(%q) returned nil", name)
 		}
 	}
-	if _, err := NewPredictor("bogus", core.FPCCommit, &ghist.History{}); err == nil {
+	if _, err := NewPredictor("bogus", core.FPCCommit, tr); err == nil {
 		t.Error("bogus predictor name accepted")
 	}
 }
@@ -356,20 +358,18 @@ func TestPredictLoadsOnlyRestrictsEligibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &ghist.History{}
-	pred, err := NewPredictor("lvp", core.FPCBaseline, h)
+	pred, err := NewPredictor("lvp", core.FPCBaseline, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := pipeline.DefaultConfig()
 	cfg.PredictLoadsOnly = true
-	st, err := pipeline.New(cfg, tr, pred, h).Run(2_000, 20_000)
+	st, err := pipeline.New(cfg, tr, pred).Run(2_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2 := &ghist.History{}
-	pred2, _ := NewPredictor("lvp", core.FPCBaseline, h2)
-	st2, err := pipeline.New(pipeline.DefaultConfig(), tr, pred2, h2).Run(2_000, 20_000)
+	pred2, _ := NewPredictor("lvp", core.FPCBaseline, tr)
+	st2, err := pipeline.New(pipeline.DefaultConfig(), tr, pred2).Run(2_000, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 )
 
@@ -51,13 +50,13 @@ func (s *archShadow) apply(tr isa.Trace, ti int) {
 // diffPredictors are the predictor configurations the differential test
 // crosses with both recovery modes; LVP with deterministic counters is the
 // most squash-happy configuration the suite has.
-func diffPredictors() []func(h *ghist.History) core.Predictor {
-	return []func(h *ghist.History) core.Predictor{
+func diffPredictors() []func(w *Prepared) core.Predictor {
+	return []func(w *Prepared) core.Predictor{
 		nil,
-		func(h *ghist.History) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
-		func(h *ghist.History) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
-		func(h *ghist.History) core.Predictor {
-			return core.NewHybrid(core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCBaseline), h),
+		func(w *Prepared) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
+		func(w *Prepared) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
+		func(w *Prepared) core.Predictor {
+			return core.NewHybrid(newVTAGE(w, core.DefaultVTAGEConfig(core.FPCBaseline)),
 				core.NewStride2D(10, core.FPCBaseline, 4))
 		},
 	}
@@ -88,10 +87,9 @@ func TestDifferentialEmuVsPipeline(t *testing.T) {
 		pt := Prepare(tr)
 		for pi, mk := range diffPredictors() {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
-				h := &ghist.History{}
 				var p core.Predictor
 				if mk != nil {
-					p = mk(h)
+					p = mk(pt)
 				}
 				cfg := DefaultConfig()
 				cfg.Recovery = rec
@@ -99,7 +97,7 @@ func TestDifferentialEmuVsPipeline(t *testing.T) {
 				shadow := newArchShadow(prog)
 				var commits uint64
 				var orderErr bool
-				sim := New(cfg, pt, p, h)
+				sim := New(cfg, pt, p)
 				sim.OnCommit = func(ti int) {
 					if uint64(ti) != commits {
 						orderErr = true
@@ -149,9 +147,8 @@ func TestDifferentialKernels(t *testing.T) {
 		names, traceUops = names[:2], 10_000
 	}
 	for _, name := range names {
-		h := &ghist.History{}
 		pred := core.NewLVP(10, core.FPCBaseline, 3)
-		sim, err := NewForKernel(DefaultConfig(), name, traceUops, pred, h)
+		sim, err := NewForKernel(DefaultConfig(), name, traceUops, pred)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,29 +6,33 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 )
 
+// newVTAGE builds a VTAGE under cfg over w's rows.
+func newVTAGE(w *Prepared, cfg core.VTAGEConfig) *core.VTAGE {
+	return core.NewVTAGE(cfg, w.VTAGERows(cfg))
+}
+
 // familyPredictors covers every predictor family the harness can build,
 // including the hybrids' cross-feeding and the oracle's feed path.
-func familyPredictors() map[string]func(h *ghist.History) core.Predictor {
-	return map[string]func(h *ghist.History) core.Predictor{
+func familyPredictors() map[string]func(w *Prepared) core.Predictor {
+	return map[string]func(w *Prepared) core.Predictor{
 		"none":   nil,
-		"oracle": func(h *ghist.History) core.Predictor { return &core.Oracle{} },
-		"lvp":    func(h *ghist.History) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
-		"stride": func(h *ghist.History) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
-		"fcm":    func(h *ghist.History) core.Predictor { return core.NewFCM(4, 10, core.FPCBaseline, 3) },
-		"gdiff":  func(h *ghist.History) core.Predictor { return core.NewGDiff(10, core.FPCBaseline, 3) },
-		"ps": func(h *ghist.History) core.Predictor {
-			return core.NewPS(10, 10, core.FPCBaseline, 3, h)
+		"oracle": func(w *Prepared) core.Predictor { return &core.Oracle{} },
+		"lvp":    func(w *Prepared) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
+		"stride": func(w *Prepared) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
+		"fcm":    func(w *Prepared) core.Predictor { return core.NewFCM(4, 10, core.FPCBaseline, 3) },
+		"gdiff":  func(w *Prepared) core.Predictor { return core.NewGDiff(10, core.FPCBaseline, 3) },
+		"ps": func(w *Prepared) core.Predictor {
+			return core.NewPS(10, 10, core.FPCBaseline, 3, w.PSRows())
 		},
-		"vtage": func(h *ghist.History) core.Predictor {
-			return core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCCommit), h)
+		"vtage": func(w *Prepared) core.Predictor {
+			return newVTAGE(w, core.DefaultVTAGEConfig(core.FPCCommit))
 		},
-		"vtage+stride": func(h *ghist.History) core.Predictor {
-			return core.NewHybrid(core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCCommit), h),
+		"vtage+stride": func(w *Prepared) core.Predictor {
+			return core.NewHybrid(newVTAGE(w, core.DefaultVTAGEConfig(core.FPCCommit)),
 				core.NewStride2D(10, core.FPCCommit, 4))
 		},
 	}
@@ -75,12 +79,11 @@ func TestFastLoopMatchesReference(t *testing.T) {
 				cfg.Recovery = rec
 
 				run := func(ref bool) (*Stats, []uint64) {
-					h := &ghist.History{}
 					var p core.Predictor
 					if mk != nil {
-						p = mk(h)
+						p = mk(tr)
 					}
-					s := New(cfg, tr, p, h)
+					s := New(cfg, tr, p)
 					s.SetReferenceLoop(ref)
 					var seqs []uint64
 					s.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
@@ -125,7 +128,7 @@ func sameSeqs(a, b []uint64) (int, bool) {
 func TestFastLoopSkipsIdleCycles(t *testing.T) {
 	w, m := testWin(4_000, 12_000)
 	cfg := DefaultConfig()
-	s, err := NewForKernel(cfg, "mcf", int(w+m), nil, nil)
+	s, err := NewForKernel(cfg, "mcf", int(w+m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +143,7 @@ func TestFastLoopSkipsIdleCycles(t *testing.T) {
 	// dominated by active cycles only. The cheap observable proxy here is
 	// that at least one skip occurred, which we detect by stepping a fresh
 	// sim manually and watching the cycle counter jump.
-	s2, err := NewForKernel(cfg, "mcf", int(w+m), nil, nil)
+	s2, err := NewForKernel(cfg, "mcf", int(w+m), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +170,8 @@ func TestFastLoopSkipsIdleCycles(t *testing.T) {
 }
 
 // TestInFlightInvariants steps sims through both recovery modes and checks
-// after every step the facts the fast loop's bookkeeping and TAGE's
-// per-trace lookups rest on:
+// after every step the facts the fast loop's bookkeeping and the
+// predictors' per-trace rows rest on:
 //
 //   - the in-flight µops (ROB, then fetch queue) hold consecutive trace
 //     indexes ending just before fetchIdx, and span no more of them than
@@ -176,15 +179,15 @@ func TestFastLoopSkipsIdleCycles(t *testing.T) {
 //   - every parked µop (waiting but not awake) sits on exactly one wakeup
 //     chain, whose producer is in flight and has not issued;
 //   - the global history position is a function of the trace index: every
-//     in-flight µop's checkpoint (histPos) and, at fetchIdx, the history
-//     itself stand at the number of conditional branches before it.
+//     in-flight µop's checkpoint (histPos) and, at fetchIdx, the position
+//     fetch stands at equal the number of conditional branches before it.
 func TestInFlightInvariants(t *testing.T) {
 	w, m := testWin(5_000, 15_000)
 	total := w + m
-	preds := map[string]func(h *ghist.History) core.Predictor{
-		"lvp": func(h *ghist.History) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
-		"vtage+stride": func(h *ghist.History) core.Predictor {
-			return core.NewHybrid(core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCCommit), h),
+	preds := map[string]func(w *Prepared) core.Predictor{
+		"lvp": func(w *Prepared) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
+		"vtage+stride": func(w *Prepared) core.Predictor {
+			return core.NewHybrid(newVTAGE(w, core.DefaultVTAGEConfig(core.FPCCommit)),
 				core.NewStride2D(10, core.FPCCommit, 4))
 		},
 	}
@@ -194,8 +197,7 @@ func TestInFlightInvariants(t *testing.T) {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
 				cfg.Recovery = rec
-				h := &ghist.History{}
-				s := New(cfg, workloads[wl], mk(h), h)
+				s := New(cfg, workloads[wl], mk(workloads[wl]))
 				before := branchesBefore(s)
 				parkedSeen := 0
 				for steps := 0; s.stats.Committed < total; steps++ {
@@ -258,7 +260,7 @@ func checkInFlight(s *Sim, before []uint64) (int, error) {
 			return 0, fmt.Errorf("trace index %d: history checkpoint %d, want %d conditional branches before it", ti, got, before[ti])
 		}
 	}
-	if got := s.hist.Pos(); got != before[s.fetchIdx] {
+	if got := s.histPos; got != before[s.fetchIdx] {
 		return 0, fmt.Errorf("history at position %d fetching trace index %d, want %d", got, s.fetchIdx, before[s.fetchIdx])
 	}
 

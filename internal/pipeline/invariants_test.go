@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 )
 
@@ -65,16 +64,16 @@ func randomProgram(seed int64) *isa.Program {
 // commits everything requested, IPC stays within machine bounds, and the
 // reference loop reproduces the same Stats and commit stream.
 func TestFuzzPipelineInvariants(t *testing.T) {
-	preds := []func(h *ghist.History) core.Predictor{
+	preds := []func(w *Prepared) core.Predictor{
 		nil,
-		func(h *ghist.History) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
-		func(h *ghist.History) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
-		func(h *ghist.History) core.Predictor { return core.NewFCM(4, 10, core.FPCBaseline, 3) },
-		func(h *ghist.History) core.Predictor {
-			return core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCBaseline), h)
+		func(w *Prepared) core.Predictor { return core.NewLVP(10, core.FPCBaseline, 3) },
+		func(w *Prepared) core.Predictor { return core.NewStride2D(10, core.FPCBaseline, 3) },
+		func(w *Prepared) core.Predictor { return core.NewFCM(4, 10, core.FPCBaseline, 3) },
+		func(w *Prepared) core.Predictor {
+			return newVTAGE(w, core.DefaultVTAGEConfig(core.FPCBaseline))
 		},
-		func(h *ghist.History) core.Predictor {
-			return core.NewHybrid(core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCBaseline), h),
+		func(w *Prepared) core.Predictor {
+			return core.NewHybrid(newVTAGE(w, core.DefaultVTAGEConfig(core.FPCBaseline)),
 				core.NewStride2D(10, core.FPCBaseline, 4))
 		},
 	}
@@ -89,12 +88,11 @@ func TestFuzzPipelineInvariants(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Recovery = rec
 				run := func(ref bool) (Stats, []uint64) {
-					h := &ghist.History{}
 					var p core.Predictor
 					if mk != nil {
-						p = mk(h)
+						p = mk(tr)
 					}
-					s := New(cfg, tr, p, h)
+					s := New(cfg, tr, p)
 					s.SetReferenceLoop(ref)
 					var seqs []uint64
 					s.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
@@ -136,9 +134,8 @@ func TestStatsPartitionProperty(t *testing.T) {
 	tr := Prepare(emu.Trace(randomProgram(42), 20_000))
 	f := func(seed uint32) bool {
 		cfg := DefaultConfig()
-		h := &ghist.History{}
 		p := core.NewLVP(10, core.FPCBaseline, seed)
-		st, err := New(cfg, tr, p, h).Run(2_000, 10_000)
+		st, err := New(cfg, tr, p).Run(2_000, 10_000)
 		if err != nil {
 			return false
 		}
@@ -154,7 +151,7 @@ func TestStatsPartitionProperty(t *testing.T) {
 func TestOracleNeverSlower(t *testing.T) {
 	w, m := testWin(5_000, 15_000)
 	for _, k := range kernelNames() {
-		base, err := NewForKernel(DefaultConfig(), k, int(w+m), nil, nil)
+		base, err := NewForKernel(DefaultConfig(), k, int(w+m), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +159,7 @@ func TestOracleNeverSlower(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := &ghist.History{}
-		osim, err := NewForKernel(DefaultConfig(), k, int(w+m), &core.Oracle{}, h)
+		osim, err := NewForKernel(DefaultConfig(), k, int(w+m), &core.Oracle{})
 		if err != nil {
 			t.Fatal(err)
 		}

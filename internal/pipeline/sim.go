@@ -3,12 +3,13 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"sync"
 
 	"repro/internal/bpred"
 	"repro/internal/core"
 	"repro/internal/dram"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/mem"
@@ -73,7 +74,7 @@ type feEntry struct {
 
 // payload is the per-µop state that travels from fetch to commit untouched
 // by the back-end: the value predictor's and TAGE's fetch-time metadata for
-// training, and the history/RAS checkpoints a squash rolls back to. It
+// training, and the history position and RAS top a squash restores. It
 // lives in a ring indexed by trace index (Sim.pay), written in place at
 // fetch and read in place at commit and squash. In-flight µops (ROB plus
 // fetch queue) always span the contiguous trace-index range
@@ -98,18 +99,23 @@ type staticInst struct {
 }
 
 // Prepared is a trace made ready to simulate: its µops, its code decoded
-// as the hot path reads it, and TAGE's lookup of every conditional branch
-// (bpred.Lookups). Everything in it is a property of the trace alone, so
-// it is built once per trace and shared, read-only, by every simulation of
-// it. Construct with Prepare.
+// as the hot path reads it, TAGE's lookup of every conditional branch
+// (bpred.Lookups), and the rows through which VTAGE and PS read the global
+// history. Everything in it is a property of the trace alone, so it is
+// built once per trace and shared, read-only, by every simulation of it.
+// Construct with Prepare.
 type Prepared struct {
 	trace isa.Trace
 	code  []staticInst
 	tage  *bpred.Lookups
+
+	mu    sync.Mutex // guards the value predictors' rows, built on first use
+	vtage []*core.VTAGERows
+	ps    *core.PSRows
 }
 
 // Prepare decodes tr's code and builds its TAGE lookups from its
-// conditional branches, the µops fetch pushes onto the global history.
+// conditional branches.
 func Prepare(tr isa.Trace) *Prepared {
 	w := &Prepared{trace: tr, code: make([]staticInst, len(tr.Insts))}
 	for pc, in := range tr.Insts {
@@ -122,19 +128,49 @@ func Prepare(tr isa.Trace) *Prepared {
 			store:      cls == isa.ClassStore,
 		}
 	}
-	w.tage = bpred.BuildLookups(bpred.DefaultTageConfig(), func(yield func(uint64, bool) bool) {
-		for i := range tr.Uops {
-			di := &tr.Uops[i]
+	w.tage = bpred.BuildLookups(bpred.DefaultTageConfig(), w.branches())
+	return w
+}
+
+// branches yields the PC and outcome of the trace's conditional branches,
+// in trace order: what a history position counts.
+func (w *Prepared) branches() iter.Seq2[uint64, bool] {
+	return func(yield func(uint64, bool) bool) {
+		for i := range w.trace.Uops {
+			di := &w.trace.Uops[i]
 			if w.code[di.PC()].class == isa.ClassBranch && !yield(uint64(di.PC()), di.Taken()) {
 				return
 			}
 		}
-	})
-	return w
+	}
 }
 
 // Trace returns the trace w was prepared from.
 func (w *Prepared) Trace() isa.Trace { return w.trace }
+
+// VTAGERows returns the trace's VTAGE rows for cfg's history geometry,
+// building them on first use.
+func (w *Prepared) VTAGERows(cfg core.VTAGEConfig) *core.VTAGERows {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for _, rows := range w.vtage {
+		if rows.Fits(cfg) {
+			return rows
+		}
+	}
+	w.vtage = append(w.vtage, core.BuildVTAGERows(cfg, w.branches()))
+	return w.vtage[len(w.vtage)-1]
+}
+
+// PSRows returns the trace's PS rows, building them on first use.
+func (w *Prepared) PSRows() *core.PSRows {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.ps == nil {
+		w.ps = core.BuildPSRows(w.branches())
+	}
+	return w.ps
+}
 
 // Sim is one simulation instance: a machine configuration bound to a trace
 // and a value predictor. Zero value is not usable; construct with New.
@@ -150,7 +186,8 @@ type Sim struct {
 	// against the functional emulator through it.
 	OnCommit func(ti int)
 
-	hist  *ghist.History
+	histPos uint64 // the history position fetch stands at: conditional branches before fetchIdx
+
 	tage  *bpred.Tage
 	btb   *bpred.BTB
 	ras   *bpred.RAS
@@ -259,13 +296,9 @@ type Sim struct {
 }
 
 // New builds a simulator for the prepared trace w under cfg using pred for
-// value prediction (nil disables VP: the baseline machine). hist is the
-// global history pred reads, if any; fetch pushes every conditional
-// branch onto it and a squash rolls it back.
-func New(cfg Config, w *Prepared, pred core.Predictor, hist *ghist.History) *Sim {
-	if hist == nil {
-		hist = &ghist.History{}
-	}
+// value prediction (nil disables VP: the baseline machine), which reads any
+// history from w's rows (VTAGERows, PSRows).
+func New(cfg Config, w *Prepared, pred core.Predictor) *Sim {
 	mm := dram.New(cfg.DRAM)
 	l2 := mem.NewCache(cfg.L2, nil, mm)
 	pf := mem.NewStridePrefetcher(8, 8, l2)
@@ -275,7 +308,6 @@ func New(cfg Config, w *Prepared, pred core.Predictor, hist *ghist.History) *Sim
 		uops:      w.trace.Uops,
 		code:      w.code,
 		pred:      pred,
-		hist:      hist,
 		tage:      bpred.NewTage(w.tage),
 		btb:       bpred.NewBTB(12),
 		ras:       &bpred.RAS{},
@@ -332,13 +364,14 @@ func New(cfg Config, w *Prepared, pred core.Predictor, hist *ghist.History) *Sim
 }
 
 // NewForKernel is a convenience constructor: trace the named kernel for
-// nUops, prepare the trace and build a simulator over it.
-func NewForKernel(cfg Config, kernel string, nUops int, pred core.Predictor, hist *ghist.History) (*Sim, error) {
+// nUops, prepare the trace and build a simulator over it. pred is built
+// before the trace, so it must read no per-trace rows.
+func NewForKernel(cfg Config, kernel string, nUops int, pred core.Predictor) (*Sim, error) {
 	k, ok := kernels.ByName(kernel)
 	if !ok {
 		return nil, fmt.Errorf("pipeline: unknown kernel %q", kernel)
 	}
-	return New(cfg, Prepare(emu.Trace(k.Build(), nUops)), pred, hist), nil
+	return New(cfg, Prepare(emu.Trace(k.Build(), nUops)), pred), nil
 }
 
 func (s *Sim) di(ti int) *isa.DynInst { return &s.uops[ti] }
@@ -1219,7 +1252,7 @@ func (s *Sim) fetch() {
 		fe := &s.feq[fi]
 		*fe = feEntry{ti: s.fetchIdx, readyCyc: s.cycle + s.cfg.FrontDepth}
 		pl := s.pl(s.fetchIdx)
-		pl.histPos = s.hist.Pos()
+		pl.histPos = s.histPos
 		pl.rasTop = s.ras.Top()
 
 		// Value prediction happens in the front-end for every µop producing
@@ -1229,7 +1262,7 @@ func (s *Sim) fetch() {
 			if s.ofeed != nil {
 				s.ofeed.FeedActual(di.Result)
 			}
-			s.pred.Predict(uint64(pc), &pl.meta)
+			s.pred.Predict(uint64(pc), pl.histPos, &pl.meta)
 			pl.meta.Seq = uint64(s.fetchIdx)
 			fe.conf = pl.meta.Conf
 			fe.predWrong = fe.conf && pl.meta.Pred != di.Result
@@ -1283,7 +1316,7 @@ func (s *Sim) fetchControl(di *isa.DynInst, class isa.Class, fe *feEntry, pl *pa
 
 	switch class {
 	case isa.ClassBranch:
-		predTaken, m := s.tage.Predict(pc, s.hist.Pos())
+		predTaken, m := s.tage.Predict(pc, s.histPos)
 		pl.bmeta = m
 		mispred = predTaken != diTaken
 		if predTaken && diTaken {
@@ -1291,7 +1324,7 @@ func (s *Sim) fetchControl(di *isa.DynInst, class isa.Class, fe *feEntry, pl *pa
 				btbBubble = true
 			}
 		}
-		s.hist.Push(diTaken, pc)
+		s.histPos++
 	case isa.ClassJump, isa.ClassCall:
 		if _, hit := s.btb.Lookup(pc); !hit {
 			btbBubble = true
@@ -1334,9 +1367,10 @@ func (s *Sim) fetchControl(di *isa.DynInst, class isa.Class, fe *feEntry, pl *pa
 
 // squashFromAge flushes the ROB from age position fromAge (0 = head,
 // inclusive) to the tail, clears the front-end, and restarts fetch at trace
-// index resumeTI at cycle resumeCyc. It repairs the global history, the RAS,
-// the rename producer table, the store-set LFST, and the value predictor's
-// speculative state. Ages (not slots) disambiguate the full-ROB wrap case.
+// index resumeTI at cycle resumeCyc. It restores the history position and
+// the RAS, and repairs the rename producer table, the store-set LFST, and
+// the value predictor's speculative state. Ages (not slots) disambiguate
+// the full-ROB wrap case.
 func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 	// Determine the checkpoint: the first squashed µop's fetch-time state,
 	// or (if the ROB part is empty) the oldest front-end entry's.
@@ -1372,7 +1406,7 @@ func (s *Sim) squashFromAge(fromAge int, resumeTI int, resumeCyc int64) {
 		histPos, rasTop, restored = pl.histPos, pl.rasTop, true
 	}
 	if restored {
-		s.hist.RollTo(histPos)
+		s.histPos = histPos
 		s.ras.Restore(rasTop)
 	}
 	s.feqHead, s.feqLen = 0, 0

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/emu"
-	"repro/internal/ghist"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 )
@@ -53,16 +52,16 @@ func testWin(warmup, measure uint64) (uint64, uint64) {
 	return warmup, measure
 }
 
-func runTrace(t *testing.T, tr isa.Trace, mk func(h *ghist.History) core.Predictor, rec RecoveryMode) *Stats {
+func runTrace(t *testing.T, tr isa.Trace, mk func(w *Prepared) core.Predictor, rec RecoveryMode) *Stats {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Recovery = rec
-	h := &ghist.History{}
+	pt := Prepare(tr)
 	var p core.Predictor
 	if mk != nil {
-		p = mk(h)
+		p = mk(pt)
 	}
-	s := New(cfg, Prepare(tr), p, h)
+	s := New(cfg, pt, p)
 	w, m := testWin(10_000, 40_000)
 	st, err := s.Run(w, m)
 	if err != nil {
@@ -114,12 +113,11 @@ func TestSplitRunMatchesStraightRun(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Recovery = rec
 				build := func() (*Sim, *[]uint64) {
-					h := &ghist.History{}
 					var p core.Predictor
 					if mk != nil {
-						p = mk(h)
+						p = mk(tr)
 					}
-					s := New(cfg, tr, p, h)
+					s := New(cfg, tr, p)
 					var seqs []uint64
 					s.OnCommit = func(ti int) { seqs = append(seqs, uint64(ti)) }
 					return s, &seqs
@@ -154,8 +152,8 @@ func TestSplitRunMatchesStraightRun(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	mk := func(h *ghist.History) core.Predictor {
-		return core.NewVTAGE(core.DefaultVTAGEConfig(core.FPCCommit), h)
+	mk := func(w *Prepared) core.Predictor {
+		return newVTAGE(w, core.DefaultVTAGEConfig(core.FPCCommit))
 	}
 	a := runTrace(t, serialChain(), mk, SquashAtCommit)
 	b := runTrace(t, serialChain(), mk, SquashAtCommit)
@@ -166,7 +164,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestOracleBreaksSerialChain(t *testing.T) {
 	base := runTrace(t, serialChain(), nil, SquashAtCommit)
-	oracle := runTrace(t, serialChain(), func(*ghist.History) core.Predictor { return &core.Oracle{} }, SquashAtCommit)
+	oracle := runTrace(t, serialChain(), func(*Prepared) core.Predictor { return &core.Oracle{} }, SquashAtCommit)
 	if oracle.IPC() <= base.IPC()*1.2 {
 		t.Errorf("oracle IPC %.2f not well above baseline %.2f on a serial chain",
 			oracle.IPC(), base.IPC())
@@ -178,7 +176,7 @@ func TestOracleBreaksSerialChain(t *testing.T) {
 
 func TestLVPBreaksConstantLoadChain(t *testing.T) {
 	base := runTrace(t, serialChain(), nil, SquashAtCommit)
-	lvp := runTrace(t, serialChain(), func(*ghist.History) core.Predictor {
+	lvp := runTrace(t, serialChain(), func(*Prepared) core.Predictor {
 		return core.NewLVP(13, core.FPCCommit, 7)
 	}, SquashAtCommit)
 	if lvp.IPC() <= base.IPC()*1.1 {
@@ -219,7 +217,7 @@ func changingValues() isa.Trace {
 func TestValueSquashPathExercised(t *testing.T) {
 	// With deterministic 3-bit counters LVP becomes confident quickly and is
 	// then wrong at every value change: squashes must occur and be survived.
-	st := runTrace(t, changingValues(), func(*ghist.History) core.Predictor {
+	st := runTrace(t, changingValues(), func(*Prepared) core.Predictor {
 		return core.NewLVP(13, core.FPCBaseline, 7)
 	}, SquashAtCommit)
 	if st.SquashValue == 0 {
@@ -231,7 +229,7 @@ func TestValueSquashPathExercised(t *testing.T) {
 }
 
 func TestSelectiveReissuePathExercised(t *testing.T) {
-	st := runTrace(t, changingValues(), func(*ghist.History) core.Predictor {
+	st := runTrace(t, changingValues(), func(*Prepared) core.Predictor {
 		return core.NewLVP(13, core.FPCBaseline, 7)
 	}, SelectiveReissue)
 	if st.ReissuedUops == 0 {
@@ -245,7 +243,7 @@ func TestSelectiveReissuePathExercised(t *testing.T) {
 func TestReissueCheaperThanSquashAtLowAccuracy(t *testing.T) {
 	// The Section 3.1.1 argument: with a mediocre confidence scheme,
 	// selective reissue beats squashing at commit.
-	mk := func(*ghist.History) core.Predictor { return core.NewLVP(13, core.FPCBaseline, 7) }
+	mk := func(*Prepared) core.Predictor { return core.NewLVP(13, core.FPCBaseline, 7) }
 	squash := runTrace(t, changingValues(), mk, SquashAtCommit)
 	reissue := runTrace(t, changingValues(), mk, SelectiveReissue)
 	if reissue.IPC() < squash.IPC()*0.98 {
@@ -278,7 +276,7 @@ func storeLoadConflict() isa.Trace {
 func TestMemoryOrderViolationAndLearning(t *testing.T) {
 	// No warmup: the first violation must be visible in the stats.
 	cfg := DefaultConfig()
-	s := New(cfg, Prepare(storeLoadConflict()), nil, nil)
+	s := New(cfg, Prepare(storeLoadConflict()), nil)
 	_, m := testWin(0, 50_000)
 	st, err := s.Run(0, m)
 	if err != nil {
@@ -349,8 +347,44 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
+// TestPreparedRowsAreBuiltOncePerGeometry: concurrent simulations of one
+// trace share its VTAGE rows per history geometry, whatever their
+// confidence vector, and its PS rows; rows of another geometry are
+// refused by NewVTAGE.
+func TestPreparedRowsAreBuiltOncePerGeometry(t *testing.T) {
+	w := Prepare(simpleLoop())
+	base := core.DefaultVTAGEConfig(core.FPCBaseline)
+	short := base
+	short.MaxHist = 8
+	type got struct {
+		def, fpc, short *core.VTAGERows
+		ps              *core.PSRows
+	}
+	results := make(chan got, 4)
+	for range 4 {
+		go func() {
+			results <- got{w.VTAGERows(base), w.VTAGERows(core.DefaultVTAGEConfig(core.FPCCommit)), w.VTAGERows(short), w.PSRows()}
+		}()
+	}
+	first := <-results
+	for range 3 {
+		if g := <-results; g != first {
+			t.Errorf("concurrent callers got different rows: %+v and %+v", g, first)
+		}
+	}
+	if first.def != first.fpc || first.def == first.short {
+		t.Errorf("default rows %p, FPC vector %p, max_hist 8 %p: want one table per history geometry", first.def, first.fpc, first.short)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewVTAGE accepted max_hist 8 rows for a max_hist 64 configuration")
+		}
+	}()
+	core.NewVTAGE(base, first.short)
+}
+
 func TestNewForKernelUnknown(t *testing.T) {
-	if _, err := NewForKernel(DefaultConfig(), "no-such-kernel", 1000, nil, nil); err == nil {
+	if _, err := NewForKernel(DefaultConfig(), "no-such-kernel", 1000, nil); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 }
@@ -362,7 +396,7 @@ func TestAllKernelsSimulate(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			w, m := testWin(5_000, 25_000)
-			s, err := NewForKernel(DefaultConfig(), name, int(w+m), nil, nil)
+			s, err := NewForKernel(DefaultConfig(), name, int(w+m), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

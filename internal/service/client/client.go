@@ -115,9 +115,10 @@ func decodeError(resp *http.Response) error {
 // all-or-nothing: any failing spec fails the whole call with the server's
 // typed APIError for the first failure in request order.
 //
-// This is the hot path of a fleet front, so the response body is parsed by
-// the frame codec directly (one scanner pass) instead of going through
-// json.Decoder's extra validation walk.
+// This is the hot path of a fleet front, so the response body is read into
+// one buffer sized from its Content-Length (at most service.MaxBody up
+// front) and parsed by the frame codec directly (one scanner pass) instead
+// of going through json.Decoder's extra validation walk.
 func (c *Client) SimulateBatchSync(ctx context.Context, specs []harness.Spec) ([]harness.Record, error) {
 	in, err := service.BatchSyncRequest{Specs: specs}.MarshalJSON()
 	if err != nil {
@@ -136,7 +137,7 @@ func (c *Client) SimulateBatchSync(ctx context.Context, specs []harness.Spec) ([
 	if resp.StatusCode/100 != 2 {
 		return nil, decodeError(resp)
 	}
-	body, err := io.ReadAll(resp.Body)
+	body, err := service.ReadBody(resp.Body, resp.ContentLength, service.MaxBody)
 	if err != nil {
 		return nil, err
 	}

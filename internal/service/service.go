@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -198,17 +199,46 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// MaxBody is the largest request body the daemon reads, 16 MiB, and the
+// most either side allocates for a body before reading it (ReadBody).
+const MaxBody = 16 << 20
+
+// ReadBody reads body to its end. length is its declared Content-Length
+// (-1: unknown): up to limit it sizes the buffer, so a body that matches its
+// header is read into one allocation. A length over limit, or none, starts
+// the buffer small and grows it as bytes arrive, so a header larger than
+// the bytes that follow costs at most limit bytes up front.
+func ReadBody(body io.Reader, length, limit int64) ([]byte, error) {
+	size := int64(512)
+	if length >= 0 && length <= limit {
+		size = length + 1 // room for the read that returns io.EOF
+	}
+	b := make([]byte, 0, size)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		} else if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)] // let append pick the growth, as io.ReadAll does
+		}
+	}
+}
+
 // decodeBody reads a JSON request body (at most 16 MiB) into v under the
 // API's strict rule: one value, no unknown field, nothing after it. The wire
 // types take the read body in their own one-pass codecs, which keep that
 // rule (through a json.Decoder they would be scanned twice); anything else
 // streams through decodeStrict. Reports false after writing the 400.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
+	body := http.MaxBytesReader(w, r.Body, MaxBody)
 	var err error
 	if u, ok := v.(json.Unmarshaler); ok {
 		var b []byte
-		if b, err = io.ReadAll(body); err == nil {
+		if b, err = ReadBody(body, r.ContentLength, MaxBody); err == nil {
 			err = u.UnmarshalJSON(b)
 		}
 	} else {
@@ -336,12 +366,15 @@ func (s *Server) handleBatchSync(w http.ResponseWriter, r *http.Request) {
 	}
 	// Emit through the frame codec: the response bytes go straight to the
 	// wire, skipping the encoder's compaction re-scan of the marshaled body.
+	// The whole body is in hand, so it goes out with its length (the client
+	// sizes its read buffer from it) rather than chunked.
 	out, err := BatchSyncResponse{Records: recs}.MarshalJSON()
 	if err != nil {
 		apiError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)+1))
 	w.WriteHeader(http.StatusOK)
 	w.Write(out)
 	w.Write([]byte{'\n'})

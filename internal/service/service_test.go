@@ -4,11 +4,14 @@
 package service_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -350,6 +353,97 @@ func TestRequestBodiesAreOneValue(t *testing.T) {
 				t.Errorf("%s with tail %q: error body %s, want code %s", ep.path, tc.tail, body, CodeBadRequest)
 			}
 		}
+	}
+}
+
+// TestBatchSyncBodiesAtTheirLength: a batch-sync response goes out with
+// its Content-Length, so the client can size its read buffer from it, even
+// when it is larger than net/http's 2 KB response buffer and would
+// otherwise be chunked. A request body shorter than its header, and one
+// over the 16 MiB limit, answer 400 bad_request.
+func TestBatchSyncBodiesAtTheirLength(t *testing.T) {
+	_, _, ts := newTestServer(t, Options{Workers: 1})
+	frame := `{"specs":[` + strings.Repeat(`{"kernel":"gzip","predictor":"none"},`, 31) + `{"kernel":"gzip","predictor":"none"}]}`
+	resp, err := http.Post(ts.URL+"/v1/simulate/batch-sync", "application/json", strings.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("32-spec frame: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if len(body) <= 2048 || resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("%d-B response: Content-Length %d, Transfer-Encoding %v; want its length, not chunked",
+			len(body), resp.ContentLength, resp.TransferEncoding)
+	}
+
+	badRequest := func(name string, resp *http.Response) {
+		t.Helper()
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var apiErr APIError
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &apiErr) != nil || apiErr.Code != CodeBadRequest {
+			t.Errorf("%s: HTTP %d %s, want 400 %s", name, resp.StatusCode, body, CodeBadRequest)
+		}
+	}
+	// A header 1,000 bytes longer than the body, then the end of the
+	// request: the daemon reads what came and answers.
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/simulate/batch-sync HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+		len(frame)+1000, frame)
+	conn.(*net.TCPConn).CloseWrite()
+	short, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badRequest("body shorter than its header", short)
+
+	over, err := http.Post(ts.URL+"/v1/simulate/batch-sync", "application/json",
+		strings.NewReader(frame+strings.Repeat(" ", 16<<20)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	badRequest("body over 16 MiB", over)
+}
+
+// TestReadBodySizesFromLength: ReadBody reads every body whole, reads one
+// that matches its declared length in a single allocation, and never sizes
+// its buffer from a header past the limit.
+func TestReadBodySizesFromLength(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 1400) // 22,400 B
+	n := int64(len(body))
+	for _, tc := range []struct {
+		name          string
+		length, limit int64
+	}{
+		{"matching length", n, 1 << 20},
+		{"unknown length", -1, 1 << 20},
+		{"length over the limit", 1 << 40, 4096},
+		{"length past the body", n + 100, 1 << 20},
+	} {
+		if got, err := ReadBody(bytes.NewReader(body), tc.length, tc.limit); err != nil || !bytes.Equal(got, body) {
+			t.Errorf("%s: read %d B, %v; want the %d-B body", tc.name, len(got), err, len(body))
+		}
+	}
+	r := bytes.NewReader(body)
+	if allocs := testing.AllocsPerRun(10, func() { r.Reset(body); ReadBody(r, n, 1<<20) }); allocs != 1 {
+		t.Errorf("matching length: %.0f allocations, want 1", allocs)
+	}
+	// A header promising a terabyte over ten bytes allocates a small
+	// buffer, not the header's size.
+	if got, err := ReadBody(strings.NewReader("0123456789"), 1<<40, 4096); err != nil || string(got) != "0123456789" || cap(got) > 4096 {
+		t.Errorf("oversized header: %q (cap %d), %v", got, cap(got), err)
 	}
 }
 
